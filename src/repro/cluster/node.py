@@ -144,9 +144,7 @@ class ClusterNode:
         if self.status == "down":
             return
         if isinstance(self.store, PersistentKVCache):
-            # Release the file handle without flushing the buffer —
-            # the un-durable window dies here, as it would in SIGKILL.
-            self.store._wal.close()
+            self.store.abandon()
         self.engine = None
         self.store = None
         self.status = "down"

@@ -486,9 +486,9 @@ def _run_recover(args: argparse.Namespace) -> int:
             verb = ("recovered+finished (live)" if args.live
                     else "recovered+finished")
         elif args.live:
-            from repro.online.liverecovery import live_recover
+            from repro.online.liverecovery import LiveRecoveringKVCache
 
-            cache = live_recover(args.snapshot_dir)
+            cache = LiveRecoveringKVCache(args.snapshot_dir)
             cache.finish()
             stats = cache.stats()
             cache.close()

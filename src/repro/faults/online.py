@@ -390,7 +390,7 @@ def chaos_campaign(plan: ChaosPlan, directory: str) -> ChaosReport:
             break
         # Kill: abandon the wrapper un-flushed (buffered records die
         # with the process), optionally tear the newest WAL's tail.
-        cache._wal.close()
+        cache.abandon()
         del cache
         report.crashes += 1
         if plan.torn:

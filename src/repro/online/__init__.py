@@ -38,7 +38,6 @@ from repro.online.liverecovery import (
     LiveRecoveringKVCache,
     LiveRecoveryStats,
     RecoveryInProgress,
-    live_recover,
 )
 from repro.online.persistence import (
     PersistentKVCache,
@@ -48,9 +47,7 @@ from repro.online.persistence import (
     kv_stats_digest,
     load_snapshot_engine,
     read_snapshot,
-    read_wal,
     recover,
-    replay_into,
     write_snapshot,
 )
 from repro.online.resilience import (
@@ -96,14 +93,11 @@ __all__ = [
     "kv_stats_digest",
     "load_snapshot_engine",
     "read_snapshot",
-    "read_wal",
     "recover",
-    "replay_into",
     "write_snapshot",
     "LiveRecoveringKVCache",
     "LiveRecoveryStats",
     "RecoveryInProgress",
-    "live_recover",
     "BREAKER_STATES",
     "CircuitBreaker",
     "LoaderUnavailable",

@@ -62,19 +62,16 @@ matters.
 from __future__ import annotations
 
 import os
-import pickle
-import zlib
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 from repro.online.keyspace import key_fingerprint, shard_of
 from repro.online.persistence import (
-    _RECORD_HEADER,
     PersistentKVCache,
-    _wal_name,
     apply_wal_record,
     iter_wal,
     load_snapshot_engine,
+    read_record,
 )
 
 #: Pending-view marker for a deferred delete.
@@ -153,7 +150,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 f"snapshot_every must be positive, got {snapshot_every}"
             )
         directory = os.fspath(directory)
-        cache, loaded_gen, latest = load_snapshot_engine(
+        cache, wal_paths, latest = load_snapshot_engine(
             directory,
             sizeof=sizeof,
             history_factory=history_factory,
@@ -169,31 +166,30 @@ class LiveRecoveringKVCache(PersistentKVCache):
         num_shards = cache.num_shards
 
         # One streaming pass over the WAL chain builds a positional
-        # index — (generation, start offset, shard) per work item, ints
-        # only, never the decoded records — and the per-generation
-        # intact lengths. Records are re-read lazily during replay.
+        # index — (WAL position in the chain, start offset, shard) per
+        # work item, ints only, never the decoded records — and the
+        # newest WAL's intact length. Records are re-read lazily during
+        # replay.
         items: List[Tuple[int, int, Optional[int]]] = []
         per_shard: List[List[Tuple[int, int, Optional[int]]]] = [
             [] for _ in range(num_shards)
         ]
-        self._wal_bounds: Dict[int, int] = {}
-        for generation in range(loaded_gen, latest + 1):
-            path = os.path.join(directory, _wal_name(generation))
+        for wal, path in enumerate(wal_paths):
             start = 0
             for record, end in iter_wal(path):
                 if self._global_order:
-                    items.append((generation, start, None))
+                    items.append((wal, start, None))
                 else:
                     for index in _record_shards(record, num_shards):
-                        per_shard[index].append((generation, start, index))
+                        per_shard[index].append((wal, start, index))
                 start = end
-            self._wal_bounds[generation] = start
         if not self._global_order:
             # Shard-major order: shard 0 drains (and starts serving)
             # first, then shard 1, ... — progressive readiness.
             for queue in per_shard:
                 items.extend(queue)
         self._items = items
+        self._wal_paths = wal_paths
         self._cursor = 0
         self._shard_remaining = [len(queue) for queue in per_shard]
         self._serving = [False] * num_shards
@@ -206,11 +202,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
         self._readers: Dict[int, BinaryIO] = {}
         self.recovery = LiveRecoveryStats(total_records=len(items))
 
-        newest = os.path.join(directory, _wal_name(latest))
-        offset = self._wal_bounds.get(latest, 0)
-        if not os.path.exists(newest):
-            open(newest, "ab").close()
-            offset = 0
         # The superclass truncates the newest WAL's torn tail and
         # positions the append handle at the intact end: accepted live
         # ops dual-log right after the prefix replay reads from.
@@ -220,7 +211,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             snapshot_every=None,
             wal_flush_ops=wal_flush_ops,
             _generation=latest,
-            _wal_offset=offset,
+            _wal_offset=start,
         )
         with self._lock:
             self._promote_locked()
@@ -233,11 +224,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
     def recovering(self) -> bool:
         """Whether WAL replay is still in progress."""
         return self._recovering
-
-    @property
-    def recovery_complete(self) -> bool:
-        """Whether the engine state equals stop-the-world recovery's."""
-        return not self._recovering
 
     def shard_serving(self, index: int) -> bool:
         """Whether ``index``'s shard serves normally (replay drained)."""
@@ -305,8 +291,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
             budget = self.chunk_ops if max_ops is None else max_ops
             applied = 0
             while applied < budget and self._cursor < len(self._items):
-                generation, start, shard = self._items[self._cursor]
-                record = self._read_record_at(generation, start)
+                wal, start, shard = self._items[self._cursor]
+                record = self._read_record_at(wal, start)
                 self._apply_item_locked(record, shard)
                 if shard is not None:
                     self._shard_remaining[shard] -= 1
@@ -328,59 +314,54 @@ class LiveRecoveringKVCache(PersistentKVCache):
         super().close()
 
     # ------------------------------------------------------------------
-    # Serving API: gate on per-shard readiness while recovering
+    # Serving API: a readiness gate over the plain logged paths
     # ------------------------------------------------------------------
+    #
+    # Each method holds the lock only for its gate (and, on a replaying
+    # shard, the honest recovering action). Once the gate finds the
+    # shard serving it releases the lock and delegates to the
+    # superclass's logged op. That is safe because readiness only ever
+    # turns on: ``_serving[i]`` goes False -> True and ``_recovering``
+    # True -> False, each exactly once, so a shard seen serving is
+    # still serving — with its deferred writes applied — when the
+    # logged op runs.
 
     def get(self, key, default=None):
         """Logged get; honest recovering read on a replaying shard."""
         with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    return self._recovering_get_locked(index, key, default)
-            self._log(("get", key))
-            return self.cache.get(key, default)
+            index = self._replaying_shard(key)
+            if index is not None:
+                return self._recovering_get_locked(index, key, default)
+        return super().get(key, default)
 
     def get_many(self, keys, default=None) -> list:
         """Logged batched get; splits per key while recovering."""
         keys = list(keys)
         with self._lock:
-            if self._recovering:
-                num_shards = self.cache.num_shards
-                indices = [
-                    shard_of(key_fingerprint(key), num_shards)
-                    for key in keys
-                ]
-                if any(not self._serving[index] for index in indices):
-                    out = []
-                    for key, index in zip(keys, indices):
-                        if self._serving[index]:
-                            self._log(("get", key))
-                            out.append(self.cache.get(key, default))
-                        else:
-                            out.append(
-                                self._recovering_get_locked(
-                                    index, key, default
-                                )
-                            )
-                    return out
-            self._log(("gmany", keys))
-            return self.cache.get_many(keys, default)
+            answered = {}
+            for position, key in enumerate(keys):
+                index = self._replaying_shard(key)
+                if index is not None:
+                    answered[position] = self._recovering_get_locked(
+                        index, key, default
+                    )
+        if not answered:
+            return super().get_many(keys, default)
+        get = super().get
+        return [
+            answered[position] if position in answered else get(key, default)
+            for position, key in enumerate(keys)
+        ]
 
     def put(self, key, value, ttl=None, size=None) -> None:
         """Logged put; dual-logged and deferred on a replaying shard."""
         with self._lock:
-            op = ("put", key, value, ttl, size)
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    self._log(op)
-                    self._defer_locked(index, op)
-                    self._pending_view[index][key] = value
-                    self.recovery.deferred_writes += 1
-                    return
-            self._log(op)
-            self.cache.put(key, value, ttl=ttl, size=size)
+            index = self._replaying_shard(key)
+            if index is not None:
+                self._defer_locked(index, ("put", key, value, ttl, size),
+                                   key, value)
+                return
+        super().put(key, value, ttl=ttl, size=size)
 
     def get_or_compute(self, key, compute, ttl=None):
         """Logged get-or-compute; never computes into a replaying shard.
@@ -391,39 +372,20 @@ class LiveRecoveringKVCache(PersistentKVCache):
         fill's position, breaking identity with the reference.
         """
         with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    return self._recovering_read_locked(index, key)
-            computed = []
-
-            def logging_compute(k):
-                value = compute(k)
-                computed.append(value)
-                return value
-
-            result = self.cache.get_or_compute(key, logging_compute, ttl=ttl)
-            if computed:
-                self._log(("goc_fill", key, computed[0], ttl), applied=True)
-            else:
-                self._log(("get", key), applied=True)
-            return result
+            index = self._replaying_shard(key)
+            if index is not None:
+                return self._recovering_read_locked(index, key)
+        return super().get_or_compute(key, compute, ttl=ttl)
 
     def delete(self, key) -> bool:
         """Logged delete; deferred (returns False) on a replaying shard."""
         with self._lock:
-            if self._recovering:
-                index = self._shard_index(key)
-                if not self._serving[index]:
-                    op = ("del", key)
-                    self._log(op)
-                    self._defer_locked(index, op)
-                    self._pending_view[index][key] = _TOMBSTONE
-                    self.recovery.deferred_writes += 1
-                    # Residency at apply time is unknowable mid-replay.
-                    return False
-            self._log(("del", key))
-            return self.cache.delete(key)
+            index = self._replaying_shard(key)
+            if index is not None:
+                self._defer_locked(index, ("del", key), key, _TOMBSTONE)
+                # Residency at apply time is unknowable mid-replay.
+                return False
+        return super().delete(key)
 
     def recovering_read(self, key):
         """Value for ``key`` by the recovering rules, however degraded.
@@ -455,11 +417,23 @@ class LiveRecoveringKVCache(PersistentKVCache):
     def _shard_index(self, key) -> int:
         return shard_of(key_fingerprint(key), self.cache.num_shards)
 
-    def _defer_locked(self, index: int, op: tuple) -> None:
+    def _replaying_shard(self, key) -> Optional[int]:
+        """The gate: ``key``'s shard index if it is still replaying,
+        else None."""
+        if not self._recovering:
+            return None
+        index = self._shard_index(key)
+        return None if self._serving[index] else index
+
+    def _defer_locked(self, index: int, op: tuple, key, view) -> None:
+        """Dual-log a write on a replaying shard and queue it."""
+        self._log(op)
         if self._global_order:
             self._pending_global.append(op)
         else:
             self._pending_ops[index].append(op)
+        self._pending_view[index][key] = view
+        self.recovery.deferred_writes += 1
 
     def _recovering_get_locked(self, index: int, key, default):
         view = self._pending_view[index]
@@ -553,22 +527,18 @@ class LiveRecoveringKVCache(PersistentKVCache):
             handle.close()
         self._readers.clear()
 
-    def _read_record_at(self, generation: int, start: int) -> tuple:
-        reader = self._readers.get(generation)
+    def _read_record_at(self, wal: int, start: int) -> tuple:
+        reader = self._readers.get(wal)
         if reader is None:
-            path = self._path(_wal_name(generation))
-            reader = self._readers[generation] = open(path, "rb")
+            reader = self._readers[wal] = open(self._wal_paths[wal], "rb")
         reader.seek(start)
-        header = reader.read(_RECORD_HEADER)
-        crc = int.from_bytes(header[:4], "little")
-        length = int.from_bytes(header[4:8], "little")
-        payload = reader.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
+        frame = read_record(reader)
+        if frame is None:
             raise RuntimeError(
-                f"WAL record at generation {generation} offset {start} "
+                f"WAL record at {self._wal_paths[wal]} offset {start} "
                 "changed underneath live recovery"
             )
-        return pickle.loads(payload)
+        return frame[0]
 
 
 def _record_shards(record: tuple, num_shards: int) -> List[int]:
@@ -581,13 +551,6 @@ def _record_shards(record: tuple, num_shards: int) -> List[int]:
             if index not in seen:
                 seen.append(index)
         return seen
-    if kind in ("get", "del"):
-        return [shard_of(key_fingerprint(record[1]), num_shards)]
-    if kind in ("put", "goc_fill"):
+    if kind in ("get", "del", "put", "goc_fill"):
         return [shard_of(key_fingerprint(record[1]), num_shards)]
     raise ValueError(f"unknown WAL record kind {kind!r}")
-
-
-def live_recover(directory: str, **kwargs) -> LiveRecoveringKVCache:
-    """Open ``directory`` for live recovery (constructor convenience)."""
-    return LiveRecoveringKVCache(directory, **kwargs)

@@ -36,7 +36,7 @@ import os
 import pickle
 import threading
 import zlib
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
 from repro.online.engine import AdaptiveKVCache
 from repro.utils.atomicio import atomic_output, atomic_write_text
@@ -74,9 +74,25 @@ def encode_record(op: tuple) -> bytes:
     )
 
 
-def iter_wal(
-    path: str, end: Optional[int] = None
-) -> Iterator[Tuple[tuple, int]]:
+def read_record(handle: BinaryIO) -> Optional[Tuple[tuple, int]]:
+    """Decode the WAL frame at ``handle``'s position.
+
+    The one place a frame header is parsed. Returns ``(record,
+    frame_size)``, or None when the frame is torn (short header or
+    payload) or fails its CRC.
+    """
+    header = handle.read(_RECORD_HEADER)
+    if len(header) < _RECORD_HEADER:
+        return None
+    crc = int.from_bytes(header[:4], "little")
+    length = int.from_bytes(header[4:8], "little")
+    payload = handle.read(length)
+    if len(payload) < length or zlib.crc32(payload) != crc:
+        return None
+    return pickle.loads(payload), _RECORD_HEADER + length
+
+
+def iter_wal(path: str) -> Iterator[Tuple[tuple, int]]:
     """Stream a WAL file record by record, tolerating a torn tail.
 
     Yields ``(record, end_offset)`` pairs — the decoded operation and
@@ -86,13 +102,6 @@ def iter_wal(
     decoding; everything before it is trusted (each record carries its
     own CRC, so corruption cannot silently pass). A missing file
     yields nothing.
-
-    Args:
-        path: the WAL file.
-        end: optional byte bound — decoding stops at the first record
-            whose frame would cross it. Live recovery uses this to
-            replay exactly the intact prefix indexed at open time while
-            new records are being appended past it.
     """
     try:
         handle = open(path, "rb")
@@ -101,36 +110,12 @@ def iter_wal(
     with handle:
         offset = 0
         while True:
-            if end is not None and offset + _RECORD_HEADER > end:
+            frame = read_record(handle)
+            if frame is None:
                 return
-            header = handle.read(_RECORD_HEADER)
-            if len(header) < _RECORD_HEADER:
-                return
-            crc = int.from_bytes(header[:4], "little")
-            length = int.from_bytes(header[4:8], "little")
-            record_end = offset + _RECORD_HEADER + length
-            if end is not None and record_end > end:
-                return
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
-            offset = record_end
-            yield pickle.loads(payload), offset
-
-
-def read_wal(path: str) -> Tuple[List[tuple], int]:
-    """Decode a whole WAL file into memory (thin :func:`iter_wal` wrap).
-
-    Returns:
-        ``(records, good_length)`` — the operations up to the first
-        framing violation, and the byte offset where the intact prefix
-        ends. Prefer :func:`iter_wal` when the log may be long.
-    """
-    records: List[tuple] = []
-    offset = 0
-    for record, offset in iter_wal(path):
-        records.append(record)
-    return records, offset
+            record, size = frame
+            offset += size
+            yield record, offset
 
 
 def write_snapshot(path: str, state: dict) -> None:
@@ -225,6 +210,8 @@ class PersistentKVCache:
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._buffer = bytearray()
+        # Where the newest buffered frame starts (see _rotate_locked).
+        self._last_frame = 0
         self._ops_since_snapshot = 0
         self.generation = _generation
         self.snapshots_taken = 0
@@ -232,12 +219,11 @@ class PersistentKVCache:
             # Fresh cache: anchor the chain with a generation-0 snapshot
             # of the initial state so fallback recovery is uniform.
             self._write_snapshot_locked()
-            self._wal = open(self._path(_wal_name(self.generation)), "ab")
-        else:
-            wal_path = self._path(_wal_name(self.generation))
-            self._wal = open(wal_path, "r+b")
+        # Append mode creates the newest WAL if a crash landed before
+        # its first append; truncation drops a torn tail.
+        self._wal = open(self._path(_wal_name(self.generation)), "ab")
+        if _wal_offset is not None:
             self._wal.truncate(_wal_offset)
-            self._wal.seek(_wal_offset)
 
     # ------------------------------------------------------------------
     # Serving API (mirrors AdaptiveKVCache)
@@ -324,6 +310,17 @@ class PersistentKVCache:
             self._flush_locked()
             self._wal.close()
 
+    def abandon(self) -> None:
+        """Die un-flushed: the crash model.
+
+        Releases the log file handle *without* writing the buffer, so
+        the records since the last flush are lost exactly as in a
+        SIGKILL; only the on-disk snapshot/WAL chain survives for
+        :func:`recover`. The wrapper must not be used afterwards.
+        """
+        with self._lock:
+            self._wal.close()
+
     def __enter__(self) -> "PersistentKVCache":
         return self
 
@@ -348,6 +345,7 @@ class PersistentKVCache:
         the *old* WAL (the snapshot already includes its effect) —
         either mistake replays the op twice or drops it.
         """
+        self._last_frame = len(self._buffer)
         self._buffer += encode_record(op)
         self._ops_since_snapshot += 1
         if (self.snapshot_every is not None
@@ -372,18 +370,11 @@ class PersistentKVCache:
         over instead of flushed.
         """
         carry = b""
-        if pending_op and self._buffer:
-            # The unapplied record is the newest complete frame; carry
+        if pending_op:
+            # The unapplied record is the newest buffered frame; carry
             # exactly that frame, flush everything before it.
-            view = bytes(self._buffer)
-            offset = 0
-            last_start = 0
-            while offset + _RECORD_HEADER <= len(view):
-                length = int.from_bytes(view[offset + 4:offset + 8], "little")
-                last_start = offset
-                offset += _RECORD_HEADER + length
-            carry = view[last_start:]
-            del self._buffer[last_start:]
+            carry = bytes(self._buffer[self._last_frame:])
+            del self._buffer[self._last_frame:]
         self._flush_locked()
         self._wal.close()
         self.generation += 1
@@ -444,23 +435,12 @@ def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
         raise ValueError(f"unknown WAL record kind {kind!r}")
 
 
-def replay_into(cache: AdaptiveKVCache, records: Iterable[tuple]) -> None:
-    """Apply decoded WAL records to an engine, in order.
-
-    ``records`` may be any iterable — in particular a lazily decoded
-    stream of ``record`` fields from :func:`iter_wal` — so replay never
-    requires the whole log in memory.
-    """
-    for record in records:
-        apply_wal_record(cache, record)
-
-
 def load_snapshot_engine(
     directory: str,
     sizeof: Optional[Callable] = None,
     history_factory=None,
     clock: Callable[[], float] = None,
-) -> Tuple[AdaptiveKVCache, int, int]:
+) -> Tuple[AdaptiveKVCache, List[str], int]:
     """Rebuild an engine from the newest intact snapshot in ``directory``.
 
     The snapshot-loading half of :func:`recover` — shared with
@@ -468,11 +448,12 @@ def load_snapshot_engine(
     replays the WAL chain incrementally instead of all at once.
 
     Returns:
-        ``(cache, loaded_generation, latest_generation)`` — the engine
-        restored from ``snapshot-loaded_generation`` (falling back one
-        generation when the newest snapshot is torn or corrupt) and the
-        manifest's latest generation; WALs ``loaded_generation`` through
-        ``latest_generation`` still need replaying.
+        ``(cache, wal_paths, latest_generation)`` — the engine restored
+        from the newest intact snapshot (falling back one generation
+        when the newest is torn or corrupt), the WALs that still need
+        replaying onto it, oldest first (the last one is
+        ``latest_generation``'s, possibly not yet created), and the
+        manifest's latest generation.
 
     Raises:
         FileNotFoundError: no manifest in ``directory``.
@@ -511,7 +492,11 @@ def load_snapshot_engine(
         sizeof=sizeof, history_factory=history_factory, clock=clock, **config
     )
     cache.load_state_dict(state)
-    return cache, loaded_gen, latest
+    wal_paths = [
+        os.path.join(directory, _wal_name(generation))
+        for generation in range(loaded_gen, latest + 1)
+    ]
+    return cache, wal_paths, latest
 
 
 def recover(
@@ -543,25 +528,19 @@ def recover(
         FileNotFoundError: no manifest in ``directory``.
         SnapshotCorruptError: no intact snapshot survives.
     """
-    cache, loaded_gen, latest = load_snapshot_engine(
+    cache, wal_paths, latest = load_snapshot_engine(
         directory,
         sizeof=sizeof,
         history_factory=history_factory,
         clock=clock,
     )
 
-    offset = 0
-    for generation in range(loaded_gen, latest + 1):
-        wal_path = os.path.join(directory, _wal_name(generation))
+    # The reference replay: one sequential pass in log order.
+    for wal_path in wal_paths:
         offset = 0
         for record, offset in iter_wal(wal_path):
             apply_wal_record(cache, record)
-    # ``offset`` is now the intact length of the newest WAL; make sure
-    # that file exists even if the crash landed before its first append.
-    newest = os.path.join(directory, _wal_name(latest))
-    if not os.path.exists(newest):
-        open(newest, "ab").close()
-        offset = 0
+    # ``offset`` is now the intact length of the newest WAL.
     return PersistentKVCache(
         cache,
         directory,

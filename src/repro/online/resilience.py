@@ -41,11 +41,18 @@ recovering path (pending write, stale peek) or refused with
 through unconditionally; the wrapper dual-logs and defers them itself.
 :meth:`ResilientKVCache.serving_fraction` folds replay progress into
 one number the serving front uses for admission backpressure.
+
+The ladder is written once for both entry points. The quarantine,
+recovery and hit rungs are a plain method, so a hit creates no
+coroutine; the breaker/retry/stale rungs are one coroutine that
+``aget_or_compute`` awaits and ``get_or_compute`` runs to completion
+in a single step, its backoff pauses blocking instead of suspending.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 from typing import Callable, Optional
@@ -54,6 +61,9 @@ from repro.online.keyspace import key_fingerprint, shard_of
 
 #: Circuit-breaker states.
 BREAKER_STATES = ("closed", "open", "half_open")
+
+#: Sentinel for "no cached value" on the hit rung.
+_MISSING = object()
 
 
 class LoaderUnavailable(RuntimeError):
@@ -232,10 +242,10 @@ class CircuitBreaker:
         the outcome (:meth:`record_success` / :meth:`record_failure`)
         — or, if it is cancelled before the loader resolves, until it
         releases the slot with :meth:`abort_probe`. Callers that cannot
-        be interrupted mid-call (the sync ladder) may keep using
-        :meth:`allow`; cancellable callers (the async ladder) must use
-        this form so a cancelled probe does not wedge the breaker in
-        half-open forever.
+        be interrupted mid-call may keep using :meth:`allow`;
+        cancellable callers (both resilient ladders) must use this form
+        so a cancelled probe does not wedge the breaker in half-open
+        forever.
         """
         with self._lock:
             state = self._advance_locked()
@@ -374,63 +384,42 @@ class ResilientKVCache:
     def get_or_compute(self, key, loader, ttl=None):
         """The resilient serving ladder (see module docstring).
 
+        Backoff pauses block in the injected ``sleep``. ``loader`` may
+        be a coroutine function only if its awaitable completes without
+        suspending; one that suspends is cancelled — recording no
+        breaker outcome and releasing a held half-open probe — and
+        reported as a :class:`TypeError` (use :meth:`aget_or_compute`).
+
         Raises:
             LoaderUnavailable: the loader could not produce a value
                 (failed, skipped by an open breaker, or quarantined)
                 and no stale entry was resident to serve instead.
+            TypeError: the loader's awaitable suspended.
         """
-        index = self._shard_index(key)
-        shard = self.engine.shards[index]
-        if index in self._quarantined:
-            return self._serve_stale(shard, key, None, (False, None))
-        if self._shard_recovering(index):
-            # Never run the loader against a half-replayed shard; the
-            # wrapper serves a pending write or stale peek, or refuses.
-            return self.cache.recovering_read(key)
-
-        # Capture any resident value *before* the real lookup: the
-        # cache expires lazily, so the get below would destroy an
-        # expired entry — the very value stale serving needs later.
-        stale = shard.peek_stale(key)
-        missing = object()
-        value = self.cache.get(key, missing)
-        if value is not missing:
+        index, stale, value = self._plain_rungs(key)
+        if value is not _MISSING:
             return value
-
-        breaker = self.breakers[index]
-        if not breaker.allow():
-            return self._serve_stale(shard, key, None, stale)
-
-        last_error = None
-        started = self._clock()
-        pause = self.retry.backoff
-        for attempt in range(self.retry.attempts):
-            if attempt > 0:
-                if (self.retry.budget is not None
-                        and self._clock() - started >= self.retry.budget):
-                    break
-                if pause > 0:
-                    self._sleep(pause)
-                pause *= self.retry.multiplier
-            try:
-                value = loader(key)
-            except Exception as error:  # noqa: BLE001 — loader boundary
-                last_error = error
-                breaker.record_failure()
-                if not breaker.allow():
-                    break
-                continue
-            breaker.record_success()
-            self.cache.put(key, value, ttl=ttl)
-            return value
-        return self._serve_stale(shard, key, last_error, stale)
+        load = self._load(key, loader, ttl, index, stale, None,
+                          self._blocking_pause)
+        try:
+            load.send(None)
+        except StopIteration as done:
+            return done.value
+        # Only a loader's awaitable can suspend the load, and nothing
+        # here can resume it: cancel, exactly as a cancelled async
+        # request would be.
+        with contextlib.suppress(asyncio.CancelledError):
+            load.throw(asyncio.CancelledError())
+        raise TypeError(
+            f"loader for key {key!r} suspended; use aget_or_compute"
+        )
 
     async def aget_or_compute(self, key, loader, ttl=None,
                               retry_budget: Optional[RetryBudget] = None):
         """The resilient serving ladder, asynchronously.
 
-        Decision-identical to :meth:`get_or_compute` — same breaker,
-        stale and quarantine ladder, same retry schedule — but backoff
+        Decision-identical to :meth:`get_or_compute` — both run the
+        same rungs and the same loader/retry coroutine — but backoff
         pauses are ``await asyncio.sleep`` (virtual under a
         virtual-time loop) and ``loader`` may be a plain callable or a
         coroutine function, so thousands of requests overlap on one
@@ -458,19 +447,47 @@ class ResilientKVCache:
             asyncio.CancelledError: the caller was cancelled; state is
                 consistent as described above.
         """
+        index, stale, value = self._plain_rungs(key)
+        if value is not _MISSING:
+            return value
+        return await self._load(key, loader, ttl, index, stale,
+                                retry_budget, asyncio.sleep)
+
+    def _plain_rungs(self, key):
+        """The quarantine, recovery and hit rungs; no coroutine runs.
+
+        Returns ``(index, stale, value)``: ``value`` is the answer, or
+        ``_MISSING`` when the key must be loaded into shard ``index``
+        with ``stale`` (a ``peek_stale`` result) as the fallback.
+        """
         index = self._shard_index(key)
         shard = self.engine.shards[index]
         if index in self._quarantined:
-            return self._serve_stale(shard, key, None, (False, None))
+            return index, None, self._serve_stale(shard, key, None,
+                                                  (False, None))
         if self._shard_recovering(index):
-            return self.cache.recovering_read(key)
-
+            # Never run the loader against a half-replayed shard; the
+            # wrapper serves a pending write or stale peek, or refuses.
+            return index, None, self.cache.recovering_read(key)
+        # Capture any resident value *before* the real lookup: the
+        # cache expires lazily, so the get below would destroy an
+        # expired entry — the very value stale serving needs later.
         stale = shard.peek_stale(key)
-        missing = object()
-        value = self.cache.get(key, missing)
-        if value is not missing:
-            return value
+        return index, stale, self.cache.get(key, _MISSING)
 
+    async def _blocking_pause(self, seconds: float) -> None:
+        """The sync ladder's backoff: blocks, never suspends."""
+        self._sleep(seconds)
+
+    async def _load(self, key, loader, ttl, index, stale, retry_budget,
+                    pause):
+        """The breaker-guarded loader/retry loop shared by both ladders.
+
+        ``pause`` awaits one backoff delay. Falls through to
+        :meth:`_serve_stale` when the breaker refuses or every attempt
+        fails.
+        """
+        shard = self.engine.shards[index]
         breaker = self.breakers[index]
         admitted, probe = breaker.admit()
         if not admitted:
@@ -478,7 +495,7 @@ class ResilientKVCache:
 
         last_error = None
         started = self._clock()
-        pause = self.retry.backoff
+        delay = self.retry.backoff
         try:
             for attempt in range(self.retry.attempts):
                 token = False
@@ -492,9 +509,9 @@ class ResilientKVCache:
                                 and not retry_budget.try_acquire()):
                             break
                         token = retry_budget is not None
-                        if pause > 0:
-                            await asyncio.sleep(pause)
-                        pause *= self.retry.multiplier
+                        if delay > 0:
+                            await pause(delay)
+                        delay *= self.retry.multiplier
                     try:
                         value = loader(key)
                         if asyncio.iscoroutine(value):
@@ -504,7 +521,6 @@ class ResilientKVCache:
                     except Exception as error:  # noqa: BLE001 — loader boundary
                         last_error = error
                         breaker.record_failure()
-                        probe = False
                         admitted, probe = breaker.admit()
                         if not admitted:
                             break
@@ -522,14 +538,12 @@ class ResilientKVCache:
             raise
         return self._serve_stale(shard, key, last_error, stale)
 
-    def _serve_stale(self, shard, key, error, stale=None):
+    def _serve_stale(self, shard, key, error, stale):
         """Stale fallback, else count degraded and raise.
 
-        ``stale`` is a pre-captured ``peek_stale`` result; when None
-        the shard is probed now (quarantine path, where no destructive
-        lookup has run).
+        ``stale`` is a pre-captured ``peek_stale`` result.
         """
-        found, value = stale if stale is not None else shard.peek_stale(key)
+        found, value = stale
         if found:
             shard.record_stale_serve()
             return value

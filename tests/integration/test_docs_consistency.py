@@ -101,3 +101,30 @@ class TestDocsReferenceRealCode:
             import repro.workloads.phases as phases
 
             assert hasattr(phases, name) or name in ("primitive",), name
+
+
+class TestServeRegimeCount:
+    NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six",
+                    "seven", "eight", "nine", "ten")
+
+    def test_docs_state_the_harness_regime_count(self):
+        """Every "N regimes" / "N-regime" phrase about the serve harness
+        matches the number of plans the harness actually runs."""
+        from repro.serve.stack import default_plans
+
+        expected = self.NUMBER_WORDS[len(default_plans())]
+        phrase = re.compile(
+            r"\b(%s)[- ]regimes?\b" % "|".join(self.NUMBER_WORDS),
+            re.IGNORECASE,
+        )
+        paths = [DOCS / "serving.md", DOCS / "performance.md",
+                 REPO_ROOT / "EXPERIMENTS.md", REPO_ROOT / "README.md"]
+        found = 0
+        for path in paths:
+            for match in phrase.finditer(path.read_text()):
+                found += 1
+                assert match.group(1).lower() == expected, (
+                    f"{path.name}: {match.group(0)!r}, but the harness "
+                    f"runs {expected} regimes"
+                )
+        assert found > 0

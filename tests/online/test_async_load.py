@@ -10,6 +10,10 @@ Satellites of the serving PR:
 * the RetryBudget/backoff accounting audit — a request cancelled
   mid-backoff or mid-loader must release its retry token and a held
   half-open probe, and must not record a breaker outcome.
+* sync/async identity — ``get_or_compute`` and ``aget_or_compute``
+  run one ladder, so the same seeded stream makes the same decisions
+  through either; the sync entry point refuses a loader whose
+  awaitable suspends instead of caching the coroutine.
 
 Everything runs on the virtual-time loop, so "concurrent" means real
 asyncio interleaving with deterministic schedules.
@@ -18,9 +22,11 @@ asyncio interleaving with deterministic schedules.
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
+from repro.faults.online import AsyncFlakyLoader, FlakyLoader
 from repro.online.engine import AdaptiveKVCache
 from repro.online.resilience import (
     CircuitBreaker,
@@ -453,3 +459,167 @@ class TestCancellationAccounting:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="tokens"):
             RetryBudget(tokens=0)
+
+
+class ManualClock:
+    """A monotonic clock advanced by hand or by a blocking ``sleep``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+def _suspending(key):
+    async def load():
+        await asyncio.sleep(0)  # yields to the caller: a real suspension
+        return ("late", key)
+
+    return load()
+
+
+class TestSyncLadderRejectsSuspendingLoaders:
+    def test_suspending_loader_raises_and_caches_nothing(self):
+        engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
+        resilient = ResilientKVCache(
+            engine,
+            retry=RetryPolicy(attempts=3, backoff=0.0),
+            breaker_factory=lambda: CircuitBreaker(failure_threshold=1),
+        )
+        with pytest.raises(TypeError, match="aget_or_compute"):
+            resilient.get_or_compute("k", _suspending)
+        assert "k" not in resilient
+        assert resilient.stats().puts == 0
+        # No breaker outcome: a threshold-1 breaker would have tripped
+        # on a recorded failure.
+        breaker = resilient.breakers[resilient._shard_index("k")]
+        assert breaker.state == "closed"
+        assert breaker.trips == 0
+
+    def test_suspending_probe_releases_the_slot(self):
+        clock = ManualClock()
+        engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
+        resilient = ResilientKVCache(
+            engine,
+            retry=RetryPolicy(attempts=1),
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=1, recovery_timeout=1.0, clock=clock
+            ),
+        )
+
+        def failing(key):
+            raise IOError("down")
+
+        with pytest.raises(LoaderUnavailable):
+            resilient.get_or_compute("k", failing)
+        breaker = resilient.breakers[resilient._shard_index("k")]
+        clock.sleep(1.0)
+        assert breaker.state == "half_open"
+        with pytest.raises(TypeError):
+            resilient.get_or_compute("k", _suspending)
+        # The cancelled probe gave its slot back: the next caller is
+        # admitted as the probe, and no outcome was recorded.
+        assert breaker.admit() == (True, True)
+        assert breaker.trips == 1
+
+    def test_non_suspending_coroutine_loader_is_served(self):
+        engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
+        resilient = ResilientKVCache(engine)
+
+        async def immediate(key):
+            return ("now", key)
+
+        assert resilient.get_or_compute("k", immediate) == ("now", "k")
+        assert resilient.get("k") == ("now", "k")
+
+
+class TestSyncAsyncLadderIdentity:
+    """One seeded stream through both entry points, decision for
+    decision: TTL expiry (stale serves), a quarantine/rebuild and
+    breaker trips all occur, and every outcome and counter matches."""
+
+    STEP = 0.05
+    REQUESTS = 400
+
+    def _stream(self, seed=7):
+        rng = random.Random(seed)
+        return [f"k{rng.randrange(24)}" for _ in range(self.REQUESTS)]
+
+    def _build(self, clock, sleep):
+        engine = AdaptiveKVCache(capacity_entries=32, num_shards=4,
+                                 default_ttl=1.0, clock=clock)
+        return ResilientKVCache(
+            engine,
+            retry=RetryPolicy(attempts=3, backoff=0.02, budget=0.05),
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=3, recovery_timeout=0.5, clock=clock
+            ),
+            sleep=sleep,
+            clock=clock,
+        )
+
+    @staticmethod
+    def _disrupt(resilient, request):
+        if request == 120:
+            resilient.quarantine(1)
+        elif request == 200:
+            resilient.rebuild(1)
+
+    @staticmethod
+    def _summary(resilient):
+        return (
+            resilient.stats(),
+            [(breaker.trips, breaker.state) for breaker in resilient.breakers],
+        )
+
+    def _flaky(self, cls):
+        return cls(lambda key: ("v", key), failure_rate=0.25, burst=3,
+                   seed=11)
+
+    def test_same_stream_same_decisions(self):
+        keys = self._stream()
+
+        clock = ManualClock()
+        sync = self._build(clock, clock.sleep)
+        loader = self._flaky(FlakyLoader)
+        sync_outcomes = []
+        for request, key in enumerate(keys):
+            self._disrupt(sync, request)
+            try:
+                sync_outcomes.append(sync.get_or_compute(key, loader))
+            except LoaderUnavailable:
+                sync_outcomes.append("unavailable")
+            clock.sleep(self.STEP)
+
+        loop = VirtualTimeEventLoop()
+        resilient = self._build(loop.time, None)
+        async_loader = self._flaky(AsyncFlakyLoader)
+
+        async def drive():
+            outcomes = []
+            for request, key in enumerate(keys):
+                self._disrupt(resilient, request)
+                try:
+                    outcomes.append(
+                        await resilient.aget_or_compute(key, async_loader)
+                    )
+                except LoaderUnavailable:
+                    outcomes.append("unavailable")
+                await asyncio.sleep(self.STEP)
+            return outcomes
+
+        async_outcomes = loop.run_until_complete(drive())
+        assert loop.time() == clock.now
+        assert async_outcomes == sync_outcomes
+        assert self._summary(resilient) == self._summary(sync)
+        # The stream really exercised every rung being compared.
+        stats, breakers = self._summary(sync)
+        assert stats.stale_hits > 0
+        assert stats.degraded > 0
+        assert stats.expirations > 0
+        assert sum(trips for trips, _ in breakers) > 0
+        assert loader.calls == async_loader.calls

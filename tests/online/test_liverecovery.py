@@ -21,7 +21,6 @@ from repro.online.engine import AdaptiveKVCache
 from repro.online.liverecovery import (
     LiveRecoveringKVCache,
     RecoveryInProgress,
-    live_recover,
 )
 from repro.online.persistence import (
     PersistentKVCache,
@@ -154,7 +153,7 @@ class TestLiveReplayIdentity:
         shutil.copytree(directory, copy)
         reference = recover(directory)
         reference.close()
-        relived = live_recover(copy, chunk_ops=7, wal_flush_ops=1)
+        relived = LiveRecoveringKVCache(copy, chunk_ops=7, wal_flush_ops=1)
         relived.finish()
         relived.close()
         assert _behavior(reference) == _behavior(relived)
@@ -264,7 +263,7 @@ class TestReadinessProgression:
             fractions.append(live.serving_fraction())
         assert fractions[-1] == 1.0
         assert fractions == sorted(fractions)  # monotone readiness
-        assert live.recovery_complete
+        assert not live.recovering
         assert live.step() == 0
         progress = live.replay_progress()
         assert progress["recovering"] is False
