@@ -240,9 +240,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
         resumed deterministic stream) should :meth:`step` until this
         turns True before issuing the access.
         """
-        if not self._recovering:
-            return True
-        return self._serving[self._shard_index(key)]
+        return self._replaying_shard(key) is None
 
     def serving_fraction(self) -> float:
         """Fraction of shards serving normally, 0.0..1.0."""
@@ -320,7 +318,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
     # Each method holds the lock only for its gate (and, on a replaying
     # shard, the honest recovering action). Once the gate finds the
     # shard serving it releases the lock and delegates to the
-    # superclass's logged op. That is safe because readiness only ever
+    # superclass's logged op; once recovery is over the gate is skipped
+    # without taking the lock. That is safe because readiness only ever
     # turns on: ``_serving[i]`` goes False -> True and ``_recovering``
     # True -> False, each exactly once, so a shard seen serving is
     # still serving — with its deferred writes applied — when the
@@ -328,23 +327,25 @@ class LiveRecoveringKVCache(PersistentKVCache):
 
     def get(self, key, default=None):
         """Logged get; honest recovering read on a replaying shard."""
-        with self._lock:
-            index = self._replaying_shard(key)
-            if index is not None:
-                return self._recovering_get_locked(index, key, default)
+        if self._recovering:
+            with self._lock:
+                index = self._replaying_shard(key)
+                if index is not None:
+                    return self._recovering_get_locked(index, key, default)
         return super().get(key, default)
 
     def get_many(self, keys, default=None) -> list:
         """Logged batched get; splits per key while recovering."""
         keys = list(keys)
-        with self._lock:
-            answered = {}
-            for position, key in enumerate(keys):
-                index = self._replaying_shard(key)
-                if index is not None:
-                    answered[position] = self._recovering_get_locked(
-                        index, key, default
-                    )
+        answered = {}
+        if self._recovering:
+            with self._lock:
+                for position, key in enumerate(keys):
+                    index = self._replaying_shard(key)
+                    if index is not None:
+                        answered[position] = self._recovering_get_locked(
+                            index, key, default
+                        )
         if not answered:
             return super().get_many(keys, default)
         get = super().get
@@ -355,12 +356,13 @@ class LiveRecoveringKVCache(PersistentKVCache):
 
     def put(self, key, value, ttl=None, size=None) -> None:
         """Logged put; dual-logged and deferred on a replaying shard."""
-        with self._lock:
-            index = self._replaying_shard(key)
-            if index is not None:
-                self._defer_locked(index, ("put", key, value, ttl, size),
-                                   key, value)
-                return
+        if self._recovering:
+            with self._lock:
+                index = self._replaying_shard(key)
+                if index is not None:
+                    self._defer_locked(index, ("put", key, value, ttl, size),
+                                       key, value)
+                    return
         super().put(key, value, ttl=ttl, size=size)
 
     def get_or_compute(self, key, compute, ttl=None):
@@ -371,20 +373,22 @@ class LiveRecoveringKVCache(PersistentKVCache):
         loader would fill a shard whose replay has not reached the
         fill's position, breaking identity with the reference.
         """
-        with self._lock:
-            index = self._replaying_shard(key)
-            if index is not None:
-                return self._recovering_read_locked(index, key)
+        if self._recovering:
+            with self._lock:
+                index = self._replaying_shard(key)
+                if index is not None:
+                    return self._recovering_read_locked(index, key)
         return super().get_or_compute(key, compute, ttl=ttl)
 
     def delete(self, key) -> bool:
         """Logged delete; deferred (returns False) on a replaying shard."""
-        with self._lock:
-            index = self._replaying_shard(key)
-            if index is not None:
-                self._defer_locked(index, ("del", key), key, _TOMBSTONE)
-                # Residency at apply time is unknowable mid-replay.
-                return False
+        if self._recovering:
+            with self._lock:
+                index = self._replaying_shard(key)
+                if index is not None:
+                    self._defer_locked(index, ("del", key), key, _TOMBSTONE)
+                    # Residency at apply time is unknowable mid-replay.
+                    return False
         return super().delete(key)
 
     def recovering_read(self, key):
@@ -419,7 +423,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
 
     def _replaying_shard(self, key) -> Optional[int]:
         """The gate: ``key``'s shard index if it is still replaying,
-        else None."""
+        else None. A None answer holds without the lock: readiness
+        only turns on."""
         if not self._recovering:
             return None
         index = self._shard_index(key)

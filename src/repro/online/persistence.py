@@ -92,7 +92,9 @@ def read_record(handle: BinaryIO) -> Optional[Tuple[tuple, int]]:
     return pickle.loads(payload), _RECORD_HEADER + length
 
 
-def iter_wal(path: str) -> Iterator[Tuple[tuple, int]]:
+def iter_wal(
+    path: str, end: Optional[int] = None
+) -> Iterator[Tuple[tuple, int]]:
     """Stream a WAL file record by record, tolerating a torn tail.
 
     Yields ``(record, end_offset)`` pairs — the decoded operation and
@@ -102,6 +104,12 @@ def iter_wal(path: str) -> Iterator[Tuple[tuple, int]]:
     decoding; everything before it is trusted (each record carries its
     own CRC, so corruption cannot silently pass). A missing file
     yields nothing.
+
+    Args:
+        path: the WAL file.
+        end: optional byte bound — decoding stops at the first record
+            whose frame would cross it, so a reader can stop at a known
+            intact prefix while new records are appended past it.
     """
     try:
         handle = open(path, "rb")
@@ -115,6 +123,8 @@ def iter_wal(path: str) -> Iterator[Tuple[tuple, int]]:
                 return
             record, size = frame
             offset += size
+            if end is not None and offset > end:
+                return
             yield record, offset
 
 

@@ -386,9 +386,11 @@ class ResilientKVCache:
 
         Backoff pauses block in the injected ``sleep``. ``loader`` may
         be a coroutine function only if its awaitable completes without
-        suspending; one that suspends is cancelled — recording no
-        breaker outcome and releasing a held half-open probe — and
-        reported as a :class:`TypeError` (use :meth:`aget_or_compute`).
+        suspending; one that suspends, or that needs a running event
+        loop (``asyncio.sleep`` with a positive delay), is cancelled —
+        recording no breaker outcome and releasing a held half-open
+        probe — and reported as a :class:`TypeError` (use
+        :meth:`aget_or_compute`).
 
         Raises:
             LoaderUnavailable: the loader could not produce a value
@@ -399,8 +401,8 @@ class ResilientKVCache:
         index, stale, value = self._plain_rungs(key)
         if value is not _MISSING:
             return value
-        load = self._load(key, loader, ttl, index, stale, None,
-                          self._blocking_pause)
+        load = self._load(key, _loop_free(loader), ttl, index, stale,
+                          None, self._blocking_pause)
         try:
             load.send(None)
         except StopIteration as done:
@@ -641,3 +643,29 @@ class ResilientKVCache:
     def __len__(self) -> int:
         """Resident entries across shards (quarantined included)."""
         return len(self.cache)
+
+
+def _loop_free(loader):
+    """``loader`` as the sync ladder runs it, outside any event loop.
+
+    An awaitable that raises "no running event loop" cannot complete
+    here, exactly like one that suspends, and is no backend failure:
+    it is turned into a suspension, which :meth:`get_or_compute`
+    cancels and reports, so the breaker never sees it.
+    """
+    def load(key):
+        value = loader(key)
+        if asyncio.iscoroutine(value):
+            return _await_loop_free(value)
+        return value
+
+    return load
+
+
+async def _await_loop_free(awaitable):
+    try:
+        return await awaitable
+    except RuntimeError as error:
+        if "no running event loop" not in str(error):
+            raise
+    await asyncio.sleep(0)  # suspend: get_or_compute cancels the load

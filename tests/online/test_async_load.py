@@ -526,6 +526,26 @@ class TestSyncLadderRejectsSuspendingLoaders:
         assert breaker.admit() == (True, True)
         assert breaker.trips == 1
 
+    def test_loop_bound_loader_is_rejected_not_failed(self):
+        # asyncio.sleep(d > 0) raises "no running event loop" outside a
+        # loop instead of suspending; that is no backend failure either.
+        engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
+        resilient = ResilientKVCache(
+            engine,
+            retry=RetryPolicy(attempts=3, backoff=0.0),
+            breaker_factory=lambda: CircuitBreaker(failure_threshold=1),
+        )
+        loader = AsyncFlakyLoader(lambda key: ("v", key), failure_rate=0.0,
+                                  base_latency=0.001)
+        with pytest.raises(TypeError, match="aget_or_compute"):
+            resilient.get_or_compute("k", loader)
+        assert loader.calls == 1
+        assert "k" not in resilient
+        assert resilient.stats().puts == 0
+        breaker = resilient.breakers[resilient._shard_index("k")]
+        assert breaker.state == "closed"
+        assert breaker.trips == 0
+
     def test_non_suspending_coroutine_loader_is_served(self):
         engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
         resilient = ResilientKVCache(engine)
