@@ -1,18 +1,14 @@
-"""Bench + regression gate: hot-path kernel throughput (accesses/sec).
+"""CI bench-regression gate: hot-path kernel throughput (accesses/sec).
 
-Two faces:
-
-* under pytest (``pytest benchmarks/bench_hotpath.py``) it times the
-  per-call and batched cache entry points per policy with
-  pytest-benchmark, honouring the shared ``--quick`` flag;
-* as a script (``python benchmarks/bench_hotpath.py --quick``) it is
-  the CI bench-regression gate — it measures accesses/sec, compares
-  each number against the pinned floors in ``benchmarks/baselines.json``
-  and exits non-zero when any falls more than the allowed margin below
-  its floor. The floors are deliberately conservative (roughly half of
-  a 1-CPU container's measurement) so runner-to-runner variance does
-  not flake the gate, while a regression to the pre-optimization
-  kernel — several times slower — still trips it.
+``python benchmarks/bench_hotpath.py --quick`` measures accesses/sec
+through :func:`repro.perf.bench.bench_hotpath` (which also raises if
+the per-call and batched entry points disagree on misses), compares
+each number against the pinned floors in ``benchmarks/baselines.json``
+and exits non-zero when any falls more than the allowed margin below
+its floor. The floors are deliberately conservative (roughly half of
+a 1-CPU container's measurement) so runner-to-runner variance does
+not flake the gate, while a regression to the pre-optimization
+kernel — several times slower — still trips it.
 """
 
 from __future__ import annotations
@@ -23,68 +19,13 @@ import pathlib
 import sys
 import time
 
-import pytest
-
-from repro.perf.bench import HOTPATH_POLICIES, bench_hotpath, synthetic_stream
+from repro.perf.bench import bench_hotpath
 
 BASELINES_PATH = pathlib.Path(__file__).resolve().parent / "baselines.json"
 
 #: Stream lengths for the two modes.
 FULL_ACCESSES = 200_000
 QUICK_ACCESSES = 20_000
-
-
-@pytest.fixture(scope="module")
-def hotpath_stream(request):
-    """A deterministic address stream sized by ``--quick``."""
-    from repro.cache.config import CacheConfig
-
-    quick = bool(request.config.getoption("--quick"))
-    config = CacheConfig(size_bytes=64 * 1024, ways=8, line_bytes=64)
-    accesses = QUICK_ACCESSES if quick else FULL_ACCESSES
-    return config, synthetic_stream(accesses, config)
-
-
-@pytest.mark.parametrize("kind", HOTPATH_POLICIES)
-def test_hotpath_access(benchmark, hotpath_stream, kind):
-    """Per-call entry point throughput, per policy."""
-    from repro.cache.cache import SetAssociativeCache
-    from repro.experiments.base import build_l2_policy
-
-    config, addresses = hotpath_stream
-
-    def drive():
-        cache = SetAssociativeCache(config, build_l2_policy(config, kind))
-        access = cache.access
-        for address in addresses:
-            access(address)
-        return cache.stats.misses
-
-    misses = benchmark.pedantic(drive, rounds=1, iterations=1)
-    benchmark.extra_info["misses"] = misses
-    benchmark.extra_info["accesses"] = len(addresses)
-    assert misses > 0
-
-
-@pytest.mark.parametrize("kind", HOTPATH_POLICIES)
-def test_hotpath_access_many(benchmark, hotpath_stream, kind):
-    """Batched entry point throughput; decisions must match per-call."""
-    from repro.cache.cache import SetAssociativeCache
-    from repro.experiments.base import build_l2_policy
-
-    config, addresses = hotpath_stream
-
-    def drive():
-        cache = SetAssociativeCache(config, build_l2_policy(config, kind))
-        cache.access_many(addresses)
-        return cache.stats.misses
-
-    batched_misses = benchmark.pedantic(drive, rounds=1, iterations=1)
-
-    reference = SetAssociativeCache(config, build_l2_policy(config, kind))
-    for address in addresses:
-        reference.access(address)
-    assert batched_misses == reference.stats.misses
 
 
 def load_baselines(path: pathlib.Path = BASELINES_PATH) -> dict:
@@ -129,26 +70,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quick", action="store_true",
                         help="10x shorter stream (CI mode)")
-    parser.add_argument("--kernel", choices=["scalar", "columnar", "auto"],
-                        default="auto",
-                        help="batch kernel mode for access_many "
-                        "(default auto)")
     parser.add_argument("--baselines", default=str(BASELINES_PATH),
                         help="floors file (default benchmarks/baselines.json)")
     parser.add_argument("--json-out", default=None, metavar="PATH",
                         help="also write the measurements as JSON")
     args = parser.parse_args(argv)
 
-    from repro.perf.kernel import set_default_kernel
-
-    set_default_kernel(args.kernel)
     accesses = QUICK_ACCESSES if args.quick else FULL_ACCESSES
     start = time.perf_counter()
     measured = bench_hotpath(accesses=accesses)
     elapsed = time.perf_counter() - start
 
     print(f"hot-path throughput ({accesses} accesses/policy, "
-          f"{elapsed:.1f}s total, kernel mode {args.kernel}):")
+          f"{elapsed:.1f}s total):")
     for kind, row in sorted(measured.items()):
         print(f"  {kind:10s} access {row['access_per_sec']:>12,.0f}/s   "
               f"access_many {row['access_many_per_sec']:>12,.0f}/s   "

@@ -40,8 +40,6 @@ def render_trend(previous: dict, current: dict) -> str:
     reports, as printable text."""
     lines = [
         "perf trend (previous artifact vs this run; informational only):",
-        f"  kernel mode: {previous.get('kernel_mode', '?')} -> "
-        f"{current.get('kernel_mode', '?')}",
         f"  {'policy.metric':<28s} {'previous':>14s} {'current':>14s} "
         f"{'delta':>8s}  kernel",
     ]

@@ -206,11 +206,17 @@ class SetAssociativeCache:
             writes: optional per-address write flags (same length);
                 omitted means every access is a read.
 
-        Large batches against a supported adaptive cache run on the
-        columnar kernel (:mod:`repro.perf.kernel`) — byte-identical by
-        contract, selected by :func:`repro.perf.kernel.set_default_kernel`;
+        Raises:
+            ValueError: ``writes`` is given with a different length
+                from ``addresses``.
+
+        Batches of at least :data:`repro.perf.kernel.AUTO_MIN_BATCH`
+        accesses against a supported adaptive cache run on the columnar
+        kernel (:mod:`repro.perf.kernel`), byte-identical by contract;
         everything else takes the scalar loop below.
         """
+        if writes is not None and len(writes) != len(addresses):
+            raise ValueError("writes must have the same length as addresses")
         hits = _maybe_columnar(self, addresses, writes)
         if hits is not None:
             return hits

@@ -93,19 +93,6 @@ class MissHistory(abc.ABC):
         scores = [self.misses(i) for i in range(self.num_components)]
         return scores.index(min(scores))
 
-    def saturated(self) -> bool:
-        """Whether the recorded history is pegged: so one-sided that a
-        further decisive event blaming the same loser cannot change any
-        score or the selected component.
-
-        Only the bit-vector variant can make that promise (a full,
-        unanimous window shifts into itself); unbounded and saturating
-        counters keep accumulating, so the base answer is False. The
-        columnar kernel's saturation-skip mode elides history updates
-        exactly when this holds (see docs/performance.md).
-        """
-        return False
-
     @abc.abstractmethod
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the recorded events.
@@ -237,16 +224,6 @@ class BitVectorHistory(MissHistory):
         lower index. Direct-on-counts override of the generic scan."""
         counts = self._counts
         return counts.index(min(counts))
-
-    def saturated(self) -> bool:
-        """True when the window is full and unanimous — every recorded
-        event blames the same component. A further event blaming it
-        again shifts the window into itself: counts, window contents and
-        the best component are all provably unchanged."""
-        return (
-            len(self._events) == self.window
-            and max(self._counts) == self.window
-        )
 
     def clear(self) -> None:
         self._events.clear()

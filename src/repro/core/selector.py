@@ -75,16 +75,6 @@ class PolicySelector:
         """Component with the fewest recorded misses (ties favour 0)."""
         return self.history.best_component()
 
-    def pegged(self) -> bool:
-        """Whether the verdict is locked in: the history is so one-sided
-        (:meth:`MissHistory.saturated`) that another decisive event
-        blaming the current loser would change nothing — not the window,
-        not the counts, not the imitated component. The columnar
-        kernel's saturation-skip mode elides exactly those updates; a
-        phase change (an event blaming the other component) fails the
-        guard and recording resumes automatically."""
-        return self.history.saturated()
-
     def state_dict(self) -> dict:
         """JSON-serializable snapshot: history state, switch counter and
         the currently imitated component."""

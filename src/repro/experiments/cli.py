@@ -271,15 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are byte-identical at any worker count)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=["scalar", "columnar", "auto"],
-        default="auto",
-        help="batch simulation kernel for adaptive caches (default "
-        "auto): 'columnar' forces the vectorized shadow-directory "
-        "kernel, 'scalar' the per-access loop; decisions are "
-        "byte-identical either way, so regressions bisect cleanly",
-    )
-    parser.add_argument(
         "--snapshot-dir",
         default=None,
         metavar="DIR",
@@ -556,10 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.perf.parallel import set_default_workers
 
         set_default_workers(args.workers)
-    if args.kernel != "auto":
-        from repro.perf.kernel import set_default_kernel
-
-        set_default_kernel(args.kernel)
     try:
         if args.experiment == "policies":
             return _run_policies()
@@ -585,10 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.perf.parallel import set_default_workers
 
             set_default_workers(1)
-        if args.kernel != "auto":
-            from repro.perf.kernel import set_default_kernel
-
-            set_default_kernel("auto")
 
 
 def _run_experiments(args: argparse.Namespace) -> int:

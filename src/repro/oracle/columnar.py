@@ -14,9 +14,11 @@ Each run builds two identical adaptive caches, drives one through the
 scalar :meth:`~repro.cache.cache.SetAssociativeCache.access` loop and
 the other through
 :func:`~repro.perf.kernel.columnar_access_many` (with the per-access
-hit record enabled), and compares everything. Both saturation-skip
-settings are exercised, because the skip guard is the one optimization
-whose correctness rests on an argument rather than shared code.
+hit record enabled), and compares everything. The streams are sized so
+selector windows fill, saturate and flip mid-stream, because the
+saturation-skip guard is the one optimization whose correctness rests
+on an argument rather than shared code. Each pair runs two families of
+seeded streams.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ def run_columnar_differential(
     num_sets: int = 4,
     ways: int = 4,
     seed: Optional[int] = None,
-    saturation_skip: bool = True,
 ) -> Optional[Divergence]:
     """Scalar vs columnar on one stream; returns the first divergence.
 
@@ -98,7 +99,7 @@ def run_columnar_differential(
     mismatch there reports the offending step — then the full
     observable state.
     """
-    label = f"columnar:{'+'.join(components)}:skip={saturation_skip}"
+    label = f"columnar:{'+'.join(components)}"
     scalar = _build_cache(components, num_sets, ways, seed or 0)
     columnar = _build_cache(components, num_sets, ways, seed or 0)
     addresses, writes = _addresses(events, scalar.config)
@@ -108,10 +109,7 @@ def run_columnar_differential(
         for address, write in zip(addresses, writes)
     ]
     record = [False] * len(addresses)
-    columnar_access_many(
-        columnar, addresses, writes=writes, record=record,
-        saturation_skip=saturation_skip,
-    )
+    columnar_access_many(columnar, addresses, writes=writes, record=record)
 
     for step, (want, got) in enumerate(zip(scalar_hits, record)):
         if want != got:
@@ -151,7 +149,7 @@ def columnar_campaign(
     Args:
         pairs: (kindA, kindB) duel pairs to cover; defaults to all 16
             ordered pairs over {lru, fifo, lfu, mru}.
-        streams_per_combo: independent streams per (pair, skip mode).
+        streams_per_combo: independent streams per (pair, seed family).
         stream_length: accesses per stream — sized so selector windows
             fill, saturate, and flip mid-stream.
         num_sets, ways: cache geometry.
@@ -160,23 +158,21 @@ def columnar_campaign(
     Returns:
         A :class:`~repro.oracle.harness.CampaignReport`; each failing
         run contributes its first :class:`Divergence` and the campaign
-        continues, covering both saturation-skip settings for every
-        pair.
+        continues, covering both seed families for every pair.
     """
     if pairs is None:
         pairs = DUEL_PAIRS
     report = CampaignReport()
     for pair_index, pair in enumerate(pairs):
-        for skip in (True, False):
+        for family in (1, 0):
             for stream_index in range(streams_per_combo):
                 seed = (base_seed + 7919 * pair_index
-                        + 311 * int(skip) + stream_index)
+                        + 311 * family + stream_index)
                 events = hardware_stream(seed, num_sets, ways, stream_length)
                 report.runs += 1
                 report.events += len(events)
                 divergence = run_columnar_differential(
-                    pair, events, num_sets=num_sets, ways=ways,
-                    seed=seed, saturation_skip=skip,
+                    pair, events, num_sets=num_sets, ways=ways, seed=seed
                 )
                 if divergence is not None:
                     report.divergences.append(divergence)

@@ -4,10 +4,10 @@
 
 * :mod:`repro.perf.kernel` — the columnar shadow-directory kernel:
   whole access batches simulated per set in struct-of-arrays form,
-  with a generated fast path per (policyA, policyB) duel pair and
-  saturation-skip elision for pegged selectors, byte-identical to the
-  scalar loop in every observable decision (``--kernel
-  scalar|columnar|auto`` on the CLI).
+  with a generated fast path per (policyA, policyB) duel pair,
+  byte-identical to the scalar loop in every observable decision.
+  It runs whenever the cache is inside its envelope and the batch is
+  large enough to amortize the setup (:data:`AUTO_MIN_BATCH`).
 * :mod:`repro.perf.parallel` — a process-parallel sweep executor
   (:class:`~repro.perf.parallel.ParallelRunner`) layered on the same
   crash-isolated cells as the serial runner, producing byte-identical
@@ -25,15 +25,10 @@ describes the optimizations and the decision-identity argument.
 from repro.perf.bench import run_perf
 from repro.perf.kernel import (
     AUTO_MIN_BATCH,
-    KERNEL_MODES,
     columnar_access_many,
     columnar_hit_stream,
-    get_default_kernel,
-    get_saturation_skip,
     kernel_name,
     kernel_plan,
-    set_default_kernel,
-    set_saturation_skip,
 )
 from repro.perf.parallel import (
     ParallelRunner,
@@ -44,18 +39,13 @@ from repro.perf.parallel import (
 
 __all__ = [
     "AUTO_MIN_BATCH",
-    "KERNEL_MODES",
     "ParallelRunner",
     "columnar_access_many",
     "columnar_hit_stream",
-    "get_default_kernel",
     "get_default_workers",
-    "get_saturation_skip",
     "kernel_name",
     "kernel_plan",
     "parallel_policy_sweep",
     "run_perf",
-    "set_default_kernel",
     "set_default_workers",
-    "set_saturation_skip",
 ]

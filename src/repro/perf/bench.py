@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.perf.kernel import get_default_kernel, kernel_name
+from repro.perf.kernel import kernel_name
 from repro.utils.rng import DeterministicRNG
 
 #: Policies timed by the hot-path benchmark: the two cheapest fixed
@@ -209,7 +209,6 @@ def run_perf(
             "platform": platform.platform(),
         },
         "quick": quick,
-        "kernel_mode": get_default_kernel(),
         "hotpath": bench_hotpath(accesses=hot_accesses),
         "sweep": bench_sweep(
             workers_counts=workers_counts, accesses=sweep_accesses
@@ -226,7 +225,6 @@ def render_perf(report: Dict[str, object]) -> str:
     lines = [
         f"machine: {report['machine']['cpu_count']} CPU(s), "
         f"Python {report['machine']['python']}",
-        f"kernel mode: {report.get('kernel_mode', 'auto')}",
         "hot path (accesses/sec):",
     ]
     for kind, row in sorted(report["hotpath"].items()):

@@ -41,11 +41,10 @@ are after a ``load_state_dict`` round-trip (both are excluded from
 Saturation skipping
 -------------------
 
-When a set's selector window is pegged — full and unanimous
-(:meth:`repro.core.selector.PolicySelector.pegged`) — a decisive event
-that blames the *same* loser is a provable no-op on the window, the
-counts, and the imitated component: the history update is elided
-entirely. The guard automatically fails on a phase change (the first
+When a set's selector window is full and unanimous, a decisive event
+that blames the *same* loser shifts the window into itself: the window,
+the counts and the imitated component are all unchanged, so the kernel
+elides the history update. The guard fails on a phase change (the first
 decisive event blaming the other component), so the window resumes
 recording with no re-arm protocol. Unlike SBAR's leader-set sampling,
 nothing else may be skipped without breaking byte-identity: the shadow
@@ -54,12 +53,13 @@ directories themselves are observable state.
 When the scalar path is used
 ----------------------------
 
-:func:`kernel_plan` returns None — and every entry point falls back to
-the scalar loop — for anything outside the specialized envelope:
-non-adaptive policies, more or fewer than two components, unregistered
-component kinds, non-identity tag transforms, a random fallback, counter
-histories, an attached fault injector or vote sink, and (in ``auto``
-mode) batches too small to amortize the columnar setup.
+One rule picks the kernel, from what the code can observe: a batch runs
+columnar exactly when :func:`kernel_plan` accepts the cache and the
+batch has at least :data:`AUTO_MIN_BATCH` accesses. :func:`kernel_plan`
+returns None for anything outside the specialized envelope: non-adaptive
+policies, more or fewer than two components, unregistered component
+kinds, non-identity tag transforms, a random fallback, counter
+histories, and an attached fault injector or vote sink.
 """
 
 from __future__ import annotations
@@ -78,52 +78,9 @@ from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 
-KERNEL_MODES = ("scalar", "columnar", "auto")
-
-#: In ``auto`` mode, batches below this size stay on the scalar path —
-#: the numpy decompose/sort setup costs more than it saves.
+#: Batches below this size stay on the scalar path: the numpy
+#: decompose/sort setup costs more than it saves.
 AUTO_MIN_BATCH = 512
-
-_DEFAULT_KERNEL = "auto"
-_SATURATION_SKIP = True
-
-
-def set_default_kernel(mode: str) -> None:
-    """Select the process-wide batch kernel: scalar, columnar or auto.
-
-    ``auto`` (the default) engages the columnar kernel for supported
-    caches on batches of at least :data:`AUTO_MIN_BATCH` accesses;
-    ``columnar`` engages it for supported caches regardless of batch
-    size; ``scalar`` disables it. The CLI ``--kernel`` flag and the
-    parallel sweep workers route through this switch.
-    """
-    if mode not in KERNEL_MODES:
-        known = ", ".join(KERNEL_MODES)
-        raise ValueError(f"unknown kernel mode {mode!r}; known: {known}")
-    global _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = mode
-
-
-def get_default_kernel() -> str:
-    """The current process-wide kernel mode."""
-    return _DEFAULT_KERNEL
-
-
-def set_saturation_skip(enabled: bool) -> None:
-    """Enable/disable eliding history updates for pegged selectors.
-
-    On by default; it is a provable no-op elision (see the module
-    docstring), so the only reason to turn it off is to exercise both
-    paths in differential tests.
-    """
-    global _SATURATION_SKIP
-    _SATURATION_SKIP = bool(enabled)
-
-
-def get_saturation_skip() -> bool:
-    """Whether pegged-selector history updates are currently elided."""
-    return _SATURATION_SKIP
-
 
 _COMPONENT_KINDS = {
     LRUPolicy: "lru",
@@ -168,15 +125,19 @@ def kernel_plan(cache) -> Optional[Tuple[str, str]]:
     return (kind_a, kind_b)
 
 
-def kernel_name(cache, batch_size: Optional[int] = None) -> str:
+def _columnar_plan(cache, batch_size: int) -> Optional[Tuple[str, str]]:
+    """The selection rule: the duel pair a batch of ``batch_size``
+    accesses against ``cache`` runs columnar on, or None for the scalar
+    loop."""
+    if batch_size < AUTO_MIN_BATCH:
+        return None
+    return kernel_plan(cache)
+
+
+def kernel_name(cache, batch_size: int) -> str:
     """Which kernel a batch against ``cache`` would run on, as a label
     for benchmark output: ``"columnar"`` or ``"scalar"``."""
-    mode = _DEFAULT_KERNEL
-    if mode == "scalar":
-        return "scalar"
-    if mode == "auto" and batch_size is not None and batch_size < AUTO_MIN_BATCH:
-        return "scalar"
-    return "columnar" if kernel_plan(cache) is not None else "scalar"
+    return "scalar" if _columnar_plan(cache, batch_size) is None else "columnar"
 
 
 _DUEL_FNS: dict = {}
@@ -193,34 +154,26 @@ def _duel_fn(plan: Tuple[str, str]):
     return fn
 
 
-def _run_decomposed(fn, cache, sets_arr, tags_arr, writes, rec, skip) -> int:
-    n = int(sets_arr.shape[0])
+def _run(plan, cache, addresses, writes, rec) -> int:
+    offset_bits, index_mask, tag_shift = cache.config.decomposition()
+    arr = np.asarray(addresses, dtype=np.int64)
+    sets_arr = (arr >> offset_bits) & index_mask
     order = np.argsort(sets_arr, kind="stable")
     counts = np.bincount(sets_arr, minlength=cache.config.num_sets)
     starts = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    touched = np.flatnonzero(counts).tolist()
     writes_sorted = None
     if writes is not None:
         writes_sorted = np.asarray(writes, dtype=bool)[order].tolist()
-    return fn(
+    return _duel_fn(plan)(
         cache,
-        n,
-        touched,
+        len(arr),
+        np.flatnonzero(counts).tolist(),
         starts.tolist(),
-        tags_arr[order].tolist(),
+        (arr >> tag_shift)[order].tolist(),
         order.tolist(),
         writes_sorted,
         rec,
-        skip,
-    )
-
-
-def _run_addresses(fn, cache, addresses, writes, rec, skip) -> int:
-    offset_bits, index_mask, tag_shift = cache.config.decomposition()
-    arr = np.asarray(addresses, dtype=np.int64)
-    return _run_decomposed(
-        fn, cache, (arr >> offset_bits) & index_mask, arr >> tag_shift, writes, rec, skip
     )
 
 
@@ -228,21 +181,14 @@ def maybe_columnar(cache, addresses, writes=None) -> Optional[int]:
     """The dispatch hook behind ``SetAssociativeCache.access_many``.
 
     Returns the hit count when the columnar kernel ran the batch, or
-    None when the scalar loop should (kernel mode, batch size, or an
-    unsupported cache — see :func:`kernel_plan`).
+    None when the scalar loop should (see :func:`_columnar_plan`).
+    ``writes``, when given, must match ``addresses`` in length;
+    ``access_many`` checks that before dispatching.
     """
-    mode = _DEFAULT_KERNEL
-    if mode == "scalar":
-        return None
-    n = len(addresses)
-    if n == 0 or (mode == "auto" and n < AUTO_MIN_BATCH):
-        return None
-    if writes is not None and len(writes) != n:
-        return None
-    plan = kernel_plan(cache)
+    plan = _columnar_plan(cache, len(addresses))
     if plan is None:
         return None
-    return _run_addresses(_duel_fn(plan), cache, addresses, writes, None, _SATURATION_SKIP)
+    return _run(plan, cache, addresses, writes, None)
 
 
 def columnar_access_many(
@@ -250,20 +196,17 @@ def columnar_access_many(
     addresses: Sequence[int],
     writes: Optional[Sequence[bool]] = None,
     record: Optional[List[bool]] = None,
-    saturation_skip: Optional[bool] = None,
 ) -> int:
     """Run one batch through the columnar kernel unconditionally.
 
-    Unlike :func:`maybe_columnar` this ignores the kernel mode and batch
-    threshold, and raises ValueError for unsupported caches — the entry
-    point for differential tests and the oracle's columnar lane.
+    Unlike :func:`maybe_columnar` this ignores the batch threshold, and
+    raises ValueError for unsupported caches — the entry point for
+    differential tests and the oracle's columnar lane.
 
     Args:
         record: optional ``[False] * len(addresses)`` list; the kernel
             sets ``record[i]`` True for every hit, in original access
             order.
-        saturation_skip: override the process-wide saturation-skip flag
-            for this batch.
     """
     plan = kernel_plan(cache)
     if plan is None:
@@ -273,8 +216,7 @@ def columnar_access_many(
         )
     if writes is not None and len(writes) != len(addresses):
         raise ValueError("writes must have the same length as addresses")
-    skip = _SATURATION_SKIP if saturation_skip is None else bool(saturation_skip)
-    return _run_addresses(_duel_fn(plan), cache, addresses, writes, record, skip)
+    return _run(plan, cache, addresses, writes, record)
 
 
 def columnar_hit_stream(
@@ -289,15 +231,9 @@ def columnar_hit_stream(
     ``result.hit`` per access, so it can precompute the whole hit stream
     here and keep its cycle-accounting loop unchanged.
     """
-    mode = _DEFAULT_KERNEL
-    if mode == "scalar":
-        return None
-    n = len(addresses)
-    if n == 0 or (mode == "auto" and n < AUTO_MIN_BATCH):
-        return None
-    plan = kernel_plan(cache)
+    plan = _columnar_plan(cache, len(addresses))
     if plan is None:
         return None
-    rec = [False] * n
-    _run_addresses(_duel_fn(plan), cache, addresses, writes, rec, _SATURATION_SKIP)
+    rec = [False] * len(addresses)
+    _run(plan, cache, addresses, writes, rec)
     return rec

@@ -264,20 +264,22 @@ _SNIPPETS = {
 }
 
 # Selector step: the bit-vector window as one int (bit=1 means component
-# A missed the decisive event), counts and best as scalars. The skip
-# guard elides the provable no-op: window full + unanimous + same blame.
+# A missed the decisive event), counts and best as scalars. A full,
+# unanimous window shifts into itself when the event blames the same
+# loser again (win stays WMASK or 0): counts, window and best are
+# unchanged, so the guards elide that provable no-op update.
 _SELECTOR_STEP = """\
 if mA != mB:
     if nev == WIN:
         if mA:
-            if not (skip and win == WMASK):
+            if win != WMASK:
                 cntA += 1 - ((win >> WIN1) & 1)
                 win = ((win << 1) | 1) & WMASK
                 nb = 0 if cntA + cntA <= nev else 1
                 if nb != best:
                     best = nb
                     switches += 1
-        elif not (skip and win == 0):
+        elif win != 0:
             cntA -= (win >> WIN1) & 1
             win = (win << 1) & WMASK
             nb = 0 if cntA + cntA <= nev else 1
@@ -383,7 +385,7 @@ ltR[wR] = gi + baseAd
 """
 
 _TEMPLATE = """\
-def _kernel(cache, n, touched, starts, tagsL, gisL, writesL, rec, skip):
+def _kernel(cache, n, touched, starts, tagsL, gisL, writesL, rec):
     policy = cache.policy
     compA = policy.components[0]
     compB = policy.components[1]

@@ -75,12 +75,9 @@ def _simulate_workload_task(payload: dict) -> dict:
     import traceback
 
     from repro.experiments import base as base_mod
-    from repro.perf import kernel as kernel_mod
 
     if payload.get("trace_dir"):
         base_mod.set_default_trace_dir(payload["trace_dir"])
-    if payload.get("kernel"):
-        kernel_mod.set_default_kernel(payload["kernel"])
     setup = base_mod.make_setup(payload["scale"], accesses=payload["accesses"])
     cache = base_mod.WorkloadCache(setup)
     workload = payload["workload"]
@@ -149,7 +146,6 @@ class ParallelRunner:
     ) -> List[dict]:
         """One picklable worker payload per workload with pending cells."""
         from repro.experiments import base as base_mod
-        from repro.perf.kernel import get_default_kernel
 
         trace_dir = cache.trace_dir or base_mod._DEFAULT_TRACE_DIR
         return [
@@ -159,7 +155,6 @@ class ParallelRunner:
                 "workload": workload,
                 "specs": specs,
                 "trace_dir": trace_dir,
-                "kernel": get_default_kernel(),
                 "cell_attempts": self.cell_attempts,
                 "processor": processor,
                 "l2_config": l2_config,

@@ -102,3 +102,14 @@ def test_access_many_resumes_from_existing_state():
     mixed.access_many(addresses[half:], writes[half:])
 
     assert snapshot(mixed) == snapshot(serial)
+
+
+@pytest.mark.parametrize("kind", ["lru", "adaptive"])
+def test_access_many_rejects_mismatched_writes(kind):
+    """A short write-flag list must not silently truncate the batch."""
+    config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
+    addresses, writes = mixed_stream(config, accesses=1000)
+    cache = SetAssociativeCache(config, build_l2_policy(config, kind))
+    with pytest.raises(ValueError):
+        cache.access_many(addresses, writes[:10])
+    assert cache.stats.accesses == 0

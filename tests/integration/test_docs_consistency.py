@@ -29,29 +29,57 @@ class TestDocsExist:
         ]
 
 
+def resolve_dotted(identifier):
+    """Resolve ``repro.a.b.c`` part by part: each part must be an
+    attribute of the object before it, or a submodule of it."""
+    import importlib
+
+    parts = identifier.split(".")
+    obj = importlib.import_module(parts[0])
+    for index, part in enumerate(parts[1:], start=1):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:index + 1]))
+        obj = getattr(obj, part)
+    return obj
+
+
 class TestDocsReferenceRealCode:
     def _python_identifiers(self, text):
-        """Dotted module-ish identifiers mentioned in backticks."""
-        return set(re.findall(r"`(repro\.[a-z_.]+)`", text))
+        """Dotted ``repro.*`` names quoted in backticks, bare or in call
+        form (`` `repro.x.f()` ``, `` `repro.x.f(arg)` ``)."""
+        return set(re.findall(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`", text))
 
     def test_modules_named_in_docs_importable(self):
-        import importlib
-
         for doc in DOCS.glob("*.md"):
             for identifier in self._python_identifiers(doc.read_text()):
-                module_path = identifier
-                while module_path:
-                    try:
-                        importlib.import_module(module_path)
-                        break
-                    except ImportError:
-                        # Maybe the tail is an attribute; strip one part.
-                        if "." not in module_path:
-                            raise AssertionError(
-                                f"{doc.name} references {identifier}, "
-                                "which does not import"
-                            )
-                        module_path = module_path.rsplit(".", 1)[0]
+                try:
+                    resolve_dotted(identifier)
+                except (ImportError, AttributeError) as exc:
+                    raise AssertionError(
+                        f"{doc.name} references {identifier}, which does "
+                        f"not resolve: {exc}"
+                    ) from exc
+
+    def test_cli_flags_in_docs_exist(self):
+        """Every ``--flag`` quoted on a ``repro-experiments`` line of the
+        user docs is an option of the CLI parser."""
+        from repro.experiments.cli import build_parser
+
+        options = set(build_parser()._option_string_actions)
+        paths = [REPO_ROOT / "README.md", REPO_ROOT / "EXPERIMENTS.md",
+                 *sorted(DOCS.glob("*.md"))]
+        found = 0
+        for path in paths:
+            for line in path.read_text().splitlines():
+                if "repro-experiments" not in line:
+                    continue
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line):
+                    found += 1
+                    assert flag in options, (
+                        f"{path.name} quotes repro-experiments {flag}, "
+                        "which build_parser() does not define"
+                    )
+        assert found > 0
 
     def test_api_doc_names_exist(self):
         """Every CamelCase symbol the API doc shows must exist in repro

@@ -5,8 +5,8 @@ cache and the online shard, over 16 independent seeded streams each —
 256 runs — must agree with the executable specs on every decision.
 
 The columnar lane extends the campaign to the batch kernel: every duel
-pair the kernel specializes, under both saturation-skip settings, must
-be byte-identical to the scalar per-access loop.
+pair the kernel specializes, over both seed families, must be
+byte-identical to the scalar per-access loop.
 """
 
 from repro.oracle import (
@@ -47,7 +47,7 @@ class TestCampaign:
 
 
 class TestColumnarCampaign:
-    def test_every_duel_pair_both_skip_modes_no_divergence(self):
+    def test_every_duel_pair_both_seed_families_no_divergence(self):
         report = columnar_campaign()
         assert report.runs == len(DUEL_PAIRS) * 2 * 4
         assert report.events > 0
@@ -59,11 +59,9 @@ class TestColumnarCampaign:
         from repro.oracle import columnar as lane
         from repro.perf.kernel import columnar_access_many
 
-        def corrupted(cache, addresses, writes=None, record=None,
-                      saturation_skip=None):
+        def corrupted(cache, addresses, writes=None, record=None):
             hits = columnar_access_many(
-                cache, addresses, writes=writes, record=record,
-                saturation_skip=saturation_skip,
+                cache, addresses, writes=writes, record=record
             )
             if record is not None:
                 record[7] = not record[7]

@@ -4,11 +4,10 @@ The contract (see :mod:`repro.perf.kernel`): for every supported duel
 pair, the generated columnar kernel must leave a cache byte-identical
 to the scalar per-access loop — CacheStats, per-set misses, the full
 policy ``state_dict()``, resident set contents — and report the same
-per-access hit stream, with saturation skipping on or off. Hypothesis
-drives random streams (including write mixes and adversarial
-phase-change patterns) at every duel pair; deterministic tests pin the
-envelope checks, the mode/threshold dispatch, and the pegged-selector
-hooks the skip optimization rests on.
+per-access hit stream. Hypothesis drives random streams (including
+write mixes and adversarial phase-change patterns that saturate and
+flip selector windows) at every duel pair; deterministic tests pin the
+envelope checks and the batch-size dispatch rule.
 """
 
 from itertools import product
@@ -18,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.core.history import BitVectorHistory, CounterHistory
+from repro.core.history import CounterHistory
 from repro.core.multi import five_policy_adaptive, make_adaptive
 from repro.core.partial import PartialTagScheme
 from repro.perf import kernel
@@ -26,13 +25,9 @@ from repro.perf.kernel import (
     AUTO_MIN_BATCH,
     columnar_access_many,
     columnar_hit_stream,
-    get_default_kernel,
-    get_saturation_skip,
     kernel_name,
     kernel_plan,
     maybe_columnar,
-    set_default_kernel,
-    set_saturation_skip,
 )
 from repro.perf.kernel_codegen import build_duel_source
 from repro.policies.registry import make_policy
@@ -69,7 +64,7 @@ def to_addresses(events, config):
 
 
 def assert_equivalent(components, events, num_sets=4, ways=4,
-                      saturation_skip=True, use_writes=True):
+                      use_writes=True):
     """Scalar access loop vs columnar batch: everything must match."""
     scalar = build_cache(components, num_sets, ways)
     columnar = build_cache(components, num_sets, ways)
@@ -82,8 +77,7 @@ def assert_equivalent(components, events, num_sets=4, ways=4,
     ]
     record = [False] * len(addresses)
     hits = columnar_access_many(
-        columnar, addresses, writes=writes, record=record,
-        saturation_skip=saturation_skip,
+        columnar, addresses, writes=writes, record=record
     )
     assert hits == sum(scalar_hits)
     assert record == scalar_hits
@@ -107,17 +101,14 @@ class TestHypothesisEquivalence:
     @given(
         events=event_streams(),
         pair=st.sampled_from(ALL_PAIRS),
-        skip=st.booleans(),
         use_writes=st.booleans(),
     )
-    def test_random_streams_all_pairs(self, events, pair, skip, use_writes):
-        assert_equivalent(pair, events, saturation_skip=skip,
-                          use_writes=use_writes)
+    def test_random_streams_all_pairs(self, events, pair, use_writes):
+        assert_equivalent(pair, events, use_writes=use_writes)
 
     @settings(max_examples=30, deadline=None)
     @given(
         pair=st.sampled_from(ALL_PAIRS),
-        skip=st.booleans(),
         phases=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=1),
@@ -126,7 +117,7 @@ class TestHypothesisEquivalence:
             min_size=2, max_size=5,
         ),
     )
-    def test_phase_change_streams(self, pair, skip, phases):
+    def test_phase_change_streams(self, pair, phases):
         # Alternate between a tiny hot loop (recency-friendly) and a
         # scanning sweep (frequency-friendly) so selector windows
         # saturate and then flip mid-batch — the exact pattern
@@ -141,7 +132,7 @@ class TestHypothesisEquivalence:
                     cursor += 1
                     tag = cursor % 24
                 events.append((step % 4, tag, step % 5 == 0))
-        assert_equivalent(pair, events, saturation_skip=skip)
+        assert_equivalent(pair, events)
 
     @settings(max_examples=20, deadline=None)
     @given(events=event_streams(num_sets=2, max_tag=7, max_size=200))
@@ -151,24 +142,23 @@ class TestHypothesisEquivalence:
 
 class TestDispatchEquivalence:
     def test_access_many_auto_dispatch_matches_scalar(self):
-        # Through the real access_many entry point: auto mode engages
-        # the kernel at AUTO_MIN_BATCH, and must match a scalar-forced
-        # run byte for byte.
+        # Through the real access_many entry point: the kernel engages
+        # at AUTO_MIN_BATCH, and must match a per-call access() loop
+        # byte for byte.
         from repro.oracle.streams import hardware_stream
 
         events = hardware_stream(11, 4, 4, AUTO_MIN_BATCH + 100)
-        auto = build_cache()
-        forced = build_cache()
-        addresses, writes = to_addresses(events, auto.config)
-        assert get_default_kernel() == "auto"
-        auto_hits = auto.access_many(addresses, writes)
-        set_default_kernel("scalar")
-        try:
-            scalar_hits = forced.access_many(addresses, writes)
-        finally:
-            set_default_kernel("auto")
-        assert auto_hits == scalar_hits
-        assert observable_state(auto) == observable_state(forced)
+        batched = build_cache()
+        per_call = build_cache()
+        addresses, writes = to_addresses(events, batched.config)
+        assert kernel_name(batched, len(addresses)) == "columnar"
+        batched_hits = batched.access_many(addresses, writes)
+        per_call_hits = sum(
+            per_call.access(address, is_write=write).hit
+            for address, write in zip(addresses, writes)
+        )
+        assert batched_hits == per_call_hits
+        assert observable_state(batched) == observable_state(per_call)
 
     def test_hit_stream_matches_access_many(self):
         from repro.oracle.streams import hardware_stream
@@ -229,56 +219,27 @@ class TestEnvelope:
         assert kernel_plan(cache) is None
 
 
-class TestModeDispatch:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            set_default_kernel("turbo")
-        assert get_default_kernel() == "auto"
-
+class TestDispatchRule:
     def test_auto_threshold(self):
         cache = build_cache()
         small = [0] * (AUTO_MIN_BATCH - 1)
         assert maybe_columnar(cache, small, None) is None
+        assert columnar_hit_stream(cache, small) is None
         assert kernel_name(cache, len(small)) == "scalar"
         assert kernel_name(cache, AUTO_MIN_BATCH) == "columnar"
 
-    def test_scalar_mode_disables(self):
-        cache = build_cache()
-        set_default_kernel("scalar")
-        try:
-            assert maybe_columnar(cache, [0] * 2000, None) is None
-            assert kernel_name(cache, 2000) == "scalar"
-            assert columnar_hit_stream(cache, [0] * 2000) is None
-        finally:
-            set_default_kernel("auto")
-
-    def test_columnar_mode_ignores_threshold(self):
-        cache = build_cache()
-        set_default_kernel("columnar")
-        try:
-            assert kernel_name(cache, 8) == "columnar"
-            hits = cache.access_many([0, 64, 128])
-            assert hits == 0
-        finally:
-            set_default_kernel("auto")
-        assert cache.stats.accesses == 3
-
-    def test_saturation_skip_flag_round_trip(self):
-        assert get_saturation_skip() is True
-        set_saturation_skip(False)
-        try:
-            assert get_saturation_skip() is False
-        finally:
-            set_saturation_skip(True)
+    def test_unsupported_cache_stays_scalar(self):
+        cache = build_cache(fallback="random")
+        assert maybe_columnar(cache, [0] * 2000, None) is None
+        assert columnar_hit_stream(cache, [0] * 2000) is None
+        assert kernel_name(cache, 2000) == "scalar"
 
     def test_empty_batch_stays_scalar(self):
         assert maybe_columnar(build_cache(), [], None) is None
 
     def test_mismatched_writes_rejected(self):
-        cache = build_cache()
-        assert maybe_columnar(cache, [0] * 600, [True]) is None
         with pytest.raises(ValueError):
-            columnar_access_many(cache, [0, 64], writes=[True])
+            columnar_access_many(build_cache(), [0, 64], writes=[True])
 
 
 class TestCodegen:
@@ -292,28 +253,3 @@ class TestCodegen:
         fn_two = kernel._duel_fn(("lru", "lfu"))
         assert fn_one is fn_two
 
-
-class TestPeggedHooks:
-    def test_bitvector_saturates_only_when_unanimous(self):
-        history = BitVectorHistory(2, window=4)
-        assert not history.saturated()
-        for _ in range(4):
-            history.record((True, False))
-        assert history.saturated()
-        history.record((False, True))
-        assert not history.saturated()
-
-    def test_counter_history_never_saturates(self):
-        history = CounterHistory(2)
-        for _ in range(64):
-            history.record((True, False))
-        assert not history.saturated()
-
-    def test_selector_pegged_tracks_history(self):
-        cache = build_cache(num_sets=1)
-        selector = cache.policy.selectors[0]
-        assert not selector.pegged()
-        window = selector.history.window
-        for _ in range(window):
-            selector.history.record((True, False))
-        assert selector.pegged()
