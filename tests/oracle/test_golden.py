@@ -11,8 +11,12 @@ import pathlib
 
 import pytest
 
+from repro.cache.cache import SetAssociativeCache
+from repro.experiments.base import build_l2_policy, make_setup
 from repro.oracle.golden import (
+    GOLDEN_ACCESSES,
     GOLDEN_POLICIES,
+    GOLDEN_SCALE,
     GOLDEN_WORKLOADS,
     check_golden,
     compute_digests,
@@ -21,6 +25,8 @@ from repro.oracle.golden import (
     regen_golden,
     render_digests,
 )
+from repro.perf.kernel import kernel_name
+from repro.workloads.suite import build_workload
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,19 @@ class TestGolden:
             selector = grid[workload]["adaptive"]["selector"]
             assert len(selector["per_set_majority"]) > 0
             assert all(v >= 0 for v in selector["votes"])
+
+    def test_adaptive_cells_run_on_the_columnar_kernel(self):
+        # The pinned digests therefore also pin the kernel's decisions:
+        # every adaptive cell is one batch the dispatch rule sends to it.
+        setup = make_setup(GOLDEN_SCALE, accesses=GOLDEN_ACCESSES)
+        for workload in GOLDEN_WORKLOADS:
+            trace = build_workload(workload, setup.l2,
+                                   accesses=GOLDEN_ACCESSES)
+            cache = SetAssociativeCache(
+                setup.l2, build_l2_policy(setup.l2, "adaptive")
+            )
+            addresses, _ = trace.memory_stream()
+            assert kernel_name(cache, len(addresses)) == "columnar", workload
 
     def test_perturbed_digest_fails_check(self, tmp_path, digests):
         perturbed = json.loads(render_digests(digests))

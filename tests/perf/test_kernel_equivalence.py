@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.core.history import CounterHistory
+from repro.core.history import BitVectorHistory, CounterHistory
 from repro.core.multi import five_policy_adaptive, make_adaptive
 from repro.core.partial import PartialTagScheme
 from repro.perf import kernel
@@ -253,3 +253,52 @@ class TestCodegen:
         fn_two = kernel._duel_fn(("lru", "lfu"))
         assert fn_one is fn_two
 
+
+class TestSaturationElision:
+    """The kernel elides a decisive event when the selector window is
+    full and unanimous and the event blames the same loser. That is
+    only sound because such an event shifts the window into itself."""
+
+    @pytest.mark.parametrize("loser", [0, 1])
+    def test_unanimous_window_shifts_into_itself(self, loser):
+        event = (loser == 0, loser == 1)
+        history = BitVectorHistory(2, window=4)
+        for _ in range(4):
+            history.record(event)
+        before = history.state_dict()
+        history.record(event)
+        assert history.state_dict() == before
+        assert history.misses(loser) == 4
+        assert history.misses(1 - loser) == 0
+        history.record((loser == 1, loser == 0))
+        assert history.state_dict() != before
+
+    @pytest.mark.parametrize("loser", [0, 1])
+    def test_pegged_start_matches_per_call(self, loser):
+        # Every set starts with a full window blaming one component, so
+        # the first decisive events of the batch take the elided path.
+        from repro.oracle.streams import hardware_stream
+
+        events = hardware_stream(23, 4, 4, 900)
+        batched = build_cache()
+        per_call = build_cache()
+        event = (loser == 0, loser == 1)
+        for cache in (batched, per_call):
+            for selector in cache.policy.selectors:
+                for _ in range(selector.history.window):
+                    selector.history.record(event)
+                assert selector.history.misses(loser) == (
+                    selector.history.window
+                )
+        addresses, writes = to_addresses(events, batched.config)
+        record = [False] * len(addresses)
+        hits = columnar_access_many(
+            batched, addresses, writes=writes, record=record
+        )
+        per_call_hits = [
+            per_call.access(address, is_write=write).hit
+            for address, write in zip(addresses, writes)
+        ]
+        assert hits == sum(per_call_hits)
+        assert record == per_call_hits
+        assert observable_state(batched) == observable_state(per_call)
