@@ -54,10 +54,9 @@ class CacheSet(SetView):
 
     def free_way(self) -> Optional[int]:
         """Lowest-index invalid way, or None if the set is full."""
-        for way, tag in enumerate(self._tags):
-            if tag is None:
-                return way
-        return None
+        if len(self._tag_to_way) == self._ways:
+            return None
+        return self._tags.index(None)
 
     def is_dirty(self, way: int) -> bool:
         """Whether the block in ``way`` has been written since fill."""

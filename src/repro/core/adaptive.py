@@ -31,6 +31,7 @@ paper's five-policy experiment (Section 4.4) uses the same class.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Callable, List, Optional, Sequence
 
 from repro.cache.tag_array import ShadowOutcome, TagArray, identity_tag
@@ -128,6 +129,12 @@ class AdaptivePolicy(ReplacementPolicy):
         # victim(); the cache calls observe() exactly once per access.
         self._last_outcomes: List[ShadowOutcome] = []
         self._last_set = -1
+        # Per set, the stored (transformed) tag of each real way, written
+        # by on_fill so the victim search never re-transforms the set.
+        # Derived state like _last_outcomes: None means "rebuild from the
+        # set view on the next victim()"; entries of invalid ways are
+        # stale and never read.
+        self._rows: List[Optional[List[Optional[int]]]] = [None] * num_sets
         # Imitation decisions per set per component, drained by Figure 7.
         self._decisions = [[0] * len(self.components) for _ in range(num_sets)]
         self.fallback_evictions = 0
@@ -174,6 +181,9 @@ class AdaptivePolicy(ReplacementPolicy):
         self._check_slot(set_index, way)
         self._clock += 1
         self._stamp[set_index][way] = self._clock
+        row = self._rows[set_index]
+        if row is not None:
+            row[way] = self.tag_transform(tag)
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         if set_index != self._last_set or not self._last_outcomes:
@@ -185,17 +195,24 @@ class AdaptivePolicy(ReplacementPolicy):
         chosen = self.selectors[set_index].best_component()
         self._decisions[set_index][chosen] += 1
         outcome = self._last_outcomes[chosen]
-        shadow = self.shadows[chosen]
+        row = self._rows[set_index]
+        if row is None:
+            row = self._rows[set_index] = self._build_row(set_view)
+        # victim() only runs on full sets, where the row covers exactly
+        # the valid ways; a narrower view (a protected way) scans the
+        # ways it offers.
+        ways = None if set_view.valid_count() == self.ways else set_view.valid_ways()
 
         # Step 2: the imitated component evicted a block that the real
         # cache also holds -> evict the same block.
         if outcome.missed and outcome.victim_tag is not None:
-            way = self._find_way_by_stored_tag(set_view, outcome.victim_tag)
+            way = self._find_way_by_stored_tag(row, ways, outcome.victim_tag)
             if way is not None:
                 return way
 
         # Step 3: evict any real block not in the imitated component.
-        way = self._find_way_not_in_shadow(set_index, set_view, shadow)
+        resident = self.shadows[chosen].sets[set_index]._tag_to_way
+        way = self._find_way_not_in_shadow(row, ways, resident)
         if way is not None:
             return way
 
@@ -204,53 +221,51 @@ class AdaptivePolicy(ReplacementPolicy):
         return self._fallback_victim(set_index, set_view)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
-        # Stale recency stamps are harmless: invalid ways are filled
-        # before victim() can ever be consulted about them.
+        # Stale recency stamps and stored tags are harmless: invalid
+        # ways are filled before victim() can ever be consulted about
+        # them.
         self._check_slot(set_index, way)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _find_way_by_stored_tag(
-        self, set_view: SetView, stored_tag: int
-    ) -> Optional[int]:
-        # victim() only runs on full sets, where valid_ways() is just
-        # 0..ways-1 in order; skip building the list (and skip the
-        # identity transform for full tags).
-        if set_view.valid_count() == self.ways:
-            ways = range(self.ways)
-        else:
-            ways = set_view.valid_ways()
-        tag_at = set_view.tag_at
-        if self._identity:
-            for way in ways:
-                if tag_at(way) == stored_tag:
-                    return way
-            return None
+    def _build_row(self, set_view: SetView) -> List[Optional[int]]:
         transform = self.tag_transform
+        return [
+            None if tag is None else transform(tag)
+            for tag in map(set_view.tag_at, range(self.ways))
+        ]
+
+    @staticmethod
+    def _find_way_by_stored_tag(
+        row: List[Optional[int]], ways: Optional[Sequence[int]], stored_tag: int
+    ) -> Optional[int]:
+        # Lowest way in scan order holding ``stored_tag``; ``ways`` None
+        # means every way (a full set), scanned in C by list.index.
+        if ways is None:
+            try:
+                return row.index(stored_tag)
+            except ValueError:
+                return None
         for way in ways:
-            if transform(tag_at(way)) == stored_tag:
+            if row[way] == stored_tag:
                 return way
         return None
 
+    @staticmethod
     def _find_way_not_in_shadow(
-        self, set_index: int, set_view: SetView, shadow: TagArray
+        row: List[Optional[int]], ways: Optional[Sequence[int]], resident: dict
     ) -> Optional[int]:
-        if set_view.valid_count() == self.ways:
-            ways = range(self.ways)
-        else:
-            ways = set_view.valid_ways()
-        tag_at = set_view.tag_at
-        resident = shadow.sets[set_index]._tag_to_way
-        if self._identity:
-            for way in ways:
-                if tag_at(way) not in resident:
-                    return way
+        # Lowest way in scan order whose stored tag the shadow lacks. On
+        # a full set the first such tag's lowest way is that way itself:
+        # any earlier way holding the same tag would have matched first.
+        if ways is None:
+            for tag in filterfalse(resident.__contains__, row):
+                return row.index(tag)
             return None
-        transform = self.tag_transform
         for way in ways:
-            if transform(tag_at(way)) not in resident:
+            if row[way] not in resident:
                 return way
         return None
 
@@ -299,7 +314,9 @@ class AdaptivePolicy(ReplacementPolicy):
         outcomes (``_last_outcomes``) are *not* saved: snapshots are
         taken between accesses, where they are dead state, and
         :meth:`load_state_dict` resets them so a restored policy demands
-        a fresh ``observe()`` before its first ``victim()``.
+        a fresh ``observe()`` before its first ``victim()``. Nor are the
+        per-set rows of stored real tags (``_rows``), which are derived
+        from the real sets and rebuilt on the next ``victim()``.
         """
         return {
             "components": [c.state_dict() for c in self.components],
@@ -327,3 +344,4 @@ class AdaptivePolicy(ReplacementPolicy):
         self.fallback_evictions = int(state["fallback_evictions"])
         self._last_outcomes = []
         self._last_set = -1
+        self._rows = [None] * self.num_sets

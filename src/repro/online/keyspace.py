@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.cache.tag_array import identity_tag
 from repro.utils.bitops import is_power_of_two, xor_fold
 
 FINGERPRINT_BITS = 64
@@ -104,14 +105,30 @@ def shard_of(fingerprint: int, num_shards: int) -> int:
 def partial_fingerprint_transform(bits):
     """Build a shadow-directory transform keeping ``bits``-wide prints.
 
-    Returns the identity for ``bits`` of None or >= 64; otherwise an
-    XOR-fold down to ``bits`` bits (Section 3.1's "XOR of bit groups"
-    variant — low-bit truncation would alias all keys within a shard
-    run generated from a common prefix).
+    Returns :func:`~repro.cache.tag_array.identity_tag` for ``bits`` of
+    None or >= 64, so exact directories take the identity fast paths;
+    otherwise an XOR-fold down to ``bits`` bits (Section 3.1's "XOR of
+    bit groups" variant — low-bit truncation would alias all keys within
+    a shard run generated from a common prefix). A width that is a power
+    of two divides 64, so its fold is a shift-xor cascade: halving the
+    span each step XORs all ``bits``-wide groups in log2(64 / bits)
+    shifts rather than one loop turn per group.
     """
     if bits is None or bits >= FINGERPRINT_BITS:
-        return lambda fingerprint: fingerprint
+        return identity_tag
     if bits <= 0:
         raise ValueError(f"partial fingerprint width must be positive, "
                          f"got {bits}")
-    return lambda fingerprint: xor_fold(fingerprint, bits, FINGERPRINT_BITS)
+    if not is_power_of_two(bits):
+        return lambda fingerprint: xor_fold(fingerprint, bits,
+                                            FINGERPRINT_BITS)
+    shifts = tuple(s for s in (32, 16, 8, 4, 2, 1) if s >= bits)
+    keep = (1 << bits) - 1
+
+    def fold(fingerprint: int) -> int:
+        value = fingerprint & _MASK64
+        for shift in shifts:
+            value ^= value >> shift
+        return value & keep
+
+    return fold

@@ -48,10 +48,12 @@ class ShardView(SetView):
     ``tag_at`` returns the resident entry's *full* fingerprint; the
     policy applies its own tag transform, mirroring how the simulator's
     real cache stores full tags while shadow arrays store partial ones.
+    ``index`` is the shard's key->way dict, which the view only counts.
     """
 
-    def __init__(self, slots: List[Optional[_Entry]]):
+    def __init__(self, slots: List[Optional[_Entry]], index: dict):
         self._slots = slots
+        self._index = index
 
     @property
     def ways(self) -> int:
@@ -68,12 +70,9 @@ class ShardView(SetView):
         return [w for w, e in enumerate(self._slots) if e is not None]
 
     def valid_count(self) -> int:
-        """Number of occupied ways (no list materialisation)."""
-        count = 0
-        for entry in self._slots:
-            if entry is not None:
-                count += 1
-        return count
+        """Number of occupied ways, O(1): the size of the shard's
+        key->way index, which holds exactly one key per occupied way."""
+        return len(self._index)
 
 
 class _ProtectedView(SetView):
@@ -150,8 +149,8 @@ class CacheShard:
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._slots: List[Optional[_Entry]] = [None] * capacity
-        self._view = ShardView(self._slots)
         self._key_to_way = {}
+        self._view = ShardView(self._slots, self._key_to_way)
         self._free = list(range(capacity - 1, -1, -1))
         self.bytes_used = 0
         # Counters; read via snapshot() for a consistent view.
@@ -390,7 +389,8 @@ class CacheShard:
         """
         with self._lock:
             now = self._clock()
-            self._key_to_way = {}
+            # Cleared in place: the view counts occupancy through it.
+            self._key_to_way.clear()
             self.bytes_used = 0
             for way, row in enumerate(state["entries"]):
                 if row is None:

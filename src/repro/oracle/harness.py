@@ -292,20 +292,22 @@ def build_shard_pair(
     capacity: int = 8,
     seed: int = 0,
     components: Sequence[str] = ("lru", "lfu"),
+    partial_bits: Optional[int] = _SHARD_PARTIAL_BITS,
 ) -> ShardPair:
     """Couple an online shard and its spec for one policy kind.
 
     Mirrors :func:`repro.online.policies.build_shard_policy` exactly:
-    adaptive shards use partial (16-bit) fingerprint shadow directories,
-    and only ``random`` components receive the seed.
+    adaptive shards use partial (by default 16-bit) fingerprint shadow
+    directories, and only ``random`` components receive the seed.
     """
     policy = build_shard_policy(policy_name, capacity,
-                                components=components, seed=seed)
+                                components=components,
+                                partial_bits=partial_bits, seed=seed)
     shard = CacheShard(capacity, policy)
     if policy_name == "adaptive":
         spec = make_adaptive_spec(
             1, capacity, components,
-            tag_transform=partial_fingerprint_transform(_SHARD_PARTIAL_BITS),
+            tag_transform=partial_fingerprint_transform(partial_bits),
             seed=seed,
             component_kwargs={"random": {"seed": seed}},
         )

@@ -479,6 +479,7 @@ def _kernel(cache, n, touched, starts, tagsL, gisL, writesL, rec):
     policy.fallback_evictions += fbT
     policy._last_outcomes = []
     policy._last_set = -1
+    policy._rows = [None] * policy.num_sets
     stats = cache.stats
     stats.accesses += n
     stats.hits += hitsT

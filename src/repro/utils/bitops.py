@@ -58,8 +58,9 @@ def xor_fold(value: int, bits: int, width: int = 64) -> int:
     if bits <= 0:
         raise ValueError(f"partial tag width must be positive, got {bits}")
     folded = 0
+    group = mask(bits)
     remaining = value & mask(width)
     while remaining:
-        folded ^= remaining & mask(bits)
+        folded ^= remaining & group
         remaining >>= bits
     return folded

@@ -47,6 +47,16 @@ class TestOccupancy:
         assert cache_set.free_way() is None
         assert cache_set.is_full()
 
+    def test_free_way_is_lowest_hole(self):
+        cache_set = CacheSet(4)
+        for way in range(4):
+            cache_set.install(way, tag=way + 10)
+        cache_set.evict(2)
+        cache_set.evict(1)
+        assert cache_set.free_way() == 1
+        cache_set.install(1, tag=20)
+        assert cache_set.free_way() == 2
+
     def test_valid_ways_and_occupancy(self):
         cache_set = CacheSet(4)
         cache_set.install(1, tag=10)

@@ -11,6 +11,7 @@ from repro.core.history import CounterHistory
 from repro.core.multi import make_adaptive
 from repro.core.partial import PartialTagScheme
 from repro.policies.base import ReplacementPolicy
+from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 
 from tests.conftest import addresses_for_set
@@ -296,3 +297,61 @@ class TestInvalidate:
         for address in more:
             cache.access(address)
         assert cache.sets[0].is_full()
+
+
+class TestStoredTagRows:
+    """Each real way's transformed tag is kept per set by on_fill, so a
+    victim search never re-transforms the set."""
+
+    @staticmethod
+    def _counting_cache(config):
+        calls = [0]
+
+        def transform(tag):
+            calls[0] += 1
+            return tag & 0xF
+
+        policy = AdaptivePolicy(
+            config.num_sets, config.ways,
+            [LRUPolicy(config.num_sets, config.ways),
+             LFUPolicy(config.num_sets, config.ways)],
+            tag_transform=transform,
+        )
+        return SetAssociativeCache(config, policy), calls
+
+    def test_victim_calls_no_transform_once_row_exists(self, small_config):
+        cache, calls = self._counting_cache(small_config)
+        policy = cache.policy
+        victim = policy.victim
+        per_victim = []
+
+        def counted_victim(set_index, set_view):
+            had_row = policy._rows[set_index] is not None
+            before = calls[0]
+            way = victim(set_index, set_view)
+            if had_row:
+                per_victim.append(calls[0] - before)
+            return way
+
+        policy.victim = counted_victim
+        rng = random.Random(3)
+        for _ in range(6000):
+            cache.access(rng.randrange(64 * 1024) * 64)
+        assert len(per_victim) > 1000
+        assert set(per_victim) == {0}
+        assert policy.fallback_evictions > 0
+
+    def test_rows_are_derived_state(self, small_config):
+        cache, _ = self._counting_cache(small_config)
+        rng = random.Random(5)
+        for _ in range(3000):
+            cache.access(rng.randrange(64 * 1024) * 64)
+        policy = cache.policy
+        assert any(row is not None for row in policy._rows)
+        state = policy.state_dict()
+        assert set(state) == {
+            "components", "shadows", "selectors", "rng", "clock",
+            "stamp", "decisions", "fallback_evictions",
+        }
+        policy.load_state_dict(state)
+        assert policy._rows == [None] * small_config.num_sets

@@ -1,13 +1,17 @@
 """Unit tests for key fingerprints, shard routing and partial folding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cache.tag_array import identity_tag
 from repro.online.keyspace import (
     FINGERPRINT_BITS,
     key_fingerprint,
     partial_fingerprint_transform,
     shard_of,
 )
+from repro.online.policies import build_shard_policy
+from repro.utils.bitops import xor_fold
 
 
 class TestKeyFingerprint:
@@ -67,6 +71,25 @@ class TestPartialTransform:
     def test_identity_when_full(self):
         assert partial_fingerprint_transform(None)(12345) == 12345
         assert partial_fingerprint_transform(64)(2**63) == 2**63
+
+    def test_full_width_is_identity_tag(self):
+        assert partial_fingerprint_transform(None) is identity_tag
+        assert partial_fingerprint_transform(64) is identity_tag
+
+    def test_exact_shard_directories_take_identity_paths(self):
+        policy = build_shard_policy("adaptive", 8, partial_bits=None)
+        assert policy._identity
+        assert all(shadow._identity for shadow in policy.shadows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.integers(min_value=0,
+                                       max_value=2**FINGERPRINT_BITS - 1),
+                           min_size=1, max_size=20))
+    def test_fold_matches_xor_fold_at_every_width(self, values):
+        for bits in range(1, FINGERPRINT_BITS + 1):
+            fold = partial_fingerprint_transform(bits)
+            for value in values:
+                assert fold(value) == xor_fold(value, bits, FINGERPRINT_BITS)
 
     def test_folds_to_width(self):
         fold = partial_fingerprint_transform(12)

@@ -302,3 +302,33 @@ class TestSaturationElision:
         assert hits == sum(per_call_hits)
         assert record == per_call_hits
         assert observable_state(batched) == observable_state(per_call)
+
+
+class TestStoredTagRowsAfterBatch:
+    def test_scalar_victims_after_batch_match_per_call(self):
+        # The kernel writes CacheSet._tags without on_fill, so it must
+        # drop the policy's stored-tag rows; scalar victims after a
+        # columnar batch then rebuild them from the sets.
+        from repro.oracle.streams import hardware_stream
+
+        events = hardware_stream(31, 4, 4, 3 * AUTO_MIN_BATCH)
+        batched = build_cache()
+        per_call = build_cache()
+        addresses, writes = to_addresses(events, batched.config)
+        cut = (AUTO_MIN_BATCH, 2 * AUTO_MIN_BATCH)
+        for address, write in zip(addresses[:cut[0]], writes[:cut[0]]):
+            batched.access(address, is_write=write)
+            per_call.access(address, is_write=write)
+        assert all(row is not None for row in batched.policy._rows)
+
+        middle = slice(*cut)
+        assert kernel_name(batched, cut[1] - cut[0]) == "columnar"
+        batched.access_many(addresses[middle], writes[middle])
+        for address, write in zip(addresses[middle], writes[middle]):
+            per_call.access(address, is_write=write)
+
+        for address, write in zip(addresses[cut[1]:], writes[cut[1]:]):
+            assert batched.access(address, is_write=write) == (
+                per_call.access(address, is_write=write)
+            )
+        assert observable_state(batched) == observable_state(per_call)
