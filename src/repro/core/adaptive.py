@@ -125,16 +125,7 @@ class AdaptivePolicy(ReplacementPolicy):
         # Recency stamps for the LRU fallback and the imitate-LRU shortcut.
         self._clock = 0
         self._stamp = [[0] * ways for _ in range(num_sets)]
-        # Outcomes of the current access's shadow replays, consumed by
-        # victim(); the cache calls observe() exactly once per access.
-        self._last_outcomes: List[ShadowOutcome] = []
-        self._last_set = -1
-        # Per set, the stored (transformed) tag of each real way, written
-        # by on_fill so the victim search never re-transforms the set.
-        # Derived state like _last_outcomes: None means "rebuild from the
-        # set view on the next victim()"; entries of invalid ways are
-        # stale and never read.
-        self._rows: List[Optional[List[Optional[int]]]] = [None] * num_sets
+        self.drop_derived_state()
         # Imitation decisions per set per component, drained by Figure 7.
         self._decisions = [[0] * len(self.components) for _ in range(num_sets)]
         self.fallback_evictions = 0
@@ -305,18 +296,35 @@ class AdaptivePolicy(ReplacementPolicy):
     # Crash-recovery state capture
     # ------------------------------------------------------------------
 
+    def drop_derived_state(self) -> None:
+        """Forget everything not in :meth:`state_dict`.
+
+        Called on construction, by :meth:`load_state_dict`, and by the
+        columnar kernel, which rewrites the real sets without the
+        per-access events. Nothing here is observable: it is rebuilt
+        from the sets and the next ``observe()``.
+        """
+        # Outcomes of the current access's shadow replays, consumed by
+        # victim(); the cache calls observe() exactly once per access.
+        self._last_outcomes: List[ShadowOutcome] = []
+        self._last_set = -1
+        # Per set, the stored (transformed) tag of each real way, written
+        # by on_fill so the victim search never re-transforms the set.
+        # None means "rebuild from the set view on the next victim()";
+        # entries of invalid ways are stale and never read.
+        self._rows: List[Optional[List[Optional[int]]]] = [None] * self.num_sets
+
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the full adaptive machinery.
 
         Covers the component policies, shadow tag arrays, per-set
         selectors, fallback RNG, recency stamps and decision counters —
-        everything Algorithm 1 consults. The transient per-access replay
-        outcomes (``_last_outcomes``) are *not* saved: snapshots are
-        taken between accesses, where they are dead state, and
-        :meth:`load_state_dict` resets them so a restored policy demands
-        a fresh ``observe()`` before its first ``victim()``. Nor are the
-        per-set rows of stored real tags (``_rows``), which are derived
-        from the real sets and rebuilt on the next ``victim()``.
+        everything Algorithm 1 consults. What
+        :meth:`drop_derived_state` forgets is *not* saved: the
+        per-access replay outcomes are dead between accesses, where
+        snapshots are taken (so a restored policy demands a fresh
+        ``observe()`` before its first ``victim()``), and the rows of
+        stored real tags are rebuilt from the real sets.
         """
         return {
             "components": [c.state_dict() for c in self.components],
@@ -342,6 +350,4 @@ class AdaptivePolicy(ReplacementPolicy):
         self._stamp = [list(map(int, row)) for row in state["stamp"]]
         self._decisions = [list(map(int, row)) for row in state["decisions"]]
         self.fallback_evictions = int(state["fallback_evictions"])
-        self._last_outcomes = []
-        self._last_set = -1
-        self._rows = [None] * self.num_sets
+        self.drop_derived_state()

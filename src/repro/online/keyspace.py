@@ -109,26 +109,11 @@ def partial_fingerprint_transform(bits):
     None or >= 64, so exact directories take the identity fast paths;
     otherwise an XOR-fold down to ``bits`` bits (Section 3.1's "XOR of
     bit groups" variant — low-bit truncation would alias all keys within
-    a shard run generated from a common prefix). A width that is a power
-    of two divides 64, so its fold is a shift-xor cascade: halving the
-    span each step XORs all ``bits``-wide groups in log2(64 / bits)
-    shifts rather than one loop turn per group.
+    a shard run generated from a common prefix).
     """
     if bits is None or bits >= FINGERPRINT_BITS:
         return identity_tag
     if bits <= 0:
         raise ValueError(f"partial fingerprint width must be positive, "
                          f"got {bits}")
-    if not is_power_of_two(bits):
-        return lambda fingerprint: xor_fold(fingerprint, bits,
-                                            FINGERPRINT_BITS)
-    shifts = tuple(s for s in (32, 16, 8, 4, 2, 1) if s >= bits)
-    keep = (1 << bits) - 1
-
-    def fold(fingerprint: int) -> int:
-        value = fingerprint & _MASK64
-        for shift in shifts:
-            value ^= value >> shift
-        return value & keep
-
-    return fold
+    return lambda fingerprint: xor_fold(fingerprint, bits, FINGERPRINT_BITS)

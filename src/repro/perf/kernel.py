@@ -27,17 +27,17 @@ output: ``CacheStats``, per-set miss counters, the full policy
 ``state_dict()`` (component metadata, shadow contents, selector windows,
 switch counts, decision counters, fallback evictions) and the resulting
 ``CacheSet`` tags/dirty bits. The golden digests and the differential
-oracle campaign run with the kernel on and must not move. Three pieces
+oracle campaign run with the kernel on and must not move. Two kinds
 of *non-observable* internal state are allowed to differ, exactly as
-they are after a ``load_state_dict`` round-trip (all are excluded from
+they are after a ``load_state_dict`` round-trip (both are excluded from
 ``state_dict()``):
 
-* ``AdaptivePolicy._last_outcomes`` is left reset (it only carries
-  information between ``observe`` and ``victim`` within one access);
-* ``AdaptivePolicy._rows`` (each real way's stored tag, kept by
-  ``on_fill``) is dropped, because the kernel writes ``CacheSet._tags``
-  without calling ``on_fill``; the next scalar ``victim`` rebuilds a
-  set's row from the set itself;
+* the kernel ends with ``AdaptivePolicy.drop_derived_state()``: it
+  forgets the last access's replay outcomes (they only carry
+  information between ``observe`` and ``victim`` within one access)
+  and each set's row of stored real tags (kept by ``on_fill``, which
+  the kernel bypasses when it writes ``CacheSet._tags``; the next
+  scalar ``victim`` rebuilds a row from the set itself);
 * the LRU shadow ``TagArray``'s per-set dict iteration order is recency
   order rather than fill order (the dict is an index, not state;
   ``state_dict`` serializes the way-indexed tag list).

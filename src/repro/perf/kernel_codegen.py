@@ -477,9 +477,7 @@ def _kernel(cache, n, touched, starts, tagsL, gisL, writesL, rec):
     shadowB.misses += missBT
     policy._clock += n
     policy.fallback_evictions += fbT
-    policy._last_outcomes = []
-    policy._last_set = -1
-    policy._rows = [None] * policy.num_sets
+    policy.drop_derived_state()
     stats = cache.stats
     stats.accesses += n
     stats.hits += hitsT

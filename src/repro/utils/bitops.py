@@ -57,10 +57,12 @@ def xor_fold(value: int, bits: int, width: int = 64) -> int:
     """
     if bits <= 0:
         raise ValueError(f"partial tag width must be positive, got {bits}")
-    folded = 0
-    group = mask(bits)
-    remaining = value & mask(width)
-    while remaining:
-        folded ^= remaining & group
-        remaining >>= bits
-    return folded
+    # Shift-xor cascade: after shifting by bits, 2*bits, 4*bits, ... the
+    # low group holds the XOR of every group the shifts have reached, so
+    # the fold takes log2(width / bits) steps instead of one per group.
+    folded = value & mask(width)
+    shift = bits
+    while shift < width:
+        folded ^= folded >> shift
+        shift <<= 1
+    return folded & mask(bits)

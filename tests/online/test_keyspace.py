@@ -85,11 +85,20 @@ class TestPartialTransform:
     @given(values=st.lists(st.integers(min_value=0,
                                        max_value=2**FINGERPRINT_BITS - 1),
                            min_size=1, max_size=20))
-    def test_fold_matches_xor_fold_at_every_width(self, values):
+    def test_fold_matches_group_xor_at_every_width(self, values):
+        def group_xor(value, bits):
+            folded = 0
+            while value:
+                folded ^= value & ((1 << bits) - 1)
+                value >>= bits
+            return folded
+
         for bits in range(1, FINGERPRINT_BITS + 1):
             fold = partial_fingerprint_transform(bits)
             for value in values:
-                assert fold(value) == xor_fold(value, bits, FINGERPRINT_BITS)
+                expected = group_xor(value, bits)
+                assert xor_fold(value, bits, FINGERPRINT_BITS) == expected
+                assert fold(value) == expected
 
     def test_folds_to_width(self):
         fold = partial_fingerprint_transform(12)
