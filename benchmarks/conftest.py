@@ -1,41 +1,16 @@
-"""Shared benchmark configuration.
+"""Shared benchmark configuration: the ``--quick`` flag.
 
-Every paper table/figure has one bench module here. Each bench runs its
-experiment driver once (``pedantic`` mode — these are full simulations,
-not microseconds-scale operations), prints the regenerated rows, and
-attaches the headline numbers as ``extra_info`` so they land in the
-pytest-benchmark JSON.
+``pytest benchmarks/ --quick`` is what the CI bench job runs: the
+oracle timings (``bench_oracle.py``), the serving SLO floors at the
+CI-sized harness (``bench_ext_serve.py``) and the wall-clock
+benchmark's self-tests (``e2e/``). The hot-path gate
+(``bench_hotpath.py``) is a script and takes the same flag standalone.
 
-Scale: benches use the ``mini`` setup (16 KB L2) with short traces so
-the whole harness completes in minutes. ``repro-experiments <exp>
---scale scaled|paper`` regenerates any figure at larger scale.
-
-A common ``--quick`` flag (``pytest benchmarks/ --quick``) shrinks
-every bench further — shorter traces through :func:`bench_setup`, a
-smaller workload slice through :func:`bench_subset` — which is what the
-CI bench-regression job runs; the hot-path gate
-(``benchmarks/bench_hotpath.py``) honours the same flag standalone.
+The paper's shape checks are not here: they run as tier-1 tests, one
+per registered experiment, in ``tests/experiments/test_paper_shapes.py``.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.experiments.base import make_setup
-
-BENCH_ACCESSES = 6000
-
-#: --quick trace length: enough to fill the mini cache several times
-#: over, short enough for a CI minute.
-QUICK_ACCESSES = 1500
-
-# A slice of the primary set covering every locality class, used by the
-# parameter-sweep benches where the full 26-program set would be slow.
-SUBSET = ["lucas", "gcc-2", "art-1", "tiff2rgba", "ammp", "mcf", "swim",
-          "unepic"]
-
-#: --quick workload slice: one representative per headline behaviour.
-QUICK_SUBSET = ["lucas", "art-1", "ammp", "mcf"]
 
 
 def pytest_addoption(parser):
@@ -44,45 +19,5 @@ def pytest_addoption(parser):
         "--quick",
         action="store_true",
         default=False,
-        help="shrink benchmark traces and workload slices (CI mode)",
+        help="run the CI-sized variant of each benchmark",
     )
-
-
-def is_quick(config) -> bool:
-    """Whether the session runs in ``--quick`` (CI) mode."""
-    return bool(config.getoption("--quick"))
-
-
-@pytest.fixture(scope="session")
-def bench_setup(request):
-    """The benchmark-scale setup shared by all figure benches."""
-    accesses = (
-        QUICK_ACCESSES if is_quick(request.config) else BENCH_ACCESSES
-    )
-    return make_setup("mini", accesses=accesses)
-
-
-@pytest.fixture(scope="session")
-def bench_subset(request):
-    """The workload slice for parameter-sweep benches (smaller under
-    ``--quick``)."""
-    return (
-        list(QUICK_SUBSET) if is_quick(request.config) else list(SUBSET)
-    )
-
-
-def run_and_report(benchmark, runner, label_values):
-    """Run ``runner`` once under pytest-benchmark and report its result.
-
-    Args:
-        benchmark: the pytest-benchmark fixture.
-        runner: zero-argument callable returning an ExperimentResult.
-        label_values: callable mapping the result to a dict of headline
-            numbers for ``extra_info``.
-    """
-    result = benchmark.pedantic(runner, rounds=1, iterations=1)
-    print()
-    print(result.render())
-    for key, value in label_values(result).items():
-        benchmark.extra_info[key] = value
-    return result

@@ -220,8 +220,6 @@ def run_policy_sweep(
     cache: WorkloadCache,
     workloads: Sequence[str],
     policy_specs: Dict[str, dict],
-    processor: Optional[ProcessorConfig] = None,
-    l2_config: Optional[CacheConfig] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, TimingResult]]:
     """Simulate every (workload, policy spec) pair.
@@ -251,35 +249,18 @@ def run_policy_sweep(
     )
     if effective > 1:
         return perf_parallel.parallel_policy_sweep(
-            cache, workloads, policy_specs, workers=effective,
-            processor=processor, l2_config=l2_config,
+            cache, workloads, policy_specs, workers=effective
         )
-    entry = checkpoint_mod.active()
-    results: Dict[str, Dict[str, TimingResult]] = {}
-    for name in workloads:
-        results[name] = {}
-        for label, kwargs in policy_specs.items():
-            key = None
-            if entry is not None:
-                ckpt, experiment = entry
-                key = ckpt.cell_key(
-                    "cell", experiment, cache.setup.name,
-                    cache.setup.accesses, name, label,
-                )
-                cached = ckpt.get(key)
-                if cached is not None:
-                    cell = checkpoint_mod.restore_timing_cell(cached, key)
-                    if cell is not None:
-                        results[name][label] = cell
-                        continue
-                    ckpt.discard(key)
-            result = cache.simulate_policy(
-                name, processor=processor, l2_config=l2_config, **kwargs
+    return {
+        name: {
+            label: checkpoint_mod.checkpointed_cell(
+                cache.setup, (name, label),
+                lambda: cache.simulate_policy(name, **kwargs),
             )
-            results[name][label] = result
-            if key is not None:
-                ckpt.put(key, checkpoint_mod.timing_to_dict(result))
-    return results
+            for label, kwargs in policy_specs.items()
+        }
+        for name in workloads
+    }
 
 
 @dataclass

@@ -12,7 +12,8 @@ experiment — and values are JSON data (serialized
 The module also carries the *active checkpoint context*: the CLI arms a
 checkpoint around each experiment it runs, and shared infrastructure
 (``run_policy_sweep``) transparently skips cells the checkpoint already
-holds. Experiments themselves stay checkpoint-oblivious.
+holds. :func:`checkpointed_cell` is the one lookup/validate/recompute/
+store path every checkpointed sweep shares.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import contextlib
 import json
 import os
 import sys
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
+)
 
 from repro.cpu.timing import TimingResult
 from repro.utils.atomicio import atomic_write_text
@@ -192,8 +196,8 @@ def timing_from_dict(payload: dict) -> TimingResult:
     )
 
 
-def restore_timing_cell(payload, key: str) -> Optional[TimingResult]:
-    """A corruption-tolerant :func:`timing_from_dict` for resume paths.
+def restore_cell(payload, key: str, decode=timing_from_dict):
+    """A corruption-tolerant ``decode`` for resume paths.
 
     A checkpoint file can be valid JSON while an individual cell's
     payload is damaged (hand-edited, produced by an older build, or
@@ -205,7 +209,7 @@ def restore_timing_cell(payload, key: str) -> Optional[TimingResult]:
         The restored cell, or None when the payload is unusable.
     """
     try:
-        return timing_from_dict(payload)
+        return decode(payload)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         print(
             f"[checkpoint] cell {key} is corrupt ({exc!r}); "
@@ -213,3 +217,94 @@ def restore_timing_cell(payload, key: str) -> Optional[TimingResult]:
             file=sys.stderr,
         )
         return None
+
+
+# ---------------------------------------------------------------------------
+# Checkpointed cells
+# ---------------------------------------------------------------------------
+
+
+class CellCodec(NamedTuple):
+    """How one kind of cell is written to and read from a checkpoint.
+
+    ``decode`` raises (``KeyError``, ``TypeError``, ``ValueError`` or
+    ``AttributeError``) on a damaged payload.
+    """
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+#: A :class:`~repro.cpu.timing.TimingResult` simulation cell.
+TIMING_CELL = CellCodec(timing_to_dict, timing_from_dict)
+
+
+def dict_cell(*fields: str) -> CellCodec:
+    """A metrics-dict cell, valid only while it holds every ``fields``."""
+
+    def decode(payload):
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a dict, got {type(payload).__name__}")
+        for name in fields:
+            if name not in payload:
+                raise KeyError(name)
+        return payload
+
+    return CellCodec(lambda cell: cell, decode)
+
+
+class SweepCells:
+    """The active checkpoint's cells for one experiment at one setup.
+
+    A cell's key is ``cell/<experiment>/<scale>/<accesses>/<coords...>``.
+    """
+
+    def __init__(self, checkpoint: SweepCheckpoint, experiment: str, setup):
+        self.checkpoint = checkpoint
+        self.prefix = ("cell", experiment, setup.name, setup.accesses)
+
+    def key(self, coords: Sequence) -> str:
+        """The checkpoint key of the cell at ``coords``."""
+        return SweepCheckpoint.cell_key(*self.prefix, *coords)
+
+    def restore(self, coords: Sequence, decode=timing_from_dict):
+        """The recorded cell at ``coords``, or None when it is absent.
+
+        A damaged cell is discarded from the file (with a warning) and
+        reported as absent, so the caller recomputes it.
+        """
+        key = self.key(coords)
+        payload = self.checkpoint.get(key)
+        if payload is None:
+            return None
+        cell = restore_cell(payload, key, decode)
+        if cell is None:
+            self.checkpoint.discard(key)
+        return cell
+
+    def store(self, coords: Sequence, payload) -> None:
+        """Record the encoded cell at ``coords``."""
+        self.checkpoint.put(self.key(coords), payload)
+
+
+def sweep_cells(setup) -> Optional[SweepCells]:
+    """The active checkpoint's cells at ``setup``, or None when inactive."""
+    entry = active()
+    return None if entry is None else SweepCells(*entry, setup)
+
+
+def checkpointed_cell(setup, coords: Sequence, compute: Callable[[], Any],
+                      codec: CellCodec = TIMING_CELL):
+    """``compute()``, via the active sweep checkpoint if any.
+
+    A recorded cell is restored instead of recomputed; a damaged one is
+    discarded and recomputed; a computed one is recorded.
+    """
+    cells = sweep_cells(setup)
+    if cells is None:
+        return compute()
+    cell = cells.restore(coords, codec.decode)
+    if cell is None:
+        cell = compute()
+        cells.store(coords, codec.encode(cell))
+    return cell

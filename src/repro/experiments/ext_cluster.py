@@ -104,22 +104,12 @@ def replay_cluster(
     }
 
 
-def _cell(setup: Setup, replication: int, chaos: str, compute
-          ) -> Dict[str, float]:
-    """One metrics cell, via the active sweep checkpoint if any."""
-    entry = checkpoint_mod.active()
-    if entry is None:
-        return compute()
-    ckpt, experiment = entry
-    key = ckpt.cell_key(
-        "cell", experiment, setup.name, setup.accesses, replication, chaos
-    )
-    cached = ckpt.get(key)
-    if cached is not None:
-        return cached
-    cell = compute()
-    ckpt.put(key, cell)
-    return cell
+#: The fields :func:`run` reads from a cell; a checkpointed cell
+#: missing any of them is discarded and recomputed.
+CELL = checkpoint_mod.dict_cell(
+    "hits", "hit_pct", "ops_per_sec", "availability_pct", "hedged",
+    "repairs",
+)
 
 
 def run(
@@ -156,7 +146,9 @@ def run(
             compute = lambda r=replication, c=chaos: replay_cluster(  # noqa: E731
                 r, c, keys, capacity, seed=seed
             )
-            cell = _cell(setup, replication, chaos, compute)
+            cell = checkpoint_mod.checkpointed_cell(
+                setup, (replication, chaos), compute, CELL
+            )
             table[replication][chaos] = cell
             result.add_row(
                 replication, chaos, cell["hits"], cell["hit_pct"],

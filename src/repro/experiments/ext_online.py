@@ -281,21 +281,11 @@ def _persistent_cell(
     }
 
 
-def _cell(setup: Setup, workload: str, engine: str, compute) -> Dict[str, float]:
-    """Compute one metrics cell, via the active sweep checkpoint if any."""
-    entry = checkpoint_mod.active()
-    if entry is None:
-        return compute()
-    ckpt, experiment = entry
-    key = ckpt.cell_key(
-        "cell", experiment, setup.name, setup.accesses, workload, engine
-    )
-    cached = ckpt.get(key)
-    if cached is not None:
-        return cached
-    cell = compute()
-    ckpt.put(key, cell)
-    return cell
+#: The fields :func:`run` reads from a cell; a checkpointed cell
+#: missing any of them is discarded and recomputed.
+CELL = checkpoint_mod.dict_cell(
+    "hits", "misses", "hit_pct", "ops_per_sec", "switches"
+)
 
 
 def run(
@@ -345,7 +335,9 @@ def run(
                 compute = lambda e=engine: replay(  # noqa: E731
                     e, keys, capacity, seed=seed
                 )
-            cell = _cell(setup, workload, engine, compute)
+            cell = checkpoint_mod.checkpointed_cell(
+                setup, (workload, engine), compute, CELL
+            )
             table[workload][engine] = cell
             result.add_row(
                 workload, engine, cell["hits"], cell["misses"],

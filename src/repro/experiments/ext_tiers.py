@@ -124,22 +124,12 @@ def replay(strategy: str, keys: Sequence[str], capacity: int,
     }
 
 
-def _cell(setup: Setup, workload: str, strategy: str, compute
-          ) -> Dict[str, float]:
-    """Compute one metrics cell, via the active sweep checkpoint if any."""
-    entry = checkpoint_mod.active()
-    if entry is None:
-        return compute()
-    ckpt, experiment = entry
-    key = ckpt.cell_key(
-        "cell", experiment, setup.name, setup.accesses, workload, strategy
-    )
-    cached = ckpt.get(key)
-    if cached is not None:
-        return cached
-    cell = compute()
-    ckpt.put(key, cell)
-    return cell
+#: The fields :func:`run` reads from a cell; a checkpointed cell
+#: missing any of them is discarded and recomputed.
+CELL = checkpoint_mod.dict_cell(
+    "near_pct", "hit_pct", "mean_latency", "ops_per_sec", "switches",
+    "majority",
+)
 
 
 def run(
@@ -180,7 +170,9 @@ def run(
             compute = lambda s=strategy: replay(  # noqa: E731
                 s, keys, capacity, seed=seed
             )
-            cell = _cell(setup, workload, strategy, compute)
+            cell = checkpoint_mod.checkpointed_cell(
+                setup, (workload, strategy), compute, CELL
+            )
             table[workload][strategy] = cell
             result.add_row(
                 workload, strategy, cell["near_pct"], cell["hit_pct"],

@@ -81,17 +81,13 @@ def _simulate_workload_task(payload: dict) -> dict:
     setup = base_mod.make_setup(payload["scale"], accesses=payload["accesses"])
     cache = base_mod.WorkloadCache(setup)
     workload = payload["workload"]
-    processor = payload.get("processor")
-    l2_config = payload.get("l2_config")
     retry = RetryPolicy(attempts=payload.get("cell_attempts", 1),
                         base_delay=0.01, max_delay=0.1)
     cells: Dict[str, dict] = {}
     errors: Dict[str, str] = {}
     for label, kwargs in payload["specs"].items():
         outcome = run_cell(
-            lambda kw=kwargs: cache.simulate_policy(
-                workload, processor=processor, l2_config=l2_config, **kw
-            ),
+            lambda kw=kwargs: cache.simulate_policy(workload, **kw),
             name=f"{workload}/{label}",
             retry=retry,
             seed=payload.get("seed", 0),
@@ -138,11 +134,7 @@ class ParallelRunner:
     # ------------------------------------------------------------------
 
     def _payloads(
-        self,
-        cache,
-        pending: "Dict[str, Dict[str, dict]]",
-        processor=None,
-        l2_config=None,
+        self, cache, pending: "Dict[str, Dict[str, dict]]"
     ) -> List[dict]:
         """One picklable worker payload per workload with pending cells."""
         from repro.experiments import base as base_mod
@@ -156,8 +148,6 @@ class ParallelRunner:
                 "specs": specs,
                 "trace_dir": trace_dir,
                 "cell_attempts": self.cell_attempts,
-                "processor": processor,
-                "l2_config": l2_config,
             }
             for workload, specs in pending.items()
             if specs
@@ -206,8 +196,6 @@ class ParallelRunner:
         cache,
         workloads: Sequence[str],
         policy_specs: Dict[str, dict],
-        processor=None,
-        l2_config=None,
     ) -> Dict[str, Dict[str, "object"]]:
         """Parallel equivalent of the serial ``run_policy_sweep`` loop.
 
@@ -222,64 +210,37 @@ class ParallelRunner:
                 its in-worker retries (mirroring the serial loop, where
                 the exception would propagate to the experiment cell).
         """
-        entry = checkpoint_mod.active()
-        restored: Dict[Tuple[str, str], object] = {}
+        cells = checkpoint_mod.sweep_cells(cache.setup)
+        done: Dict[Tuple[str, str], object] = {}
         pending: Dict[str, Dict[str, dict]] = {}
         for name in workloads:
             pending[name] = {}
             for label, kwargs in policy_specs.items():
-                if entry is not None:
-                    ckpt, experiment = entry
-                    key = ckpt.cell_key(
-                        "cell", experiment, cache.setup.name,
-                        cache.setup.accesses, name, label,
-                    )
-                    cached = ckpt.get(key)
-                    if cached is not None:
-                        cell = checkpoint_mod.restore_timing_cell(cached, key)
-                        if cell is not None:
-                            restored[(name, label)] = cell
-                            continue
-                        ckpt.discard(key)
-                pending[name][label] = kwargs
+                cell = cells.restore((name, label)) if cells else None
+                if cell is None:
+                    pending[name][label] = kwargs
+                else:
+                    done[(name, label)] = cell
 
-        task_results = self._run_payloads(
-            self._payloads(cache, pending, processor, l2_config)
-        )
-
-        computed: Dict[Tuple[str, str], object] = {}
         failures: List[str] = []
-        for task in task_results:
+        for task in self._run_payloads(self._payloads(cache, pending)):
             workload = task["workload"]
-            for label, cell in task["cells"].items():
-                computed[(workload, label)] = (
-                    checkpoint_mod.timing_from_dict(cell)
+            for label, payload in task["cells"].items():
+                done[(workload, label)] = (
+                    checkpoint_mod.timing_from_dict(payload)
                 )
-                if entry is not None:
-                    ckpt, experiment = entry
-                    ckpt.put(
-                        ckpt.cell_key(
-                            "cell", experiment, cache.setup.name,
-                            cache.setup.accesses, workload, label,
-                        ),
-                        cell,
-                    )
+                if cells is not None:
+                    cells.store((workload, label), payload)
             for label, message in task["errors"].items():
                 failures.append(f"{workload}/{label}: {message}")
         if failures:
             raise RuntimeError(
                 "parallel sweep cells failed: " + "; ".join(sorted(failures))
             )
-
-        results: Dict[str, Dict[str, object]] = {}
-        for name in workloads:
-            results[name] = {}
-            for label in policy_specs:
-                if (name, label) in restored:
-                    results[name][label] = restored[(name, label)]
-                else:
-                    results[name][label] = computed[(name, label)]
-        return results
+        return {
+            name: {label: done[(name, label)] for label in policy_specs}
+            for name in workloads
+        }
 
 
 def parallel_policy_sweep(
@@ -287,8 +248,6 @@ def parallel_policy_sweep(
     workloads: Sequence[str],
     policy_specs: Dict[str, dict],
     workers: Optional[int] = None,
-    processor=None,
-    l2_config=None,
 ) -> Dict[str, Dict[str, "object"]]:
     """Run a policy sweep over worker processes (module-level sugar).
 
@@ -297,8 +256,7 @@ def parallel_policy_sweep(
     :class:`~repro.experiments.base.WorkloadCache`.
     """
     return ParallelRunner(workers=workers).run_sweep(
-        cache, workloads, policy_specs,
-        processor=processor, l2_config=l2_config,
+        cache, workloads, policy_specs
     )
 
 

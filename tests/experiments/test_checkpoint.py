@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.cpu.timing import TimingResult
-from repro.experiments import base
+from repro.experiments import base, ext_cluster, ext_online, ext_tiers
 from repro.experiments.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     SweepCheckpoint,
     active,
     active_checkpoint,
-    restore_timing_cell,
+    restore_cell,
     timing_from_dict,
     timing_to_dict,
 )
@@ -115,7 +115,7 @@ class TestRestoreTimingCell:
             name="lucas", instructions=1000, cycles=2500.0,
             l2_accesses=80, l2_misses=13, breakdown={"memory": 3.0},
         )
-        assert restore_timing_cell(timing_to_dict(result), "k") == result
+        assert restore_cell(timing_to_dict(result), "k") == result
 
     @pytest.mark.parametrize("payload", [
         {"name": "x"},                      # missing fields
@@ -125,7 +125,7 @@ class TestRestoreTimingCell:
         None,
     ])
     def test_damaged_payload_warns_and_returns_none(self, payload, capsys):
-        assert restore_timing_cell(payload, "cell/x/y") is None
+        assert restore_cell(payload, "cell/x/y") is None
         err = capsys.readouterr().err
         assert "cell/x/y" in err
         assert "resimulating" in err
@@ -145,7 +145,43 @@ class TestRestoreTimingCell:
         assert "resimulating" in capsys.readouterr().err
         # The healed cell replaced the damaged one on disk.
         healed = SweepCheckpoint(tmp_path / "ck.json").get(key)
-        assert restore_timing_cell(healed, key) is not None
+        assert restore_cell(healed, key) is not None
+
+
+class TestDamagedMetricsCell:
+    """A metrics-dict cell that is valid JSON but lost a field is
+    recomputed on resume, as a damaged timing cell is."""
+
+    @pytest.mark.parametrize("module, kwargs, first_key, field, timing_col", [
+        (ext_online, {"workloads": ("loop",), "engines": ("lru", "lfu")},
+         "cell/exp/mini/1500/loop/lru", "hit_pct", 5),
+        (ext_tiers, {"workloads": ("zipf",), "strategies": ("lce", "lcd")},
+         "cell/exp/mini/1500/zipf/lce", "hit_pct", 5),
+        (ext_cluster, {"replication_factors": (1,)},
+         "cell/exp/mini/1500/1/none", "availability_pct", 4),
+    ], ids=["ext-online", "ext-tiers", "ext-cluster"])
+    def test_resume_recomputes_the_cell(self, module, kwargs, first_key,
+                                        field, timing_col, tmp_path, capsys):
+        setup = base.make_setup("mini", accesses=1500)
+        ckpt = SweepCheckpoint(tmp_path / "ck.json")
+        with active_checkpoint(ckpt, experiment="exp"):
+            first = module.run(setup=setup, **kwargs)
+        # Keys keep their historical shape, so old files still resume.
+        assert ckpt.keys()[0] == first_key
+        damaged = dict(ckpt.get(first_key))
+        del damaged[field]
+        ckpt.put(first_key, damaged)
+
+        with active_checkpoint(ckpt, experiment="exp"):
+            resumed = module.run(setup=setup, **kwargs)
+        assert "resimulating" in capsys.readouterr().err
+        # The healed cell replaced the damaged one on disk.
+        assert field in SweepCheckpoint(tmp_path / "ck.json").get(first_key)
+
+        def strip(rows):  # everything but the wall-clock ops/sec column
+            return [row[:timing_col] + row[timing_col + 1:] for row in rows]
+
+        assert strip(resumed.rows) == strip(first.rows)
 
 
 class TestActiveCheckpoint:

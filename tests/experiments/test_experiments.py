@@ -1,8 +1,10 @@
-"""Smoke + shape tests for every experiment driver.
+"""Smoke + shape tests for the figure and section drivers.
 
 Each driver runs at a tiny scale with a 3-workload subset covering the
 three locality classes, so the whole module stays fast while still
-checking the *direction* of every figure's result.
+checking the *direction* of every figure's result. The registry-wide
+paper-shape checks (storage and theory included) live in
+``test_paper_shapes.py``.
 """
 
 import pytest
@@ -20,8 +22,6 @@ from repro.experiments import (
     sec44_five_policy,
     sec46_l1,
     sec47_sbar,
-    storage,
-    theory,
 )
 
 SUBSET = ["lucas", "art-1", "tiff2rgba"]
@@ -32,22 +32,41 @@ def setup():
     return base.make_setup("mini", accesses=4000)
 
 
-class TestFig3:
-    def test_rows_and_average(self, setup):
-        result = fig3_mpki.run(setup=setup, workloads=SUBSET)
-        assert [row[0] for row in result.rows] == SUBSET + ["Average"]
-        assert result.headers == ["benchmark", "Adaptive", "LFU", "LRU"]
+@pytest.fixture(scope="module")
+def fig3(setup):
+    return fig3_mpki.run(setup=setup, workloads=SUBSET)
 
-    def test_adaptive_tracks_best(self, setup):
-        result = fig3_mpki.run(setup=setup, workloads=SUBSET)
+
+@pytest.fixture(scope="module")
+def fig6(setup):
+    return fig6_capacity.run(setup=setup, workloads=SUBSET)
+
+
+@pytest.fixture(scope="module")
+def fig8(setup):
+    return fig8_fifo_mru.run(setup=setup, workloads=SUBSET)
+
+
+@pytest.fixture(scope="module")
+def fig10(setup):
+    return fig10_store_buffer.run(
+        setup=setup, workloads=SUBSET, buffer_sizes=(4, 64)
+    )
+
+
+class TestFig3:
+    def test_rows_and_average(self, fig3):
+        assert [row[0] for row in fig3.rows] == SUBSET + ["Average"]
+        assert fig3.headers == ["benchmark", "Adaptive", "LFU", "LRU"]
+
+    def test_adaptive_tracks_best(self, fig3):
         for name in SUBSET:
-            row = result.row_by_label(name)
+            row = fig3.row_by_label(name)
             adaptive, lfu, lru = row[1], row[2], row[3]
             assert adaptive <= 1.25 * min(lfu, lru), name
 
-    def test_average_improves_on_lru(self, setup):
-        result = fig3_mpki.run(setup=setup, workloads=SUBSET)
-        avg = result.row_by_label("Average")
+    def test_average_improves_on_lru(self, fig3):
+        avg = fig3.row_by_label("Average")
         assert avg[1] < avg[3]  # Adaptive < LRU
 
 
@@ -75,22 +94,19 @@ class TestFig5:
 
 
 class TestFig6:
-    def test_configurations_present(self, setup):
-        result = fig6_capacity.run(setup=setup, workloads=SUBSET)
-        labels = result.column("configuration")
+    def test_configurations_present(self, fig6):
+        labels = fig6.column("configuration")
         assert any("9-way" in label for label in labels)
         assert any("10-way" in label for label in labels)
 
-    def test_bigger_lru_caches_help_lru(self, setup):
-        result = fig6_capacity.run(setup=setup, workloads=SUBSET)
-        base_cpi = result.row_by_label("LRU (8-way)")[1]
-        ten_way = next(r for r in result.rows if "10-way" in r[0])[1]
+    def test_bigger_lru_caches_help_lru(self, fig6):
+        base_cpi = fig6.row_by_label("LRU (8-way)")[1]
+        ten_way = next(r for r in fig6.rows if "10-way" in r[0])[1]
         assert ten_way <= base_cpi * 1.02
 
-    def test_adaptive_competitive_with_capacity(self, setup):
-        result = fig6_capacity.run(setup=setup, workloads=SUBSET)
-        adaptive = result.row_by_label("Adaptive (8-bit tags)")[1]
-        ten_way = next(r for r in result.rows if "10-way" in r[0])[1]
+    def test_adaptive_competitive_with_capacity(self, fig6):
+        adaptive = fig6.row_by_label("Adaptive (8-bit tags)")[1]
+        ten_way = next(r for r in fig6.rows if "10-way" in r[0])[1]
         # Figure 6's claim: adaptivity beats the 25%-bigger cache.
         assert adaptive < ten_way * 1.05
 
@@ -108,16 +124,14 @@ class TestFig7:
 
 
 class TestFig8:
-    def test_adaptive_tracks_best_of_fifo_mru(self, setup):
-        result = fig8_fifo_mru.run(setup=setup, workloads=SUBSET)
+    def test_adaptive_tracks_best_of_fifo_mru(self, fig8):
         for name in SUBSET:
-            row = result.row_by_label(name)
+            row = fig8.row_by_label(name)
             adaptive, fifo, mru = row[1], row[2], row[3]
             assert adaptive <= 1.3 * min(fifo, mru), name
 
-    def test_mru_wins_on_art(self, setup):
-        result = fig8_fifo_mru.run(setup=setup, workloads=SUBSET)
-        row = result.row_by_label("art-1")
+    def test_mru_wins_on_art(self, fig8):
+        row = fig8.row_by_label("art-1")
         assert row[3] < row[2]  # MRU < FIFO
 
 
@@ -132,18 +146,12 @@ class TestFig9:
 
 
 class TestFig10:
-    def test_benefit_shrinks_with_buffer(self, setup):
-        result = fig10_store_buffer.run(
-            setup=setup, workloads=SUBSET, buffer_sizes=(4, 64)
-        )
-        improvements = result.column("improvement %")
+    def test_benefit_shrinks_with_buffer(self, fig10):
+        improvements = fig10.column("improvement %")
         assert improvements[0] >= improvements[1] - 2.0
 
-    def test_cpi_decreases_with_buffer(self, setup):
-        result = fig10_store_buffer.run(
-            setup=setup, workloads=SUBSET, buffer_sizes=(4, 64)
-        )
-        lru = result.column("LRU avg CPI")
+    def test_cpi_decreases_with_buffer(self, fig10):
+        lru = fig10.column("LRU avg CPI")
         assert lru[1] <= lru[0]
 
 
@@ -172,19 +180,3 @@ class TestSec47:
         adaptive, sbar, lru = avg[1], avg[2], avg[4]
         assert sbar <= lru * 1.02
         assert sbar >= adaptive * 0.9
-
-
-class TestStorage:
-    def test_paper_numbers_in_rows(self):
-        result = storage.run()
-        totals = {row[0]: row[1] for row in result.rows}
-        assert totals["conventional (data+tags+state)"] == pytest.approx(544.0)
-        assert totals["adaptive, full tags"] == pytest.approx(598.0)
-        assert totals["adaptive, 8-bit partial tags"] == pytest.approx(566.0)
-
-
-class TestTheory:
-    def test_bound_holds_everywhere(self):
-        result = theory.run(seeds=2, trace_length=4000)
-        assert all(row[2] for row in result.rows)
-        assert all(row[1] <= 2.0 for row in result.rows)

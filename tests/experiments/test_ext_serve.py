@@ -37,12 +37,11 @@ class TestRun:
         assert "Digest match vs stop-the-world recovery: True" in text
         assert "Tiered front" in text
 
-    def test_mini_setup_maps_to_quick(self):
+    def test_mini_setup_maps_to_quick(self, result):
         # Same seed + quick flag must match the mini-setup run exactly:
         # the harness is deterministic, so the tables are equal.
         via_setup = ext_serve.run(setup=make_setup("mini"), seed=0)
-        via_flag = ext_serve.run(quick=True, seed=0)
-        assert via_setup.rows == via_flag.rows
+        assert via_setup.rows == result.rows
 
     def test_to_result_keeps_wrong_value_column(self, result):
         wrong_column = result.headers.index("wrong")

@@ -13,54 +13,57 @@ def setup():
 
 
 class TestExtShared:
-    def test_rows_per_pair(self, setup):
-        result = ext_shared.run(
-            setup=setup, pairs=[("lucas", "tiff2rgba"), ("gcc-2", "art-1")]
-        )
+    # Each mix is simulated on its own, so one run serves every test.
+    @pytest.fixture(scope="class")
+    def result(self, setup):
+        return ext_shared.run(setup=setup, pairs=[
+            ("lucas", "tiff2rgba"), ("gcc-2", "art-1"), ("bzip2", "xanim"),
+            ("parser", "x11quake-1"),
+        ])
+
+    def test_rows_per_pair(self, result):
         assert [row[0] for row in result.rows] == [
-            "lucas+tiff2rgba", "gcc-2+art-1"
+            "lucas+tiff2rgba", "gcc-2+art-1", "bzip2+xanim",
+            "parser+x11quake-1",
         ]
 
-    def test_adaptive_beats_lru_on_mixes(self, setup):
-        result = ext_shared.run(
-            setup=setup, pairs=[("lucas", "tiff2rgba"), ("bzip2", "xanim")]
-        )
-        for row in result.rows:
-            assert row[4] > 0.0, row  # vs LRU %
+    def test_adaptive_beats_lru_on_mixes(self, result):
+        for mix in ("lucas+tiff2rgba", "bzip2+xanim"):
+            assert result.row_by_label(mix)[4] > 0.0, mix  # vs LRU %
 
-    def test_adaptive_near_best_fixed(self, setup):
-        result = ext_shared.run(setup=setup,
-                                pairs=[("parser", "x11quake-1")])
-        assert result.rows[0][5] > -15.0  # vs best fixed %
+    def test_adaptive_near_best_fixed(self, result):
+        # vs best fixed %
+        assert result.row_by_label("parser+x11quake-1")[5] > -15.0
 
 
 class TestExtPrefetch:
-    def test_configurations_present(self, setup):
-        result = ext_prefetch.run(setup=setup, workloads=["swim", "mcf"])
+    # Each workload is simulated on its own, so one run serves every test.
+    @pytest.fixture(scope="class")
+    def result(self, setup):
+        return ext_prefetch.run(
+            setup=setup, workloads=["swim", "mcf", "lucas", "ft"]
+        )
+
+    def test_configurations_present(self, result):
         assert result.headers == [
             "benchmark", "none", "nextline", "stride", "hybrid"
         ]
 
-    def test_stride_wins_on_sweeps(self, setup):
-        result = ext_prefetch.run(setup=setup, workloads=["swim"])
+    def test_stride_wins_on_sweeps(self, result):
         row = result.row_by_label("swim")
         none, stride = row[1], row[3]
         assert stride < 0.5 * none
 
-    def test_hybrid_tracks_best_component(self, setup):
-        result = ext_prefetch.run(
-            setup=setup, workloads=["swim", "mcf", "lucas"]
-        )
+    def test_hybrid_tracks_best_component(self, result):
         for name in ("swim", "mcf", "lucas"):
             row = result.row_by_label(name)
             best = min(row[1:4])
             hybrid = row[4]
             assert hybrid <= 1.25 * best + 1.0, name
 
-    def test_prefetch_never_explodes_misses(self, setup):
+    def test_prefetch_never_explodes_misses(self, result):
         """Even on pointer chasing, the hybrid's pollution stays
         bounded relative to no prefetching."""
-        result = ext_prefetch.run(setup=setup, workloads=["mcf", "ft"])
         for name in ("mcf", "ft"):
             row = result.row_by_label(name)
             assert row[4] <= 1.3 * row[1], name

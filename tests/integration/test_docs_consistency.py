@@ -114,10 +114,20 @@ class TestDocsReferenceRealCode:
         for symbol in symbols:
             assert any(hasattr(ns, symbol) for ns in namespaces), symbol
 
-    def test_theory_doc_points_at_real_tests(self):
-        text = (DOCS / "theory.md").read_text()
-        for path in re.findall(r"tests/[a-z_/]+\.py", text):
-            assert (REPO_ROOT / path).exists(), path
+    def test_quoted_test_and_bench_paths_exist(self):
+        """Every ``tests/...py`` or ``benchmarks/...py`` path quoted in
+        the user docs names a file in the repo."""
+        paths = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
+                 REPO_ROOT / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))]
+        pattern = re.compile(r"(?<![\w/.-])(?:tests|benchmarks)/[\w/.-]*?\.py\b")
+        found = 0
+        for doc in paths:
+            for path in pattern.findall(doc.read_text()):
+                found += 1
+                assert (REPO_ROOT / path).exists(), (
+                    f"{doc.name} quotes {path}, which does not exist"
+                )
+        assert found > 0
 
     def test_workloads_doc_names_real_primitives(self):
         import repro.workloads.synth as synth

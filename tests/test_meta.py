@@ -1,8 +1,7 @@
 """Meta-tests: documentation and harness completeness.
 
 These enforce the repository's own standards: every public item is
-documented, every experiment has a benchmark that regenerates it, and
-the docs index matches the code.
+documented and the docs index matches the code.
 """
 
 import importlib
@@ -13,7 +12,6 @@ import pkgutil
 import repro
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
-BENCH_DIR = REPO_ROOT / "benchmarks"
 
 
 def _walk_modules():
@@ -57,19 +55,9 @@ class TestDocstrings:
 
 
 class TestHarnessCompleteness:
-    def test_every_paper_experiment_has_a_bench(self):
-        """Every table/figure driver must have a bench regenerating it."""
-        from repro.experiments.cli import EXPERIMENTS
-
-        bench_sources = "\n".join(
-            p.read_text() for p in BENCH_DIR.glob("bench_*.py")
-        )
-        # Map CLI names to the experiment modules benches import.
-        for name, module in EXPERIMENTS.items():
-            module_basename = module.__name__.rsplit(".", 1)[-1]
-            assert module_basename in bench_sources, (
-                f"experiment {name!r} ({module_basename}) has no benchmark"
-            )
+    # Every registered experiment's shape check is enforced by
+    # tests/experiments/test_paper_shapes.py, parametrized over the
+    # registry.
 
     def test_design_doc_lists_every_figure(self):
         design = (REPO_ROOT / "DESIGN.md").read_text()
