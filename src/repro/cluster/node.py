@@ -34,7 +34,6 @@ import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.online.engine import AdaptiveKVCache
-from repro.online.keyspace import key_fingerprint, shard_of
 from repro.online.persistence import PersistentKVCache, recover
 
 #: Node lifecycle states.
@@ -257,10 +256,7 @@ class ClusterNode:
         """
         if self.status == "down" or self.engine is None:
             return False, None
-        shard = self.engine.shards[
-            shard_of(key_fingerprint(key), self.engine.num_shards)
-        ]
-        return shard.peek_stale(key)
+        return self.engine.shards[self.engine.shard_index(key)].peek_stale(key)
 
     def resident_keys(self) -> list:
         """Keys resident on this node (no policy events)."""

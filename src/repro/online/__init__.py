@@ -14,7 +14,11 @@ KV-block caches in serving stacks:
   per-shard selector) and sampled (leader shards + global selector)
   shard policies.
 * :mod:`repro.online.engine` — :class:`AdaptiveKVCache`: get/put/
-  delete/get_or_compute, TTL, entry- and byte-capacity, stats.
+  delete/get_or_compute, TTL, entry- and byte-capacity, stats, and the
+  one key-to-shard routing rule (``shard_index``).
+* :mod:`repro.online.contract` — the :class:`KVStore` request surface
+  every layer serves (:class:`AsyncKVStore` for the asyncio front) and
+  the :class:`KVLayer` base of the wrappers over one engine.
 * :mod:`repro.online.bound` — the Appendix's 2x miss bound checked on
   the engine (shards standing in for sets).
 * :mod:`repro.online.persistence` — crash-safe durability: periodic
@@ -33,6 +37,7 @@ See docs/online.md for the design and its mapping to the paper.
 """
 
 from repro.online.bound import check_online_miss_bound
+from repro.online.contract import AsyncKVStore, KVLayer, KVStore
 from repro.online.engine import MODES, AdaptiveKVCache, default_sizeof
 from repro.online.liverecovery import (
     LiveRecoveringKVCache,
@@ -72,6 +77,9 @@ from repro.online.shard import CacheShard, ShardView
 from repro.online.stats import KVCacheStats
 
 __all__ = [
+    "AsyncKVStore",
+    "KVLayer",
+    "KVStore",
     "AdaptiveKVCache",
     "MODES",
     "default_sizeof",

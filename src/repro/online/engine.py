@@ -228,37 +228,22 @@ class AdaptiveKVCache:
     # The serving API
     # ------------------------------------------------------------------
 
+    def shard_index(self, key) -> int:
+        """Index of the shard responsible for ``key``.
+
+        The one routing rule: every layer over the engine (persistence,
+        live recovery, the resilient ladder, cluster nodes) asks here
+        rather than recomputing it.
+        """
+        return shard_of(key_fingerprint(key), self.num_shards)
+
     def _shard_for(self, key) -> CacheShard:
         """The shard responsible for ``key``."""
-        return self.shards[shard_of(key_fingerprint(key), self.num_shards)]
+        return self.shards[self.shard_index(key)]
 
     def get(self, key, default=None):
         """Value stored under ``key``, or ``default`` on a miss."""
         return self._shard_for(key).get(key, default)
-
-    def get_many(self, keys, default=None) -> list:
-        """Batched :meth:`get` over a sequence of keys.
-
-        Keys are grouped by shard (preserving per-shard key order, so
-        each shard's policy sees exactly the event stream it would see
-        from sequential gets) and each group is served under a single
-        lock acquisition via :meth:`CacheShard.get_many`. Values come
-        back in the original key order, ``default`` for misses.
-        """
-        keys = list(keys)
-        num_shards = self.num_shards
-        groups: dict = {}
-        for position, key in enumerate(keys):
-            shard_index = shard_of(key_fingerprint(key), num_shards)
-            groups.setdefault(shard_index, []).append(position)
-        out = [default] * len(keys)
-        for shard_index, positions in groups.items():
-            values = self.shards[shard_index].get_many(
-                [keys[p] for p in positions], default
-            )
-            for position, value in zip(positions, values):
-                out[position] = value
-        return out
 
     def put(self, key, value, ttl: Optional[float] = None,
             size: Optional[int] = None) -> None:
@@ -270,14 +255,14 @@ class AdaptiveKVCache:
         """
         self._shard_for(key).put(key, value, ttl=ttl, size=size)
 
-    def get_or_compute(self, key, compute, ttl: Optional[float] = None):
-        """Return the cached value, computing and caching it on a miss.
+    def get_or_compute(self, key, loader, ttl: Optional[float] = None):
+        """Return the cached value, loading and caching it on a miss.
 
-        ``compute(key)`` runs under the key's shard lock — concurrent
+        ``loader(key)`` runs under the key's shard lock — concurrent
         callers of the same shard wait rather than stampede — so it
         must not call back into this cache.
         """
-        return self._shard_for(key).get_or_compute(key, compute, ttl=ttl)
+        return self._shard_for(key).get_or_compute(key, loader, ttl=ttl)
 
     def delete(self, key) -> bool:
         """Remove ``key``; returns True if it was resident."""

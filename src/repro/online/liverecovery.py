@@ -19,10 +19,10 @@ The correctness argument rests on shard independence:
   cross-shard order. A shard whose cursor is exhausted is *ready*: its
   state equals what stop-the-world recovery would produce, so it
   serves (and logs) traffic normally while later shards still replay.
-  Batched ``gmany`` records are split per shard — the engine's
-  ``get_many`` groups keys by shard preserving per-shard key order, so
-  applying a record's shard-local key subset raises exactly the events
-  the full batch would.
+  Batched ``gmany`` records (written by older versions) are split per
+  shard — their replay serves keys grouped by shard preserving
+  per-shard key order, so applying a record's shard-local key subset
+  raises exactly the events the full batch would.
 * In ``"sampled"`` mode leader shards vote into one
   :class:`~repro.core.selector.GlobalSelector`, and live traffic on an
   early-promoted leader would inject votes that reorder against
@@ -65,10 +65,10 @@ import os
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
-from repro.online.keyspace import key_fingerprint, shard_of
 from repro.online.persistence import (
     PersistentKVCache,
     apply_wal_record,
+    gmany_groups,
     iter_wal,
     load_snapshot_engine,
     read_record,
@@ -180,7 +180,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 if self._global_order:
                     items.append((wal, start, None))
                 else:
-                    for index in _record_shards(record, num_shards):
+                    for index in _record_shards(cache, record):
                         per_shard[index].append((wal, start, index))
                 start = end
         if not self._global_order:
@@ -334,26 +334,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
                     return self._recovering_get_locked(index, key, default)
         return super().get(key, default)
 
-    def get_many(self, keys, default=None) -> list:
-        """Logged batched get; splits per key while recovering."""
-        keys = list(keys)
-        answered = {}
-        if self._recovering:
-            with self._lock:
-                for position, key in enumerate(keys):
-                    index = self._replaying_shard(key)
-                    if index is not None:
-                        answered[position] = self._recovering_get_locked(
-                            index, key, default
-                        )
-        if not answered:
-            return super().get_many(keys, default)
-        get = super().get
-        return [
-            answered[position] if position in answered else get(key, default)
-            for position, key in enumerate(keys)
-        ]
-
     def put(self, key, value, ttl=None, size=None) -> None:
         """Logged put; dual-logged and deferred on a replaying shard."""
         if self._recovering:
@@ -365,7 +345,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
                     return
         super().put(key, value, ttl=ttl, size=size)
 
-    def get_or_compute(self, key, compute, ttl=None):
+    def get_or_compute(self, key, loader, ttl=None):
         """Logged get-or-compute; never computes into a replaying shard.
 
         On a replaying shard this serves a pending write or a stale
@@ -378,7 +358,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 index = self._replaying_shard(key)
                 if index is not None:
                     return self._recovering_read_locked(index, key)
-        return super().get_or_compute(key, compute, ttl=ttl)
+        return super().get_or_compute(key, loader, ttl=ttl)
 
     def delete(self, key) -> bool:
         """Logged delete; deferred (returns False) on a replaying shard."""
@@ -400,14 +380,14 @@ class LiveRecoveringKVCache(PersistentKVCache):
         nothing.
         """
         with self._lock:
-            index = self._shard_index(key)
+            index = self.engine.shard_index(key)
             return self._recovering_read_locked(index, key)
 
     def __contains__(self, key) -> bool:
         """Residency probe; consults pending writes while recovering."""
         if self._recovering:
             with self._lock:
-                index = self._shard_index(key)
+                index = self.engine.shard_index(key)
                 if not self._serving[index]:
                     view = self._pending_view[index]
                     if key in view:
@@ -418,16 +398,13 @@ class LiveRecoveringKVCache(PersistentKVCache):
     # Internals (caller holds the wrapper lock)
     # ------------------------------------------------------------------
 
-    def _shard_index(self, key) -> int:
-        return shard_of(key_fingerprint(key), self.cache.num_shards)
-
     def _replaying_shard(self, key) -> Optional[int]:
         """The gate: ``key``'s shard index if it is still replaying,
         else None. A None answer holds without the lock: readiness
         only turns on."""
         if not self._recovering:
             return None
-        index = self._shard_index(key)
+        index = self.engine.shard_index(key)
         return None if self._serving[index] else index
 
     def _defer_locked(self, index: int, op: tuple, key, view) -> None:
@@ -475,16 +452,10 @@ class LiveRecoveringKVCache(PersistentKVCache):
     ) -> None:
         if shard is not None and record[0] == "gmany":
             # Per-shard replay of a batched get: apply only this
-            # shard's key subset — the engine groups by shard anyway,
-            # so the shard sees exactly the events of the full batch.
-            num_shards = self.cache.num_shards
-            self.cache.get_many(
-                [
-                    key
-                    for key in record[1]
-                    if shard_of(key_fingerprint(key), num_shards) == shard
-                ]
-            )
+            # shard's key subset, which is all the shard sees of the
+            # full batch.
+            for key in gmany_groups(self.cache, record[1])[shard]:
+                self.cache.get(key)
         else:
             apply_wal_record(self.cache, record)
 
@@ -546,16 +517,11 @@ class LiveRecoveringKVCache(PersistentKVCache):
         return frame[0]
 
 
-def _record_shards(record: tuple, num_shards: int) -> List[int]:
+def _record_shards(cache, record: tuple) -> List[int]:
     """Shards a WAL record raises events on, in first-touch order."""
     kind = record[0]
     if kind == "gmany":
-        seen: List[int] = []
-        for key in record[1]:
-            index = shard_of(key_fingerprint(key), num_shards)
-            if index not in seen:
-                seen.append(index)
-        return seen
+        return list(gmany_groups(cache, record[1]))
     if kind in ("get", "del", "put", "goc_fill"):
-        return [shard_of(key_fingerprint(record[1]), num_shards)]
+        return [cache.shard_index(record[1])]
     raise ValueError(f"unknown WAL record kind {kind!r}")

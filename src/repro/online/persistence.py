@@ -38,6 +38,7 @@ import threading
 import zlib
 from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
+from repro.online.contract import KVLayer
 from repro.online.engine import AdaptiveKVCache
 from repro.utils.atomicio import atomic_output, atomic_write_text
 
@@ -170,7 +171,7 @@ def kv_stats_digest(stats) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-class PersistentKVCache:
+class PersistentKVCache(KVLayer):
     """An :class:`~repro.online.engine.AdaptiveKVCache` with durability.
 
     Wraps an engine; every public operation is framed into the current
@@ -213,7 +214,7 @@ class PersistentKVCache:
             raise ValueError(
                 f"wal_flush_ops must be positive, got {wal_flush_ops}"
             )
-        self.cache = cache
+        super().__init__(cache)
         self.directory = os.fspath(directory)
         self.snapshot_every = snapshot_every
         self.wal_flush_ops = wal_flush_ops
@@ -245,59 +246,48 @@ class PersistentKVCache:
             self._log(("get", key))
             return self.cache.get(key, default)
 
-    def get_many(self, keys, default=None) -> list:
-        """Logged :meth:`~repro.online.engine.AdaptiveKVCache.get_many`."""
-        keys = list(keys)
-        with self._lock:
-            self._log(("gmany", keys))
-            return self.cache.get_many(keys, default)
-
     def put(self, key, value, ttl=None, size=None) -> None:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.put`."""
         with self._lock:
             self._log(("put", key, value, ttl, size))
             self.cache.put(key, value, ttl=ttl, size=size)
 
-    def get_or_compute(self, key, compute, ttl=None):
+    def get_or_compute(self, key, loader, ttl=None):
         """Logged get-or-compute.
 
         The loader itself cannot be serialized, so on a miss the
-        *computed value* is what reaches the log — replay re-installs
-        it without re-running the loader, which both makes recovery
-        deterministic and spares the loader a thundering replay.
+        *loaded value* is what reaches the log — replay re-installs it
+        without re-running the loader, which both makes recovery
+        deterministic and spares the loader a thundering replay. A miss
+        whose loader (or fill) raises is logged as the plain ``get``
+        the engine had already applied when the loader ran.
         """
         with self._lock:
-            computed = []
+            missed = False
 
-            def logging_compute(k):
-                value = compute(k)
-                computed.append(value)
-                return value
+            def logging_loader(k):
+                nonlocal missed
+                missed = True
+                return loader(k)
 
-            result = self.cache.get_or_compute(key, logging_compute, ttl=ttl)
-            if computed:
-                self._log(("goc_fill", key, computed[0], ttl), applied=True)
-            else:
-                self._log(("get", key), applied=True)
-            return result
+            record = ("get", key)
+            try:
+                value = self.cache.get_or_compute(key, logging_loader,
+                                                  ttl=ttl)
+            except BaseException:
+                if missed:
+                    self._log(record, applied=True)
+                raise
+            if missed:
+                record = ("goc_fill", key, value, ttl)
+            self._log(record, applied=True)
+            return value
 
     def delete(self, key) -> bool:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.delete`."""
         with self._lock:
             self._log(("del", key))
             return self.cache.delete(key)
-
-    def __contains__(self, key) -> bool:
-        """Residency probe (no policy events, nothing logged)."""
-        return key in self.cache
-
-    def __len__(self) -> int:
-        """Resident entries across shards."""
-        return len(self.cache)
-
-    def stats(self):
-        """The engine's merged counter snapshot."""
-        return self.cache.stats()
 
     # ------------------------------------------------------------------
     # Durability controls
@@ -426,13 +416,28 @@ class PersistentKVCache:
                             pass
 
 
+def gmany_groups(cache: AdaptiveKVCache, keys) -> dict:
+    """A ``gmany`` record's keys by shard, shards in first-touch order.
+
+    Older versions logged one such record per batched get, which served
+    its keys in this order; sampled mode's shared selector can tell it
+    apart from record order.
+    """
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault(cache.shard_index(key), []).append(key)
+    return groups
+
+
 def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
     """Apply one decoded WAL record to an engine."""
     kind = record[0]
     if kind == "get":
         cache.get(record[1])
     elif kind == "gmany":
-        cache.get_many(record[1])
+        for keys in gmany_groups(cache, record[1]).values():
+            for key in keys:
+                cache.get(key)
     elif kind == "put":
         _, key, value, ttl, size = record
         cache.put(key, value, ttl=ttl, size=size)

@@ -31,14 +31,14 @@ corruption): a quarantined shard serves nothing and swallows writes;
 empty, or restored from a persisted snapshot's shard state.
 
 When the wrapped cache is a
-:class:`~repro.online.liverecovery.LiveRecoveringKVCache` (detected by
-its ``shard_serving`` probe), the ladder adds a **recovery rung**: a
-read whose shard is still replaying its WAL prefix never runs the
-loader (filling a half-replayed shard would break recovery's
-byte-identity guarantee) — it is answered from the wrapper's honest
-recovering path (pending write, stale peek) or refused with
-:class:`~repro.online.liverecovery.RecoveryInProgress`. Writes pass
-through unconditionally; the wrapper dual-logs and defers them itself.
+:class:`~repro.online.liverecovery.LiveRecoveringKVCache`, the ladder
+adds a **recovery rung**: a read whose shard is still replaying its
+WAL prefix never runs the loader (filling a half-replayed shard would
+break recovery's byte-identity guarantee) — it is answered from the
+wrapper's honest recovering path (pending write, stale peek) or
+refused with :class:`~repro.online.liverecovery.RecoveryInProgress`.
+Writes pass through unconditionally; the wrapper dual-logs and defers
+them itself.
 :meth:`ResilientKVCache.serving_fraction` folds replay progress into
 one number the serving front uses for admission backpressure.
 
@@ -57,7 +57,8 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.online.keyspace import key_fingerprint, shard_of
+from repro.online.contract import KVLayer
+from repro.online.liverecovery import LiveRecoveringKVCache
 
 #: Circuit-breaker states.
 BREAKER_STATES = ("closed", "open", "half_open")
@@ -293,15 +294,15 @@ class CircuitBreaker:
                 self._probe_inflight = False
 
 
-class ResilientKVCache:
+class ResilientKVCache(KVLayer):
     """Retry, circuit-break, stale-serve and quarantine around a cache.
 
     Args:
         cache: the cache to serve through — an
             :class:`~repro.online.engine.AdaptiveKVCache` or a
             :class:`~repro.online.persistence.PersistentKVCache`
-            (detected via its ``cache`` attribute; shard-level probes
-            go to the engine, logged operations to the wrapper).
+            (shard-level probes go to the engine, logged operations to
+            the wrapper).
         retry: loader retry schedule; default ``RetryPolicy()``.
         breaker_factory: builds one :class:`CircuitBreaker` per shard;
             default uses the breaker's defaults.
@@ -325,12 +326,11 @@ class ResilientKVCache:
                 f"min_ready_fraction must be in (0, 1], got "
                 f"{min_ready_fraction}"
             )
-        self.cache = cache
-        self.engine = getattr(cache, "cache", cache)
-        # A live-recovering wrapper exposes per-shard readiness; plain
-        # caches don't, and every shard counts as serving.
+        super().__init__(cache)
+        # Only a live-recovering wrapper has shards still replaying;
+        # over anything else every shard counts as serving.
         self._recovery = (
-            cache if callable(getattr(cache, "shard_serving", None)) else None
+            cache if isinstance(cache, LiveRecoveringKVCache) else None
         )
         self.retry = retry if retry is not None else RetryPolicy()
         if breaker_factory is None:
@@ -347,9 +347,6 @@ class ResilientKVCache:
     # Routing helpers
     # ------------------------------------------------------------------
 
-    def _shard_index(self, key) -> int:
-        return shard_of(key_fingerprint(key), self.engine.num_shards)
-
     def _shard_recovering(self, index: int) -> bool:
         """Whether ``index``'s shard is still replaying its WAL."""
         return (self._recovery is not None
@@ -362,7 +359,7 @@ class ResilientKVCache:
     def get(self, key, default=None):
         """``get`` with quarantine guarding (a quarantined shard
         answers ``default`` and counts the request as degraded)."""
-        index = self._shard_index(key)
+        index = self.engine.shard_index(key)
         if index in self._quarantined:
             self.engine.shards[index].record_degraded()
             return default
@@ -371,13 +368,13 @@ class ResilientKVCache:
     def put(self, key, value, ttl=None, size=None) -> None:
         """``put`` with quarantine guarding (writes to a quarantined
         shard are dropped — its state is suspect until rebuilt)."""
-        if self._shard_index(key) in self._quarantined:
+        if self.engine.shard_index(key) in self._quarantined:
             return
         self.cache.put(key, value, ttl=ttl, size=size)
 
     def delete(self, key) -> bool:
         """``delete`` with quarantine guarding."""
-        if self._shard_index(key) in self._quarantined:
+        if self.engine.shard_index(key) in self._quarantined:
             return False
         return self.cache.delete(key)
 
@@ -462,7 +459,7 @@ class ResilientKVCache:
         ``_MISSING`` when the key must be loaded into shard ``index``
         with ``stale`` (a ``peek_stale`` result) as the fallback.
         """
-        index = self._shard_index(key)
+        index = self.engine.shard_index(key)
         shard = self.engine.shards[index]
         if index in self._quarantined:
             return index, None, self._serve_stale(shard, key, None,
@@ -626,23 +623,11 @@ class ResilientKVCache:
         """Readiness probe: enough shards in service to take traffic."""
         return self.serving_fraction() >= self.min_ready_fraction
 
-    # ------------------------------------------------------------------
-    # Passthrough
-    # ------------------------------------------------------------------
-
-    def stats(self):
-        """The wrapped cache's merged counter snapshot."""
-        return self.cache.stats()
-
     def __contains__(self, key) -> bool:
         """Residency probe (quarantined shards report absent)."""
-        if self._shard_index(key) in self._quarantined:
+        if self.engine.shard_index(key) in self._quarantined:
             return False
         return key in self.cache
-
-    def __len__(self) -> int:
-        """Resident entries across shards (quarantined included)."""
-        return len(self.cache)
 
 
 def _loop_free(loader):

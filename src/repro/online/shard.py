@@ -187,44 +187,12 @@ class CacheShard:
             self.policy.on_hit(0, way)
             return entry.value
 
-    def get_many(self, keys, default=None) -> list:
-        """Batched :meth:`get`: one lock acquisition for the whole batch.
-
-        Decision-identical to calling :meth:`get` per key in order —
-        the policy sees the same event stream — but amortises the lock
-        round-trip and per-call overhead, which is what makes bulk
-        replays (the online experiment, the hot-path benchmark) cheap.
-
-        Returns:
-            Values in key order, ``default`` for misses.
-        """
-        key_fp = key_fingerprint
-        out = []
-        append = out.append
-        with self._lock:
-            policy = self.policy
-            observe = policy.observe
-            on_hit = policy.on_hit
-            live = self._live_entry
-            for key in keys:
-                self.gets += 1
-                observe(0, key_fp(key), False)
-                entry, way = live(key)
-                if entry is None:
-                    self.misses += 1
-                    append(default)
-                else:
-                    self.hits += 1
-                    on_hit(0, way)
-                    append(entry.value)
-        return out
-
-    def get_or_compute(self, key, compute, ttl: Optional[float] = None):
-        """Return the cached value, computing and inserting on a miss.
+    def get_or_compute(self, key, loader, ttl: Optional[float] = None):
+        """Return the cached value, loading and inserting on a miss.
 
         This is the demand-caching access the paper's theory assumes —
         every miss fills — and the memoization primitive the engine
-        exposes. ``compute`` runs under the shard lock (no stampede per
+        exposes. ``loader`` runs under the shard lock (no stampede per
         shard); it must not reenter the cache.
         """
         fingerprint = key_fingerprint(key)
@@ -237,7 +205,7 @@ class CacheShard:
                 self.policy.on_hit(0, way)
                 return entry.value
             self.misses += 1
-            value = compute(key)
+            value = loader(key)
             self._store(key, fingerprint, value, ttl, None, count_put=False)
             return value
 

@@ -170,7 +170,7 @@ class ShardPair:
     Events are ``(op, key)`` pairs (see
     :func:`repro.oracle.streams.shard_ops`); the shard is observed purely
     through its public API — a sentinel default detects ``get`` misses, a
-    recording compute function detects demand fills, and
+    recording loader detects demand fills, and
     ``resident_keys()`` diffs expose evictions.
     """
 
@@ -208,12 +208,12 @@ class ShardPair:
             before = set(self.shard.resident_keys())
             computed = []
 
-            def compute(k):
+            def loader(k):
                 """Record that the shard missed and demanded a fill."""
                 computed.append(k)
                 return ("value", k)
 
-            self.shard.get_or_compute(key, compute)
+            self.shard.get_or_compute(key, loader)
             after = set(self.shard.resident_keys())
             engine = self._engine_decision(
                 not computed, self._evicted_fingerprint(before, after)

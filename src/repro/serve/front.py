@@ -36,7 +36,8 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
-from repro.online.resilience import ResilientKVCache, RetryBudget
+from repro.online.contract import AsyncKVStore
+from repro.online.resilience import RetryBudget
 
 
 class RequestShed(RuntimeError):
@@ -73,7 +74,7 @@ class AsyncServingFront:
 
     def __init__(
         self,
-        resilient: ResilientKVCache,
+        resilient: AsyncKVStore,
         concurrency: int = 8,
         max_pending: Optional[int] = None,
         deadline: Optional[float] = None,
@@ -141,17 +142,14 @@ class AsyncServingFront:
     def _admission_bound(self) -> Optional[int]:
         """The effective in-flight bound, scaled during live recovery.
 
-        ``max_pending * serving_fraction`` (never below 1) while the
-        underlying cache is replaying its WAL; ``max_pending`` — and no
-        per-request probing — otherwise.
+        ``max_pending * serving_fraction`` (never below 1) while part
+        of the cache underneath is out of service; ``max_pending``
+        otherwise.
         """
         bound = self.max_pending
         if bound is None:
             return None
-        fraction_of = getattr(self.resilient, "serving_fraction", None)
-        if fraction_of is None:
-            return bound
-        fraction = fraction_of()
+        fraction = self.resilient.serving_fraction()
         if fraction >= 1.0:
             return bound
         return max(1, int(bound * fraction))

@@ -219,7 +219,8 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
 
 
 class _TieredResilient:
-    """Adapts a :class:`~repro.tiers.kv.TieredKVCache` to the surface
+    """Adapts a :class:`~repro.tiers.kv.TieredKVCache` to the
+    :class:`~repro.online.contract.AsyncKVStore` surface
     :class:`~repro.serve.front.AsyncServingFront` serves through.
 
     Probe the topology; on a total miss await the loader and write the
@@ -252,6 +253,10 @@ class _TieredResilient:
 
     def put(self, key, value, ttl=None, size=None) -> None:
         self.tiered.put(key, value)
+
+    def serving_fraction(self) -> float:
+        """Every tier is always in service: admission is never scaled."""
+        return 1.0
 
     def stats(self):
         """Counter view shaped like the resilient stack's stats."""

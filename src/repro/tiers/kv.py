@@ -2,7 +2,8 @@
 
 The hardware walker (:mod:`repro.tiers.topology`) generalizes the
 L1/L2/memory hierarchy; this module does the same for the serving
-stack. A :class:`KVTier` wraps any duck-typed key-value store — a
+stack. A :class:`KVTier` wraps any
+:class:`~repro.online.contract.KVStore` — a
 :class:`~repro.online.shard.CacheShard`, a whole
 :class:`~repro.online.engine.AdaptiveKVCache`, or a
 :class:`~repro.cluster.cache.ClusterKVCache` ring — behind the three
@@ -35,10 +36,9 @@ _MISS = object()
 class KVTier:
     """One tier of a key-value topology.
 
-    Wraps any store exposing ``get(key, default)``, ``put(key, value)``
-    and ``delete(key)`` — which all three engines do — plus a latency
-    annotation pair mirroring the hardware tier graph's node/edge
-    costs.
+    Wraps any :class:`~repro.online.contract.KVStore` — which all
+    three engines are — plus a latency annotation pair mirroring the
+    hardware tier graph's node/edge costs.
 
     Args:
         name: unique tier name (reporting, stats).
@@ -220,7 +220,7 @@ class TieredKVCache:
         ``default``."""
         return self.get_detailed(key, default).value
 
-    def fetch(self, key, compute) -> TieredKVResult:
+    def fetch(self, key, loader) -> TieredKVResult:
         """:meth:`get_or_compute` with full provenance."""
         self.gets += 1
         if self._observe_placement:
@@ -230,7 +230,7 @@ class TieredKVCache:
             self.backing_fetches += 1
             self.serves[self.backing_name] += 1
             latency += self.backing_latency
-            value = compute(key)
+            value = loader(key)
             served_name = self.backing_name
         else:
             served_name = self.tiers[served].name
@@ -240,10 +240,10 @@ class TieredKVCache:
         return TieredKVResult(True, value, served_name, latency,
                               tuple(admitted))
 
-    def get_or_compute(self, key, compute):
-        """Serve from the nearest tier, running ``compute(key)`` (and
+    def get_or_compute(self, key, loader):
+        """Serve from the nearest tier, running ``loader(key)`` (and
         placing the result) on a topology-wide miss."""
-        return self.fetch(key, compute).value
+        return self.fetch(key, loader).value
 
     def put(self, key, value) -> TieredKVResult:
         """Write ``key`` through the topology.
@@ -323,7 +323,8 @@ def tiered_front(
     :class:`~repro.online.shard.CacheShard` absorbing the hottest keys.
 
     Args:
-        far: the far store (any duck-typed KV store).
+        far: the far store (any
+            :class:`~repro.online.contract.KVStore`).
         near_capacity: entry capacity of the near shard.
         far_capacity: entry capacity of ``far`` (placement sizing).
         placement: placement strategy (default LCE).

@@ -53,7 +53,7 @@ def key_on_shard(resilient, shard_index, prefix="k"):
     """A key that routes to ``shard_index``."""
     for i in range(10_000):
         key = f"{prefix}{i}"
-        if resilient._shard_index(key) == shard_index:
+        if resilient.engine.shard_index(key) == shard_index:
             return key
     raise AssertionError("no key found for shard")
 
@@ -496,7 +496,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
         assert resilient.stats().puts == 0
         # No breaker outcome: a threshold-1 breaker would have tripped
         # on a recorded failure.
-        breaker = resilient.breakers[resilient._shard_index("k")]
+        breaker = resilient.breakers[resilient.engine.shard_index("k")]
         assert breaker.state == "closed"
         assert breaker.trips == 0
 
@@ -516,7 +516,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
 
         with pytest.raises(LoaderUnavailable):
             resilient.get_or_compute("k", failing)
-        breaker = resilient.breakers[resilient._shard_index("k")]
+        breaker = resilient.breakers[resilient.engine.shard_index("k")]
         clock.sleep(1.0)
         assert breaker.state == "half_open"
         with pytest.raises(TypeError):
@@ -542,7 +542,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
         assert loader.calls == 1
         assert "k" not in resilient
         assert resilient.stats().puts == 0
-        breaker = resilient.breakers[resilient._shard_index("k")]
+        breaker = resilient.breakers[resilient.engine.shard_index("k")]
         assert breaker.state == "closed"
         assert breaker.trips == 0
 

@@ -1,0 +1,114 @@
+"""Every serving layer honours the one KV contract.
+
+Each layer of the stack — shard, engine, WAL wrapper, live recovery,
+resilient ladder, tiered fronts and the cluster ring — must be a
+:class:`~repro.online.contract.KVStore`, take its loader under the one
+name (``loader``) and answer a scripted request sequence exactly as a
+plain dict would, at a capacity where nothing is evicted.
+"""
+
+import pytest
+
+from repro.cluster.cache import ClusterKVCache
+from repro.online.contract import AsyncKVStore, KVStore
+from repro.online.engine import AdaptiveKVCache
+from repro.online.liverecovery import LiveRecoveringKVCache
+from repro.online.persistence import PersistentKVCache
+from repro.online.policies import build_shard_policy
+from repro.online.resilience import ResilientKVCache
+from repro.online.shard import CacheShard
+from repro.serve.stack import _TieredResilient
+from repro.tiers.kv import client_local_topology, tiered_front
+
+_MISS = object()
+
+
+def _engine():
+    return AdaptiveKVCache(capacity_entries=256, num_shards=4)
+
+
+def _persistent(directory):
+    return PersistentKVCache(_engine(), str(directory / "wal"))
+
+
+def _live(directory):
+    seeded = _persistent(directory)
+    seeded.put("seeded", 0)
+    seeded.close()
+    live = LiveRecoveringKVCache(str(directory / "wal"))
+    live.finish()
+    live.delete("seeded")
+    return live
+
+
+#: Layer name -> builder taking a scratch directory.
+LAYERS = {
+    "shard": lambda d: CacheShard(256, build_shard_policy("lru", 256)),
+    "engine": lambda d: _engine(),
+    "persistent": _persistent,
+    "live": _live,
+    "resilient-engine": lambda d: ResilientKVCache(_engine()),
+    "resilient-persistent": lambda d: ResilientKVCache(_persistent(d)),
+    "resilient-live": lambda d: ResilientKVCache(_live(d)),
+    "tiered-front": lambda d: tiered_front(
+        _engine(), near_capacity=8, far_capacity=256
+    ),
+    "client-local": lambda d: client_local_topology(
+        ClusterKVCache(capacity_per_node=256),
+        local_capacity=8, cluster_capacity=256,
+    ),
+    "cluster": lambda d: ClusterKVCache(capacity_per_node=256),
+}
+
+
+def _unreachable(key):
+    raise AssertionError(f"loader ran for resident key {key!r}")
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_layer_honours_the_contract(name, tmp_path):
+    layer = LAYERS[name](tmp_path)
+    assert isinstance(layer, KVStore)
+    reference = {}
+    loads = []
+
+    def loader(key):
+        loads.append(key)
+        return ("loaded", key)
+
+    script = [
+        ("get", "a"), ("put", "a", 1), ("get", "a"), ("put", "a", 2),
+        ("goc", "b"), ("goc", "b"), ("goc", "a"), ("delete", "a"),
+        ("get", "a"), ("delete", "a"), ("put", ("t", 3), None),
+        ("get", ("t", 3)), ("goc", 7), ("delete", "b"), ("goc", "b"),
+    ]
+    for step in script:
+        op, key = step[0], step[1]
+        if op == "get":
+            assert layer.get(key, _MISS) == reference.get(key, _MISS), step
+        elif op == "put":
+            layer.put(key, step[2])
+            reference[key] = step[2]
+        elif op == "delete":
+            assert bool(layer.delete(key)) == (key in reference), step
+            reference.pop(key, None)
+        else:
+            resident = key in reference
+            value = layer.get_or_compute(
+                key, loader=_unreachable if resident else loader
+            )
+            expected = reference.setdefault(key, ("loaded", key))
+            assert value == expected, step
+    assert loads == ["b", 7, "b"]
+    for wrapped in (layer, getattr(layer, "cache", None)):
+        if isinstance(wrapped, PersistentKVCache):
+            wrapped.close()
+
+
+def test_async_fronts_honour_the_async_contract():
+    assert isinstance(ResilientKVCache(_engine()), AsyncKVStore)
+    tiered = _TieredResilient(
+        tiered_front(_engine(), near_capacity=8, far_capacity=256)
+    )
+    assert isinstance(tiered, AsyncKVStore)
+    assert tiered.serving_fraction() == 1.0

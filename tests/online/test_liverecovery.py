@@ -24,6 +24,7 @@ from repro.online.liverecovery import (
 )
 from repro.online.persistence import (
     PersistentKVCache,
+    apply_wal_record,
     kv_stats_digest,
     recover,
 )
@@ -42,14 +43,9 @@ def _engine(policy, seed=0):
 
 
 def _apply(cache, op, key):
-    """One (op, key) through the public serving API; ``get`` on keys
-    divisible by four becomes a batched ``get_many`` so ``gmany``
-    records land in the WAL too."""
+    """One (op, key) through the public serving API."""
     if op == "get":
-        if key % 4 == 0:
-            cache.get_many([key, key + 1, key + 2])
-        else:
-            cache.get(key)
+        cache.get(key)
     elif op == "get_or_compute":
         cache.get_or_compute(key, lambda k: k * 3 + 1)
     elif op == "put":
@@ -58,9 +54,24 @@ def _apply(cache, op, key):
         cache.delete(key)
 
 
-def _drive(cache, ops):
+def _log_gmany(durable, keys):
+    """Log and apply one batched ``gmany`` record, the format older
+    versions wrote for a batched get, as they did: logged first."""
+    record = ("gmany", keys)
+    with durable._lock:
+        durable._log(record)
+        apply_wal_record(durable.cache, record)
+
+
+def _drive(durable, ops):
+    """Apply ``ops`` to a persistent cache; a ``get`` of a key divisible
+    by four becomes a ``gmany`` record over it and the next two keys,
+    so recovery replays those records per shard too."""
     for op, key in ops:
-        _apply(cache, op, key)
+        if op == "get" and key % 4 == 0:
+            _log_gmany(durable, [key, key + 1, key + 2])
+        else:
+            _apply(durable, op, key)
 
 
 def _drive_live(live, ops, step_every, chunk):
@@ -169,7 +180,7 @@ class TestHonestServing:
     def _replaying_key(self, live, limit=64):
         """A key whose shard has not finished replay yet."""
         for key in range(limit):
-            if not live.shard_serving(live._shard_index(key)):
+            if not live.shard_serving(live.engine.shard_index(key)):
                 return key
         pytest.fail("no replaying shard found")
 
@@ -224,7 +235,7 @@ class TestHonestServing:
         # stale; find one via the engine's residency.
         served = None
         for key in range(40):
-            index = live._shard_index(key)
+            index = live.engine.shard_index(key)
             if not live.shard_serving(index) and key in live.cache:
                 served = key
                 break
@@ -232,21 +243,6 @@ class TestHonestServing:
         assert live.get(served) == served * 3 + 1
         assert live.recovery.stale_serves == 1
         live.close()
-
-    def test_get_many_splits_by_readiness(self, tmp_path):
-        directory = self._crashed(tmp_path)
-        live = LiveRecoveringKVCache(directory, chunk_ops=200)
-        while live.serving_fraction() < 0.5:
-            live.step(1)
-        values = live.get_many(list(range(12)), default="miss")
-        assert len(values) == 12
-        live.finish()
-        live.sync()
-        behavior = _behavior(live)
-        live.close()
-        reference = recover(directory)
-        reference.close()
-        assert behavior == _behavior(reference)
 
 
 class TestReadinessProgression:

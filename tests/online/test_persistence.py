@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.online.engine import AdaptiveKVCache
+from repro.online.liverecovery import LiveRecoveringKVCache
 from repro.online.persistence import (
     PersistentKVCache,
     SnapshotCorruptError,
@@ -223,6 +224,41 @@ class TestRecoveryDecisionIdentity:
         for record in records:
             apply_wal_record(replayed, record)
         assert _behavior(replayed) == _behavior(reference)
+
+    @pytest.mark.parametrize("policy", ["lru", "adaptive", "sampled"])
+    def test_raising_loader_recovers_the_applied_miss(self, policy,
+                                                      tmp_path):
+        """The engine counts a miss and trains its policy before the
+        loader runs; when the loader (or the fill) raises, both
+        recoveries must still rebuild that engine exactly."""
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(
+            _engine(policy), directory, snapshot_every=None, wal_flush_ops=1
+        )
+
+        def failing(key):
+            raise RuntimeError("backend down")
+
+        _drive(durable, [("get_or_compute", k % 30) for k in range(40)])
+        with pytest.raises(RuntimeError, match="backend down"):
+            durable.get_or_compute(99, failing)
+        with pytest.raises(ValueError, match="ttl"):
+            durable.get_or_compute(98, lambda k: k, ttl=0)  # fill refused
+        with pytest.raises(TypeError):
+            durable.get_or_compute(1.5, failing)  # refused before a miss
+        _drive(durable, [("get_or_compute", k % 17) for k in range(40)])
+        expected = durable.cache.state_dict()
+        durable.close()
+
+        copy = directory + "-copy"
+        shutil.copytree(directory, copy)
+        recovered = recover(directory)
+        live = LiveRecoveringKVCache(copy, chunk_ops=5)
+        live.finish()
+        assert recovered.cache.state_dict() == expected
+        assert live.cache.state_dict() == expected
+        recovered.close()
+        live.close()
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown WAL record"):

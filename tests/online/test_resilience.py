@@ -192,7 +192,7 @@ class TestBreakerIntegration:
             with pytest.raises(LoaderUnavailable):
                 wrapper.get_or_compute("k", loader)
         calls_when_tripped = loader.calls
-        index = wrapper._shard_index("k")
+        index = wrapper.engine.shard_index("k")
         assert wrapper.breakers[index].state == "open"
         with pytest.raises(LoaderUnavailable):
             wrapper.get_or_compute("k", loader)
@@ -207,7 +207,7 @@ class TestBreakerIntegration:
                 wrapper.get_or_compute("k", loader)
         clock.advance(31.0)
         assert wrapper.get_or_compute("k", loader) == "value-of-k"
-        index = wrapper._shard_index("k")
+        index = wrapper.engine.shard_index("k")
         assert wrapper.breakers[index].state == "closed"
 
 
@@ -215,7 +215,7 @@ class TestQuarantine:
     def test_quarantined_shard_serves_nothing(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "v")
-        index = wrapper._shard_index("k")
+        index = wrapper.engine.shard_index("k")
         wrapper.quarantine(index)
         assert wrapper.get("k", default="fallback") == "fallback"
         assert "k" not in wrapper
@@ -229,7 +229,7 @@ class TestQuarantine:
     def test_rebuild_empty_returns_to_service(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "v")
-        index = wrapper._shard_index("k")
+        index = wrapper.engine.shard_index("k")
         wrapper.quarantine(index)
         wrapper.rebuild(index)
         assert wrapper.quarantined() == frozenset()
@@ -239,7 +239,7 @@ class TestQuarantine:
     def test_rebuild_from_snapshot_state_restores_entries(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "precious", ttl=10_000.0)
-        index = wrapper._shard_index("k")
+        index = wrapper.engine.shard_index("k")
         shard_state = wrapper.engine.state_dict()["shards"][index]
         wrapper.quarantine(index)
         wrapper.rebuild(index, shard_state)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -267,14 +268,22 @@ class TestFullScaleSweep:
     """The full (bench-scale) SLO sweep; the quick CI smoke covers the
     same regimes with a shorter measured phase."""
 
-    def test_full_report_clears_pinned_floors(self):
-        import pathlib
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
 
+    @pytest.fixture(scope="class")
+    def committed(self):
+        # BENCH_serve.json is regenerated by `repro-experiments serve`.
+        return json.loads((self.ROOT / "BENCH_serve.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def report(self, committed):
+        """One full sweep at the committed seed, shared by both tests."""
+        return run_serve(quick=False, seed=committed["seed"])
+
+    def test_full_report_clears_pinned_floors(self, report):
         baselines = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2]
-             / "benchmarks" / "baselines.json").read_text()
+            (self.ROOT / "benchmarks" / "baselines.json").read_text()
         )
-        report = run_serve(quick=False, seed=0)
         assert check_floors(report.to_dict(), baselines["serve"]) == []
         overload = report.regimes["overload"]
         degraded = report.regimes["degraded"]
@@ -283,13 +292,7 @@ class TestFullScaleSweep:
         assert degraded.retries_denied > 0
         assert all(r.wrong_values == 0 for r in report.regimes.values())
 
-    def test_full_report_matches_committed_bench(self):
-        # BENCH_serve.json is regenerated by `repro-experiments serve`;
-        # a mismatch means the harness changed without refreshing it.
-        import pathlib
-
-        committed_path = (pathlib.Path(__file__).resolve().parents[2]
-                          / "BENCH_serve.json")
-        committed = json.loads(committed_path.read_text())
-        fresh = run_serve(quick=False, seed=committed["seed"]).to_dict()
-        assert fresh == committed
+    def test_full_report_matches_committed_bench(self, report, committed):
+        # A mismatch means the harness changed without refreshing
+        # BENCH_serve.json.
+        assert report.to_dict() == committed

@@ -83,3 +83,14 @@ class TestSuiteShape:
             source = pathlib.Path(module.__file__)
             lines = len(source.read_text().splitlines())
             assert lines < 700, f"{module.__name__} has {lines} lines"
+
+    def test_shard_routing_has_one_home(self):
+        """Only the engine maps keys to shards; every other layer asks
+        ``AdaptiveKVCache.shard_index`` rather than copying the rule."""
+        src = REPO_ROOT / "src" / "repro"
+        callers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if "shard_of(" in path.read_text()
+        )
+        assert callers == ["online/engine.py", "online/keyspace.py"]
