@@ -2,13 +2,16 @@
 
 ``python benchmarks/bench_hotpath.py --quick`` measures accesses/sec
 through :func:`repro.perf.bench.bench_hotpath` (which also raises if
-the per-call and batched entry points disagree on misses), compares
-each number against the pinned floors in ``benchmarks/baselines.json``
-and exits non-zero when any falls more than the allowed margin below
-its floor. The floors are deliberately conservative (roughly half of
-a 1-CPU container's measurement) so runner-to-runner variance does
-not flake the gate, while a regression to the pre-optimization
-kernel — several times slower — still trips it.
+the per-call and batched entry points disagree on misses) and
+requests/sec through one 512-way online shard
+(:func:`repro.perf.bench.bench_wide_shard`, the ``wide-shard`` row),
+compares each number against the pinned floors in
+``benchmarks/baselines.json`` and exits non-zero when any falls more
+than the allowed margin below its floor. The floors are deliberately
+conservative (roughly half of a 1-CPU container's measurement) so
+runner-to-runner variance does not flake the gate, while a regression
+to the pre-optimization kernel — several times slower — or to LFU
+victims linear in a shard's ways still trips it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import pathlib
 import sys
 import time
 
-from repro.perf.bench import bench_hotpath
+from repro.perf.bench import bench_hotpath, bench_wide_shard
 
 BASELINES_PATH = pathlib.Path(__file__).resolve().parent / "baselines.json"
 
@@ -79,6 +82,7 @@ def main(argv=None) -> int:
     accesses = QUICK_ACCESSES if args.quick else FULL_ACCESSES
     start = time.perf_counter()
     measured = bench_hotpath(accesses=accesses)
+    wide = bench_wide_shard(ops=accesses)
     elapsed = time.perf_counter() - start
 
     print(f"hot-path throughput ({accesses} accesses/policy, "
@@ -88,6 +92,11 @@ def main(argv=None) -> int:
               f"access_many {row['access_many_per_sec']:>12,.0f}/s   "
               f"miss ratio {row['miss_ratio']:.3f}   "
               f"kernel {row.get('kernel', 'scalar')}")
+    print(f"  wide-shard get_or_compute "
+          f"{wide['get_or_compute_per_sec']:>12,.0f}/s   "
+          f"hit ratio {wide['hit_ratio']:.3f}   "
+          f"({wide['ops']} ops, {wide['ways']} ways)")
+    measured["wide-shard"] = wide
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:

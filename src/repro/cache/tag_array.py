@@ -109,8 +109,16 @@ class TagArray:
         cache's lookup; hit and empty-fill outcomes are shared
         singletons and the tag transform is skipped for full tags.
         """
-        self.accesses += 1
         stored = full_tag if self._identity else self.tag_transform(full_tag)
+        return self.lookup_stored(set_index, stored, is_write)
+
+    def lookup_stored(
+        self, set_index: int, stored: int, is_write: bool = False
+    ) -> ShadowOutcome:
+        """:meth:`lookup_update` on an already-transformed tag, so a
+        caller replaying one reference into several arrays that share a
+        transform folds the tag once."""
+        self.accesses += 1
         shadow_set = self.sets[set_index]
         policy = self.policy
         if self._observe is not None:

@@ -110,10 +110,11 @@ class AdaptivePolicy(ReplacementPolicy):
         ]
 
         # Bound methods of the shadow arrays, hoisted once: observe()
-        # runs every access and pays one replay per component. The
-        # two-component case (the paper's default) is unrolled.
+        # runs every access, transforms its tag once and pays one replay
+        # per component. The two-component case (the paper's default)
+        # is unrolled.
         self._shadow_lookups = [
-            shadow.lookup_update for shadow in self.shadows
+            shadow.lookup_stored for shadow in self.shadows
         ]
         self._lookup_pair = (
             tuple(self._shadow_lookups)
@@ -143,15 +144,18 @@ class AdaptivePolicy(ReplacementPolicy):
         return [selector.history for selector in self.selectors]
 
     def observe(self, set_index: int, tag: int, is_write: bool) -> None:
+        stored = tag if self._identity else self.tag_transform(tag)
+        self._last_tag = tag
+        self._last_stored = stored
         pair = self._lookup_pair
         if pair is not None:
-            first = pair[0](set_index, tag, is_write)
-            second = pair[1](set_index, tag, is_write)
+            first = pair[0](set_index, stored, is_write)
+            second = pair[1](set_index, stored, is_write)
             outcomes = [first, second]
             missed = [first.missed, second.missed]
         else:
             outcomes = [
-                lookup(set_index, tag, is_write)
+                lookup(set_index, stored, is_write)
                 for lookup in self._shadow_lookups
             ]
             missed = [o.missed for o in outcomes]
@@ -174,7 +178,11 @@ class AdaptivePolicy(ReplacementPolicy):
         self._stamp[set_index][way] = self._clock
         row = self._rows[set_index]
         if row is not None:
-            row[way] = self.tag_transform(tag)
+            # A miss fills the tag observe() just transformed.
+            row[way] = (
+                self._last_stored if tag == self._last_tag
+                else self.tag_transform(tag)
+            )
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         if set_index != self._last_set or not self._last_outcomes:
@@ -261,10 +269,14 @@ class AdaptivePolicy(ReplacementPolicy):
         return None
 
     def _fallback_victim(self, set_index: int, set_view: SetView) -> int:
+        stamps = self._stamp[set_index]
+        if self.fallback == "lru" and set_view.valid_count() == self.ways:
+            # Full set: the first least-recent way in way order, found in
+            # C; the keyed min over valid_ways() picks the same way.
+            return stamps.index(min(stamps))
         candidates = set_view.valid_ways()
         if self.fallback == "random":
             return candidates[self._rng.choice_index(len(candidates))]
-        stamps = self._stamp[set_index]
         return min(candidates, key=stamps.__getitem__)
 
     # ------------------------------------------------------------------
@@ -300,14 +312,20 @@ class AdaptivePolicy(ReplacementPolicy):
         """Forget everything not in :meth:`state_dict`.
 
         Called on construction, by :meth:`load_state_dict`, and by the
-        columnar kernel, which rewrites the real sets without the
-        per-access events. Nothing here is observable: it is rebuilt
+        columnar kernel, which rewrites the real sets and the components'
+        state without the per-access events; each component forgets its
+        own derived state too. Nothing here is observable: it is rebuilt
         from the sets and the next ``observe()``.
         """
+        for component in self.components:
+            component.drop_derived_state()
         # Outcomes of the current access's shadow replays, consumed by
         # victim(); the cache calls observe() exactly once per access.
         self._last_outcomes: List[ShadowOutcome] = []
         self._last_set = -1
+        # The current access's tag and its transform, reused by on_fill.
+        self._last_tag: Optional[int] = None
+        self._last_stored: Optional[int] = None
         # Per set, the stored (transformed) tag of each real way, written
         # by on_fill so the victim search never re-transforms the set.
         # None means "rebuild from the set view on the next victim()";

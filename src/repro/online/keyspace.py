@@ -53,6 +53,16 @@ def _digest64(payload: bytes) -> int:
     )
 
 
+#: The last key fingerprinted and its print, as one tuple so a reader
+#: never sees a key paired with another key's print. A request passes
+#: the same key object through the ladder, the engine, the shard and
+#: the fill, so this one entry turns their repeated digests into one.
+#: Holding the reference keeps the key alive, so ``is`` cannot match a
+#: new object that reuses a freed one's id. The initial key is a
+#: private sentinel, so even ``None`` misses and is rejected.
+_last = (object(), 0)
+
+
 def key_fingerprint(key) -> int:
     """Stable 64-bit fingerprint of a cache key.
 
@@ -61,10 +71,24 @@ def key_fingerprint(key) -> int:
     with domain separation), and tuples of supported types (elementwise
     fingerprints combined order-sensitively).
 
+    The most recent key is memoized by identity, not equality, so
+    ``True`` and ``1`` (equal, distinct objects) never share a print.
+
     Raises:
         TypeError: for unsupported key types — explicit rejection beats
             silently unstable ``repr``-based hashing.
     """
+    global _last
+    last = _last
+    if key is last[0]:
+        return last[1]
+    fingerprint = _fingerprint(key)
+    _last = (key, fingerprint)
+    return fingerprint
+
+
+def _fingerprint(key) -> int:
+    """:func:`key_fingerprint` without the memo."""
     if isinstance(key, bool):
         # bool is an int subclass; separate the domains explicitly.
         return _mix64(0x9D8A75 + int(key))
@@ -77,7 +101,7 @@ def key_fingerprint(key) -> int:
     if isinstance(key, tuple):
         acc = _digest64(_PREFIX_TUPLE + len(key).to_bytes(8, "big"))
         for element in key:
-            acc = _mix64(acc ^ key_fingerprint(element))
+            acc = _mix64(acc ^ _fingerprint(element))
         return acc
     raise TypeError(
         f"unsupported key type {type(key).__name__}; use int, str, "

@@ -9,6 +9,9 @@ to ``BENCH_perf.json``:
   policy, on a deterministic synthetic stream (60% sequential walk, 40%
   uniform jumps over 4x the cache's line capacity — a mix that misses
   enough to exercise the victim path hard);
+* **wide-set throughput** (:func:`bench_wide_shard`, CI gate only) —
+  requests/sec through one online adaptive shard of hundreds of ways,
+  where a victim search that is linear in the ways shows;
 * **sweep wall-clock** — one mini-scale policy sweep, serial and at
   each requested ``--workers`` count, through the real
   :func:`~repro.experiments.base.run_policy_sweep` path.
@@ -30,8 +33,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
+from repro.online.policies import build_shard_policy
+from repro.online.shard import CacheShard
 from repro.perf.kernel import kernel_name
 from repro.utils.rng import DeterministicRNG
+from repro.workloads.synth import zipf_stream
 
 #: Policies timed by the hot-path benchmark: the two cheapest fixed
 #: policies (pure kernel cost) and the paper's adaptive policy (kernel
@@ -135,6 +141,44 @@ def bench_hotpath(
             "kernel": kernel,
         }
     return results
+
+
+def bench_wide_shard(
+    ops: int = HOTPATH_ACCESSES // 10,
+    ways: int = 512,
+    seed: int = 7,
+) -> Dict[str, float]:
+    """Requests/sec through one wide adaptive shard.
+
+    A ``ways``-entry :class:`~repro.online.shard.CacheShard` under the
+    online engine's default adaptive policy serves ``get_or_compute``
+    over a seeded Zipf(0.8) stream of integer keys from a universe 64x
+    its capacity. The shard is filled untimed first, so every timed
+    miss runs Algorithm 1's victim search and the LFU shadow's; the
+    mild skew makes ~70 % of requests miss, so victim cost dominates.
+
+    Returns ``{"get_or_compute_per_sec": ..., "hit_ratio": ...,
+    "ops": ..., "ways": ...}``; the hit ratio is pinned by the stream's
+    determinism.
+    """
+    shard = CacheShard(ways, build_shard_policy("adaptive", ways))
+    keys = zipf_stream(64 * ways, 4 * ways + ops, alpha=0.8, seed=seed)
+    warm, timed = keys[:4 * ways], keys[4 * ways:]
+    get_or_compute = shard.get_or_compute
+    loader = str
+    for key in warm:
+        get_or_compute(key, loader)
+    hits0, gets0 = shard.hits, shard.gets
+    start = time.perf_counter()
+    for key in timed:
+        get_or_compute(key, loader)
+    elapsed = time.perf_counter() - start
+    return {
+        "get_or_compute_per_sec": round(ops / elapsed, 1),
+        "hit_ratio": round((shard.hits - hits0) / (shard.gets - gets0), 6),
+        "ops": ops,
+        "ways": ways,
+    }
 
 
 def bench_sweep(

@@ -97,6 +97,14 @@ class ReplacementPolicy(abc.ABC):
         override this.
         """
 
+    def drop_derived_state(self) -> None:
+        """Forget any acceleration structure not in :meth:`state_dict`.
+
+        Called after the policy's state was restored or rewritten
+        without its events (``load_state_dict``, the columnar kernel);
+        such structures are rebuilt lazily. Default: nothing to forget.
+        """
+
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of all replacement state.
 

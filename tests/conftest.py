@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cpu.config import ProcessorConfig
+from repro.serve.harness import run_serve
 
 
 @pytest.fixture
@@ -45,3 +47,12 @@ def addresses_for_set(config: CacheConfig, set_index: int, count: int):
     return [
         config.rebuild_address(tag, set_index) for tag in range(1, count + 1)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def serve_report(quick: bool, seed: int):
+    """One :func:`~repro.serve.harness.run_serve` report per (scale,
+    seed) for the whole session. The harness is deterministic and the
+    full-scale sweep takes seconds, so the checks that only read it
+    share one; tests of its determinism call ``run_serve`` themselves."""
+    return run_serve(quick=quick, seed=seed)

@@ -27,7 +27,8 @@ import pytest
 
 from repro.experiments.base import Setup, make_setup
 from repro.experiments.cli import EXPERIMENTS
-from repro.serve.harness import run_serve
+
+from tests.conftest import serve_report
 
 BASELINES = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
@@ -348,7 +349,7 @@ def _ext_online(ext_online, scale):
 @check("ext-serve")
 def _ext_serve(_, scale):
     """The qualitative SLO story of the five serving regimes."""
-    regimes = run_serve(quick=scale.quick, seed=0).regimes
+    regimes = serve_report(scale.quick, 0).regimes
     steady, overload = regimes["steady"], regimes["overload"]
     degraded, recovery = regimes["degraded"], regimes["recovery"]
     tiered = regimes["steady_tiered"]

@@ -1,11 +1,15 @@
 """Unit tests for key fingerprints, shard routing and partial folding."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.tag_array import identity_tag
 from repro.online.keyspace import (
     FINGERPRINT_BITS,
+    _fingerprint,
     key_fingerprint,
     partial_fingerprint_transform,
     shard_of,
@@ -49,6 +53,59 @@ class TestKeyFingerprint:
 
     def test_nested_tuples(self):
         assert key_fingerprint((("a", 1), "b")) != key_fingerprint(("a", 1, "b"))
+
+
+class TestFingerprintMemo:
+    """The one-entry memo matches keys by identity: equal but distinct
+    objects, and distinct objects that compare equal, are fingerprinted
+    afresh."""
+
+    def test_equal_keys_of_other_types_are_not_served_from_the_memo(self):
+        pairs = [(True, 1), (1, True), ((True,), (1,)), ((1,), (True,))]
+        for first, second in pairs:
+            assert first == second
+            assert key_fingerprint(first) == _fingerprint(first)
+            assert key_fingerprint(second) == _fingerprint(second)
+            assert key_fingerprint(first) != key_fingerprint(second)
+
+    def test_equal_but_distinct_strings(self):
+        first = "".join(["sha", "red"])
+        second = "".join(["sh", "ared"])
+        assert first == second and first is not second
+        assert key_fingerprint(first) == _fingerprint(first)
+        assert key_fingerprint(second) == _fingerprint(first)
+
+    def test_unsupported_key_raises_after_a_memo_hit(self):
+        key = ("a", 1)
+        assert key_fingerprint(key) == key_fingerprint(key)
+        for bad in ([1, 2], 1.5, None, ("a", [1])):
+            with pytest.raises(TypeError):
+                key_fingerprint(bad)
+        assert key_fingerprint(key) == _fingerprint(key)
+
+    def test_threads_agree_with_the_unmemoized_function(self):
+        errors = []
+
+        def worker(offset):
+            keys = [(offset, i) if i % 3 else f"{offset}:{i}"
+                    for i in range(2000)]
+            for key in keys:
+                for _ in range(2):
+                    if key_fingerprint(key) != _fingerprint(key):
+                        errors.append(key)
+
+        threads = [threading.Thread(target=worker, args=(offset,))
+                   for offset in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
 
 class TestShardOf:

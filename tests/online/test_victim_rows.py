@@ -9,7 +9,9 @@ the 16 possible prints saturate the shadows and only the fallback
 does). These tests replay such shards
 against the oracle's ``SpecAdaptive`` and, under a byte budget the spec
 does not model, against a per-way reference scan, with snapshot/restore
-round trips mid-stream.
+round trips mid-stream. Shards as wide as ``HEAP_MIN_WAYS`` pick LFU
+victims from a heap, in a plain LFU shard and in an adaptive shard's
+LFU shadow; those are replayed against the spec too.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from repro.online.policies import build_shard_policy
 from repro.online.shard import CacheShard
 from repro.oracle.harness import build_shard_pair, run_differential
 from repro.oracle.streams import shard_ops
+from repro.policies.lfu import HEAP_MIN_WAYS
 from repro.policies.registry import make_policy
 from repro.utils.rng import DeterministicRNG
 
@@ -94,6 +97,19 @@ class TestSpecDifferential:
             assert run_differential(pair, events) is None
             fallbacks += pair.shard.policy.fallback_evictions
         assert fallbacks > 0
+
+
+class TestWideShards:
+    @pytest.mark.parametrize("policy_name", ["lfu", "adaptive"])
+    def test_heap_victims_match_spec(self, policy_name):
+        capacity = 128
+        assert capacity >= HEAP_MIN_WAYS
+        pair = build_shard_pair(policy_name, capacity, seed=3)
+        policy = pair.shard.policy
+        lfu = policy if policy_name == "lfu" else policy.components[1]
+        assert lfu._heaps is not None
+        assert run_differential(pair, shard_ops(3, capacity, 4000)) is None
+        assert pair.shard.evictions > capacity
 
 
 class TestByteBudgetReference:

@@ -16,6 +16,7 @@ from repro.cache.config import CacheConfig
 from repro.perf.bench import (
     bench_hotpath,
     bench_sweep,
+    bench_wide_shard,
     render_perf,
     run_perf,
     synthetic_stream,
@@ -67,6 +68,17 @@ class TestBenchHotpath:
         rows = bench_hotpath(accesses=300, policies=("lru",), size_kb=4,
                              ways=4)
         assert "lru" in rows
+
+
+class TestBenchWideShard:
+    def test_reports_rate_and_pinned_hit_ratio(self):
+        row = bench_wide_shard(ops=400, ways=64)
+        assert row["get_or_compute_per_sec"] > 0
+        assert 0.0 < row["hit_ratio"] < 1.0
+        assert (row["ops"], row["ways"]) == (400, 64)
+        assert bench_wide_shard(ops=400, ways=64)["hit_ratio"] == (
+            row["hit_ratio"]
+        )
 
 
 class TestBenchSweep:
@@ -122,10 +134,14 @@ class TestRegressionGate:
         gate = load_gate()
         baselines = gate.load_baselines()
         assert 0.0 < baselines["regression_margin"] < 1.0
-        assert set(baselines["floors"]) == {"lru", "fifo", "adaptive"}
-        for floors in baselines["floors"].values():
-            assert set(floors) == {"access_per_sec", "access_many_per_sec"}
-            assert all(v > 0 for v in floors.values())
+        floors = dict(baselines["floors"])
+        wide = floors.pop("wide-shard")
+        assert set(wide) == {"get_or_compute_per_sec"}
+        assert wide["get_or_compute_per_sec"] > 0
+        assert set(floors) == {"lru", "fifo", "adaptive"}
+        for row in floors.values():
+            assert set(row) == {"access_per_sec", "access_many_per_sec"}
+            assert all(v > 0 for v in row.values())
 
     def test_main_passes_on_generous_floors(self, tmp_path, capsys):
         gate = load_gate()

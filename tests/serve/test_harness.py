@@ -16,6 +16,8 @@ from repro.serve.harness import (
 )
 from repro.workloads.keystreams import StreamSpec
 
+from tests.conftest import serve_report
+
 
 def tiny_plan(**overrides):
     """A sub-second regime that still exercises the whole pipeline."""
@@ -277,8 +279,9 @@ class TestFullScaleSweep:
 
     @pytest.fixture(scope="class")
     def report(self, committed):
-        """One full sweep at the committed seed, shared by both tests."""
-        return run_serve(quick=False, seed=committed["seed"])
+        """The full sweep at the committed seed, shared by both tests
+        and the ext-serve paper-shape check."""
+        return serve_report(False, committed["seed"])
 
     def test_full_report_clears_pinned_floors(self, report):
         baselines = json.loads(
