@@ -1,8 +1,8 @@
 """Columnar-kernel differential lane for the oracle campaign.
 
 The columnar batch kernel (:mod:`repro.perf.kernel`) promises *decision
-identity*: replaying a batch through the generated per-duel-pair fast
-path must leave every observable piece of state — :class:`CacheStats`,
+identity*: replaying a batch through the kernel's fused per-set loop
+must leave every observable piece of state — :class:`CacheStats`,
 per-set miss counters, the full policy ``state_dict()``, the resident
 :class:`~repro.cache.cache_set.CacheSet` contents — byte-identical to
 the scalar per-access loop, and must report the same per-access hit
@@ -12,13 +12,13 @@ divergence reported with its replayable seed.
 
 Each run builds two identical adaptive caches, drives one through the
 scalar :meth:`~repro.cache.cache.SetAssociativeCache.access` loop and
-the other through
-:func:`~repro.perf.kernel.columnar_access_many` (with the per-access
-hit record enabled), and compares everything. The streams are sized so
-selector windows fill, saturate and flip mid-stream, because the
-saturation-skip guard is the one optimization whose correctness rests
-on an argument rather than shared code. Each pair runs two families of
-seeded streams.
+the other through chained
+:func:`~repro.perf.kernel.columnar_access_many` batches (with the
+per-access hit record enabled), and compares everything. The streams
+are sized so selector windows fill, saturate and flip mid-stream,
+because the saturation-skip guard is the one optimization whose
+correctness rests on an argument rather than shared code. Each pair
+runs two families of seeded streams.
 """
 
 from __future__ import annotations
@@ -33,14 +33,20 @@ from repro.oracle.harness import CampaignReport, Divergence
 from repro.oracle.streams import hardware_stream
 from repro.perf.kernel import columnar_access_many
 
-#: Component kinds the kernel specializes; the lane covers every
+#: Component kinds the kernel supports; the lane covers every
 #: ordered pair (16 duels).
 KERNEL_KINDS = ("lru", "fifo", "lfu", "mru")
 
-#: Every ordered duel pair the kernel can specialize.
+#: Every ordered duel pair the kernel supports.
 DUEL_PAIRS: Tuple[Tuple[str, str], ...] = tuple(
     product(KERNEL_KINDS, KERNEL_KINDS)
 )
+
+#: Batches the columnar side splits each stream into. The batches after
+#: the first start from warm state, so the lane also checks how the
+#: kernel reads back what an earlier batch wrote (e.g. LFU fill order
+#: from stamps).
+CHAINED_BATCHES = 3
 
 
 def _build_cache(
@@ -94,10 +100,11 @@ def run_columnar_differential(
 
     The scalar cache replays the stream through per-access ``access``
     calls (the reference semantics by construction); the columnar cache
-    replays it as one ``columnar_access_many`` batch with the hit
-    record enabled. The per-access hit streams are compared first — a
-    mismatch there reports the offending step — then the full
-    observable state.
+    replays it as :data:`CHAINED_BATCHES` ``columnar_access_many`` calls
+    with the hit record enabled, so each batch after the first starts
+    from the shadow directories and clocks the previous one wrote back.
+    The per-access hit streams are compared first — a mismatch there
+    reports the offending step — then the full observable state.
     """
     label = f"columnar:{'+'.join(components)}"
     scalar = _build_cache(components, num_sets, ways, seed or 0)
@@ -108,8 +115,15 @@ def run_columnar_differential(
         scalar.access(address, is_write=write).hit
         for address, write in zip(addresses, writes)
     ]
-    record = [False] * len(addresses)
-    columnar_access_many(columnar, addresses, writes=writes, record=record)
+    record: List[bool] = []
+    size = max(1, -(-len(addresses) // CHAINED_BATCHES))
+    for lo in range(0, len(addresses), size):
+        chunk = slice(lo, lo + size)
+        part = [False] * len(addresses[chunk])
+        columnar_access_many(
+            columnar, addresses[chunk], writes=writes[chunk], record=part
+        )
+        record += part
 
     for step, (want, got) in enumerate(zip(scalar_hits, record)):
         if want != got:

@@ -4,7 +4,7 @@
 
 * :mod:`repro.perf.kernel` — the columnar shadow-directory kernel:
   whole access batches simulated per set in struct-of-arrays form,
-  with a generated fast path per (policyA, policyB) duel pair,
+  one fused loop over a step closure per shadow component,
   byte-identical to the scalar loop in every observable decision.
   It runs whenever the cache is inside its envelope and the batch is
   large enough to amortize the setup (:data:`AUTO_MIN_BATCH`).

@@ -112,9 +112,9 @@ def bench_hotpath(
         per_call = accesses / elapsed
 
         # Steady-state measurement: one untimed access_many run on a
-        # throwaway cache first, so the batch loop's code object — and,
-        # for supported adaptive caches, the generated columnar kernel —
-        # is compiled and specialization-warm before the clock starts.
+        # throwaway cache first, so the batch loop — and, for supported
+        # adaptive caches, the columnar kernel's fused loop and shadow
+        # steps — is specialization-warm before the clock starts.
         warm = SetAssociativeCache(config, build_l2_policy(config, kind))
         warm.access_many(addresses)
 

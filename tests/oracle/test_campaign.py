@@ -5,16 +5,13 @@ cache and the online shard, over 16 independent seeded streams each —
 256 runs — must agree with the executable specs on every decision.
 
 The columnar lane extends the campaign to the batch kernel: every duel
-pair the kernel specializes, over both seed families, must be
+pair the kernel supports, over both seed families, must be
 byte-identical to the scalar per-access loop.
 """
 
-from repro.oracle import (
-    DUEL_PAIRS,
-    columnar_campaign,
-    differential_campaign,
-    run_columnar_differential,
-)
+import pytest
+
+from repro.oracle import DUEL_PAIRS, columnar_campaign, differential_campaign
 from repro.oracle.streams import hardware_stream
 from repro.policies.registry import available_policies
 
@@ -39,17 +36,27 @@ class TestCampaign:
         assert first.ok and second.ok
 
     def test_unknown_engine_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             differential_campaign(policies=["lru"], engines=("fpga",),
                                   streams_per_combo=1)
 
 
 class TestColumnarCampaign:
-    def test_every_duel_pair_both_seed_families_no_divergence(self):
-        report = columnar_campaign()
-        assert report.runs == len(DUEL_PAIRS) * 2 * 4
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {},
+            # The simulator's L2 shape: 8-way sets, long enough streams
+            # that every set's selector window fills and flips.
+            {"num_sets": 16, "ways": 8, "stream_length": 4000,
+             "streams_per_combo": 1},
+        ],
+        ids=["4sets-4ways", "16sets-8ways"],
+    )
+    def test_every_duel_pair_both_seed_families_no_divergence(self, geometry):
+        report = columnar_campaign(**geometry)
+        streams = geometry.get("streams_per_combo", 4)
+        assert report.runs == len(DUEL_PAIRS) * 2 * streams
         assert report.events > 0
         assert report.ok, report.summary()
 

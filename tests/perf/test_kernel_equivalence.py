@@ -1,7 +1,7 @@
 """The columnar kernel's decision-identity contract, property-tested.
 
 The contract (see :mod:`repro.perf.kernel`): for every supported duel
-pair, the generated columnar kernel must leave a cache byte-identical
+pair, the columnar kernel must leave a cache byte-identical
 to the scalar per-access loop — CacheStats, per-set misses, the full
 policy ``state_dict()``, resident set contents — and report the same
 per-access hit stream. Hypothesis drives random streams (including
@@ -20,7 +20,7 @@ from repro.cache.config import CacheConfig
 from repro.core.history import BitVectorHistory, CounterHistory
 from repro.core.multi import five_policy_adaptive, make_adaptive
 from repro.core.partial import PartialTagScheme
-from repro.perf import kernel
+from repro.core.selector import PolicySelector
 from repro.perf.kernel import (
     AUTO_MIN_BATCH,
     columnar_access_many,
@@ -29,7 +29,6 @@ from repro.perf.kernel import (
     kernel_plan,
     maybe_columnar,
 )
-from repro.perf.kernel_codegen import build_duel_source
 from repro.policies.registry import make_policy
 
 KERNEL_KINDS = ("lru", "fifo", "lfu", "mru")
@@ -82,6 +81,7 @@ def assert_equivalent(components, events, num_sets=4, ways=4,
     assert hits == sum(scalar_hits)
     assert record == scalar_hits
     assert observable_state(columnar) == observable_state(scalar)
+    return columnar
 
 
 def event_streams(num_sets=4, max_tag=11, min_size=1, max_size=300):
@@ -138,6 +138,22 @@ class TestHypothesisEquivalence:
     @given(events=event_streams(num_sets=2, max_tag=7, max_size=200))
     def test_single_set_geometry(self, events):
         assert_equivalent(("lru", "mru"), events, num_sets=2, ways=4)
+
+
+class TestLFUSaturation:
+    @pytest.mark.parametrize(
+        "pair", [pair for pair in ALL_PAIRS if "lfu" in pair], ids="+".join
+    )
+    def test_lfu_counters_saturate(self, pair):
+        # Two hot tags per set, hit ~100 times each, run LFU's 5-bit
+        # counters into saturation while a scan keeps the sets evicting.
+        events = []
+        for step in range(1200):
+            tag = (step // 4) % 2 if step % 3 else 10 + step % 17
+            events.append((step % 4, tag, step % 7 == 0))
+        cache = assert_equivalent(pair, events)
+        lfu = cache.policy.components[pair.index("lfu")]
+        assert max(map(max, lfu._count)) == lfu._max_count
 
 
 class TestDispatchEquivalence:
@@ -204,6 +220,14 @@ class TestEnvelope:
         cache = build_cache(history_factory=lambda n: CounterHistory(n))
         assert kernel_plan(cache) is None
 
+    def test_selector_subclass_rejected(self):
+        class CustomSelector(PolicySelector):
+            pass
+
+        cache = build_cache()
+        cache.policy.selectors[1].__class__ = CustomSelector
+        assert kernel_plan(cache) is None
+
     def test_unsupported_component_rejected(self):
         cache = build_cache(("lru", "random"))
         assert kernel_plan(cache) is None
@@ -241,17 +265,22 @@ class TestDispatchRule:
         with pytest.raises(ValueError):
             columnar_access_many(build_cache(), [0, 64], writes=[True])
 
+    def test_short_record_rejected_before_cache_changes(self):
+        from repro.oracle.streams import hardware_stream
 
-class TestCodegen:
-    def test_every_pair_compiles(self):
-        for pair in ALL_PAIRS:
-            source = build_duel_source(*pair)
-            compile(source, "<test>", "exec")
-
-    def test_duel_fn_cached_per_pair(self):
-        fn_one = kernel._duel_fn(("lru", "lfu"))
-        fn_two = kernel._duel_fn(("lru", "lfu"))
-        assert fn_one is fn_two
+        cache = build_cache()
+        warm, _ = to_addresses(hardware_stream(7, 4, 4, 200), cache.config)
+        for address in warm:
+            cache.access(address)
+        before = observable_state(cache)
+        addresses, writes = to_addresses(
+            hardware_stream(8, 4, 4, 600), cache.config
+        )
+        with pytest.raises(ValueError):
+            columnar_access_many(
+                cache, addresses, writes=writes, record=[False] * 10
+            )
+        assert observable_state(cache) == before
 
 
 class TestSaturationElision:

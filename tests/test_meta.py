@@ -4,6 +4,7 @@ These enforce the repository's own standards: every public item is
 documented and the docs index matches the code.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -94,3 +95,19 @@ class TestSuiteShape:
             if "shard_of(" in path.read_text()
         )
         assert callers == ["online/engine.py", "online/keyspace.py"]
+
+    def test_no_generated_code(self):
+        """Every code path is source that linters, coverage and tracebacks
+        see: no module builds code at run time with the ``exec``, ``eval``
+        or ``compile`` builtins (``re.compile`` and friends are fine)."""
+        src = REPO_ROOT / "src" / "repro"
+        calls = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")
+                ):
+                    calls.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert not calls, calls
