@@ -44,7 +44,8 @@ def check_against_baselines(
 
     Returns a list of violation messages (empty = pass). A policy/entry
     point regresses when its measured accesses/sec falls below
-    ``floor * (1 - margin)``.
+    ``floor * (1 - margin)``; a floor whose policy or metric was not
+    measured is a violation too.
     """
     margin = float(baselines.get("regression_margin", 0.15))
     violations = []
@@ -55,8 +56,11 @@ def check_against_baselines(
             continue
         for metric, floor in floors.items():
             value = row.get(metric)
+            if value is None:
+                violations.append(f"{kind}.{metric}: not measured")
+                continue
             threshold = floor * (1.0 - margin)
-            if value is None or value < threshold:
+            if value < threshold:
                 violations.append(
                     f"{kind}.{metric}: {value:,.0f}/s is below "
                     f"{threshold:,.0f}/s (floor {floor:,.0f} - "

@@ -21,7 +21,6 @@ Quickstart::
 from repro.cache import (
     AccessResult,
     CacheConfig,
-    CacheHierarchy,
     CacheStats,
     SetAssociativeCache,
     StorageModel,
@@ -56,7 +55,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AccessResult",
     "CacheConfig",
-    "CacheHierarchy",
     "CacheStats",
     "SetAssociativeCache",
     "StorageModel",

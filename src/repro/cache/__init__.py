@@ -5,8 +5,9 @@ scheme sits on top of: cache geometry and address decomposition
 (:class:`CacheConfig`), a set-associative cache with pluggable
 replacement (:class:`SetAssociativeCache`), tags-only shadow arrays
 (:class:`TagArray` — the paper's "parallel tag structures"), the SRAM
-storage-overhead accounting of Section 3.2, and a simple L1/L2/memory
-hierarchy used by the timing model.
+storage-overhead accounting of Section 3.2, and the skewed-associative
+variant. The L1/L2/memory path itself is modeled by the timing model
+(:mod:`repro.cpu.timing`), not here.
 """
 
 from repro.cache.config import CacheConfig
@@ -15,7 +16,6 @@ from repro.cache.cache_set import CacheSet
 from repro.cache.stats import CacheStats
 from repro.cache.tag_array import TagArray
 from repro.cache.overhead import StorageModel
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.cache.skewed import SkewedAccessResult, SkewedAssociativeCache
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "CacheStats",
     "TagArray",
     "StorageModel",
-    "CacheHierarchy",
-    "HierarchyResult",
     "SkewedAccessResult",
     "SkewedAssociativeCache",
 ]

@@ -143,7 +143,7 @@ class SetAssociativeCache:
     ) -> AccessResult:
         """Reference an already-decomposed (set, tag) pair.
 
-        The hierarchy and the experiment harness pre-decompose addresses
+        The timing model and the oracle harness pre-decompose addresses
         once and replay them against several caches, so this entry point
         avoids repeating the shift/mask work per cache.
         """
@@ -197,9 +197,9 @@ class SetAssociativeCache:
         with the per-access Python overhead (method dispatch, result
         allocation, repeated attribute loads) hoisted out of the loop.
         Callers that need per-access outcomes (the timing model, the
-        hierarchy) keep using :meth:`access`; bulk replays that only
-        need the aggregate statistics (golden digests, miss-ratio
-        experiments, benchmarks) use this.
+        oracle harness) keep using :meth:`access_decomposed`; bulk
+        replays that only need the aggregate statistics (golden
+        digests, miss-ratio experiments, benchmarks) use this.
 
         Args:
             addresses: byte addresses to reference, in order.
@@ -271,77 +271,6 @@ class SetAssociativeCache:
         stats.evictions += evictions
         stats.writebacks += writebacks
         return hits
-
-    def lookup(self, address: int, is_write: bool = False) -> AccessResult:
-        """Reference one address *without* filling on a miss.
-
-        Identical to :meth:`access` on the hit path (reference counted,
-        policy observed, recency/dirty updated); a miss is counted and
-        observed but allocates nothing, so the caller decides where the
-        line lands. This is the probe step of the deferred tier walk
-        (:class:`~repro.tiers.topology.TieredCache`): leave-copy-down
-        placement must know which tier serves the request *before* any
-        tier fills.
-        """
-        set_index = (address >> self._offset_bits) & self._index_mask
-        tag = address >> self._tag_shift
-        stats = self.stats
-        stats.accesses += 1
-        policy = self.policy
-        if not self._observe_is_noop:
-            policy.observe(set_index, tag, is_write)
-        cache_set = self.sets[set_index]
-        way = cache_set._tag_to_way.get(tag)
-        if way is not None:
-            stats.hits += 1
-            policy.on_hit(set_index, way)
-            if is_write:
-                cache_set._dirty[way] = True
-            return self._hit_results[set_index]
-        stats.misses += 1
-        stats.per_set_misses[set_index] += 1
-        return AccessResult(hit=False, set_index=set_index)
-
-    def admit(self, address: int, dirty: bool = False) -> AccessResult:
-        """Install the line holding ``address`` without counting a
-        reference.
-
-        The fill step of the deferred tier walk: the placement strategy
-        has already decided this tier keeps a copy, so the line is
-        installed (evicting a victim if the set is full, with eviction
-        and writeback counted as usual) but accesses/hits/misses are
-        untouched and the policy's ``observe`` is not called — the
-        demand reference was already observed by :meth:`lookup`.
-        Admitting a resident line is a no-op beyond optionally marking
-        it dirty.
-        """
-        set_index = (address >> self._offset_bits) & self._index_mask
-        tag = address >> self._tag_shift
-        cache_set = self.sets[set_index]
-        way = cache_set._tag_to_way.get(tag)
-        if way is not None:
-            if dirty:
-                cache_set._dirty[way] = True
-            return self._hit_results[set_index]
-        evicted_tag = None
-        writeback = False
-        if len(cache_set._tag_to_way) == cache_set._ways:
-            fill_way = self.policy.victim(set_index, cache_set)
-            evicted_tag, was_dirty = cache_set.evict(fill_way)
-            self.stats.evictions += 1
-            if was_dirty:
-                self.stats.writebacks += 1
-                writeback = True
-        else:
-            fill_way = cache_set.free_way()
-        cache_set.install(fill_way, tag, dirty=dirty)
-        self.policy.on_fill(set_index, fill_way, tag)
-        return AccessResult(
-            hit=False,
-            set_index=set_index,
-            evicted_tag=evicted_tag,
-            writeback=writeback,
-        )
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident."""

@@ -70,6 +70,15 @@ class ProcessorConfig:
             raise ValueError("mshr_entries must be positive")
         if not 0.0 <= self.l2_hit_stall_factor <= 1.0:
             raise ValueError("l2_hit_stall_factor must be in [0, 1]")
+        # compile_workload sends one L2 reference per L1 miss: with a
+        # larger L1 line, part of every fetched line never reaches the L2.
+        for name, l1 in (("l1d", self.l1d), ("l1i", self.l1i)):
+            if l1.line_bytes != self.l2.line_bytes:
+                raise ValueError(
+                    f"{name} block size {l1.line_bytes} does not match "
+                    f"L2 block size {self.l2.line_bytes}; writeback "
+                    "addresses would alias the wrong L2 lines"
+                )
 
     @property
     def bus_transfer_cycles(self) -> int:

@@ -20,7 +20,6 @@ atomically-written JSON file and a re-invocation skips finished work.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 

@@ -27,7 +27,7 @@ recovered engine's shard counters.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.history import CounterHistory

@@ -1,4 +1,4 @@
-"""Generalized multi-tier cache topologies with adaptive placement.
+"""Multi-tier key-value serving with adaptive placement.
 
 The paper adapts the *eviction policy* of each cache set; this
 subsystem adapts the orthogonal dimension — *where a value lands*
@@ -10,12 +10,7 @@ machinery (:mod:`repro.core.selector`).
 * :mod:`repro.tiers.adaptive` — :class:`AdaptivePlacement`, a
   per-keyspace-partition selector dueling fixed strategies on shadow
   topologies with decisive-miss (backing-fetch) feedback.
-* :mod:`repro.tiers.topology` — the hardware side: :class:`TierGraph`
-  (an in-tree of set-associative caches over a backing store) and
-  :class:`TieredCache`, the walker the refactored
-  :class:`~repro.cache.hierarchy.CacheHierarchy` is a two-tier
-  instantiation of.
-* :mod:`repro.tiers.kv` — the serving side: :class:`KVTier` /
+* :mod:`repro.tiers.kv` — the tier walk: :class:`KVTier` /
   :class:`TieredKVCache` over any duck-typed KV store, plus the
   canonical near/far (:func:`tiered_front`) and client-local→cluster
   (:func:`client_local_topology`) topologies.
@@ -39,27 +34,15 @@ from repro.tiers.placement import (
     ProbabilisticLCD,
     make_placement,
 )
-from repro.tiers.topology import (
-    BackingStore,
-    TierGraph,
-    TierNode,
-    TieredAccessResult,
-    TieredCache,
-)
 
 __all__ = [
     "AdaptivePlacement",
-    "BackingStore",
     "FIXED_PLACEMENTS",
     "KVTier",
     "LeaveCopyDown",
     "LeaveCopyEverywhere",
     "PlacementStrategy",
     "ProbabilisticLCD",
-    "TierGraph",
-    "TierNode",
-    "TieredAccessResult",
-    "TieredCache",
     "TieredKVCache",
     "TieredKVResult",
     "client_local_topology",

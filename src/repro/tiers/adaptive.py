@@ -64,7 +64,6 @@ class AdaptivePlacement(PlacementStrategy):
     """
 
     name = "adaptive"
-    eager = False
 
     def __init__(
         self,

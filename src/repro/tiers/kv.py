@@ -1,9 +1,6 @@
 """Tiered key-value serving: placement strategies over KV stores.
 
-The hardware walker (:mod:`repro.tiers.topology`) generalizes the
-L1/L2/memory hierarchy; this module does the same for the serving
-stack. A :class:`KVTier` wraps any
-:class:`~repro.online.contract.KVStore` — a
+A :class:`KVTier` wraps any :class:`~repro.online.contract.KVStore` — a
 :class:`~repro.online.shard.CacheShard`, a whole
 :class:`~repro.online.engine.AdaptiveKVCache`, or a
 :class:`~repro.cluster.cache.ClusterKVCache` ring — behind the three

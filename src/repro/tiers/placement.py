@@ -3,19 +3,16 @@
 The paper adapts *which eviction policy* each cache set runs; this
 module adds the orthogonal axis — *where* a value lands across a
 multi-tier topology. A :class:`PlacementStrategy` is consulted by the
-tier walkers (:class:`~repro.tiers.topology.TieredCache`,
-:class:`~repro.tiers.kv.TieredKVCache`) after every access is resolved
-and answers one question: given that the request was served by tier
-``served_index`` (or by the backing store), which tiers above the
-serving one should admit a copy?
+tier walker (:class:`~repro.tiers.kv.TieredKVCache`) after every access
+is resolved and answers one question: given that the request was served
+by tier ``served_index`` (or by the backing store), which tiers above
+the serving one should admit a copy?
 
 The fixed strategies are the classical on-path content-placement
 family (Laoutaris et al., and icarus's ``onpath.py``):
 
 * **LCE** (leave-copy-everywhere) — every tier on the path admits a
-  copy; the inclusive-hierarchy default and the only *eager* strategy
-  (fills may happen on the way down, which is how the hardware
-  :class:`~repro.cache.hierarchy.CacheHierarchy` has always walked).
+  copy; the inclusive-hierarchy default.
 * **LCD** (leave-copy-down) — only the tier one level above the
   serving one admits a copy, so content climbs one tier per hit and
   single-use values never pollute the upper tiers.
@@ -48,13 +45,6 @@ class PlacementStrategy(abc.ABC):
 
     name: str = "abstract"
 
-    #: Eager strategies admit at every tier on the way *down* — the
-    #: classic inclusive-hierarchy walk, where each cache installs the
-    #: block as soon as it misses. Only LCE qualifies: its decision
-    #: ("everyone keeps a copy") does not depend on where the request
-    #: will eventually be served.
-    eager: bool = False
-
     def observe_access(self, key, is_write: bool = False) -> None:
         """Pre-decision hook, called once per walked access.
 
@@ -85,7 +75,6 @@ class LeaveCopyEverywhere(PlacementStrategy):
     """LCE: every tier above the serving one admits a copy."""
 
     name = "lce"
-    eager = True
 
     def copy_tiers(self, num_tiers: int, served_index: int, key
                    ) -> Tuple[int, ...]:

@@ -25,42 +25,6 @@ class TestExports:
         assert len(policy.component_misses()) == 2
 
 
-class TestHierarchyWithAdaptiveL2:
-    def test_adaptive_l2_in_hierarchy(self):
-        """An adaptive L2 slots into the hierarchy like any other —
-        the integration the hardware design claims is free."""
-        from repro import (
-            CacheConfig,
-            CacheHierarchy,
-            SetAssociativeCache,
-            make_adaptive,
-            make_policy,
-        )
-
-        l1_config = CacheConfig(size_bytes=1024, ways=4, line_bytes=64,
-                                hit_latency=2)
-        l2_config = CacheConfig(size_bytes=8 * 1024, ways=8, line_bytes=64,
-                                hit_latency=15)
-        hierarchy = CacheHierarchy(
-            l2=SetAssociativeCache(
-                l2_config,
-                make_adaptive(l2_config.num_sets, l2_config.ways),
-            ),
-            l1d=SetAssociativeCache(
-                l1_config,
-                make_policy("lru", l1_config.num_sets, l1_config.ways),
-            ),
-        )
-        import random
-
-        rng = random.Random(3)
-        for _ in range(5000):
-            hierarchy.access_data(rng.randrange(1 << 18),
-                                  is_write=rng.random() < 0.3)
-        assert hierarchy.l2.stats.accesses > 0
-        assert hierarchy.memory_reads > 0
-
-
 class TestSubpackageImports:
     @pytest.mark.parametrize(
         "module",

@@ -10,8 +10,6 @@ import importlib.util
 import json
 import pathlib
 
-import pytest
-
 from repro.cache.config import CacheConfig
 from repro.perf.bench import (
     bench_hotpath,
@@ -128,6 +126,14 @@ class TestRegressionGate:
         baselines = {"floors": {"fifo": {"access_per_sec": 1}}}
         assert gate.check_against_baselines({}, baselines) == [
             "fifo: not measured"
+        ]
+
+    def test_missing_metric_is_a_violation(self):
+        gate = load_gate()
+        baselines = {"floors": {"lru": {"access_many_per_sec": 1}}}
+        measured = {"lru": {"access_per_sec": 95.0}}
+        assert gate.check_against_baselines(measured, baselines) == [
+            "lru.access_many_per_sec: not measured"
         ]
 
     def test_pinned_baselines_file_is_wellformed(self):

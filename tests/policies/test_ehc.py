@@ -1,7 +1,5 @@
 """Unit tests for expected-hit-count (EHC) replacement."""
 
-import pytest
-
 from repro.cache.cache import SetAssociativeCache
 from repro.policies import available_policies, make_policy
 from repro.policies.ehc import EHCPolicy, NEW_TAG_EXPECTATION

@@ -9,15 +9,66 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 
+#: Reference or checker modules that only tests drive, with the reason
+#: each stays although no program file imports it.
+TEST_DRIVEN_MODULES = {
+    "repro.cluster.chaos": "node-kill/partition campaigns the cluster tests run",
+    "repro.online.bound": "the 2x miss-bound checker the property tests use",
+    "repro.oracle.columnar": "the columnar kernel's differential lane",
+    "repro.policies.belady": "Belady OPT, the floor tests hold policies to",
+}
+
 
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         yield importlib.import_module(info.name)
+
+
+def _module_sources():
+    """Map each ``repro`` module name to its parsed source."""
+    src = REPO_ROOT / "src"
+    trees = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        trees[".".join(parts)] = (path, ast.parse(path.read_text()))
+    return trees
+
+
+def _defining_module(trees, module, name):
+    """The module ``from module import name`` ends up reading: the
+    submodule ``module.name``, or the module a package ``__init__``
+    re-exports ``name`` from."""
+    if f"{module}.{name}" in trees:
+        return f"{module}.{name}"
+    path, tree = trees[module]
+    if path.name != "__init__.py":
+        return module
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in trees:
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _defining_module(trees, node.module, alias.name)
+    return module
+
+
+def _imported_modules(trees, tree):
+    """Every ``repro`` module a parsed file imports, anywhere in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in trees:
+                    yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module in trees:
+            for alias in node.names:
+                yield _defining_module(trees, node.module, alias.name)
 
 
 def _public_members(module):
@@ -95,6 +146,36 @@ class TestSuiteShape:
             if "shard_of(" in path.read_text()
         )
         assert callers == ["online/engine.py", "online/keyspace.py"]
+
+    def test_every_module_has_a_caller(self):
+        """Every module is imported by program code (``src/repro``,
+        ``benchmarks/``, ``examples/``; tests excluded) or is an entry
+        point, so no subsystem survives on its own tests alone. A
+        package ``__init__`` re-export is not a caller: names imported
+        through a package resolve to the module that defines them."""
+        trees = _module_sources()
+        callers = [path for path, _ in trees.values()
+                   if path.name != "__init__.py"]
+        for folder in ("benchmarks", "examples"):
+            callers += [
+                path for path in sorted((REPO_ROOT / folder).rglob("*.py"))
+                if not path.name.startswith("test_")
+                and path.name != "conftest.py"
+            ]
+        called = set()
+        for path in callers:
+            called.update(_imported_modules(trees, ast.parse(path.read_text())))
+        # [project.scripts] entries, read without tomllib (Python 3.11+).
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+        called.update(re.findall(r'^[\w-]+\s*=\s*"([\w.]+):', scripts, re.M))
+        orphans = sorted(
+            name for name, (path, _) in trees.items()
+            if path.name != "__init__.py"
+            and name not in called
+            and name not in TEST_DRIVEN_MODULES
+        )
+        assert not orphans, orphans
 
     def test_no_generated_code(self):
         """Every code path is source that linters, coverage and tracebacks

@@ -21,9 +21,6 @@ class TestLCE:
         assert lce.copy_tiers(3, 2, key=1) == (0, 1)
         assert lce.copy_tiers(3, 0, key=1) == ()
 
-    def test_is_eager(self):
-        assert LeaveCopyEverywhere().eager
-
 
 class TestLCD:
     def test_backing_serve_fills_bottom_tier_only(self):
@@ -37,9 +34,6 @@ class TestLCD:
 
     def test_top_tier_hit_places_nothing(self):
         assert LeaveCopyDown().copy_tiers(3, 0, key=1) == ()
-
-    def test_not_eager(self):
-        assert not LeaveCopyDown().eager
 
 
 class TestProbLCD:
