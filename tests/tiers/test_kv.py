@@ -117,6 +117,91 @@ class TestWalk:
             KVTier("t", make_shard(4), 0)
 
 
+def three_tier(placement=None, far=32):
+    return TieredKVCache(
+        [
+            KVTier("t0", make_shard(4), 4, hit_latency=1, transfer_cost=2),
+            KVTier("t1", make_shard(8, seed=1), 8, hit_latency=5,
+                   transfer_cost=3),
+            KVTier("t2", make_shard(far, seed=2), far, hit_latency=20,
+                   transfer_cost=4),
+        ],
+        placement=placement,
+        backing_latency=100,
+    )
+
+
+class TestThreeTierWalk:
+    def test_cold_fetch_latency_arithmetic(self):
+        cache = three_tier()
+        result = cache.fetch("k", lambda key: "v")
+        # Every probe and every down-edge, the bottom tier's included.
+        assert result.latency == (1 + 2) + (5 + 3) + (20 + 4) + 100
+        assert result.admitted == ("t0", "t1", "t2")
+        assert cache.stats()["total_latency"] == result.latency
+
+    def test_mid_tier_hit_under_lce(self):
+        cache = three_tier()
+        cache.tiers[1].admit("k", "v")
+        result = cache.get_detailed("k")
+        assert result.served_by == "t1"
+        assert result.latency == 1 + 2 + 5
+        assert result.admitted == ("t0",)
+        assert cache.resident_in("k") == ["t0", "t1"]
+
+    def test_lcd_climbs_one_tier_per_hit(self):
+        cache = three_tier(placement=LeaveCopyDown())
+        assert cache.fetch("k", lambda key: "v").admitted == ("t2",)
+        served = [cache.get_detailed("k").served_by for _ in range(3)]
+        assert served == ["t2", "t1", "t0"]
+        assert cache.resident_in("k") == ["t0", "t1", "t2"]
+
+    def test_problcd_p_zero_never_climbs(self):
+        cache = three_tier(placement=ProbabilisticLCD(p=0.0))
+        cache.put("k", "v")
+        for _ in range(5):
+            result = cache.get_detailed("k")
+            assert result.served_by == "t2"
+            assert result.admitted == ()
+        assert cache.resident_in("k") == ["t2"]
+
+    @pytest.mark.parametrize(
+        "placement, resident",
+        [
+            (None, ["t0", "t1", "t2"]),
+            (LeaveCopyDown(), ["t2"]),
+            (ProbabilisticLCD(p=1.0), ["t2"]),
+            (ProbabilisticLCD(p=0.0), ["t2"]),
+        ],
+        ids=["lce", "lcd", "problcd-p1", "problcd-p0"],
+    )
+    def test_put_places_and_invalidates(self, placement, resident):
+        cache = three_tier(placement=placement)
+        for tier in cache.tiers:
+            tier.admit("k", "stale")
+        assert cache.put("k", "fresh").admitted == tuple(resident)
+        # Tiers the write skipped hold no stale copy.
+        assert cache.resident_in("k") == resident
+        assert cache.get("k") == "fresh"
+
+    def test_bottom_tier_eviction_refetches_from_backing(self):
+        cache = three_tier(placement=LeaveCopyDown(), far=4)
+        loads = []
+
+        def loader(key):
+            loads.append(key)
+            return key
+
+        for key in range(5):
+            cache.get_or_compute(key, loader)
+        # Five cold keys through a 4-entry bottom tier: key 0 was evicted
+        # and never climbed, so it goes back to the backing loader.
+        assert cache.resident_in(0) == []
+        assert cache.fetch(0, loader).served_by == "backing"
+        assert loads == [0, 1, 2, 3, 4, 0]
+        assert cache.backing_fetches == 6
+
+
 class TestAdaptivePlacementOverKV:
     def test_adaptive_walker_end_to_end(self):
         tiers = [
