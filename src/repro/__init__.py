@@ -18,14 +18,11 @@ Quickstart::
     print(cache.stats.miss_ratio)
 """
 
-from repro.cache import (
-    AccessResult,
-    CacheConfig,
-    CacheStats,
-    SetAssociativeCache,
-    StorageModel,
-    TagArray,
-)
+from repro.cache.cache import AccessResult, SetAssociativeCache
+from repro.cache.config import CacheConfig
+from repro.cache.overhead import StorageModel
+from repro.cache.stats import CacheStats
+from repro.cache.tag_array import TagArray
 from repro.core import (
     AdaptivePolicy,
     BitVectorHistory,

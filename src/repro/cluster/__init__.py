@@ -7,37 +7,3 @@ versioned read-repair, hedged reads and crash/partition recovery. See
 ``docs/cluster.md`` for the architecture and the invariants the chaos
 campaign enforces.
 """
-
-from repro.cluster.cache import ClusterKVCache, WriteQuorumError
-from repro.cluster.chaos import (
-    ClusterChaosPlan,
-    ClusterChaosReport,
-    FlakyReplica,
-    cluster_chaos_campaign,
-    cluster_stream,
-)
-from repro.cluster.latency import LatencyModel, VirtualClock
-from repro.cluster.network import ClusterController, ClusterView
-from repro.cluster.node import NODE_STATES, ClusterNode, NodeDownError
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.cluster.stats import ClusterStats
-
-__all__ = [
-    "ClusterKVCache",
-    "WriteQuorumError",
-    "ClusterChaosPlan",
-    "ClusterChaosReport",
-    "FlakyReplica",
-    "cluster_chaos_campaign",
-    "cluster_stream",
-    "LatencyModel",
-    "VirtualClock",
-    "ClusterController",
-    "ClusterView",
-    "ClusterNode",
-    "NodeDownError",
-    "NODE_STATES",
-    "HashRing",
-    "ClusterStats",
-    "DEFAULT_VNODES",
-]

@@ -22,19 +22,3 @@ storage   Section 3.2 SRAM accounting
 theory    Appendix 2x miss bound, empirically
 ========  ==================================================
 """
-
-from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    WorkloadCache,
-    build_l2_policy,
-    make_setup,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "Setup",
-    "WorkloadCache",
-    "build_l2_policy",
-    "make_setup",
-]

@@ -35,80 +35,3 @@ KV-block caches in serving stacks:
 
 See docs/online.md for the design and its mapping to the paper.
 """
-
-from repro.online.bound import check_online_miss_bound
-from repro.online.contract import AsyncKVStore, KVLayer, KVStore
-from repro.online.engine import MODES, AdaptiveKVCache, default_sizeof
-from repro.online.liverecovery import (
-    LiveRecoveringKVCache,
-    LiveRecoveryStats,
-    RecoveryInProgress,
-)
-from repro.online.persistence import (
-    PersistentKVCache,
-    SnapshotCorruptError,
-    apply_wal_record,
-    iter_wal,
-    kv_stats_digest,
-    load_snapshot_engine,
-    read_snapshot,
-    recover,
-    write_snapshot,
-)
-from repro.online.resilience import (
-    BREAKER_STATES,
-    CircuitBreaker,
-    LoaderUnavailable,
-    ResilientKVCache,
-    RetryPolicy,
-)
-from repro.online.keyspace import (
-    FINGERPRINT_BITS,
-    key_fingerprint,
-    partial_fingerprint_transform,
-    shard_of,
-)
-from repro.online.policies import (
-    DuelingResidentPolicy,
-    LockedVoteSink,
-    build_shard_policy,
-)
-from repro.online.shard import CacheShard, ShardView
-from repro.online.stats import KVCacheStats
-
-__all__ = [
-    "AsyncKVStore",
-    "KVLayer",
-    "KVStore",
-    "AdaptiveKVCache",
-    "MODES",
-    "default_sizeof",
-    "CacheShard",
-    "ShardView",
-    "KVCacheStats",
-    "DuelingResidentPolicy",
-    "LockedVoteSink",
-    "build_shard_policy",
-    "FINGERPRINT_BITS",
-    "key_fingerprint",
-    "shard_of",
-    "partial_fingerprint_transform",
-    "check_online_miss_bound",
-    "PersistentKVCache",
-    "SnapshotCorruptError",
-    "apply_wal_record",
-    "iter_wal",
-    "kv_stats_digest",
-    "load_snapshot_engine",
-    "read_snapshot",
-    "recover",
-    "write_snapshot",
-    "LiveRecoveringKVCache",
-    "LiveRecoveryStats",
-    "RecoveryInProgress",
-    "BREAKER_STATES",
-    "CircuitBreaker",
-    "LoaderUnavailable",
-    "ResilientKVCache",
-    "RetryPolicy",
-]

@@ -51,10 +51,10 @@ in a single step, its backoff pauses blocking instead of suspending.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
+import inspect
 import threading
 import time
+import types
 from typing import Callable, Optional
 
 from repro.online.contract import KVLayer
@@ -405,10 +405,9 @@ class ResilientKVCache(KVLayer):
         except StopIteration as done:
             return done.value
         # Only a loader's awaitable can suspend the load, and nothing
-        # here can resume it: cancel, exactly as a cancelled async
-        # request would be.
-        with contextlib.suppress(asyncio.CancelledError):
-            load.throw(asyncio.CancelledError())
+        # here can resume it: close it, which unwinds it exactly as a
+        # cancelled async request would be.
+        load.close()
         raise TypeError(
             f"loader for key {key!r} suspended; use aget_or_compute"
         )
@@ -446,6 +445,8 @@ class ResilientKVCache(KVLayer):
             asyncio.CancelledError: the caller was cancelled; state is
                 consistent as described above.
         """
+        import asyncio  # here only: the sync ladder needs no event loop
+
         index, stale, value = self._plain_rungs(key)
         if value is not _MISSING:
             return value
@@ -484,7 +485,10 @@ class ResilientKVCache(KVLayer):
 
         ``pause`` awaits one backoff delay. Falls through to
         :meth:`_serve_stale` when the breaker refuses or every attempt
-        fails.
+        fails. Anything that is not an ``Exception`` — cancellation,
+        ``GeneratorExit`` from a closed load, ``KeyboardInterrupt`` —
+        records no breaker outcome, releases a held probe and
+        propagates.
         """
         shard = self.engine.shards[index]
         breaker = self.breakers[index]
@@ -513,10 +517,8 @@ class ResilientKVCache(KVLayer):
                         delay *= self.retry.multiplier
                     try:
                         value = loader(key)
-                        if asyncio.iscoroutine(value):
+                        if inspect.iscoroutine(value):
                             value = await value
-                    except asyncio.CancelledError:
-                        raise
                     except Exception as error:  # noqa: BLE001 — loader boundary
                         last_error = error
                         breaker.record_failure()
@@ -531,7 +533,7 @@ class ResilientKVCache(KVLayer):
                 finally:
                     if token:
                         retry_budget.release()
-        except asyncio.CancelledError:
+        except BaseException:
             if probe:
                 breaker.abort_probe()
             raise
@@ -640,11 +642,17 @@ def _loop_free(loader):
     """
     def load(key):
         value = loader(key)
-        if asyncio.iscoroutine(value):
+        if inspect.iscoroutine(value):
             return _await_loop_free(value)
         return value
 
     return load
+
+
+@types.coroutine
+def _suspend():
+    """Suspend the awaiting coroutine once, with no event loop."""
+    yield
 
 
 async def _await_loop_free(awaitable):
@@ -653,4 +661,4 @@ async def _await_loop_free(awaitable):
     except RuntimeError as error:
         if "no running event loop" not in str(error):
             raise
-    await asyncio.sleep(0)  # suspend: get_or_compute cancels the load
+    await _suspend()  # get_or_compute closes the load here

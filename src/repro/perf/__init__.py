@@ -21,31 +21,3 @@ The scalar hot path lives where it always did
 (:mod:`repro.cache.cache`, :mod:`repro.policies`); docs/performance.md
 describes the optimizations and the decision-identity argument.
 """
-
-from repro.perf.bench import run_perf
-from repro.perf.kernel import (
-    AUTO_MIN_BATCH,
-    columnar_access_many,
-    columnar_hit_stream,
-    kernel_name,
-    kernel_plan,
-)
-from repro.perf.parallel import (
-    ParallelRunner,
-    get_default_workers,
-    parallel_policy_sweep,
-    set_default_workers,
-)
-
-__all__ = [
-    "AUTO_MIN_BATCH",
-    "ParallelRunner",
-    "columnar_access_many",
-    "columnar_hit_stream",
-    "get_default_workers",
-    "kernel_name",
-    "kernel_plan",
-    "parallel_policy_sweep",
-    "run_perf",
-    "set_default_workers",
-]

@@ -8,19 +8,3 @@ same sliding-window machinery as the cache's miss history — scores each
 component, and the hybrid issues only the currently-better component's
 prefetches.
 """
-
-from repro.prefetch.base import Prefetcher, PrefetchRequest
-from repro.prefetch.nextline import NextLinePrefetcher
-from repro.prefetch.stride import StridePrefetcher
-from repro.prefetch.hybrid import AdaptiveHybridPrefetcher
-from repro.prefetch.engine import PrefetchingCache, PrefetchStats
-
-__all__ = [
-    "Prefetcher",
-    "PrefetchRequest",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
-    "AdaptiveHybridPrefetcher",
-    "PrefetchingCache",
-    "PrefetchStats",
-]

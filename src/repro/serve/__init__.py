@@ -25,15 +25,3 @@ Request streams come from the load-generator layer in
 :mod:`repro.workloads.keystreams` (Poisson/MMPP arrivals, Zipf
 popularity, YCSB mixes, beta client skew, trace-driven replay).
 """
-
-from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
-from repro.serve.harness import (
-    RegimePlan,
-    RegimeReport,
-    ServeReport,
-    default_plans,
-    run_regime,
-    run_serve,
-)
-from repro.serve.sketch import LatencySketch, exact_quantile
-from repro.serve.vloop import VirtualTimeEventLoop

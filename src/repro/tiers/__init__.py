@@ -17,35 +17,3 @@ machinery (:mod:`repro.core.selector`).
 
 See docs/tiers.md for the model and the adaptive-placement design.
 """
-
-from repro.tiers.adaptive import AdaptivePlacement
-from repro.tiers.kv import (
-    KVTier,
-    TieredKVCache,
-    TieredKVResult,
-    client_local_topology,
-    tiered_front,
-)
-from repro.tiers.placement import (
-    FIXED_PLACEMENTS,
-    LeaveCopyDown,
-    LeaveCopyEverywhere,
-    PlacementStrategy,
-    ProbabilisticLCD,
-    make_placement,
-)
-
-__all__ = [
-    "AdaptivePlacement",
-    "FIXED_PLACEMENTS",
-    "KVTier",
-    "LeaveCopyDown",
-    "LeaveCopyEverywhere",
-    "PlacementStrategy",
-    "ProbabilisticLCD",
-    "TieredKVCache",
-    "TieredKVResult",
-    "client_local_topology",
-    "make_placement",
-    "tiered_front",
-]

@@ -14,6 +14,10 @@ Satellites of the serving PR:
   run one ladder, so the same seeded stream makes the same decisions
   through either; the sync entry point refuses a loader whose
   awaitable suspends instead of caching the coroutine.
+* loader escapes on both ladders — a ``KeyboardInterrupt`` or
+  ``SystemExit`` from a half-open probe releases the probe and
+  propagates, and a generator returned as a value is cached as one on
+  every Python version instead of awaited.
 
 Everything runs on the virtual-time loop, so "concurrent" means real
 asyncio interleaving with deterministic schedules.
@@ -643,3 +647,82 @@ class TestSyncAsyncLadderIdentity:
         assert stats.expirations > 0
         assert sum(trips for trips, _ in breakers) > 0
         assert loader.calls == async_loader.calls
+
+
+def _run_ladder(ladder, resilient, key, loader):
+    """One request through the ``sync`` or ``async`` ladder; whatever
+    the request raises, ``BaseException`` included, reaches the caller."""
+    if ladder == "sync":
+        return resilient.get_or_compute(key, loader)
+
+    async def request():
+        try:
+            return False, await resilient.aget_or_compute(key, loader)
+        except BaseException as error:  # noqa: BLE001 — re-raised below
+            return True, error
+
+    raised, outcome = VirtualTimeEventLoop().run_until_complete(request())
+    if raised:
+        raise outcome
+    return outcome
+
+
+def _one_shard(breaker):
+    return ResilientKVCache(AdaptiveKVCache(capacity_entries=64,
+                                            num_shards=1),
+                            retry=RetryPolicy(attempts=1),
+                            breaker_factory=breaker)
+
+
+LADDERS = ("sync", "async")
+
+
+class TestLoaderEscapesOnBothLadders:
+    @pytest.mark.parametrize("escape", [KeyboardInterrupt, SystemExit])
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_interrupted_probe_releases_the_slot(self, ladder, escape):
+        clock = ManualClock()
+        resilient = _one_shard(lambda: CircuitBreaker(
+            failure_threshold=1, recovery_timeout=1.0, clock=clock
+        ))
+        breaker = resilient.breakers[0]
+
+        def failing(key):
+            raise IOError("down")
+
+        def interrupted(key):
+            raise escape()
+
+        with pytest.raises(LoaderUnavailable):
+            _run_ladder(ladder, resilient, "a", failing)
+        clock.now = 5.0
+        assert breaker.state == "half_open"
+        with pytest.raises(escape):
+            _run_ladder(ladder, resilient, "b", interrupted)
+        # No outcome recorded and the probe slot is free again.
+        assert breaker.trips == 1
+        assert breaker.admit() == (True, True)
+        breaker.abort_probe()
+
+        clock.now = 500.0
+        assert _run_ladder(ladder, resilient, "c",
+                           lambda key: ("v", key)) == ("v", "c")
+        assert breaker.state == "closed"
+        assert resilient.get("c") == ("v", "c")
+
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_generator_value_is_cached_not_awaited(self, ladder):
+        resilient = _one_shard(lambda: CircuitBreaker(failure_threshold=1))
+        produced = []
+
+        def loader(key):
+            value = (part for part in (key, "v"))
+            produced.append(value)
+            return value
+
+        assert _run_ladder(ladder, resilient, "k", loader) is produced[0]
+        assert resilient.get("k") is produced[0]
+        breaker = resilient.breakers[0]
+        assert breaker.state == "closed"
+        assert breaker.trips == 0
+        assert breaker._failures == 0

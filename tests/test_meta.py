@@ -7,9 +7,12 @@ documented and the docs index matches the code.
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import repro
 
@@ -23,6 +26,65 @@ TEST_DRIVEN_MODULES = {
     "repro.oracle.columnar": "the columnar kernel's differential lane",
     "repro.policies.belady": "Belady OPT, the floor tests hold policies to",
 }
+
+
+#: Modules no end-to-end benchmark workload runs, so none may load
+#: when a process imports what ``benchmarks/e2e/workloads.py`` imports.
+COLD_START_ABSENT = (
+    "asyncio",
+    "multiprocessing",
+    "repro.serve.harness",
+    "repro.serve.stack",
+    "repro.cluster.chaos",
+    "repro.oracle",
+    "repro.faults",
+    "repro.perf.parallel",
+    "repro.experiments.runner",
+)
+
+#: Run after the e2e workloads' ``repro`` imports: one request of each
+#: serving stack those workloads build, then the absent modules found.
+COLD_START_SCRIPT = """
+import sys
+from repro.cluster.cache import ClusterKVCache
+from repro.online.engine import AdaptiveKVCache
+from repro.online.persistence import PersistentKVCache
+from repro.online.resilience import (
+    LoaderUnavailable,
+    ResilientKVCache,
+    RetryPolicy,
+)
+from repro.tiers.kv import client_local_topology
+
+
+def failing(key):
+    raise IOError("down")
+
+
+resilient = ResilientKVCache(AdaptiveKVCache(capacity_entries=64),
+                             retry=RetryPolicy(attempts=1))
+assert resilient.get_or_compute("a", str.upper) == "A"
+assert resilient.get_or_compute("a", failing) == "A"
+try:
+    resilient.get_or_compute("b", failing)
+except LoaderUnavailable:
+    pass
+else:
+    raise AssertionError("a failed load with nothing stale must raise")
+
+with PersistentKVCache(AdaptiveKVCache(capacity_entries=64),
+                       sys.argv[1]) as durable:
+    durable.put("k", 1)
+    assert durable.get("k") == 1
+
+cluster = ClusterKVCache(num_nodes=3, replication=2, capacity_per_node=64)
+tiered = client_local_topology(cluster, local_capacity=8,
+                               cluster_capacity=64)
+assert tiered.get_or_compute("c", str.upper) == "C"
+tiered.put("d", "D")
+assert tiered.get("d") == "D"
+print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+"""
 
 
 def _walk_modules():
@@ -176,6 +238,32 @@ class TestSuiteShape:
             and name not in TEST_DRIVEN_MODULES
         )
         assert not orphans, orphans
+
+    def test_e2e_cold_start_loads_only_what_it_runs(self, tmp_path):
+        """A process that imports what the e2e workloads import and
+        serves through their stacks loads no campaign, harness, oracle
+        or process-pool module, and neither ``asyncio`` nor
+        ``multiprocessing``: package ``__init__`` files re-export
+        nothing that would drag them in."""
+        workloads = REPO_ROOT / "benchmarks" / "e2e" / "workloads.py"
+        imports = [
+            ast.unparse(node)
+            for node in ast.parse(workloads.read_text()).body
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").partition(".")[0] == "repro"
+        ]
+        assert imports, "workloads.py imports nothing from repro"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        script = "\n".join(imports) + COLD_START_SCRIPT
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), *COLD_START_ABSENT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
     def test_no_generated_code(self):
         """Every code path is source that linters, coverage and tracebacks
