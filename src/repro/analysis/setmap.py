@@ -14,7 +14,7 @@ from typing import List
 
 from repro.cache.cache import SetAssociativeCache
 from repro.core.adaptive import AdaptivePolicy
-from repro.workloads.trace import KIND_STORE, Trace
+from repro.workloads.trace import Trace
 
 NO_DECISION = -1
 
@@ -93,10 +93,8 @@ def collect_setmap(
     columns: List[List[List[int]]] = []
     seen = 0
     policy.drain_decisions()  # clear anything accumulated before the run
-    for kind, address, _gap in trace.records:
-        if kind > KIND_STORE:
-            continue
-        cache.access(address, is_write=(kind == KIND_STORE))
+    for address, is_write in zip(*trace.memory_stream()):
+        cache.access(address, is_write=is_write)
         seen += 1
         if seen % sample_every == 0:
             columns.append(policy.drain_decisions())

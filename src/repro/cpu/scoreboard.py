@@ -152,7 +152,7 @@ def scoreboard_simulate(
     """Run ``trace`` through the scoreboard reference model."""
     board = _Scoreboard(config, l2)
 
-    for kind, address, gap in trace.records:
+    for kind, address, gap in trace:
         # The plain instructions preceding this record: single-cycle
         # ALU ops, constrained only by dispatch bandwidth and the ROB.
         for _ in range(gap):

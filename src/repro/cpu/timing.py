@@ -1,13 +1,16 @@
 """The two-phase event-driven timing model.
 
 Phase 1 (:func:`compile_workload`) is L2-policy independent: it walks
-the full trace once through the L1 data cache, the branch predictors
-and the BTB, and emits the L2-visible stream (demand misses, store
-fills, L1 writebacks) annotated with the instruction distance between
-consecutive L2 events.
+the full trace once, one bounded chunk at a time, through the L1 data
+cache, the branch predictors and the BTB, and emits the L2-visible
+stream (demand misses, store fills, L1 writebacks) as three compact
+columns: each event's kind, its address and the instruction distance
+since the previous L2 event.
 
-Phase 2 (:func:`simulate`) replays that stream against one L2 cache and
-models the mechanisms that translate L2 misses into cycles:
+Phase 2 (:func:`simulate`) replays those columns against one L2 cache
+(a cache the columnar kernel supports advances through the whole stream
+up front and the replay reads its hit stream) and models the mechanisms
+that translate L2 misses into cycles:
 
 * issue-limited execution at ``base_ipc``;
 * ROB-limited run-ahead — the core keeps executing up to
@@ -26,14 +29,18 @@ Absolute CPI is approximate; what the model preserves is how CPI
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
+
+import numpy as np
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cpu.branch import BranchTargetBuffer, MetaPredictor
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.store_buffer import StoreBuffer
+from repro.perf import kernel
 from repro.policies.lru import LRUPolicy
 from repro.workloads.trace import (
     KIND_BRANCH_TAKEN,
@@ -46,21 +53,6 @@ L2_LOAD = 0
 L2_STORE = 1
 L2_WRITEBACK = 2
 
-# The columnar batch kernel is bound lazily: repro.perf imports the
-# experiment layer, which imports this module, so a top-level import
-# would cycle.
-_kernel_mod = None
-
-
-def _kernel():
-    global _kernel_mod
-    if _kernel_mod is None:
-        from repro.perf import kernel
-
-        _kernel_mod = kernel
-    return _kernel_mod
-
-
 @dataclass
 class CompiledWorkload:
     """Policy-independent digest of one workload.
@@ -68,9 +60,11 @@ class CompiledWorkload:
     Attributes:
         name: workload name.
         instructions: total instruction count of the trace.
-        l2_records: ``(gap, kind, address)`` tuples; ``gap`` counts the
-            instructions since the previous L2 event (the event's own
-            instruction excluded; writebacks are not instructions).
+        l2_gaps / l2_kinds / l2_addresses: the L2 event columns, one
+            entry per event in order (typed arrays ``'i'``, ``'b'`` and
+            ``'q'``, 13 bytes per event); a gap counts the instructions
+            since the previous L2 event (the event's own instruction
+            excluded; writebacks are not instructions).
         tail_instructions: instructions after the last L2 event.
         branch_mispredicts / btb_misses / branches: predictor outcomes.
         l1_hits / l1_misses: L1D filter statistics.
@@ -78,7 +72,9 @@ class CompiledWorkload:
 
     name: str
     instructions: int
-    l2_records: List[Tuple[int, int, int]] = field(default_factory=list)
+    l2_gaps: array = field(default_factory=lambda: array("i"))
+    l2_kinds: array = field(default_factory=lambda: array("b"))
+    l2_addresses: array = field(default_factory=lambda: array("q"))
     tail_instructions: int = 0
     branch_mispredicts: int = 0
     btb_misses: int = 0
@@ -123,10 +119,12 @@ def compile_workload(trace: Trace, config: ProcessorConfig) -> CompiledWorkload:
     btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
 
     compiled = CompiledWorkload(name=trace.name, instructions=trace.instruction_count)
-    # The compile pass walks every record of the full trace; bind the
-    # per-record calls and counters to locals (the counters are written
-    # back once at the end).
-    records_append = compiled.l2_records.append
+    # The compile pass walks every record of the full trace, one bounded
+    # chunk at a time; bind the per-record calls and counters to locals
+    # (the counters are written back once at the end).
+    gaps_append = compiled.l2_gaps.append
+    kinds_append = compiled.l2_kinds.append
+    addresses_append = compiled.l2_addresses.append
     l1_access = l1.access
     predictor_update = predictor.update
     btb_lookup = btb.lookup_update
@@ -137,29 +135,34 @@ def compile_workload(trace: Trace, config: ProcessorConfig) -> CompiledWorkload:
     l1_hits = 0
     l1_misses = 0
     pending_insts = 0
-    for kind, address, gap in trace.records:
-        pending_insts += gap
-        if kind >= KIND_BRANCH_TAKEN:
-            taken = kind == KIND_BRANCH_TAKEN
-            if not predictor_update(address, taken):
-                branch_mispredicts += 1
-            if taken and not btb_lookup(address):
-                btb_misses += 1
-            branches += 1
-            pending_insts += 1
-            continue
-        result = l1_access(address, is_write=(kind == KIND_STORE))
-        if result.hit:
-            l1_hits += 1
-            pending_insts += 1
-            continue
-        l1_misses += 1
-        l2_kind = L2_STORE if kind == KIND_STORE else L2_LOAD
-        records_append((pending_insts, l2_kind, address))
-        pending_insts = 0
-        if result.writeback:
-            wb_address = rebuild_address(result.evicted_tag, result.set_index)
-            records_append((0, L2_WRITEBACK, wb_address))
+    for chunk in trace.chunks():
+        for kind, address, gap in chunk:
+            pending_insts += gap
+            if kind >= KIND_BRANCH_TAKEN:
+                taken = kind == KIND_BRANCH_TAKEN
+                if not predictor_update(address, taken):
+                    branch_mispredicts += 1
+                if taken and not btb_lookup(address):
+                    btb_misses += 1
+                branches += 1
+                pending_insts += 1
+                continue
+            result = l1_access(address, is_write=(kind == KIND_STORE))
+            if result.hit:
+                l1_hits += 1
+                pending_insts += 1
+                continue
+            l1_misses += 1
+            gaps_append(pending_insts)
+            kinds_append(L2_STORE if kind == KIND_STORE else L2_LOAD)
+            addresses_append(address)
+            pending_insts = 0
+            if result.writeback:
+                gaps_append(0)
+                kinds_append(L2_WRITEBACK)
+                addresses_append(
+                    rebuild_address(result.evicted_tag, result.set_index)
+                )
     compiled.branch_mispredicts = branch_mispredicts
     compiled.btb_misses = btb_misses
     compiled.branches = branches
@@ -190,14 +193,14 @@ def simulate(
     # each L2 reference, so when the columnar kernel supports this cache
     # it advances the whole batch up front and the loop reads the
     # precomputed hit stream instead of calling into the cache.
-    records = compiled.l2_records
+    kinds = compiled.l2_kinds
+    addresses = compiled.l2_addresses
     hit_stream = None
-    kernel = _kernel()
-    if kernel.kernel_name(l2, len(records)) == "columnar":
+    if kernel.kernel_name(l2, len(kinds)) == "columnar":
         hit_stream = kernel.columnar_hit_stream(
             l2,
-            [record[2] for record in records],
-            [record[1] != L2_LOAD for record in records],
+            np.frombuffer(addresses, dtype=np.int64),
+            np.frombuffer(kinds, dtype=np.int8) != L2_LOAD,
         )
 
     now = 0.0
@@ -228,7 +231,9 @@ def simulate(
         if pending:
             run_ahead += remaining
 
-    for index, (gap, kind, address) in enumerate(records):
+    for index, (gap, kind, address) in enumerate(
+        zip(compiled.l2_gaps, kinds, addresses)
+    ):
         if kind == L2_WRITEBACK:
             advance(gap)
         else:

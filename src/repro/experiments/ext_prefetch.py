@@ -22,7 +22,6 @@ from repro.prefetch.engine import PrefetchingCache
 from repro.prefetch.hybrid import AdaptiveHybridPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher
-from repro.workloads.trace import KIND_STORE
 
 DEFAULT_WORKLOADS = ["swim", "applu", "equake", "mcf", "ft", "lucas",
                      "tiff2rgba", "bzip2"]
@@ -60,6 +59,7 @@ def run(
     for name in workloads:
         trace = cache_ws.trace(name)
         instructions = trace.instruction_count
+        addresses, writes = trace.memory_stream()
         row = [name]
         for label, factory in configurations.items():
             config = setup.l2
@@ -68,13 +68,13 @@ def run(
             )
             prefetcher = factory()
             if prefetcher is None:
-                for kind, address, _gap in trace.memory_records():
-                    cache.access(address, is_write=(kind == KIND_STORE))
+                for address, is_write in zip(addresses, writes):
+                    cache.access(address, is_write=is_write)
                 mpki = cache.stats.mpki(instructions)
             else:
                 engine = PrefetchingCache(cache, prefetcher)
-                for kind, address, _gap in trace.memory_records():
-                    engine.access(address, is_write=(kind == KIND_STORE))
+                for address, is_write in zip(addresses, writes):
+                    engine.access(address, is_write=is_write)
                 mpki = engine.stats.mpki(instructions)
                 if label == "hybrid":
                     accuracies[name] = engine.stats.accuracy

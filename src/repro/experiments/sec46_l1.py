@@ -21,7 +21,6 @@ from repro.workloads.builder import CODE_SEGMENT_BASE
 from repro.workloads.suite import workload_seed
 from repro.workloads.synth import linear_loop, working_set
 from repro.workloads.phases import interleave_streams
-from repro.workloads.trace import KIND_STORE
 
 
 def instruction_stream(
@@ -97,11 +96,7 @@ def run(
         inst_lru.append(ilru)
         inst_adp.append(iadp)
 
-        data_addresses = []
-        data_writes = []
-        for kind, address, _gap in trace.memory_records():
-            data_addresses.append(address)
-            data_writes.append(kind == KIND_STORE)
+        data_addresses, data_writes = trace.memory_stream()
         dlru, dadp = _mpki_pair(data_addresses, data_writes, l1, instructions)
         data_lru.append(dlru)
         data_adp.append(dadp)

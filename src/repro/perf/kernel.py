@@ -70,6 +70,7 @@ sink.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
@@ -308,7 +309,7 @@ def _lfu_shadow(component, shadow, n: int, ways: int):
                 if keys[way]:
                     counts[way] = keys[way] // big
             if fills:
-                filled_sets.append((stamps, keys, rank0, fills))
+                filled_sets.append((stamps, keys, rank0, len(fills)))
                 all_fills.extend(fills)
             return len(fills)
 
@@ -316,16 +317,19 @@ def _lfu_shadow(component, shadow, n: int, ways: int):
 
     def finish():
         # A fill's stamp is the component clock plus its rank among all
-        # of the batch's fills in arrival order, across sets.
+        # of the batch's fills in arrival order, across sets. ``all_fills``
+        # holds each filled set's fills in turn, so a set's ranks start
+        # where the previous set's end.
         if all_fills:
-            filled = np.zeros(n, dtype=np.int64)
-            filled[all_fills] = 1
-            fill_rank = filled.cumsum().tolist()
-            for stamps, keys, rank0, fills in filled_sets:
+            arrivals = np.array(all_fills, dtype=np.int64)
+            fill_rank = (np.searchsorted(np.sort(arrivals), arrivals) + 1).tolist()
+            offset = 0
+            for stamps, keys, rank0, filled in filled_sets:
                 for way in range(ways):
                     rank = keys[way] % big
                     if rank > rank0:
-                        stamps[way] = clock0 + fill_rank[fills[rank - rank0 - 1]]
+                        stamps[way] = clock0 + fill_rank[offset + rank - rank0 - 1]
+                offset += filled
         component._clock = clock0 + len(all_fills)
 
     return open_set, finish
@@ -545,6 +549,8 @@ def _replay(plan, cache, n, touched, starts, tags, gis, writes, rec) -> int:
 
 
 def _run(plan, cache, addresses, writes, rec) -> int:
+    # An int64 numpy array (the timing model's address column, viewed
+    # with np.frombuffer) passes through without a copy.
     offset_bits, index_mask, tag_shift = cache.config.decomposition()
     arr = np.asarray(addresses, dtype=np.int64)
     sets_arr = (arr >> offset_bits) & index_mask
@@ -561,8 +567,8 @@ def _run(plan, cache, addresses, writes, rec) -> int:
         len(arr),
         np.flatnonzero(counts).tolist(),
         starts.tolist(),
-        (arr >> tag_shift)[order].tolist(),
-        order.tolist(),
+        array("q", (arr >> tag_shift)[order].tobytes()),
+        array("q", order.astype(np.int64, copy=False).tobytes()),
         writes_sorted,
         rec,
     )
@@ -618,17 +624,18 @@ def columnar_hit_stream(
     cache,
     addresses: Sequence[int],
     writes: Optional[Sequence[bool]] = None,
-) -> Optional[List[bool]]:
+) -> Optional[bytearray]:
     """Advance ``cache`` through a whole batch, returning the per-access
-    hit stream — or None when the scalar path should run.
+    hit stream (one byte per access, 1 for a hit) — or None when the
+    scalar path should run.
 
-    The timing model replays its compiled L2 records and only consumes
+    The timing model replays its compiled L2 columns and only consumes
     ``result.hit`` per access, so it can precompute the whole hit stream
     here and keep its cycle-accounting loop unchanged.
     """
     plan = _columnar_plan(cache, len(addresses))
     if plan is None:
         return None
-    rec = [False] * len(addresses)
+    rec = bytearray(len(addresses))
     _run(plan, cache, addresses, writes, rec)
     return rec

@@ -191,8 +191,6 @@ class AsyncServingFront:
                 value = await self.resilient.aget_or_compute(
                     key, loader, ttl=ttl, retry_budget=self.retry_budget
                 )
-            except asyncio.CancelledError:
-                raise
             except Exception:
                 self.unavailable += 1
                 raise

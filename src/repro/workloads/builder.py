@@ -121,26 +121,37 @@ class WorkloadBuilder:
         site_pick = rng.integers(0, profile.sites if profile else 1, size=n)
         taken_roll = rng.random(n)
 
-        addresses = (
+        # Each branch record sits just before the memory record it was
+        # drawn with and takes half of that record's gap.
+        mem_at = np.arange(n) + np.cumsum(branch_here)
+        branch_gaps = np.where(branch_here, gaps // 2, 0)
+        size = n + int(np.count_nonzero(branch_here))
+        kinds = np.empty(size, dtype=np.int8)
+        addresses = np.empty(size, dtype=np.int64)
+        record_gaps = np.empty(size, dtype=np.int32)
+
+        kinds[mem_at] = np.where(is_store, KIND_STORE, KIND_LOAD)
+        addresses[mem_at] = (
             np.asarray(line_stream, dtype=np.int64) * self.line_bytes
             + DATA_SEGMENT_BASE
         )
+        record_gaps[mem_at] = gaps - branch_gaps
 
-        records = []
-        append = records.append
-        for i in range(n):
-            if branch_here[i]:
-                if is_random_site[i]:
-                    pc = CODE_SEGMENT_BASE + 0x1000 + int(site_pick[i]) * 4
-                    taken = taken_roll[i] < profile.random_bias
-                else:
-                    pc = CODE_SEGMENT_BASE + int(site_pick[i]) % 8 * 4
-                    taken = taken_roll[i] < profile.loop_bias
-                kind = KIND_BRANCH_TAKEN if taken else KIND_BRANCH_NOT_TAKEN
-                append((kind, pc, int(gaps[i]) // 2))
-                mem_gap = int(gaps[i]) - int(gaps[i]) // 2
-            else:
-                mem_gap = int(gaps[i])
-            kind = KIND_STORE if is_store[i] else KIND_LOAD
-            append((kind, int(addresses[i]), mem_gap))
-        return Trace(name=name, records=records)
+        if branch_here.any():
+            branch_at = mem_at[branch_here] - 1
+            random_site = is_random_site[branch_here]
+            site = site_pick[branch_here]
+            roll = taken_roll[branch_here]
+            taken = np.where(
+                random_site, roll < profile.random_bias, roll < profile.loop_bias
+            )
+            kinds[branch_at] = np.where(
+                taken, KIND_BRANCH_TAKEN, KIND_BRANCH_NOT_TAKEN
+            )
+            addresses[branch_at] = np.where(
+                random_site,
+                CODE_SEGMENT_BASE + 0x1000 + site * 4,
+                CODE_SEGMENT_BASE + site % 8 * 4,
+            )
+            record_gaps[branch_at] = branch_gaps[branch_here]
+        return Trace(name, kinds, addresses, record_gaps)

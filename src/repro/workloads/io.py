@@ -3,9 +3,10 @@
 Long traces are expensive to regenerate (and the paper's methodology —
 SimPoint samples — treats a trace as a fixed artifact), so traces can
 be saved to and loaded from compressed ``.npz`` files. The format
-stores the three record fields as parallel integer arrays plus the
-trace name; it is stable, compact (a few bytes per record), and loads
-orders of magnitude faster than regeneration.
+stores the trace's three record columns as they are (int8 kinds, int64
+addresses, int32 gaps) plus the trace name; it is stable, compact (a
+few bytes per record), and loads orders of magnitude faster than
+regeneration.
 
 Robustness: writes are atomic (tmp file + ``os.replace``), so an
 interrupted save never leaves a half-written archive; loads validate
@@ -26,7 +27,12 @@ from typing import Union
 import numpy as np
 
 from repro.utils.atomicio import atomic_output
-from repro.workloads.trace import KIND_BRANCH_NOT_TAKEN, KIND_LOAD, Trace
+from repro.workloads.trace import (
+    COLUMN_DTYPES,
+    KIND_BRANCH_NOT_TAKEN,
+    KIND_LOAD,
+    Trace,
+)
 
 FORMAT_VERSION = 1
 
@@ -62,24 +68,20 @@ def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
     so a Ctrl-C mid-save leaves either the old file or no file — never
     a truncated one.
     """
-    if len(trace) == 0:
-        kinds = addresses = gaps = np.zeros(0, dtype=np.int64)
-    else:
-        records = np.asarray(trace.records, dtype=np.int64)
-        kinds, addresses, gaps = records[:, 0], records[:, 1], records[:, 2]
     with atomic_output(path, "wb") as handle:
         np.savez_compressed(
             handle,
             version=np.int64(FORMAT_VERSION),
             name=np.str_(trace.name),
-            kinds=kinds.astype(np.int8),
-            addresses=addresses,
-            gaps=gaps.astype(np.int32),
+            kinds=trace.kinds,
+            addresses=trace.addresses,
+            gaps=trace.gaps,
         )
 
 
 def _validated_array(archive, field: str, path) -> np.ndarray:
-    """Read one record array, checking dimensionality and dtype."""
+    """Read one record array, checking dimensionality and dtype, as its
+    :class:`Trace` column."""
     array = archive[field]
     if array.ndim != 1:
         raise TraceFormatError(
@@ -91,7 +93,13 @@ def _validated_array(archive, field: str, path) -> np.ndarray:
             f"corrupt trace file {path}: field {field!r} has dtype "
             f"{array.dtype}, expected an integer dtype"
         )
-    return array.astype(int)
+    column = array.astype(COLUMN_DTYPES[field], copy=False)
+    if column is not array and not np.array_equal(column, array):
+        raise TraceFormatError(
+            f"corrupt trace file {path}: field {field!r} holds values "
+            f"outside {column.dtype}"
+        )
+    return column
 
 
 def load_trace(path: Union[str, os.PathLike]) -> Trace:
@@ -150,5 +158,4 @@ def load_trace(path: Union[str, os.PathLike]) -> Trace:
             f"corrupt trace file {path}: record kinds outside "
             f"[{KIND_LOAD}, {KIND_BRANCH_NOT_TAKEN}]"
         )
-    records = list(zip(kinds.tolist(), addresses.tolist(), gaps.tolist()))
-    return Trace(name=name, records=records)
+    return Trace(name, kinds, addresses, gaps)

@@ -13,20 +13,20 @@ in proportion to their lengths, approximating simultaneous execution.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.workloads.suite import build_workload
-from repro.workloads.trace import KIND_STORE, Record, Trace
+from repro.workloads.trace import COLUMN_DTYPES, KIND_STORE, Trace
 
 # Per-core address-space separation: above any synthetic footprint, and
 # aligned so it never changes a reference's set index.
 CORE_ADDRESS_STRIDE = 1 << 36
 
 
-def offset_core_records(records: Sequence[Record], core: int) -> List[Record]:
+def offset_core_records(trace: Trace, core: int) -> Trace:
     """Rebase a core's memory addresses into its private address space.
 
     Branch PCs are left alone (each core has its own predictor in a real
@@ -35,14 +35,8 @@ def offset_core_records(records: Sequence[Record], core: int) -> List[Record]:
     """
     if core < 0:
         raise ValueError(f"core must be >= 0, got {core}")
-    offset = core * CORE_ADDRESS_STRIDE
-    rebased = []
-    for kind, address, gap in records:
-        if kind <= KIND_STORE:
-            rebased.append((kind, address + offset, gap))
-        else:
-            rebased.append((kind, address, gap))
-    return rebased
+    offset = np.where(trace.kinds <= KIND_STORE, core * CORE_ADDRESS_STRIDE, 0)
+    return Trace(trace.name, trace.kinds, trace.addresses + offset, trace.gaps)
 
 
 def interleave_traces(traces: Sequence[Trace], seed: int = 0) -> Trace:
@@ -54,31 +48,34 @@ def interleave_traces(traces: Sequence[Trace], seed: int = 0) -> Trace:
     """
     if not traces:
         raise ValueError("need at least one trace")
-    streams = [
-        offset_core_records(trace.records, core)
-        for core, trace in enumerate(traces)
-    ]
-    remaining = [len(s) for s in streams]
+    remaining = [len(trace) for trace in traces]
     total = sum(remaining)
     rng = np.random.default_rng(seed)
-    positions = [0] * len(streams)
-    merged: List[Record] = []
-    # Draw cores in bulk for speed; redraw when a core runs dry.
-    while len(merged) < total:
+    source = np.empty(total, dtype=np.int64)  # the core of each merged record
+    merged = 0
+    # Draw cores in bulk for speed; a draw of a core that has run dry
+    # is dropped, so each core keeps its first ``remaining`` draws.
+    while merged < total:
         weights = np.asarray(remaining, dtype=np.float64)
         alive = weights.sum()
         draws = rng.choice(
-            len(streams), size=min(4096, total - len(merged)),
-            p=weights / alive,
+            len(traces), size=min(4096, total - merged), p=weights / alive,
         )
-        for core in draws:
-            if remaining[core] == 0:
-                continue
-            merged.append(streams[core][positions[core]])
-            positions[core] += 1
-            remaining[core] -= 1
-    name = "+".join(trace.name for trace in traces)
-    return Trace(name=name, records=merged)
+        keep = np.zeros(len(draws), dtype=bool)
+        for core, left in enumerate(remaining):
+            taken = np.flatnonzero(draws == core)[:left]
+            keep[taken] = True
+            remaining[core] -= len(taken)
+        kept = draws[keep]
+        source[merged:merged + len(kept)] = kept
+        merged += len(kept)
+    columns = {name: np.empty(total, dtype=dtype) for name, dtype in COLUMN_DTYPES.items()}
+    for core, trace in enumerate(traces):
+        rebased = offset_core_records(trace, core)
+        slots = source == core
+        for name, column in columns.items():
+            column[slots] = getattr(rebased, name)
+    return Trace("+".join(trace.name for trace in traces), **columns)
 
 
 def build_shared_workload(

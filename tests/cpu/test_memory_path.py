@@ -32,6 +32,7 @@ from repro.workloads.trace import (
     KIND_STORE,
     Trace,
 )
+from tests.cpu import l2_columns, l2_events
 
 POLICY_KINDS = ["lru", "fifo", "lfu", "mru", "random", "srrip", "bip",
                 "adaptive", "adaptive5", "sbar"]
@@ -70,7 +71,7 @@ def mixed_trace(line_bytes, records=3000, seed=7):
         kind = KIND_STORE if draw < 0.45 else KIND_LOAD
         offset = rng.randint(0, line_bytes - 1)
         out.append((kind, line * line_bytes + offset, gap))
-    return Trace("mixed", out)
+    return Trace.from_records("mixed", out)
 
 
 def reference_walk(trace, l1, l2):
@@ -84,7 +85,7 @@ def reference_walk(trace, l1, l2):
     records = []
     l2_hits = 0
     pending = 0
-    for kind, address, gap in trace.records:
+    for kind, address, gap in trace:
         pending += gap
         if kind >= KIND_BRANCH_TAKEN:
             pending += 1
@@ -132,7 +133,7 @@ def test_model_matches_reference_walk(kind, l1_ways):
     model_l2 = SetAssociativeCache(processor.l2,
                                    build_l2_policy(processor.l2, kind))
     if kind == "adaptive":
-        assert kernel_name(model_l2, len(compiled.l2_records)) == "columnar"
+        assert kernel_name(model_l2, len(compiled.l2_kinds)) == "columnar"
     result = simulate(compiled, model_l2, processor)
 
     ref_l1 = lru_cache(processor.l1d)
@@ -140,7 +141,7 @@ def test_model_matches_reference_walk(kind, l1_ways):
                                  build_l2_policy(processor.l2, kind))
     records, l2_hits, tail = reference_walk(trace, ref_l1, ref_l2)
 
-    assert compiled.l2_records == records
+    assert l2_events(compiled) == records
     assert compiled.tail_instructions == tail
     assert compiled.l1_hits == ref_l1.stats.hits
     assert compiled.l1_misses == ref_l1.stats.misses
@@ -160,7 +161,7 @@ class TestLatencies:
     def test_cold_load_pays_l2_latency_and_miss_penalty(self, processor):
         compiled = CompiledWorkload(
             name="cold", instructions=1,
-            l2_records=[(0, L2_LOAD, 0x10000)],
+            **l2_columns([(0, L2_LOAD, 0x10000)]),
         )
         result = simulate(compiled, lru_cache(processor.l2), processor)
         # The load issues, then the run ends waiting out its miss.
@@ -176,9 +177,9 @@ class TestLatencies:
         records += [(KIND_LOAD, l1.rebuild_address(tag, 0), 0)
                     for tag in range(2, 2 + l1.ways)]
         records.append((KIND_LOAD, first, 0))
-        compiled = compile_workload(Trace("t", records), processor)
+        compiled = compile_workload(Trace.from_records("t", records), processor)
         # The L1 set overflowed, so the re-reference reaches the L2 ...
-        assert compiled.l2_records[-1][2] == first
+        assert l2_events(compiled)[-1][2] == first
         l2 = lru_cache(processor.l2)
         result = simulate(compiled, l2, processor)
         # ... where the line is still resident.
@@ -186,9 +187,9 @@ class TestLatencies:
         assert result.l2_misses == l1.ways + 1
 
     def test_l1_hit_never_reaches_l2(self, processor):
-        trace = Trace("t", [(KIND_STORE, 0x2000, 0), (KIND_LOAD, 0x2008, 0)])
+        trace = Trace.from_records("t", [(KIND_STORE, 0x2000, 0), (KIND_LOAD, 0x2008, 0)])
         compiled = compile_workload(trace, processor)
-        assert compiled.l2_records == [(0, L2_STORE, 0x2000)]
+        assert l2_events(compiled) == [(0, L2_STORE, 0x2000)]
         assert compiled.l1_hits == 1
 
     def test_l2_dirty_eviction_counts_writeback(self, processor):
@@ -198,7 +199,7 @@ class TestLatencies:
         records += [(0, L2_LOAD, config.rebuild_address(tag, 0))
                     for tag in range(2, 2 + config.ways)]
         compiled = CompiledWorkload(name="wb", instructions=len(records),
-                                    l2_records=records)
+                                    **l2_columns(records))
         l2 = lru_cache(config)
         simulate(compiled, l2, processor)
         assert l2.stats.evictions == 1
@@ -210,7 +211,7 @@ class TestLatencies:
         records = [(0, L2_LOAD, config.rebuild_address(tag, 0))
                    for tag in range(1, 2 + config.ways)]
         compiled = CompiledWorkload(name="clean", instructions=len(records),
-                                    l2_records=records)
+                                    **l2_columns(records))
         l2 = lru_cache(config)
         simulate(compiled, l2, processor)
         assert l2.stats.evictions == 1
@@ -246,8 +247,8 @@ def test_matching_line_sizes_accepted(line_bytes):
     records = [(KIND_STORE, dirty + line_bytes - 1, 0)]
     records += [(KIND_LOAD, l1.rebuild_address(tag, 3), 0)
                 for tag in range(2, 2 + l1.ways)]
-    compiled = compile_workload(Trace("t", records), processor)
-    writebacks = [r for r in compiled.l2_records if r[1] == L2_WRITEBACK]
+    compiled = compile_workload(Trace.from_records("t", records), processor)
+    writebacks = [r for r in l2_events(compiled) if r[1] == L2_WRITEBACK]
     assert [r[2] for r in writebacks] == [dirty]
     l2 = lru_cache(processor.l2)
     simulate(compiled, l2, processor)

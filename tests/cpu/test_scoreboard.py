@@ -30,15 +30,15 @@ def l2_cache(processor):
 
 class TestScoreboardBasics:
     def test_pure_alu_ipc_bounded_by_width(self, processor):
-        trace = Trace("alu", [(KIND_LOAD, 0x1000, 999)])
+        trace = Trace.from_records("alu", [(KIND_LOAD, 0x1000, 999)])
         result = scoreboard_simulate(trace, l2_cache(processor), processor)
         # 1000 instructions through an 8-wide machine: >= 125 cycles.
         assert result.cycles >= 1000 / processor.issue_width
         assert result.cpi < 1.0  # mostly single-cycle ALU ops
 
     def test_misses_cost_more_than_hits(self, processor):
-        hits = Trace("h", [(KIND_LOAD, 0x1000, 20)] * 50)
-        misses = Trace(
+        hits = Trace.from_records("h", [(KIND_LOAD, 0x1000, 20)] * 50)
+        misses = Trace.from_records(
             "m", [(KIND_LOAD, 0x1000 + i * 0x10000, 20) for i in range(50)]
         )
         hit_result = scoreboard_simulate(hits, l2_cache(processor), processor)
@@ -50,7 +50,7 @@ class TestScoreboardBasics:
     def test_rob_limits_runahead(self, processor):
         """A single isolated miss: total time is bounded below by the
         miss latency (the ROB cannot slide past it indefinitely)."""
-        trace = Trace("iso", [(KIND_LOAD, 0x100000, 0)] +
+        trace = Trace.from_records("iso", [(KIND_LOAD, 0x100000, 0)] +
                       [(KIND_LOAD, 0x100000, 200)])
         result = scoreboard_simulate(trace, l2_cache(processor), processor)
         miss_latency = (processor.l1d.hit_latency + processor.l2.hit_latency
@@ -61,10 +61,10 @@ class TestScoreboardBasics:
         import random
 
         rng = random.Random(3)
-        predictable = Trace(
+        predictable = Trace.from_records(
             "p", [(KIND_BRANCH_TAKEN, 0x400000, 5)] * 200
         )
-        random_branches = Trace(
+        random_branches = Trace.from_records(
             "r",
             [
                 (KIND_BRANCH_TAKEN if rng.random() < 0.5 else 3,
@@ -79,7 +79,7 @@ class TestScoreboardBasics:
         assert hard.cycles > easy.cycles
 
     def test_store_buffer_backpressure(self, processor):
-        stores = Trace(
+        stores = Trace.from_records(
             "s", [(KIND_STORE, i * 0x10000, 2) for i in range(100)]
         )
         small = scoreboard_simulate(

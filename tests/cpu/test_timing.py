@@ -21,6 +21,7 @@ from repro.workloads.trace import (
     KIND_STORE,
     Trace,
 )
+from tests.cpu import l2_columns, l2_events
 
 
 @pytest.fixture
@@ -37,15 +38,15 @@ def l2_cache(processor):
 
 class TestCompile:
     def test_l1_hits_filtered(self, processor):
-        trace = Trace("t", [(KIND_LOAD, 0x1000, 0)] * 10)
+        trace = Trace.from_records("t", [(KIND_LOAD, 0x1000, 0)] * 10)
         compiled = compile_workload(trace, processor)
         assert compiled.l1_misses == 1
         assert compiled.l1_hits == 9
-        assert len(compiled.l2_records) == 1
+        assert len(compiled.l2_kinds) == 1
         assert compiled.instructions == 10
 
     def test_gaps_accumulate(self, processor):
-        trace = Trace(
+        trace = Trace.from_records(
             "t",
             [
                 (KIND_LOAD, 0x1000, 5),
@@ -54,16 +55,16 @@ class TestCompile:
             ],
         )
         compiled = compile_workload(trace, processor)
-        assert len(compiled.l2_records) == 2
+        assert len(compiled.l2_kinds) == 2
         # First record: 5 preceding instructions.
-        assert compiled.l2_records[0][0] == 5
+        assert l2_events(compiled)[0][0] == 5
         # Second: 3 + the hit itself + 2 = 6.
-        assert compiled.l2_records[1][0] == 6
+        assert l2_events(compiled)[1][0] == 6
 
     def test_store_kind_propagates(self, processor):
-        trace = Trace("t", [(KIND_STORE, 0x1000, 0)])
+        trace = Trace.from_records("t", [(KIND_STORE, 0x1000, 0)])
         compiled = compile_workload(trace, processor)
-        assert compiled.l2_records[0][1] == L2_STORE
+        assert l2_events(compiled)[0][1] == L2_STORE
 
     def test_l1_writeback_emitted(self, processor):
         l1 = processor.l1d
@@ -72,23 +73,23 @@ class TestCompile:
         records = [(KIND_STORE, dirty, 0)]
         for tag in range(2, 2 + l1.ways):
             records.append((KIND_LOAD, l1.rebuild_address(tag, set_index), 0))
-        compiled = compile_workload(Trace("t", records), processor)
-        kinds = [r[1] for r in compiled.l2_records]
+        compiled = compile_workload(Trace.from_records("t", records), processor)
+        kinds = [r[1] for r in l2_events(compiled)]
         assert L2_WRITEBACK in kinds
-        wb = next(r for r in compiled.l2_records if r[1] == L2_WRITEBACK)
+        wb = next(r for r in l2_events(compiled) if r[1] == L2_WRITEBACK)
         assert wb[2] == dirty
 
     def test_branches_counted(self, processor):
         records = [(KIND_BRANCH_TAKEN, 0x400000, 2)] * 50 + [
             (KIND_BRANCH_NOT_TAKEN, 0x400000, 2)
         ] * 50
-        compiled = compile_workload(Trace("t", records), processor)
+        compiled = compile_workload(Trace.from_records("t", records), processor)
         assert compiled.branches == 100
         assert compiled.branch_mispredicts > 0
         assert compiled.tail_instructions > 0
 
     def test_instruction_count_preserved(self, processor):
-        trace = Trace(
+        trace = Trace.from_records(
             "t",
             [
                 (KIND_LOAD, 0x1000, 3),
@@ -98,8 +99,8 @@ class TestCompile:
         )
         compiled = compile_workload(trace, processor)
         accounted = (
-            sum(r[0] for r in compiled.l2_records)
-            + sum(1 for r in compiled.l2_records if r[1] != L2_WRITEBACK)
+            sum(r[0] for r in l2_events(compiled))
+            + sum(1 for r in l2_events(compiled) if r[1] != L2_WRITEBACK)
             + compiled.tail_instructions
         )
         # All instructions are either folded into L2-record gaps, are L2
@@ -118,11 +119,11 @@ class TestSimulate:
     def test_misses_cost_cycles(self, processor):
         hit_stream = CompiledWorkload(
             name="hits", instructions=1000,
-            l2_records=[(10, L2_LOAD, 0x1000)] * 50,
+            **l2_columns([(10, L2_LOAD, 0x1000)] * 50),
         )
         miss_stream = CompiledWorkload(
             name="misses", instructions=1000,
-            l2_records=[(10, L2_LOAD, 0x1000 + i * 0x10000) for i in range(50)],
+            **l2_columns([(10, L2_LOAD, 0x1000 + i * 0x10000) for i in range(50)]),
         )
         hits = simulate(hit_stream, l2_cache(processor), processor)
         misses = simulate(miss_stream, l2_cache(processor), processor)
@@ -133,7 +134,7 @@ class TestSimulate:
     def test_monotonic_in_memory_latency(self, processor):
         compiled = CompiledWorkload(
             name="m", instructions=2000,
-            l2_records=[(10, L2_LOAD, i * 0x10000) for i in range(100)],
+            **l2_columns([(10, L2_LOAD, i * 0x10000) for i in range(100)]),
         )
         cycles = []
         for latency in (50, 120, 300):
@@ -144,7 +145,7 @@ class TestSimulate:
     def test_store_stalls_shrink_with_buffer(self, processor):
         records = [(2, L2_STORE, i * 0x10000) for i in range(200)]
         compiled = CompiledWorkload(name="s", instructions=1000,
-                                    l2_records=records)
+                                    **l2_columns(records))
         small = simulate(
             compiled, l2_cache(processor),
             processor.scaled(store_buffer_entries=2),
@@ -161,11 +162,11 @@ class TestSimulate:
         the same misses spread out."""
         clustered = CompiledWorkload(
             name="c", instructions=10_000,
-            l2_records=[(1, L2_LOAD, i * 0x10000) for i in range(64)],
+            **l2_columns([(1, L2_LOAD, i * 0x10000) for i in range(64)]),
         )
         spread = CompiledWorkload(
             name="s", instructions=10_000,
-            l2_records=[(150, L2_LOAD, i * 0x10000) for i in range(64)],
+            **l2_columns([(150, L2_LOAD, i * 0x10000) for i in range(64)]),
         )
         clustered_result = simulate(clustered, l2_cache(processor), processor)
         spread_result = simulate(spread, l2_cache(processor), processor)
@@ -191,7 +192,7 @@ class TestSimulate:
     def test_metrics(self, processor):
         compiled = CompiledWorkload(
             name="m", instructions=2000,
-            l2_records=[(10, L2_LOAD, i * 0x10000) for i in range(10)],
+            **l2_columns([(10, L2_LOAD, i * 0x10000) for i in range(10)]),
         )
         result = simulate(compiled, l2_cache(processor), processor)
         assert result.mpki == pytest.approx(1000.0 * 10 / 2000)

@@ -14,6 +14,7 @@ from repro.cache.config import CacheConfig
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.timing import L2_LOAD, CompiledWorkload, simulate
 from repro.policies.lru import LRUPolicy
+from tests.cpu import l2_columns
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ class TestClosedForms:
         compiled = CompiledWorkload(
             name="m",
             instructions=gap_before + 1 + gap_after,
-            l2_records=[(gap_before, L2_LOAD, 0x100000)],
+            **l2_columns([(gap_before, L2_LOAD, 0x100000)]),
             tail_instructions=gap_after,
         )
         proc = processor
@@ -65,7 +66,7 @@ class TestClosedForms:
         compiled = CompiledWorkload(
             name="pair",
             instructions=2 + big_tail,
-            l2_records=[(0, L2_LOAD, 0x100000), (0, L2_LOAD, 0x200000)],
+            **l2_columns([(0, L2_LOAD, 0x100000), (0, L2_LOAD, 0x200000)]),
             tail_instructions=big_tail,
         )
         proc = processor
@@ -77,7 +78,7 @@ class TestClosedForms:
         single = CompiledWorkload(
             name="single",
             instructions=1 + big_tail,
-            l2_records=[(0, L2_LOAD, 0x100000)],
+            **l2_columns([(0, L2_LOAD, 0x100000)]),
             tail_instructions=big_tail,
         )
         single_result = simulate(single, l2_cache(proc), proc)
@@ -94,8 +95,8 @@ class TestClosedForms:
         compiled = CompiledWorkload(
             name="serial",
             instructions=n * (spacing + 1),
-            l2_records=[(spacing, L2_LOAD, (i + 1) * 0x100000)
-                        for i in range(n)],
+            **l2_columns([(spacing, L2_LOAD, (i + 1) * 0x100000)
+                          for i in range(n)]),
         )
         proc = processor
         result = simulate(compiled, l2_cache(proc), proc)
@@ -116,8 +117,8 @@ class TestClosedForms:
         compiled = CompiledWorkload(
             name="hits",
             instructions=20 + 6000,
-            l2_records=[(0, L2_LOAD, 0x100000)]
-            + [(300, L2_LOAD, 0x100000)] * 19,
+            **l2_columns([(0, L2_LOAD, 0x100000)]
+                         + [(300, L2_LOAD, 0x100000)] * 19),
             tail_instructions=300,
         )
         proc = processor

@@ -13,6 +13,7 @@ from repro.cpu.timing import (
     simulate,
 )
 from repro.policies.lru import LRUPolicy
+from tests.cpu import l2_columns
 
 
 @pytest.fixture
@@ -32,11 +33,11 @@ class TestWritePath:
     def test_store_hits_cheap_misses_expensive(self, processor):
         hits = CompiledWorkload(
             name="h", instructions=1000,
-            l2_records=[(50, L2_STORE, 0x1000)] * 40,
+            **l2_columns([(50, L2_STORE, 0x1000)] * 40),
         )
         misses = CompiledWorkload(
             name="m", instructions=1000,
-            l2_records=[(50, L2_STORE, i * 0x10000) for i in range(40)],
+            **l2_columns([(50, L2_STORE, i * 0x10000) for i in range(40)]),
         )
         cheap = simulate(hits, l2_cache(processor), processor)
         costly = simulate(misses, l2_cache(processor), processor)
@@ -47,7 +48,7 @@ class TestWritePath:
     def test_writebacks_are_not_instructions(self, processor):
         with_wb = CompiledWorkload(
             name="wb", instructions=1000,
-            l2_records=[(10, L2_LOAD, 0x1000), (0, L2_WRITEBACK, 0x2000)],
+            **l2_columns([(10, L2_LOAD, 0x1000), (0, L2_WRITEBACK, 0x2000)]),
             tail_instructions=989,
         )
         result = simulate(with_wb, l2_cache(processor), processor)
@@ -60,7 +61,7 @@ class TestWritePath:
         cache = l2_cache(processor)
         compiled = CompiledWorkload(
             name="wb", instructions=100,
-            l2_records=[(0, L2_WRITEBACK, 0x3000)],
+            **l2_columns([(0, L2_WRITEBACK, 0x3000)]),
         )
         simulate(compiled, cache, processor)
         config = processor.l2
@@ -73,7 +74,7 @@ class TestWritePath:
         the core; the same burst through a large buffer does not."""
         burst = [(0, L2_WRITEBACK, i * 0x10000) for i in range(30)]
         compiled = CompiledWorkload(
-            name="burst", instructions=500, l2_records=burst,
+            name="burst", instructions=500, **l2_columns(burst),
             tail_instructions=500,
         )
         small = simulate(
@@ -93,7 +94,7 @@ class TestWritePath:
         so even a 1-entry buffer does not stall on them."""
         same_line = [(0, L2_WRITEBACK, 0x4000)] * 20
         compiled = CompiledWorkload(
-            name="combine", instructions=100, l2_records=same_line,
+            name="combine", instructions=100, **l2_columns(same_line),
         )
         result = simulate(
             compiled, l2_cache(processor),

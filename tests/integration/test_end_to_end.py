@@ -6,6 +6,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cpu.timing import compile_workload, simulate
 from repro.experiments.base import WorkloadCache, build_l2_policy, make_setup
 from repro.workloads.suite import build_workload
+from tests.cpu import l2_events
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestPipeline:
             compiled, SetAssociativeCache(setup.l2, policy), setup.processor
         )
         assert result.instructions == trace.instruction_count
-        assert result.l2_accesses == len(compiled.l2_records)
+        assert result.l2_accesses == len(compiled.l2_kinds)
         assert result.cycles > result.instructions / setup.processor.base_ipc
         parts = sum(result.breakdown.values())
         assert result.cycles == pytest.approx(parts, rel=0.25)
@@ -35,7 +36,7 @@ class TestPipeline:
         compiled = compile_workload(trace, setup.processor)
         assert compiled.l1_hits > 0.1 * trace.memory_access_count()
         demand_records = [
-            r for r in compiled.l2_records if r[1] != 2  # not writebacks
+            r for r in l2_events(compiled) if r[1] != 2  # not writebacks
         ]
         assert len(demand_records) == compiled.l1_misses
 

@@ -184,10 +184,34 @@ class TestDispatchEquivalence:
         two = build_cache()
         addresses, writes = to_addresses(events, one.config)
         stream = columnar_hit_stream(one, addresses, writes)
-        assert stream is not None
+        assert isinstance(stream, bytearray)
         hits = two.access_many(addresses, writes)
         assert sum(stream) == hits
         assert observable_state(one) == observable_state(two)
+
+    def test_hit_stream_from_typed_columns(self):
+        """The timing model hands the kernel its ``array('q')`` address
+        column and a numpy write mask; the per-access hit stream is the
+        scalar path's, access for access."""
+        from array import array
+
+        import numpy as np
+
+        from repro.oracle.streams import hardware_stream
+
+        events = hardware_stream(6, 4, 4, 900)
+        columnar = build_cache()
+        scalar = build_cache()
+        addresses, writes = to_addresses(events, columnar.config)
+        stream = columnar_hit_stream(
+            columnar, array("q", addresses), np.array(writes, dtype=bool)
+        )
+        expected = [
+            scalar.access(address, is_write=write).hit
+            for address, write in zip(addresses, writes)
+        ]
+        assert list(stream) == [int(hit) for hit in expected]
+        assert observable_state(columnar) == observable_state(scalar)
 
 
 class TestEnvelope:

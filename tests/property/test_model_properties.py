@@ -20,7 +20,7 @@ records = strategies.trace_records(max_block=300, max_gap=20, max_size=250)
 
 
 def make_trace(raw):
-    return Trace(
+    return Trace.from_records(
         "prop",
         [
             (kind, (block << 6) if kind <= KIND_STORE else 0x400000 + block * 4,

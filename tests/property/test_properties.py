@@ -289,6 +289,6 @@ class TestBuilderProperties:
         trace = builder.build("t", stream)
         assert trace.memory_access_count() == len(stream)
         assert trace.instruction_count == (
-            sum(r[2] for r in trace.records) + len(trace.records)
+            sum(r[2] for r in trace) + len(trace)
         )
-        assert all(r[2] >= 0 for r in trace.records)
+        assert all(r[2] >= 0 for r in trace)

@@ -132,6 +132,6 @@ class TestCharacterize:
             characterize(Trace("empty"))
 
     def test_single_record(self):
-        profile = characterize(Trace("one", [(KIND_LOAD, 0x1000, 0)]))
+        profile = characterize(Trace.from_records("one", [(KIND_LOAD, 0x1000, 0)]))
         assert profile.footprint_lines == 1
         assert profile.median_stack_distance == -1

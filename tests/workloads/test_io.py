@@ -22,20 +22,57 @@ class TestRoundTrip:
         save_trace(trace, path)
         loaded = load_trace(path)
         assert loaded.name == trace.name
-        assert loaded.records == trace.records
+        assert list(loaded) == list(trace)
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.npz"
         save_trace(Trace("empty"), path)
         loaded = load_trace(path)
         assert loaded.name == "empty"
-        assert loaded.records == []
+        assert len(loaded) == 0
 
     def test_large_addresses_preserved(self, tmp_path):
-        trace = Trace("big", [(KIND_LOAD, (1 << 39) + 64, 3)])
+        trace = Trace.from_records("big", [(KIND_LOAD, (1 << 39) + 64, 3)])
         path = tmp_path / "big.npz"
         save_trace(trace, path)
-        assert load_trace(path).records == trace.records
+        assert list(load_trace(path)) == list(trace)
+
+    def test_archive_in_current_layout_loads_to_identical_columns(self, tmp_path):
+        """An archive written field by field with numpy itself, in the
+        layout ``FORMAT_VERSION`` 1 defines, loads to the very same
+        columns and dtypes."""
+        kinds = np.array([KIND_LOAD, 1, 2, KIND_BRANCH_NOT_TAKEN, KIND_LOAD], dtype=np.int8)
+        addresses = np.array([64, (1 << 40) + 128, 0x400000, 0x400004, 0], dtype=np.int64)
+        gaps = np.array([0, 7, (1 << 31) - 1, 3, 1], dtype=np.int32)
+        path = tmp_path / "layout.npz"
+        np.savez_compressed(
+            path,
+            version=np.int64(FORMAT_VERSION),
+            name=np.str_("layout"),
+            kinds=kinds,
+            addresses=addresses,
+            gaps=gaps,
+        )
+        loaded = load_trace(path)
+        assert loaded.name == "layout"
+        for column, expected in zip(
+            (loaded.kinds, loaded.addresses, loaded.gaps), (kinds, addresses, gaps)
+        ):
+            assert column.dtype == expected.dtype
+            np.testing.assert_array_equal(column, expected)
+
+    def test_gap_outside_int32_rejected(self, tmp_path):
+        path = tmp_path / "wide.npz"
+        np.savez_compressed(
+            path,
+            version=np.int64(FORMAT_VERSION),
+            name=np.str_("wide"),
+            kinds=np.zeros(1, dtype=np.int8),
+            addresses=np.zeros(1, dtype=np.int64),
+            gaps=np.array([1 << 31], dtype=np.int64),
+        )
+        with pytest.raises(TraceFormatError, match="gaps"):
+            load_trace(path)
 
     def test_file_is_compact(self, tmp_path):
         config = CacheConfig(size_bytes=8 * 1024, ways=8, line_bytes=64)
@@ -147,17 +184,19 @@ class TestCorruptionDetection:
 
 class TestAtomicSave:
     def test_no_tmp_files_left_behind(self, tmp_path):
-        save_trace(Trace("t", [(KIND_LOAD, 64, 0)]), tmp_path / "t.npz")
+        save_trace(Trace.from_records("t", [(KIND_LOAD, 64, 0)]), tmp_path / "t.npz")
         assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         class Hostile:
-            """Raises while numpy serializes the records."""
+            """Raises while the archive is being written."""
             name = "hostile"
-            records = [(KIND_LOAD, "not-an-int", 0)]
+            kinds = np.zeros(1, dtype=np.int8)
+            addresses = np.zeros(1, dtype=np.int64)
 
-            def __len__(self):
-                return 1
+            @property
+            def gaps(self):
+                raise RuntimeError("column unavailable")
 
         with pytest.raises(Exception):
             save_trace(Hostile(), tmp_path / "t.npz")
@@ -165,8 +204,8 @@ class TestAtomicSave:
 
     def test_overwrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "t.npz"
-        save_trace(Trace("first", [(KIND_LOAD, 64, 0)] * 100), path)
-        save_trace(Trace("second", [(KIND_LOAD, 128, 1)]), path)
+        save_trace(Trace.from_records("first", [(KIND_LOAD, 64, 0)] * 100), path)
+        save_trace(Trace.from_records("second", [(KIND_LOAD, 128, 1)]), path)
         loaded = load_trace(path)
         assert loaded.name == "second"
-        assert len(loaded.records) == 1
+        assert len(loaded) == 1

@@ -1,5 +1,8 @@
 """Unit tests for shared-cache workload mixes."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cache.config import CacheConfig
@@ -24,33 +27,34 @@ def mc_config():
 
 class TestOffsetting:
     def test_memory_addresses_rebased(self):
-        records = [(KIND_LOAD, 0x1000, 2), (KIND_STORE, 0x2000, 0)]
-        rebased = offset_core_records(records, core=2)
+        trace = Trace.from_records("t", [(KIND_LOAD, 0x1000, 2), (KIND_STORE, 0x2000, 0)])
+        rebased = list(offset_core_records(trace, core=2))
         assert rebased[0][1] == 0x1000 + 2 * CORE_ADDRESS_STRIDE
         assert rebased[1][1] == 0x2000 + 2 * CORE_ADDRESS_STRIDE
 
     def test_core_zero_unchanged(self):
-        records = [(KIND_LOAD, 0x1000, 2)]
-        assert offset_core_records(records, core=0) == records
+        trace = Trace.from_records("t", [(KIND_LOAD, 0x1000, 2)])
+        assert list(offset_core_records(trace, core=0)) == list(trace)
 
     def test_branch_pcs_untouched(self):
-        records = [(KIND_BRANCH_TAKEN, 0x400000, 1)]
-        assert offset_core_records(records, core=3) == records
+        trace = Trace.from_records("t", [(KIND_BRANCH_TAKEN, 0x400000, 1)])
+        assert list(offset_core_records(trace, core=3)) == list(trace)
 
     def test_offset_preserves_set_index(self, mc_config):
         address = 0x1234 & ~(mc_config.line_bytes - 1)
-        rebased = offset_core_records([(KIND_LOAD, address, 0)], core=1)
-        assert mc_config.set_index(rebased[0][1]) == \
+        trace = Trace.from_records("t", [(KIND_LOAD, address, 0)])
+        rebased = offset_core_records(trace, core=1)
+        assert mc_config.set_index(int(rebased.addresses[0])) == \
             mc_config.set_index(address)
 
     def test_negative_core_rejected(self):
         with pytest.raises(ValueError):
-            offset_core_records([], core=-1)
+            offset_core_records(Trace("empty"), core=-1)
 
 
 class TestInterleave:
     def _trace(self, name, base, n):
-        return Trace(name, [(KIND_LOAD, base + i * 64, 1) for i in range(n)])
+        return Trace.from_records(name, [(KIND_LOAD, base + i * 64, 1) for i in range(n)])
 
     def test_all_records_kept(self):
         merged = interleave_traces(
@@ -74,14 +78,25 @@ class TestInterleave:
             seed=1,
         )
         first_half_cores = {
-            r[1] >= CORE_ADDRESS_STRIDE for r in merged.records[:50]
+            int(address) >= CORE_ADDRESS_STRIDE for address in merged.addresses[:50]
         }
         assert first_half_cores == {True, False}
 
     def test_deterministic(self):
         traces = [self._trace("a", 0, 30), self._trace("b", 0x9000, 30)]
-        assert interleave_traces(traces, seed=3).records == \
-            interleave_traces(traces, seed=3).records
+        assert list(interleave_traces(traces, seed=3)) == \
+            list(interleave_traces(traces, seed=3))
+
+    def test_seeded_two_core_digest_pinned(self):
+        """The merged order, record for record, is pinned: a change to
+        how records are drawn or stored must not move it."""
+        config = CacheConfig(size_bytes=64 * 1024, ways=8, line_bytes=64, hit_latency=15)
+        trace = build_shared_workload(("lucas", "mcf"), config, accesses_per_core=3000, seed=11)
+        rows = [list(record) for record in trace]
+        assert len(rows) == 10044
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "03c02d00f97d40dabaa87a789b6af8e807ee3970e4a0d9ba145d741364a4c914"
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from repro.workloads.trace import (
 
 
 def sample_trace():
-    return Trace(
+    return Trace.from_records(
         "sample",
         [
             (KIND_LOAD, 0x1000, 3),
@@ -40,7 +40,13 @@ class TestCounts:
     def test_len_and_iter(self):
         trace = sample_trace()
         assert len(trace) == 5
-        assert list(trace) == trace.records
+        assert list(trace) == [
+            (KIND_LOAD, 0x1000, 3),
+            (KIND_BRANCH_TAKEN, 0x400000, 1),
+            (KIND_STORE, 0x1040, 0),
+            (KIND_BRANCH_NOT_TAKEN, 0x400004, 2),
+            (KIND_LOAD, 0x2000, 4),
+        ]
 
 
 class TestFilters:
