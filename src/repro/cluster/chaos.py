@@ -21,7 +21,11 @@ reading and writing through the router.
   engine state is *byte-identical* to a fresh engine replaying its
   log, entries and policy state and counters all included (which is
   exactly the recovered-prefix guarantee: a crashed member's log was
-  truncated to what its snapshot + WAL survived).
+  truncated to what its snapshot + WAL survived). The operation log
+  is the campaign's own instrument: serving nodes keep none, so
+  :func:`_build_cluster` arms it on every member before the first
+  operation, and the checks refuse a member whose log is unarmed
+  rather than read it as an empty stream.
 * **Durability phase** — a no-eviction regime (capacity exceeds the
   keyspace) where one member is killed mid-stream and another
   partitioned. Invariant: with ``replication >= 2``, *no acked write
@@ -43,7 +47,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.cache import ClusterKVCache, WriteQuorumError
 from repro.cluster.latency import LatencyModel
 from repro.online.engine import AdaptiveKVCache
-from repro.oracle.harness import Divergence, build_shard_pair, run_differential
+from repro.oracle.harness import (
+    Divergence,
+    ShardPair,
+    build_shard_pair,
+    run_differential,
+)
 from repro.utils.rng import DeterministicRNG
 
 
@@ -263,7 +272,8 @@ def cluster_stream(plan: ClusterChaosPlan, ops: int, salt: int,
 
 def _build_cluster(plan: ClusterChaosPlan, directory: Optional[str],
                    capacity: int, seed_salt: int) -> ClusterKVCache:
-    """The campaign's cluster: one straggler member, hedging armed."""
+    """The campaign's cluster: one straggler member, hedging armed,
+    every member's operation log armed."""
 
     def latency_factory(index: int) -> LatencyModel:
         spike_rate = plan.spike_rate if index == 2 % plan.num_nodes else 0.0
@@ -272,7 +282,7 @@ def _build_cluster(plan: ClusterChaosPlan, directory: Optional[str],
             seed=plan.seed + seed_salt + 7919 * index,
         )
 
-    return ClusterKVCache(
+    cluster = ClusterKVCache(
         num_nodes=plan.num_nodes,
         replication=plan.replication,
         write_quorum=plan.write_quorum,
@@ -286,13 +296,26 @@ def _build_cluster(plan: ClusterChaosPlan, directory: Optional[str],
         hedge_after=plan.hedge_after,
         latency_factory=latency_factory,
     )
+    for node in cluster.nodes.values():
+        node.op_log = []
+    return cluster
+
+
+def _armed_log(node) -> List[tuple]:
+    """The node's operation log; raises if it was never armed."""
+    if node.op_log is None:
+        raise RuntimeError(
+            f"node {node.node_id!r} has no operation log to check; "
+            "arm it (node.op_log = []) before its first operation"
+        )
+    return node.op_log
 
 
 def _replay_reference(node) -> AdaptiveKVCache:
     """A fresh engine replaying the node's full operation log."""
     sentinel = object()
     reference = AdaptiveKVCache(**node.config)
-    for op in node.op_log:
+    for op in _armed_log(node):
         if op[0] == "get":
             reference.get(op[1], sentinel)
         elif op[0] == "put":
@@ -315,6 +338,7 @@ def _check_node_identity(node, report: ClusterChaosReport) -> None:
     (the replay shares record tuples with the op log; a recovered
     engine holds unpickled copies of the same values).
     """
+    _armed_log(node)
     if node.engine is None:
         return
     reference = _replay_reference(node)
@@ -323,12 +347,20 @@ def _check_node_identity(node, report: ClusterChaosReport) -> None:
 
 
 def _check_node_oracle(node, report: ClusterChaosReport) -> None:
-    """The node's decision stream must match the reference spec."""
+    """The node's decision stream must match the reference spec, and
+    the live node must hold exactly the keys the spec holds after it.
+
+    The stream itself is replayed through a fresh shard; the closing
+    residency check ties the verdict to the node that was logged, so
+    an operation the node applied but never logged is caught here as
+    well as by :func:`_check_node_identity`.
+    """
+    log = _armed_log(node)
     if node.engine is None:
         return
     config = node.config
     events = []
-    for op in node.op_log:
+    for op in log:
         if op[0] == "get":
             events.append(("get", op[1]))
         elif op[0] == "put":
@@ -342,6 +374,15 @@ def _check_node_oracle(node, report: ClusterChaosReport) -> None:
         components=config["components"],
     )
     divergence = run_differential(pair, events, seed=config["seed"])
+    if divergence is None:
+        live = ShardPair(node.engine.shards[0], pair.spec, pair.label)
+        detail = live.verify_state(None)
+        if detail is not None:
+            divergence = Divergence(
+                step=len(events), event=("end",), engine=None, spec=None,
+                label=pair.label, seed=config["seed"],
+                detail=f"live node {node.node_id!r}: {detail}",
+            )
     if divergence is not None:
         report.oracle_divergences.append(divergence)
 

@@ -17,11 +17,14 @@ layer needs from a member:
   abandons the persistent wrapper *un-flushed*, exactly like the
   single-node chaos campaign kills: buffered WAL records die with the
   process.
-* **An operation log.** Every applied engine operation is recorded in
-  order, which is what lets the chaos campaign (a) replay each node's
-  decision stream against the :mod:`repro.oracle` specs and (b) prove
-  a recovered node is *byte-identical* to a reference engine that
-  replayed exactly the persisted prefix.
+* **An optional operation log.** ``op_log`` is ``None`` on a serving
+  node, so a member holds state proportional to its capacity, not to
+  its traffic. The chaos campaign *arms* it (``node.op_log = []``)
+  before the first operation; an armed node records every applied
+  engine operation in order, which is what lets the campaign (a)
+  replay each node's decision stream against the :mod:`repro.oracle`
+  specs and (b) prove a recovered node is *byte-identical* to a
+  reference engine that replayed exactly the persisted prefix.
 
 Nodes are single-shard on purpose: sharding happens *across* nodes
 now, and one shard per node keeps each node's event stream couplable
@@ -46,6 +49,11 @@ class NodeDownError(RuntimeError):
 
 class ClusterNode:
     """One cluster member: a versioned, optionally durable cache node.
+
+    What a node keeps is bounded by its capacity: nothing on the
+    serving path grows with traffic. :attr:`op_log` is a verification
+    hook, ``None`` unless a checker arms it with ``[]`` before the
+    first operation (see :mod:`repro.cluster.chaos`).
 
     Args:
         node_id: stable identifier (also the ring membership key).
@@ -101,8 +109,10 @@ class ClusterNode:
             seed=seed,
         )
         #: Applied operations, in engine order: ``("get", key)``,
-        #: ``("put", key, record)`` or ``("del", key, found)``.
-        self.op_log: List[tuple] = []
+        #: ``("put", key, record)`` or ``("del", key, found)``; ``None``
+        #: (the default) records nothing. Arm it with ``[]`` before the
+        #: first operation to verify the node against a replay.
+        self.op_log: Optional[List[tuple]] = None
         self.crashes = 0
         self.recoveries = 0
         self._boot(fresh=True)
@@ -153,10 +163,12 @@ class ClusterNode:
         """Rebuild the node from its own snapshot + WAL chain.
 
         Returns:
-            The number of operations the recovered state covers (the
-            persisted prefix length); the in-memory operation log is
-            truncated to match, since operations in the lost window
-            never survived the crash.
+            The number of operations the recovered state covers. With
+            the operation log armed, that is the persisted prefix
+            length and the log is truncated to match, since operations
+            in the lost window never survived the crash; unarmed, it
+            is the engine-counted total (gets + puts + deletes of a
+            resident key).
 
         Raises:
             RuntimeError: the node has no persistence directory.
@@ -174,15 +186,19 @@ class ClusterNode:
         self.engine = self.store.cache
         stats = self.engine.stats()
         recovered = stats.gets + stats.puts + stats.deletes
-        self.op_log = self._prefix(recovered)
         self.status = "rejoining"
         self.recoveries += 1
+        if self.op_log is None:
+            return recovered
+        self.op_log = self._prefix(recovered)
         return len(self.op_log)
 
     def rebuild_empty(self) -> None:
         """Restart the node with a fresh, empty engine (memory-only
-        members have nothing to recover from)."""
-        self.op_log = []
+        members have nothing to recover from); an armed operation log
+        restarts empty with it."""
+        if self.op_log is not None:
+            self.op_log = []
         self._boot(fresh=True)
         self.status = "rejoining"
         self.recoveries += 1
@@ -225,7 +241,8 @@ class ClusterNode:
         """Policy-visible read: ``(found, (version, value))``."""
         self._check_serving("get", key)
         record = self.store.get(key, self._MISS)
-        self.op_log.append(("get", key))
+        if self.op_log is not None:
+            self.op_log.append(("get", key))
         if record is self._MISS:
             return False, None
         return True, record
@@ -235,13 +252,15 @@ class ClusterNode:
         self._check_serving("put", key)
         record = (version, value)
         self.store.put(key, record)
-        self.op_log.append(("put", key, record))
+        if self.op_log is not None:
+            self.op_log.append(("put", key, record))
 
     def delete(self, key) -> bool:
         """Remove ``key``; True if it was resident."""
         self._check_serving("del", key)
         found = self.store.delete(key)
-        self.op_log.append(("del", key, found))
+        if self.op_log is not None:
+            self.op_log.append(("del", key, found))
         return found
 
     def peek(self, key) -> Tuple[bool, Optional[tuple]]:

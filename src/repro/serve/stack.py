@@ -13,7 +13,7 @@ replayed *under traffic*. The measurement loop and reports live in
 
 from __future__ import annotations
 
-import asyncio
+import inspect
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
@@ -240,10 +240,8 @@ class _TieredResilient:
             return result.value
         try:
             value = loader(key)
-            if asyncio.iscoroutine(value):
+            if inspect.iscoroutine(value):
                 value = await value
-        except asyncio.CancelledError:
-            raise
         except Exception as error:  # noqa: BLE001 — loader boundary
             raise LoaderUnavailable(
                 f"loader failed for key {key!r} behind the tiered front"

@@ -13,9 +13,12 @@ from repro.cluster.chaos import (
     ClusterChaosPlan,
     ClusterChaosReport,
     FlakyReplica,
+    _check_node_identity,
+    _check_node_oracle,
     cluster_chaos_campaign,
     cluster_stream,
 )
+from repro.cluster.node import ClusterNode
 
 pytestmark = pytest.mark.faults
 
@@ -117,6 +120,52 @@ class TestQuickCampaign:
         assert report.durable_acked == 0
         assert report.wrong_values == 0
         assert report.identity_mismatches == 0
+
+
+class TestChecksNeedTheLog:
+    """Negative controls: the per-node checks must see every applied
+    operation, and must refuse a node whose log was never armed rather
+    than pass it on an empty stream."""
+
+    @staticmethod
+    def _node(armed=True):
+        node = ClusterNode("n0", capacity_entries=2)
+        if armed:
+            node.op_log = []
+        return node
+
+    def test_clean_armed_node_passes_both_checks(self):
+        node = self._node()
+        node.put("a", 1, "x")
+        node.put("b", 2, "y")
+        node.get("a")
+        node.put("c", 3, "z")
+        report = ClusterChaosReport()
+        _check_node_identity(node, report)
+        _check_node_oracle(node, report)
+        assert report.ok(), vars(report)
+
+    def test_unlogged_engine_get_is_caught_by_both_checks(self):
+        node = self._node()
+        node.put("a", 1, "x")
+        node.put("b", 2, "y")
+        node.engine.get("a")  # applied, never logged
+        node.put("c", 3, "z")  # the unlogged get changes this victim
+        report = ClusterChaosReport()
+        _check_node_identity(node, report)
+        _check_node_oracle(node, report)
+        assert report.identity_mismatches >= 1
+        assert len(report.oracle_divergences) == 1
+        assert "residency differs" in report.oracle_divergences[0].detail
+
+    def test_unarmed_log_is_refused_not_read_as_empty(self):
+        node = self._node(armed=False)
+        node.put("a", 1, "x")
+        report = ClusterChaosReport()
+        with pytest.raises(RuntimeError, match="operation log"):
+            _check_node_identity(node, report)
+        with pytest.raises(RuntimeError, match="operation log"):
+            _check_node_oracle(node, report)
 
 
 @pytest.mark.slow

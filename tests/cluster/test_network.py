@@ -26,6 +26,8 @@ def small_cluster(n=3, replication=2, directory=None, **node_kwargs):
 class TestView:
     def test_observation_is_side_effect_free(self):
         _ring, nodes, view, controller = small_cluster()
+        for node in nodes.values():
+            node.op_log = []
         for node_id in view.owners("k", 2):
             nodes[node_id].put("k", 1, "v")
         before = {nid: nodes[nid].stats() for nid in nodes}

@@ -16,6 +16,12 @@ def drive(node, ops):
             node.delete(op[1])
 
 
+def armed(node):
+    """Arm the node's operation log, as the chaos campaign does."""
+    node.op_log = []
+    return node
+
+
 class TestVersionedRecords:
     def test_put_get_roundtrip(self):
         node = ClusterNode("a", capacity_entries=8)
@@ -38,7 +44,7 @@ class TestVersionedRecords:
         assert node.delete("k") is False
 
     def test_peek_fires_no_policy_events(self):
-        node = ClusterNode("a", capacity_entries=8)
+        node = armed(ClusterNode("a", capacity_entries=8))
         node.put("k", 1, "v")
         before = node.stats()
         for _ in range(10):
@@ -48,7 +54,7 @@ class TestVersionedRecords:
         assert len(node.op_log) == 1  # just the put
 
     def test_op_log_records_everything_in_order(self):
-        node = ClusterNode("a", capacity_entries=8)
+        node = armed(ClusterNode("a", capacity_entries=8))
         node.put("k", 1, "v")
         node.get("k")
         node.delete("k")
@@ -83,7 +89,7 @@ class TestLifecycle:
         assert node.crashes == 1
 
     def test_memory_only_node_recovers_empty(self):
-        node = ClusterNode("a", capacity_entries=8)
+        node = armed(ClusterNode("a", capacity_entries=8))
         node.put("k", 1, "v")
         node.crash()
         with pytest.raises(RuntimeError):
@@ -100,7 +106,7 @@ class TestLifecycle:
             calls.append((op, key))
             raise IOError("refused")
 
-        node = ClusterNode("a", capacity_entries=8, fault=fault)
+        node = armed(ClusterNode("a", capacity_entries=8, fault=fault))
         with pytest.raises(IOError):
             node.put("k", 1, "v")
         assert calls == [("put", "k")]
@@ -111,10 +117,10 @@ class TestLifecycle:
 
 class TestCrashRecovery:
     def test_recovery_truncates_log_to_persisted_prefix(self, tmp_path):
-        node = ClusterNode(
+        node = armed(ClusterNode(
             "a", capacity_entries=16, directory=str(tmp_path / "a"),
             snapshot_every=10, wal_flush_ops=4,
-        )
+        ))
         for index in range(23):
             node.put(index % 7, index + 1, ("v", index))
         node.crash()
@@ -128,11 +134,11 @@ class TestCrashRecovery:
     def test_recovered_state_matches_log_replay(self, tmp_path):
         from repro.cluster.chaos import _replay_reference
 
-        node = ClusterNode(
+        node = armed(ClusterNode(
             "a", capacity_entries=16, seed=3,
             directory=str(tmp_path / "a"),
             snapshot_every=12, wal_flush_ops=3,
-        )
+        ))
         for index in range(40):
             key = index % 9
             if index % 3 == 0:
@@ -151,10 +157,10 @@ class TestCrashRecovery:
         """``delete`` of an absent key is WAL-logged but counted by no
         engine counter; the recovered-prefix computation must walk past
         them instead of truncating short."""
-        node = ClusterNode(
+        node = armed(ClusterNode(
             "a", capacity_entries=8, directory=str(tmp_path / "a"),
             snapshot_every=100, wal_flush_ops=1,
-        )
+        ))
         node.put("k", 1, "v")
         node.delete("absent-1")
         node.delete("absent-2")
@@ -164,3 +170,41 @@ class TestCrashRecovery:
         # everything was flushed (wal_flush_ops=1): full log survives
         assert recovered == len(node.op_log) == 4
         assert node.get("k") == (True, (1, "v"))
+
+
+class TestUnarmedLog:
+    """A serving node keeps no operation log: memory is bounded by
+    capacity, and recovery reports the engine-counted total."""
+
+    def test_serving_node_logs_nothing_and_recovers_counted_total(
+            self, tmp_path):
+        node = ClusterNode(
+            "a", capacity_entries=16, directory=str(tmp_path / "a"),
+            snapshot_every=50, wal_flush_ops=4,
+        )
+        counted = 0
+        for index in range(1000):
+            key = index % 23
+            if index % 4 == 0:
+                node.put(key, index + 1, ("v", index))
+                counted += 1
+            elif index % 97 == 0:
+                # only a delete of a resident key is engine-counted
+                counted += node.delete(key)
+            else:
+                node.get(key)
+                counted += 1
+        assert node.op_log is None
+        node.crash()
+        recovered = node.recover_from_disk()
+        stats = node.stats()
+        assert recovered == stats.gets + stats.puts + stats.deletes
+        assert counted - 4 < recovered <= counted  # one flush window
+        assert node.op_log is None
+
+    def test_rebuild_keeps_an_unarmed_log_unarmed(self):
+        node = ClusterNode("a", capacity_entries=8)
+        node.put("k", 1, "v")
+        node.crash()
+        node.rebuild_empty()
+        assert node.op_log is None

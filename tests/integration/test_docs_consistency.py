@@ -150,3 +150,33 @@ class TestServeRegimeCount:
                     f"runs {expected} regimes"
                 )
         assert found > 0
+
+
+class TestBenchmarkWorkloadCount:
+    NUMBER_WORDS = TestServeRegimeCount.NUMBER_WORDS
+
+    def test_docs_state_the_benchmark_workload_count(self):
+        """Every "N end-to-end workloads" / "all N workloads" phrase
+        matches the number of workloads BENCHMARK.json declares."""
+        import json
+
+        declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        count = len(declared["workloads"])
+        accepted = {str(count), self.NUMBER_WORDS[count]}
+        number = r"(\d+|%s)" % "|".join(self.NUMBER_WORDS)
+        phrase = re.compile(
+            r"\b(?:%s end-to-end|all %s) workloads\b" % (number, number),
+            re.IGNORECASE,
+        )
+        paths = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
+                 REPO_ROOT / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))]
+        found = 0
+        for path in paths:
+            for match in phrase.finditer(path.read_text()):
+                found += 1
+                stated = (match.group(1) or match.group(2)).lower()
+                assert stated in accepted, (
+                    f"{path.name}: {match.group(0)!r}, but BENCHMARK.json "
+                    f"declares {count} workloads"
+                )
+        assert found > 0

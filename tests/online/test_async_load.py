@@ -17,7 +17,8 @@ Satellites of the serving PR:
 * loader escapes on both ladders — a ``KeyboardInterrupt`` or
   ``SystemExit`` from a half-open probe releases the probe and
   propagates, and a generator returned as a value is cached as one on
-  every Python version instead of awaited.
+  every Python version instead of awaited (the serve harness's tiered
+  front included).
 
 Everything runs on the virtual-time loop, so "concurrent" means real
 asyncio interleaving with deterministic schedules.
@@ -726,3 +727,27 @@ class TestLoaderEscapesOnBothLadders:
         assert breaker.state == "closed"
         assert breaker.trips == 0
         assert breaker._failures == 0
+
+    def test_tiered_front_caches_a_generator_value_too(self):
+        """The serve harness's tiered front detects coroutines the same
+        way: a generator returned by the loader is written through to
+        the tiers, not awaited into :class:`LoaderUnavailable`."""
+        from repro.serve.stack import _TieredResilient
+        from repro.tiers.kv import tiered_front
+
+        front = _TieredResilient(tiered_front(
+            AdaptiveKVCache(capacity_entries=64, num_shards=1),
+            near_capacity=8, far_capacity=64,
+        ))
+        produced = []
+
+        def loader(key):
+            value = (part for part in (key, "v"))
+            produced.append(value)
+            return value
+
+        served = VirtualTimeEventLoop().run_until_complete(
+            front.aget_or_compute("k", loader)
+        )
+        assert served is produced[0]
+        assert front.tiered.get("k") is produced[0]
