@@ -23,7 +23,7 @@ from repro.analysis.metrics import arithmetic_mean
 from repro.core.history import make_history_factory
 from repro.core.multi import make_adaptive
 from repro.core.partial import PartialTagScheme
-from repro.cpu.timing import simulate
+from repro.cpu.timing import compile_workload, simulate
 from repro.cache.cache import SetAssociativeCache
 from repro.experiments.base import (
     ExperimentResult,
@@ -35,18 +35,6 @@ from repro.experiments.base import (
 
 DEFAULT_WORKLOADS = ["lucas", "gcc-2", "art-1", "tiff2rgba", "ammp",
                      "mcf", "unepic"]
-
-
-def _average_metrics(cache_ws, workloads, policy_factory):
-    mpkis, cpis = [], []
-    for name in workloads:
-        policy = policy_factory()
-        cache = SetAssociativeCache(cache_ws.setup.l2, policy)
-        result = simulate(cache_ws.compiled(name), cache,
-                          cache_ws.setup.processor)
-        mpkis.append(result.mpki)
-        cpis.append(result.cpi)
-    return arithmetic_mean(mpkis), arithmetic_mean(cpis)
 
 
 def run(
@@ -100,9 +88,17 @@ def run(
         "adaptive configuration (averages over a primary-set slice)",
         headers=["group", "variant", "avg MPKI", "avg CPI"],
     )
+    # Workload-major: one compiled workload alive at a time.
+    runs = [[] for _ in variants]
+    for name in workloads:
+        compiled = compile_workload(cache_ws.trace(name), setup.processor)
+        for variant_runs, (_group, _label, factory) in zip(runs, variants):
+            cache = SetAssociativeCache(setup.l2, factory())
+            variant_runs.append(simulate(compiled, cache, setup.processor))
     baseline_mpki = None
-    for group, label, factory in variants:
-        mpki, cpi = _average_metrics(cache_ws, workloads, factory)
+    for (group, label, _factory), variant_runs in zip(variants, runs):
+        mpki = arithmetic_mean([r.mpki for r in variant_runs])
+        cpi = arithmetic_mean([r.cpi for r in variant_runs])
         if group == "baseline":
             baseline_mpki = mpki
         result.add_row(group, label, mpki, cpi)

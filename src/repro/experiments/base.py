@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: setups, policy specs, caching.
+"""Shared experiment infrastructure: setups, policy specs, the cell runner.
 
 The paper's evaluation runs 100M-instruction SimPoint samples against a
 512 KB L2. A pure-Python reproduction of that exact scale takes hours,
@@ -11,10 +11,11 @@ the ``mini`` setup further shrinks things for the benchmark harness.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.tables import render_table
 from repro.cache.cache import SetAssociativeCache
@@ -23,7 +24,8 @@ from repro.core.multi import five_policy_adaptive, make_adaptive
 from repro.core.partial import PartialTagScheme
 from repro.core.sbar import SbarPolicy
 from repro.cpu.config import ProcessorConfig
-from repro.cpu.timing import CompiledWorkload, TimingResult, compile_workload, simulate
+from repro.cpu import timing
+from repro.cpu.timing import CompiledWorkload, TimingResult
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import make_policy
@@ -136,18 +138,15 @@ def set_default_trace_dir(path: Optional[Union[str, os.PathLike]]) -> None:
 
 
 class WorkloadCache:
-    """Caches built traces and compiled workloads per setup.
-
-    Compiling a workload (L1 filter + predictors) is the expensive,
-    L2-policy-independent phase; experiments that sweep policies or tag
-    widths share one compile per workload through this cache.
+    """The on-disk trace cache of one setup.
 
     With a ``trace_dir`` (explicit, or process-wide via
-    :func:`set_default_trace_dir`), built traces are also persisted as
+    :func:`set_default_trace_dir`), built traces are persisted as
     ``.npz`` files and reloaded on later runs. A cached file that turns
     out truncated or corrupt (:class:`~repro.workloads.io.TraceFormatError`)
     is regenerated and rewritten transparently instead of crashing the
-    sweep; regenerations are recorded in ``trace_recoveries``.
+    sweep; regenerations are recorded in ``trace_recoveries``. Nothing
+    is kept in memory: each :meth:`trace` call loads or builds afresh.
     """
 
     def __init__(
@@ -158,8 +157,6 @@ class WorkloadCache:
             os.fspath(trace_dir) if trace_dir is not None else _DEFAULT_TRACE_DIR
         )
         self.trace_recoveries: List[str] = []
-        self._traces: Dict[str, Trace] = {}
-        self._compiled: Dict[str, CompiledWorkload] = {}
 
     def trace_path(self, name: str) -> Optional[str]:
         """Disk location of the workload's cached trace, or None."""
@@ -169,12 +166,7 @@ class WorkloadCache:
         return os.path.join(self.trace_dir, filename)
 
     def trace(self, name: str) -> Trace:
-        """The workload's trace, built (or loaded from disk) on first use."""
-        if name not in self._traces:
-            self._traces[name] = self._load_or_build(name)
-        return self._traces[name]
-
-    def _load_or_build(self, name: str) -> Trace:
+        """The workload's trace, loaded from disk or built (and saved)."""
         path = self.trace_path(name)
         if path is not None and os.path.exists(path):
             try:
@@ -192,75 +184,149 @@ class WorkloadCache:
             save_trace(trace, path)
         return trace
 
-    def compiled(self, name: str) -> CompiledWorkload:
-        """The workload's compiled (L1-filtered) form, built on first use."""
-        if name not in self._compiled:
-            self._compiled[name] = compile_workload(
-                self.trace(name), self.setup.processor
-            )
-        return self._compiled[name]
 
-    def simulate_policy(
-        self,
-        name: str,
-        policy_kind: str,
+_POLICY_SIGNATURE = inspect.signature(build_l2_policy)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One simulator cell: a workload replayed on one L2 under one policy.
+
+    ``spec`` holds the :func:`build_l2_policy` arguments with every
+    default filled in, so two spellings of one policy compare equal.
+    ``label`` names the cell in its experiment's checkpoint keys and
+    takes no part in equality: equal cells are simulated once.
+    """
+
+    workload: str
+    spec: Tuple[Tuple[str, Any], ...]
+    l2: CacheConfig
+    processor: ProcessorConfig
+    label: str = field(default="", compare=False)
+
+    @classmethod
+    def of(
+        cls,
+        setup: Setup,
+        workload: str,
+        label: str,
+        spec: Dict[str, Any],
+        l2: Optional[CacheConfig] = None,
         processor: Optional[ProcessorConfig] = None,
-        l2_config: Optional[CacheConfig] = None,
-        **policy_kwargs,
-    ) -> TimingResult:
-        """Compile-once, simulate one policy spec on one workload."""
-        processor = processor or self.setup.processor
-        l2_config = l2_config or self.setup.l2
-        policy = build_l2_policy(l2_config, policy_kind, **policy_kwargs)
-        cache = SetAssociativeCache(l2_config, policy)
-        return simulate(self.compiled(name), cache, processor)
+    ) -> "Cell":
+        """The cell of ``spec`` (``{"policy_kind": ..., **build_l2_policy
+        kwargs}``) on ``workload``, at the setup's L2 and processor
+        unless overridden."""
+        kwargs = dict(spec)
+        bound = _POLICY_SIGNATURE.bind(None, kwargs.pop("policy_kind"), **kwargs)
+        bound.apply_defaults()
+        arguments = bound.arguments
+        del arguments["config"]
+        arguments["components"] = tuple(arguments["components"])
+        return cls(workload, tuple(arguments.items()), l2 or setup.l2,
+                   processor or setup.processor, label)
+
+    @property
+    def coords(self) -> Tuple[str, str]:
+        """The cell's checkpoint coordinates: (workload, label)."""
+        return (self.workload, self.label)
+
+    def simulate(self, compiled: CompiledWorkload) -> TimingResult:
+        """Replay ``compiled`` on a fresh L2 under this cell's policy."""
+        policy = build_l2_policy(self.l2, **dict(self.spec))
+        l2 = SetAssociativeCache(self.l2, policy)
+        return timing.simulate(compiled, l2, self.processor)
 
 
-def run_policy_sweep(
-    cache: WorkloadCache,
-    workloads: Sequence[str],
-    policy_specs: Dict[str, dict],
-    workers: Optional[int] = None,
-) -> Dict[str, Dict[str, TimingResult]]:
-    """Simulate every (workload, policy spec) pair.
+def policy_cells(
+    setup: Setup, workloads: Sequence[str], specs: Dict[str, Dict[str, Any]]
+) -> List[Cell]:
+    """One cell per workload and ``specs`` entry (label -> spec)."""
+    return [
+        Cell.of(setup, name, label, spec)
+        for name in workloads
+        for label, spec in specs.items()
+    ]
 
-    ``policy_specs`` maps a display label to ``simulate_policy`` kwargs,
-    e.g. ``{"Adaptive": {"policy_kind": "adaptive"}, "LRU":
-    {"policy_kind": "lru"}}``. Returns ``{workload: {label: result}}``.
+
+def _simulate_workload(task) -> List[Tuple[Cell, TimingResult]]:
+    """Compile one workload once and simulate each of its cells.
+
+    The per-workload step of :func:`run_cells`, serial or in a worker
+    process (so it is module-level and takes one picklable task). The
+    trace and its compiled form are dropped when it returns.
+    """
+    setup, trace_dir, workload, cells = task
+    compiled = timing.compile_workload(
+        WorkloadCache(setup, trace_dir).trace(workload), setup.processor
+    )
+    return [(cell, cell.simulate(compiled)) for cell in cells]
+
+
+def run_cells(
+    setup: Setup, cells: Iterable[Cell], workers: Optional[int] = None
+) -> Dict[Tuple[str, str], TimingResult]:
+    """Simulate ``cells`` workload-major; results keyed by ``cell.coords``.
+
+    Each workload with a cell not already known is built (or loaded from
+    the trace cache) and compiled with ``setup.processor`` once; every
+    pending cell of it is simulated, and both are dropped before the
+    next workload. A cell is known when the active sweep checkpoint
+    (see :func:`repro.experiments.checkpoint.active_checkpoint`) holds
+    its (workload, label) key, or when the active context's memo holds
+    an equal cell of this setup from an earlier experiment. Cells
+    resolved here are written to the checkpoint as each workload
+    finishes, so an interrupted sweep resumes under any worker count.
 
     ``workers`` above 1 (explicitly, or process-wide via
-    :func:`repro.perf.parallel.set_default_workers` — the CLI's
-    ``--workers`` flag) fans the cells out over worker processes; every
-    cell is a deterministic function of its coordinates, so the merged
-    results are byte-identical to the serial loop's.
-
-    When a sweep checkpoint is active (see
-    :func:`repro.experiments.checkpoint.active_checkpoint`), each
-    completed (workload, label) cell is persisted as it finishes and
-    already-recorded cells are restored instead of resimulated — this
-    is what lets an interrupted ``repro-experiments all`` sweep resume
-    from where it died, serial or parallel, under any worker count.
+    :func:`repro.perf.parallel.set_default_workers`, the CLI's
+    ``--workers``) runs the workloads in worker processes. Every cell is
+    a deterministic function of its coordinates, so the results are
+    byte-identical to a serial run.
     """
-    from repro.perf import parallel as perf_parallel
+    # Imported here: loading this module must not load the process pool.
+    from repro.perf.parallel import ParallelRunner
 
-    effective = (
-        workers if workers is not None
-        else perf_parallel.get_default_workers()
-    )
-    if effective > 1:
-        return perf_parallel.parallel_policy_sweep(
-            cache, workloads, policy_specs, workers=effective
-        )
-    return {
-        name: {
-            label: checkpoint_mod.checkpointed_cell(
-                cache.setup, (name, label),
-                lambda: cache.simulate_policy(name, **kwargs),
-            )
-            for label, kwargs in policy_specs.items()
+    cells = list(cells)
+    memo = checkpoint_mod.active_memo()
+    if memo is None:
+        memo = {}
+    stored = checkpoint_mod.sweep_cells(setup)
+    unstored: List[Cell] = []
+    pending: Dict[str, Dict[Cell, None]] = {}
+    for cell in cells:
+        restored = stored.restore(cell.coords) if stored is not None else None
+        if restored is not None:
+            memo.setdefault((setup, cell), restored)
+            continue
+        if stored is not None:
+            unstored.append(cell)
+        if (setup, cell) not in memo:
+            pending.setdefault(cell.workload, {})[cell] = None
+
+    def store_known() -> None:
+        # One checkpoint write per workload, not per cell: each write
+        # rewrites the whole file.
+        nonlocal unstored
+        known = {
+            stored.key(cell.coords): checkpoint_mod.timing_to_dict(memo[setup, cell])
+            for cell in unstored
+            if (setup, cell) in memo
         }
-        for name in workloads
-    }
+        if known:
+            stored.checkpoint.update(known)
+        unstored = [cell for cell in unstored if (setup, cell) not in memo]
+
+    trace_dir = WorkloadCache(setup).trace_dir
+    tasks = [(setup, trace_dir, name, list(group)) for name, group in pending.items()]
+    runner = ParallelRunner(workers)
+    map_tasks = runner.map if runner.workers > 1 else map
+    store_known()
+    for outcome in map_tasks(_simulate_workload, tasks):
+        for cell, result in outcome:
+            memo[(setup, cell)] = result
+        store_known()
+    return {cell.coords: memo[(setup, cell)] for cell in cells}
 
 
 @dataclass

@@ -10,10 +10,12 @@ experiment — and values are JSON data (serialized
 :class:`~repro.cpu.timing.TimingResult` cells, rendered report text).
 
 The module also carries the *active checkpoint context*: the CLI arms a
-checkpoint around each experiment it runs, and shared infrastructure
-(``run_policy_sweep``) transparently skips cells the checkpoint already
-holds. :func:`checkpointed_cell` is the one lookup/validate/recompute/
-store path every checkpointed sweep shares.
+checkpoint (and a per-invocation result memo) around each experiment it
+runs, and the shared cell runner
+(:func:`repro.experiments.base.run_cells`) transparently skips cells
+the checkpoint or memo already holds. :class:`SweepCells` is the one
+lookup/validate/store path every checkpointed sweep shares, and
+:func:`checkpointed_cell` wraps it for sweeps with their own loops.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import json
 import os
 import sys
 from typing import (
-    Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-    Union,
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.cpu.timing import TimingResult
@@ -117,7 +119,11 @@ class SweepCheckpoint:
 
     def put(self, key: str, value) -> None:
         """Record a completed cell and persist the file atomically."""
-        self._cells[key] = value
+        self.update({key: value})
+
+    def update(self, cells: Dict[str, Any]) -> None:
+        """Record completed cells and persist the file atomically, once."""
+        self._cells.update(cells)
         self._save()
 
     def keys(self) -> List[str]:
@@ -139,23 +145,28 @@ class SweepCheckpoint:
 # Active checkpoint context
 # ---------------------------------------------------------------------------
 
-_ACTIVE: List[Tuple[SweepCheckpoint, str]] = []
+_ACTIVE: List[Tuple[Optional[SweepCheckpoint], str, Optional[dict]]] = []
 
 
 @contextlib.contextmanager
 def active_checkpoint(
-    checkpoint: Optional[SweepCheckpoint], experiment: str
+    checkpoint: Optional[SweepCheckpoint],
+    experiment: str,
+    memo: Optional[dict] = None,
 ) -> Iterator[None]:
-    """Make ``checkpoint`` visible to nested sweep infrastructure.
+    """Make ``checkpoint`` (and ``memo``) visible to nested sweeps.
 
-    ``run_policy_sweep`` consults :func:`active` to cache/skip
-    per-(workload, policy) cells under the given experiment name. A
-    None checkpoint is a no-op, so callers need no special-casing.
+    Sweeps consult :func:`active` to restore/record their cells under
+    the given experiment name. ``memo`` is a dict the caller keeps
+    across experiments: :func:`repro.experiments.base.run_cells` keeps
+    every result in it by normalized cell, so a cell that recurs in a
+    later experiment of one invocation is not simulated again. With
+    neither, this is a no-op, so callers need no special-casing.
     """
-    if checkpoint is None:
+    if checkpoint is None and memo is None:
         yield
         return
-    _ACTIVE.append((checkpoint, experiment))
+    _ACTIVE.append((checkpoint, experiment, memo))
     try:
         yield
     finally:
@@ -164,7 +175,14 @@ def active_checkpoint(
 
 def active() -> Optional[Tuple[SweepCheckpoint, str]]:
     """The innermost active (checkpoint, experiment) pair, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    if not _ACTIVE or _ACTIVE[-1][0] is None:
+        return None
+    return _ACTIVE[-1][:2]
+
+
+def active_memo() -> Optional[dict]:
+    """The innermost active context's result memo, or None."""
+    return _ACTIVE[-1][2] if _ACTIVE else None
 
 
 # ---------------------------------------------------------------------------

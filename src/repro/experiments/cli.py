@@ -13,8 +13,11 @@ Examples::
 Robustness (see docs/robustness.md): each experiment runs crash-
 isolated with optional retries (exponential backoff, jittered, capped)
 and a wall-clock timeout; with ``--resume``/``--checkpoint`` the sweep
-records every completed (experiment, workload, policy) cell in an
-atomically-written JSON file and a re-invocation skips finished work.
+records every completed experiment, and every simulator cell that
+:func:`repro.experiments.base.run_cells` runs, in an atomically-written
+JSON file, and a re-invocation skips finished work. Within one
+invocation a cell that recurs in a later experiment is not simulated
+again.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="worker processes for policy sweeps (default 1 = serial; "
+        help="worker processes for simulator cell sweeps (default 1 = serial; "
         "results are byte-identical at any worker count)",
     )
     parser.add_argument(
@@ -519,7 +522,11 @@ def _run_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import build_report
     from repro.utils.atomicio import atomic_write_text
 
-    results = [_run_result(name, args) for name in sorted(EXPERIMENTS)]
+    memo: dict = {}
+    results = []
+    for name in sorted(EXPERIMENTS):
+        with checkpoint_mod.active_checkpoint(None, name, memo):
+            results.append(_run_result(name, args))
     text = build_report(
         results,
         title="Adaptive Caches (MICRO 2006) — reproduction report",
@@ -579,6 +586,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
         sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
     ckpt = _open_checkpoint(args)
+    memo: dict = {}
     retry = runner_mod.RetryPolicy(attempts=args.retries + 1)
     failures: List[runner_mod.CellOutcome] = []
 
@@ -595,7 +603,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 continue
 
         def compute(name=name):
-            with checkpoint_mod.active_checkpoint(ckpt, experiment=name):
+            with checkpoint_mod.active_checkpoint(ckpt, name, memo):
                 return _run_one(name, args)
 
         try:

@@ -19,9 +19,9 @@ from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 
 # Loop-thrashing programs (where BIP shines) + recency-friendly ones
@@ -47,9 +47,8 @@ def run(
 ) -> ExperimentResult:
     """MPKI of DIP-like set dueling vs this paper's adaptivity."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or DEFAULT_WORKLOADS)
-    sweep = run_policy_sweep(cache, workloads, POLICY_SPECS)
+    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
 
     result = ExperimentResult(
         experiment="ext-dip",
@@ -58,9 +57,9 @@ def run(
         headers=["benchmark"] + list(POLICY_SPECS),
     )
     for name in workloads:
-        result.add_row(name, *(sweep[name][p].mpki for p in POLICY_SPECS))
+        result.add_row(name, *(sweep[name, p].mpki for p in POLICY_SPECS))
     averages = {
-        p: arithmetic_mean([sweep[name][p].mpki for name in workloads])
+        p: arithmetic_mean([sweep[name, p].mpki for name in workloads])
         for p in POLICY_SPECS
     }
     result.add_row("Average", *(averages[p] for p in POLICY_SPECS))

@@ -25,8 +25,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.cache.cache import SetAssociativeCache
-from repro.cpu.timing import TimingResult, simulate
+from repro.cpu.timing import (
+    CompiledWorkload,
+    TimingResult,
+    compile_workload,
+    simulate,
+)
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     Setup,
     WorkloadCache,
@@ -41,16 +47,16 @@ DEFAULT_RATES: Tuple[float, ...] = (0.001, 0.01, 0.05)
 
 
 def _simulate_adaptive(
-    cache_ws: WorkloadCache,
-    name: str,
+    setup: Setup,
+    compiled: CompiledWorkload,
     plan: Optional[FaultPlan],
 ) -> Tuple[TimingResult, Optional[FaultLog]]:
     """One adaptive run, optionally under a fault plan, with invariants."""
-    setup = cache_ws.setup
+    name = compiled.name
     policy = build_l2_policy(setup.l2, "adaptive")
     injector = FaultInjector(plan).arm(policy) if plan is not None else None
     l2 = SetAssociativeCache(setup.l2, policy)
-    result = simulate(cache_ws.compiled(name), l2, setup.processor)
+    result = simulate(compiled, l2, setup.processor)
     stats = l2.stats
     if stats.hits + stats.misses != stats.accesses:
         raise RuntimeError(
@@ -103,10 +109,11 @@ def run(
     per_rate_deltas: List[List[float]] = [[] for _ in rates]
     worst_deltas: List[float] = []
     for index, name in enumerate(workloads):
-        lru = cache_ws.simulate_policy(name, "lru")
-        baseline, _ = _simulate_adaptive(cache_ws, name, None)
+        compiled = compile_workload(cache_ws.trace(name), setup.processor)
+        lru = Cell.of(setup, name, "LRU", {"policy_kind": "lru"}).simulate(compiled)
+        baseline, _ = _simulate_adaptive(setup, compiled, None)
         armed_quiet, _ = _simulate_adaptive(
-            cache_ws, name, FaultPlan.uniform(0.0, seed=seed + index)
+            setup, compiled, FaultPlan.uniform(0.0, seed=seed + index)
         )
         if armed_quiet.l2_misses != baseline.l2_misses:
             raise RuntimeError(
@@ -119,7 +126,7 @@ def run(
             plan = FaultPlan.uniform(
                 rate, seed=seed + 1000 * (rate_index + 1) + index
             )
-            run_result, log = _simulate_adaptive(cache_ws, name, plan)
+            run_result, log = _simulate_adaptive(setup, compiled, plan)
             faulted.append(run_result)
             injected += log.injected()
             delta = _delta_percent(baseline.mpki, run_result.mpki)

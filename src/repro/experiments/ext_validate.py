@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.cache import SetAssociativeCache
 from repro.cpu.scoreboard import scoreboard_simulate
-from repro.cpu.timing import simulate
+from repro.cpu.timing import compile_workload, simulate
 from repro.experiments.base import ExperimentResult, Setup, build_l2_policy, make_setup
 
 DEFAULT_WORKLOADS = ["lucas", "art-1", "tiff2rgba", "ammp", "mcf", "swim"]
@@ -45,7 +45,7 @@ def run(
     scoreboard_improvements = []
     for name in workloads:
         trace = cache_ws.trace(name)
-        compiled = cache_ws.compiled(name)
+        compiled = compile_workload(trace, setup.processor)
         cpis = {}
         for model in ("aggregate", "scoreboard"):
             for policy_kind in ("lru", "adaptive"):

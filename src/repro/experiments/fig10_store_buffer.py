@@ -12,10 +12,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
+    run_cells,
 )
 
 BUFFER_SIZES = (4, 8, 16, 32, 64, 128, 256)
@@ -28,8 +29,14 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 10's benefit-vs-store-buffer series."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
+    sweep = run_cells(setup, [
+        Cell.of(setup, name, f"{entries}-entry {label}", {"policy_kind": kind},
+                processor=setup.processor.scaled(store_buffer_entries=entries))
+        for name in workloads
+        for entries in buffer_sizes
+        for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
+    ])
 
     result = ExperimentResult(
         experiment="fig10",
@@ -40,17 +47,12 @@ def run(
     )
     improvements = []
     for entries in buffer_sizes:
-        processor = setup.processor.scaled(store_buffer_entries=entries)
-        lru_cpis = [
-            cache.simulate_policy(name, "lru", processor=processor).cpi
-            for name in workloads
-        ]
-        adp_cpis = [
-            cache.simulate_policy(name, "adaptive", processor=processor).cpi
-            for name in workloads
-        ]
-        lru_avg = arithmetic_mean(lru_cpis)
-        adp_avg = arithmetic_mean(adp_cpis)
+        lru_avg = arithmetic_mean(
+            [sweep[name, f"{entries}-entry LRU"].cpi for name in workloads]
+        )
+        adp_avg = arithmetic_mean(
+            [sweep[name, f"{entries}-entry Adaptive"].cpi for name in workloads]
+        )
         improvement = percent_reduction(lru_avg, adp_avg)
         improvements.append(improvement)
         result.add_row(entries, lru_avg, adp_avg, improvement)

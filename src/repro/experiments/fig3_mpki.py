@@ -14,9 +14,9 @@ from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 
 POLICY_SPECS = {
@@ -33,9 +33,8 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 3's per-benchmark MPKI series."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only))
-    sweep = run_policy_sweep(cache, workloads, POLICY_SPECS)
+    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
 
     result = ExperimentResult(
         experiment="fig3",
@@ -43,9 +42,9 @@ def run(
         headers=["benchmark"] + list(POLICY_SPECS),
     )
     for name in workloads:
-        result.add_row(name, *(sweep[name][p].mpki for p in POLICY_SPECS))
+        result.add_row(name, *(sweep[name, p].mpki for p in POLICY_SPECS))
     averages = {
-        p: arithmetic_mean([sweep[name][p].mpki for name in workloads])
+        p: arithmetic_mean([sweep[name, p].mpki for name in workloads])
         for p in POLICY_SPECS
     }
     result.add_row("Average", *(averages[p] for p in POLICY_SPECS))

@@ -17,9 +17,9 @@ from repro.analysis.metrics import (
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 from repro.experiments.fig3_mpki import POLICY_SPECS
 
@@ -31,9 +31,8 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 4's per-benchmark CPI series."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only))
-    sweep = run_policy_sweep(cache, workloads, POLICY_SPECS)
+    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
 
     result = ExperimentResult(
         experiment="fig4",
@@ -42,7 +41,7 @@ def run(
     )
     per_workload = {}
     for name in workloads:
-        cpis = {p: sweep[name][p].cpi for p in POLICY_SPECS}
+        cpis = {p: sweep[name, p].cpi for p in POLICY_SPECS}
         per_workload[name] = cpis
         result.add_row(name, *(cpis[p] for p in POLICY_SPECS))
     averages = {

@@ -11,10 +11,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
+    run_cells,
 )
 
 TAG_WIDTHS = (None, 12, 10, 8, 6, 4)  # None = full tags
@@ -27,20 +28,22 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 5's percent-increase-vs-full-tags series."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
+    labels = {bits: "full" if bits is None else f"{bits}-bit"
+              for bits in tag_widths}
+    sweep = run_cells(setup, [
+        Cell.of(setup, name, labels[bits],
+                {"policy_kind": "adaptive", "components": ("lru", "lfu"),
+                 "partial_bits": bits})
+        for name in workloads
+        for bits in tag_widths
+    ])
 
     averages = {}
     for bits in tag_widths:
-        mpkis = []
-        cpis = []
-        for name in workloads:
-            res = cache.simulate_policy(
-                name, "adaptive", components=("lru", "lfu"), partial_bits=bits
-            )
-            mpkis.append(res.mpki)
-            cpis.append(res.cpi)
-        averages[bits] = (arithmetic_mean(mpkis), arithmetic_mean(cpis))
+        runs = [sweep[name, labels[bits]] for name in workloads]
+        averages[bits] = (arithmetic_mean([r.mpki for r in runs]),
+                          arithmetic_mean([r.cpi for r in runs]))
 
     full_mpki, full_cpi = averages[None]
     result = ExperimentResult(
@@ -52,9 +55,8 @@ def run(
     )
     for bits in tag_widths:
         mpki, cpi = averages[bits]
-        label = "full" if bits is None else f"{bits}-bit"
         result.add_row(
-            label,
+            labels[bits],
             mpki,
             cpi,
             100.0 * (mpki - full_mpki) / full_mpki,

@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
+    run_cells,
 )
 
 
@@ -27,7 +28,6 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 6's CPI comparison across storage budgets."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
 
     base_l2 = setup.l2
@@ -56,13 +56,16 @@ def run(
         "conventional caches (lower is better)",
         headers=["configuration", "avg CPI", "storage overhead %"],
     )
+    sweep = run_cells(setup, [
+        Cell.of(setup, name, label, spec, l2=l2_config)
+        for name in workloads
+        for label, spec, l2_config, _overhead in configurations
+    ])
     averages = {}
-    for label, kwargs, l2_config, overhead in configurations:
-        cpis = [
-            cache.simulate_policy(name, l2_config=l2_config, **kwargs).cpi
-            for name in workloads
-        ]
-        averages[label] = arithmetic_mean(cpis)
+    for label, _spec, _l2_config, overhead in configurations:
+        averages[label] = arithmetic_mean(
+            [sweep[name, label].cpi for name in workloads]
+        )
         result.add_row(label, averages[label], overhead)
 
     adaptive8 = averages["Adaptive (8-bit tags)"]

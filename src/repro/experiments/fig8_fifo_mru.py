@@ -15,9 +15,9 @@ from repro.analysis.metrics import arithmetic_mean
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 
 POLICY_SPECS = {
@@ -33,9 +33,8 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Figure 8's FIFO/MRU MPKI series."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_policy_sweep(cache, workloads, POLICY_SPECS)
+    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
 
     result = ExperimentResult(
         experiment="fig8",
@@ -45,12 +44,12 @@ def run(
     )
     mru_wins = []
     for name in workloads:
-        mpkis = {p: sweep[name][p].mpki for p in POLICY_SPECS}
+        mpkis = {p: sweep[name, p].mpki for p in POLICY_SPECS}
         result.add_row(name, *(mpkis[p] for p in POLICY_SPECS))
         if mpkis["MRU"] < mpkis["FIFO"] * 0.98:
             mru_wins.append(name)
     averages = {
-        p: arithmetic_mean([sweep[name][p].mpki for name in workloads])
+        p: arithmetic_mean([sweep[name, p].mpki for name in workloads])
         for p in POLICY_SPECS
     }
     result.add_row("Average", *(averages[p] for p in POLICY_SPECS))

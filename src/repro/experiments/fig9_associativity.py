@@ -13,10 +13,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
+    run_cells,
 )
 
 ASSOCIATIVITIES = (4, 8, 16, 32)
@@ -35,8 +36,14 @@ def run(
     the baseline geometry and replayed against every variant.
     """
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
+    sweep = run_cells(setup, [
+        Cell.of(setup, name, f"{ways}-way {label}", {"policy_kind": kind},
+                l2=setup.l2.scaled(ways=ways))
+        for name in workloads
+        for ways in associativities
+        for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
+    ])
 
     result = ExperimentResult(
         experiment="fig9",
@@ -45,23 +52,17 @@ def run(
         headers=["ways", "CPI improvement %", "miss reduction %"],
     )
     for ways in associativities:
-        l2_config = setup.l2.scaled(ways=ways)
-        lru_cpis, adp_cpis = [], []
-        lru_misses, adp_misses = [], []
-        for name in workloads:
-            lru = cache.simulate_policy(name, "lru", l2_config=l2_config)
-            adp = cache.simulate_policy(name, "adaptive", l2_config=l2_config)
-            lru_cpis.append(lru.cpi)
-            adp_cpis.append(adp.cpi)
-            lru_misses.append(lru.l2_misses)
-            adp_misses.append(adp.l2_misses)
+        lru = [sweep[name, f"{ways}-way LRU"] for name in workloads]
+        adp = [sweep[name, f"{ways}-way Adaptive"] for name in workloads]
         result.add_row(
             ways,
             percent_reduction(
-                arithmetic_mean(lru_cpis), arithmetic_mean(adp_cpis)
+                arithmetic_mean([r.cpi for r in lru]),
+                arithmetic_mean([r.cpi for r in adp]),
             ),
             percent_reduction(
-                arithmetic_mean(lru_misses), arithmetic_mean(adp_misses)
+                arithmetic_mean([r.l2_misses for r in lru]),
+                arithmetic_mean([r.l2_misses for r in adp]),
             ),
         )
     result.add_note(

@@ -15,9 +15,9 @@ from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 
 POLICY_SPECS = {
@@ -34,9 +34,8 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the five-policy comparison of Section 4.4."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_policy_sweep(cache, workloads, POLICY_SPECS)
+    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
 
     result = ExperimentResult(
         experiment="sec44",
@@ -45,9 +44,9 @@ def run(
         headers=["benchmark"] + list(POLICY_SPECS),
     )
     for name in workloads:
-        result.add_row(name, *(sweep[name][p].cpi for p in POLICY_SPECS))
+        result.add_row(name, *(sweep[name, p].cpi for p in POLICY_SPECS))
     averages = {
-        p: arithmetic_mean([sweep[name][p].cpi for name in workloads])
+        p: arithmetic_mean([sweep[name, p].cpi for name in workloads])
         for p in POLICY_SPECS
     }
     result.add_row("Average", *(averages[p] for p in POLICY_SPECS))

@@ -17,9 +17,9 @@ from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
     ExperimentResult,
     Setup,
-    WorkloadCache,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
 )
 
 POLICY_SPECS = {
@@ -39,14 +39,13 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the SBAR comparison of Section 4.7."""
     setup = setup or make_setup()
-    cache = WorkloadCache(setup)
     workloads = list(workloads or setup.workloads(primary_only=True))
     specs = {
         label: dict(kwargs, num_leaders=num_leaders)
         if kwargs["policy_kind"] == "sbar" else kwargs
         for label, kwargs in POLICY_SPECS.items()
     }
-    sweep = run_policy_sweep(cache, workloads, specs)
+    sweep = run_cells(setup, policy_cells(setup, workloads, specs))
 
     result = ExperimentResult(
         experiment="sec47",
@@ -55,9 +54,9 @@ def run(
         headers=["benchmark"] + list(POLICY_SPECS),
     )
     for name in workloads:
-        result.add_row(name, *(sweep[name][p].cpi for p in POLICY_SPECS))
+        result.add_row(name, *(sweep[name, p].cpi for p in POLICY_SPECS))
     averages = {
-        p: arithmetic_mean([sweep[name][p].cpi for name in workloads])
+        p: arithmetic_mean([sweep[name, p].cpi for name in workloads])
         for p in POLICY_SPECS
     }
     result.add_row("Average", *(averages[p] for p in POLICY_SPECS))

@@ -8,11 +8,11 @@
   byte-identical to the scalar loop in every observable decision.
   It runs whenever the cache is inside its envelope and the batch is
   large enough to amortize the setup (:data:`AUTO_MIN_BATCH`).
-* :mod:`repro.perf.parallel` — a process-parallel sweep executor
-  (:class:`~repro.perf.parallel.ParallelRunner`) layered on the same
-  crash-isolated cells as the serial runner, producing byte-identical
-  results in deterministic order and sharing the serial path's
-  checkpoint/resume format.
+* :mod:`repro.perf.parallel` — the process pool
+  (:class:`~repro.perf.parallel.ParallelRunner`) that
+  :func:`~repro.experiments.base.run_cells` maps its per-workload step
+  over at ``--workers N``; everything else is the serial path's, so the
+  results and the checkpoint format are the same.
 * :mod:`repro.perf.bench` — the ``repro-experiments perf`` benchmark:
   hot-path accesses/sec (labelled with the kernel each row measured)
   and sweep wall-clock, recorded to ``BENCH_perf.json``.

@@ -14,7 +14,7 @@ to ``BENCH_perf.json``:
   where a victim search that is linear in the ways shows;
 * **sweep wall-clock** — one mini-scale policy sweep, serial and at
   each requested ``--workers`` count, through the real
-  :func:`~repro.experiments.base.run_policy_sweep` path.
+  :func:`~repro.experiments.base.run_cells` path.
 
 The recorded file also carries the machine context (CPU count, Python
 version) because both numbers are meaningless without it; the CI
@@ -50,7 +50,7 @@ HOTPATH_ACCESSES = 200_000
 #: Sweep benchmark coverage: a small, phase-diverse workload subset.
 SWEEP_WORKLOADS = ("lucas", "art-1", "ammp", "mcf")
 
-#: Sweep policy specs (label -> simulate_policy kwargs).
+#: Sweep policy specs (label -> :class:`~repro.experiments.base.Cell` spec).
 SWEEP_SPECS = {
     "LRU": {"policy_kind": "lru"},
     "LFU": {"policy_kind": "lfu"},
@@ -188,31 +188,24 @@ def bench_sweep(
 ) -> Dict[str, object]:
     """Wall-clock of one mini policy sweep, serial and parallel.
 
-    Each entry re-runs the same deterministic sweep (fresh
-    :class:`~repro.experiments.base.WorkloadCache`, no disk trace
-    cache, no checkpoint) so the wall-clocks are comparable; the
-    results themselves are asserted identical across worker counts.
+    Each entry re-runs the same deterministic sweep (traces built
+    afresh, no checkpoint or memo) so the wall-clocks are comparable;
+    the results themselves are asserted identical across worker counts.
     """
-    from repro.experiments.base import (
-        WorkloadCache,
-        make_setup,
-        run_policy_sweep,
-    )
+    from repro.experiments.base import make_setup, policy_cells, run_cells
     from repro.experiments.checkpoint import timing_to_dict
 
+    setup = make_setup("mini", accesses=accesses)
+    cells = policy_cells(setup, workloads, SWEEP_SPECS)
     timings: Dict[str, float] = {}
     reference = None
     for workers in workers_counts:
-        cache = WorkloadCache(make_setup("mini", accesses=accesses))
         start = time.perf_counter()
-        sweep = run_policy_sweep(
-            cache, list(workloads), SWEEP_SPECS, workers=workers
-        )
+        sweep = run_cells(setup, cells, workers=workers)
         timings[str(workers)] = round(time.perf_counter() - start, 3)
         serialized = {
-            name: {label: timing_to_dict(cell)
-                   for label, cell in row.items()}
-            for name, row in sweep.items()
+            "/".join(coords): timing_to_dict(cell)
+            for coords, cell in sweep.items()
         }
         if reference is None:
             reference = serialized

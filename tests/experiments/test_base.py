@@ -6,12 +6,15 @@ import pytest
 
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.sbar import SbarPolicy
+from repro.cpu import timing
 from repro.experiments.base import (
+    Cell,
     ExperimentResult,
     WorkloadCache,
     build_l2_policy,
     make_setup,
-    run_policy_sweep,
+    policy_cells,
+    run_cells,
     set_default_trace_dir,
 )
 from repro.policies.lru import LRUPolicy
@@ -73,34 +76,72 @@ class TestBuildPolicy:
             build_l2_policy(small_config, "clairvoyant")
 
 
-class TestWorkloadCache:
-    def test_trace_cached(self):
+class TestCells:
+    def test_trace_keeps_nothing_in_memory(self):
+        """Each call builds afresh: the cache holds no trace, and the
+        build is deterministic."""
         setup = make_setup("mini", accesses=1000)
         cache = WorkloadCache(setup)
-        assert cache.trace("lucas") is cache.trace("lucas")
+        first, second = cache.trace("lucas"), cache.trace("lucas")
+        assert first is not second
+        assert list(first) == list(second)
 
-    def test_compiled_cached(self):
+    def test_spellings_of_one_policy_are_one_cell(self):
+        """Defaults are filled in and the label is not identity, so the
+        baseline cells of different experiments compare equal."""
         setup = make_setup("mini", accesses=1000)
-        cache = WorkloadCache(setup)
-        assert cache.compiled("lucas") is cache.compiled("lucas")
+        short = Cell.of(setup, "lucas", "Adaptive", {"policy_kind": "adaptive"})
+        spelled = Cell.of(
+            setup, "lucas", "Adaptive (full tags)",
+            {"policy_kind": "adaptive", "components": ["lru", "lfu"],
+             "partial_bits": None},
+            l2=setup.l2.scaled(ways=8),
+            processor=setup.processor.scaled(store_buffer_entries=4),
+        )
+        assert short == spelled
+        assert hash(short) == hash(spelled)
+        assert short.coords != spelled.coords
+        assert short != Cell.of(setup, "lucas", "Adaptive",
+                                {"policy_kind": "adaptive", "partial_bits": 8})
+        assert short != Cell.of(setup, "lucas", "Adaptive",
+                                {"policy_kind": "adaptive"},
+                                l2=setup.l2.scaled(ways=16))
 
-    def test_simulate_policy(self):
+    def test_run_cells_single_cell(self):
         setup = make_setup("mini", accesses=1500)
-        cache = WorkloadCache(setup)
-        result = cache.simulate_policy("lucas", "lru")
+        cell = Cell.of(setup, "lucas", "LRU", {"policy_kind": "lru"})
+        result = run_cells(setup, [cell])[cell.coords]
         assert result.instructions > 0
         assert result.cpi > 0
 
     def test_sweep(self):
         setup = make_setup("mini", accesses=1500)
-        cache = WorkloadCache(setup)
-        sweep = run_policy_sweep(
-            cache,
+        sweep = run_cells(setup, policy_cells(
+            setup,
             ["lucas", "art-1"],
             {"LRU": {"policy_kind": "lru"}, "LFU": {"policy_kind": "lfu"}},
-        )
-        assert set(sweep) == {"lucas", "art-1"}
-        assert set(sweep["lucas"]) == {"LRU", "LFU"}
+        ))
+        assert list(sweep) == [("lucas", "LRU"), ("lucas", "LFU"),
+                               ("art-1", "LRU"), ("art-1", "LFU")]
+
+    def test_equal_cells_simulated_once(self, monkeypatch):
+        """Two labels for one normalized cell share one simulation."""
+        calls = []
+        real = timing.simulate
+
+        def counting(compiled, l2, config):
+            calls.append(compiled.name)
+            return real(compiled, l2, config)
+
+        monkeypatch.setattr(timing, "simulate", counting)
+        setup = make_setup("mini", accesses=1000)
+        sweep = run_cells(setup, [
+            Cell.of(setup, "lucas", "LRU", {"policy_kind": "lru"}),
+            Cell.of(setup, "lucas", "LRU (8-way)", {"policy_kind": "lru"},
+                    l2=setup.l2.scaled(ways=8)),
+        ])
+        assert calls == ["lucas"]
+        assert sweep["lucas", "LRU"] == sweep["lucas", "LRU (8-way)"]
 
 
 class TestTraceDiskCache:

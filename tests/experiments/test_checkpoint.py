@@ -4,8 +4,19 @@ import json
 
 import pytest
 
+from repro.cpu import timing
 from repro.cpu.timing import TimingResult
-from repro.experiments import base, ext_cluster, ext_online, ext_tiers
+from repro.experiments import (
+    base,
+    cli,
+    ext_cluster,
+    ext_online,
+    ext_tiers,
+    fig3_mpki,
+    fig4_cpi,
+    fig9_associativity,
+    fig10_store_buffer,
+)
 from repro.experiments.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -133,15 +144,16 @@ class TestRestoreTimingCell:
     def test_sweep_resumes_past_corrupt_cell(self, tmp_path, capsys):
         """A torn cell inside a valid checkpoint is recomputed, not fatal."""
         setup = base.make_setup("mini", accesses=1000)
-        cache = base.WorkloadCache(setup)
         specs = {"LRU": {"policy_kind": "lru"}}
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
         key = ckpt.cell_key("cell", "exp", setup.name, setup.accesses,
                             "lucas", "LRU")
         ckpt.put(key, {"name": "lucas", "garbage": True})
         with active_checkpoint(ckpt, experiment="exp"):
-            results = base.run_policy_sweep(cache, ["lucas"], specs)
-        assert results["lucas"]["LRU"].l2_accesses > 0
+            results = base.run_cells(
+                setup, base.policy_cells(setup, ["lucas"], specs)
+            )
+        assert results["lucas", "LRU"].l2_accesses > 0
         assert "resimulating" in capsys.readouterr().err
         # The healed cell replaced the damaged one on disk.
         healed = SweepCheckpoint(tmp_path / "ck.json").get(key)
@@ -227,40 +239,112 @@ class TestTimingSerialization:
         json.dumps(timing_to_dict(result))
 
 
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    """Every ``cpu.timing.simulate`` call, as (workload, L2 ways)."""
+    calls = []
+    real = timing.simulate
+
+    def counting(compiled, l2, config):
+        calls.append((compiled.name, l2.config.ways))
+        return real(compiled, l2, config)
+
+    monkeypatch.setattr(timing, "simulate", counting)
+    return calls
+
+
 class TestSweepUsesCheckpoint:
-    def test_run_policy_sweep_skips_recorded_cells(self, tmp_path, monkeypatch):
+    def test_run_cells_skips_recorded_cells(self, tmp_path, simulate_calls,
+                                            monkeypatch):
         setup = base.make_setup("mini", accesses=2000)
-        cache = base.WorkloadCache(setup)
-        specs = {"LRU": {"policy_kind": "lru"}, "LFU": {"policy_kind": "lfu"}}
+        cells = base.policy_cells(
+            setup, ["lucas", "art-1"],
+            {"LRU": {"policy_kind": "lru"}, "LFU": {"policy_kind": "lfu"}},
+        )
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
+        writes = []
+        real_save = SweepCheckpoint._save
 
-        calls = []
-        real = base.WorkloadCache.simulate_policy
+        def counting_save(self):
+            writes.append(len(self))
+            real_save(self)
 
-        def counting(self, name, *args, **kwargs):
-            calls.append(name)
-            return real(self, name, *args, **kwargs)
-
-        monkeypatch.setattr(base.WorkloadCache, "simulate_policy", counting)
+        monkeypatch.setattr(SweepCheckpoint, "_save", counting_save)
 
         with active_checkpoint(ckpt, experiment="test-sweep"):
-            first = base.run_policy_sweep(cache, ["lucas"], specs)
-        assert len(calls) == 2
-        assert len(ckpt) == 2
+            first = base.run_cells(setup, cells)
+        assert len(simulate_calls) == 4
+        assert len(ckpt) == 4
+        # One whole-file write per workload, as each one finishes.
+        assert writes == [2, 4]
 
         # A second sweep (fresh process after a crash, simulated by a
         # reloaded checkpoint) restores every cell without simulating.
         reloaded = SweepCheckpoint(tmp_path / "ck.json")
         with active_checkpoint(reloaded, experiment="test-sweep"):
-            second = base.run_policy_sweep(cache, ["lucas"], specs)
-        assert len(calls) == 2
-        assert second["lucas"]["LRU"] == first["lucas"]["LRU"]
-        assert second["lucas"]["LFU"] == first["lucas"]["LFU"]
+            second = base.run_cells(setup, cells)
+        assert len(simulate_calls) == 4
+        assert writes == [2, 4]
+        assert second == first
 
     def test_sweep_without_checkpoint_simulates(self):
         setup = base.make_setup("mini", accesses=1000)
-        cache = base.WorkloadCache(setup)
-        results = base.run_policy_sweep(
-            cache, ["lucas"], {"LRU": {"policy_kind": "lru"}}
+        cell = base.Cell.of(setup, "lucas", "LRU", {"policy_kind": "lru"})
+        results = base.run_cells(setup, [cell])
+        assert results["lucas", "LRU"].l2_accesses > 0
+
+    @pytest.mark.parametrize("module, labels", [
+        (fig3_mpki, ["Adaptive", "LFU", "LRU"]),
+        (fig9_associativity,
+         [f"{ways}-way {policy}" for ways in (4, 8, 16, 32)
+          for policy in ("LRU", "Adaptive")]),
+        (fig10_store_buffer,
+         [f"{entries}-entry {policy}"
+          for entries in (4, 8, 16, 32, 64, 128, 256)
+          for policy in ("LRU", "Adaptive")]),
+    ], ids=["fig3", "fig9", "fig10"])
+    def test_experiment_cells_recorded_then_restored(
+        self, module, labels, tmp_path, simulate_calls
+    ):
+        """One checkpoint cell per (workload, geometry, policy), keyed
+        ``cell/<experiment>/<scale>/<accesses>/<workload>/<label>`` as
+        fig3's keys always were; a resumed run simulates nothing."""
+        setup = base.make_setup("mini", accesses=1500)
+        workloads = ["lucas", "art-1"]
+        path = tmp_path / "ck.json"
+        with active_checkpoint(SweepCheckpoint(path), experiment="exp"):
+            first = module.run(setup=setup, workloads=workloads)
+        assert len(simulate_calls) == len(workloads) * len(labels)
+        assert sorted(SweepCheckpoint(path).keys()) == sorted(
+            f"cell/exp/mini/1500/{name}/{label}"
+            for name in workloads for label in labels
         )
-        assert results["lucas"]["LRU"].l2_accesses > 0
+
+        simulate_calls.clear()
+        with active_checkpoint(SweepCheckpoint(path), experiment="exp"):
+            resumed = module.run(setup=setup, workloads=workloads)
+        assert simulate_calls == []
+        assert resumed.render() == first.render()
+
+
+class TestInvocationMemo:
+    def test_fig4_after_fig3_simulates_nothing_new(
+        self, monkeypatch, capsys, simulate_calls
+    ):
+        """fig3 and fig4 declare the same cells: one invocation running
+        both simulates each once, and fig4 renders as it does alone."""
+        args = ["--scale", "mini", "--accesses", "1500",
+                "--workloads", "lucas", "art-1"]
+        monkeypatch.setattr(cli, "EXPERIMENTS",
+                            {"fig3": fig3_mpki, "fig4": fig4_cpi})
+        assert cli.main(["all", *args]) == 0
+        both = capsys.readouterr().out
+        assert sorted(simulate_calls) == sorted(
+            (name, 8) for name in ("lucas", "art-1")
+            for _policy in fig3_mpki.POLICY_SPECS
+        )
+
+        assert cli.main(["fig4", *args]) == 0
+        alone = capsys.readouterr().out
+        assert "fig4:" in alone
+        assert both.endswith(alone)

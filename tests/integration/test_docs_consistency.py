@@ -180,3 +180,26 @@ class TestBenchmarkWorkloadCount:
                     f"declares {count} workloads"
                 )
         assert found > 0
+
+
+class TestCellRunnerCoverage:
+    def test_docs_list_the_experiments_on_the_cell_runner(self):
+        """Every "covers fig3, ..., and ext-dip" list in the docs names
+        exactly the experiments whose module calls ``run_cells``."""
+        import inspect
+
+        from repro.experiments.cli import EXPERIMENTS
+
+        on_runner = {
+            name for name, module in EXPERIMENTS.items()
+            if "run_cells(" in inspect.getsource(module)
+        }
+        phrase = re.compile(r"covers ((?:[\w-]+, )+[\w-]+ and [\w-]+)")
+        found = 0
+        for name in ("performance.md", "reproducing.md", "robustness.md"):
+            text = " ".join((DOCS / name).read_text().split())
+            for match in phrase.finditer(text):
+                found += 1
+                listed = set(re.split(r", | and ", match.group(1)))
+                assert listed == on_runner, (name, sorted(listed ^ on_runner))
+        assert found == 3

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cpu.timing import compile_workload, simulate
-from repro.experiments.base import WorkloadCache, build_l2_policy, make_setup
+from repro.experiments.base import Cell, build_l2_policy, make_setup, run_cells
 from repro.workloads.suite import build_workload
 from tests.cpu import l2_events
 
@@ -12,6 +12,12 @@ from tests.cpu import l2_events
 @pytest.fixture(scope="module")
 def setup():
     return make_setup("mini", accesses=5000)
+
+
+def simulate_cell(setup, name, kind, **kwargs):
+    """One workload under one L2 policy spec, through the cell runner."""
+    cell = Cell.of(setup, name, kind, {"policy_kind": kind, **kwargs})
+    return run_cells(setup, [cell])[cell.coords]
 
 
 class TestPipeline:
@@ -41,8 +47,7 @@ class TestPipeline:
         assert len(demand_records) == compiled.l1_misses
 
     def test_breakdown_keys(self, setup):
-        cache = WorkloadCache(setup)
-        result = cache.simulate_policy("lucas", "lru")
+        result = simulate_cell(setup, "lucas", "lru")
         assert set(result.breakdown) == {
             "base", "load_stall", "store_stall", "branch"
         }
@@ -50,9 +55,8 @@ class TestPipeline:
     def test_policy_only_changes_l2_outcomes(self, setup):
         """Same compiled workload, different policies: the L2 access
         count is identical, only hit/miss (and cycles) differ."""
-        cache = WorkloadCache(setup)
-        lru = cache.simulate_policy("art-1", "lru")
-        adaptive = cache.simulate_policy("art-1", "adaptive")
+        lru = simulate_cell(setup, "art-1", "lru")
+        adaptive = simulate_cell(setup, "art-1", "adaptive")
         assert lru.l2_accesses == adaptive.l2_accesses
         assert lru.instructions == adaptive.instructions
         assert lru.l2_misses != adaptive.l2_misses
@@ -61,10 +65,9 @@ class TestPipeline:
 class TestDeterminism:
     def test_full_run_repeatable(self, setup):
         def run():
-            cache = WorkloadCache(setup)
             return (
-                cache.simulate_policy("ammp", "adaptive").cycles,
-                cache.simulate_policy("ammp", "sbar", num_leaders=4).cycles,
+                simulate_cell(setup, "ammp", "adaptive").cycles,
+                simulate_cell(setup, "ammp", "sbar", num_leaders=4).cycles,
             )
 
         assert run() == run()
@@ -76,7 +79,6 @@ class TestCrossScale:
         workload footprints scale with the target cache."""
         for scale, accesses in (("mini", 4000), ("scaled", 16000)):
             setup = make_setup(scale, accesses=accesses)
-            cache = WorkloadCache(setup)
-            lru = cache.simulate_policy("lucas", "lru")
-            lfu = cache.simulate_policy("lucas", "lfu")
+            lru = simulate_cell(setup, "lucas", "lru")
+            lfu = simulate_cell(setup, "lucas", "lfu")
             assert lru.l2_misses < lfu.l2_misses, scale

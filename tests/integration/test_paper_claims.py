@@ -8,7 +8,7 @@ the *direction and rough magnitude* of every claim must hold.
 import pytest
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
-from repro.experiments.base import WorkloadCache, make_setup
+from repro.experiments.base import make_setup, policy_cells, run_cells
 
 # A balanced slice of the primary set: LRU-friendly, LFU-friendly,
 # loop/MRU, phase-switching, pointer, streaming, dithering.
@@ -21,18 +21,18 @@ WORKLOADS = [
 @pytest.fixture(scope="module")
 def sweep():
     setup = make_setup("mini", accesses=6000)
-    cache = WorkloadCache(setup)
-    results = {}
-    for name in WORKLOADS:
-        results[name] = {
-            "lru": cache.simulate_policy(name, "lru"),
-            "lfu": cache.simulate_policy(name, "lfu"),
-            "adaptive": cache.simulate_policy(name, "adaptive"),
-            "adaptive8": cache.simulate_policy(name, "adaptive",
-                                               partial_bits=8),
-            "sbar": cache.simulate_policy(name, "sbar", num_leaders=8),
-        }
-    return results
+    specs = {
+        "lru": {"policy_kind": "lru"},
+        "lfu": {"policy_kind": "lfu"},
+        "adaptive": {"policy_kind": "adaptive"},
+        "adaptive8": {"policy_kind": "adaptive", "partial_bits": 8},
+        "sbar": {"policy_kind": "sbar", "num_leaders": 8},
+    }
+    cells = run_cells(setup, policy_cells(setup, WORKLOADS, specs))
+    return {
+        name: {label: cells[name, label] for label in specs}
+        for name in WORKLOADS
+    }
 
 
 class TestHeadlineClaims:

@@ -9,10 +9,25 @@ Scales are deliberately tiny (hundreds of accesses, two workloads) so
 the real-process tests stay fast on a single-core CI box.
 """
 
+import time
+
 import pytest
 
-from repro.experiments import checkpoint as checkpoint_mod
-from repro.experiments.base import WorkloadCache, make_setup, run_policy_sweep
+from repro.experiments import (
+    checkpoint as checkpoint_mod,
+    cli,
+    ext_dip,
+    fig3_mpki,
+    fig4_cpi,
+    fig5_partial_tags,
+    fig6_capacity,
+    fig8_fifo_mru,
+    fig9_associativity,
+    fig10_store_buffer,
+    sec44_five_policy,
+    sec47_sbar,
+)
+from repro.experiments.base import Cell, make_setup, policy_cells, run_cells
 from repro.experiments.checkpoint import (
     SweepCheckpoint,
     active_checkpoint,
@@ -22,7 +37,6 @@ from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import (
     ParallelRunner,
     get_default_workers,
-    parallel_policy_sweep,
     recommended_workers,
     set_default_workers,
 )
@@ -33,18 +47,16 @@ SPECS = {
     "Adaptive": {"policy_kind": "adaptive"},
 }
 ACCESSES = 800
+SETUP = make_setup("mini", accesses=ACCESSES)
 
 
 def serialize(sweep):
     """Checkpoint-format dump of a sweep result, for exact comparison."""
-    return {
-        name: {label: timing_to_dict(cell) for label, cell in row.items()}
-        for name, row in sweep.items()
-    }
+    return {coords: timing_to_dict(cell) for coords, cell in sweep.items()}
 
 
-def fresh_cache():
-    return WorkloadCache(make_setup("mini", accesses=ACCESSES))
+def sweep(workloads=WORKLOADS, specs=SPECS, **kwargs):
+    return run_cells(SETUP, policy_cells(SETUP, workloads, specs), **kwargs)
 
 
 class _BrokenPool:
@@ -83,46 +95,102 @@ class TestByteEquality:
     def test_parallel_matches_serial(self):
         """The headline guarantee: workers=2 over real processes yields
         exactly the serial loop's cells, in the caller's order."""
-        serial = run_policy_sweep(fresh_cache(), WORKLOADS, SPECS)
-        parallel = run_policy_sweep(fresh_cache(), WORKLOADS, SPECS, workers=2)
+        serial = sweep()
+        parallel = sweep(workers=2)
         assert serialize(parallel) == serialize(serial)
-        assert list(parallel) == WORKLOADS
-        for row in parallel.values():
-            assert list(row) == list(SPECS)
+        assert list(parallel) == [
+            (name, label) for name in WORKLOADS for label in SPECS
+        ]
 
-    def test_default_workers_routes_to_parallel(self, broken_pool):
-        """run_policy_sweep with no explicit workers honours the
-        process-wide default; the broken pool proves the parallel path
-        actually ran (its fallback still produces correct cells)."""
-        serial = run_policy_sweep(fresh_cache(), WORKLOADS[:1], SPECS)
+    def test_default_workers_routes_to_parallel(self, broken_pool,
+                                                monkeypatch):
+        """run_cells with no explicit workers honours the process-wide
+        default: the pool is asked for, and its fallback still produces
+        the serial cells."""
+        runners = []
+        real_map = ParallelRunner.map
+
+        def recording(self, fn, tasks):
+            runners.append(self)
+            return real_map(self, fn, tasks)
+
+        monkeypatch.setattr(ParallelRunner, "map", recording)
+        serial = sweep(WORKLOADS[:1])
+        assert runners == []
         set_default_workers(2)
         try:
-            routed = run_policy_sweep(fresh_cache(), WORKLOADS[:1], SPECS)
+            routed = sweep(WORKLOADS[:1])
         finally:
             set_default_workers(1)
         assert serialize(routed) == serialize(serial)
+        assert [runner.fallback_tasks for runner in runners] == [1]
+
+    @pytest.mark.parametrize("module", [
+        fig3_mpki, fig4_cpi, fig5_partial_tags, fig6_capacity, fig8_fifo_mru,
+        fig9_associativity, fig10_store_buffer, sec44_five_policy,
+        sec47_sbar, ext_dip,
+    ], ids=lambda module: module.__name__.rsplit(".", 1)[-1])
+    def test_experiment_renders_identically(self, module, capsys):
+        """Every experiment on the cell runner prints the same bytes at
+        --workers 1 and --workers 2."""
+        name = next(key for key, value in cli.EXPERIMENTS.items()
+                    if value is module)
+        args = [name, "--scale", "mini", "--accesses", str(ACCESSES),
+                "--workloads", *WORKLOADS]
+        outputs = []
+        for workers in ("1", "2"):
+            assert cli.main([*args, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert f"{name}:" in outputs[0]
+
+
+def _negate(value):
+    return -value
+
+
+def _touch_or_fail(task):
+    """Task 0 fails at once; every other task takes a while, then
+    leaves a marker file."""
+    directory, index = task
+    if index == 0:
+        raise ValueError("first task fails")
+    time.sleep(0.2)
+    (directory / f"{index}.done").touch()
 
 
 class TestCrashRecovery:
     def test_broken_pool_falls_back_in_process(self, broken_pool):
-        """Restarts exhaust, then tasks complete in-process — the sweep
-        still terminates with correct results."""
+        """Restarts exhaust, then tasks complete in-process — the map
+        still terminates with every result."""
         runner = ParallelRunner(workers=2, max_pool_restarts=2)
-        result = runner.run_sweep(fresh_cache(), WORKLOADS[:1], SPECS)
+        assert sorted(runner.map(_negate, [3, 1, 2])) == [-3, -2, -1]
         assert runner.pool_restarts == 2
-        assert runner.fallback_tasks == 1  # one workload payload
-        serial = run_policy_sweep(fresh_cache(), WORKLOADS[:1], SPECS)
-        assert serialize(result) == serialize(serial)
+        assert runner.fallback_tasks == 3
 
-    def test_failing_cell_raises_with_coordinates(self, broken_pool):
-        """A cell that raises inside the worker surfaces as a
-        RuntimeError naming workload/label, like the serial loop's
-        traceback would."""
-        bad_specs = {"Bad": {"policy_kind": "no-such-policy"}}
-        with pytest.raises(RuntimeError, match="lucas/Bad"):
-            ParallelRunner(workers=2, max_pool_restarts=0).run_sweep(
-                fresh_cache(), WORKLOADS[:1], bad_specs
-            )
+    def test_pool_map_yields_every_result(self):
+        runner = ParallelRunner(workers=2)
+        assert sorted(runner.map(_negate, range(5))) == [-4, -3, -2, -1, 0]
+        assert runner.pool_restarts == runner.fallback_tasks == 0
+
+    def test_failing_task_cancels_queued_tasks(self, tmp_path):
+        """A failed task raises without the queued tasks running first:
+        only those already handed to a worker finish."""
+        tasks = [(tmp_path, index) for index in range(12)]
+        with pytest.raises(ValueError, match="first task fails"):
+            list(ParallelRunner(workers=2).map(_touch_or_fail, tasks))
+        assert len(list(tmp_path.glob("*.done"))) < len(tasks) - 1
+
+    @pytest.mark.parametrize("pool", ["real", "broken"])
+    def test_failing_cell_raises(self, pool, monkeypatch):
+        """A cell that raises in a worker (or in the in-process
+        fallback) re-raises its own exception, as the serial loop's."""
+        if pool == "broken":
+            monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
+                                _BrokenPool)
+        bad = Cell.of(SETUP, "lucas", "Bad", {"policy_kind": "no-such-policy"})
+        with pytest.raises(ValueError, match="no-such-policy"):
+            run_cells(SETUP, [bad], workers=2)
 
 
 class TestCheckpointResume:
@@ -131,28 +199,22 @@ class TestCheckpointResume:
         """A cell already in the checkpoint is restored, not recomputed:
         poisoning its recorded cycles must show up in the merged result."""
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
-        cache = fresh_cache()
         with active_checkpoint(ckpt, "t"):
-            first = ParallelRunner(workers=2).run_sweep(
-                cache, WORKLOADS[:1], {"LRU": SPECS["LRU"]}
-            )
-        key = ckpt.cell_key("cell", "t", cache.setup.name,
-                            cache.setup.accesses, "lucas", "LRU")
+            first = sweep(WORKLOADS[:1], {"LRU": SPECS["LRU"]}, workers=2)
+        key = ckpt.cell_key("cell", "t", SETUP.name, SETUP.accesses,
+                            "lucas", "LRU")
         poisoned = dict(ckpt.get(key))
         poisoned["cycles"] = 123456.0
         ckpt.put(key, poisoned)
 
         with active_checkpoint(ckpt, "t"):
-            resumed = ParallelRunner(workers=2).run_sweep(
-                fresh_cache(), WORKLOADS[:1], SPECS
-            )
-        assert resumed["lucas"]["LRU"].cycles == 123456.0
+            resumed = sweep(WORKLOADS[:1], workers=2)
+        assert resumed["lucas", "LRU"].cycles == 123456.0
         # The un-checkpointed label was freshly computed and persisted.
-        adaptive_key = ckpt.cell_key("cell", "t", cache.setup.name,
-                                     cache.setup.accesses, "lucas",
-                                     "Adaptive")
+        adaptive_key = ckpt.cell_key("cell", "t", SETUP.name,
+                                     SETUP.accesses, "lucas", "Adaptive")
         assert ckpt.has(adaptive_key)
-        assert first["lucas"]["LRU"].name == "lucas"
+        assert first["lucas", "LRU"].name == "lucas"
 
     def test_mid_sweep_resume_under_different_worker_count(self, tmp_path):
         """A sweep checkpointed serially resumes parallel (and vice
@@ -162,17 +224,15 @@ class TestCheckpointResume:
         # Phase 1: serial run completes only the first workload (a
         # mid-sweep kill between workloads).
         with active_checkpoint(SweepCheckpoint(path), "t"):
-            run_policy_sweep(fresh_cache(), WORKLOADS[:1], SPECS)
+            sweep(WORKLOADS[:1])
 
         # Phase 2: resume the full sweep under workers=2.
         resumed_ckpt = SweepCheckpoint(path)
         restored_keys = set(resumed_ckpt.keys())
         with active_checkpoint(resumed_ckpt, "t"):
-            resumed = run_policy_sweep(
-                fresh_cache(), WORKLOADS, SPECS, workers=2
-            )
+            resumed = sweep(workers=2)
 
-        reference = run_policy_sweep(fresh_cache(), WORKLOADS, SPECS)
+        reference = sweep()
         assert serialize(resumed) == serialize(reference)
         # Phase 1's cells were restored (still present, not rewritten
         # under different keys) and phase 2 added the second workload's.
@@ -183,7 +243,5 @@ class TestCheckpointResume:
         """No active checkpoint: the parallel path runs everything and
         touches no checkpoint machinery."""
         assert checkpoint_mod.active() is None
-        sweep = parallel_policy_sweep(
-            fresh_cache(), WORKLOADS[:1], {"LRU": SPECS["LRU"]}, workers=2
-        )
-        assert sweep["lucas"]["LRU"].l2_accesses > 0
+        result = sweep(WORKLOADS[:1], {"LRU": SPECS["LRU"]}, workers=2)
+        assert result["lucas", "LRU"].l2_accesses > 0
