@@ -590,9 +590,16 @@ def _run_experiments(args: argparse.Namespace) -> int:
     retry = runner_mod.RetryPolicy(attempts=args.retries + 1)
     failures: List[runner_mod.CellOutcome] = []
 
+    # A finished experiment is keyed by its trace length and workload
+    # selection too, so a rerun with other values recomputes it.
+    selection = []
+    if args.accesses is not None:
+        selection.append(f"accesses={args.accesses}")
+    if args.workloads:
+        selection.append("workloads=" + ",".join(args.workloads))
     for index, name in enumerate(names):
         done_key = checkpoint_mod.SweepCheckpoint.cell_key(
-            "done", name, args.scale
+            "done", name, args.scale, *selection
         )
         if ckpt is not None:
             restored = ckpt.get(done_key)

@@ -43,7 +43,8 @@ class AsyncKVStore(Protocol):
         """Store ``value`` under ``key``."""
 
     def stats(self):
-        """Counter snapshot with ``gets``, ``hits`` and ``stale_hits``."""
+        """The wrapped store's counters (a tier walk's are a dict);
+        ``stale_hits`` and ``degraded`` are on ``engine.stats()``."""
 
     def serving_fraction(self) -> float:
         """Fraction of capacity serving normally, 0.0..1.0."""
@@ -52,9 +53,10 @@ class AsyncKVStore(Protocol):
 class KVLayer:
     """A wrapper over one :class:`~repro.online.engine.AdaptiveKVCache`.
 
-    ``cache`` is what it wraps (the engine or another layer over it)
-    and takes the requests; ``engine`` is the engine beneath every
-    layer and takes the shard-level probes (routing, ``peek_stale``).
+    ``cache`` is what it wraps (the engine, another layer over it, or
+    a tiered front over it) and takes the requests; ``engine`` is the
+    engine beneath every layer and takes the shard-level probes
+    (routing, ``peek_stale``).
     """
 
     def __init__(self, cache):

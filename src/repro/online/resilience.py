@@ -1,9 +1,10 @@
 """Resilient serving on top of the online engine.
 
 :class:`ResilientKVCache` wraps a cache (an
-:class:`~repro.online.engine.AdaptiveKVCache` or its persistent
-wrapper) and hardens the ``get_or_compute`` path against flaky
-loaders, the classic serving ladder:
+:class:`~repro.online.engine.AdaptiveKVCache`, a layer or a
+:func:`~repro.tiers.kv.tiered_front` over one) and hardens the
+``get_or_compute`` path against flaky loaders, the classic serving
+ladder:
 
 1. **Cache hit** — answered normally, nothing else runs.
 2. **Miss, breaker closed** — the loader runs under a bounded
@@ -299,10 +300,11 @@ class ResilientKVCache(KVLayer):
 
     Args:
         cache: the cache to serve through — an
-            :class:`~repro.online.engine.AdaptiveKVCache` or a
-            :class:`~repro.online.persistence.PersistentKVCache`
-            (shard-level probes go to the engine, logged operations to
-            the wrapper).
+            :class:`~repro.online.engine.AdaptiveKVCache`, or a
+            persistent, live-recovering or
+            :func:`~repro.tiers.kv.tiered_front` layer over one.
+            Requests go to ``cache``; shard-level probes, breakers and
+            the ``stale_hits``/``degraded`` counters to its engine.
         retry: loader retry schedule; default ``RetryPolicy()``.
         breaker_factory: builds one :class:`CircuitBreaker` per shard;
             default uses the breaker's defaults.
@@ -583,7 +585,7 @@ class ResilientKVCache(KVLayer):
     def health(self) -> dict:
         """Liveness/degradation probe: per-shard breaker and quarantine
         state plus the engine's merged counters."""
-        stats = self.cache.stats()
+        stats = self.engine.stats()
         return {
             "shards": [
                 {

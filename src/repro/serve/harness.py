@@ -1,8 +1,9 @@
 """The open-loop SLO harness: measurement loop, reports and floors.
 
-Regime *construction* — :class:`~repro.serve.stack.RegimePlan` and the
-stack builders — lives in :mod:`repro.serve.stack` and is re-exported
-here; this module drives the stream and builds the reports.
+Regime *construction* — :class:`~repro.serve.stack.RegimePlan` and
+:func:`~repro.serve.stack.build_stack` — lives in
+:mod:`repro.serve.stack` and is re-exported here; this module drives
+the stream and builds the reports.
 
 This is the measurement the ROADMAP's "open-loop service benchmark"
 item asks for. A seeded request stream (:mod:`repro.workloads.keystreams`)
@@ -34,10 +35,10 @@ Five regimes tell the serving story:
   :func:`~repro.online.persistence.recover` of the same directory
   (which proves zero acked-write loss: accepted writes were
   dual-logged, so the reference replay contains them too);
-* **steady_tiered** — the steady stream served through
-  :func:`~repro.tiers.kv.tiered_front` (a near shard over the adaptive
-  engine) behind the same admission front, so the near/far topology
-  has an open-loop SLO row of its own.
+* **steady_tiered** — the steady stream served through the resilient
+  ladder over :func:`~repro.tiers.kv.tiered_front` (a near shard over
+  the adaptive engine) behind the same admission front, so the
+  near/far topology has an open-loop SLO row of its own.
 
 Per-request latency lands in a streaming
 :class:`~repro.serve.sketch.LatencySketch` *and* an exact-quantile
@@ -68,19 +69,19 @@ from repro.online.resilience import (
 )
 from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
 from repro.serve.sketch import LatencySketch, exact_quantile
-# Stack construction (plans and builders) lives in repro.serve.stack;
-# RegimePlan and the builders are re-exported here so the historical
+# Stack construction (plans and the builder) lives in repro.serve.stack;
+# RegimePlan and the builder are re-exported here so the historical
 # import surface (``from repro.serve.harness import RegimePlan``)
 # keeps working.
 from repro.serve.stack import (  # noqa: F401 — re-exported surface
     RegimePlan,
     backend_value,
-    build_recovery_stack,
     build_stack,
     default_plans,
     seed_persistent,
 )
 from repro.serve.vloop import VirtualTimeEventLoop
+from repro.tiers.kv import TieredKVCache
 
 #: Report schema version for BENCH_serve.json.
 SCHEMA = 1
@@ -256,7 +257,7 @@ async def _drive(plan: RegimePlan, front: AsyncServingFront, loader,
         measured = request.at >= plan.warmup
         if measured:
             if acc.boundary is None:
-                acc.boundary = front.resilient.stats()
+                acc.boundary = front.resilient.engine.stats()
             acc.arrivals += 1
         tasks.append(loop.create_task(
             _one_request(front, loader, request, measured, acc, loop,
@@ -281,12 +282,9 @@ def run_regime(plan: RegimePlan) -> RegimeReport:
     try:
         if plan.recover_ops > 0:
             directory = tempfile.mkdtemp(prefix="repro-serve-recovery-")
-            front, loader, budget, live = build_recovery_stack(
-                plan, loop.time, directory
-            )
+        front, loader, budget, live = build_stack(plan, loop.time, directory)
+        if live is not None:
             recovery = _RecoveryTracker(live, plan.replay_interval)
-        else:
-            front, loader, budget = build_stack(plan, loop.time)
 
         async def main():
             return await _drive(plan, front, loader, recovery)
@@ -344,14 +342,21 @@ def _build_report(plan: RegimePlan, front: AsyncServingFront,
     if acc.arrivals:
         report.shed_rate = acc.shed / acc.arrivals
         report.timeout_rate = acc.timeouts / acc.arrivals
-    stats = front.resilient.stats()
+    resilient = front.resilient
     before = acc.boundary
     stale_before = before.stale_hits if before is not None else 0
-    report.stale_serves = stats.stale_hits - stale_before
+    report.stale_serves = resilient.engine.stats().stale_hits - stale_before
     if acc.ok:
         report.stale_fraction = report.stale_serves / acc.ok
-    if stats.gets:
-        report.hit_ratio = stats.hits / stats.gets
+    # The hit ratio is the request-facing store's: the tier walk's
+    # (near or far) over a tiered front, the engine's otherwise.
+    served = resilient.stats()
+    if isinstance(resilient.cache, TieredKVCache):
+        gets, hits = served["gets"], served["tier_hits"]
+    else:
+        gets, hits = served.gets, served.hits
+    if gets:
+        report.hit_ratio = hits / gets
     if acc.sketch.count:
         report.mean_ms = acc.sketch.mean * 1000.0
         p50, p99, p999 = acc.sketch.quantiles(QUANTILES)
@@ -363,9 +368,7 @@ def _build_report(plan: RegimePlan, front: AsyncServingFront,
         report.exact_p999_ms = (
             exact_quantile(acc.latencies, 0.999) * 1000.0
         )
-    report.breaker_trips = sum(
-        b.trips for b in front.resilient.breakers
-    )
+    report.breaker_trips = sum(b.trips for b in resilient.breakers)
     report.retries_denied = budget.denied if budget is not None else 0
     return report
 

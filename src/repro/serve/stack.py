@@ -1,11 +1,11 @@
 """Serving-stack construction for the SLO harness.
 
-One :class:`RegimePlan` describes a regime as inert data; the builders
-here turn it into the stack the harness drives — engine, loader, the
-resilient ladder or the near/far tiered front, and the admission
-front. The recovery regime gets its own builder pair:
-:func:`seed_persistent` writes the crash-point state and
-:func:`build_recovery_stack` reopens it as a
+One :class:`RegimePlan` describes a regime as inert data;
+:func:`build_stack` turns it into the stack the harness drives: one
+resilient ladder over one cache, behind the admission front, plus the
+loader. The cache is the engine, :func:`~repro.tiers.kv.tiered_front`
+over it, or — for the recovery regime — the state
+:func:`seed_persistent` wrote, reopened as a
 :class:`~repro.online.liverecovery.LiveRecoveringKVCache` to be
 replayed *under traffic*. The measurement loop and reports live in
 :mod:`repro.serve.harness`.
@@ -13,9 +13,7 @@ replayed *under traffic*. The measurement loop and reports live in
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from repro.faults.online import AsyncFlakyLoader
@@ -24,7 +22,6 @@ from repro.online.liverecovery import LiveRecoveringKVCache
 from repro.online.persistence import PersistentKVCache
 from repro.online.resilience import (
     CircuitBreaker,
-    LoaderUnavailable,
     ResilientKVCache,
     RetryBudget,
     RetryPolicy,
@@ -72,9 +69,9 @@ class RegimePlan:
             schedule — shards taken out of service at ``quarantine_at``
             (virtual seconds from stream start) and rebuilt empty at
             ``rebuild_at``.
-        front: ``"resilient"`` (the default stack) or ``"tiered"``
-            (the near/far :func:`~repro.tiers.kv.tiered_front` behind
-            the same admission front).
+        front: ``"resilient"`` (the ladder over the engine, the
+            default) or ``"tiered"`` (the ladder over the near/far
+            :func:`~repro.tiers.kv.tiered_front` of the engine).
         near_capacity: near-shard entry capacity for the tiered front.
         recover_ops: when > 0 this is a *recovery* regime — a
             persistent cache is seeded with this many requests from the
@@ -218,54 +215,6 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     return [steady, overload, degraded, recovery, steady_tiered]
 
 
-class _TieredResilient:
-    """Adapts a :class:`~repro.tiers.kv.TieredKVCache` to the
-    :class:`~repro.online.contract.AsyncKVStore` surface
-    :class:`~repro.serve.front.AsyncServingFront` serves through.
-
-    Probe the topology; on a total miss await the loader and write the
-    value through (placement decides which tiers keep a copy). Loader
-    failures surface as :class:`LoaderUnavailable` — the tier walk has
-    no retry/stale ladder of its own.
-    """
-
-    def __init__(self, tiered):
-        self.tiered = tiered
-        self.breakers = ()
-
-    async def aget_or_compute(self, key, loader, ttl=None,
-                              retry_budget=None):
-        result = self.tiered.get_detailed(key)
-        if result.found:
-            return result.value
-        try:
-            value = loader(key)
-            if inspect.iscoroutine(value):
-                value = await value
-        except Exception as error:  # noqa: BLE001 — loader boundary
-            raise LoaderUnavailable(
-                f"loader failed for key {key!r} behind the tiered front"
-            ) from error
-        self.tiered.put(key, value)
-        return value
-
-    def put(self, key, value, ttl=None, size=None) -> None:
-        self.tiered.put(key, value)
-
-    def serving_fraction(self) -> float:
-        """Every tier is always in service: admission is never scaled."""
-        return 1.0
-
-    def stats(self):
-        """Counter view shaped like the resilient stack's stats."""
-        raw = self.tiered.stats()
-        return SimpleNamespace(
-            gets=raw["gets"],
-            hits=raw["tier_hits"],
-            stale_hits=0,
-        )
-
-
 def _build_engine(plan: RegimePlan, clock) -> AdaptiveKVCache:
     return AdaptiveKVCache(
         capacity_entries=plan.capacity_entries,
@@ -306,47 +255,56 @@ def _resilient_over(cache, plan: RegimePlan, clock) -> ResilientKVCache:
     )
 
 
-def _front_over(resilient, plan: RegimePlan) -> Tuple[
-        AsyncServingFront, Optional[RetryBudget]]:
+def build_stack(plan: RegimePlan, clock,
+                directory: Optional[str] = None) -> Tuple[
+        AsyncServingFront, AsyncFlakyLoader, Optional[RetryBudget],
+        Optional[LiveRecoveringKVCache]]:
+    """The serving stack ``(front, loader, budget, live)`` for one plan.
+
+    Every regime is one resilient ladder over one cache: the engine,
+    or :func:`~repro.tiers.kv.tiered_front` over it when
+    ``plan.front == "tiered"``. A recovery plan (``recover_ops > 0``)
+    seeds ``directory`` with :func:`seed_persistent`, then reopens it
+    as a :class:`LiveRecoveringKVCache`; that cache is returned as
+    ``live``, the handle the background replay task steps (None for
+    every other plan).
+    """
+    if plan.front not in ("resilient", "tiered"):
+        raise ValueError(f"unknown front kind {plan.front!r}")
+    live = None
+    if plan.recover_ops > 0:
+        if directory is None:
+            raise ValueError("a recovery plan needs a directory")
+        seed_persistent(plan, directory, clock)
+        cache = live = LiveRecoveringKVCache(
+            directory,
+            chunk_ops=plan.replay_chunk_ops,
+            snapshot_every=None,
+            wal_flush_ops=1,
+            clock=clock,
+        )
+    else:
+        cache = _build_engine(plan, clock)
+        if plan.front == "tiered":
+            cache = tiered_front(
+                cache,
+                near_capacity=plan.near_capacity,
+                far_capacity=plan.capacity_entries,
+                seed=plan.seed,
+            )
     budget = (
         RetryBudget(plan.retry_budget_tokens)
         if plan.retry_budget_tokens is not None else None
     )
     front = AsyncServingFront(
-        resilient,
+        _resilient_over(cache, plan, clock),
         concurrency=plan.concurrency,
         max_pending=plan.max_pending,
         deadline=plan.deadline,
         retry_budget=budget,
         service_time=plan.service_time,
     )
-    return front, budget
-
-
-def build_stack(plan: RegimePlan, clock) -> Tuple[
-        AsyncServingFront, AsyncFlakyLoader, Optional[RetryBudget]]:
-    """The serving stack (front, loader, budget) for one plan.
-
-    ``plan.front == "tiered"`` swaps the resilient ladder for the
-    near/far :func:`~repro.tiers.kv.tiered_front` behind the same
-    admission front; recovery plans are built by
-    :func:`build_recovery_stack` instead.
-    """
-    engine = _build_engine(plan, clock)
-    if plan.front == "tiered":
-        resilient = _TieredResilient(tiered_front(
-            engine,
-            near_capacity=plan.near_capacity,
-            far_capacity=plan.capacity_entries,
-            seed=plan.seed,
-        ))
-    elif plan.front == "resilient":
-        resilient = _resilient_over(engine, plan, clock)
-    else:
-        raise ValueError(f"unknown front kind {plan.front!r}")
-    loader = _build_loader(plan)
-    front, budget = _front_over(resilient, plan)
-    return front, loader, budget
+    return front, _build_loader(plan), budget, live
 
 
 def seed_persistent(plan: RegimePlan, directory: str, clock) -> int:
@@ -370,27 +328,3 @@ def seed_persistent(plan: RegimePlan, directory: str, clock) -> int:
         count += 1
     seeded.close()
     return count
-
-
-def build_recovery_stack(plan: RegimePlan, clock, directory: str) -> Tuple[
-        AsyncServingFront, AsyncFlakyLoader, Optional[RetryBudget],
-        LiveRecoveringKVCache]:
-    """The recovery-regime stack: seed, crash, reopen live.
-
-    Returns ``(front, loader, budget, live)`` — the extra handle is the
-    :class:`LiveRecoveringKVCache` the background replay task steps.
-    """
-    if plan.recover_ops <= 0:
-        raise ValueError("recovery stack needs recover_ops > 0")
-    seed_persistent(plan, directory, clock)
-    live = LiveRecoveringKVCache(
-        directory,
-        chunk_ops=plan.replay_chunk_ops,
-        snapshot_every=None,
-        wal_flush_ops=1,
-        clock=clock,
-    )
-    resilient = _resilient_over(live, plan, clock)
-    loader = _build_loader(plan)
-    front, budget = _front_over(resilient, plan)
-    return front, loader, budget, live

@@ -167,6 +167,22 @@ class TieredKVCache:
     def num_tiers(self) -> int:
         return len(self.tiers)
 
+    @property
+    def engine(self):
+        """The far store if it is an
+        :class:`~repro.online.engine.AdaptiveKVCache`, else its
+        ``engine``: where a resilient ladder over this cache keeps its
+        breakers and stale peeks. TypeError if there is none (a ring).
+        """
+        from repro.online.engine import AdaptiveKVCache
+
+        far = self.tiers[-1].store
+        engine = getattr(far, "engine", far)
+        if not isinstance(engine, AdaptiveKVCache):
+            raise TypeError(f"far tier {type(far).__name__} holds no "
+                            "AdaptiveKVCache; a resilient ladder needs one")
+        return engine
+
     def tier_capacities(self) -> List[int]:
         """Per-tier capacities, near-to-far (adaptive-placement sizing)."""
         return [tier.capacity for tier in self.tiers]
@@ -242,7 +258,7 @@ class TieredKVCache:
         placing the result) on a topology-wide miss."""
         return self.fetch(key, loader).value
 
-    def put(self, key, value) -> TieredKVResult:
+    def put(self, key, value, ttl=None, size=None) -> TieredKVResult:
         """Write ``key`` through the topology.
 
         The placement strategy is consulted as for a backing-served
@@ -250,8 +266,12 @@ class TieredKVCache:
         strategy skips get the key *invalidated* so no stale copy
         survives the write; if the strategy places the value nowhere
         (probabilistic LCD declining), the far tier takes it — a put
-        must never be dropped entirely.
+        must never be dropped entirely. No tier walk carries a TTL or
+        a byte size: passing ``ttl`` or ``size`` raises ValueError.
         """
+        if ttl is not None or size is not None:
+            raise ValueError(f"a tier walk carries no TTL or byte size "
+                             f"(got ttl={ttl!r}, size={size!r})")
         self.puts += 1
         if self._observe_placement:
             self.placement.observe_access(key, True)

@@ -184,6 +184,27 @@ class TestResume:
         payload = json.loads(ckpt_path.read_text())
         assert payload["cells"]["done/aaa/mini"] == "aaa results"
 
+    def test_other_accesses_or_workloads_are_not_restored(
+        self, capsys, tmp_path
+    ):
+        ckpt = str(tmp_path / "ck.json")
+        base = ["fig3", "--scale", "mini", "--checkpoint", ckpt]
+
+        def run(*flags):
+            assert main([*base, *flags]) == 0
+            return capsys.readouterr().out
+
+        short = run("--accesses", "1000", "--workloads", "lucas")
+        longer = run("--accesses", "3000", "--workloads", "lucas")
+        assert "already complete" not in longer
+        assert longer != short
+        both = run("--accesses", "1000", "--workloads", "lucas", "art-1")
+        assert "already complete" not in both
+        assert "art-1" in both
+        again = run("--accesses", "1000", "--workloads", "lucas")
+        assert "already complete" in again
+        assert short in again
+
     def test_corrupt_checkpoint_quarantined(
         self, stub_experiments, capsys, tmp_path
     ):

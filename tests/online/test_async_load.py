@@ -729,13 +729,13 @@ class TestLoaderEscapesOnBothLadders:
         assert breaker._failures == 0
 
     def test_tiered_front_caches_a_generator_value_too(self):
-        """The serve harness's tiered front detects coroutines the same
-        way: a generator returned by the loader is written through to
-        the tiers, not awaited into :class:`LoaderUnavailable`."""
-        from repro.serve.stack import _TieredResilient
+        """The ladder over the serve harness's tiered front detects
+        coroutines the same way: a generator returned by the loader is
+        written through to the tiers, not awaited into
+        :class:`LoaderUnavailable`."""
         from repro.tiers.kv import tiered_front
 
-        front = _TieredResilient(tiered_front(
+        front = ResilientKVCache(tiered_front(
             AdaptiveKVCache(capacity_entries=64, num_shards=1),
             near_capacity=8, far_capacity=64,
         ))
@@ -750,4 +750,4 @@ class TestLoaderEscapesOnBothLadders:
             front.aget_or_compute("k", loader)
         )
         assert served is produced[0]
-        assert front.tiered.get("k") is produced[0]
+        assert front.cache.get("k") is produced[0]

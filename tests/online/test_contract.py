@@ -17,7 +17,6 @@ from repro.online.persistence import PersistentKVCache
 from repro.online.policies import build_shard_policy
 from repro.online.resilience import ResilientKVCache
 from repro.online.shard import CacheShard
-from repro.serve.stack import _TieredResilient
 from repro.tiers.kv import client_local_topology, tiered_front
 
 _MISS = object()
@@ -50,6 +49,9 @@ LAYERS = {
     "resilient-engine": lambda d: ResilientKVCache(_engine()),
     "resilient-persistent": lambda d: ResilientKVCache(_persistent(d)),
     "resilient-live": lambda d: ResilientKVCache(_live(d)),
+    "resilient-tiered": lambda d: ResilientKVCache(tiered_front(
+        _engine(), near_capacity=8, far_capacity=256
+    )),
     "tiered-front": lambda d: tiered_front(
         _engine(), near_capacity=8, far_capacity=256
     ),
@@ -105,10 +107,18 @@ def test_layer_honours_the_contract(name, tmp_path):
             wrapped.close()
 
 
-def test_async_fronts_honour_the_async_contract():
-    assert isinstance(ResilientKVCache(_engine()), AsyncKVStore)
-    tiered = _TieredResilient(
-        tiered_front(_engine(), near_capacity=8, far_capacity=256)
-    )
-    assert isinstance(tiered, AsyncKVStore)
-    assert tiered.serving_fraction() == 1.0
+@pytest.mark.parametrize("name", ["resilient-engine", "resilient-tiered"])
+def test_async_fronts_honour_the_async_contract(name, tmp_path):
+    front = LAYERS[name](tmp_path)
+    assert isinstance(front, AsyncKVStore)
+    assert front.serving_fraction() == 1.0
+
+
+def test_ladder_needs_an_engine_beneath_the_tiers():
+    with pytest.raises(TypeError, match="holds no AdaptiveKVCache"):
+        ResilientKVCache(LAYERS["client-local"](None))
+
+
+def test_tier_walk_refuses_a_ttl_or_size():
+    with pytest.raises(ValueError, match="no TTL or byte size"):
+        LAYERS["tiered-front"](None).put("k", 1, ttl=5.0)

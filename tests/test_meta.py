@@ -209,6 +209,27 @@ class TestSuiteShape:
         )
         assert callers == ["online/engine.py", "online/keyspace.py"]
 
+    def test_one_async_ladder(self):
+        """Every serving front serves through the one resilient ladder:
+        ``aget_or_compute`` is defined by ``ResilientKVCache`` and
+        declared by the ``AsyncKVStore`` Protocol, nowhere else."""
+        owners, defined = [], 0
+        for name, (_path, tree) in _module_sources().items():
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name == "aget_or_compute"):
+                    defined += 1
+                elif isinstance(node, ast.ClassDef) and any(
+                    getattr(item, "name", None) == "aget_or_compute"
+                    for item in node.body
+                ):
+                    owners.append(f"{name}.{node.name}")
+        assert defined == len(owners), "aget_or_compute outside a class"
+        assert sorted(owners) == [
+            "repro.online.contract.AsyncKVStore",
+            "repro.online.resilience.ResilientKVCache",
+        ]
+
     def test_every_module_has_a_caller(self):
         """Every module is imported by program code (``src/repro``,
         ``benchmarks/``, ``examples/``; tests excluded) or is an entry

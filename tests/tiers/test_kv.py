@@ -5,6 +5,12 @@ import pytest
 from repro.cluster.cache import ClusterKVCache
 from repro.online.engine import AdaptiveKVCache
 from repro.online.policies import build_shard_policy
+from repro.online.resilience import (
+    CircuitBreaker,
+    LoaderUnavailable,
+    ResilientKVCache,
+    RetryPolicy,
+)
 from repro.online.shard import CacheShard
 from repro.tiers.adaptive import AdaptivePlacement
 from repro.tiers.kv import (
@@ -250,3 +256,56 @@ class TestCanonicalTopologies:
             assert value == "computed"
             assert topo.serves["backing"] == 1
             assert topo.get("user:2") == "computed"
+
+
+class TestResilientLadderOverTieredFront:
+    """The serve harness's tiered regime: the one resilient ladder over
+    ``tiered_front(engine)``, with breakers, stale serving and health
+    on the far engine."""
+
+    def test_failing_loader_serves_stale_trips_and_degrades(self):
+        now = [0.0]
+        engine = AdaptiveKVCache(capacity_entries=64, num_shards=4,
+                                 default_ttl=1.0, clock=lambda: now[0])
+        tiered = tiered_front(engine, near_capacity=8, far_capacity=64)
+        ladder = ResilientKVCache(
+            tiered,
+            retry=RetryPolicy(attempts=1),
+            breaker_factory=lambda: CircuitBreaker(
+                failure_threshold=2, recovery_timeout=10.0,
+                clock=lambda: now[0],
+            ),
+            clock=lambda: now[0],
+        )
+        assert ladder.engine is engine
+        shard = engine.shard_index("k")
+        missing = next(
+            key for key in (f"m{i}" for i in range(1000))
+            if engine.shard_index(key) == shard
+        )
+
+        def down(key):
+            raise IOError("backend down")
+
+        assert ladder.get_or_compute("k", str.upper) == "K"
+        # The far copy expires; the near tier (no TTL) loses its copy.
+        now[0] = 5.0
+        tiered.tiers[0].invalidate("k")
+        assert not tiered.tiers[0].store.contains("k")
+        assert engine.shards[shard].peek_stale("k") == (True, "K")
+        hits = engine.stats().hits
+        tier_hits = tiered.stats()["tier_hits"]
+
+        assert ladder.get_or_compute("k", down) == "K"
+        with pytest.raises(LoaderUnavailable):
+            ladder.get_or_compute(missing, down)
+
+        stats = engine.stats()
+        assert (stats.stale_hits, stats.degraded) == (1, 1)
+        assert stats.hits == hits
+        assert tiered.stats()["tier_hits"] == tier_hits
+        assert ladder.breakers[shard].trips == 1
+        health = ladder.health()
+        assert health["shards"][shard]["breaker"] == "open"
+        assert (health["stale_hits"], health["degraded"]) == (1, 1)
+        assert health["ready"]
