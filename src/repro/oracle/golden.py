@@ -3,7 +3,9 @@
 A *golden digest* pins the exact integer behaviour of the simulator on
 a small, fast slice of the named suite: per (workload, policy) —
 accesses, misses, MPKI, evictions, writebacks, and for the adaptive
-policy the per-set selector votes, switch count and fallback evictions.
+policy the per-set selector votes, switch count and fallback evictions
+(for SBAR: the PSEL counter, its switch count and the leader, follower
+and fallback eviction counts).
 The digest lives under ``tests/golden/golden.json`` and is compared
 bit-for-bit, so any change to policy decisions, workload generation or
 the adaptive selector shows up as a named (workload, policy, field)
@@ -29,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.core.adaptive import AdaptivePolicy
+from repro.core.sbar import SbarPolicy
 from repro.experiments.base import build_l2_policy, make_setup
 from repro.utils.atomicio import atomic_write_text
 from repro.workloads.suite import build_workload
@@ -43,7 +46,7 @@ GOLDEN_ACCESSES = 4000
 GOLDEN_WORKLOADS = ("lucas", "art-1", "ammp", "mcf", "mgrid", "unepic")
 
 #: Policies digested per workload.
-GOLDEN_POLICIES = ("lru", "lfu", "adaptive")
+GOLDEN_POLICIES = ("lru", "lfu", "adaptive", "sbar")
 
 #: Placement strategies digested over the tiered KV topology, and the
 #: key stream they replay (the phase-changing stream exercises every
@@ -94,6 +97,14 @@ def _digest_one(workload: str, policy_kind: str) -> Dict:
             "switches": policy.selector_switches(),
             "fallback_evictions": policy.fallback_evictions,
             "component_misses": policy.component_misses(),
+        }
+    elif isinstance(policy, SbarPolicy):
+        digest["sbar"] = {
+            "psel": policy.selector.value,
+            "switches": policy.selector.switches,
+            "leader_evictions": policy.leader_evictions,
+            "follower_evictions": policy.follower_evictions,
+            "fallback_evictions": policy.fallback_evictions,
         }
     return digest
 
