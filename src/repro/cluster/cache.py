@@ -529,3 +529,7 @@ class ClusterKVCache:
     def __len__(self) -> int:
         """Distinct keys resident on at least one member."""
         return len(self.view.resident_keys())
+
+    def __contains__(self, key) -> bool:
+        """Whether any live member holds ``key`` (no policy events)."""
+        return key in self.view.resident_keys()

@@ -14,6 +14,13 @@ As the paper describes its SBAR-like variant:
   the globally selected policy's metadata says ("the LFU algorithm
   begins executing on the blocks that are currently in the cache").
 
+:class:`SbarPolicy` is composed of exactly those parts. The leader sets
+*are* an :class:`~repro.core.adaptive.AdaptivePolicy` over
+``num_leaders`` sets, whose votes feed a
+:class:`~repro.core.selector.GlobalSelector`; there is one Algorithm 1.
+The resident metadata is a :class:`DuelingResidentPolicy`, the same
+class the online engine's sampled mode uses for its follower shards.
+
 This forfeits the theoretical guarantee — switching policies restarts
 from the current contents instead of the imitated policy's contents —
 but costs only ~0.16% extra SRAM (~0.09% with partial-tag leaders).
@@ -21,10 +28,11 @@ but costs only ~0.16% extra SRAM (~0.09% with partial-tag leaders).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.cache.tag_array import ShadowOutcome, TagArray, identity_tag
-from repro.core.history import BitVectorHistory, MissHistory
+from repro.cache.tag_array import TagArray, identity_tag
+from repro.core.adaptive import AdaptivePolicy
+from repro.core.history import MissHistory
 from repro.core.selector import GlobalSelector
 from repro.policies.base import ReplacementPolicy, SetView
 
@@ -37,6 +45,64 @@ def spread_leader_sets(num_sets: int, num_leaders: int) -> List[int]:
         )
     stride = num_sets // num_leaders
     return [i * stride for i in range(num_leaders)]
+
+
+class DuelingResidentPolicy(ReplacementPolicy):
+    """Follower policy: resident metadata for two components.
+
+    Both component policies track the blocks actually resident (so
+    either can take over the current contents), and the one the global
+    selector favours chooses victims. Carries no shadow tags or miss
+    history — that is the entire point of sampling. Serves the follower
+    sets of :class:`SbarPolicy` and the follower shards of the online
+    engine's sampled mode.
+
+    Args:
+        components: two policy instances of one geometry, which
+            becomes this policy's geometry.
+        selector: the shared selector leaders train (anything with a
+            ``selected()`` method returning 0 or 1).
+    """
+
+    name = "dueling"
+
+    def __init__(self, components: Sequence[ReplacementPolicy], selector):
+        if len(components) != 2:
+            raise ValueError("dueling followers take exactly two components")
+        super().__init__(components[0].num_sets, components[0].ways)
+        self.components = list(components)
+        self.selector = selector
+        self.name = "dueling(" + "+".join(c.name for c in components) + ")"
+
+    def on_hit(self, set_index: int, way: int) -> None:
+        for component in self.components:
+            component.on_hit(set_index, way)
+
+    def on_fill(self, set_index: int, way: int, tag: int) -> None:
+        for component in self.components:
+            component.on_fill(set_index, way, tag)
+
+    def on_invalidate(self, set_index: int, way: int) -> None:
+        for component in self.components:
+            component.on_invalidate(set_index, way)
+
+    def victim(self, set_index: int, set_view: SetView) -> int:
+        return self.components[self.selector.selected()].victim(
+            set_index, set_view
+        )
+
+    def state_dict(self) -> dict:
+        """JSON-serializable snapshot of the two components' metadata.
+
+        The shared selector is saved once by its owner, not per
+        follower — saving it here would restore it N times.
+        """
+        return {"components": [c.state_dict() for c in self.components]}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (JSON round-trip safe)."""
+        for component, comp_state in zip(self.components, state["components"]):
+            component.load_state_dict(comp_state)
 
 
 class SbarPolicy(ReplacementPolicy):
@@ -54,6 +120,7 @@ class SbarPolicy(ReplacementPolicy):
         num_leaders: number of leader sets (16 reproduces the paper's
             0.16% overhead figure).
         tag_transform: full or partial tags for the leader shadows.
+        history_factory: per-leader miss-history constructor.
         psel_bits: width of the global saturating selector.
     """
 
@@ -85,31 +152,19 @@ class SbarPolicy(ReplacementPolicy):
                     f"shadow component {component.name!r} must span the "
                     f"leader sets ({num_leaders}x{ways})"
                 )
-        self.resident = list(resident_components)
-        self.tag_transform = tag_transform
-        self.name = "sbar(" + "+".join(c.name for c in self.resident) + ")"
-
         leaders = spread_leader_sets(num_sets, num_leaders)
         self._leader_slot: Dict[int, int] = {s: i for i, s in enumerate(leaders)}
-        self.shadows = [
-            TagArray(num_leaders, ways, component, tag_transform)
-            for component in shadow_components
-        ]
-        if history_factory is None:
-            def history_factory(n):
-                return BitVectorHistory(n, window=ways)
-        self.histories = [history_factory(2) for _ in range(num_leaders)]
-
         self.selector = GlobalSelector(psel_bits)
-
-        self._last_outcomes: List[ShadowOutcome] = []
-        self._last_set = -1
+        # Algorithm 1 over the leader sets, addressed by leader slot.
+        self.leaders = AdaptivePolicy(
+            num_leaders, ways, shadow_components, tag_transform,
+            history_factory, vote_sink=self.selector.vote,
+        )
+        # Resident metadata of every set; victims for the followers.
+        self.followers = DuelingResidentPolicy(resident_components, self.selector)
+        self.name = "sbar(" + "+".join(c.name for c in resident_components) + ")"
         self.leader_evictions = 0
         self.follower_evictions = 0
-        self.fallback_evictions = 0
-        # Recency stamps for the aliasing fallback in leader sets.
-        self._clock = 0
-        self._stamp = [[0] * ways for _ in range(num_sets)]
         # Armed by repro.faults.FaultInjector; None costs one pointer
         # comparison per access and nothing else.
         self.fault_injector = None
@@ -119,6 +174,26 @@ class SbarPolicy(ReplacementPolicy):
         """Indices of the leader sets."""
         return sorted(self._leader_slot)
 
+    @property
+    def shadows(self) -> List[TagArray]:
+        """The leaders' parallel tag arrays (fault-injection surface)."""
+        return self.leaders.shadows
+
+    @property
+    def histories(self) -> List[MissHistory]:
+        """The leaders' miss histories (fault-injection surface)."""
+        return self.leaders.histories
+
+    @property
+    def tag_transform(self) -> Callable[[int], int]:
+        """Full or partial tags of the leader shadows."""
+        return self.leaders.tag_transform
+
+    @property
+    def fallback_evictions(self) -> int:
+        """Leader evictions where aliasing hid every candidate."""
+        return self.leaders.fallback_evictions
+
     def selected_component(self) -> int:
         """Component the global selector currently favours."""
         return self.selector.selected()
@@ -127,11 +202,6 @@ class SbarPolicy(ReplacementPolicy):
     def selector_max(self) -> int:
         """Largest value the PSEL selector can hold."""
         return self.selector.max_value
-
-    @property
-    def _psel(self) -> int:
-        """Current PSEL counter value (kept for tests/introspection)."""
-        return self.selector.value
 
     def set_selector(self, value: int) -> None:
         """Clamp-write the PSEL counter (fault-injection hook).
@@ -143,77 +213,42 @@ class SbarPolicy(ReplacementPolicy):
         self.selector.set_value(value)
 
     # ------------------------------------------------------------------
-    # ReplacementPolicy events
+    # ReplacementPolicy events: every set's events reach the resident
+    # metadata; a leader set's also reach Algorithm 1 at its slot.
     # ------------------------------------------------------------------
 
     def observe(self, set_index: int, tag: int, is_write: bool) -> None:
-        self._last_set = set_index
         slot = self._leader_slot.get(set_index)
-        if slot is None:
-            self._last_outcomes = []
-        else:
-            outcomes = [
-                shadow.lookup_update(slot, tag, is_write)
-                for shadow in self.shadows
-            ]
-            missed = [o.missed for o in outcomes]
-            self.histories[slot].record(missed)
-            # A decisive miss is evidence against the missing component.
-            self.selector.vote(missed)
-            self._last_outcomes = outcomes
+        if slot is not None:
+            self.leaders.observe(slot, tag, is_write)
         if self.fault_injector is not None:
             self.fault_injector.tick()
 
     def on_hit(self, set_index: int, way: int) -> None:
         self._check_slot(set_index, way)
-        for component in self.resident:
-            component.on_hit(set_index, way)
-        self._clock += 1
-        self._stamp[set_index][way] = self._clock
+        self.followers.on_hit(set_index, way)
+        slot = self._leader_slot.get(set_index)
+        if slot is not None:
+            self.leaders.on_hit(slot, way)
 
     def on_fill(self, set_index: int, way: int, tag: int) -> None:
         self._check_slot(set_index, way)
-        for component in self.resident:
-            component.on_fill(set_index, way, tag)
-        self._clock += 1
-        self._stamp[set_index][way] = self._clock
+        self.followers.on_fill(set_index, way, tag)
+        slot = self._leader_slot.get(set_index)
+        if slot is not None:
+            self.leaders.on_fill(slot, way, tag)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
         self._check_slot(set_index, way)
-        for component in self.resident:
-            component.on_invalidate(set_index, way)
+        self.followers.on_invalidate(set_index, way)
+        slot = self._leader_slot.get(set_index)
+        if slot is not None:
+            self.leaders.on_invalidate(slot, way)
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         slot = self._leader_slot.get(set_index)
         if slot is None:
             self.follower_evictions += 1
-            chosen = self.selected_component()
-            return self.resident[chosen].victim(set_index, set_view)
+            return self.followers.victim(set_index, set_view)
         self.leader_evictions += 1
-        return self._leader_victim(set_index, slot, set_view)
-
-    # ------------------------------------------------------------------
-    # Leader-set adaptive logic (Algorithm 1, scoped to the leaders)
-    # ------------------------------------------------------------------
-
-    def _leader_victim(self, set_index: int, slot: int, set_view: SetView) -> int:
-        if set_index != self._last_set or not self._last_outcomes:
-            raise RuntimeError(
-                "victim() called without a preceding observe() for leader "
-                f"set {set_index}"
-            )
-        chosen = self.histories[slot].best_component()
-        outcome = self._last_outcomes[chosen]
-        shadow = self.shadows[chosen]
-
-        if outcome.missed and outcome.victim_tag is not None:
-            for way in set_view.valid_ways():
-                if self.tag_transform(set_view.tag_at(way)) == outcome.victim_tag:
-                    return way
-        for way in set_view.valid_ways():
-            stored = self.tag_transform(set_view.tag_at(way))
-            if not shadow.contains_stored(slot, stored):
-                return way
-        self.fallback_evictions += 1
-        stamps = self._stamp[set_index]
-        return min(set_view.valid_ways(), key=stamps.__getitem__)
+        return self.leaders.victim(slot, set_view)

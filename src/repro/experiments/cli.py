@@ -590,13 +590,19 @@ def _run_experiments(args: argparse.Namespace) -> int:
     retry = runner_mod.RetryPolicy(attempts=args.retries + 1)
     failures: List[runner_mod.CellOutcome] = []
 
-    # A finished experiment is keyed by its trace length and workload
-    # selection too, so a rerun with other values recomputes it.
+    # A finished experiment is keyed by every flag that changes its
+    # output too, so a rerun with other values recomputes it.
     selection = []
     if args.accesses is not None:
         selection.append(f"accesses={args.accesses}")
     if args.workloads:
         selection.append("workloads=" + ",".join(args.workloads))
+    if args.seed:
+        selection.append(f"seed={args.seed}")
+    if args.quick:
+        selection.append("quick")
+    if args.render_map:
+        selection.append("render-map")
     for index, name in enumerate(names):
         done_key = checkpoint_mod.SweepCheckpoint.cell_key(
             "done", name, args.scale, *selection

@@ -26,14 +26,10 @@ from __future__ import annotations
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.core.sbar import spread_leader_sets
+from repro.core.sbar import DuelingResidentPolicy, spread_leader_sets
 from repro.core.selector import GlobalSelector
 from repro.online.keyspace import key_fingerprint, shard_of
-from repro.online.policies import (
-    DuelingResidentPolicy,
-    LockedVoteSink,
-    build_shard_policy,
-)
+from repro.online.policies import LockedVoteSink, build_shard_policy
 from repro.online.shard import CacheShard
 from repro.online.stats import KVCacheStats
 from repro.utils.bitops import is_power_of_two
@@ -221,7 +217,9 @@ class AdaptiveKVCache:
                 vote_sink=vote_sink if index in leaders else None,
             )
         return DuelingResidentPolicy(
-            capacity, self.components, self.global_selector, seed=seed + index
+            [build_shard_policy(name, capacity, seed=seed + index)
+             for name in self.components],
+            self.global_selector,
         )
 
     # ------------------------------------------------------------------

@@ -12,8 +12,9 @@ Three shard flavours, all speaking the standard
   adaptive machinery and additionally vote into a shared
   :class:`~repro.core.selector.GlobalSelector`; follower shards carry
   no shadow structures at all, just resident metadata for both
-  components (:class:`DuelingResidentPolicy`), and evict with whichever
-  component the global selector currently favours.
+  components (:class:`~repro.core.sbar.DuelingResidentPolicy`, the
+  class SBAR's follower sets use), and evict with whichever component
+  the global selector currently favours.
 """
 
 from __future__ import annotations
@@ -24,74 +25,8 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.selector import GlobalSelector
 from repro.online.keyspace import partial_fingerprint_transform
-from repro.policies.base import ReplacementPolicy, SetView
+from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import make_policy
-
-
-class DuelingResidentPolicy(ReplacementPolicy):
-    """Follower-shard policy: resident metadata for two components.
-
-    Mirrors the follower sets of :class:`~repro.core.sbar.SbarPolicy`:
-    both component policies track the entries actually resident (so
-    either can take over the current contents), and the globally
-    selected one chooses victims. Carries no shadow directories or miss
-    history — that is the entire point of sampling.
-
-    Args:
-        ways: shard entry capacity.
-        components: two registry policy names.
-        selector: the shared global selector leaders train.
-        seed: forwarded to components that take one (e.g. ``random``).
-    """
-
-    name = "dueling"
-
-    def __init__(
-        self,
-        ways: int,
-        components: Sequence[str],
-        selector: GlobalSelector,
-        seed: int = 0,
-    ):
-        super().__init__(1, ways)
-        if len(components) != 2:
-            raise ValueError("dueling shards take exactly two components")
-        self.selector = selector
-        self.components = [
-            _make_component(name, ways, seed) for name in components
-        ]
-        self.name = "dueling(" + "+".join(components) + ")"
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        for component in self.components:
-            component.on_hit(set_index, way)
-
-    def on_fill(self, set_index: int, way: int, tag: int) -> None:
-        for component in self.components:
-            component.on_fill(set_index, way, tag)
-
-    def on_invalidate(self, set_index: int, way: int) -> None:
-        for component in self.components:
-            component.on_invalidate(set_index, way)
-
-    def victim(self, set_index: int, set_view: SetView) -> int:
-        return self.components[self.selector.selected()].victim(
-            set_index, set_view
-        )
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the two components' metadata.
-
-        The shared :class:`~repro.core.selector.GlobalSelector` is
-        engine-level state saved once by the engine, not per follower
-        shard — saving it here would restore it N times.
-        """
-        return {"components": [c.state_dict() for c in self.components]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (JSON round-trip safe)."""
-        for component, comp_state in zip(self.components, state["components"]):
-            component.load_state_dict(comp_state)
 
 
 def _make_component(name: str, ways: int, seed: int) -> ReplacementPolicy:
@@ -112,9 +47,10 @@ def build_shard_policy(
     """Build one shard's replacement policy.
 
     Args:
-        kind: ``"adaptive"`` (Algorithm 1 with shadow directories), a
-            registry policy name, or — via :class:`DuelingResidentPolicy`
-            constructed directly — a sampled follower.
+        kind: ``"adaptive"`` (Algorithm 1 with shadow directories) or
+            a registry policy name (sampled followers are a
+            :class:`~repro.core.sbar.DuelingResidentPolicy` over two
+            registry components).
         capacity: shard entry capacity (the policy's associativity).
         components: component names for the adaptive kind.
         partial_bits: partial-fingerprint width for the shadow

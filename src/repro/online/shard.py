@@ -268,6 +268,9 @@ class CacheShard:
         with self._lock:
             return len(self._key_to_way)
 
+    __contains__ = contains
+    __len__ = occupancy
+
     def resident_keys(self) -> list:
         """Keys currently resident (snapshot; order unspecified)."""
         with self._lock:

@@ -298,6 +298,14 @@ class TieredKVCache:
             removed = tier.invalidate(key) or removed
         return removed
 
+    def __contains__(self, key) -> bool:
+        """Whether any tier holds ``key`` (no policy events, nothing logged)."""
+        return any(key in tier.store for tier in self.tiers)
+
+    def __len__(self) -> int:
+        """Entries the tiers hold; a key copied into two tiers counts twice."""
+        return sum(len(tier.store) for tier in self.tiers)
+
     def resident_in(self, key) -> List[str]:
         """Names of tiers currently holding ``key`` (testing aid)."""
         return [tier.name for tier in self.tiers if tier.lookup(key)[0]]

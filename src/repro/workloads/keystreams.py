@@ -17,9 +17,8 @@ colliding: distinct prefixes are distinct key universes.
 from __future__ import annotations
 
 import bisect
-import os
-from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.utils.rng import DeterministicRNG
 from repro.workloads.synth import (
@@ -401,50 +400,6 @@ class StreamSpec:
                 break
             out.append(request)
         return out
-
-
-@dataclass(frozen=True)
-class TraceStreamSpec:
-    """Trace-driven open-loop stream: saved trace keys on a Poisson clock.
-
-    Reuses the simulator's trace serialization
-    (:mod:`repro.workloads.io`): ``source`` may be a
-    :class:`~repro.workloads.trace.Trace` or a path to a saved ``.npz``
-    trace, whose block addresses become read keys in file order while
-    arrival times come from a Poisson process — the open-loop analogue
-    of :func:`keys_from_trace`.
-    """
-
-    source: Union[str, os.PathLike, Trace] = ""
-    rate: float = 100.0
-    line_bytes: int = 64
-    seed: int = 0
-    prefix: str = "blk"
-    # Cached key list (a Trace is immutable; loading is the slow part).
-    _keys: Optional[Tuple[str, ...]] = field(default=None, repr=False,
-                                             compare=False)
-
-    def keys(self) -> Tuple[str, ...]:
-        """The trace's key sequence (loaded once per spec call)."""
-        if self._keys is not None:
-            return self._keys
-        trace = self.source
-        if not isinstance(trace, Trace):
-            from repro.workloads.io import load_trace
-
-            trace = load_trace(trace)
-        keys = tuple(
-            keys_from_trace(trace, self.line_bytes, prefix=self.prefix)
-        )
-        object.__setattr__(self, "_keys", keys)
-        return keys
-
-    def requests(self) -> Iterator[Request]:
-        """The trace replayed as timestamped read requests."""
-        keys = self.keys()
-        for key, at in zip(keys, poisson_arrivals(self.rate,
-                                                  seed=self.seed)):
-            yield Request(at, key, "read", 0)
 
 
 def keys_from_trace(

@@ -5,10 +5,14 @@ import random
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
+from repro.cache.tag_array import identity_tag
+from repro.core.adaptive import AdaptivePolicy
+from repro.core.partial import PartialTagScheme
 from repro.core.sbar import SbarPolicy, spread_leader_sets
-from repro.experiments.base import build_l2_policy
+from repro.experiments.base import build_l2_policy, make_setup
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
+from repro.workloads.suite import build_workload
 
 
 def make_sbar(config, num_leaders=4, **kwargs):
@@ -121,7 +125,7 @@ class TestGlobalSelector:
         rng = random.Random(12)
         for _ in range(10_000):
             cache.access(rng.randrange(1 << 18))
-            assert 0 <= policy._psel <= 15
+            assert 0 <= policy.selector.value <= 15
 
 
 class TestEffectiveness:
@@ -196,3 +200,42 @@ class TestInvalidate:
         for _ in range(500):
             cache.access(rng.randrange(1 << 14))
         assert cache.stats.misses > 0
+
+
+class TestLeadersAreAlgorithm1:
+    """With every set a leader, SBAR *is* the adaptive policy: the same
+    per-access hits and evictions as :class:`AdaptivePolicy` over the
+    same components and tags."""
+
+    @pytest.mark.parametrize("partial_bits", [None, 3, 8])
+    @pytest.mark.parametrize("workload", ["ammp", "art-1", "mcf", "unepic"])
+    def test_all_leader_sbar_matches_adaptive(self, workload, partial_bits):
+        config = make_setup("mini", accesses=4000).l2
+        addresses, writes = build_workload(
+            workload, config, accesses=4000
+        ).memory_stream()
+        sets, ways = config.num_sets, config.ways
+        transform = PartialTagScheme(partial_bits) if partial_bits else identity_tag
+
+        sbar = SbarPolicy(
+            sets, ways,
+            [LRUPolicy(sets, ways), LFUPolicy(sets, ways)],
+            [LRUPolicy(sets, ways), LFUPolicy(sets, ways)],
+            num_leaders=sets, tag_transform=transform,
+        )
+        adaptive = AdaptivePolicy(
+            sets, ways, [LRUPolicy(sets, ways), LFUPolicy(sets, ways)],
+            tag_transform=transform,
+        )
+        streams = []
+        for policy in (sbar, adaptive):
+            cache = SetAssociativeCache(config, policy)
+            streams.append([
+                (result.hit, result.evicted_tag)
+                for result in map(cache.access, map(int, addresses),
+                                  map(bool, writes))
+            ])
+        assert streams[0] == streams[1]
+        assert sbar.follower_evictions == 0
+        assert sbar.leader_evictions > 0
+        assert sbar.fallback_evictions == adaptive.fallback_evictions

@@ -205,6 +205,27 @@ class TestResume:
         assert "already complete" in again
         assert short in again
 
+    def test_other_seed_quick_or_render_map_are_not_restored(
+        self, stub_experiments, capsys, tmp_path
+    ):
+        stub = stub_experiments(aaa=_StubExperiment("aaa"))["aaa"]
+        base = ["aaa", "--scale", "mini", "--checkpoint",
+                str(tmp_path / "ck.json")]
+
+        def run(*flags):
+            assert main([*base, *flags]) == 0
+            return capsys.readouterr().out
+
+        assert "already complete" not in run("--seed", "1")
+        assert "already complete" not in run("--seed", "2")
+        assert "already complete" not in run("--seed", "1", "--quick")
+        assert "already complete" not in run("--seed", "1", "--render-map")
+        assert stub.calls == 4
+        assert "already complete" in run("--seed", "2")
+        assert "already complete" not in run()
+        assert "already complete" in run("--seed", "0")
+        assert stub.calls == 5
+
     def test_corrupt_checkpoint_quarantined(
         self, stub_experiments, capsys, tmp_path
     ):

@@ -4,7 +4,9 @@ Each layer of the stack — shard, engine, WAL wrapper, live recovery,
 resilient ladder, tiered fronts and the cluster ring — must be a
 :class:`~repro.online.contract.KVStore`, take its loader under the one
 name (``loader``) and answer a scripted request sequence exactly as a
-plain dict would, at a capacity where nothing is evicted.
+plain dict would, at a capacity where nothing is evicted. ``in`` and
+``len`` are residency probes on every layer: a tier walk counts a key
+once per tier holding a copy.
 """
 
 import pytest
@@ -91,9 +93,11 @@ def test_layer_honours_the_contract(name, tmp_path):
         elif op == "put":
             layer.put(key, step[2])
             reference[key] = step[2]
+            assert key in layer and len(layer) >= len(reference), step
         elif op == "delete":
             assert bool(layer.delete(key)) == (key in reference), step
             reference.pop(key, None)
+            assert key not in layer and len(layer) >= len(reference), step
         else:
             resident = key in reference
             value = layer.get_or_compute(
@@ -102,6 +106,9 @@ def test_layer_honours_the_contract(name, tmp_path):
             expected = reference.setdefault(key, ("loaded", key))
             assert value == expected, step
     assert loads == ["b", 7, "b"]
+    for key in reference:
+        layer.delete(key)
+    assert len(layer) == 0
     for wrapped in (layer, getattr(layer, "cache", None)):
         if isinstance(wrapped, PersistentKVCache):
             wrapped.close()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.adaptive import AdaptivePolicy
+from repro.core.sbar import DuelingResidentPolicy
 from repro.online.engine import MODES, AdaptiveKVCache
-from repro.online.policies import DuelingResidentPolicy
 from repro.workloads.keystreams import phase_change_keys, zipf_keys
 
 

@@ -72,6 +72,6 @@ class TestSbarInvariants:
             cache = SetAssociativeCache(CONFIG, policy)
             for block in blocks:
                 cache.access(block << CONFIG.offset_bits)
-            return cache.stats.misses, policy._psel
+            return cache.stats.misses, policy.selector.value
 
         assert run() == run()

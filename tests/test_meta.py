@@ -230,6 +230,26 @@ class TestSuiteShape:
             "repro.online.resilience.ResilientKVCache",
         ]
 
+    def test_one_algorithm_1_under_sbar(self):
+        """SBAR is composed, not re-implemented: its leader sets run
+        ``AdaptivePolicy``, so ``core.sbar`` makes no Algorithm 1
+        decision of its own, and the follower policy the simulator and
+        the online engine share is defined once."""
+        sources = _module_sources()
+        owners = [
+            f"{name}.{node.name}"
+            for name, (_path, tree) in sources.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and node.name == "DuelingResidentPolicy"
+        ]
+        assert owners == ["repro.core.sbar.DuelingResidentPolicy"]
+        _path, tree = sources["repro.core.sbar"]
+        attributes = {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+        assert not attributes & {"best_component", "_stamp", "_clock",
+                                 "contains_stored", "lookup_update"}
+
     def test_every_module_has_a_caller(self):
         """Every module is imported by program code (``src/repro``,
         ``benchmarks/``, ``examples/``; tests excluded) or is an entry

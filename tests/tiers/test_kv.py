@@ -98,6 +98,19 @@ class TestWalk:
         assert cache.resident_in("k") == []
         assert not cache.delete("k")
 
+    def test_residency_probes_fire_no_events(self):
+        cache = two_tier()
+        cache.get_or_compute("k", lambda key: "v")
+        before = cache.stats()
+        near_hits = cache.tiers[0].store.hits
+        assert "k" in cache and "other" not in cache
+        # Under LCE both tiers hold a copy, and len counts each.
+        assert len(cache) == 2
+        cache.tiers[0].invalidate("k")
+        assert "k" in cache and len(cache) == 1
+        assert cache.stats() == before
+        assert cache.tiers[0].store.hits == near_hits
+
     def test_stats_shape(self):
         cache = two_tier()
         cache.get_or_compute("a", lambda key: 1)

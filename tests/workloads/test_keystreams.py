@@ -128,29 +128,3 @@ class TestOpenLoopSpecs:
         assert [r.key for r in inserts] == [
             f"r:new:{i}" for i in range(len(inserts))
         ]
-
-    def test_trace_stream_replays_trace_keys_on_a_poisson_clock(self):
-        from repro.workloads.keystreams import TraceStreamSpec
-
-        config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
-        trace = build_workload("ammp", config, accesses=300)
-        spec = TraceStreamSpec(source=trace, rate=200.0, seed=4)
-        events = list(spec.requests())
-        assert len(events) == 300
-        assert [r.key for r in events] == keys_from_trace(trace)
-        times = [r.at for r in events]
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert all(r.op == "read" for r in events)
-        # Same spec, same stream (the key list is cached, times forked).
-        assert list(spec.requests()) == events
-
-    def test_trace_stream_loads_from_saved_path(self, tmp_path):
-        from repro.workloads.io import save_trace
-        from repro.workloads.keystreams import TraceStreamSpec
-
-        config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
-        trace = build_workload("mcf", config, accesses=200)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        spec = TraceStreamSpec(source=str(path), rate=100.0, seed=5)
-        assert [r.key for r in spec.requests()] == keys_from_trace(trace)
