@@ -15,7 +15,9 @@ import inspect
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.analysis.tables import render_table
 from repro.cache.cache import SetAssociativeCache
@@ -263,59 +265,68 @@ def _simulate_workload(task) -> List[Tuple[Cell, TimingResult]]:
     return [(cell, cell.simulate(compiled)) for cell in cells]
 
 
-def run_cells(
-    setup: Setup, cells: Iterable[Cell], workers: Optional[int] = None
-) -> Dict[Tuple[str, str], TimingResult]:
-    """Simulate ``cells`` workload-major; results keyed by ``cell.coords``.
+#: One experiment's simulated cells, keyed by ``cell.coords``.
+Sweep = Dict[Tuple[str, str], TimingResult]
 
-    Each workload with a cell not already known is built (or loaded from
-    the trace cache) and compiled with ``setup.processor`` once; every
-    pending cell of it is simulated, and both are dropped before the
-    next workload. A cell is known when the active sweep checkpoint
-    (see :func:`repro.experiments.checkpoint.active_checkpoint`) holds
-    its (workload, label) key, or when the active context's memo holds
-    an equal cell of this setup from an earlier experiment. Cells
-    resolved here are written to the checkpoint as each workload
-    finishes, so an interrupted sweep resumes under any worker count.
 
-    ``workers`` above 1 (explicitly, or process-wide via
-    :func:`repro.perf.parallel.set_default_workers`, the CLI's
-    ``--workers``) runs the workloads in worker processes. Every cell is
-    a deterministic function of its coordinates, so the results are
-    byte-identical to a serial run.
+def run_sweeps(
+    setup: Setup,
+    sweeps: Mapping[str, Iterable[Cell]],
+    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
+    workers: Optional[int] = None,
+) -> Dict[str, Sweep]:
+    """Simulate the cells of several experiments in one workload-major pass.
+
+    ``sweeps`` maps each experiment to its cells; the result maps it to
+    its :data:`Sweep`. Each workload with a cell not already known is
+    built (or loaded from the trace cache) and compiled once; each of
+    its pending cells is simulated once, whichever experiments declare
+    it, and both are dropped before the next workload.
+
+    With a ``checkpoint``, a cell is known when its experiment's key
+    (``cell/<experiment>/<scale>/<accesses>/<workload>/<label>``) or an
+    equal cell's key is recorded; each cell missing from its own key is
+    recorded under it, in one write per workload, so an interrupted
+    pass resumes under any worker count.
+
+    ``workers`` above 1 (or :func:`repro.perf.parallel.set_default_workers`,
+    the CLI's ``--workers``) runs the workloads in worker processes;
+    every cell is deterministic, so results are byte-identical to serial.
     """
     # Imported here: loading this module must not load the process pool.
     from repro.perf.parallel import ParallelRunner
 
-    cells = list(cells)
-    memo = checkpoint_mod.active_memo()
-    if memo is None:
-        memo = {}
-    stored = checkpoint_mod.sweep_cells(setup)
-    unstored: List[Cell] = []
+    sweeps = {experiment: list(cells) for experiment, cells in sweeps.items()}
+    known: Dict[Cell, TimingResult] = {}
+    unstored: List[Tuple[checkpoint_mod.SweepCells, Cell]] = []
+    for experiment, cells in sweeps.items():
+        if checkpoint is None:
+            break
+        stored = checkpoint_mod.SweepCells(checkpoint, experiment, setup)
+        for cell in cells:
+            restored = stored.restore(cell.coords)
+            if restored is None:
+                unstored.append((stored, cell))
+            else:
+                known.setdefault(cell, restored)
     pending: Dict[str, Dict[Cell, None]] = {}
-    for cell in cells:
-        restored = stored.restore(cell.coords) if stored is not None else None
-        if restored is not None:
-            memo.setdefault((setup, cell), restored)
-            continue
-        if stored is not None:
-            unstored.append(cell)
-        if (setup, cell) not in memo:
-            pending.setdefault(cell.workload, {})[cell] = None
+    for cells in sweeps.values():
+        for cell in cells:
+            if cell not in known:
+                pending.setdefault(cell.workload, {})[cell] = None
 
     def store_known() -> None:
         # One checkpoint write per workload, not per cell: each write
         # rewrites the whole file.
         nonlocal unstored
-        known = {
-            stored.key(cell.coords): checkpoint_mod.timing_to_dict(memo[setup, cell])
-            for cell in unstored
-            if (setup, cell) in memo
+        ready = {
+            stored.key(cell.coords): checkpoint_mod.timing_to_dict(known[cell])
+            for stored, cell in unstored
+            if cell in known
         }
-        if known:
-            stored.checkpoint.update(known)
-        unstored = [cell for cell in unstored if (setup, cell) not in memo]
+        if ready:
+            checkpoint.update(ready)
+        unstored = [entry for entry in unstored if entry[1] not in known]
 
     trace_dir = WorkloadCache(setup).trace_dir
     tasks = [(setup, trace_dir, name, list(group)) for name, group in pending.items()]
@@ -323,10 +334,27 @@ def run_cells(
     map_tasks = runner.map if runner.workers > 1 else map
     store_known()
     for outcome in map_tasks(_simulate_workload, tasks):
-        for cell, result in outcome:
-            memo[(setup, cell)] = result
+        known.update(outcome)
         store_known()
-    return {cell.coords: memo[(setup, cell)] for cell in cells}
+    return {
+        experiment: {cell.coords: known[cell] for cell in cells}
+        for experiment, cells in sweeps.items()
+    }
+
+
+def run_cells(
+    setup: Setup, cells: Iterable[Cell], workers: Optional[int] = None
+) -> Sweep:
+    """:func:`run_sweeps` of one experiment's ``cells``, restored from and
+    recorded in the active checkpoint (see
+    :func:`repro.experiments.checkpoint.active_checkpoint`)."""
+    checkpoint, experiment = checkpoint_mod.active() or (None, "")
+    return run_sweeps(setup, {experiment: cells}, checkpoint, workers)[experiment]
+
+
+def sweep_workloads(sweep: Sweep) -> List[str]:
+    """The workloads of a :func:`run_cells` result, in cell order."""
+    return list(dict.fromkeys(workload for workload, _label in sweep))
 
 
 @dataclass

@@ -9,13 +9,13 @@ workload, policy) simulation, or ``done/fig3/scaled`` for a whole
 experiment — and values are JSON data (serialized
 :class:`~repro.cpu.timing.TimingResult` cells, rendered report text).
 
-The module also carries the *active checkpoint context*: the CLI arms a
-checkpoint (and a per-invocation result memo) around each experiment it
-runs, and the shared cell runner
-(:func:`repro.experiments.base.run_cells`) transparently skips cells
-the checkpoint or memo already holds. :class:`SweepCells` is the one
-lookup/validate/store path every checkpointed sweep shares, and
-:func:`checkpointed_cell` wraps it for sweeps with their own loops.
+The module also carries the *active checkpoint context*: the CLI arms
+a checkpoint around each experiment that runs its own loop, and
+:func:`checkpointed_cell` (and :func:`repro.experiments.base.run_cells`)
+transparently restore the cells it already holds. The one sweep pass
+of an invocation (:func:`repro.experiments.base.run_sweeps`) takes the
+checkpoint directly. :class:`SweepCells` is the one
+lookup/validate/store path every checkpointed sweep shares.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ class SweepCheckpoint:
                 raise CheckpointError(
                     f"checkpoint file {self.path} is unreadable: {exc}"
                 ) from exc
+            if not isinstance(payload, dict):
+                raise CheckpointError(
+                    f"checkpoint file {self.path} holds a "
+                    f"{type(payload).__name__}, not an object"
+                )
             version = payload.get("version")
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(
@@ -145,28 +150,23 @@ class SweepCheckpoint:
 # Active checkpoint context
 # ---------------------------------------------------------------------------
 
-_ACTIVE: List[Tuple[Optional[SweepCheckpoint], str, Optional[dict]]] = []
+_ACTIVE: List[Tuple[SweepCheckpoint, str]] = []
 
 
 @contextlib.contextmanager
 def active_checkpoint(
-    checkpoint: Optional[SweepCheckpoint],
-    experiment: str,
-    memo: Optional[dict] = None,
+    checkpoint: Optional[SweepCheckpoint], experiment: str
 ) -> Iterator[None]:
-    """Make ``checkpoint`` (and ``memo``) visible to nested sweeps.
+    """Make ``checkpoint`` visible to nested sweeps.
 
     Sweeps consult :func:`active` to restore/record their cells under
-    the given experiment name. ``memo`` is a dict the caller keeps
-    across experiments: :func:`repro.experiments.base.run_cells` keeps
-    every result in it by normalized cell, so a cell that recurs in a
-    later experiment of one invocation is not simulated again. With
-    neither, this is a no-op, so callers need no special-casing.
+    the given experiment name. With no checkpoint this is a no-op, so
+    callers need no special-casing.
     """
-    if checkpoint is None and memo is None:
+    if checkpoint is None:
         yield
         return
-    _ACTIVE.append((checkpoint, experiment, memo))
+    _ACTIVE.append((checkpoint, experiment))
     try:
         yield
     finally:
@@ -175,14 +175,7 @@ def active_checkpoint(
 
 def active() -> Optional[Tuple[SweepCheckpoint, str]]:
     """The innermost active (checkpoint, experiment) pair, or None."""
-    if not _ACTIVE or _ACTIVE[-1][0] is None:
-        return None
-    return _ACTIVE[-1][:2]
-
-
-def active_memo() -> Optional[dict]:
-    """The innermost active context's result memo, or None."""
-    return _ACTIVE[-1][2] if _ACTIVE else None
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,24 @@ Examples::
                                            # survive crashes, checkpoint
                                            # progress, resume after ^C
 
-Robustness (see docs/robustness.md): each experiment runs crash-
-isolated with optional retries (exponential backoff, jittered, capped)
-and a wall-clock timeout; with ``--resume``/``--checkpoint`` the sweep
-records every completed experiment, and every simulator cell that
-:func:`repro.experiments.base.run_cells` runs, in an atomically-written
-JSON file, and a re-invocation skips finished work. Within one
-invocation a cell that recurs in a later experiment is not simulated
-again.
+One invocation makes one sweep pass: the cells every sweep experiment
+(fig3-fig6, fig8-fig10, sec44, sec47, ext-dip) declares are simulated
+together by :func:`repro.experiments.base.run_sweeps`, so each workload
+is compiled once and equal cells are simulated once; each experiment
+then renders its own table from them.
+
+Robustness (see docs/robustness.md): the sweep pass and each
+experiment run crash-isolated under an optional wall-clock timeout;
+with ``--resume``/``--checkpoint`` every completed experiment and
+every simulator cell is recorded in an atomically-written JSON file,
+and a re-invocation (``report`` included) skips finished work.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.tables import render_table
 from repro.experiments import base
@@ -92,11 +95,8 @@ _SETUP_FREE = {"storage", "theory"}
 DEFAULT_CHECKPOINT = ".repro-checkpoint.json"
 
 
-def _run_result(name: str, args: argparse.Namespace):
-    module = EXPERIMENTS[name]
-    if name in _SETUP_FREE:
-        return module.run()
-    setup = base.make_setup(args.scale, accesses=args.accesses)
+def _experiment_kwargs(name: str, args: argparse.Namespace) -> dict:
+    """The keyword arguments the flags pass to ``name``'s run or cells."""
     kwargs = {}
     # ext-online takes key-stream names, not suite workload names, so the
     # suite-wide --workloads restriction does not apply to it either.
@@ -110,11 +110,35 @@ def _run_result(name: str, args: argparse.Namespace):
         kwargs["seed"] = args.seed
         if args.quick:
             kwargs["quick"] = True
-    return module.run(setup=setup, **kwargs)
+    return kwargs
 
 
-def _run_one(name: str, args: argparse.Namespace) -> str:
-    result = _run_result(name, args)
+def _run_sweeps(names: List[str], args: argparse.Namespace,
+                ckpt: Optional[checkpoint_mod.SweepCheckpoint]
+                ) -> Dict[str, base.Sweep]:
+    """Simulate the cells of the sweep experiments ``names`` in one pass."""
+    setup = base.make_setup(args.scale, accesses=args.accesses)
+    return base.run_sweeps(setup, {
+        name: EXPERIMENTS[name].cells(setup, **_experiment_kwargs(name, args))
+        for name in names
+    }, ckpt)
+
+
+def _run_result(name: str, args: argparse.Namespace,
+                ckpt: Optional[checkpoint_mod.SweepCheckpoint],
+                sweeps: Dict[str, base.Sweep]):
+    """``name``'s result: rendered from ``sweeps``, or run on its own."""
+    module = EXPERIMENTS[name]
+    if name in _SETUP_FREE:
+        return module.run()
+    setup = base.make_setup(args.scale, accesses=args.accesses)
+    if name in sweeps:
+        return module.render(setup, sweeps[name])
+    with checkpoint_mod.active_checkpoint(ckpt, name):
+        return module.run(setup=setup, **_experiment_kwargs(name, args))
+
+
+def _render_text(name: str, result, args: argparse.Namespace) -> str:
     text = result.render()
     if name == "fig7" and args.render_map:
         for workload in ("ammp", "mgrid"):
@@ -126,14 +150,6 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             )
             text += setmap.render()
     return text
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for ``--retries``: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _positive_float(text: str) -> float:
@@ -226,18 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint file to use (implies --resume semantics)",
     )
     parser.add_argument(
-        "--retries",
-        type=_non_negative_int,
-        default=0,
-        help="retry a crashed experiment up to N times with jittered "
-        "exponential backoff (default: 0)",
-    )
-    parser.add_argument(
         "--timeout",
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="per-experiment wall-clock timeout (POSIX main thread only)",
+        help="wall-clock timeout for the sweep pass and for each "
+        "experiment (POSIX main thread only)",
     )
     golden_group = parser.add_mutually_exclusive_group()
     golden_group.add_argument(
@@ -397,15 +407,11 @@ def _open_checkpoint(
 def _failure_summary(failures: List[runner_mod.CellOutcome]) -> str:
     """Render the per-experiment failure table for ``all --keep-going``."""
     rows = [
-        [
-            outcome.name,
-            outcome.attempts,
-            f"{type(outcome.error).__name__}: {outcome.error}",
-        ]
+        [outcome.name, f"{type(outcome.error).__name__}: {outcome.error}"]
         for outcome in failures
     ]
     return render_table(
-        ["experiment", "attempts", "error"],
+        ["experiment", "error"],
         rows,
         title=f"{len(failures)} experiment(s) failed",
     )
@@ -522,11 +528,11 @@ def _run_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import build_report
     from repro.utils.atomicio import atomic_write_text
 
-    memo: dict = {}
     results = []
-    for name in sorted(EXPERIMENTS):
-        with checkpoint_mod.active_checkpoint(None, name, memo):
-            results.append(_run_result(name, args))
+    code = _drive(sorted(EXPERIMENTS), args, _open_checkpoint(args),
+                  lambda name, result: results.append(result), {})
+    if code:
+        return code
     text = build_report(
         results,
         title="Adaptive Caches (MICRO 2006) — reproduction report",
@@ -580,15 +586,82 @@ def main(argv: Optional[List[str]] = None) -> int:
             set_default_workers(1)
 
 
+def _drive(
+    names: List[str],
+    args: argparse.Namespace,
+    ckpt: Optional[checkpoint_mod.SweepCheckpoint],
+    finish: Callable[[str, object], None],
+    restored: Dict[str, str],
+) -> int:
+    """Run ``names`` in order; hand each result to ``finish``.
+
+    First one :func:`_run_sweeps` pass simulates the union of the cells
+    of every sweep experiment among them; then each experiment renders
+    from it or runs on its own. The pass and each experiment are
+    crash-isolated units under ``--timeout``. A name in ``restored`` is
+    not run: its recorded text is printed in its place. Returns the
+    exit status: 130 on Ctrl-C, 1 when anything failed.
+    """
+    keep_going = args.keep_going and args.experiment == "all"
+    declared = [name for name in names
+                if name not in restored and hasattr(EXPERIMENTS[name], "cells")]
+    failures: List[runner_mod.CellOutcome] = []
+    sweeps: Dict[str, base.Sweep] = {}
+    unit = "sweep pass"
+
+    def failed(outcome: runner_mod.CellOutcome) -> bool:
+        """Report a failure; whether the run goes on past it."""
+        print(f"[failed] {outcome.name}: {type(outcome.error).__name__}: "
+              f"{outcome.error}", file=sys.stderr)
+        return keep_going
+
+    try:
+        if declared:
+            outcome = runner_mod.run_cell(
+                lambda: _run_sweeps(declared, args, ckpt),
+                name=unit, timeout=args.timeout,
+            )
+            if not outcome.failed:
+                sweeps = outcome.value
+            elif failed(outcome):
+                failures += [runner_mod.CellOutcome(name, error=outcome.error)
+                             for name in declared]
+            else:
+                return 1
+        for name in names:
+            if name in restored:
+                print(f"[checkpoint] {name}: already complete, skipping")
+                print(restored[name])
+                print()
+            elif name in sweeps or name not in declared:
+                unit = name
+                outcome = runner_mod.run_cell(
+                    lambda: finish(name, _run_result(name, args, ckpt, sweeps)),
+                    name=name, timeout=args.timeout,
+                )
+                if outcome.failed:
+                    if not failed(outcome):
+                        return 1
+                    failures.append(outcome)
+    except KeyboardInterrupt:
+        hint = (f"{len(ckpt)} completed cell(s) saved in {ckpt.path} — "
+                "re-run with --resume to continue" if ckpt is not None
+                else "run with --resume to make interruptions recoverable")
+        print(f"\ninterrupted during {unit!r}; {hint}", file=sys.stderr)
+        return 130
+
+    if failures:
+        print(_failure_summary(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
 def _run_experiments(args: argparse.Namespace) -> int:
-    """Run one experiment or the whole sweep with crash isolation."""
+    """Run one experiment or all of them; print each as it finishes."""
     names = (
         sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
     ckpt = _open_checkpoint(args)
-    memo: dict = {}
-    retry = runner_mod.RetryPolicy(attempts=args.retries + 1)
-    failures: List[runner_mod.CellOutcome] = []
 
     # A finished experiment is keyed by every flag that changes its
     # output too, so a rerun with other values recomputes it.
@@ -603,72 +676,22 @@ def _run_experiments(args: argparse.Namespace) -> int:
         selection.append("quick")
     if args.render_map:
         selection.append("render-map")
-    for index, name in enumerate(names):
-        done_key = checkpoint_mod.SweepCheckpoint.cell_key(
-            "done", name, args.scale, *selection
-        )
-        if ckpt is not None:
-            restored = ckpt.get(done_key)
-            if restored is not None:
-                print(f"[checkpoint] {name}: already complete, skipping")
-                print(restored)
-                print()
-                continue
+    done_keys = {
+        name: checkpoint_mod.SweepCheckpoint.cell_key(
+            "done", name, args.scale, *selection)
+        for name in names
+    }
+    restored = {name: ckpt.get(key) for name, key in done_keys.items()
+                if ckpt is not None and ckpt.get(key) is not None}
 
-        def compute(name=name):
-            with checkpoint_mod.active_checkpoint(ckpt, name, memo):
-                return _run_one(name, args)
-
-        try:
-            outcome = runner_mod.run_cell(
-                compute,
-                name=name,
-                retry=retry,
-                timeout=args.timeout,
-                seed=index,
-            )
-        except KeyboardInterrupt:
-            if ckpt is not None:
-                print(
-                    f"\n[checkpoint] interrupted during {name!r}; "
-                    f"{len(ckpt)} completed cell(s) saved in {ckpt.path} — "
-                    "re-run with --resume to continue",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"\ninterrupted during {name!r} (run with --resume to "
-                    "make interruptions recoverable)",
-                    file=sys.stderr,
-                )
-            return 130
-
-        if outcome.failed:
-            if args.experiment == "all" and args.keep_going:
-                print(
-                    f"[failed] {name}: {type(outcome.error).__name__}: "
-                    f"{outcome.error} (after {outcome.attempts} attempt(s))",
-                    file=sys.stderr,
-                )
-                failures.append(outcome)
-                continue
-            print(
-                f"experiment {name!r} failed after {outcome.attempts} "
-                f"attempt(s): {type(outcome.error).__name__}: "
-                f"{outcome.error}",
-                file=sys.stderr,
-            )
-            return 1
-
-        print(outcome.value)
+    def finish(name: str, result) -> None:
+        text = _render_text(name, result, args)
+        print(text)
         print()
         if ckpt is not None:
-            ckpt.put(done_key, outcome.value)
+            ckpt.put(done_keys[name], text)
 
-    if failures:
-        print(_failure_summary(failures), file=sys.stderr)
-        return 1
-    return 0
+    return _drive(names, args, ckpt, finish, restored)
 
 
 if __name__ == "__main__":

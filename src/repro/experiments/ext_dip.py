@@ -13,15 +13,11 @@ suite.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
 )
 
 # Loop-thrashing programs (where BIP shines) + recency-friendly ones
@@ -41,15 +37,15 @@ POLICY_SPECS = {
 }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """MPKI of DIP-like set dueling vs this paper's adaptivity."""
-    setup = setup or make_setup()
-    workloads = list(workloads or DEFAULT_WORKLOADS)
-    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+    """One cell per workload (default :data:`DEFAULT_WORKLOADS`) and
+    :data:`POLICY_SPECS` entry."""
+    return policy_cells(setup, workloads or DEFAULT_WORKLOADS, POLICY_SPECS)
 
+
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """The set-dueling MPKI table from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="ext-dip",
         description="DIP-style set dueling expressed in this paper's "
@@ -70,6 +66,13 @@ def run(
         "paper's machinery with zero new mechanism."
     )
     return result
+
+
+def run(setup: Optional[Setup] = None,
+        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """MPKI of DIP-like set dueling vs this paper's adaptivity."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads)))
 
 
 if __name__ == "__main__":

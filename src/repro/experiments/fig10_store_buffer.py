@@ -8,36 +8,32 @@ entries.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell,
-    ExperimentResult,
-    Setup,
-    make_setup,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
 )
 
 BUFFER_SIZES = (4, 8, 16, 32, 64, 128, 256)
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    buffer_sizes: Sequence[int] = BUFFER_SIZES,
-) -> ExperimentResult:
-    """Reproduce Figure 10's benefit-vs-store-buffer series."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_cells(setup, [
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
+          buffer_sizes: Sequence[int] = BUFFER_SIZES) -> List[Cell]:
+    """An LRU and an adaptive cell per workload and store-buffer size."""
+    return [
         Cell.of(setup, name, f"{entries}-entry {label}", {"policy_kind": kind},
                 processor=setup.processor.scaled(store_buffer_entries=entries))
-        for name in workloads
+        for name in workloads or setup.workloads(primary_only=True)
         for entries in buffer_sizes
         for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
-    ])
+    ]
 
+
+def render(setup: Setup, sweep: Sweep,
+           buffer_sizes: Sequence[int] = BUFFER_SIZES) -> ExperimentResult:
+    """Figure 10's series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig10",
         description="Average CPI and adaptive benefit vs store-buffer "
@@ -72,6 +68,14 @@ def run(
         "their largest improvement at 4 entries."
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        buffer_sizes: Sequence[int] = BUFFER_SIZES) -> ExperimentResult:
+    """Reproduce Figure 10's benefit-vs-store-buffer series."""
+    setup = setup or make_setup()
+    sweep = run_cells(setup, cells(setup, workloads, buffer_sizes))
+    return render(setup, sweep, buffer_sizes)
 
 
 if __name__ == "__main__":

@@ -8,15 +8,11 @@ over all 100 programs).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -26,16 +22,17 @@ POLICY_SPECS = {
 }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    primary_only: bool = True,
-) -> ExperimentResult:
-    """Reproduce Figure 3's per-benchmark MPKI series."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only))
-    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
+          primary_only: bool = True) -> List[Cell]:
+    """One cell per workload and :data:`POLICY_SPECS` entry (Figures 3
+    and 4 share them)."""
+    return policy_cells(setup, workloads or setup.workloads(primary_only),
+                        POLICY_SPECS)
 
+
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """Figure 3's per-benchmark MPKI series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig3",
         description="L2 misses per thousand instructions (lower is better)",
@@ -58,6 +55,13 @@ def run(
         f"{percent_reduction(averages['LFU'], averages['Adaptive']):.1f}%"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        primary_only: bool = True) -> ExperimentResult:
+    """Reproduce Figure 3's per-benchmark MPKI series."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads, primary_only)))
 
 
 if __name__ == "__main__":

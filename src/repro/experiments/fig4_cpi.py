@@ -15,25 +15,14 @@ from repro.analysis.metrics import (
     summarize_policy_metric,
 )
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
 )
-from repro.experiments.fig3_mpki import POLICY_SPECS
+from repro.experiments.fig3_mpki import POLICY_SPECS, cells
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    primary_only: bool = True,
-) -> ExperimentResult:
-    """Reproduce Figure 4's per-benchmark CPI series."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only))
-    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
-
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """Figure 4's per-benchmark CPI series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig4",
         description="Cycles per instruction (lower is better)",
@@ -61,6 +50,13 @@ def run(
         f"{summary['worst_degradation_percent']:.2f}% (paper: 1.2%, unepic)"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        primary_only: bool = True) -> ExperimentResult:
+    """Reproduce Figure 4's per-benchmark CPI series."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads, primary_only)))
 
 
 if __name__ == "__main__":

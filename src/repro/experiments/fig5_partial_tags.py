@@ -7,38 +7,37 @@ tags the CPI improvement is 12.7% vs 12.9% for full tags.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.experiments.base import (
-    Cell,
-    ExperimentResult,
-    Setup,
-    make_setup,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
 )
 
 TAG_WIDTHS = (None, 12, 10, 8, 6, 4)  # None = full tags
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    tag_widths: Sequence[Optional[int]] = TAG_WIDTHS,
-) -> ExperimentResult:
-    """Reproduce Figure 5's percent-increase-vs-full-tags series."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-    labels = {bits: "full" if bits is None else f"{bits}-bit"
-              for bits in tag_widths}
-    sweep = run_cells(setup, [
-        Cell.of(setup, name, labels[bits],
+def _label(bits: Optional[int]) -> str:
+    return "full" if bits is None else f"{bits}-bit"
+
+
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
+          tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> List[Cell]:
+    """One LRU/LFU adaptive cell per workload and shadow tag width."""
+    return [
+        Cell.of(setup, name, _label(bits),
                 {"policy_kind": "adaptive", "components": ("lru", "lfu"),
                  "partial_bits": bits})
-        for name in workloads
+        for name in workloads or setup.workloads(primary_only=True)
         for bits in tag_widths
-    ])
+    ]
 
+
+def render(setup: Setup, sweep: Sweep,
+           tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> ExperimentResult:
+    """Figure 5's series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
+    labels = {bits: _label(bits) for bits in tag_widths}
     averages = {}
     for bits in tag_widths:
         runs = [sweep[name, labels[bits]] for name in workloads]
@@ -67,6 +66,14 @@ def run(
         "tags give 12.7% CPI improvement vs full tags' 12.9%."
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> ExperimentResult:
+    """Reproduce Figure 5's percent-increase-vs-full-tags series."""
+    setup = setup or make_setup()
+    sweep = run_cells(setup, cells(setup, workloads, tag_widths))
+    return render(setup, sweep, tag_widths)
 
 
 if __name__ == "__main__":

@@ -9,27 +9,17 @@ them.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
-    Cell,
-    ExperimentResult,
-    Setup,
-    make_setup,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
 )
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """Reproduce Figure 6's CPI comparison across storage budgets."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-
+def _configurations(setup: Setup) -> list:
+    """(label, policy spec, L2 config, storage overhead %) per bar."""
     base_l2 = setup.l2
     nine_way = base_l2.scaled(
         size_bytes=base_l2.size_bytes // base_l2.ways * 9, ways=9
@@ -38,7 +28,7 @@ def run(
         size_bytes=base_l2.size_bytes // base_l2.ways * 10, ways=10
     )
     storage = StorageModel(base_l2)
-    configurations = [
+    return [
         ("Adaptive (full tags)",
          {"policy_kind": "adaptive"}, base_l2,
          storage.adaptive_overhead_percent()),
@@ -50,19 +40,28 @@ def run(
         ("LRU (10-way, +25% data)", {"policy_kind": "lru"}, ten_way, 25.0),
     ]
 
+
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+    """One cell per workload and configuration (label, policy, L2)."""
+    configurations = _configurations(setup)
+    return [
+        Cell.of(setup, name, label, spec, l2=l2_config)
+        for name in workloads or setup.workloads(primary_only=True)
+        for label, spec, l2_config, _overhead in configurations
+    ]
+
+
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """Figure 6's CPI comparison from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig6",
         description="Average CPI: adaptive replacement vs larger "
         "conventional caches (lower is better)",
         headers=["configuration", "avg CPI", "storage overhead %"],
     )
-    sweep = run_cells(setup, [
-        Cell.of(setup, name, label, spec, l2=l2_config)
-        for name in workloads
-        for label, spec, l2_config, _overhead in configurations
-    ])
     averages = {}
-    for label, _spec, _l2_config, overhead in configurations:
+    for label, _spec, _l2_config, overhead in _configurations(setup):
         averages[label] = arithmetic_mean(
             [sweep[name, label].cpi for name in workloads]
         )
@@ -76,6 +75,13 @@ def run(
         "one sixth of the storage overhead (paper: 2.8% better, 4.0% vs 25%)"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None,
+        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """Reproduce Figure 6's CPI comparison across storage budgets."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads)))
 
 
 if __name__ == "__main__":

@@ -9,15 +9,11 @@ combination beat LRU+LFU overall.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -27,15 +23,16 @@ POLICY_SPECS = {
 }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """Reproduce Figure 8's FIFO/MRU MPKI series."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+    """One cell per workload and :data:`POLICY_SPECS` entry."""
+    return policy_cells(
+        setup, workloads or setup.workloads(primary_only=True), POLICY_SPECS
+    )
 
+
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """Figure 8's FIFO/MRU MPKI series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig8",
         description="L2 MPKI adapting between FIFO and MRU "
@@ -58,6 +55,13 @@ def run(
         "(paper: one gcc input and art)"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None,
+        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """Reproduce Figure 8's FIFO/MRU MPKI series."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads)))
 
 
 if __name__ == "__main__":

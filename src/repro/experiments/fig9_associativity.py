@@ -9,42 +9,38 @@ last-level caches.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell,
-    ExperimentResult,
-    Setup,
-    make_setup,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
 )
 
 ASSOCIATIVITIES = (4, 8, 16, 32)
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    associativities: Sequence[int] = ASSOCIATIVITIES,
-) -> ExperimentResult:
-    """Reproduce Figure 9's benefit-vs-associativity series.
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
+          associativities: Sequence[int] = ASSOCIATIVITIES) -> List[Cell]:
+    """An LRU and an adaptive cell per workload and associativity.
 
     Capacity stays fixed, so doubling the ways halves the sets, exactly
     as in the paper ("the 16-way cache has only half as many sets as the
     baseline 8-way cache"). Workload traces are generated once against
     the baseline geometry and replayed against every variant.
     """
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_cells(setup, [
+    return [
         Cell.of(setup, name, f"{ways}-way {label}", {"policy_kind": kind},
                 l2=setup.l2.scaled(ways=ways))
-        for name in workloads
+        for name in workloads or setup.workloads(primary_only=True)
         for ways in associativities
         for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
-    ])
+    ]
 
+
+def render(setup: Setup, sweep: Sweep,
+           associativities: Sequence[int] = ASSOCIATIVITIES) -> ExperimentResult:
+    """Figure 9's series from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="fig9",
         description="Adaptive benefit vs associativity "
@@ -70,6 +66,14 @@ def run(
         "slightly for 16- and 32-way caches."
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        associativities: Sequence[int] = ASSOCIATIVITIES) -> ExperimentResult:
+    """Reproduce Figure 9's benefit-vs-associativity series."""
+    setup = setup or make_setup()
+    sweep = run_cells(setup, cells(setup, workloads, associativities))
+    return render(setup, sweep, associativities)
 
 
 if __name__ == "__main__":

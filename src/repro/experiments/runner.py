@@ -1,96 +1,50 @@
-"""Crash isolation for experiment cells: retry, backoff, timeouts.
+"""Crash isolation for experiment cells: captured failures, timeouts.
 
 A multi-hour ``--scale paper`` sweep must not die wholesale because one
-workload crashed or one cached trace was truncated. :func:`run_cell`
-wraps one unit of work (an experiment, or a single workload simulation)
-with:
+experiment crashed. :func:`run_cell` wraps one unit of work (an
+experiment's render, or the one sweep pass of an invocation) with:
 
 * **crash isolation** — any ``Exception`` is captured into a
   :class:`CellOutcome` instead of propagating (``KeyboardInterrupt`` and
   ``SystemExit`` always propagate, so Ctrl-C still stops the sweep);
-* **retry with exponential backoff** — transient failures are retried
-  with jittered, capped delays, optionally preceded by a ``recover``
-  callback (e.g. deleting a corrupt trace file);
 * **a wall-clock timeout** — enforced with ``SIGALRM`` where available
   (POSIX main thread); elsewhere the timeout is silently skipped rather
   than unsupported platforms crashing.
+
+A failed cell is not retried: every cell is a deterministic function of
+its inputs, so a second attempt fails the same way.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
-from repro.utils.rng import DeterministicRNG
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 
 class CellTimeout(RuntimeError):
     """A cell exceeded its wall-clock timeout."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry schedule for a failing cell.
-
-    Attributes:
-        attempts: total tries (1 = no retries).
-        base_delay: delay before the first retry, in seconds.
-        multiplier: exponential growth factor between retries.
-        max_delay: cap on any single delay.
-        jitter: fraction of each delay randomized symmetrically
-            (0.5 means the delay is drawn from [0.5d, 1.5d]).
-    """
-
-    attempts: int = 1
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.5
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delay(self, retry_index: int, rng: DeterministicRNG) -> float:
-        """Jittered, capped delay before retry ``retry_index`` (0-based)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier**retry_index)
-        if self.jitter == 0.0:
-            return raw
-        spread = 1.0 - self.jitter + 2.0 * self.jitter * rng.random()
-        return min(self.max_delay, raw * spread)
-
-
 @dataclass
 class CellOutcome:
-    """What happened when a cell ran (possibly several times).
+    """What happened when a cell ran.
 
     Attributes:
         name: the cell's display name.
-        value: the function's return value, if any attempt succeeded.
-        error: the last exception, if every attempt failed.
-        attempts: how many attempts were made.
-        retry_errors: exceptions from attempts that were retried.
+        value: the function's return value, if it succeeded.
+        error: the exception, if it failed.
     """
 
     name: str
     value: object = None
     error: Optional[BaseException] = None
-    attempts: int = 0
-    retry_errors: List[BaseException] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
-        """True when no attempt succeeded."""
+        """True when the cell raised."""
         return self.error is not None
 
 
@@ -124,45 +78,25 @@ def _alarm(seconds: Optional[float], name: str):
 def run_cell(
     fn: Callable[[], object],
     name: str,
-    retry: RetryPolicy = RetryPolicy(),
     timeout: Optional[float] = None,
-    recover: Optional[Callable[[BaseException], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    seed: int = 0,
 ) -> CellOutcome:
-    """Run one cell with isolation, retries, backoff and a timeout.
+    """Run one cell with isolation and a timeout.
 
     Args:
         fn: the zero-argument unit of work.
         name: display name for messages and the timeout error.
-        retry: the retry schedule (default: single attempt).
-        timeout: per-attempt wall-clock limit in seconds, or None.
-        recover: called with the failure before each retry — the hook
-            for cleanup like deleting a corrupt cached trace.
-        sleep: injection point for tests (defaults to ``time.sleep``).
-        seed: seed for the jitter RNG, so sweeps are reproducible.
+        timeout: wall-clock limit in seconds, or None.
 
     Returns:
         A :class:`CellOutcome`; exceptions never propagate except
         ``KeyboardInterrupt`` / ``SystemExit``.
     """
     outcome = CellOutcome(name=name)
-    rng = DeterministicRNG(seed)
-    for attempt in range(retry.attempts):
-        outcome.attempts = attempt + 1
-        try:
-            with _alarm(timeout, name):
-                outcome.value = fn()
-            outcome.error = None
-            return outcome
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            outcome.error = exc
-            if attempt + 1 >= retry.attempts:
-                break
-            outcome.retry_errors.append(exc)
-            if recover is not None:
-                recover(exc)
-            sleep(retry.delay(attempt, rng))
+    try:
+        with _alarm(timeout, name):
+            outcome.value = fn()
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except Exception as exc:  # noqa: BLE001 — isolation is the point
+        outcome.error = exc
     return outcome

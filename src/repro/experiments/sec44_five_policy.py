@@ -9,15 +9,11 @@ identical.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -28,15 +24,16 @@ POLICY_SPECS = {
 }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """Reproduce the five-policy comparison of Section 4.4."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
-    sweep = run_cells(setup, policy_cells(setup, workloads, POLICY_SPECS))
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+    """One cell per workload and :data:`POLICY_SPECS` entry."""
+    return policy_cells(
+        setup, workloads or setup.workloads(primary_only=True), POLICY_SPECS
+    )
 
+
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
+    """The Section 4.4 comparison from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="sec44",
         description="Five-policy adaptivity vs LRU/LFU adaptivity "
@@ -56,6 +53,13 @@ def run(
         "(paper: virtually identical)"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None,
+        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
+    """Reproduce the five-policy comparison of Section 4.4."""
+    setup = setup or make_setup()
+    return render(setup, run_cells(setup, cells(setup, workloads)))
 
 
 if __name__ == "__main__":

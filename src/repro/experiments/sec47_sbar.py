@@ -10,16 +10,12 @@ competitive.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
-    ExperimentResult,
-    Setup,
-    make_setup,
-    policy_cells,
-    run_cells,
+    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -32,21 +28,23 @@ POLICY_SPECS = {
 }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    num_leaders: int = 16,
-) -> ExperimentResult:
-    """Reproduce the SBAR comparison of Section 4.7."""
-    setup = setup or make_setup()
-    workloads = list(workloads or setup.workloads(primary_only=True))
+def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
+          num_leaders: int = 16) -> List[Cell]:
+    """One cell per workload and :data:`POLICY_SPECS` entry, the SBAR
+    ones with ``num_leaders`` leader sets."""
     specs = {
         label: dict(kwargs, num_leaders=num_leaders)
         if kwargs["policy_kind"] == "sbar" else kwargs
         for label, kwargs in POLICY_SPECS.items()
     }
-    sweep = run_cells(setup, policy_cells(setup, workloads, specs))
+    return policy_cells(
+        setup, workloads or setup.workloads(primary_only=True), specs
+    )
 
+
+def render(setup: Setup, sweep: Sweep, num_leaders: int = 16) -> ExperimentResult:
+    """The Section 4.7 comparison from :func:`cells`' results."""
+    workloads = sweep_workloads(sweep)
     result = ExperimentResult(
         experiment="sec47",
         description="SBAR-like set sampling vs full adaptivity "
@@ -76,6 +74,14 @@ def run(
         "(paper at 512 KB: 9.9%/4.0%/0.16%/0.09%)"
     )
     return result
+
+
+def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
+        num_leaders: int = 16) -> ExperimentResult:
+    """Reproduce the SBAR comparison of Section 4.7."""
+    setup = setup or make_setup()
+    sweep = run_cells(setup, cells(setup, workloads, num_leaders))
+    return render(setup, sweep, num_leaders)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@
   large enough to amortize the setup (:data:`AUTO_MIN_BATCH`).
 * :mod:`repro.perf.parallel` — the process pool
   (:class:`~repro.perf.parallel.ParallelRunner`) that
-  :func:`~repro.experiments.base.run_cells` maps its per-workload step
+  :func:`~repro.experiments.base.run_sweeps` maps its per-workload step
   over at ``--workers N``; everything else is the serial path's, so the
   results and the checkpoint format are the same.
 * :mod:`repro.perf.bench` — the ``repro-experiments perf`` benchmark:

@@ -189,7 +189,7 @@ def bench_sweep(
     """Wall-clock of one mini policy sweep, serial and parallel.
 
     Each entry re-runs the same deterministic sweep (traces built
-    afresh, no checkpoint or memo) so the wall-clocks are comparable;
+    afresh, no checkpoint) so the wall-clocks are comparable;
     the results themselves are asserted identical across worker counts.
     """
     from repro.experiments.base import make_setup, policy_cells, run_cells

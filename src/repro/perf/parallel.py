@@ -5,12 +5,12 @@ simulation — is a pure function of its coordinates: traces are
 generated from deterministic RNG seeds, policies take explicit seeds,
 and the timing model is seed-free. That makes a sweep embarrassingly
 parallel *without* sacrificing reproducibility.
-:func:`repro.experiments.base.run_cells` hands its per-workload step
+:func:`repro.experiments.base.run_sweeps` hands its per-workload step
 (build the trace, compile it once, simulate every pending cell) to
 :meth:`ParallelRunner.map` instead of the builtin ``map``; everything
-else — checkpoint restore and store, the result memo, the merge keyed
-by cell coordinates — is the serial path's, so the results (golden
-digests included) are byte-identical to a serial run.
+else — checkpoint restore and store, the merge keyed by cell — is the
+serial path's, so the results (golden digests included) are
+byte-identical to a serial run.
 
 Failure handling:
 

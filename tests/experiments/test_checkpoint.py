@@ -98,14 +98,20 @@ class TestOpenOrReset:
         ckpt = SweepCheckpoint.open_or_reset(tmp_path / "ck.json")
         assert len(ckpt) == 0
 
-    def test_corrupt_file_quarantined_not_raised(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{ torn mid-wri",
+        # Valid JSON that is not an object.
+        "[]", "null", "7", '"x"',
+    ])
+    def test_corrupt_file_quarantined_not_raised(self, text, tmp_path,
+                                                 capsys):
         path = tmp_path / "ck.json"
-        path.write_text("{ torn mid-wri")
+        path.write_text(text)
         ckpt = SweepCheckpoint.open_or_reset(path)
         assert len(ckpt) == 0
         assert "starting fresh" in capsys.readouterr().err
         # The damaged file survives for inspection.
-        assert (tmp_path / "ck.json.corrupt").read_text() == "{ torn mid-wri"
+        assert (tmp_path / "ck.json.corrupt").read_text() == text
         # The fresh checkpoint is usable at the original path.
         ckpt.put("a", 1)
         assert SweepCheckpoint(path).get("a") == 1
@@ -287,6 +293,56 @@ class TestSweepUsesCheckpoint:
         assert writes == [2, 4]
         assert second == first
 
+    def test_sweep_pass_writes_once_per_workload(self, tmp_path,
+                                                 simulate_calls, monkeypatch):
+        """Two experiments' cells in one pass: each distinct cell is
+        simulated once, and every cell is recorded under its own
+        experiment's key in one checkpoint write per workload."""
+        setup = base.make_setup("mini", accesses=2000)
+        lru = {"LRU": {"policy_kind": "lru"}}
+        both = dict(lru, LFU={"policy_kind": "lfu"})
+        writes = []
+        real_save = SweepCheckpoint._save
+
+        def counting_save(self):
+            writes.append(len(self))
+            real_save(self)
+
+        monkeypatch.setattr(SweepCheckpoint, "_save", counting_save)
+        ckpt = SweepCheckpoint(tmp_path / "ck.json")
+        sweeps = base.run_sweeps(setup, {
+            "one": base.policy_cells(setup, ["lucas", "art-1"], lru),
+            "two": base.policy_cells(setup, ["lucas", "art-1"], both),
+        }, ckpt)
+        assert len(simulate_calls) == 4
+        assert writes == [3, 6]
+        assert sweeps["one"]["lucas", "LRU"] == sweeps["two"]["lucas", "LRU"]
+        assert sorted(sweeps["two"]) == sorted(
+            (name, label) for name in ("lucas", "art-1") for label in both)
+
+    def test_cell_recorded_by_one_experiment_fills_another(
+        self, tmp_path, simulate_calls
+    ):
+        """A pass over fig3 and fig4 against a checkpoint that holds
+        only fig3's cells (as a run killed after fig3 leaves it)
+        simulates nothing, and records fig4's keys from fig3's values."""
+        setup = base.make_setup("mini", accesses=1500)
+        path = tmp_path / "ck.json"
+        with active_checkpoint(SweepCheckpoint(path), experiment="fig3"):
+            fig3_mpki.run(setup=setup, workloads=["lucas"])
+        simulate_calls.clear()
+
+        ckpt = SweepCheckpoint(path)
+        sweeps = base.run_sweeps(setup, {
+            name: fig3_mpki.cells(setup, ["lucas"]) for name in ("fig3", "fig4")
+        }, ckpt)
+        assert simulate_calls == []
+        for label in fig3_mpki.POLICY_SPECS:
+            assert ckpt.get(f"cell/fig4/mini/1500/lucas/{label}") == \
+                ckpt.get(f"cell/fig3/mini/1500/lucas/{label}")
+        assert fig4_cpi.render(setup, sweeps["fig4"]).render() == \
+            fig4_cpi.run(setup=setup, workloads=["lucas"]).render()
+
     def test_sweep_without_checkpoint_simulates(self):
         setup = base.make_setup("mini", accesses=1000)
         cell = base.Cell.of(setup, "lucas", "LRU", {"policy_kind": "lru"})
@@ -327,12 +383,13 @@ class TestSweepUsesCheckpoint:
         assert resumed.render() == first.render()
 
 
-class TestInvocationMemo:
+class TestOneSweepPass:
     def test_fig4_after_fig3_simulates_nothing_new(
         self, monkeypatch, capsys, simulate_calls
     ):
-        """fig3 and fig4 declare the same cells: one invocation running
-        both simulates each once, and fig4 renders as it does alone."""
+        """fig3 and fig4 declare the same cells: the one sweep pass of
+        an invocation running both simulates each once, and fig4
+        renders as it does alone."""
         args = ["--scale", "mini", "--accesses", "1500",
                 "--workloads", "lucas", "art-1"]
         monkeypatch.setattr(cli, "EXPERIMENTS",

@@ -4,8 +4,16 @@ import json
 
 import pytest
 
+from repro.cpu import timing
 from repro.experiments import cli
+from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.cli import EXPERIMENTS, main
+
+#: The experiments that declare their cells for the one sweep pass.
+SWEEP_EXPERIMENTS = {
+    "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
+    "sec44", "sec47", "ext-dip",
+}
 
 
 class TestCli:
@@ -59,11 +67,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig3", "--scale", "huge"])
 
-    def test_negative_retries_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig3", "--retries", "-1"])
-        assert "must be >= 0" in capsys.readouterr().err
-
     def test_non_positive_timeout_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig3", "--timeout", "-5"])
@@ -98,6 +101,38 @@ class _StubExperiment:
             self.failures -= 1
             raise RuntimeError(f"{self.name} exploded")
         return _StubResult(f"{self.name} results")
+
+
+class _StubSweep:
+    """A scripted sweep experiment: declares no cells, or raises."""
+
+    def __init__(self, name, fails=False):
+        self.name = name
+        self.fails = fails
+        self.renders = 0
+
+    def cells(self, setup, **kwargs):
+        if self.fails:
+            raise RuntimeError(f"{self.name} cells exploded")
+        return []
+
+    def render(self, setup, sweep):
+        self.renders += 1
+        return _StubResult(f"{self.name} results")
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """The workload of every ``cpu.timing.compile_workload`` call."""
+    calls = []
+    real = timing.compile_workload
+
+    def counting(trace, config):
+        calls.append(trace.name)
+        return real(trace, config)
+
+    monkeypatch.setattr(timing, "compile_workload", counting)
+    return calls
 
 
 @pytest.fixture
@@ -140,12 +175,68 @@ class TestKeepGoing:
         assert "1 experiment(s) failed" in captured.err
         assert "RuntimeError: bbb exploded" in captured.err
 
-    def test_retries_recover_transient_failures(
-        self, stub_experiments, capsys
-    ):
-        stub_experiments(aaa=_StubExperiment("aaa", failures=1))
-        assert main(["aaa", "--scale", "mini", "--retries", "1"]) == 0
-        assert "aaa results" in capsys.readouterr().out
+
+    def test_keep_going_over_the_sweep_pass(self, stub_experiments, capsys,
+                                            tmp_path):
+        """A failed sweep pass fails every pending sweep experiment;
+        the experiments with their own loops still run and print."""
+        ckpt_path = tmp_path / "ck.json"
+        SweepCheckpoint(ckpt_path).put("done/eee/mini", "eee results")
+        stubs = stub_experiments(
+            aaa=_StubExperiment("aaa"),
+            bbb=_StubSweep("bbb", fails=True),
+            ccc=_StubSweep("ccc"),
+            ddd=_StubExperiment("ddd"),
+            eee=_StubSweep("eee", fails=True),
+        )
+        assert main(["all", "--scale", "mini", "--keep-going",
+                     "--checkpoint", str(ckpt_path)]) == 1
+        captured = capsys.readouterr()
+        assert "aaa results" in captured.out
+        assert "ddd results" in captured.out
+        assert stubs["aaa"].calls == stubs["ddd"].calls == 1
+        assert stubs["ccc"].renders == 0
+        # eee finished in an earlier run, so it was not pending.
+        assert "eee: already complete" in captured.out
+        assert "2 experiment(s) failed" in captured.err
+        table = captured.err.split("2 experiment(s) failed")[1]
+        for name in ("bbb", "ccc"):
+            assert f"{name} " in table
+            assert "RuntimeError: bbb cells exploded" in table
+        assert "eee" not in table
+
+
+    def test_failed_sweep_pass_stops_by_default(self, stub_experiments,
+                                                capsys):
+        stubs = stub_experiments(
+            aaa=_StubExperiment("aaa"),
+            bbb=_StubSweep("bbb", fails=True),
+            ccc=_StubSweep("ccc"),
+        )
+        assert main(["all", "--scale", "mini"]) == 1
+        captured = capsys.readouterr()
+        assert "bbb cells exploded" in captured.err
+        # The pass runs first: nothing rendered or ran after it failed.
+        assert stubs["aaa"].calls == 0
+        assert stubs["ccc"].renders == 0
+        assert captured.out == ""
+
+
+class TestSweepPass:
+    def test_registry_sweeps_declare_cells(self):
+        assert {name for name, module in EXPERIMENTS.items()
+                if hasattr(module, "cells")} == SWEEP_EXPERIMENTS
+
+    def test_all_compiles_each_workload_once(self, monkeypatch, capsys,
+                                             compile_calls):
+        monkeypatch.setattr(cli, "EXPERIMENTS", {
+            name: EXPERIMENTS[name] for name in SWEEP_EXPERIMENTS})
+        assert main(["all", "--scale", "mini", "--accesses", "1000",
+                     "--workloads", "lucas", "art-1"]) == 0
+        assert sorted(compile_calls) == ["art-1", "lucas"]
+        out = capsys.readouterr().out
+        for name in SWEEP_EXPERIMENTS:
+            assert f"{name}:" in out
 
 
 class TestResume:
@@ -225,6 +316,38 @@ class TestResume:
         assert "already complete" not in run()
         assert "already complete" in run("--seed", "0")
         assert stub.calls == 5
+
+    def test_report_records_and_restores_cells(
+        self, monkeypatch, capsys, tmp_path, compile_calls
+    ):
+        """``report --checkpoint`` records the sweep cells and the
+        ``checkpointed_cell`` grids; a second report compiles nothing
+        for the sweep experiments and writes the same report."""
+        monkeypatch.setattr(cli, "EXPERIMENTS", {
+            name: EXPERIMENTS[name]
+            for name in ("fig3", "fig4", "ext-online", "storage")})
+        ckpt_path = tmp_path / "ck.json"
+        out = tmp_path / "report.md"
+        argv = ["report", "--scale", "mini", "--accesses", "1000",
+                "--workloads", "lucas", "--checkpoint", str(ckpt_path),
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert compile_calls == ["lucas"]
+        keys = SweepCheckpoint(ckpt_path).keys()
+        assert "cell/fig3/mini/1000/lucas/Adaptive" in keys
+        assert "cell/fig4/mini/1000/lucas/Adaptive" in keys
+        assert any(key.startswith("cell/ext-online/") for key in keys)
+        first = out.read_text()
+
+        compile_calls.clear()
+        assert main(argv) == 0
+        assert compile_calls == []
+        assert SweepCheckpoint(ckpt_path).keys() == keys
+
+        def strip(text):  # ext-online's wall-clock ops/sec column varies
+            return [line.rsplit("|", 3)[0] for line in text.splitlines()]
+
+        assert strip(out.read_text()) == strip(first)
 
     def test_corrupt_checkpoint_quarantined(
         self, stub_experiments, capsys, tmp_path

@@ -1,4 +1,4 @@
-"""Unit tests for crash-isolated cell execution (retry/backoff/timeout)."""
+"""Unit tests for crash-isolated cell execution (failures, timeouts)."""
 
 import time
 
@@ -6,50 +6,9 @@ import pytest
 
 from repro.experiments.runner import (
     CellTimeout,
-    RetryPolicy,
     run_cell,
     timeout_supported,
 )
-from repro.utils.rng import DeterministicRNG
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="attempts"):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError, match="delays"):
-            RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-
-    def test_delay_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(
-            attempts=5, base_delay=1.0, multiplier=2.0,
-            max_delay=100.0, jitter=0.0,
-        )
-        rng = DeterministicRNG(0)
-        assert [policy.delay(i, rng) for i in range(4)] == [1, 2, 4, 8]
-
-    def test_delay_capped(self):
-        policy = RetryPolicy(
-            attempts=10, base_delay=1.0, multiplier=10.0,
-            max_delay=5.0, jitter=0.0,
-        )
-        rng = DeterministicRNG(0)
-        assert policy.delay(6, rng) == 5.0
-
-    def test_jitter_stays_in_band_and_under_cap(self):
-        policy = RetryPolicy(
-            attempts=10, base_delay=2.0, multiplier=2.0,
-            max_delay=6.0, jitter=0.5,
-        )
-        rng = DeterministicRNG(42)
-        for retry_index in range(8):
-            delay = policy.delay(retry_index, rng)
-            raw = min(6.0, 2.0 * 2.0**retry_index)
-            assert 0.5 * raw <= delay <= min(6.0, 1.5 * raw)
 
 
 class TestRunCell:
@@ -57,8 +16,6 @@ class TestRunCell:
         outcome = run_cell(lambda: 41 + 1, name="ok")
         assert not outcome.failed
         assert outcome.value == 42
-        assert outcome.attempts == 1
-        assert outcome.retry_errors == []
 
     def test_failure_is_captured_not_raised(self):
         def boom():
@@ -67,54 +24,6 @@ class TestRunCell:
         outcome = run_cell(boom, name="bad")
         assert outcome.failed
         assert isinstance(outcome.error, ValueError)
-        assert outcome.attempts == 1
-
-    def test_retry_until_success(self):
-        calls = []
-        sleeps = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "done"
-
-        retry = RetryPolicy(attempts=5, base_delay=0.25, jitter=0.0)
-        outcome = run_cell(
-            flaky, name="flaky", retry=retry, sleep=sleeps.append
-        )
-        assert not outcome.failed
-        assert outcome.value == "done"
-        assert outcome.attempts == 3
-        assert len(outcome.retry_errors) == 2
-        # Backoff actually backed off: 0.25, then 0.5.
-        assert sleeps == [0.25, 0.5]
-
-    def test_exhausted_retries_keep_last_error(self):
-        def always():
-            raise RuntimeError("permanent")
-
-        retry = RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
-        outcome = run_cell(
-            always, name="doomed", retry=retry, sleep=lambda s: None
-        )
-        assert outcome.failed
-        assert outcome.attempts == 3
-        assert len(outcome.retry_errors) == 2
-
-    def test_recover_hook_runs_before_each_retry(self):
-        recovered = []
-
-        def boom():
-            raise ValueError("needs cleanup")
-
-        retry = RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
-        run_cell(
-            boom, name="r", retry=retry,
-            recover=lambda exc: recovered.append(str(exc)),
-            sleep=lambda s: None,
-        )
-        assert recovered == ["needs cleanup", "needs cleanup"]
 
     def test_keyboard_interrupt_propagates(self):
         def interrupt():
