@@ -1,15 +1,12 @@
-"""Bench + regression gate: open-loop serving SLOs (repro.serve).
+"""CI regression gate: open-loop serving SLOs (repro.serve).
 
-Two faces:
-
-* under pytest (``pytest benchmarks/bench_ext_serve.py``) it runs the
-  five-regime serving harness (quick scale under the shared
-  ``--quick`` flag) and asserts the SLO floors;
-* as a script (``python benchmarks/bench_ext_serve.py --quick``) it is
-  the CI gate — it checks the *committed* ``BENCH_serve.json`` against
-  the ``serve`` floors in ``benchmarks/baselines.json``, then re-runs
-  the harness fresh and checks that report too, exiting non-zero on
-  any violation.
+``python benchmarks/bench_ext_serve.py --quick`` checks the
+*committed* ``BENCH_serve.json`` against the ``serve`` floors in
+``benchmarks/baselines.json``, then runs the five-regime serving
+harness fresh (seed 0, quick scale) and checks that report too,
+exiting non-zero on any violation. It is the harness's one gate; the
+qualitative SLO story is the ext-serve check in
+``tests/experiments/test_paper_shapes.py``.
 
 Unlike the wall-clock throughput gates, these numbers come from a
 virtual-time event loop: they are deterministic per seed, so the
@@ -36,21 +33,6 @@ def load_serve_floors(path: pathlib.Path = BASELINES_PATH) -> dict:
     """The ``serve`` section of the pinned baselines."""
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)["serve"]
-
-
-def test_ext_serve_floors(benchmark, request):
-    """Every regime clears its pinned SLO floors. (The qualitative SLO
-    story is the ext-serve check in
-    ``tests/experiments/test_paper_shapes.py``.)"""
-    quick = bool(request.config.getoption("--quick"))
-    report = benchmark.pedantic(
-        run_serve, kwargs={"quick": quick, "seed": 0}, rounds=1, iterations=1
-    )
-    for name, regime in report.regimes.items():
-        benchmark.extra_info[f"{name}_p99_ms"] = regime.p99_ms
-        benchmark.extra_info[f"{name}_goodput_rps"] = regime.goodput_rps
-    violations = check_floors(report.to_dict(), load_serve_floors())
-    assert not violations, "\n".join(violations)
 
 
 def main(argv=None) -> int:

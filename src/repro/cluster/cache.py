@@ -532,4 +532,4 @@ class ClusterKVCache:
 
     def __contains__(self, key) -> bool:
         """Whether any live member holds ``key`` (no policy events)."""
-        return key in self.view.resident_keys()
+        return any(node.peek(key)[0] for node in self.nodes.values())

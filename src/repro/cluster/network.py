@@ -91,12 +91,18 @@ class ClusterView:
         }
         return len(versions) > 1
 
-    def resident_keys(self) -> set:
-        """Union of keys resident on any non-crashed member."""
-        keys: set = set()
-        for node in self._nodes.values():
-            keys.update(node.resident_keys())
-        return keys
+    def resident_keys(self) -> list:
+        """Keys resident on any non-crashed member, each once.
+
+        The order is fixed: members sorted by id, then each member's
+        shard order, keeping a key's first occurrence. Sweeps over it
+        (:meth:`ClusterController.rebalance`) therefore run the same
+        in every process, whatever ``PYTHONHASHSEED`` is.
+        """
+        keys: dict = {}
+        for nid in sorted(self._nodes):
+            keys.update(dict.fromkeys(self._nodes[nid].resident_keys()))
+        return list(keys)
 
     # -- statistics -----------------------------------------------------
 

@@ -104,8 +104,6 @@ def _experiment_kwargs(name: str, args: argparse.Namespace) -> dict:
                                        "ext-online", "ext-cluster",
                                        "ext-tiers", "ext-serve"):
         kwargs["workloads"] = args.workloads
-    if name == "ext-online" and getattr(args, "snapshot_dir", None):
-        kwargs["snapshot_dir"] = args.snapshot_dir
     if name == "ext-serve":
         kwargs["seed"] = args.seed
         if args.quick:
@@ -286,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-dir",
         default=None,
         metavar="DIR",
-        help="with 'ext-online': run the adaptive cells through the "
-        "crash-safe persistent engine, state under DIR/<workload>; "
-        "with 'recover': the persistence directory to rebuild from",
+        help="with 'recover' only: the persistence directory to "
+        "rebuild from (or, with --finish, to stream into)",
     )
     parser.add_argument(
         "--finish",

@@ -15,12 +15,12 @@ throughput naturally varies run to run. With an active sweep
 checkpoint, each completed (workload, engine) cell is persisted and
 restored on resume.
 
-With ``--snapshot-dir`` the adaptive cells additionally run through
-the crash-safe :class:`~repro.online.persistence.PersistentKVCache`
-(periodic snapshots + write-ahead log); :func:`persistent_replay` is
-also the engine behind ``repro-experiments recover``, which rebuilds
-a killed run from its persisted state and finishes the stream with
-byte-identical stats.
+:func:`persistent_replay` serves one adaptive stream through the
+crash-safe :class:`~repro.online.persistence.PersistentKVCache`
+(periodic snapshots + write-ahead log). It is the engine behind
+``repro-experiments recover --snapshot-dir``, which rebuilds a killed
+run from its persisted state and finishes the stream with
+byte-identical stats; the experiment's own cells never persist.
 """
 
 from __future__ import annotations
@@ -258,29 +258,6 @@ def persistent_replay(
     return cache.stats()
 
 
-def _persistent_cell(
-    directory: str, workload: str, setup: Setup, seed: int
-) -> Dict[str, float]:
-    """One adaptive metrics cell served through the persistent wrapper.
-
-    Hit counts are identical to the plain :func:`replay` cell — the
-    wrapper only logs, it never perturbs replacement decisions —
-    while ops/sec now includes the WAL and snapshot overhead.
-    """
-    start = time.perf_counter()
-    stats = persistent_replay(
-        directory, workload=workload, setup=setup, seed=seed
-    )
-    elapsed = time.perf_counter() - start
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "hit_pct": 100.0 * stats.hits / stats.gets if stats.gets else 0.0,
-        "ops_per_sec": stats.gets / elapsed if elapsed > 0 else 0.0,
-        "switches": stats.policy_switches,
-    }
-
-
 #: The fields :func:`run` reads from a cell; a checkpointed cell
 #: missing any of them is discarded and recomputed.
 CELL = checkpoint_mod.dict_cell(
@@ -293,7 +270,6 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     engines: Sequence[str] = DEFAULT_ENGINES,
     seed: int = 0,
-    snapshot_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Hit rate and throughput of every (key stream, engine) pair.
 
@@ -305,10 +281,6 @@ def run(
             :data:`DEFAULT_WORKLOADS`).
         engines: engine specs (default: :data:`DEFAULT_ENGINES`).
         seed: base seed for generators and stochastic components.
-        snapshot_dir: when set, each adaptive cell runs through the
-            crash-safe persistent wrapper, its state living under
-            ``snapshot_dir/<workload>`` (and resuming from it — a
-            killed run picks up where the WAL ends).
     """
     setup = setup or make_setup()
     workloads = list(workloads or DEFAULT_WORKLOADS)
@@ -327,14 +299,9 @@ def run(
         keys = build_key_stream(workload, capacity, setup, seed=seed)
         table[workload] = {}
         for engine in engines:
-            if engine == "adaptive" and snapshot_dir is not None:
-                compute = lambda w=workload: _persistent_cell(  # noqa: E731
-                    os.path.join(snapshot_dir, w), w, setup, seed
-                )
-            else:
-                compute = lambda e=engine: replay(  # noqa: E731
-                    e, keys, capacity, seed=seed
-                )
+            compute = lambda e=engine: replay(  # noqa: E731
+                e, keys, capacity, seed=seed
+            )
             cell = checkpoint_mod.checkpointed_cell(
                 setup, (workload, engine), compute, CELL
             )

@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.history import CounterHistory
 from repro.core.theory import BoundReport
+from repro.online.bound import bound_engine, engine_bound_report
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import PersistentKVCache, recover
 from repro.online.resilience import (
@@ -334,17 +335,9 @@ def chaos_stream(plan: ChaosPlan) -> List[int]:
 
 
 def _bound_engine(plan: ChaosPlan) -> AdaptiveKVCache:
-    """An engine in the bound-checkable configuration (counter
-    histories, full fingerprints — exact shadow directories)."""
-    return AdaptiveKVCache(
-        capacity_entries=plan.capacity_entries,
-        num_shards=plan.num_shards,
-        policy="adaptive",
-        components=plan.components,
-        partial_bits=None,
-        history_factory=lambda n: CounterHistory(n),
-        seed=plan.seed,
-    )
+    """The plan's engine in the bound-checkable configuration."""
+    return bound_engine(plan.capacity_entries, plan.num_shards,
+                        plan.components, seed=plan.seed)
 
 
 def _fill(key):
@@ -416,17 +409,7 @@ def chaos_campaign(plan: ChaosPlan, directory: str) -> ChaosReport:
     final_stats = cache.stats()
     report.decisions_match = final_stats == reference_stats
 
-    engine = cache.cache
-    slack = 2 * max(shard.capacity for shard in engine.shards)
-    report.bound = BoundReport(
-        adaptive_misses=[shard.misses for shard in engine.shards],
-        component_misses=[
-            [shard.policy.shadows[c].misses for shard in engine.shards]
-            for c in range(len(plan.components))
-        ],
-        slack=slack,
-        factor=2.0,
-    )
+    report.bound = engine_bound_report(cache.cache)
     cache.close()
 
     _serving_phase(plan, keys, report)

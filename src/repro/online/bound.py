@@ -12,7 +12,9 @@ misses against its own shadow directories.
 
 Reuses :class:`repro.core.theory.BoundReport` with shards standing in
 for sets, so the property-test tooling is shared between the simulator
-and the engine.
+and the engine. The chaos campaign (:mod:`repro.faults.online`) checks
+its recovered engine through the same :func:`bound_engine` and
+:func:`engine_bound_report`.
 """
 
 from __future__ import annotations
@@ -45,27 +47,50 @@ def check_online_miss_bound(
             shard capacity, covering warm-up misses exactly as
             :func:`repro.core.theory.check_miss_bound` does for sets.
     """
-    cache = AdaptiveKVCache(
+    cache = bound_engine(capacity_entries, num_shards, component_names)
+    for key in keys:
+        cache.get_or_compute(key, lambda k: k)
+    return engine_bound_report(cache, factor=factor, slack=slack)
+
+
+def bound_engine(
+    capacity_entries: int,
+    num_shards: int,
+    component_names: Sequence[str] = ("lru", "lfu"),
+    seed: int = 0,
+) -> AdaptiveKVCache:
+    """An engine in the bound-checkable configuration: counter
+    histories and full fingerprints, so the shadow directories are
+    exact component simulations."""
+    return AdaptiveKVCache(
         capacity_entries=capacity_entries,
         num_shards=num_shards,
         policy="adaptive",
         components=tuple(component_names),
-        partial_bits=None,  # exact shadow directories
+        partial_bits=None,
         history_factory=lambda n: CounterHistory(n),
+        seed=seed,
     )
-    for key in keys:
-        cache.get_or_compute(key, lambda k: k)
+
+
+def engine_bound_report(
+    cache: AdaptiveKVCache, factor: float = 2.0, slack: int = None
+) -> BoundReport:
+    """The bound report of an engine that has served its stream.
+
+    Each shard is one bound unit: its demand misses against each of
+    its shadow directories' misses. ``slack`` defaults to 2x the
+    largest shard capacity.
+    """
     if slack is None:
         slack = 2 * max(shard.capacity for shard in cache.shards)
-    adaptive_misses = [shard.misses for shard in cache.shards]
     num_components = len(cache.shards[0].policy.shadows)
-    component_misses = [
-        [shard.policy.shadows[c].misses for shard in cache.shards]
-        for c in range(num_components)
-    ]
     return BoundReport(
-        adaptive_misses=adaptive_misses,
-        component_misses=component_misses,
+        adaptive_misses=[shard.misses for shard in cache.shards],
+        component_misses=[
+            [shard.policy.shadows[c].misses for shard in cache.shards]
+            for c in range(num_components)
+        ],
         slack=slack,
         factor=factor,
     )

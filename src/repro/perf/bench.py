@@ -9,18 +9,19 @@ to ``BENCH_perf.json``:
   policy, on a deterministic synthetic stream (60% sequential walk, 40%
   uniform jumps over 4x the cache's line capacity — a mix that misses
   enough to exercise the victim path hard);
-* **wide-set throughput** (:func:`bench_wide_shard`, CI gate only) —
-  requests/sec through one online adaptive shard of hundreds of ways,
-  where a victim search that is linear in the ways shows;
+* **wide-set throughput** (:func:`bench_wide_shard`) — requests/sec
+  through one online adaptive shard of hundreds of ways, where a
+  victim search that is linear in the ways shows;
 * **sweep wall-clock** — one mini-scale policy sweep, serial and at
   each requested ``--workers`` count, through the real
   :func:`~repro.experiments.base.run_cells` path.
 
 The recorded file also carries the machine context (CPU count, Python
-version) because both numbers are meaningless without it; the CI
-regression gate (``benchmarks/bench_hotpath.py --quick`` against
-``benchmarks/baselines.json``) uses deliberately conservative floors
-for exactly that reason.
+version) because every number is meaningless without it. This is the
+only hot-path measurement: the CI regression gate
+(``benchmarks/bench_hotpath.py REPORT``) reads a report written here
+and checks its hot-path and wide-shard rows against the deliberately
+conservative floors in ``benchmarks/baselines.json``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.cache.config import CacheConfig
 from repro.online.policies import build_shard_policy
 from repro.online.shard import CacheShard
 from repro.perf.kernel import kernel_name
+from repro.utils.atomicio import atomic_write_text
 from repro.utils.rng import DeterministicRNG
 from repro.workloads.synth import zipf_stream
 
@@ -44,7 +46,8 @@ from repro.workloads.synth import zipf_stream
 #: plus shadow replays).
 HOTPATH_POLICIES = ("lru", "fifo", "adaptive")
 
-#: Default stream length; --quick divides it by 10.
+#: Default stream length (hot path and wide shard); --quick divides it
+#: by 10.
 HOTPATH_ACCESSES = 200_000
 
 #: Sweep benchmark coverage: a small, phase-diverse workload subset.
@@ -227,11 +230,15 @@ def run_perf(
     quick: bool = False,
     workers_counts: Optional[Sequence[int]] = None,
 ) -> Dict[str, object]:
-    """Run both benchmarks and write the report JSON to ``path``.
+    """Run the benchmarks and write the report JSON to ``path``.
+
+    The file is replaced atomically, so a crash mid-run leaves the
+    previous report whole.
 
     Args:
         path: output file; also returned as a dict.
-        quick: CI mode — 10x shorter hot-path stream, smaller sweep.
+        quick: CI mode — 10x shorter hot-path and wide-shard streams,
+            smaller sweep.
         workers_counts: sweep worker counts to time (default serial
             plus 4, the acceptance configuration).
     """
@@ -247,13 +254,13 @@ def run_perf(
         },
         "quick": quick,
         "hotpath": bench_hotpath(accesses=hot_accesses),
+        "wide_shard": bench_wide_shard(ops=hot_accesses),
         "sweep": bench_sweep(
             workers_counts=workers_counts, accesses=sweep_accesses
         ),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    atomic_write_text(path, json.dumps(report, indent=1, sort_keys=True)
+                      + "\n")
     return report
 
 
@@ -271,6 +278,12 @@ def render_perf(report: Dict[str, object]) -> str:
             f"miss ratio {row['miss_ratio']:.3f}   "
             f"kernel {row.get('kernel', 'scalar')}"
         )
+    wide = report["wide_shard"]
+    lines.append(
+        f"wide shard ({wide['ways']} ways, {wide['ops']} ops): "
+        f"get_or_compute {wide['get_or_compute_per_sec']:>12,.0f}/s   "
+        f"hit ratio {wide['hit_ratio']:.3f}"
+    )
     sweep = report["sweep"]
     lines.append(
         f"sweep ({len(sweep['workloads'])} workloads x "

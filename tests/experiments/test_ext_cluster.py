@@ -2,9 +2,13 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import ext_cluster
 from repro.experiments.base import make_setup
@@ -60,6 +64,33 @@ class TestRun:
         # Everything but the timing column reproduces exactly.
         strip = [r[:4] + r[5:] for r in first.rows]
         assert strip == [r[:4] + r[5:] for r in second.rows]
+
+
+#: One kill-and-recover cell, printed as JSON without its timing field.
+CELL_SCRIPT = """
+import json
+from repro.experiments.ext_cluster import replay_cluster
+from repro.workloads.keystreams import zipf_keys
+cell = replay_cluster(2, "kill", zipf_keys(1024, 2000, seed=0), 256)
+cell.pop("ops_per_sec")
+print(json.dumps(cell, sort_keys=True))
+"""
+
+
+def test_same_cells_under_every_hash_seed():
+    """The peer refill after ``recover`` sweeps the cluster's resident
+    keys; string hashing must not decide its order."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", CELL_SCRIPT], capture_output=True,
+            text=True, timeout=300, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
 
 
 class TestCheckpointing:

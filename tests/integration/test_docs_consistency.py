@@ -203,3 +203,31 @@ class TestCellRunnerCoverage:
                 listed = set(re.split(r", | and ", match.group(1)))
                 assert listed == on_runner, (name, sorted(listed ^ on_runner))
         assert found == 3
+
+
+class TestBenchReports:
+    def test_committed_reports_are_the_ones_the_cli_writes(self):
+        """Every committed ``BENCH_*.json`` has a command that
+        regenerates it: ``perf`` or ``serve`` at their default paths."""
+        from repro.experiments.cli import build_parser
+
+        parser = build_parser()
+        written = {parser.get_default("perf_out"),
+                   parser.get_default("serve_out")}
+        ignored = set((REPO_ROOT / ".gitignore").read_text().split())
+        committed = {
+            path.name for path in REPO_ROOT.glob("BENCH_*.json")
+        } - ignored
+        assert committed == written
+
+    def test_reports_named_in_docs_exist(self):
+        paths = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
+                 REPO_ROOT / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))]
+        found = 0
+        for doc in paths:
+            for name in re.findall(r"\bBENCH_\w+\.json\b", doc.read_text()):
+                found += 1
+                assert (REPO_ROOT / name).exists(), (
+                    f"{doc.name} names {name}, which is not committed"
+                )
+        assert found > 0

@@ -1,9 +1,9 @@
 """Unit tests for the perf benchmark helpers and the regression gate.
 
 Covers :mod:`repro.perf.bench` (stream determinism, hot-path and sweep
-measurement plumbing, report round-trip) and the floor-comparison logic
-of ``benchmarks/bench_hotpath.py``, loaded by path since ``benchmarks``
-is not a package.
+measurement plumbing, report round-trip) and the floor gate of
+``benchmarks/bench_hotpath.py`` over report files, loaded by path since
+``benchmarks`` is not a package.
 """
 
 import importlib.util
@@ -99,9 +99,13 @@ class TestRunPerf:
         assert on_disk["quick"] is True
         assert on_disk["machine"]["cpu_count"] >= 1
         assert set(on_disk["hotpath"]) == {"lru", "fifo", "adaptive"}
+        assert on_disk["wide_shard"]["ops"] == 300
+        assert on_disk["wide_shard"]["get_or_compute_per_sec"] > 0
         rendered = render_perf(report)
         assert "hot path" in rendered
+        assert "wide shard (512 ways, 300 ops)" in rendered
         assert "workers=1" in rendered
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestRegressionGate:
@@ -149,30 +153,76 @@ class TestRegressionGate:
             assert set(row) == {"access_per_sec", "access_many_per_sec"}
             assert all(v > 0 for v in row.values())
 
-    def test_main_passes_on_generous_floors(self, tmp_path, capsys):
-        gate = load_gate()
-        easy = tmp_path / "floors.json"
-        easy.write_text(json.dumps(
-            {"regression_margin": 0.15,
-             "floors": {"lru": {"access_per_sec": 1}}}
-        ))
-        out = tmp_path / "measured.json"
-        code = gate.main(["--quick", "--baselines", str(easy),
-                          "--json-out", str(out)])
-        assert code == 0
-        assert "all floors cleared" in capsys.readouterr().out
-        assert "lru" in json.loads(out.read_text())
+    @staticmethod
+    def write_report(path, baselines, scale=1.0):
+        """A perf report whose every floored metric is ``scale`` times
+        its pinned floor."""
+        rows = {
+            kind: {metric: floor * scale for metric, floor in floors.items()}
+            for kind, floors in baselines["floors"].items()
+        }
+        wide = rows.pop("wide-shard")
+        path.write_text(json.dumps({"hotpath": rows, "wide_shard": wide}))
+        return str(path)
 
-    def test_main_fails_on_impossible_floors(self, tmp_path, capsys):
+    def test_gate_measures_nothing(self):
+        source = (REPO_ROOT / "benchmarks" / "bench_hotpath.py").read_text()
+        assert "import repro" not in source
+        assert "from repro" not in source
+
+    def test_report_at_the_floors_passes(self, tmp_path, capsys):
         gate = load_gate()
+        report = self.write_report(tmp_path / "perf.json",
+                                   gate.load_baselines())
+        assert gate.main([report]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_report_breaking_one_floor_fails(self, tmp_path, capsys):
+        gate = load_gate()
+        baselines = gate.load_baselines()
+        report = self.write_report(tmp_path / "perf.json", baselines)
+        payload = json.loads(pathlib.Path(report).read_text())
+        payload["wide_shard"]["get_or_compute_per_sec"] = 1.0
+        pathlib.Path(report).write_text(json.dumps(payload))
+        assert gate.main([report]) == 1
+        err = capsys.readouterr().err
+        assert err.count("REGRESSION") == 1
+        assert "wide-shard.get_or_compute_per_sec" in err
+
+    def test_report_without_wide_shard_row_fails(self, tmp_path, capsys):
+        gate = load_gate()
+        report = self.write_report(tmp_path / "perf.json",
+                                   gate.load_baselines())
+        payload = json.loads(pathlib.Path(report).read_text())
+        del payload["wide_shard"]
+        pathlib.Path(report).write_text(json.dumps(payload))
+        assert gate.main([report]) == 1
+        assert "wide-shard: not measured" in capsys.readouterr().err
+
+    def test_baselines_flag_overrides_floors(self, tmp_path):
+        gate = load_gate()
+        report = self.write_report(tmp_path / "perf.json",
+                                   gate.load_baselines())
         hard = tmp_path / "floors.json"
         hard.write_text(json.dumps(
             {"regression_margin": 0.0,
              "floors": {"lru": {"access_per_sec": 10 ** 12}}}
         ))
-        code = gate.main(["--quick", "--baselines", str(hard)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
+        assert gate.main([report, "--baselines", str(hard)]) == 1
+
+    def test_committed_report_has_every_gated_row(self):
+        """BENCH_perf.json is a run_perf report: the gate finds every
+        floored row in it (whether this machine clears the floors is
+        CI's question, not the suite's)."""
+        gate = load_gate()
+        report = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
+        measured = {**report["hotpath"], "wide-shard": report["wide_shard"]}
+        violations = gate.check_against_baselines(
+            measured, {**gate.load_baselines(), "regression_margin": 1.0}
+        )
+        assert violations == []
+        assert "kernel_mode" not in report
+        assert report["quick"] is False
 
 
 class TestCliPerfVerb:
