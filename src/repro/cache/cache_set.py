@@ -36,10 +36,6 @@ class CacheSet(SetView):
     def valid_ways(self) -> List[int]:
         return [w for w, t in enumerate(self._tags) if t is not None]
 
-    def valid_count(self) -> int:
-        """Number of valid ways (O(1); see :meth:`SetView.valid_count`)."""
-        return len(self._tag_to_way)
-
     def occupancy(self) -> int:
         """Number of valid blocks."""
         return len(self._tag_to_way)

@@ -13,15 +13,8 @@ consistent-hash :class:`~repro.cluster.ring.HashRing`:
   replica that answers. A **hedged read** duplicates the request to
   the next replica when an owner's circuit breaker is open, the owner
   is unreachable, or its (simulated-clock) latency sample exceeds the
-  hedge budget — the serving reply is whichever arrives first, so one
-  straggler cannot drag the tail. The budget is either the static
-  ``hedge_after`` constant or, with ``hedge_quantile`` set, **driven
-  by live tail latency**: every sampled replica latency feeds a
-  per-node :class:`~repro.serve.sketch.LatencySketch`, and the budget
-  is ``hedge_margin`` times the *median* of the per-node p99s (median,
-  not self-relative — a replica degraded by recovery or overload has
-  a high p99 of its own, and comparing it to the healthy majority is
-  what gets it hedged around automatically).
+  static ``hedge_after`` budget — the serving reply is whichever
+  arrives first, so one straggler cannot drag the tail.
 * **Read-repair** runs after every read: the key's resident replicas
   are *peeked* (no policy events) and any owner holding an older
   version than the winner is rewritten with it, so divergence created
@@ -40,7 +33,6 @@ and hedges engage immediately.
 from __future__ import annotations
 
 import os
-import statistics
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.latency import LatencyModel, VirtualClock
@@ -49,7 +41,6 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.stats import ClusterStats
 from repro.online.resilience import CircuitBreaker
-from repro.serve.sketch import LatencySketch
 
 
 class WriteQuorumError(RuntimeError):
@@ -92,17 +83,7 @@ class ClusterKVCache:
         hedge_after: static latency budget, simulated seconds; a
             primary sample above it triggers a hedged read. None
             disables latency hedging (breaker/unreachable hedging
-            stays on) unless ``hedge_quantile`` takes over.
-        hedge_quantile: when set (e.g. 0.99), the latency budget is
-            driven by live tail latency instead of the constant:
-            ``hedge_margin`` x the median of per-node sketch
-            quantiles, over nodes with at least ``hedge_min_samples``
-            samples. Until enough samples exist the static
-            ``hedge_after`` (if any) applies.
-        hedge_min_samples: samples a node's sketch needs before it
-            votes into the dynamic budget.
-        hedge_margin: multiplier on the median per-node quantile; the
-            slack that separates "normal tail" from "straggler".
+            stays on).
         latency_factory: ``node_index -> LatencyModel`` override; the
             default gives every node a uniform 1 ms model.
         breaker_factory: builds one node breaker; the default trips
@@ -128,9 +109,6 @@ class ClusterKVCache:
         snapshot_every: Optional[int] = 400,
         wal_flush_ops: int = 8,
         hedge_after: Optional[float] = None,
-        hedge_quantile: Optional[float] = None,
-        hedge_min_samples: int = 16,
-        hedge_margin: float = 3.0,
         latency_factory: Optional[Callable[[int], LatencyModel]] = None,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
         clock: Optional[VirtualClock] = None,
@@ -149,28 +127,10 @@ class ClusterKVCache:
             )
         if read_fanout < 1:
             raise ValueError(f"read_fanout must be >= 1, got {read_fanout}")
-        if hedge_quantile is not None and not 0.0 < hedge_quantile < 1.0:
-            raise ValueError(
-                f"hedge_quantile must be in (0, 1), got {hedge_quantile}"
-            )
-        if hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got {hedge_min_samples}"
-            )
-        if hedge_margin <= 0:
-            raise ValueError(
-                f"hedge_margin must be positive, got {hedge_margin}"
-            )
         self.replication = replication
         self.write_quorum = write_quorum
         self.read_fanout = min(read_fanout, replication)
         self.hedge_after = hedge_after
-        self.hedge_quantile = hedge_quantile
-        self.hedge_min_samples = hedge_min_samples
-        self.hedge_margin = hedge_margin
-        #: Per-node sketches of sampled replica latencies (reads and
-        #: writes both feed them); the source of the dynamic budget.
-        self.latency_sketches: Dict[str, LatencySketch] = {}
         self.clock = clock if clock is not None else VirtualClock()
         if latency_factory is None:
             latency_factory = lambda index: LatencyModel(  # noqa: E731
@@ -232,34 +192,6 @@ class ClusterKVCache:
     def _owners(self, key) -> List[str]:
         return self.view.owners(key, self.replication)
 
-    def _observe_latency(self, node_id: str, latency: float) -> None:
-        """Feed one sampled replica latency into the node's sketch."""
-        sketch = self.latency_sketches.get(node_id)
-        if sketch is None:
-            sketch = self.latency_sketches[node_id] = LatencySketch()
-        sketch.add(latency)
-
-    def hedge_threshold(self) -> Optional[float]:
-        """The latency budget a primary sample is judged against now.
-
-        With ``hedge_quantile`` set and enough per-node samples:
-        ``hedge_margin`` x the median of per-node sketch quantiles —
-        the fleet's consensus of a normal tail, so one degraded
-        replica cannot talk the budget up to its own slowness. Falls
-        back to the static ``hedge_after`` until sketches warm up
-        (and always, when ``hedge_quantile`` is None). ``None``
-        disables latency hedging for the read.
-        """
-        if self.hedge_quantile is not None:
-            tails = [
-                sketch.quantile(self.hedge_quantile)
-                for sketch in self.latency_sketches.values()
-                if sketch.count >= self.hedge_min_samples
-            ]
-            if tails:
-                return self.hedge_margin * statistics.median(tails)
-        return self.hedge_after
-
     def _note_primary_hedge(self, position: int, hedged: bool) -> bool:
         """Count one hedged read, the single increment site.
 
@@ -305,7 +237,6 @@ class ClusterKVCache:
             try:
                 if node.latency is not None:
                     sample = node.latency.sample()
-                    self._observe_latency(node_id, sample)
                     worst_latency = max(worst_latency, sample)
                 node.put(key, version, value)
             except Exception:  # noqa: BLE001 — replica boundary
@@ -379,8 +310,6 @@ class ClusterKVCache:
             latency = (
                 node.latency.sample() if node.latency is not None else 0.0
             )
-            if node.latency is not None:
-                self._observe_latency(node_id, latency)
             try:
                 found, record = node.get(key)
             except Exception:  # noqa: BLE001 — replica boundary
@@ -391,9 +320,8 @@ class ClusterKVCache:
             replies.append((node_id, found, record, latency))
             if position == 0:
                 first_latency = latency
-                threshold = self.hedge_threshold()
-                if (threshold is not None
-                        and latency > threshold and not hedged):
+                if (self.hedge_after is not None
+                        and latency > self.hedge_after and not hedged):
                     # Slow primary: duplicate the request to the next
                     # replica even though the primary did answer.
                     hedged = self._note_primary_hedge(position, hedged)

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cache import ClusterKVCache, WriteQuorumError
 from repro.cluster.latency import LatencyModel
+from repro.faults.online import FlakyLoader
 from repro.online.engine import AdaptiveKVCache
 from repro.oracle.harness import (
     Divergence,
@@ -56,12 +57,13 @@ from repro.oracle.harness import (
 from repro.utils.rng import DeterministicRNG
 
 
-class FlakyReplica:
+class FlakyReplica(FlakyLoader):
     """A node fault hook: seeded request failures with brown-out bursts.
 
     Attach as ``node.fault``; raises :class:`IOError` *before* the
     operation applies (so a failed request never reaches the engine or
-    the op log, like a connection refused at the socket).
+    the op log, like a connection refused at the socket). The draws are
+    :class:`~repro.faults.online.FlakyLoader`'s, without latency.
 
     Args:
         failure_rate: probability a request raises.
@@ -71,28 +73,11 @@ class FlakyReplica:
 
     def __init__(self, failure_rate: float = 0.1, burst: int = 0,
                  seed: int = 0):
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0,1], got {failure_rate}"
-            )
-        if burst < 0:
-            raise ValueError(f"burst must be >= 0, got {burst}")
-        self.failure_rate = failure_rate
-        self.burst = burst
-        self._rng = DeterministicRNG(seed)
-        self._burst_left = 0
-        self.calls = 0
-        self.failures = 0
+        super().__init__(None, failure_rate=failure_rate, burst=burst,
+                         seed=seed)
 
-    def __call__(self, op: str, key) -> None:
-        self.calls += 1
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            self.failures += 1
-            raise IOError(f"injected replica failure on {op} {key!r}")
-        if self._rng.random() < self.failure_rate:
-            self._burst_left = self.burst
-            self.failures += 1
+    def __call__(self, op: str, key) -> None:  # type: ignore[override]
+        if self._decide(key, draw_latency=False)[1] is not None:
             raise IOError(f"injected replica failure on {op} {key!r}")
 
 

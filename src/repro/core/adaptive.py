@@ -197,27 +197,25 @@ class AdaptivePolicy(ReplacementPolicy):
         row = self._rows[set_index]
         if row is None:
             row = self._rows[set_index] = self._build_row(set_view)
-        # victim() only runs on full sets, where the row covers exactly
-        # the valid ways; a narrower view (a protected way) scans the
-        # ways it offers.
-        ways = None if set_view.valid_count() == self.ways else set_view.valid_ways()
+        # victim() only runs on full sets, so the row covers exactly the
+        # valid ways.
 
         # Step 2: the imitated component evicted a block that the real
         # cache also holds -> evict the same block.
         if outcome.missed and outcome.victim_tag is not None:
-            way = self._find_way_by_stored_tag(row, ways, outcome.victim_tag)
+            way = self._find_way_by_stored_tag(row, outcome.victim_tag)
             if way is not None:
                 return way
 
         # Step 3: evict any real block not in the imitated component.
         resident = self.shadows[chosen].sets[set_index]._tag_to_way
-        way = self._find_way_not_in_shadow(row, ways, resident)
+        way = self._find_way_not_in_shadow(row, resident)
         if way is not None:
             return way
 
         # Aliasing (partial tags) hid every candidate: arbitrary victim.
         self.fallback_evictions += 1
-        return self._fallback_victim(set_index, set_view)
+        return self._fallback_victim(set_index)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
         # Stale recency stamps and stored tags are harmless: invalid
@@ -238,46 +236,31 @@ class AdaptivePolicy(ReplacementPolicy):
 
     @staticmethod
     def _find_way_by_stored_tag(
-        row: List[Optional[int]], ways: Optional[Sequence[int]], stored_tag: int
+        row: List[Optional[int]], stored_tag: int
     ) -> Optional[int]:
-        # Lowest way in scan order holding ``stored_tag``; ``ways`` None
-        # means every way (a full set), scanned in C by list.index.
-        if ways is None:
-            try:
-                return row.index(stored_tag)
-            except ValueError:
-                return None
-        for way in ways:
-            if row[way] == stored_tag:
-                return way
-        return None
+        # Lowest way holding ``stored_tag``, scanned in C by list.index.
+        try:
+            return row.index(stored_tag)
+        except ValueError:
+            return None
 
     @staticmethod
     def _find_way_not_in_shadow(
-        row: List[Optional[int]], ways: Optional[Sequence[int]], resident: dict
+        row: List[Optional[int]], resident: dict
     ) -> Optional[int]:
-        # Lowest way in scan order whose stored tag the shadow lacks. On
-        # a full set the first such tag's lowest way is that way itself:
-        # any earlier way holding the same tag would have matched first.
-        if ways is None:
-            for tag in filterfalse(resident.__contains__, row):
-                return row.index(tag)
-            return None
-        for way in ways:
-            if row[way] not in resident:
-                return way
+        # Lowest way whose stored tag the shadow lacks: the first such
+        # tag's lowest way is that way itself, since any earlier way
+        # holding the same tag would have matched first.
+        for tag in filterfalse(resident.__contains__, row):
+            return row.index(tag)
         return None
 
-    def _fallback_victim(self, set_index: int, set_view: SetView) -> int:
-        stamps = self._stamp[set_index]
-        if self.fallback == "lru" and set_view.valid_count() == self.ways:
-            # Full set: the first least-recent way in way order, found in
-            # C; the keyed min over valid_ways() picks the same way.
-            return stamps.index(min(stamps))
-        candidates = set_view.valid_ways()
+    def _fallback_victim(self, set_index: int) -> int:
         if self.fallback == "random":
-            return candidates[self._rng.choice_index(len(candidates))]
-        return min(candidates, key=stamps.__getitem__)
+            return self._rng.choice_index(self.ways)
+        # The first least-recent way in way order, found in C.
+        stamps = self._stamp[set_index]
+        return stamps.index(min(stamps))
 
     # ------------------------------------------------------------------
     # Introspection for experiments

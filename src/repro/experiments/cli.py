@@ -448,7 +448,7 @@ def _run_perf(args: argparse.Namespace) -> int:
     """Benchmark the hot path and sweep; write the report JSON."""
     from repro.perf.bench import render_perf, run_perf
 
-    workers_counts = (1, args.workers) if args.workers > 1 else (1, 4)
+    workers_counts = (1, args.workers) if args.workers > 1 else (1,)
     report = run_perf(
         path=args.perf_out, quick=args.quick, workers_counts=workers_counts
     )

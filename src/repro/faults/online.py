@@ -87,16 +87,21 @@ class FlakyLoader:
         self.calls = 0
         self.failures = 0
 
-    def _decide(self, key):
+    def _decide(self, key, draw_latency: bool = True):
         """Draw one call's fate: ``(delay_seconds, error_or_None)``.
 
-        Shared by the sync and async call paths so both consume the
+        Shared by the sync and async call paths and by
+        :class:`~repro.cluster.chaos.FlakyReplica`, so all consume the
         seeded stream identically — a plan replayed through either
-        loader makes the same injection decisions.
+        loader makes the same injection decisions. Without
+        ``draw_latency`` (or with no ``latency`` configured) the
+        latency draw is skipped entirely: the burst countdown, then
+        one failure draw.
         """
         self.calls += 1
         delay = 0.0
-        if self.latency > 0 and self._rng.random() < self.latency_rate:
+        if (draw_latency and self.latency > 0
+                and self._rng.random() < self.latency_rate):
             delay = self.latency
         if self._burst_left > 0:
             self._burst_left -= 1
@@ -110,21 +115,11 @@ class FlakyLoader:
 
     def __call__(self, key):
         """One loader call; may raise ``IOError`` or inject latency."""
-        if self._sleep is not None and self.latency > 0:
-            delay, error = self._decide(key)
-            if delay > 0:
-                self._sleep(delay)
-        else:
-            # No sleep injected: latency decisions still consume the
-            # stream only when latency is configured (original
-            # behavior: the latency draw is skipped entirely).
-            saved_latency = self.latency
-            if self._sleep is None:
-                self.latency = 0.0
-            try:
-                delay, error = self._decide(key)
-            finally:
-                self.latency = saved_latency
+        # With no sleep injected there is no latency to pay, so the
+        # latency draw is skipped.
+        delay, error = self._decide(key, draw_latency=self._sleep is not None)
+        if delay > 0:
+            self._sleep(delay)
         if error is not None:
             raise error
         return self.base(key)

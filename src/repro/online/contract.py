@@ -39,7 +39,7 @@ class AsyncKVStore(Protocol):
                               retry_budget=None):
         """The cached value, else the awaited ``loader(key)``."""
 
-    def put(self, key, value, ttl=None, size=None) -> None:
+    def put(self, key, value, ttl=None) -> None:
         """Store ``value`` under ``key``."""
 
     def stats(self):

@@ -8,9 +8,8 @@ contents are managed by a replacement policy — fixed, fully adaptive
 shards train a global PSEL selector that everyone else imitates,
 Section 4.7 at shard granularity).
 
-Capacity is expressed in entries, optionally also in bytes; entries may
-carry TTLs. ``stats()`` returns one merged
-:class:`~repro.online.stats.KVCacheStats` snapshot.
+Capacity is expressed in entries; entries may carry TTLs. ``stats()``
+returns one merged :class:`~repro.online.stats.KVCacheStats` snapshot.
 
 Example::
 
@@ -23,7 +22,6 @@ Example::
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.sbar import DuelingResidentPolicy, spread_leader_sets
@@ -37,16 +35,6 @@ from repro.utils.bitops import is_power_of_two
 #: Engine modes: every shard adaptive, sampled leaders + followers, or
 #: a fixed registry policy in every shard.
 MODES = ("adaptive", "sampled", "fixed")
-
-
-def default_sizeof(value) -> int:
-    """Shallow byte-size estimate of a cached value.
-
-    ``sys.getsizeof`` on the value itself — containers are *not*
-    traversed. Pass an explicit ``size=`` to ``put`` (or a custom
-    ``sizeof``) when deep accounting matters.
-    """
-    return sys.getsizeof(value)
 
 
 class AdaptiveKVCache:
@@ -66,8 +54,6 @@ class AdaptiveKVCache:
             64-bit fingerprints; 16 keeps Section 3.1's storage story).
         num_leader_shards: leader count for ``"sampled"``.
         default_ttl: seconds before entries expire (lazily), or None.
-        capacity_bytes: optional byte budget, split over shards.
-        sizeof: value-size estimator for byte accounting.
         history_factory: per-shard miss-history override (the theory
             bound check passes a counter history here).
         seed: deterministic seed for stochastic components.
@@ -83,8 +69,6 @@ class AdaptiveKVCache:
         partial_bits: Optional[int] = 16,
         num_leader_shards: int = 2,
         default_ttl: Optional[float] = None,
-        capacity_bytes: Optional[int] = None,
-        sizeof: Optional[Callable] = None,
         history_factory=None,
         seed: int = 0,
         clock: Callable[[], float] = None,
@@ -101,8 +85,6 @@ class AdaptiveKVCache:
         mode = "fixed" if policy not in ("adaptive", "sampled") else policy
         if mode == "sampled" and len(components) != 2:
             raise ValueError("sampled mode adapts over exactly two components")
-        if capacity_bytes is not None and sizeof is None:
-            sizeof = default_sizeof
         self.policy_kind = policy
         self.mode = mode
         self.components = tuple(components)
@@ -111,7 +93,7 @@ class AdaptiveKVCache:
         # The JSON-serializable constructor arguments, retained so the
         # persistence layer can record them in a snapshot manifest and
         # rebuild an identically-configured engine at recovery time.
-        # Callable arguments (sizeof/history_factory/clock) cannot be
+        # Callable arguments (history_factory/clock) cannot be
         # serialized; recover() takes them as overrides instead.
         self.config = {
             "capacity_entries": capacity_entries,
@@ -121,7 +103,6 @@ class AdaptiveKVCache:
             "partial_bits": partial_bits,
             "num_leader_shards": num_leader_shards,
             "default_ttl": default_ttl,
-            "capacity_bytes": capacity_bytes,
             "seed": seed,
         }
 
@@ -145,10 +126,8 @@ class AdaptiveKVCache:
         self._partial_bits = partial_bits
         self._history_factory = history_factory
         self._seed = seed
-        self._sizeof = sizeof
         self._clock = clock
         self._default_ttl = default_ttl
-        self._capacity_bytes = capacity_bytes
 
         base, remainder = divmod(capacity_entries, num_shards)
         self.shards = []
@@ -162,16 +141,10 @@ class AdaptiveKVCache:
             index, capacity, self._leaders, self._partial_bits,
             self._history_factory, self._seed, self._vote_sink,
         )
-        shard_bytes = None
-        if self._capacity_bytes is not None:
-            byte_base, byte_rem = divmod(self._capacity_bytes, self.num_shards)
-            shard_bytes = byte_base + (1 if index < byte_rem else 0)
         return CacheShard(
             capacity,
             shard_policy,
             default_ttl=self._default_ttl,
-            capacity_bytes=shard_bytes,
-            sizeof=self._sizeof,
             clock=self._clock,
         )
 
@@ -243,15 +216,13 @@ class AdaptiveKVCache:
         """Value stored under ``key``, or ``default`` on a miss."""
         return self._shard_for(key).get(key, default)
 
-    def put(self, key, value, ttl: Optional[float] = None,
-            size: Optional[int] = None) -> None:
+    def put(self, key, value, ttl: Optional[float] = None) -> None:
         """Store ``value`` under ``key`` (insert or overwrite).
 
         Args:
             ttl: per-entry TTL override, seconds.
-            size: explicit byte size for byte-capacity accounting.
         """
-        self._shard_for(key).put(key, value, ttl=ttl, size=size)
+        self._shard_for(key).put(key, value, ttl=ttl)
 
     def get_or_compute(self, key, loader, ttl: Optional[float] = None):
         """Return the cached value, loading and caching it on a miss.
@@ -316,7 +287,6 @@ class AdaptiveKVCache:
             degraded=totals.get("degraded", 0),
             policy_switches=totals.get("policy_switches", 0),
             occupancy=totals.get("occupancy", 0),
-            occupancy_bytes=totals.get("occupancy_bytes", 0),
             capacity_entries=self.capacity_entries,
             shards=self.num_shards,
             per_shard_occupancy=per_shard_occupancy,

@@ -19,10 +19,7 @@ The correctness argument rests on shard independence:
   cross-shard order. A shard whose cursor is exhausted is *ready*: its
   state equals what stop-the-world recovery would produce, so it
   serves (and logs) traffic normally while later shards still replay.
-  Batched ``gmany`` records (written by older versions) are split per
-  shard — their replay serves keys grouped by shard preserving
-  per-shard key order, so applying a record's shard-local key subset
-  raises exactly the events the full batch would.
+  Every WAL record names one key, so it belongs to exactly one shard.
 * In ``"sampled"`` mode leader shards vote into one
   :class:`~repro.core.selector.GlobalSelector`, and live traffic on an
   early-promoted leader would inject votes that reorder against
@@ -68,7 +65,6 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 from repro.online.persistence import (
     PersistentKVCache,
     apply_wal_record,
-    gmany_groups,
     iter_wal,
     load_snapshot_engine,
     read_record,
@@ -96,10 +92,9 @@ class LiveRecoveryStats:
     touch them or the byte-identity guarantee breaks.
     """
 
-    #: Replay work items indexed from the WAL chain (a ``gmany`` record
-    #: counts once per shard it touches in per-shard order).
+    #: Records indexed from the WAL chain for replay.
     total_records: int = 0
-    #: Work items applied so far.
+    #: Records applied so far.
     applied_records: int = 0
     #: Writes accepted (logged durable) but queued for a replaying shard.
     deferred_writes: int = 0
@@ -129,7 +124,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             suffix).
         wal_flush_ops: WAL flush cadence; 1 makes every accepted write
             durable before it is acknowledged.
-        sizeof / history_factory / clock: engine overrides, as in
+        history_factory / clock: engine overrides, as in
             :func:`~repro.online.persistence.recover`.
     """
 
@@ -139,7 +134,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
         chunk_ops: int = 256,
         snapshot_every: Optional[int] = 10_000,
         wal_flush_ops: int = 64,
-        sizeof: Optional[Callable] = None,
         history_factory=None,
         clock: Callable[[], float] = None,
     ):
@@ -151,10 +145,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             )
         directory = os.fspath(directory)
         cache, wal_paths, latest = load_snapshot_engine(
-            directory,
-            sizeof=sizeof,
-            history_factory=history_factory,
-            clock=clock,
+            directory, history_factory=history_factory, clock=clock
         )
         self.chunk_ops = chunk_ops
         self._target_snapshot_every = snapshot_every
@@ -167,7 +158,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
 
         # One streaming pass over the WAL chain builds a positional
         # index — (WAL position in the chain, start offset, shard) per
-        # work item, ints only, never the decoded records — and the
+        # record, ints only, never the decoded records — and the
         # newest WAL's intact length. Records are re-read lazily during
         # replay.
         items: List[Tuple[int, int, Optional[int]]] = []
@@ -180,8 +171,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 if self._global_order:
                     items.append((wal, start, None))
                 else:
-                    for index in _record_shards(cache, record):
-                        per_shard[index].append((wal, start, index))
+                    index = _record_shard(cache, record)
+                    per_shard[index].append((wal, start, index))
                 start = end
         if not self._global_order:
             # Shard-major order: shard 0 drains (and starts serving)
@@ -290,8 +281,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             applied = 0
             while applied < budget and self._cursor < len(self._items):
                 wal, start, shard = self._items[self._cursor]
-                record = self._read_record_at(wal, start)
-                self._apply_item_locked(record, shard)
+                apply_wal_record(self.cache, self._read_record_at(wal, start))
                 if shard is not None:
                     self._shard_remaining[shard] -= 1
                 self._cursor += 1
@@ -334,16 +324,16 @@ class LiveRecoveringKVCache(PersistentKVCache):
                     return self._recovering_get_locked(index, key, default)
         return super().get(key, default)
 
-    def put(self, key, value, ttl=None, size=None) -> None:
+    def put(self, key, value, ttl=None) -> None:
         """Logged put; dual-logged and deferred on a replaying shard."""
         if self._recovering:
             with self._lock:
                 index = self._replaying_shard(key)
                 if index is not None:
-                    self._defer_locked(index, ("put", key, value, ttl, size),
+                    self._defer_locked(index, ("put", key, value, ttl),
                                        key, value)
                     return
-        super().put(key, value, ttl=ttl, size=size)
+        super().put(key, value, ttl=ttl)
 
     def get_or_compute(self, key, loader, ttl=None):
         """Logged get-or-compute; never computes into a replaying shard.
@@ -447,18 +437,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
             f"shard {index} is still replaying its WAL prefix"
         )
 
-    def _apply_item_locked(
-        self, record: tuple, shard: Optional[int]
-    ) -> None:
-        if shard is not None and record[0] == "gmany":
-            # Per-shard replay of a batched get: apply only this
-            # shard's key subset, which is all the shard sees of the
-            # full batch.
-            for key in gmany_groups(self.cache, record[1])[shard]:
-                self.cache.get(key)
-        else:
-            apply_wal_record(self.cache, record)
-
     def _promote_locked(self) -> None:
         done = self._cursor >= len(self._items)
         if self._global_order:
@@ -517,11 +495,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
         return frame[0]
 
 
-def _record_shards(cache, record: tuple) -> List[int]:
-    """Shards a WAL record raises events on, in first-touch order."""
-    kind = record[0]
-    if kind == "gmany":
-        return list(gmany_groups(cache, record[1]))
-    if kind in ("get", "del", "put", "goc_fill"):
-        return [cache.shard_index(record[1])]
-    raise ValueError(f"unknown WAL record kind {kind!r}")
+def _record_shard(cache, record: tuple) -> int:
+    """The shard a WAL record raises events on."""
+    if record[0] in ("get", "del", "put", "goc_fill"):
+        return cache.shard_index(record[1])
+    raise ValueError(f"unknown WAL record kind {record[0]!r}")

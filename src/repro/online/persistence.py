@@ -44,8 +44,10 @@ from repro.utils.atomicio import atomic_output, atomic_write_text
 
 #: Snapshot frame magic (8 bytes) — identifies format and version.
 SNAPSHOT_MAGIC = b"RKVSNAP1"
-#: Manifest / record format version.
-FORMAT_VERSION = 1
+#: Manifest / record format version. Format 1 carried a byte size in
+#: every ``put`` record and shard snapshot, and could hold multi-key
+#: batched-get records; a format-1 directory is refused, not upgraded.
+FORMAT_VERSION = 2
 #: Header of one WAL record: CRC32 then payload length (little-endian).
 _RECORD_HEADER = 8
 
@@ -246,11 +248,11 @@ class PersistentKVCache(KVLayer):
             self._log(("get", key))
             return self.cache.get(key, default)
 
-    def put(self, key, value, ttl=None, size=None) -> None:
+    def put(self, key, value, ttl=None) -> None:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.put`."""
         with self._lock:
-            self._log(("put", key, value, ttl, size))
-            self.cache.put(key, value, ttl=ttl, size=size)
+            self._log(("put", key, value, ttl))
+            self.cache.put(key, value, ttl=ttl)
 
     def get_or_compute(self, key, loader, ttl=None):
         """Logged get-or-compute.
@@ -416,31 +418,14 @@ class PersistentKVCache(KVLayer):
                             pass
 
 
-def gmany_groups(cache: AdaptiveKVCache, keys) -> dict:
-    """A ``gmany`` record's keys by shard, shards in first-touch order.
-
-    Older versions logged one such record per batched get, which served
-    its keys in this order; sampled mode's shared selector can tell it
-    apart from record order.
-    """
-    groups: dict = {}
-    for key in keys:
-        groups.setdefault(cache.shard_index(key), []).append(key)
-    return groups
-
-
 def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
     """Apply one decoded WAL record to an engine."""
     kind = record[0]
     if kind == "get":
         cache.get(record[1])
-    elif kind == "gmany":
-        for keys in gmany_groups(cache, record[1]).values():
-            for key in keys:
-                cache.get(key)
     elif kind == "put":
-        _, key, value, ttl, size = record
-        cache.put(key, value, ttl=ttl, size=size)
+        _, key, value, ttl = record
+        cache.put(key, value, ttl=ttl)
     elif kind == "goc_fill":
         _, key, value, ttl = record
         cache.get_or_compute(key, lambda _k: value, ttl=ttl)
@@ -452,7 +437,6 @@ def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
 
 def load_snapshot_engine(
     directory: str,
-    sizeof: Optional[Callable] = None,
     history_factory=None,
     clock: Callable[[], float] = None,
 ) -> Tuple[AdaptiveKVCache, List[str], int]:
@@ -504,7 +488,7 @@ def load_snapshot_engine(
         )
 
     cache = AdaptiveKVCache(
-        sizeof=sizeof, history_factory=history_factory, clock=clock, **config
+        history_factory=history_factory, clock=clock, **config
     )
     cache.load_state_dict(state)
     wal_paths = [
@@ -518,7 +502,6 @@ def recover(
     directory: str,
     snapshot_every: Optional[int] = 10_000,
     wal_flush_ops: int = 64,
-    sizeof: Optional[Callable] = None,
     history_factory=None,
     clock: Callable[[], float] = None,
 ) -> PersistentKVCache:
@@ -534,9 +517,8 @@ def recover(
         directory: the persistence directory of a previous run.
         snapshot_every: automatic-snapshot cadence for the new wrapper.
         wal_flush_ops: WAL flush cadence for the new wrapper.
-        sizeof: byte-size estimator override (callables cannot be
-            recorded in the manifest).
-        history_factory: per-shard miss-history override, likewise.
+        history_factory: per-shard miss-history override (callables
+            cannot be recorded in the manifest).
         clock: time-source override, likewise.
 
     Raises:
@@ -544,10 +526,7 @@ def recover(
         SnapshotCorruptError: no intact snapshot survives.
     """
     cache, wal_paths, latest = load_snapshot_engine(
-        directory,
-        sizeof=sizeof,
-        history_factory=history_factory,
-        clock=clock,
+        directory, history_factory=history_factory, clock=clock
     )
 
     # The reference replay: one sequential pass in log order.

@@ -367,12 +367,12 @@ class ResilientKVCache(KVLayer):
             return default
         return self.cache.get(key, default)
 
-    def put(self, key, value, ttl=None, size=None) -> None:
+    def put(self, key, value, ttl=None) -> None:
         """``put`` with quarantine guarding (writes to a quarantined
         shard are dropped — its state is suspect until rebuilt)."""
         if self.engine.shard_index(key) in self._quarantined:
             return
-        self.cache.put(key, value, ttl=ttl, size=size)
+        self.cache.put(key, value, ttl=ttl)
 
     def delete(self, key) -> bool:
         """``delete`` with quarantine guarding."""

@@ -32,13 +32,12 @@ from repro.policies.base import ReplacementPolicy, SetView
 class _Entry:
     """One resident key-value pair (internal)."""
 
-    __slots__ = ("key", "value", "fingerprint", "size", "expires_at")
+    __slots__ = ("key", "value", "fingerprint", "expires_at")
 
-    def __init__(self, key, value, fingerprint, size, expires_at):
+    def __init__(self, key, value, fingerprint, expires_at):
         self.key = key
         self.value = value
         self.fingerprint = fingerprint
-        self.size = size
         self.expires_at = expires_at
 
 
@@ -48,12 +47,10 @@ class ShardView(SetView):
     ``tag_at`` returns the resident entry's *full* fingerprint; the
     policy applies its own tag transform, mirroring how the simulator's
     real cache stores full tags while shadow arrays store partial ones.
-    ``index`` is the shard's key->way dict, which the view only counts.
     """
 
-    def __init__(self, slots: List[Optional[_Entry]], index: dict):
+    def __init__(self, slots: List[Optional[_Entry]]):
         self._slots = slots
-        self._index = index
 
     @property
     def ways(self) -> int:
@@ -69,38 +66,6 @@ class ShardView(SetView):
         """Ways currently holding entries."""
         return [w for w, e in enumerate(self._slots) if e is not None]
 
-    def valid_count(self) -> int:
-        """Number of occupied ways, O(1): the size of the shard's
-        key->way index, which holds exactly one key per occupied way."""
-        return len(self._index)
-
-
-class _ProtectedView(SetView):
-    """A view that hides one way from the policy (internal).
-
-    Used by byte-pressure eviction so the entry just written is never
-    chosen as its own victim.
-    """
-
-    def __init__(self, inner: SetView, protected_way: int):
-        self._inner = inner
-        self._protected = protected_way
-
-    @property
-    def ways(self) -> int:
-        return self._inner.ways
-
-    def tag_at(self, way: int) -> Optional[int]:
-        return self._inner.tag_at(way)
-
-    def valid_ways(self) -> Sequence[int]:
-        return [w for w in self._inner.valid_ways() if w != self._protected]
-
-    def valid_count(self) -> int:
-        """One fewer than the inner view: the protected way (the entry
-        just written) is always valid."""
-        return self._inner.valid_count() - 1
-
 
 class CacheShard:
     """A thread-safe, policy-managed pool of at most ``capacity`` entries.
@@ -112,12 +77,6 @@ class CacheShard:
         default_ttl: seconds before an entry expires, or None for no
             expiry. Expiry is lazy: expired entries are dropped when a
             lookup or store touches their key.
-        capacity_bytes: optional byte budget; stores evict (other)
-            entries until the accounted total fits. A lone entry larger
-            than the budget stays resident — the budget bounds hoarding,
-            not single-object size.
-        sizeof: value-size estimator used when a ``put`` gives no
-            explicit size (required if ``capacity_bytes`` is set).
         clock: monotonic time source (injectable for tests).
     """
 
@@ -126,8 +85,6 @@ class CacheShard:
         capacity: int,
         policy: ReplacementPolicy,
         default_ttl: Optional[float] = None,
-        capacity_bytes: Optional[int] = None,
-        sizeof: Optional[Callable] = None,
         clock: Callable[[], float] = None,
     ):
         if capacity <= 0:
@@ -137,22 +94,17 @@ class CacheShard:
                 f"shard policy geometry ({policy.num_sets}x{policy.ways}) "
                 f"must be 1x{capacity}"
             )
-        if capacity_bytes is not None and sizeof is None:
-            raise ValueError("capacity_bytes requires a sizeof estimator")
         if default_ttl is not None and default_ttl <= 0:
             raise ValueError(f"default_ttl must be positive, got {default_ttl}")
         self.capacity = capacity
         self.policy = policy
         self.default_ttl = default_ttl
-        self.capacity_bytes = capacity_bytes
-        self._sizeof = sizeof
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._slots: List[Optional[_Entry]] = [None] * capacity
         self._key_to_way = {}
-        self._view = ShardView(self._slots, self._key_to_way)
+        self._view = ShardView(self._slots)
         self._free = list(range(capacity - 1, -1, -1))
-        self.bytes_used = 0
         # Counters; read via snapshot() for a consistent view.
         self.gets = 0
         self.hits = 0
@@ -206,22 +158,19 @@ class CacheShard:
                 return entry.value
             self.misses += 1
             value = loader(key)
-            self._store(key, fingerprint, value, ttl, None, count_put=False)
+            self._store(key, fingerprint, value, ttl, count_put=False)
             return value
 
-    def put(self, key, value, ttl: Optional[float] = None,
-            size: Optional[int] = None) -> None:
+    def put(self, key, value, ttl: Optional[float] = None) -> None:
         """Store ``value`` under ``key``, inserting or overwriting.
 
         Args:
             ttl: per-entry override of the shard's default TTL.
-            size: byte size to account for this entry; defaults to
-                ``sizeof(value)`` when byte capacity is tracked.
         """
         fingerprint = key_fingerprint(key)
         with self._lock:
             self.policy.observe(0, fingerprint, True)
-            self._store(key, fingerprint, value, ttl, size, count_put=True)
+            self._store(key, fingerprint, value, ttl, count_put=True)
 
     def delete(self, key) -> bool:
         """Remove ``key``; returns True if it was (validly) resident."""
@@ -297,7 +246,6 @@ class CacheShard:
                 "stale_hits": self.stale_hits,
                 "degraded": self.degraded,
                 "occupancy": len(self._key_to_way),
-                "occupancy_bytes": self.bytes_used,
                 "policy_switches": self.selector_switches(),
             }
 
@@ -328,13 +276,11 @@ class CacheShard:
                         else entry.expires_at - now
                     )
                     entries.append(
-                        [entry.key, entry.value, entry.fingerprint,
-                         entry.size, remaining]
+                        [entry.key, entry.value, entry.fingerprint, remaining]
                     )
             return {
                 "entries": entries,
                 "free": list(self._free),
-                "bytes_used": self.bytes_used,
                 "counters": {
                     "gets": self.gets,
                     "hits": self.hits,
@@ -360,20 +306,15 @@ class CacheShard:
         """
         with self._lock:
             now = self._clock()
-            # Cleared in place: the view counts occupancy through it.
             self._key_to_way.clear()
-            self.bytes_used = 0
             for way, row in enumerate(state["entries"]):
                 if row is None:
                     self._slots[way] = None
                     continue
-                key, value, fingerprint, size, remaining = row
+                key, value, fingerprint, remaining = row
                 expires_at = None if remaining is None else now + remaining
-                self._slots[way] = _Entry(
-                    key, value, fingerprint, size, expires_at
-                )
+                self._slots[way] = _Entry(key, value, fingerprint, expires_at)
                 self._key_to_way[key] = way
-            self.bytes_used = int(state["bytes_used"])
             self._free = list(state["free"])
             counters = state["counters"]
             self.gets = int(counters["gets"])
@@ -405,34 +346,31 @@ class CacheShard:
             return None, None
         return entry, way
 
-    def _store(self, key, fingerprint, value, ttl, size, count_put):
+    def _store(self, key, fingerprint, value, ttl, count_put):
         expires_at = self._expiry(ttl)
-        if size is None:
-            size = self._sizeof(value) if self._sizeof is not None else 0
         if count_put:
             self.puts += 1
         entry, way = self._live_entry(key)
         if entry is not None:
-            self.bytes_used += size - entry.size
             entry.value = value
-            entry.size = size
             entry.expires_at = expires_at
             self.policy.on_hit(0, way)
             if count_put:
                 self.updates += 1
-            self._evict_for_bytes(protect_way=way)
             return
         way = self._claim_way()
-        self._slots[way] = _Entry(key, value, fingerprint, size, expires_at)
+        self._slots[way] = _Entry(key, value, fingerprint, expires_at)
         self._key_to_way[key] = way
-        self.bytes_used += size
         self.policy.on_fill(0, way, fingerprint)
         if count_put:
             self.inserts += 1
-        self._evict_for_bytes(protect_way=way)
 
     def _claim_way(self) -> int:
-        """A free way, evicting the policy's victim if the shard is full."""
+        """A free way, evicting the policy's victim if the shard is full.
+
+        The only eviction path: the policy always chooses from a full
+        set, as in the simulator.
+        """
         if self._free:
             return self._free.pop()
         way = self.policy.victim(0, self._view)
@@ -445,21 +383,9 @@ class CacheShard:
         entry = self._slots[way]
         self._slots[way] = None
         del self._key_to_way[entry.key]
-        self.bytes_used -= entry.size
         self._free.append(way)
         if notify_policy:
             self.policy.on_invalidate(0, way)
-
-    def _evict_for_bytes(self, protect_way: int) -> None:
-        """Shed (other) entries until the byte budget is respected."""
-        if self.capacity_bytes is None:
-            return
-        view = _ProtectedView(self._view, protect_way)
-        while (self.bytes_used > self.capacity_bytes
-               and len(self._key_to_way) > 1):
-            way = self.policy.victim(0, view)
-            self._remove_way(way)
-            self.evictions += 1
 
     def _expiry(self, ttl: Optional[float]) -> Optional[float]:
         if ttl is not None and ttl <= 0:

@@ -35,8 +35,9 @@ class KVCacheStats:
         policy_switches: imitation-target changes across all selectors
             (per-shard and, in sampled mode, the global one).
         occupancy: resident entries at snapshot time.
-        occupancy_bytes: accounted bytes at snapshot time (0 unless the
-            cache tracks byte sizes).
+        occupancy_bytes: always 0; the cache keeps no byte budget. The
+            field stays so the stats shape, which the e2e pins hash
+            through ``asdict``, does not change.
         capacity_entries: total entry capacity across shards.
         shards: shard count.
         per_shard_occupancy: resident entries per shard (load-balance

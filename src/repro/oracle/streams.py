@@ -58,9 +58,9 @@ def shard_ops(
     Ops are drawn from :data:`SHARD_OPS` with a mix that keeps the shard
     full — mostly demand fills (``get_or_compute``) and writes (``put``),
     some no-fill lookups (``get``) and occasional ``delete`` so the
-    free-list discipline is exercised. TTL and byte budgets are *not*
-    exercised here; those are wall-clock- and size-dependent behaviours
-    covered by dedicated unit tests, not by the policy oracle.
+    free-list discipline is exercised. TTL expiry is *not* exercised
+    here; it is wall-clock-dependent behaviour covered by dedicated unit
+    tests, not by the policy oracle.
 
     Args:
         seed: replayable stream identity.

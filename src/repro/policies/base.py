@@ -43,17 +43,6 @@ class SetView(abc.ABC):
     def valid_ways(self) -> Sequence[int]:
         """Indices of ways currently holding valid blocks."""
 
-    def valid_count(self) -> int:
-        """Number of valid ways.
-
-        Hot-path helper: policies keeping an intrusive recency/fill
-        order (LRU, FIFO) use this to recognise the common full-set
-        case in O(1) and return their list head directly instead of
-        materialising ``valid_ways``. Views with a cheaper census
-        override it; the default just counts ``valid_ways``.
-        """
-        return len(self.valid_ways())
-
 
 class ReplacementPolicy(abc.ABC):
     """Base class for replacement policies.

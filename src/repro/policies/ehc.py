@@ -88,23 +88,17 @@ class EHCPolicy(ReplacementPolicy):
         stamps = self._fill_stamp[set_index]
         ema = self._ema[set_index]
         get = ema.get
-        if set_view.valid_count() == self.ways:
-            # Full set: stamps are globally unique, so the tuple min
-            # never falls through to the way index.
-            best_way = 0
-            best_key = None
-            for way in range(self.ways):
-                key = (get(tags[way], NEW_TAG_EXPECTATION) - hits[way],
-                       stamps[way])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_way = way
-            return best_way
-        return min(
-            set_view.valid_ways(),
-            key=lambda way: (get(tags[way], NEW_TAG_EXPECTATION) - hits[way],
-                             stamps[way]),
-        )
+        # The set is full: stamps are globally unique, so the tuple min
+        # never falls through to the way index.
+        best_way = 0
+        best_key = None
+        for way in range(self.ways):
+            key = (get(tags[way], NEW_TAG_EXPECTATION) - hits[way],
+                   stamps[way])
+            if best_key is None or key < best_key:
+                best_key = key
+                best_way = way
+        return best_way
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot (EMA tables as [tag, value] pairs

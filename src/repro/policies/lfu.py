@@ -74,20 +74,13 @@ class LFUPolicy(ReplacementPolicy):
     def victim(self, set_index: int, set_view: SetView) -> int:
         counts = self._count[set_index]
         stamps = self._fill_stamp[set_index]
-        if set_view.valid_count() == self.ways:
-            if self._heaps is not None:
-                return self._heap_victim(set_index, counts, stamps)
-            # Full set (the overwhelmingly common case — the cache only
-            # asks for victims on full sets): tuple-compare in C. Fill
-            # stamps are globally unique, so the comparison never falls
-            # through to the way index and the result is identical to
-            # the keyed min over (count, stamp).
-            _, _, way = min(zip(counts, stamps, range(self.ways)))
-            return way
-        return min(
-            set_view.valid_ways(),
-            key=lambda way: (counts[way], stamps[way]),
-        )
+        if self._heaps is not None:
+            return self._heap_victim(set_index, counts, stamps)
+        # The set is full: tuple-compare in C. Fill stamps are globally
+        # unique, so the comparison never falls through to the way
+        # index and the result is the (count, stamp) minimum.
+        _, _, way = min(zip(counts, stamps, range(self.ways)))
+        return way
 
     def drop_derived_state(self) -> None:
         """Forget the victim heaps; the next full-set victim rebuilds

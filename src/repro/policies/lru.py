@@ -1,23 +1,20 @@
-"""Least-Recently-Used replacement."""
+"""Least-Recently-Used replacement, and the linked list it shares with
+FIFO."""
 
 from __future__ import annotations
 
 from repro.policies.base import ReplacementPolicy, SetView
 
 
-class LRUPolicy(ReplacementPolicy):
-    """Classic LRU: evict the valid block touched longest ago.
+class _LinkedOrderPolicy(ReplacementPolicy):
+    """An intrusive doubly-linked list of ways per set, evicting its head.
 
-    Recency is an intrusive doubly-linked list per set, threaded through
-    way indices with a sentinel node: hits and fills move a way to the
-    MRU end in O(1), and the victim of a full set is simply the list
-    head — no per-eviction scan over stamps. The order produced is
-    identical to the textbook monotonic-stamp formulation (ways sorted
-    by last-touch time), which is what the differential oracle's LRU
-    spec checks decision-for-decision.
+    The list is threaded through way indices with a sentinel node:
+    fills move a way to the tail in O(1), and the victim of a full set
+    is simply the list head — no per-eviction scan over stamps.
+    Subclasses decide whether a hit moves the way too; that is the
+    whole difference between LRU and FIFO.
     """
-
-    name = "lru"
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
@@ -34,7 +31,7 @@ class LRUPolicy(ReplacementPolicy):
                 prv[way] = -1
 
     def _touch(self, set_index: int, way: int) -> None:
-        """Move ``way`` to the MRU (tail) end, linking it if needed."""
+        """Move ``way`` to the tail, linking it if needed."""
         nxt = self._nxt[set_index]
         prv = self._prv[set_index]
         sentinel = self.ways
@@ -48,10 +45,6 @@ class LRUPolicy(ReplacementPolicy):
         prv[way] = tail
         nxt[way] = sentinel
         prv[sentinel] = way
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._check_slot(set_index, way)
-        self._touch(set_index, way)
 
     def on_fill(self, set_index: int, way: int, tag: int) -> None:
         self._check_slot(set_index, way)
@@ -71,24 +64,11 @@ class LRUPolicy(ReplacementPolicy):
         prv[way] = -1
 
     def victim(self, set_index: int, set_view: SetView) -> int:
-        nxt = self._nxt[set_index]
-        head = nxt[self.ways]
-        if set_view.valid_count() == self.ways:
-            # Full set (the cache's guarantee): the LRU-most way.
-            return head
-        # Restricted view (e.g. a shard protecting the entry just
-        # written): oldest linked way the view still exposes.
-        allowed = set(set_view.valid_ways())
-        way = head
-        sentinel = self.ways
-        while way != sentinel:
-            if way in allowed:
-                return way
-            way = nxt[way]
-        raise ValueError("victim() called on a view with no valid ways")
+        # The set is full, so every way is linked: evict the head.
+        return self._nxt[set_index][self.ways]
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the per-set recency lists."""
+        """JSON-serializable snapshot of the per-set lists."""
         return {
             "nxt": [list(row) for row in self._nxt],
             "prv": [list(row) for row in self._prv],
@@ -99,19 +79,18 @@ class LRUPolicy(ReplacementPolicy):
         self._nxt = [list(map(int, row)) for row in state["nxt"]]
         self._prv = [list(map(int, row)) for row in state["prv"]]
 
-    def recency_order(self, set_index: int, set_view: SetView) -> list:
-        """Ways of the set ordered least- to most-recently used.
 
-        Exposed for the adaptive policy's "keep a recency order" shortcut
-        (Section 3.3) and for tests of the LRU stack property.
-        """
-        nxt = self._nxt[set_index]
-        sentinel = self.ways
-        allowed = set(set_view.valid_ways())
-        order = []
-        way = nxt[sentinel]
-        while way != sentinel:
-            if way in allowed:
-                order.append(way)
-            way = nxt[way]
-        return order
+class LRUPolicy(_LinkedOrderPolicy):
+    """Classic LRU: evict the valid block touched longest ago.
+
+    Hits and fills move a way to the MRU end of the list. The order
+    produced is identical to the textbook monotonic-stamp formulation
+    (ways sorted by last-touch time), which is what the differential
+    oracle's LRU spec checks decision-for-decision.
+    """
+
+    name = "lru"
+
+    def on_hit(self, set_index: int, way: int) -> None:
+        self._check_slot(set_index, way)
+        self._touch(set_index, way)

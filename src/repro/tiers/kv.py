@@ -258,7 +258,7 @@ class TieredKVCache:
         placing the result) on a topology-wide miss."""
         return self.fetch(key, loader).value
 
-    def put(self, key, value, ttl=None, size=None) -> TieredKVResult:
+    def put(self, key, value, ttl=None) -> TieredKVResult:
         """Write ``key`` through the topology.
 
         The placement strategy is consulted as for a backing-served
@@ -266,12 +266,11 @@ class TieredKVCache:
         strategy skips get the key *invalidated* so no stale copy
         survives the write; if the strategy places the value nowhere
         (probabilistic LCD declining), the far tier takes it — a put
-        must never be dropped entirely. No tier walk carries a TTL or
-        a byte size: passing ``ttl`` or ``size`` raises ValueError.
+        must never be dropped entirely. No tier walk carries a TTL:
+        passing ``ttl`` raises ValueError.
         """
-        if ttl is not None or size is not None:
-            raise ValueError(f"a tier walk carries no TTL or byte size "
-                             f"(got ttl={ttl!r}, size={size!r})")
+        if ttl is not None:
+            raise ValueError(f"a tier walk carries no TTL (got ttl={ttl!r})")
         self.puts += 1
         if self._observe_placement:
             self.placement.observe_access(key, True)

@@ -125,42 +125,6 @@ class TestReads:
         assert c.stats().hedged_reads == before + 1
         assert len(consulted) == 2  # primary answered, hedge consulted too
 
-    def test_dynamic_hedge_threshold_tracks_live_p99(self):
-        c = ClusterKVCache(
-            num_nodes=3, replication=3, seed=2,
-            hedge_quantile=0.99, hedge_min_samples=4, hedge_margin=2.0,
-            latency_factory=lambda index: LatencyModel(
-                base=0.001, spike=0.5,
-                spike_rate=1.0 if index == 0 else 0.0, seed=index,
-            ),
-        )
-        # Cold sketches and no static hedge_after: no budget yet.
-        assert c.hedge_threshold() is None
-        for key in range(10):  # warm every node's sketch via replicas
-            c.put(key, "v")
-        threshold = c.hedge_threshold()
-        # The budget is margin x the *median* of per-node p99s — the
-        # healthy fleet's tail, not the degraded node's own — so the
-        # spiky node's ~0.5 s samples sit far above it.
-        assert threshold is not None
-        assert threshold < 0.1
-        key = next(k for k in range(100) if c.view.owners(k, 1) == ["n0"])
-        c.put(key, "v")
-        before = c.stats().hedged_reads
-        found, _version, value, consulted = c.get_details(key)
-        assert found and value == "v"
-        assert c.stats().hedged_reads == before + 1
-        assert len(consulted) == 2
-
-    def test_dynamic_hedge_falls_back_to_static_until_warm(self):
-        c = ClusterKVCache(
-            num_nodes=3, replication=3, seed=2,
-            hedge_after=0.025, hedge_quantile=0.99,
-            hedge_min_samples=1000,
-        )
-        c.put("k", "v")  # far below the sample floor
-        assert c.hedge_threshold() == 0.025
-
     def test_unavailable_when_all_owners_down(self):
         c = cluster(num_nodes=3, replication=3)
         c.put("k", "v")

@@ -126,6 +126,6 @@ def test_ladder_needs_an_engine_beneath_the_tiers():
         ResilientKVCache(LAYERS["client-local"](None))
 
 
-def test_tier_walk_refuses_a_ttl_or_size():
-    with pytest.raises(ValueError, match="no TTL or byte size"):
+def test_tier_walk_refuses_a_ttl():
+    with pytest.raises(ValueError, match="no TTL"):
         LAYERS["tiered-front"](None).put("k", 1, ttl=5.0)

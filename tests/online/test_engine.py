@@ -125,15 +125,6 @@ class TestStats:
         assert 0.0 < stats.hit_ratio < 1.0
         assert stats.miss_ratio == pytest.approx(1.0 - stats.hit_ratio)
 
-    def test_byte_capacity_respected(self):
-        cache = AdaptiveKVCache(
-            capacity_entries=64, num_shards=4,
-            capacity_bytes=4096,
-        )
-        for i in range(200):
-            cache.put(f"key-{i}", "x" * 50)
-        assert cache.stats().occupancy_bytes <= 4096
-
     def test_switch_counter_exposed(self):
         cache = AdaptiveKVCache(capacity_entries=32, num_shards=2)
         keys = phase_change_keys(64, 20, 4000, phases=4, seed=1)

@@ -24,7 +24,6 @@ from repro.online.liverecovery import (
 )
 from repro.online.persistence import (
     PersistentKVCache,
-    apply_wal_record,
     kv_stats_digest,
     recover,
 )
@@ -54,26 +53,6 @@ def _apply(cache, op, key):
         cache.delete(key)
 
 
-def _log_gmany(durable, keys):
-    """Log and apply one batched ``gmany`` record, the format older
-    versions wrote for a batched get, as they did: logged first."""
-    record = ("gmany", keys)
-    with durable._lock:
-        durable._log(record)
-        apply_wal_record(durable.cache, record)
-
-
-def _drive(durable, ops):
-    """Apply ``ops`` to a persistent cache; a ``get`` of a key divisible
-    by four becomes a ``gmany`` record over it and the next two keys,
-    so recovery replays those records per shard too."""
-    for op, key in ops:
-        if op == "get" and key % 4 == 0:
-            _log_gmany(durable, [key, key + 1, key + 2])
-        else:
-            _apply(durable, op, key)
-
-
 def _drive_live(live, ops, step_every, chunk):
     """Interleave live traffic with replay steps; count refusals."""
     refused = 0
@@ -100,7 +79,8 @@ def _seed_crashed_dir(directory, policy, ops):
     durable = PersistentKVCache(
         _engine(policy), directory, snapshot_every=None, wal_flush_ops=1
     )
-    _drive(durable, ops)
+    for op, key in ops:
+        _apply(durable, op, key)
     durable.sync()
     durable.close()
 

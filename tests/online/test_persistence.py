@@ -9,6 +9,7 @@ the framing details a property test would not localize: CRC layout,
 torn-tail truncation, snapshot fallback and generation pruning.
 """
 
+import json
 import os
 import shutil
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.online.engine import AdaptiveKVCache
 from repro.online.liverecovery import LiveRecoveringKVCache
 from repro.online.persistence import (
+    FORMAT_VERSION,
     PersistentKVCache,
     SnapshotCorruptError,
     apply_wal_record,
@@ -157,6 +159,31 @@ class TestSnapshotFraming:
             handle.write(bytes(blob))
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
+
+
+class TestFormatVersion:
+    def test_format_1_directory_is_refused(self, tmp_path):
+        """Format 1 recorded a byte budget in the manifest's config and a
+        byte size in every ``put`` record. Both recovery paths refuse
+        such a directory by its format number, before the old config
+        can reach the engine constructor as an unknown argument."""
+        durable = PersistentKVCache(_engine("lru"), str(tmp_path),
+                                    snapshot_every=None, wal_flush_ops=1)
+        durable.put(1, "v")
+        durable.close()
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == FORMAT_VERSION == 2
+        manifest["format"] = 1
+        manifest["config"]["capacity_bytes"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        with open(tmp_path / "wal-00000000.log", "ab") as wal:
+            wal.write(encode_record(("put", 2, "w", None, None)))
+        refusal = "unsupported persistence format 1"
+        with pytest.raises(ValueError, match=refusal):
+            recover(str(tmp_path))
+        with pytest.raises(ValueError, match=refusal):
+            LiveRecoveringKVCache(str(tmp_path))
 
 
 class TestRecoveryDecisionIdentity:

@@ -92,10 +92,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="capacity"):
             CacheShard(0, build_shard_policy("lru", 1))
 
-    def test_bytes_requires_sizeof(self):
-        with pytest.raises(ValueError, match="sizeof"):
-            make_shard(capacity_bytes=100)
-
     def test_bad_ttl_rejected(self):
         with pytest.raises(ValueError, match="default_ttl"):
             make_shard(default_ttl=0)
@@ -139,44 +135,6 @@ class TestTTL:
         shard.put("a", 1)
         clock.advance(1e9)
         assert shard.get("a") == 1
-
-
-class TestByteCapacity:
-    def test_evicts_down_to_budget(self):
-        shard = make_shard(
-            capacity=8, capacity_bytes=30, sizeof=lambda v: 10
-        )
-        for key in "abcd":
-            shard.put(key, key)
-        assert shard.bytes_used <= 30
-        assert shard.occupancy() == 3
-
-    def test_explicit_size_wins(self):
-        shard = make_shard(capacity=8, capacity_bytes=100,
-                           sizeof=lambda v: 1)
-        shard.put("big", "x", size=90)
-        shard.put("small", "y", size=5)
-        assert shard.bytes_used == 95
-        shard.put("second", "z", size=20)
-        assert shard.bytes_used <= 100
-
-    def test_single_oversized_entry_stays(self):
-        shard = make_shard(capacity=4, capacity_bytes=10,
-                           sizeof=lambda v: 100)
-        shard.put("huge", "v")
-        # The budget bounds hoarding, not single-object size: the entry
-        # just written is never its own victim.
-        assert shard.get("huge") == "v"
-        assert shard.occupancy() == 1
-
-    def test_overwrite_adjusts_accounting(self):
-        shard = make_shard(capacity=4, capacity_bytes=1000,
-                           sizeof=lambda v: 0)
-        shard.put("a", "x", size=100)
-        shard.put("a", "y", size=40)
-        assert shard.bytes_used == 40
-        shard.delete("a")
-        assert shard.bytes_used == 0
 
 
 class TestAdaptiveShard:

@@ -96,52 +96,6 @@ class TestTTLRacingEviction:
         assert snap["occupancy"] == 0
 
 
-class TestByteBudget:
-    def test_oversized_lone_entry_stays_resident(self):
-        """The budget bounds hoarding, not single-object size: a lone
-        entry bigger than the whole budget is admitted and kept."""
-        shard = make_shard(capacity=4, capacity_bytes=100, sizeof=len)
-        shard.put("big", "x" * 500)
-        assert shard.contains("big")
-        assert shard.bytes_used == 500
-        assert shard.snapshot()["evictions"] == 0
-
-    def test_oversized_store_sheds_every_other_entry_but_itself(self):
-        shard = make_shard(capacity=4, capacity_bytes=100, sizeof=len)
-        shard.put("a", "x" * 30)
-        shard.put("b", "x" * 30)
-        shard.put("c", "x" * 30)
-        shard.put("big", "x" * 500)
-        # The protected way is the new entry; everything else is shed
-        # because the budget stays exceeded no matter what is evicted.
-        assert shard.resident_keys() == ["big"]
-        assert shard.bytes_used == 500
-        assert shard.snapshot()["evictions"] == 3
-
-    def test_update_shrinking_a_value_reclaims_bytes(self):
-        shard = make_shard(capacity=4, capacity_bytes=100, sizeof=len)
-        shard.put("a", "x" * 80)
-        shard.put("a", "x" * 10)
-        assert shard.bytes_used == 10
-        snap = shard.snapshot()
-        assert snap["updates"] == 1
-        assert snap["occupancy"] == 1
-
-    def test_budget_respected_for_normal_mix(self):
-        shard = make_shard(capacity=8, capacity_bytes=100, sizeof=len)
-        for i in range(20):
-            shard.put(i, "x" * 30)
-        assert shard.bytes_used <= 100
-        assert shard.occupancy() == len(shard.resident_keys())
-
-    def test_explicit_size_overrides_sizeof(self):
-        shard = make_shard(capacity=4, capacity_bytes=100, sizeof=len)
-        shard.put("a", "x" * 90, size=5)
-        shard.put("b", "x" * 90, size=5)
-        assert shard.bytes_used == 10
-        assert sorted(shard.resident_keys()) == ["a", "b"]
-
-
 class TestSingleFlightExceptions:
     def test_compute_exception_propagates_and_installs_nothing(self):
         shard = make_shard()

@@ -239,3 +239,16 @@ class TestCliPerfVerb:
         captured = capsys.readouterr().out
         assert "hot path" in captured
         assert str(out) in captured
+
+    def test_workers_1_times_the_serial_sweep_alone(self, tmp_path,
+                                                    monkeypatch):
+        import repro.perf.bench as bench_mod
+        from repro.experiments.cli import main
+
+        monkeypatch.setattr(bench_mod, "HOTPATH_ACCESSES", 3000)
+        out = tmp_path / "BENCH_perf.json"
+        code = main(["perf", "--quick", "--workers", "1",
+                     "--perf-out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert list(report["sweep"]["wall_clock_sec_by_workers"]) == ["1"]

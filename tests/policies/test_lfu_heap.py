@@ -4,10 +4,10 @@
 ``HEAP_MIN_WAYS`` wide, a heap of ``(count, fill stamp, way)`` entries
 that ``victim()`` pops stale entries from. These tests replay the same
 event streams through a heap policy and a scan-only twin — through
-shards, so fills, hits, deletes and byte-pressure victims over a
-protected view all occur, with counters saturating and snapshot round
-trips mid-stream — and check an adaptive simulator cache whose LFU
-shadow the columnar kernel rewrites between scalar accesses.
+shards, so fills, hits, deletes and full-set victims all occur, with
+counters saturating and snapshot round trips mid-stream — and check an
+adaptive simulator cache whose LFU shadow the columnar kernel rewrites
+between scalar accesses.
 """
 
 import pytest
@@ -39,11 +39,7 @@ class ScanLFU(LFUPolicy):
 
 
 def _shard(policy):
-    # Small entries fill every way; two large ones overflow the budget.
-    capacity = policy.ways
-    return CacheShard(capacity, policy,
-                      capacity_bytes=capacity + capacity // 8,
-                      sizeof=lambda value: value[1])
+    return CacheShard(policy.ways, policy)
 
 
 def test_width_gate():
@@ -68,15 +64,14 @@ def test_heap_matches_scan(ways):
                 real.get(key)
                 twin.get(key)
         # Skewed keys over three shards' worth: a hot few saturate
-        # their counters at 31. A few large values add byte pressure.
+        # their counters at 31.
         key = int(3 * ways * rng.random() ** 3)
-        size = ways // 8 if rng.random() < 1 / ways else 1
         roll = rng.random()
         for shard in (real, twin):
             if roll < 0.6:
-                shard.get_or_compute(key, lambda k: (k, size))
+                shard.get_or_compute(key, lambda k: ("v", k))
             elif roll < 0.85:
-                shard.put(key, (key, size))
+                shard.put(key, ("v", key))
             elif roll < 0.98:
                 shard.get(key)
             else:
@@ -91,8 +86,7 @@ def test_heap_matches_scan(ways):
             saturated += heap_policy._max_count in heap_policy._count[0]
     assert real.state_dict() == twin.state_dict()
     assert built > 0 and saturated > 0
-    # Both full-set and byte-pressure (protected-way) victims were taken.
-    assert reference.views == {"ShardView", "_ProtectedView"}
+    assert reference.views == {"ShardView"}
     assert real.evictions == twin.evictions > ways
 
 

@@ -76,17 +76,6 @@ class TestLRUStackProperty:
 
 
 class TestLRUInternals:
-    def test_recency_order(self, tiny_config):
-        policy = LRUPolicy(tiny_config.num_sets, tiny_config.ways)
-        cache = SetAssociativeCache(tiny_config, policy)
-        a, b, c, d = addresses_for_set(tiny_config, 0, 4)
-        for address in (a, b, c, d):
-            cache.access(address)
-        cache.access(a)
-        order = policy.recency_order(0, cache.sets[0])
-        tags = [cache.sets[0].tag_at(w) for w in order]
-        assert tags == [tiny_config.tag(x) for x in (b, c, d, a)]
-
     def test_slot_validation(self):
         policy = LRUPolicy(4, 4)
         with pytest.raises(IndexError):
