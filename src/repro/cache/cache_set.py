@@ -16,7 +16,7 @@ class CacheSet(SetView):
     sweeps up to 32-way) O(1) per access.
     """
 
-    __slots__ = ("_ways", "_tags", "_dirty", "_tag_to_way")
+    __slots__ = ("_ways", "_tags", "_dirty", "_tag_to_way", "_free_hint")
 
     def __init__(self, ways: int):
         if ways <= 0:
@@ -25,6 +25,11 @@ class CacheSet(SetView):
         self._tags: List[Optional[int]] = [None] * ways
         self._dirty = [False] * ways
         self._tag_to_way = {}
+        # A lower bound on the lowest invalid way, so filling a wide set
+        # does not rescan its valid prefix. Only ``evict`` (and a
+        # restore) frees ways; the columnar kernel writes ``_tags`` but
+        # only ever fills, which keeps the bound valid.
+        self._free_hint = 0
 
     @property
     def ways(self) -> int:
@@ -52,7 +57,8 @@ class CacheSet(SetView):
         """Lowest-index invalid way, or None if the set is full."""
         if len(self._tag_to_way) == self._ways:
             return None
-        return self._tags.index(None)
+        way = self._free_hint = self._tags.index(None, self._free_hint)
+        return way
 
     def is_dirty(self, way: int) -> bool:
         """Whether the block in ``way`` has been written since fill."""
@@ -83,6 +89,8 @@ class CacheSet(SetView):
         self._tags[way] = None
         self._dirty[way] = False
         del self._tag_to_way[tag]
+        if way < self._free_hint:
+            self._free_hint = way
         return tag, dirty
 
     def resident_tags(self) -> List[int]:
@@ -103,3 +111,4 @@ class CacheSet(SetView):
         self._tag_to_way = {
             tag: way for way, tag in enumerate(self._tags) if tag is not None
         }
+        self._free_hint = 0

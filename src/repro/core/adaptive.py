@@ -25,6 +25,15 @@ On a real miss the cache asks for a victim; Algorithm 1 runs:
    differ; with partial tags aliasing can hide every candidate, in which
    case an arbitrary block is evicted (Section 3.1).
 
+Both searches return the lowest matching way. A set narrower than
+:data:`INDEX_MIN_WAYS` scans its row of stored prints in C. A wider
+set (an online shard is one set of hundreds of ways) answers from an
+exclusive-way index: per component, the real ways whose print that
+component's shadow lacks, and a map from each print to the ways
+holding it. Shadow misses, fills and invalidations keep it current, so
+step 2 is a lookup and step 3 costs about the size of the difference
+between the real set and the imitated shadow, not the set's width.
+
 The policy generalizes transparently from two components to N — the
 paper's five-policy experiment (Section 4.4) uses the same class.
 """
@@ -39,6 +48,12 @@ from repro.core.history import BitVectorHistory, MissHistory
 from repro.core.selector import PolicySelector
 from repro.policies.base import ReplacementPolicy, SetView
 from repro.utils.rng import DeterministicRNG
+
+#: Sets at least this wide find victims through the exclusive-way index
+#: instead of scanning their row: the measured crossover (see
+#: docs/performance.md). Narrower sets, such as the simulator's 8-way
+#: ones, would pay the index's upkeep on every access for no gain.
+INDEX_MIN_WAYS = 512
 
 
 class AdaptivePolicy(ReplacementPolicy):
@@ -162,6 +177,19 @@ class AdaptivePolicy(ReplacementPolicy):
         self.selectors[set_index].record(missed)
         if self.vote_sink is not None:
             self.vote_sink(missed)
+        index = self._index
+        if (index is not None and True in missed
+                and index[set_index] is not None):
+            # A shadow's victim print leaves it, so the real ways holding
+            # that print join the shadow's absent ways.
+            holders, absent, _ = index[set_index]
+            for outcome, ways in zip(outcomes, absent):
+                held = holders.get(outcome.victim_tag)
+                if held is not None:
+                    if type(held) is int:
+                        ways.add(held)
+                    else:
+                        ways.update(held)
         self._last_outcomes = outcomes
         self._last_set = set_index
         if self.fault_injector is not None:
@@ -179,10 +207,27 @@ class AdaptivePolicy(ReplacementPolicy):
         row = self._rows[set_index]
         if row is not None:
             # A miss fills the tag observe() just transformed.
-            row[way] = (
+            stored = (
                 self._last_stored if tag == self._last_tag
                 else self.tag_transform(tag)
             )
+            index = self._index
+            if index is not None and index[set_index] is not None:
+                holders, absent, residents = index[set_index]
+                old = row[way]
+                # An eviction reaches here without on_invalidate, so the
+                # way's old print leaves the index first.
+                if old is not None:
+                    held = holders.pop(old)
+                    if held != way:
+                        self._retire_alias(holders, way, old, held)
+                held = holders.setdefault(stored, way)
+                if held != way:
+                    self._enter_alias(holders, way, stored, held)
+                for resident, ways in zip(residents, absent):
+                    if stored not in resident:
+                        ways.add(way)
+            row[way] = stored
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         if set_index != self._last_set or not self._last_outcomes:
@@ -199,19 +244,37 @@ class AdaptivePolicy(ReplacementPolicy):
             row = self._rows[set_index] = self._build_row(set_view)
         # victim() only runs on full sets, so the row covers exactly the
         # valid ways.
+        index = self._index
+        if index is not None:
+            entry = index[set_index]
+            if entry is None:
+                entry = index[set_index] = self._build_index(set_index, row)
+            holders, absent, residents = entry
+            # Step 2, then step 3, from the index.
+            if outcome.missed and outcome.victim_tag is not None:
+                held = holders.get(outcome.victim_tag)
+                if held is not None:
+                    return held if type(held) is int else min(held)
+            ways = absent[chosen]
+            resident = residents[chosen]
+            ways.difference_update(
+                [way for way in ways if row[way] in resident]
+            )
+            if ways:
+                return min(ways)
+        else:
+            # Step 2: the imitated component evicted a block that the
+            # real cache also holds -> evict the same block.
+            if outcome.missed and outcome.victim_tag is not None:
+                way = self._find_way_by_stored_tag(row, outcome.victim_tag)
+                if way is not None:
+                    return way
 
-        # Step 2: the imitated component evicted a block that the real
-        # cache also holds -> evict the same block.
-        if outcome.missed and outcome.victim_tag is not None:
-            way = self._find_way_by_stored_tag(row, outcome.victim_tag)
+            # Step 3: evict any real block not in the imitated component.
+            resident = self.shadows[chosen].sets[set_index]._tag_to_way
+            way = self._find_way_not_in_shadow(row, resident)
             if way is not None:
                 return way
-
-        # Step 3: evict any real block not in the imitated component.
-        resident = self.shadows[chosen].sets[set_index]._tag_to_way
-        way = self._find_way_not_in_shadow(row, resident)
-        if way is not None:
-            return way
 
         # Aliasing (partial tags) hid every candidate: arbitrary victim.
         self.fallback_evictions += 1
@@ -220,8 +283,29 @@ class AdaptivePolicy(ReplacementPolicy):
     def on_invalidate(self, set_index: int, way: int) -> None:
         # Stale recency stamps and stored tags are harmless: invalid
         # ways are filled before victim() can ever be consulted about
-        # them.
+        # them. The index's print map, though, must forget the way, so
+        # that the way's next fill enters only its new print.
         self._check_slot(set_index, way)
+        index = self._index
+        if index is not None and index[set_index] is not None:
+            row = self._rows[set_index]
+            old = row[way]
+            if old is not None:
+                holders = index[set_index][0]
+                held = holders.pop(old)
+                if held != way:
+                    self._retire_alias(holders, way, old, held)
+                row[way] = None
+
+    def drop_victim_index(self, set_index: int) -> None:
+        """Forget ``set_index``'s exclusive-way index.
+
+        For callers that rewrite the set's shadow tags outside
+        ``observe()`` (the fault injector's tag flips); the next
+        ``victim()`` rebuilds the index from the row and the shadows.
+        """
+        if self._index is not None:
+            self._index[set_index] = None
 
     # ------------------------------------------------------------------
     # Internals
@@ -254,6 +338,48 @@ class AdaptivePolicy(ReplacementPolicy):
         for tag in filterfalse(resident.__contains__, row):
             return row.index(tag)
         return None
+
+    def _build_index(self, set_index: int, row: List[int]) -> tuple:
+        # (holders, absent, residents). holders maps each stored print
+        # to the way holding it, or to a list of ways when partial
+        # prints alias. absent[c] holds every way whose print component
+        # c's shadow lacks. A shadow fill does not remove the ways
+        # holding the filled print: victim() drops such stale ways when
+        # it reads the set, so each shadow miss costs one lookup, not
+        # two. residents[c] is the shadow set's print->way dict, which
+        # only a restore or the columnar kernel replaces, and both drop
+        # the index.
+        holders = {}
+        for way, stored in enumerate(row):
+            held = holders.setdefault(stored, way)
+            if held != way:
+                self._enter_alias(holders, way, stored, held)
+        residents = [shadow.sets[set_index]._tag_to_way
+                     for shadow in self.shadows]
+        absent = [
+            {way for way, stored in enumerate(row) if stored not in resident}
+            for resident in residents
+        ]
+        return holders, absent, residents
+
+    @staticmethod
+    def _enter_alias(holders: dict, way: int, stored: int, held) -> None:
+        # ``way`` joins the way (or list of ways) ``held`` that already
+        # holds the aliased print ``stored``.
+        if type(held) is int:
+            holders[stored] = [held, way]
+        else:
+            held.append(way)
+
+    @staticmethod
+    def _retire_alias(holders: dict, way: int, stored: int,
+                      held: list) -> None:
+        # ``way`` leaves the list of ways holding the aliased print
+        # ``stored``, which the caller popped. (An absent set may keep
+        # ``way``: it is refilled before the next victim(), which reads
+        # the new print.)
+        held.remove(way)
+        holders[stored] = held[0] if len(held) == 1 else held
 
     def _fallback_victim(self, set_index: int) -> int:
         if self.fallback == "random":
@@ -314,6 +440,13 @@ class AdaptivePolicy(ReplacementPolicy):
         # None means "rebuild from the set view on the next victim()";
         # entries of invalid ways are stale and never read.
         self._rows: List[Optional[List[Optional[int]]]] = [None] * self.num_sets
+        # Per set, the exclusive-way index (see _build_index), built
+        # with the row on the next victim() and kept by observe,
+        # on_fill and on_invalidate; while it exists, the row holds None
+        # exactly at the invalid ways. No index below INDEX_MIN_WAYS.
+        self._index: Optional[List[Optional[tuple]]] = (
+            [None] * self.num_sets if self.ways >= INDEX_MIN_WAYS else None
+        )
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the full adaptive machinery.
@@ -325,7 +458,8 @@ class AdaptivePolicy(ReplacementPolicy):
         per-access replay outcomes are dead between accesses, where
         snapshots are taken (so a restored policy demands a fresh
         ``observe()`` before its first ``victim()``), and the rows of
-        stored real tags are rebuilt from the real sets.
+        stored real tags and their indexes are rebuilt from the real
+        sets and the shadows.
         """
         return {
             "components": [c.state_dict() for c in self.components],

@@ -203,6 +203,11 @@ class SbarPolicy(ReplacementPolicy):
         """Largest value the PSEL selector can hold."""
         return self.selector.max_value
 
+    def drop_victim_index(self, slot: int) -> None:
+        """Forget a leader's exclusive-way index; ``slot`` numbers the
+        leader sets, as the shadows do (fault-injection hook)."""
+        self.leaders.drop_victim_index(slot)
+
     def set_selector(self, value: int) -> None:
         """Clamp-write the PSEL counter (fault-injection hook).
 

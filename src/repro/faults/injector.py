@@ -130,6 +130,9 @@ class FaultInjector:
             return
         aliased = shadow.contains_stored(set_index, new)
         if shadow.corrupt_stored(set_index, old, new):
+            # The rewrite bypassed observe(), which keeps the policy's
+            # index of ways each shadow lacks.
+            self._armed.drop_victim_index(set_index)
             self.log.shadow_tag_flips += 1
             if aliased:
                 self.log.shadow_tag_aliased += 1

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.sbar import DuelingResidentPolicy, spread_leader_sets
 from repro.core.selector import GlobalSelector
-from repro.online.keyspace import key_fingerprint, shard_of
+from repro.online.keyspace import key_fingerprint, shard_routing
 from repro.online.policies import LockedVoteSink, build_shard_policy
 from repro.online.shard import CacheShard
 from repro.online.stats import KVCacheStats
@@ -89,6 +89,9 @@ class AdaptiveKVCache:
         self.mode = mode
         self.components = tuple(components)
         self.num_shards = num_shards
+        # Worked out once: every request routes through shard_index,
+        # often more than once.
+        self._route_shift, self._route_mask = shard_routing(num_shards)
         self.capacity_entries = capacity_entries
         # The JSON-serializable constructor arguments, retained so the
         # persistence layer can record them in a snapshot manifest and
@@ -206,7 +209,7 @@ class AdaptiveKVCache:
         live recovery, the resilient ladder, cluster nodes) asks here
         rather than recomputing it.
         """
-        return shard_of(key_fingerprint(key), self.num_shards)
+        return (key_fingerprint(key) >> self._route_shift) & self._route_mask
 
     def _shard_for(self, key) -> CacheShard:
         """The shard responsible for ``key``."""

@@ -20,9 +20,10 @@ the online analogue of a cache tag. Fingerprints are
 from __future__ import annotations
 
 import hashlib
+from typing import Tuple
 
 from repro.cache.tag_array import identity_tag
-from repro.utils.bitops import is_power_of_two, xor_fold
+from repro.utils.bitops import is_power_of_two, mask
 
 FINGERPRINT_BITS = 64
 
@@ -120,10 +121,21 @@ def shard_of(fingerprint: int, num_shards: int) -> int:
         fingerprint: a 64-bit key fingerprint.
         num_shards: shard count; must be a power of two.
     """
+    shift, shard_mask = shard_routing(num_shards)
+    return (fingerprint >> shift) & shard_mask
+
+
+def shard_routing(num_shards: int) -> Tuple[int, int]:
+    """``(shift, mask)`` of :func:`shard_of`: a fingerprint's shard is
+    ``(fingerprint >> shift) & mask``. For a router that works them out
+    once rather than per key.
+
+    Args:
+        num_shards: shard count; must be a power of two.
+    """
     if not is_power_of_two(num_shards):
         raise ValueError(f"num_shards must be a power of two, got {num_shards}")
-    shift = FINGERPRINT_BITS - (num_shards.bit_length() - 1)
-    return (fingerprint >> shift) & (num_shards - 1)
+    return FINGERPRINT_BITS - (num_shards.bit_length() - 1), num_shards - 1
 
 
 def partial_fingerprint_transform(bits):
@@ -140,4 +152,20 @@ def partial_fingerprint_transform(bits):
     if bits <= 0:
         raise ValueError(f"partial fingerprint width must be positive, "
                          f"got {bits}")
-    return lambda fingerprint: xor_fold(fingerprint, bits, FINGERPRINT_BITS)
+    # xor_fold(fingerprint, bits, 64) with the cascade's shifts and
+    # mask worked out once: every access folds one print.
+    shifts = []
+    shift = bits
+    while shift < FINGERPRINT_BITS:
+        shifts.append(shift)
+        shift <<= 1
+    shifts = tuple(shifts)
+    low = mask(bits)
+
+    def fold(fingerprint: int) -> int:
+        folded = fingerprint & _MASK64
+        for step in shifts:
+            folded ^= folded >> step
+        return folded & low
+
+    return fold

@@ -1,8 +1,13 @@
 """Unit tests for CacheSet storage."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.cache_set import CacheSet
+from repro.cache.config import CacheConfig
+from repro.core.multi import make_adaptive
+from repro.perf.kernel import kernel_name
 
 
 class TestInstallEvict:
@@ -90,3 +95,65 @@ class TestValidation:
     def test_rejects_bad_ways(self):
         with pytest.raises(ValueError):
             CacheSet(0)
+
+
+def lowest_free(cache_set):
+    tags = cache_set._tags
+    return tags.index(None) if None in tags else None
+
+
+class TestFreeWayHint:
+    """``free_way`` scans from a lower-bound hint; it must still return
+    the lowest invalid way after any sequence of writers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["fill", "install", "evict", "load"]),
+                  st.integers(min_value=0, max_value=15)),
+        max_size=80,
+    ))
+    def test_matches_lowest_invalid_way(self, ops):
+        cache_set = CacheSet(16)
+        snapshots = [cache_set.state_dict()]
+        next_tag = 0
+        for op, pick in ops:
+            if op == "fill":
+                way = cache_set.free_way()
+                if way is not None:
+                    cache_set.install(way, next_tag)
+            elif op == "install":
+                if cache_set._tags[pick] is None:
+                    cache_set.install(pick, next_tag)
+            elif op == "evict":
+                valid = cache_set.valid_ways()
+                if valid:
+                    cache_set.evict(valid[pick % len(valid)])
+                snapshots.append(cache_set.state_dict())
+            else:
+                cache_set.load_state_dict(snapshots[pick % len(snapshots)])
+            next_tag += 1
+            assert cache_set.free_way() == lowest_free(cache_set)
+
+    def test_after_a_kernel_batch_on_a_partly_filled_cache(self):
+        config = CacheConfig(size_bytes=4 * 64 * 64, ways=64)
+        cache = SetAssociativeCache(config, make_adaptive(4, 64))
+        lines = 4 * 40
+        addresses = [(i * 7919 % lines) * 64 for i in range(1024)]
+        assert kernel_name(cache, len(addresses)) == "columnar"
+        # Move the real sets' hints off way 0 before the kernel fills.
+        for cache_set in cache.sets:
+            for tag in range(10**9, 10**9 + 10):
+                cache_set.install(cache_set.free_way(), tag)
+            cache_set.evict(7)
+            cache_set.evict(5)
+        cache.access_many(addresses)
+        sets = list(cache.sets)
+        for shadow in cache.policy.shadows:
+            sets.extend(shadow.sets)
+        assert any(s.free_way() is not None for s in sets)
+        for cache_set in sets:
+            assert cache_set.free_way() == lowest_free(cache_set)
+        for address in range(lines * 64, (lines + 200) * 64, 64):
+            cache.access(address)
+            for cache_set in sets:
+                assert cache_set.free_way() == lowest_free(cache_set)

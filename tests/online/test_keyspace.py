@@ -1,5 +1,6 @@
 """Unit tests for key fingerprints, shard routing and partial folding."""
 
+import random
 import sys
 import threading
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.tag_array import identity_tag
+from repro.online.engine import AdaptiveKVCache
 from repro.online.keyspace import (
     FINGERPRINT_BITS,
     _fingerprint,
@@ -123,6 +125,18 @@ class TestShardOf:
         assert all(shard_of(base | low, 16) == shard_of(base, 16)
                    for low in range(64))
 
+    @pytest.mark.parametrize("num_shards", [1 << k for k in range(9)])
+    def test_engine_routes_as_shard_of(self, num_shards):
+        engine = AdaptiveKVCache(capacity_entries=num_shards,
+                                 num_shards=num_shards, policy="lru")
+        keys = list(range(300)) + [f"user:{i}" for i in range(300)] + [
+            b"bytes", ("tuple", 7), True, -1, 2**80,
+        ]
+        for key in keys:
+            assert engine.shard_index(key) == shard_of(
+                key_fingerprint(key), num_shards
+            )
+
 
 class TestPartialTransform:
     def test_identity_when_full(self):
@@ -156,6 +170,18 @@ class TestPartialTransform:
                 expected = group_xor(value, bits)
                 assert xor_fold(value, bits, FINGERPRINT_BITS) == expected
                 assert fold(value) == expected
+
+    def test_fold_is_xor_fold_at_every_partial_width(self):
+        rng = random.Random(30)
+        prints = [0, 2**FINGERPRINT_BITS - 1] + [
+            rng.getrandbits(FINGERPRINT_BITS) for _ in range(200)
+        ]
+        for bits in range(1, FINGERPRINT_BITS):
+            fold = partial_fingerprint_transform(bits)
+            for fingerprint in prints:
+                assert fold(fingerprint) == xor_fold(
+                    fingerprint, bits, FINGERPRINT_BITS
+                )
 
     def test_folds_to_width(self):
         fold = partial_fingerprint_transform(12)

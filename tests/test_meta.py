@@ -200,12 +200,14 @@ class TestSuiteShape:
 
     def test_shard_routing_has_one_home(self):
         """Only the engine maps keys to shards; every other layer asks
-        ``AdaptiveKVCache.shard_index`` rather than copying the rule."""
+        ``AdaptiveKVCache.shard_index`` rather than copying the rule
+        (``shard_of``, or the ``shard_routing`` shift and mask)."""
         src = REPO_ROOT / "src" / "repro"
         callers = sorted(
             str(path.relative_to(src))
             for path in src.rglob("*.py")
             if "shard_of(" in path.read_text()
+            or "shard_routing(" in path.read_text()
         )
         assert callers == ["online/engine.py", "online/keyspace.py"]
 
