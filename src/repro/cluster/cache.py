@@ -15,13 +15,14 @@ consistent-hash :class:`~repro.cluster.ring.HashRing`:
   is unreachable, or its (simulated-clock) latency sample exceeds the
   static ``hedge_after`` budget — the serving reply is whichever
   arrives first, so one straggler cannot drag the tail.
-* **Read-repair** runs after every read: the key's resident replicas
-  are *peeked* (no policy events) and any owner holding an older
-  version than the winner is rewritten with it, so divergence created
-  by partitions or missed writes converges during normal traffic. A
-  replica missing the key entirely is left alone — re-inserting
-  evicted entries on every read would fight the replacement policy;
-  the rebalance sweep (rejoin, membership change) refills those.
+* **Read-repair** runs after every read: each owner is looked at
+  once — a consulted owner by its reply, any other by a *peek* (no
+  policy events) — and any owner holding an older version than the
+  newest is rewritten with it, so divergence created by partitions
+  or missed writes converges during normal traffic. A replica
+  missing the key entirely is left alone — re-inserting evicted
+  entries on every read would fight the replacement policy; the
+  rebalance sweep (rejoin, membership change) refills those.
 
 Failures are tracked per node by the same
 :class:`~repro.online.resilience.CircuitBreaker` the single-node
@@ -221,7 +222,10 @@ class ClusterKVCache:
                 applied the write. Owners that did apply it keep their
                 copies — the version is real, just unacknowledged.
         """
-        owners = self._owners(key)
+        return self._write(key, value, self._owners(key))
+
+    def _write(self, key, value, owners: List[str]) -> int:
+        """:meth:`put` to an already-routed preference list."""
         self._stats.writes += 1
         version = self._next_version()
         acks = 0
@@ -282,7 +286,11 @@ class ClusterKVCache:
         The mechanics behind :meth:`get`; chaos campaigns use the
         version and consulted-replica list for their invariants.
         """
-        owners = self._owners(key)
+        return self._read(key, self._owners(key))
+
+    def _read(self, key, owners: List[str]
+              ) -> Tuple[bool, Optional[int], object, List[str]]:
+        """:meth:`get_details` over an already-routed preference list."""
         self._stats.reads += 1
         replies: List[Tuple[str, bool, Optional[tuple], float]] = []
         budget = self.read_fanout
@@ -344,57 +352,48 @@ class ClusterKVCache:
                 self._stats.hedge_wins += 1
             self._stats.read_hits += 1
             version, value = serving[2]
-            self._read_repair(key, owners, version, value)
+            self._read_repair(key, owners, replies, serving[2])
             return True, version, value, consulted
         if replies:
             self.clock.advance(max(reply[3] for reply in replies))
         self._stats.read_misses += 1
-        self._repair_from_peers(key, owners)
+        self._read_repair(key, owners, replies, None)
         return False, None, None, consulted
 
-    def _read_repair(self, key, owners: List[str], version: int,
-                     value) -> None:
-        """Converge owners holding an *older* version than the winner.
+    def _read_repair(self, key, owners: List[str], replies: list,
+                     best: Optional[tuple]) -> None:
+        """Converge owners holding an *older* version than the newest.
 
-        Replicas are peeked (no policy events), so the scan itself
-        never perturbs replacement decisions; only genuinely divergent
-        owners take a converging write. The winner may itself be
-        superseded by a peeked replica — then the newer record wins
-        and the serving replica is repaired too.
+        Each owner is looked at once: a consulted owner by the reply
+        it gave, any other by a peek (no policy events), so the scan
+        never perturbs replacement decisions. ``best`` is the served
+        record (None after a miss); a newer resident record supersedes
+        it, and then the serving replica is repaired too. Only owners
+        holding an older version take a converging write.
         """
-        best_version, best_value = version, value
+        answered = {reply[0]: reply[1:3] for reply in replies}
         holders: List[Tuple[str, int]] = []
         for node_id in owners:
-            node = self.nodes[node_id]
-            if node.status == "down":
-                continue
-            found, record = node.peek(key)
+            reply = answered.get(node_id)
+            found, record = (
+                reply if reply is not None else self.nodes[node_id].peek(key)
+            )
             if not found:
                 continue
             holders.append((node_id, record[0]))
-            if record[0] > best_version:
-                best_version, best_value = record
+            if best is None or record[0] > best[0]:
+                best = record
         for node_id, held_version in holders:
-            if held_version >= best_version:
+            if held_version >= best[0]:
                 continue
             if not self.view.is_reachable(node_id):
                 continue
             try:
-                self.nodes[node_id].put(key, best_version, best_value)
+                self.nodes[node_id].put(key, best[0], best[1])
             except Exception:  # noqa: BLE001 — replica boundary
                 self._breaker(node_id).record_failure()
                 continue
             self._stats.read_repairs += 1
-
-    def _repair_from_peers(self, key, owners: List[str]) -> None:
-        """After a miss, still converge any divergent resident copies."""
-        best: Optional[tuple] = None
-        for node_id in owners:
-            found, record = self.nodes[node_id].peek(key)
-            if found and (best is None or record[0] > best[0]):
-                best = record
-        if best is not None:
-            self._read_repair(key, owners, best[0], best[1])
 
     def get_or_compute(self, key, loader):
         """Read-through: on a cluster-wide miss, load and replicate.
@@ -403,12 +402,13 @@ class ClusterKVCache:
         the computed value is returned regardless (and counted as a
         failed write); the next read simply misses again.
         """
-        found, _version, value, _consulted = self.get_details(key)
+        owners = self._owners(key)
+        found, _version, value, _consulted = self._read(key, owners)
         if found:
             return value
         value = loader(key)
         try:
-            self.put(key, value)
+            self._write(key, value, owners)
         except WriteQuorumError:
             pass
         return value

@@ -252,25 +252,28 @@ class ClusterController:
 
     # -- data movement --------------------------------------------------
 
-    def _winner(self, key) -> Optional[Tuple[int, object]]:
-        """Highest-version record for ``key`` on any non-down member."""
-        best: Optional[Tuple[int, object]] = None
-        for node in self._nodes.values():
+    def _winner(self, key) -> Tuple[Optional[tuple], Dict[str, tuple]]:
+        """Highest-version record for ``key`` on any non-down member,
+        and each member's record, from one peek per member."""
+        held: Dict[str, tuple] = {}
+        for nid, node in self._nodes.items():
             found, record = node.peek(key)
-            if found and (best is None or record[0] > best[0]):
-                best = record
-        return best
+            if found:
+                held[nid] = record
+        best = max(held.values(), key=lambda record: record[0], default=None)
+        return best, held
 
     def rebalance(self, keys: Optional[Iterable] = None) -> int:
         """Converge replica placement for ``keys`` (default: all).
 
         For every key, the highest-version record held by any
         non-crashed member is copied to each reachable owner that is
-        missing it or holds an older version. This is the sweep form
-        of read-repair: it converges divergent replicas, refills a
-        rejoined node, and moves ownership after membership changes.
-        Non-owner holders keep their (correct, versioned) copies —
-        they are cache entries and will age out under pressure.
+        missing it or holds an older version (judged by the same one
+        peek per member). This is the sweep form of read-repair: it
+        converges divergent replicas, refills a rejoined node, and
+        moves ownership after membership changes. Non-owner holders
+        keep their (correct, versioned) copies — they are cache
+        entries and will age out under pressure.
 
         Returns:
             Replica copies written.
@@ -279,15 +282,15 @@ class ClusterController:
             keys = self.view.resident_keys()
         moved = 0
         for key in keys:
-            best = self._winner(key)
+            best, held = self._winner(key)
             if best is None:
                 continue
             for nid in self.view.owners(key, self.replication):
                 node = self._nodes[nid]
                 if node.status != "up":
                     continue
-                found, record = node.peek(key)
-                if not found or record[0] < best[0]:
+                record = held.get(nid)
+                if record is None or record[0] < best[0]:
                     try:
                         node.put(key, best[0], best[1])
                     except Exception:  # noqa: BLE001 — replica boundary

@@ -183,9 +183,14 @@ class CacheShard:
             return True
 
     def contains(self, key) -> bool:
-        """Whether ``key`` is resident and unexpired (no policy events)."""
+        """Whether ``key`` is resident and unexpired (no policy events;
+        a lapsed entry is left for get, put or delete to expire)."""
         with self._lock:
-            return self._live_entry(key)[0] is not None
+            way = self._key_to_way.get(key)
+            if way is None:
+                return False
+            expires_at = self._slots[way].expires_at
+            return expires_at is None or self._clock() < expires_at
 
     def peek_stale(self, key):
         """(found, value) for ``key`` even if expired — non-destructively.

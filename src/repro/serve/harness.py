@@ -2,8 +2,8 @@
 
 Regime *construction* — :class:`~repro.serve.stack.RegimePlan` and
 :func:`~repro.serve.stack.build_stack` — lives in
-:mod:`repro.serve.stack` and is re-exported here; this module drives
-the stream and builds the reports.
+:mod:`repro.serve.stack`; this module drives the stream and builds
+the reports.
 
 This is the measurement the ROADMAP's "open-loop service benchmark"
 item asks for. A seeded request stream (:mod:`repro.workloads.keystreams`)
@@ -69,17 +69,7 @@ from repro.online.resilience import (
 )
 from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
 from repro.serve.sketch import LatencySketch, exact_quantile
-# Stack construction (plans and the builder) lives in repro.serve.stack;
-# RegimePlan and the builder are re-exported here so the historical
-# import surface (``from repro.serve.harness import RegimePlan``)
-# keeps working.
-from repro.serve.stack import (  # noqa: F401 — re-exported surface
-    RegimePlan,
-    backend_value,
-    build_stack,
-    default_plans,
-    seed_persistent,
-)
+from repro.serve.stack import RegimePlan, backend_value, build_stack, default_plans
 from repro.serve.vloop import VirtualTimeEventLoop
 from repro.tiers.kv import TieredKVCache
 

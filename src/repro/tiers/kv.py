@@ -187,18 +187,7 @@ class TieredKVCache:
         """Per-tier capacities, near-to-far (adaptive-placement sizing)."""
         return [tier.capacity for tier in self.tiers]
 
-    def _probe(self, key):
-        """(served_index, value, latency): first tier holding ``key``."""
-        latency = 0
-        for index, tier in enumerate(self.tiers):
-            latency += tier.hit_latency
-            found, value = tier.lookup(key)
-            if found:
-                return index, value, latency
-            latency += tier.transfer_cost
-        return len(self.tiers), None, latency
-
-    def _admit_copies(self, served: int, key, value) -> List[str]:
+    def _admit_copies(self, served: int, key, value) -> tuple:
         """Place copies per the strategy; far-to-near; returns names."""
         targets = self.placement.copy_tiers(len(self.tiers), served, key)
         admitted = []
@@ -206,27 +195,47 @@ class TieredKVCache:
             tier = self.tiers[index]
             tier.admit(key, value)
             admitted.append(tier.name)
-        admitted.reverse()
-        return admitted
+        return tuple(reversed(admitted))
 
-    def get_detailed(self, key, default=None) -> TieredKVResult:
-        """Probe all tiers; on a hit, promote per the placement strategy.
+    def _walk(self, key, loader, default) -> TieredKVResult:
+        """Probe tiers near-to-far; place copies of what serves.
 
-        A total miss consults no backing loader — plain gets report the
-        miss to the caller (matching ``CacheShard.get``), and only
-        :meth:`get_or_compute` fills.
+        A total miss runs ``loader`` and places its value. Without a
+        loader (a plain get) it consults no backing and reports the
+        miss to the caller, matching ``CacheShard.get``.
         """
         self.gets += 1
         if self._observe_placement:
             self.placement.observe_access(key, False)
-        served, value, latency = self._probe(key)
+        latency = 0
+        for served, tier in enumerate(self.tiers):
+            latency += tier.hit_latency
+            found, value = tier.lookup(key)
+            if found:
+                name = tier.name
+                self.serves[name] += 1
+                break
+            latency += tier.transfer_cost
+        else:
+            if loader is None:
+                self.total_latency += latency
+                return TieredKVResult(False, default, None, latency, ())
+            served, name = len(self.tiers), self.backing_name
+            self.backing_fetches += 1
+            self.serves[name] += 1
+            latency += self.backing_latency
+            value = loader(key)
         self.total_latency += latency
-        if served == len(self.tiers):
-            return TieredKVResult(False, default, None, latency, ())
-        name = self.tiers[served].name
-        self.serves[name] += 1
         admitted = self._admit_copies(served, key, value)
-        return TieredKVResult(True, value, name, latency, tuple(admitted))
+        return TieredKVResult(True, value, name, latency, admitted)
+
+    def get_detailed(self, key, default=None) -> TieredKVResult:
+        """Probe all tiers; on a hit, promote per the placement strategy.
+
+        A total miss consults no backing loader — only
+        :meth:`get_or_compute` fills.
+        """
+        return self._walk(key, None, default)
 
     def get(self, key, default=None):
         """Value under ``key`` from the nearest holding tier, else
@@ -235,23 +244,7 @@ class TieredKVCache:
 
     def fetch(self, key, loader) -> TieredKVResult:
         """:meth:`get_or_compute` with full provenance."""
-        self.gets += 1
-        if self._observe_placement:
-            self.placement.observe_access(key, False)
-        served, value, latency = self._probe(key)
-        if served == len(self.tiers):
-            self.backing_fetches += 1
-            self.serves[self.backing_name] += 1
-            latency += self.backing_latency
-            value = loader(key)
-            served_name = self.backing_name
-        else:
-            served_name = self.tiers[served].name
-            self.serves[served_name] += 1
-        self.total_latency += latency
-        admitted = self._admit_copies(served, key, value)
-        return TieredKVResult(True, value, served_name, latency,
-                              tuple(admitted))
+        return self._walk(key, loader, None)
 
     def get_or_compute(self, key, loader):
         """Serve from the nearest tier, running ``loader(key)`` (and
@@ -306,8 +299,9 @@ class TieredKVCache:
         return sum(len(tier.store) for tier in self.tiers)
 
     def resident_in(self, key) -> List[str]:
-        """Names of tiers currently holding ``key`` (testing aid)."""
-        return [tier.name for tier in self.tiers if tier.lookup(key)[0]]
+        """Names of tiers holding ``key`` (no policy events, nothing
+        logged)."""
+        return [tier.name for tier in self.tiers if key in tier.store]
 
     def stats(self) -> dict:
         """Counter snapshot plus the placement strategy's summary."""

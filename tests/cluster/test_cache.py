@@ -1,5 +1,7 @@
 """The cluster router: quorums, hedging, read-repair, recovery."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.cache import ClusterKVCache, WriteQuorumError
@@ -202,6 +204,114 @@ class TestReadRepair:
         assert all(
             record is None for record in c.view.replica_map("k", 3).values()
         )
+
+
+
+def count_looks(c):
+    """Wrap every member's ``get`` and ``peek``; return the per-node
+    call counter."""
+    looks = Counter()
+    for node_id, node in c.nodes.items():
+        for method in ("get", "peek"):
+            def counted(key, _original=getattr(node, method),
+                        _node_id=node_id):
+                looks[_node_id] += 1
+                return _original(key)
+            setattr(node, method, counted)
+    return looks
+
+
+class TestOneLookPerOwner:
+    """A read looks at each owner once: a consulted owner's reply is
+    its record for read-repair, and only the others are peeked."""
+
+    def assert_one_look(self, c, key, looks):
+        owners = c.view.owners(key, c.replication)
+        assert set(looks) <= set(owners)
+        assert all(looks[node_id] <= 1 for node_id in owners), looks
+
+    def test_hit(self):
+        c = cluster()
+        c.put("k", "v")
+        looks = count_looks(c)
+        assert c.get("k") == "v"
+        self.assert_one_look(c, "k", looks)
+
+    def test_miss(self):
+        c = cluster()
+        looks = count_looks(c)
+        assert c.get("k") is None
+        self.assert_one_look(c, "k", looks)
+
+    def test_miss_with_a_resident_copy(self):
+        c = cluster()
+        owners = c.view.owners("k", 3)
+        c.nodes[owners[2]].put("k", 5, "v")  # beyond the read fanout
+        looks = count_looks(c)
+        assert c.get("k") is None
+        self.assert_one_look(c, "k", looks)
+
+    def test_hedged_read(self):
+        c = cluster()
+        c.put("k", "v")
+        c.controller.kill(c.view.owners("k", 3)[0])
+        looks = count_looks(c)
+        assert c.get("k") == "v"
+        assert c.stats().hedged_reads == 1
+        self.assert_one_look(c, "k", looks)
+
+    def test_latency_hedged_read(self):
+        c = ClusterKVCache(
+            num_nodes=3, replication=3, seed=2, hedge_after=0.01,
+            latency_factory=lambda index: LatencyModel(
+                base=0.001, spike=0.5,
+                spike_rate=1.0 if index == 0 else 0.0, seed=index,
+            ),
+        )
+        key = next(k for k in range(100) if c.view.owners(k, 1) == ["n0"])
+        c.put(key, "v")
+        looks = count_looks(c)
+        found, _version, _value, consulted = c.get_details(key)
+        assert found and len(consulted) == 2
+        self.assert_one_look(c, key, looks)
+
+    def test_repairing_read(self):
+        c = cluster()
+        c.put("pad", "x")
+        stale_owner = c.view.owners("k", 3)[1]
+        version = c.put("k", "new")
+        c.nodes[stale_owner].put("k", version - 1, "old")
+        looks = count_looks(c)
+        assert c.get("k") == "new"
+        assert c.stats().read_repairs == 1
+        self.assert_one_look(c, "k", looks)
+        assert c.nodes[stale_owner].peek("k") == (True, (version, "new"))
+
+    def test_get_or_compute_fill(self):
+        c = cluster()
+        looks = count_looks(c)
+        assert c.get_or_compute("k", lambda key: "v") == "v"
+        self.assert_one_look(c, "k", looks)
+        assert c.view.replica_map("k", 3) == {
+            node_id: (1, "v") for node_id in c.view.owners("k", 3)
+        }
+
+    def test_repair_sweep_peeks_each_member_once_per_key(self):
+        c = cluster(num_nodes=4, replication=3)
+        for key in range(12):
+            c.put(key, key)
+        stale_owner = c.view.owners("k", 3)[1]
+        version = c.put("k", "new")
+        c.nodes[stale_owner].put("k", version - 1, "old")
+        looks = count_looks(c)
+        assert c.repair_sweep(["k"]) == 1
+        assert all(looks[node_id] <= 1 for node_id in c.nodes), looks
+        c.controller.kill("n0")
+        c.controller.recover("n0", readmit=False)  # memory-only: empty
+        keys = c.view.resident_keys()
+        looks.clear()
+        assert c.controller.readmit("n0") >= 1  # the catch-up sweep
+        assert all(looks[node_id] <= len(keys) for node_id in c.nodes), looks
 
 
 class TestBookkeeping:

@@ -6,7 +6,8 @@ resilient ladder, tiered fronts and the cluster ring — must be a
 name (``loader``) and answer a scripted request sequence exactly as a
 plain dict would, at a capacity where nothing is evicted. ``in`` and
 ``len`` are residency probes on every layer: a tier walk counts a key
-once per tier holding a copy.
+once per tier holding a copy. Probes change nothing: no lazy expiry,
+no policy event, no counter.
 """
 
 import pytest
@@ -19,49 +20,70 @@ from repro.online.persistence import PersistentKVCache
 from repro.online.policies import build_shard_policy
 from repro.online.resilience import ResilientKVCache
 from repro.online.shard import CacheShard
-from repro.tiers.kv import client_local_topology, tiered_front
+from repro.tiers.kv import TieredKVCache, client_local_topology, tiered_front
 
 _MISS = object()
 
 
-def _engine():
-    return AdaptiveKVCache(capacity_entries=256, num_shards=4)
+class _Clock:
+    """A settable engine clock: TTLs lapse when a test says so."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
 
 
-def _persistent(directory):
-    return PersistentKVCache(_engine(), str(directory / "wal"))
+def _engine(clock):
+    return AdaptiveKVCache(capacity_entries=256, num_shards=4, clock=clock)
 
 
-def _live(directory):
-    seeded = _persistent(directory)
+def _persistent(directory, clock):
+    return PersistentKVCache(_engine(clock), str(directory / "wal"))
+
+
+def _live(directory, clock):
+    seeded = _persistent(directory, clock)
     seeded.put("seeded", 0)
     seeded.close()
-    live = LiveRecoveringKVCache(str(directory / "wal"))
+    live = LiveRecoveringKVCache(str(directory / "wal"), clock=clock)
     live.finish()
     live.delete("seeded")
     return live
 
 
-#: Layer name -> builder taking a scratch directory.
+#: Layer name -> builder taking a scratch directory and an engine clock.
 LAYERS = {
-    "shard": lambda d: CacheShard(256, build_shard_policy("lru", 256)),
-    "engine": lambda d: _engine(),
+    "shard": lambda d, clock: CacheShard(
+        256, build_shard_policy("lru", 256), clock=clock
+    ),
+    "engine": lambda d, clock: _engine(clock),
     "persistent": _persistent,
     "live": _live,
-    "resilient-engine": lambda d: ResilientKVCache(_engine()),
-    "resilient-persistent": lambda d: ResilientKVCache(_persistent(d)),
-    "resilient-live": lambda d: ResilientKVCache(_live(d)),
-    "resilient-tiered": lambda d: ResilientKVCache(tiered_front(
-        _engine(), near_capacity=8, far_capacity=256
-    )),
-    "tiered-front": lambda d: tiered_front(
-        _engine(), near_capacity=8, far_capacity=256
+    "resilient-engine": lambda d, clock: ResilientKVCache(_engine(clock)),
+    "resilient-persistent": lambda d, clock: ResilientKVCache(
+        _persistent(d, clock)
     ),
-    "client-local": lambda d: client_local_topology(
+    "resilient-live": lambda d, clock: ResilientKVCache(_live(d, clock)),
+    "resilient-tiered": lambda d, clock: ResilientKVCache(tiered_front(
+        _engine(clock), near_capacity=8, far_capacity=256
+    )),
+    "tiered-front": lambda d, clock: tiered_front(
+        _engine(clock), near_capacity=8, far_capacity=256
+    ),
+    "client-local": lambda d, clock: client_local_topology(
         ClusterKVCache(capacity_per_node=256),
         local_capacity=8, cluster_capacity=256,
     ),
-    "cluster": lambda d: ClusterKVCache(capacity_per_node=256),
+    "cluster": lambda d, clock: ClusterKVCache(capacity_per_node=256),
+}
+
+#: Layers whose ``put`` takes a TTL (a tier walk refuses one, and the
+#: cluster ring has no TTL argument).
+TTL_LAYERS = {
+    "shard", "engine", "persistent", "live",
+    "resilient-engine", "resilient-persistent", "resilient-live",
 }
 
 
@@ -71,7 +93,7 @@ def _unreachable(key):
 
 @pytest.mark.parametrize("name", sorted(LAYERS))
 def test_layer_honours_the_contract(name, tmp_path):
-    layer = LAYERS[name](tmp_path)
+    layer = LAYERS[name](tmp_path, _Clock())
     assert isinstance(layer, KVStore)
     reference = {}
     loads = []
@@ -114,18 +136,56 @@ def test_layer_honours_the_contract(name, tmp_path):
             wrapped.close()
 
 
+def _observed(store):
+    """What a probe must leave as it found it: counters, and the full
+    state (entries, TTLs, policy) of every shard and engine beneath."""
+    if isinstance(store, (CacheShard, AdaptiveKVCache)):
+        return store.state_dict()
+    if isinstance(store, TieredKVCache):
+        return store.stats(), [_observed(tier.store) for tier in store.tiers]
+    if isinstance(store, ClusterKVCache):
+        return store.stats(), [
+            node.engine.state_dict() for node in store.nodes.values()
+        ]
+    return store.stats(), _observed(store.cache)
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_probes_change_nothing(name, tmp_path):
+    clock = _Clock()
+    layer = LAYERS[name](tmp_path, clock)
+    for key in range(6):
+        layer.put(key, key)
+    layer.get(0)
+    layer.get_or_compute("loaded", loader=lambda key: key)
+    if name in TTL_LAYERS:
+        layer.put("lapsed", 1, ttl=5.0)
+        clock.now = 10.0
+    before = _observed(layer)
+    assert "lapsed" not in layer and "absent" not in layer
+    assert all(key in layer for key in range(6))
+    assert len(layer) >= 7
+    if isinstance(layer, TieredKVCache):
+        assert layer.resident_in("absent") == []
+        assert all(layer.resident_in(key) for key in range(6))
+    assert _observed(layer) == before
+    for wrapped in (layer, getattr(layer, "cache", None)):
+        if isinstance(wrapped, PersistentKVCache):
+            wrapped.close()
+
+
 @pytest.mark.parametrize("name", ["resilient-engine", "resilient-tiered"])
 def test_async_fronts_honour_the_async_contract(name, tmp_path):
-    front = LAYERS[name](tmp_path)
+    front = LAYERS[name](tmp_path, _Clock())
     assert isinstance(front, AsyncKVStore)
     assert front.serving_fraction() == 1.0
 
 
 def test_ladder_needs_an_engine_beneath_the_tiers():
     with pytest.raises(TypeError, match="holds no AdaptiveKVCache"):
-        ResilientKVCache(LAYERS["client-local"](None))
+        ResilientKVCache(LAYERS["client-local"](None, _Clock()))
 
 
 def test_tier_walk_refuses_a_ttl():
     with pytest.raises(ValueError, match="no TTL"):
-        LAYERS["tiered-front"](None).put("k", 1, ttl=5.0)
+        LAYERS["tiered-front"](None, _Clock()).put("k", 1, ttl=5.0)

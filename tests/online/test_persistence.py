@@ -287,6 +287,33 @@ class TestRecoveryDecisionIdentity:
         recovered.close()
         live.close()
 
+    def test_membership_probe_of_a_lapsed_entry_changes_nothing(
+            self, tmp_path):
+        """``in`` logs nothing, so it must expire nothing either: a
+        probe of a TTL-lapsed key leaves the engine as its WAL
+        rebuilds it."""
+        now = [0.0]
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(
+            AdaptiveKVCache(capacity_entries=16, num_shards=4,
+                            default_ttl=5, clock=lambda: now[0]),
+            directory,
+        )
+        for key in range(6):
+            durable.put(key, key)
+        now[0] = 10.0
+        assert 3 not in durable
+        stats = durable.cache.stats()
+        assert (stats.expirations, stats.occupancy) == (0, 6)
+        durable.close()
+        # Replay at the writes' time, so replayed TTLs keep their
+        # deadlines, then compare both engines at the probe's time.
+        now[0] = 0.0
+        recovered = recover(directory, clock=lambda: now[0])
+        now[0] = 10.0
+        assert recovered.cache.state_dict() == durable.cache.state_dict()
+        recovered.close()
+
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown WAL record"):
             apply_wal_record(_engine("lru"), ("warp", 1))

@@ -111,12 +111,14 @@ class Clock:
 
 def expire_then_apply(pair, clock, events):
     """Replay ``events`` one clock tick apart. A key whose entry has
-    expired is dropped first, lazily as the shard does it (through
-    ``contains``), and removed from the spec."""
+    expired is dropped first, lazily as the shard does it (a ``delete``
+    of a lapsed entry expires it and counts no delete), and removed
+    from the spec."""
     for step, event in enumerate(events):
         clock.now += 1.0
         key = event[1]
         if key in pair.shard.resident_keys() and not pair.shard.contains(key):
+            assert pair.shard.delete(key) is False
             pair.spec.remove(0, key_fingerprint(key))
         divergence = run_differential(pair, [event])
         if divergence is not None:

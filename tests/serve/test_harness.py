@@ -7,13 +7,8 @@ import pathlib
 
 import pytest
 
-from repro.serve.harness import (
-    RegimePlan,
-    check_floors,
-    default_plans,
-    run_regime,
-    run_serve,
-)
+from repro.serve.harness import check_floors, run_regime, run_serve
+from repro.serve.stack import RegimePlan, default_plans
 from repro.workloads.keystreams import StreamSpec
 
 from tests.conftest import serve_report

@@ -104,6 +104,7 @@ class TestWalk:
         before = cache.stats()
         near_hits = cache.tiers[0].store.hits
         assert "k" in cache and "other" not in cache
+        assert cache.resident_in("k") == ["near", "far"]
         # Under LCE both tiers hold a copy, and len counts each.
         assert len(cache) == 2
         cache.tiers[0].invalidate("k")
