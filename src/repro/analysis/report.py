@@ -40,7 +40,6 @@ def build_report(
     results: Iterable,
     title: str = "Reproduction report",
     preamble: Sequence[str] = (),
-    float_digits: int = 3,
 ) -> str:
     """Assemble a full markdown report from experiment results."""
     parts: List[str] = [f"# {title}", ""]
@@ -49,6 +48,6 @@ def build_report(
     if preamble:
         parts.append("")
     for result in results:
-        parts.append(result_to_markdown(result, float_digits))
+        parts.append(result_to_markdown(result))
         parts.append("")
     return "\n".join(parts).rstrip() + "\n"

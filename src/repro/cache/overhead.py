@@ -11,6 +11,7 @@ sampling (Section 4.7) reduces it to ~0.16% (full-tag leaders) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.cache.config import CacheConfig
 from repro.utils.bitops import ilog2
@@ -24,6 +25,8 @@ class StorageModel:
 
     Attributes:
         config: geometry of the underlying cache.
+
+    Class constants:
         state_bits_per_line: non-tag metadata per line in the main array
             (LRU state, valid, dirty, coherence, ...). The paper's
             footnote 2 budgets tag+meta at "about 32 bits" per line with
@@ -35,9 +38,9 @@ class StorageModel:
     """
 
     config: CacheConfig
-    state_bits_per_line: int = 8
-    policy_meta_bits: int = 4
-    history_bits_per_set: int = 8
+    state_bits_per_line: ClassVar[int] = 8
+    policy_meta_bits: ClassVar[int] = 4
+    history_bits_per_set: ClassVar[int] = 8
 
     @property
     def recency_bits_per_line(self) -> int:
@@ -102,12 +105,11 @@ class StorageModel:
             - self.lru_dedup_kb()
         )
 
-    def adaptive_overhead_percent(
-        self, partial_bits: int = None, num_components: int = 2
-    ) -> float:
-        """Adaptive overhead relative to the conventional total, in %."""
+    def adaptive_overhead_percent(self, partial_bits: int = None) -> float:
+        """Two-component adaptive overhead relative to the conventional
+        total, in %."""
         base = self.conventional_total_kb()
-        extra = self.adaptive_total_kb(partial_bits, num_components) - base
+        extra = self.adaptive_total_kb(partial_bits) - base
         return 100.0 * extra / base
 
     def sbar_total_kb(self, leader_sets: int, partial_bits: int = None) -> float:

@@ -34,7 +34,7 @@ and hedges engage immediately.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.latency import LatencyModel, VirtualClock
 from repro.cluster.network import ClusterController, ClusterView
@@ -69,9 +69,8 @@ class ClusterKVCache:
         read_fanout: replicas consulted on a read before declaring a
             miss (first *found* reply is served; default 2).
         capacity_per_node: entry capacity of each member's cache.
-        policy: per-node engine policy kind.
-        components: adaptive component policies.
-        partial_bits: shadow-directory fingerprint width.
+        policy: per-node engine policy kind (adaptive ones adapt over
+            LRU and LFU with 16-bit fingerprints).
         vnodes: virtual nodes per member on the ring.
         seed: base seed; node ``i`` seeds its machinery with
             ``seed + i``.
@@ -87,11 +86,11 @@ class ClusterKVCache:
             stays on).
         latency_factory: ``node_index -> LatencyModel`` override; the
             default gives every node a uniform 1 ms model.
-        breaker_factory: builds one node breaker; the default trips
-            after 3 consecutive failures with a 5-simulated-second
-            cooldown on the cluster clock.
-        clock: the simulated clock; a fresh
-            :class:`~repro.cluster.latency.VirtualClock` if omitted.
+
+    Time is simulated on the cluster's own
+    :class:`~repro.cluster.latency.VirtualClock`, ``clock``; each
+    node's breaker trips after 3 consecutive failures with a
+    5-simulated-second cooldown on it.
     """
 
     def __init__(
@@ -102,8 +101,6 @@ class ClusterKVCache:
         read_fanout: int = 2,
         capacity_per_node: int = 64,
         policy: str = "adaptive",
-        components: Sequence[str] = ("lru", "lfu"),
-        partial_bits: Optional[int] = 16,
         vnodes: int = DEFAULT_VNODES,
         seed: int = 0,
         directory: Optional[str] = None,
@@ -111,8 +108,6 @@ class ClusterKVCache:
         wal_flush_ops: int = 8,
         hedge_after: Optional[float] = None,
         latency_factory: Optional[Callable[[int], LatencyModel]] = None,
-        breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        clock: Optional[VirtualClock] = None,
     ):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
@@ -132,16 +127,11 @@ class ClusterKVCache:
         self.write_quorum = write_quorum
         self.read_fanout = min(read_fanout, replication)
         self.hedge_after = hedge_after
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         if latency_factory is None:
             latency_factory = lambda index: LatencyModel(  # noqa: E731
                 base=0.001, seed=seed + 7919 * index
             )
-        if breaker_factory is None:
-            breaker_factory = lambda: CircuitBreaker(  # noqa: E731
-                failure_threshold=3, recovery_timeout=5.0, clock=self.clock
-            )
-        self._breaker_factory = breaker_factory
 
         self.ring = HashRing(vnodes=vnodes)
         self.nodes: Dict[str, ClusterNode] = {}
@@ -155,8 +145,6 @@ class ClusterKVCache:
                 node_id,
                 capacity_entries=capacity_per_node,
                 policy=policy,
-                components=components,
-                partial_bits=partial_bits,
                 seed=seed + index,
                 directory=node_dir,
                 snapshot_every=snapshot_every,
@@ -170,7 +158,7 @@ class ClusterKVCache:
             self.ring, self.nodes, replication, view=self.view
         )
         self.breakers: Dict[str, CircuitBreaker] = {
-            node_id: breaker_factory() for node_id in self.nodes
+            node_id: self._new_breaker() for node_id in self.nodes
         }
         self._seq = 0
         self._stats = ClusterStats()
@@ -183,10 +171,15 @@ class ClusterKVCache:
         self._seq += 1
         return self._seq
 
+    def _new_breaker(self) -> CircuitBreaker:
+        return CircuitBreaker(
+            failure_threshold=3, recovery_timeout=5.0, clock=self.clock
+        )
+
     def _breaker(self, node_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(node_id)
         if breaker is None:
-            breaker = self._breaker_factory()
+            breaker = self._new_breaker()
             self.breakers[node_id] = breaker
         return breaker
 

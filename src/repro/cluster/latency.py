@@ -18,10 +18,11 @@ from repro.utils.rng import DeterministicRNG
 
 
 class VirtualClock:
-    """A manually advanced monotonic clock (seconds are simulated)."""
+    """A manually advanced monotonic clock (seconds are simulated),
+    starting at 0."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def __call__(self) -> float:
         return self._now

@@ -168,19 +168,16 @@ class ClusterController:
         self._ring.add_node(node.node_id)
         return self.rebalance() if rebalance else 0
 
-    def leave(self, node_id: str, drain: bool = True) -> int:
-        """Gracefully remove a node from the ring.
-
-        Args:
-            node_id: the departing member.
-            drain: first copy its residents to their new owners, so a
-                planned departure loses nothing.
+    def leave(self, node_id: str) -> int:
+        """Gracefully remove a node from the ring, first copying its
+        residents to their new owners, so a planned departure loses
+        nothing.
 
         Returns:
             Keys drained to new owners.
         """
         node = self._nodes[node_id]
-        keys = list(node.resident_keys()) if drain else []
+        keys = list(node.resident_keys())
         self._ring.remove_node(node_id)
         moved = self.rebalance(keys) if keys else 0
         del self._nodes[node_id]

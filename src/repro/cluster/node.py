@@ -34,7 +34,7 @@ to one oracle :class:`~repro.oracle.spec.SpecCache`.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import PersistentKVCache, recover
@@ -58,9 +58,8 @@ class ClusterNode:
     Args:
         node_id: stable identifier (also the ring membership key).
         capacity_entries: entry capacity of the node's cache.
-        policy: engine policy kind (``"adaptive"`` or a registry name).
-        components: adaptive component policies.
-        partial_bits: shadow-directory fingerprint width.
+        policy: engine policy kind (``"adaptive"``, over LRU and LFU
+            with 16-bit fingerprints, or a registry name).
         seed: deterministic seed for the node's policy machinery.
         directory: persistence directory; ``None`` keeps the node
             memory-only (a crash then loses everything it held).
@@ -81,8 +80,6 @@ class ClusterNode:
         node_id: str,
         capacity_entries: int = 64,
         policy: str = "adaptive",
-        components: Sequence[str] = ("lru", "lfu"),
-        partial_bits: Optional[int] = 16,
         seed: int = 0,
         directory: Optional[str] = None,
         snapshot_every: Optional[int] = 400,
@@ -104,8 +101,8 @@ class ClusterNode:
             capacity_entries=capacity_entries,
             num_shards=1,
             policy=policy,
-            components=tuple(components),
-            partial_bits=partial_bits,
+            components=("lru", "lfu"),
+            partial_bits=16,
             seed=seed,
         )
         #: Applied operations, in engine order: ``("get", key)``,

@@ -71,8 +71,8 @@ class MissHistory(abc.ABC):
         the first component, it cannot make the cache return wrong data.
         """
 
-    def scramble(self, rng, events: int = 4) -> None:
-        """Replace the recorded state with random decisive events.
+    def scramble(self, rng) -> None:
+        """Replace the recorded state with four random decisive events.
 
         Models a multi-bit upset in the buffer's SRAM. The corruption is
         expressed through :meth:`record` so every variant's internal
@@ -80,10 +80,9 @@ class MissHistory(abc.ABC):
 
         Args:
             rng: a :class:`~repro.utils.rng.DeterministicRNG`.
-            events: number of random decisive events to record.
         """
         self.clear()
-        for _ in range(events):
+        for _ in range(4):
             loser = rng.choice_index(self.num_components)
             self.record([i == loser for i in range(self.num_components)])
 

@@ -60,12 +60,12 @@ def full_tags(tag: int) -> int:
 FULL_TAG_WIDTH = 24
 
 
-def stored_tag_width(transform, default_bits: int = FULL_TAG_WIDTH) -> int:
+def stored_tag_width(transform) -> int:
     """Bit width of the tags a transform stores in the shadow arrays.
 
     A :class:`PartialTagScheme` reports its configured width; the
     full-tag identity transform has no inherent bound, so callers get
-    ``default_bits`` (sized to the paper's 512 KB / 64-bit address
+    :data:`FULL_TAG_WIDTH` (sized to the paper's 512 KB / 64-bit address
     geometry). The fault injector uses this to pick which bit of a
     stored tag to flip — flips must land inside the bits the hardware
     would actually hold.
@@ -73,4 +73,4 @@ def stored_tag_width(transform, default_bits: int = FULL_TAG_WIDTH) -> int:
     bits = getattr(transform, "bits", None)
     if isinstance(bits, int) and bits > 0:
         return bits
-    return default_bits
+    return FULL_TAG_WIDTH

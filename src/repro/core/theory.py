@@ -70,8 +70,6 @@ def check_miss_bound(
     block_addresses: Sequence[int],
     config: CacheConfig,
     component_names: Sequence[str] = ("lru", "lfu"),
-    factor: float = 2.0,
-    slack: int = None,
 ) -> BoundReport:
     """Run the counter-history adaptive cache and report the bound.
 
@@ -79,12 +77,11 @@ def check_miss_bound(
         block_addresses: line-granular addresses (no offset bits).
         config: cache geometry.
         component_names: component policies to adapt over.
-        factor: multiplicative bound (Appendix: 2 for counters).
-        slack: additive constant per set; defaults to 2*ways, covering
-            the warm-up misses the asymptotic statement ignores.
+
+    The bound is the Appendix's factor 2 for counters plus, per set,
+    2*ways, covering the warm-up misses the asymptotic statement
+    ignores.
     """
-    if slack is None:
-        slack = 2 * config.ways
     policy = make_adaptive(
         config.num_sets,
         config.ways,
@@ -97,8 +94,8 @@ def check_miss_bound(
     return BoundReport(
         adaptive_misses=list(cache.stats.per_set_misses),
         component_misses=[list(s.per_set_misses) for s in policy.shadows],
-        slack=slack,
-        factor=factor,
+        slack=2 * config.ways,
+        factor=2.0,
     )
 
 

@@ -11,12 +11,15 @@ the ``mini`` setup further shrinks things for the benchmark harness.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import inspect
 import os
+import pathlib
 import sys
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.analysis.tables import render_table
@@ -124,47 +127,50 @@ def build_l2_policy(
     return make_policy(kind, config.num_sets, config.ways)
 
 
-# Default on-disk trace cache directory for WorkloadCache instances
-# created without an explicit trace_dir (set by the CLI's --trace-cache
-# flag so experiments stay oblivious to it). None disables disk caching.
-# The REPRO_TRACE_CACHE environment variable seeds the default so CI
-# jobs can share one actions/cache directory across every invocation
-# without threading the flag through each command.
-_DEFAULT_TRACE_DIR: Optional[str] = os.environ.get("REPRO_TRACE_CACHE") or None
+#: The sources a cached trace is a pure function of: the workload
+#: recipes, this module's setups and the seeded RNG. CI keys its trace
+#: cache on their digest too.
+_TRACE_SOURCES = ("workloads/**/*.py", "experiments/base.py", "utils/rng.py")
 
 
-def set_default_trace_dir(path: Optional[Union[str, os.PathLike]]) -> None:
-    """Set (or clear, with None) the process-wide trace cache directory."""
-    global _DEFAULT_TRACE_DIR
-    _DEFAULT_TRACE_DIR = os.fspath(path) if path is not None else None
+@functools.lru_cache(maxsize=None)
+def trace_sources_digest() -> str:
+    """A short digest of the trace-generating sources, computed once per
+    process, so a cached trace file of an edited recipe is never read."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for pattern in _TRACE_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:12]
 
 
 class WorkloadCache:
     """The on-disk trace cache of one setup.
 
-    With a ``trace_dir`` (explicit, or process-wide via
-    :func:`set_default_trace_dir`), built traces are persisted as
-    ``.npz`` files and reloaded on later runs. A cached file that turns
-    out truncated or corrupt (:class:`~repro.workloads.io.TraceFormatError`)
-    is regenerated and rewritten transparently instead of crashing the
-    sweep; regenerations are recorded in ``trace_recoveries``. Nothing
-    is kept in memory: each :meth:`trace` call loads or builds afresh.
+    When the ``REPRO_TRACE_CACHE`` environment variable names a
+    directory, built traces are persisted there as ``.npz`` files and
+    reloaded on later runs; file names carry
+    :func:`trace_sources_digest`, so an edited recipe builds afresh. A
+    cached file that turns out truncated or corrupt
+    (:class:`~repro.workloads.io.TraceFormatError`) is regenerated and
+    rewritten transparently instead of crashing the sweep; regenerations
+    are recorded in ``trace_recoveries``. Nothing is kept in memory:
+    each :meth:`trace` call loads or builds afresh.
     """
 
-    def __init__(
-        self, setup: Setup, trace_dir: Optional[Union[str, os.PathLike]] = None
-    ):
+    def __init__(self, setup: Setup):
         self.setup = setup
-        self.trace_dir = (
-            os.fspath(trace_dir) if trace_dir is not None else _DEFAULT_TRACE_DIR
-        )
+        self.trace_dir = os.environ.get("REPRO_TRACE_CACHE") or None
         self.trace_recoveries: List[str] = []
 
     def trace_path(self, name: str) -> Optional[str]:
         """Disk location of the workload's cached trace, or None."""
         if self.trace_dir is None:
             return None
-        filename = f"{name}-{self.setup.name}-{self.setup.accesses}.npz"
+        filename = (f"{name}-{self.setup.name}-{self.setup.accesses}"
+                    f"-{trace_sources_digest()}.npz")
         return os.path.join(self.trace_dir, filename)
 
     def trace(self, name: str) -> Trace:
@@ -258,9 +264,9 @@ def _simulate_workload(task) -> List[Tuple[Cell, TimingResult]]:
     process (so it is module-level and takes one picklable task). The
     trace and its compiled form are dropped when it returns.
     """
-    setup, trace_dir, workload, cells = task
+    setup, workload, cells = task
     compiled = timing.compile_workload(
-        WorkloadCache(setup, trace_dir).trace(workload), setup.processor
+        WorkloadCache(setup).trace(workload), setup.processor
     )
     return [(cell, cell.simulate(compiled)) for cell in cells]
 
@@ -273,7 +279,7 @@ def run_sweeps(
     setup: Setup,
     sweeps: Mapping[str, Iterable[Cell]],
     checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> Dict[str, Sweep]:
     """Simulate the cells of several experiments in one workload-major pass.
 
@@ -289,9 +295,9 @@ def run_sweeps(
     recorded under it, in one write per workload, so an interrupted
     pass resumes under any worker count.
 
-    ``workers`` above 1 (or :func:`repro.perf.parallel.set_default_workers`,
-    the CLI's ``--workers``) runs the workloads in worker processes;
-    every cell is deterministic, so results are byte-identical to serial.
+    ``workers`` above 1 (the CLI's ``--workers``) runs the workloads in
+    worker processes; every cell is deterministic, so results are
+    byte-identical to serial.
     """
     # Imported here: loading this module must not load the process pool.
     from repro.perf.parallel import ParallelRunner
@@ -328,8 +334,7 @@ def run_sweeps(
             checkpoint.update(ready)
         unstored = [entry for entry in unstored if entry[1] not in known]
 
-    trace_dir = WorkloadCache(setup).trace_dir
-    tasks = [(setup, trace_dir, name, list(group)) for name, group in pending.items()]
+    tasks = [(setup, name, list(group)) for name, group in pending.items()]
     runner = ParallelRunner(workers)
     map_tasks = runner.map if runner.workers > 1 else map
     store_known()
@@ -342,14 +347,10 @@ def run_sweeps(
     }
 
 
-def run_cells(
-    setup: Setup, cells: Iterable[Cell], workers: Optional[int] = None
-) -> Sweep:
-    """:func:`run_sweeps` of one experiment's ``cells``, restored from and
-    recorded in the active checkpoint (see
-    :func:`repro.experiments.checkpoint.active_checkpoint`)."""
-    checkpoint, experiment = checkpoint_mod.active() or (None, "")
-    return run_sweeps(setup, {experiment: cells}, checkpoint, workers)[experiment]
+def run_cells(setup: Setup, cells: Iterable[Cell], workers: int = 1) -> Sweep:
+    """:func:`run_sweeps` of one experiment's ``cells``, with no
+    checkpoint."""
+    return run_sweeps(setup, {"": cells}, workers=workers)[""]
 
 
 def sweep_workloads(sweep: Sweep) -> List[str]:

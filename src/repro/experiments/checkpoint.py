@@ -9,24 +9,20 @@ workload, policy) simulation, or ``done/fig3/scaled`` for a whole
 experiment — and values are JSON data (serialized
 :class:`~repro.cpu.timing.TimingResult` cells, rendered report text).
 
-The module also carries the *active checkpoint context*: the CLI arms
-a checkpoint around each experiment that runs its own loop, and
-:func:`checkpointed_cell` (and :func:`repro.experiments.base.run_cells`)
-transparently restore the cells it already holds. The one sweep pass
-of an invocation (:func:`repro.experiments.base.run_sweeps`) takes the
-checkpoint directly. :class:`SweepCells` is the one
+The CLI hands its checkpoint to the one sweep pass of an invocation
+(:func:`repro.experiments.base.run_sweeps`) and to the experiments that
+run their own cell loops, which restore the cells it already holds
+through :func:`checkpointed_cell`. :class:`SweepCells` is the one
 lookup/validate/store path every checkpointed sweep shares.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple, Union,
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Union,
 )
 
 from repro.cpu.timing import TimingResult
@@ -147,38 +143,6 @@ class SweepCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Active checkpoint context
-# ---------------------------------------------------------------------------
-
-_ACTIVE: List[Tuple[SweepCheckpoint, str]] = []
-
-
-@contextlib.contextmanager
-def active_checkpoint(
-    checkpoint: Optional[SweepCheckpoint], experiment: str
-) -> Iterator[None]:
-    """Make ``checkpoint`` visible to nested sweeps.
-
-    Sweeps consult :func:`active` to restore/record their cells under
-    the given experiment name. With no checkpoint this is a no-op, so
-    callers need no special-casing.
-    """
-    if checkpoint is None:
-        yield
-        return
-    _ACTIVE.append((checkpoint, experiment))
-    try:
-        yield
-    finally:
-        _ACTIVE.pop()
-
-
-def active() -> Optional[Tuple[SweepCheckpoint, str]]:
-    """The innermost active (checkpoint, experiment) pair, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-# ---------------------------------------------------------------------------
 # TimingResult cell serialization
 # ---------------------------------------------------------------------------
 
@@ -246,10 +210,6 @@ class CellCodec(NamedTuple):
     decode: Callable[[Any], Any]
 
 
-#: A :class:`~repro.cpu.timing.TimingResult` simulation cell.
-TIMING_CELL = CellCodec(timing_to_dict, timing_from_dict)
-
-
 def dict_cell(*fields: str) -> CellCodec:
     """A metrics-dict cell, valid only while it holds every ``fields``."""
 
@@ -265,7 +225,7 @@ def dict_cell(*fields: str) -> CellCodec:
 
 
 class SweepCells:
-    """The active checkpoint's cells for one experiment at one setup.
+    """A checkpoint's cells for one experiment at one setup.
 
     A cell's key is ``cell/<experiment>/<scale>/<accesses>/<coords...>``.
     """
@@ -298,22 +258,18 @@ class SweepCells:
         self.checkpoint.put(self.key(coords), payload)
 
 
-def sweep_cells(setup) -> Optional[SweepCells]:
-    """The active checkpoint's cells at ``setup``, or None when inactive."""
-    entry = active()
-    return None if entry is None else SweepCells(*entry, setup)
-
-
-def checkpointed_cell(setup, coords: Sequence, compute: Callable[[], Any],
-                      codec: CellCodec = TIMING_CELL):
-    """``compute()``, via the active sweep checkpoint if any.
+def checkpointed_cell(checkpoint: Optional[SweepCheckpoint], experiment: str,
+                      setup, coords: Sequence, compute: Callable[[], Any],
+                      codec: CellCodec):
+    """``compute()``, via ``checkpoint`` if any, under ``experiment``'s
+    keys.
 
     A recorded cell is restored instead of recomputed; a damaged one is
     discarded and recomputed; a computed one is recorded.
     """
-    cells = sweep_cells(setup)
-    if cells is None:
+    if checkpoint is None:
         return compute()
+    cells = SweepCells(checkpoint, experiment, setup)
     cell = cells.restore(coords, codec.decode)
     if cell is None:
         cell = compute()

@@ -26,6 +26,7 @@ and a re-invocation (``report`` included) skips finished work.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -119,7 +120,7 @@ def _run_sweeps(names: List[str], args: argparse.Namespace,
     return base.run_sweeps(setup, {
         name: EXPERIMENTS[name].cells(setup, **_experiment_kwargs(name, args))
         for name in names
-    }, ckpt)
+    }, ckpt, args.workers)
 
 
 def _run_result(name: str, args: argparse.Namespace,
@@ -132,8 +133,11 @@ def _run_result(name: str, args: argparse.Namespace,
     setup = base.make_setup(args.scale, accesses=args.accesses)
     if name in sweeps:
         return module.render(setup, sweeps[name])
-    with checkpoint_mod.active_checkpoint(ckpt, name):
-        return module.run(setup=setup, **_experiment_kwargs(name, args))
+    kwargs = _experiment_kwargs(name, args)
+    # Experiments with their own checkpointed cell loops take the file.
+    if "checkpoint" in inspect.signature(module.run).parameters:
+        kwargs["checkpoint"] = ckpt
+    return module.run(setup=setup, **kwargs)
 
 
 def _render_text(name: str, result, args: argparse.Namespace) -> str:
@@ -264,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="with 'golden': digest file to check/regen "
         "(default: tests/golden/golden.json)",
-    )
-    parser.add_argument(
-        "--trace-cache",
-        default=None,
-        metavar="DIR",
-        help="cache built traces as .npz files in DIR; corrupt or "
-        "truncated entries are detected and regenerated",
     )
     parser.add_argument(
         "--workers",
@@ -549,38 +546,23 @@ def _run_report(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if args.experiment == "policies":
+        return _run_policies()
+    if args.experiment == "report":
+        return _run_report(args)
+    if args.experiment == "golden":
+        return _run_golden(args)
+    if args.experiment == "perf":
+        return _run_perf(args)
+    if args.experiment == "recover":
+        return _run_recover(args)
+    if args.experiment == "serve":
+        return _run_serve(args)
+    if args.experiment == "cluster":
+        from repro.experiments.cluster_cli import run_cluster
 
-    if args.trace_cache:
-        base.set_default_trace_dir(args.trace_cache)
-    if args.workers > 1:
-        from repro.perf.parallel import set_default_workers
-
-        set_default_workers(args.workers)
-    try:
-        if args.experiment == "policies":
-            return _run_policies()
-        if args.experiment == "report":
-            return _run_report(args)
-        if args.experiment == "golden":
-            return _run_golden(args)
-        if args.experiment == "perf":
-            return _run_perf(args)
-        if args.experiment == "recover":
-            return _run_recover(args)
-        if args.experiment == "serve":
-            return _run_serve(args)
-        if args.experiment == "cluster":
-            from repro.experiments.cluster_cli import run_cluster
-
-            return run_cluster(args)
-        return _run_experiments(args)
-    finally:
-        if args.trace_cache:
-            base.set_default_trace_dir(None)
-        if args.workers > 1:
-            from repro.perf.parallel import set_default_workers
-
-            set_default_workers(1)
+        return run_cluster(args)
+    return _run_experiments(args)
 
 
 def _drive(

@@ -116,6 +116,7 @@ def run(
     setup: Optional[Setup] = None,
     replication_factors: Sequence[int] = REPLICATION_FACTORS,
     seed: int = 0,
+    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
 ) -> ExperimentResult:
     """Hit rate, throughput and availability per (replication, chaos).
 
@@ -125,6 +126,8 @@ def run(
             capped at :data:`MAX_ACCESSES`.
         replication_factors: replication factors swept.
         seed: stream and cluster seed.
+        checkpoint: restores and records each cell under
+            ``cell/ext-cluster/...`` keys (the CLI's ``--checkpoint``).
     """
     setup = setup or make_setup()
     capacity = setup.l2.num_lines
@@ -147,7 +150,7 @@ def run(
                 r, c, keys, capacity, seed=seed
             )
             cell = checkpoint_mod.checkpointed_cell(
-                setup, (replication, chaos), compute, CELL
+                checkpoint, "ext-cluster", setup, (replication, chaos), compute, CELL
             )
             table[replication][chaos] = cell
             result.add_row(

@@ -146,14 +146,11 @@ def replay(engine: str, keys: Sequence[str], capacity: int,
 
 def persistent_replay(
     directory: str,
-    workload: str = "zipf",
     setup: Optional[Setup] = None,
-    seed: int = 0,
-    snapshot_every: int = SNAPSHOT_EVERY,
-    wal_flush_ops: int = WAL_FLUSH_OPS,
     live: bool = False,
 ):
-    """Crash-safe adaptive replay of one key stream; resumes after kills.
+    """Crash-safe adaptive replay of the ``zipf`` key stream at seed 0;
+    resumes after kills.
 
     A fresh ``directory`` gets a persistent adaptive engine, a
     ``STREAM.json`` sidecar recording the stream coordinates, and a
@@ -166,15 +163,14 @@ def persistent_replay(
     :func:`~repro.online.persistence.kv_stats_digest`) identical to an
     uninterrupted run — the contract the kill-and-recover smoke checks.
 
+    The cache snapshots every :data:`SNAPSHOT_EVERY` operations and
+    flushes its WAL every :data:`WAL_FLUSH_OPS`.
+
     Args:
         directory: persistence directory (snapshots, WALs, manifest,
-            stream sidecar). Recorded coordinates override the
-            ``workload``/``setup``/``seed`` arguments on resume.
-        workload: key-stream name (see :func:`build_key_stream`).
+            stream sidecar). The recorded coordinates (workload, scale,
+            accesses, seed) override ``setup`` on resume.
         setup: experiment scale; default ``scaled``.
-        seed: stream and engine seed.
-        snapshot_every: operations between automatic snapshots.
-        wal_flush_ops: buffered operations per WAL flush.
         live: recover through
             :class:`~repro.online.liverecovery.LiveRecoveringKVCache`
             instead of stop-the-world — the stream resumes *while* the
@@ -192,6 +188,7 @@ def persistent_replay(
 
     meta_path = os.path.join(directory, STREAM_FILE)
     recovering_live = False
+    workload, seed = "zipf", 0
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
@@ -200,15 +197,15 @@ def persistent_replay(
         if live:
             cache = LiveRecoveringKVCache(
                 directory,
-                snapshot_every=snapshot_every,
-                wal_flush_ops=wal_flush_ops,
+                snapshot_every=SNAPSHOT_EVERY,
+                wal_flush_ops=WAL_FLUSH_OPS,
             )
             recovering_live = cache.recovering
         else:
             cache = recover(
                 directory,
-                snapshot_every=snapshot_every,
-                wal_flush_ops=wal_flush_ops,
+                snapshot_every=SNAPSHOT_EVERY,
+                wal_flush_ops=WAL_FLUSH_OPS,
             )
     else:
         setup = setup or make_setup()
@@ -230,8 +227,8 @@ def persistent_replay(
                 seed=seed,
             ),
             directory,
-            snapshot_every=snapshot_every,
-            wal_flush_ops=wal_flush_ops,
+            snapshot_every=SNAPSHOT_EVERY,
+            wal_flush_ops=WAL_FLUSH_OPS,
         )
     capacity = setup.l2.num_lines
     keys = build_key_stream(workload, capacity, setup, seed=seed)
@@ -270,6 +267,7 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     engines: Sequence[str] = DEFAULT_ENGINES,
     seed: int = 0,
+    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
 ) -> ExperimentResult:
     """Hit rate and throughput of every (key stream, engine) pair.
 
@@ -281,6 +279,8 @@ def run(
             :data:`DEFAULT_WORKLOADS`).
         engines: engine specs (default: :data:`DEFAULT_ENGINES`).
         seed: base seed for generators and stochastic components.
+        checkpoint: restores and records each cell under
+            ``cell/ext-online/...`` keys (the CLI's ``--checkpoint``).
     """
     setup = setup or make_setup()
     workloads = list(workloads or DEFAULT_WORKLOADS)
@@ -303,7 +303,7 @@ def run(
                 e, keys, capacity, seed=seed
             )
             cell = checkpoint_mod.checkpointed_cell(
-                setup, (workload, engine), compute, CELL
+                checkpoint, "ext-online", setup, (workload, engine), compute, CELL
             )
             table[workload][engine] = cell
             result.add_row(
@@ -326,15 +326,15 @@ def run(
     return result
 
 
-def adaptive_vs_best_fixed(result: ExperimentResult,
-                           workload: str = PHASE_WORKLOAD) -> float:
-    """Adaptive hit %% minus the best fixed policy's, for ``workload``.
+def adaptive_vs_best_fixed(result: ExperimentResult) -> float:
+    """Adaptive hit %% minus the best fixed policy's, for
+    :data:`PHASE_WORKLOAD`.
 
     Positive (or mildly negative, within noise) means the adaptive
     engine matched or beat the better fixed policy — the acceptance
     condition for the phase-change workload.
     """
-    rows = [r for r in result.rows if r[0] == workload]
+    rows = [r for r in result.rows if r[0] == PHASE_WORKLOAD]
     by_engine = {r[1]: r[4] for r in rows}
     best_fixed = max(
         value for engine, value in by_engine.items()

@@ -137,6 +137,7 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     seed: int = 0,
+    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
 ) -> ExperimentResult:
     """Latency and serve-rate of every (key stream, strategy) pair.
 
@@ -147,6 +148,8 @@ def run(
             classes, :data:`DEFAULT_WORKLOADS`).
         strategies: strategy specs (default: :data:`DEFAULT_STRATEGIES`).
         seed: base seed for generators and stochastic strategies.
+        checkpoint: restores and records each cell under
+            ``cell/ext-tiers/...`` keys (the CLI's ``--checkpoint``).
     """
     setup = setup or make_setup()
     workloads = list(workloads or DEFAULT_WORKLOADS)
@@ -171,7 +174,7 @@ def run(
                 s, keys, capacity, seed=seed
             )
             cell = checkpoint_mod.checkpointed_cell(
-                setup, (workload, strategy), compute, CELL
+                checkpoint, "ext-tiers", setup, (workload, strategy), compute, CELL
             )
             table[workload][strategy] = cell
             result.add_row(

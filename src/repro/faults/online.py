@@ -8,9 +8,9 @@ layers added around the engine instead:
   seeded exceptions and latency spikes, exercising the retry /
   circuit-breaker / stale-serve ladder of
   :class:`~repro.online.resilience.ResilientKVCache`.
-* **Torn writes** — :func:`torn_write` shears or flips bytes at seeded
-  offsets of a persistence file, modelling a crash mid-append; the WAL
-  reader must truncate-and-continue.
+* **Torn writes** — :func:`torn_write` shears bytes off the tail of a
+  persistence file at a seeded offset, modelling a crash mid-append;
+  the WAL reader must truncate-and-continue.
 * **Kill points** — :func:`chaos_campaign` kills a
   :class:`~repro.online.persistence.PersistentKVCache` at seeded
   operation indices (including exactly at snapshot rotation, the
@@ -164,13 +164,9 @@ class AsyncFlakyLoader(FlakyLoader):
         return self.base(key)
 
 
-def torn_write(path: str, rng: DeterministicRNG, max_shear: int = 24,
-               flip_byte: bool = False) -> int:
-    """Damage a file's tail at a seeded offset (crash-mid-append model).
-
-    Shears 1..``max_shear`` bytes off the end; with ``flip_byte`` the
-    new last byte is additionally XOR-flipped, so the damage is a CRC
-    violation rather than a clean truncation.
+def torn_write(path: str, rng: DeterministicRNG) -> int:
+    """Damage a file's tail at a seeded offset (crash-mid-append model):
+    shear 1..24 bytes off the end, a clean truncation.
 
     Returns:
         Bytes sheared (0 if the file was empty or missing).
@@ -181,14 +177,9 @@ def torn_write(path: str, rng: DeterministicRNG, max_shear: int = 24,
         return 0
     if size == 0:
         return 0
-    shear = min(size, 1 + rng.choice_index(max_shear))
+    shear = min(size, 1 + rng.choice_index(24))
     with open(path, "r+b") as handle:
         handle.truncate(size - shear)
-        if flip_byte and size - shear > 0:
-            handle.seek(size - shear - 1)
-            byte = handle.read(1)
-            handle.seek(size - shear - 1)
-            handle.write(bytes([byte[0] ^ 0xFF]))
     return shear
 
 

@@ -31,8 +31,6 @@ def check_online_miss_bound(
     capacity_entries: int,
     num_shards: int = 1,
     component_names: Sequence[str] = ("lru", "lfu"),
-    factor: float = 2.0,
-    slack: int = None,
 ) -> BoundReport:
     """Replay a key stream through the engine and report the bound.
 
@@ -42,15 +40,15 @@ def check_online_miss_bound(
             the per-unit analogue of associativity).
         num_shards: shard count; each shard is one bound unit.
         component_names: component policies to adapt over.
-        factor: multiplicative bound (Appendix: 2 for counters).
-        slack: additive constant per shard; defaults to 2x the largest
-            shard capacity, covering warm-up misses exactly as
-            :func:`repro.core.theory.check_miss_bound` does for sets.
+
+    The bound is the Appendix's factor 2 plus, per shard, 2x the largest
+    shard capacity, covering warm-up misses exactly as
+    :func:`repro.core.theory.check_miss_bound` does for sets.
     """
     cache = bound_engine(capacity_entries, num_shards, component_names)
     for key in keys:
         cache.get_or_compute(key, lambda k: k)
-    return engine_bound_report(cache, factor=factor, slack=slack)
+    return engine_bound_report(cache)
 
 
 def bound_engine(
@@ -73,17 +71,13 @@ def bound_engine(
     )
 
 
-def engine_bound_report(
-    cache: AdaptiveKVCache, factor: float = 2.0, slack: int = None
-) -> BoundReport:
+def engine_bound_report(cache: AdaptiveKVCache) -> BoundReport:
     """The bound report of an engine that has served its stream.
 
     Each shard is one bound unit: its demand misses against each of
-    its shadow directories' misses. ``slack`` defaults to 2x the
-    largest shard capacity.
+    its shadow directories' misses, within factor 2 plus a slack of 2x
+    the largest shard capacity.
     """
-    if slack is None:
-        slack = 2 * max(shard.capacity for shard in cache.shards)
     num_components = len(cache.shards[0].policy.shadows)
     return BoundReport(
         adaptive_misses=[shard.misses for shard in cache.shards],
@@ -91,6 +85,6 @@ def engine_bound_report(
             [shard.policy.shadows[c].misses for shard in cache.shards]
             for c in range(num_components)
         ],
-        slack=slack,
-        factor=factor,
+        slack=2 * max(shard.capacity for shard in cache.shards),
+        factor=2.0,
     )

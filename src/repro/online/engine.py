@@ -290,6 +290,7 @@ class AdaptiveKVCache:
             degraded=totals.get("degraded", 0),
             policy_switches=totals.get("policy_switches", 0),
             occupancy=totals.get("occupancy", 0),
+            occupancy_bytes=0,  # no byte budget; kept for the stats shape
             capacity_entries=self.capacity_entries,
             shards=self.num_shards,
             per_shard_occupancy=per_shard_occupancy,

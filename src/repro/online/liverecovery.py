@@ -124,7 +124,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             suffix).
         wal_flush_ops: WAL flush cadence; 1 makes every accepted write
             durable before it is acknowledged.
-        history_factory / clock: engine overrides, as in
+        clock: engine clock override, as in
             :func:`~repro.online.persistence.recover`.
     """
 
@@ -134,7 +134,6 @@ class LiveRecoveringKVCache(PersistentKVCache):
         chunk_ops: int = 256,
         snapshot_every: Optional[int] = 10_000,
         wal_flush_ops: int = 64,
-        history_factory=None,
         clock: Callable[[], float] = None,
     ):
         if chunk_ops <= 0:
@@ -144,9 +143,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 f"snapshot_every must be positive, got {snapshot_every}"
             )
         directory = os.fspath(directory)
-        cache, wal_paths, latest = load_snapshot_engine(
-            directory, history_factory=history_factory, clock=clock
-        )
+        cache, wal_paths, latest = load_snapshot_engine(directory, clock=clock)
         self.chunk_ops = chunk_ops
         self._target_snapshot_every = snapshot_every
         self._recovering = True

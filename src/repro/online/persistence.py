@@ -401,9 +401,9 @@ class PersistentKVCache(KVLayer):
             self._path("MANIFEST.json"), json.dumps(manifest, indent=2)
         )
 
-    def _prune_locked(self, keep: int = 2) -> None:
-        """Drop snapshot/WAL generations older than the newest ``keep``."""
-        floor = self.generation - keep + 1
+    def _prune_locked(self) -> None:
+        """Drop snapshot/WAL generations older than the newest two."""
+        floor = self.generation - 1
         for name in os.listdir(self.directory):
             for prefix in ("snapshot-", "wal-"):
                 if name.startswith(prefix):

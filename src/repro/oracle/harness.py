@@ -374,12 +374,11 @@ def differential_campaign(
     engines: Sequence[str] = ("hardware", "shard"),
     streams_per_combo: int = 16,
     stream_length: int = 150,
-    num_sets: int = 4,
-    ways: int = 4,
-    capacity: int = 8,
-    base_seed: int = 0,
 ) -> CampaignReport:
     """Differential-test policies x engines over seeded random streams.
+
+    The hardware pairs are 4 sets x 4 ways; the shard pairs hold 8
+    entries.
 
     Args:
         policies: policy names to cover; defaults to every registered
@@ -387,9 +386,6 @@ def differential_campaign(
         engines: ``"hardware"`` and/or ``"shard"``.
         streams_per_combo: independent streams per (policy, engine).
         stream_length: events per stream.
-        num_sets, ways: hardware-pair geometry.
-        capacity: shard-pair entry capacity.
-        base_seed: offset folded into each stream's seed.
 
     Returns:
         A :class:`CampaignReport`; a failing run contributes its first
@@ -402,18 +398,13 @@ def differential_campaign(
     for policy_index, policy_name in enumerate(policies):
         for engine_index, engine in enumerate(engines):
             for stream_index in range(streams_per_combo):
-                seed = (base_seed + 10007 * policy_index
-                        + 101 * engine_index + stream_index)
+                seed = 10007 * policy_index + 101 * engine_index + stream_index
                 if engine == "hardware":
-                    pair = build_hardware_pair(
-                        policy_name, num_sets, ways, seed=seed
-                    )
-                    events = hardware_stream(
-                        seed, num_sets, ways, stream_length
-                    )
+                    pair = build_hardware_pair(policy_name, 4, 4, seed=seed)
+                    events = hardware_stream(seed, 4, 4, stream_length)
                 elif engine == "shard":
-                    pair = build_shard_pair(policy_name, capacity, seed=seed)
-                    events = shard_ops(seed, capacity, stream_length)
+                    pair = build_shard_pair(policy_name, 8, seed=seed)
+                    events = shard_ops(seed, 8, stream_length)
                 else:
                     raise ValueError(f"unknown engine {engine!r}")
                 report.runs += 1
@@ -429,13 +420,13 @@ def check_cross_engine(
     capacity: int = 8,
     length: int = 400,
     seed: int = 0,
-    components: Sequence[str] = ("lru", "lfu"),
 ) -> Optional[Divergence]:
     """Prove a 1-set hardware cache and an online shard decide alike.
 
-    Two identically-constructed shard policies drive, respectively, a
-    1 x ``capacity`` :class:`~repro.cache.cache.SetAssociativeCache` and
-    a :class:`~repro.online.shard.CacheShard`; both replay the same key
+    Two identically-constructed shard policies (adaptive ones over LRU
+    and LFU) drive, respectively, a 1 x ``capacity``
+    :class:`~repro.cache.cache.SetAssociativeCache` and a
+    :class:`~repro.online.shard.CacheShard`; both replay the same key
     stream of demand fills (``get_or_compute`` vs a read access) and
     writes (``put`` vs a write access). Deletes are excluded: without
     them both engines allocate ways in the same ascending order and
@@ -447,10 +438,8 @@ def check_cross_engine(
         ``engine`` side is the hardware cache and ``spec`` side the
         shard.
     """
-    hw_policy = build_shard_policy(policy_name, capacity,
-                                   components=components, seed=seed)
-    shard_policy = build_shard_policy(policy_name, capacity,
-                                      components=components, seed=seed)
+    hw_policy = build_shard_policy(policy_name, capacity, seed=seed)
+    shard_policy = build_shard_policy(policy_name, capacity, seed=seed)
     config = CacheConfig(size_bytes=capacity * 64, ways=capacity)
     cache = SetAssociativeCache(config, hw_policy)
     shard = CacheShard(capacity, shard_policy)
@@ -593,28 +582,31 @@ def build_tiered_kv_pair(
     return TieredKVPair(cache, spec, label)
 
 
+#: The tier-capacity shapes :func:`placement_campaign` covers: two and
+#: three tiers.
+PLACEMENT_TOPOLOGIES = ((4, 12), (3, 6, 18))
+
+
 def placement_campaign(
     placements: Optional[Sequence[str]] = None,
-    topologies: Sequence[Sequence[int]] = ((4, 12), (3, 6, 18)),
     streams_per_combo: int = 16,
     stream_length: int = 150,
-    base_seed: int = 0,
 ) -> CampaignReport:
     """Differential-test placement strategies over seeded op streams.
 
     The placement analogue of :func:`differential_campaign`: every
     placement strategy with a spec (LCE, LCD, probabilistic LCD and the
-    adaptive duel), on each topology shape, over independent seeded
-    streams — first divergences are collected, the campaign continues.
+    adaptive duel), on each of :data:`PLACEMENT_TOPOLOGIES`, over
+    independent seeded streams — first divergences are collected, the
+    campaign continues.
     """
     if placements is None:
         placements = placement_spec_names()
     report = CampaignReport()
     for placement_index, placement_name in enumerate(placements):
-        for topo_index, tier_capacities in enumerate(topologies):
+        for topo_index, tier_capacities in enumerate(PLACEMENT_TOPOLOGIES):
             for stream_index in range(streams_per_combo):
-                seed = (base_seed + 10007 * placement_index
-                        + 101 * topo_index + stream_index)
+                seed = 10007 * placement_index + 101 * topo_index + stream_index
                 pair = build_tiered_kv_pair(
                     placement_name, tier_capacities, seed=seed
                 )

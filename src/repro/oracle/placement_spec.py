@@ -291,22 +291,22 @@ class SpecTieredKV:
         tier_names: tier names, near-to-far.
         tier_capacities: entry capacity per tier.
         placement: the placement spec making copy decisions.
-        backing_name: reporting name for the backing level.
     """
+
+    #: Reporting name for the backing level.
+    backing_name = "backing"
 
     def __init__(
         self,
         tier_names: Sequence[str],
         tier_capacities: Sequence[int],
         placement: PlacementSpec,
-        backing_name: str = "backing",
     ):
         if len(tier_names) != len(tier_capacities) or not tier_names:
             raise ValueError("need matching, non-empty names/capacities")
         self.names = list(tier_names)
         self.caps = list(tier_capacities)
         self.placement = placement
-        self.backing_name = backing_name
         # Key list per tier, recency order: index 0 is the LRU victim.
         self.tiers: List[List] = [[] for _ in tier_names]
 

@@ -22,27 +22,25 @@ def hardware_stream(
     num_sets: int,
     ways: int,
     length: int,
-    tag_multiple: float = 3.0,
-    write_ratio: float = 0.25,
 ) -> List[Tuple[int, int, bool]]:
     """A random (set_index, tag, is_write) stream for hardware engines.
+
+    A quarter of the accesses are writes, and the tag space is three
+    times ``ways``: small enough that sets refill and evict repeatedly.
 
     Args:
         seed: replayable stream identity.
         num_sets: set indices are drawn uniformly from [0, num_sets).
         ways: associativity, used to size the tag space.
         length: number of accesses.
-        tag_multiple: tag-space size as a multiple of ``ways`` —
-            small enough that sets refill and evict repeatedly.
-        write_ratio: fraction of accesses that are writes.
     """
     rng = DeterministicRNG(seed)
-    tag_space = max(2, int(ways * tag_multiple))
+    tag_space = max(2, 3 * ways)
     stream = []
     for _ in range(length):
         set_index = rng.choice_index(num_sets)
         tag = rng.choice_index(tag_space)
-        is_write = rng.random() < write_ratio
+        is_write = rng.random() < 0.25
         stream.append((set_index, tag, is_write))
     return stream
 
@@ -51,7 +49,6 @@ def shard_ops(
     seed: int,
     capacity: int,
     length: int,
-    key_multiple: float = 3.0,
 ) -> List[Tuple[str, int]]:
     """A random (op, key) stream for the online shard.
 
@@ -64,12 +61,12 @@ def shard_ops(
 
     Args:
         seed: replayable stream identity.
-        capacity: shard entry capacity, used to size the key space.
+        capacity: shard entry capacity; the key space is three times
+            it.
         length: number of operations.
-        key_multiple: key-space size as a multiple of ``capacity``.
     """
     rng = DeterministicRNG(seed)
-    key_space = max(2, int(capacity * key_multiple))
+    key_space = max(2, 3 * capacity)
     ops = []
     for _ in range(length):
         roll = rng.random()

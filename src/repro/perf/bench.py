@@ -89,7 +89,6 @@ def bench_hotpath(
     policies: Sequence[str] = HOTPATH_POLICIES,
     size_kb: int = 64,
     ways: int = 8,
-    seed: int = 7,
 ) -> Dict[str, Dict[str, float]]:
     """Accesses/sec per policy, per entry point.
 
@@ -104,7 +103,7 @@ def bench_hotpath(
     for kind in policies:
         config = CacheConfig(size_bytes=size_kb * 1024, ways=ways,
                              line_bytes=64)
-        addresses = synthetic_stream(accesses, config, seed=seed)
+        addresses = synthetic_stream(accesses, config)
 
         cache = SetAssociativeCache(config, build_l2_policy(config, kind))
         access = cache.access
@@ -149,7 +148,6 @@ def bench_hotpath(
 def bench_wide_shard(
     ops: int = HOTPATH_ACCESSES // 10,
     ways: int = 512,
-    seed: int = 7,
 ) -> Dict[str, float]:
     """Requests/sec through one wide adaptive shard.
 
@@ -165,7 +163,7 @@ def bench_wide_shard(
     determinism.
     """
     shard = CacheShard(ways, build_shard_policy("adaptive", ways))
-    keys = zipf_stream(64 * ways, 4 * ways + ops, alpha=0.8, seed=seed)
+    keys = zipf_stream(64 * ways, 4 * ways + ops, alpha=0.8, seed=7)
     warm, timed = keys[:4 * ways], keys[4 * ways:]
     get_or_compute = shard.get_or_compute
     loader = str

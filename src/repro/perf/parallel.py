@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 try:  # BrokenProcessPool moved homes across Python versions.
     from concurrent.futures.process import BrokenProcessPool
@@ -35,25 +35,6 @@ except ImportError:  # pragma: no cover - ancient stdlib layout
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-# Process-wide default worker count, set by the CLI's --workers flag so
-# experiments stay oblivious (the same pattern as the trace cache dir in
-# repro.experiments.base). 1 means serial.
-_DEFAULT_WORKERS: int = 1
-
-
-def set_default_workers(workers: int) -> None:
-    """Set the process-wide sweep worker count (1 = serial)."""
-    global _DEFAULT_WORKERS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _DEFAULT_WORKERS = workers
-
-
-def get_default_workers() -> int:
-    """The process-wide sweep worker count."""
-    return _DEFAULT_WORKERS
-
 
 class ParallelRunner:
     """Maps a picklable function over tasks in worker processes.
@@ -64,10 +45,10 @@ class ParallelRunner:
             before the remaining tasks fall back to in-process runs.
     """
 
-    def __init__(self, workers: Optional[int] = None, max_pool_restarts: int = 2):
-        self.workers = workers if workers is not None else _DEFAULT_WORKERS
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+    def __init__(self, workers: int, max_pool_restarts: int = 2):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         if max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
         self.max_pool_restarts = max_pool_restarts

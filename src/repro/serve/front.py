@@ -120,8 +120,9 @@ class AsyncServingFront:
             self._slots = asyncio.Semaphore(self.concurrency)
         return self._slots
 
-    async def handle(self, key, loader, ttl: Optional[float] = None):
-        """Serve one request end to end.
+    async def handle(self, key, loader):
+        """Serve one request end to end (a fill takes the cache's default
+        TTL, as every write does).
 
         Raises:
             RequestShed: refused at admission (``max_pending`` hit);
@@ -132,12 +133,12 @@ class AsyncServingFront:
             LoaderUnavailable: the ladder exhausted loader, retries and
                 stale fallback.
         """
-        return await self._admitted(key, self._serve_read(key, loader, ttl))
+        return await self._admitted(key, self._serve_read(key, loader))
 
-    async def write(self, key, value, ttl: Optional[float] = None) -> None:
+    async def write(self, key, value) -> None:
         """Apply one write (update/insert) under the same admission
         control, deadline and service slots as reads."""
-        await self._admitted(key, self._serve_write(key, value, ttl))
+        await self._admitted(key, self._serve_write(key, value))
 
     def _admission_bound(self) -> Optional[int]:
         """The effective in-flight bound, scaled during live recovery.
@@ -182,14 +183,14 @@ class AsyncServingFront:
         finally:
             self._pending -= 1
 
-    async def _serve_read(self, key, loader, ttl):
+    async def _serve_read(self, key, loader):
         """Wait for a service slot, then run the resilient ladder."""
         async with self._semaphore():
             if self.service_time > 0:
                 await asyncio.sleep(self.service_time)
             try:
                 value = await self.resilient.aget_or_compute(
-                    key, loader, ttl=ttl, retry_budget=self.retry_budget
+                    key, loader, retry_budget=self.retry_budget
                 )
             except Exception:
                 self.unavailable += 1
@@ -197,12 +198,12 @@ class AsyncServingFront:
             self.completed += 1
             return value
 
-    async def _serve_write(self, key, value, ttl):
+    async def _serve_write(self, key, value):
         """Wait for a service slot, then apply the write."""
         async with self._semaphore():
             if self.service_time > 0:
                 await asyncio.sleep(self.service_time)
-            self.resilient.put(key, value, ttl=ttl)
+            self.resilient.put(key, value)
             self.completed += 1
 
     def counters(self) -> dict:

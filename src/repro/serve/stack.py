@@ -42,9 +42,23 @@ def backend_value(key):
     return ("v", key)
 
 
+#: Entries of every regime's engine (and of the tiered front's far tier).
+CAPACITY_ENTRIES = 256
+#: In-slot cost, seconds, paid by every request (hit or miss).
+SERVICE_TIME = 0.001
+#: Backend service time, seconds, awaited per loader call.
+MISS_LATENCY = 0.005
+
+
 @dataclass(frozen=True)
 class RegimePlan:
     """One serving regime, as inert data.
+
+    Every regime serves from a :data:`CAPACITY_ENTRIES`-entry adaptive
+    engine (the engine's default 8 shards, LRU and LFU components), pays
+    :data:`SERVICE_TIME` in its slot per request and :data:`MISS_LATENCY`
+    per loader call, and retries a failed load up to 3 attempts with a
+    5 ms backoff.
 
     Attributes:
         name: regime label (report key).
@@ -55,15 +69,11 @@ class RegimePlan:
         concurrency: parallel service slots.
         max_pending: in-flight bound (arrivals beyond it are shed).
         deadline: per-request sojourn deadline, seconds.
-        service_time: in-slot cost paid by every request (hit or miss).
-        miss_latency: backend service time awaited per loader call.
         spike_latency / spike_rate: extra seeded latency spikes.
         failure_rate / burst: seeded loader failures (brown-outs).
-        capacity_entries / num_shards / components: engine geometry.
         ttl: entry TTL, seconds (None = no expiry; the degraded regime
             needs one so stale serving is reachable).
-        retry_attempts / retry_backoff / retry_budget_tokens: the
-            retry schedule and the shared retry-token pool.
+        retry_budget_tokens: the shared retry-token pool.
         breaker_threshold / breaker_timeout: per-shard breaker tuning.
         quarantine_shards / quarantine_at / rebuild_at: the chaos
             schedule — shards taken out of service at ``quarantine_at``
@@ -93,18 +103,11 @@ class RegimePlan:
     concurrency: int = 8
     max_pending: Optional[int] = 256
     deadline: Optional[float] = 0.1
-    service_time: float = 0.001
-    miss_latency: float = 0.005
     spike_latency: float = 0.0
     spike_rate: float = 0.0
     failure_rate: float = 0.0
     burst: int = 0
-    capacity_entries: int = 256
-    num_shards: int = 8
-    components: Tuple[str, ...] = ("lru", "lfu")
     ttl: Optional[float] = None
-    retry_attempts: int = 3
-    retry_backoff: float = 0.005
     retry_budget_tokens: Optional[int] = 32
     breaker_threshold: int = 5
     breaker_timeout: float = 0.5
@@ -123,7 +126,7 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     """The five standard regimes, at bench (full) or CI (quick) scale.
 
     Capacity with the default knobs is roughly
-    ``concurrency / (service_time + miss_ratio * miss_latency)`` ~= a
+    ``concurrency / (SERVICE_TIME + miss_ratio * MISS_LATENCY)`` ~= a
     few thousand requests/second; steady offers well under half of it,
     overload several times it.
     """
@@ -217,9 +220,7 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
 
 def _build_engine(plan: RegimePlan, clock) -> AdaptiveKVCache:
     return AdaptiveKVCache(
-        capacity_entries=plan.capacity_entries,
-        num_shards=plan.num_shards,
-        components=plan.components,
+        capacity_entries=CAPACITY_ENTRIES,
         default_ttl=plan.ttl,
         seed=plan.seed,
         clock=clock,
@@ -229,7 +230,7 @@ def _build_engine(plan: RegimePlan, clock) -> AdaptiveKVCache:
 def _build_loader(plan: RegimePlan) -> AsyncFlakyLoader:
     return AsyncFlakyLoader(
         backend_value,
-        base_latency=plan.miss_latency,
+        base_latency=MISS_LATENCY,
         failure_rate=plan.failure_rate,
         burst=plan.burst,
         latency=plan.spike_latency,
@@ -242,8 +243,8 @@ def _resilient_over(cache, plan: RegimePlan, clock) -> ResilientKVCache:
     return ResilientKVCache(
         cache,
         retry=RetryPolicy(
-            attempts=plan.retry_attempts,
-            backoff=plan.retry_backoff,
+            attempts=3,
+            backoff=0.005,
             budget=plan.deadline,
         ),
         breaker_factory=lambda: CircuitBreaker(
@@ -289,7 +290,7 @@ def build_stack(plan: RegimePlan, clock,
             cache = tiered_front(
                 cache,
                 near_capacity=plan.near_capacity,
-                far_capacity=plan.capacity_entries,
+                far_capacity=CAPACITY_ENTRIES,
                 seed=plan.seed,
             )
     budget = (
@@ -302,7 +303,7 @@ def build_stack(plan: RegimePlan, clock,
         max_pending=plan.max_pending,
         deadline=plan.deadline,
         retry_budget=budget,
-        service_time=plan.service_time,
+        service_time=SERVICE_TIME,
     )
     return front, _build_loader(plan), budget, live
 

@@ -128,20 +128,21 @@ class TieredKVCache:
         placement: placement strategy; defaults to LCE.
         backing_latency: cost charged when ``get_or_compute`` runs its
             loader.
-        backing_name: reporting name for the loader level.
     """
+
+    #: Reporting name for the loader level.
+    backing_name = "backing"
 
     def __init__(
         self,
         tiers: Sequence[KVTier],
         placement: Optional[PlacementStrategy] = None,
         backing_latency: int = 100,
-        backing_name: str = "backing",
     ):
         if not tiers:
             raise ValueError("need at least one tier")
         names = [tier.name for tier in tiers]
-        if len(set(names)) != len(names) or backing_name in names:
+        if len(set(names)) != len(names) or self.backing_name in names:
             raise ValueError(f"tier names must be unique, got {names!r}")
         if backing_latency <= 0:
             raise ValueError(
@@ -150,9 +151,8 @@ class TieredKVCache:
         self.tiers: List[KVTier] = list(tiers)
         self.placement = placement or LeaveCopyEverywhere()
         self.backing_latency = backing_latency
-        self.backing_name = backing_name
         self.serves: Dict[str, int] = {name: 0 for name in names}
-        self.serves[backing_name] = 0
+        self.serves[self.backing_name] = 0
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -369,34 +369,22 @@ def client_local_topology(
     cluster,
     local_capacity: int,
     cluster_capacity: int,
-    placement: Optional[PlacementStrategy] = None,
-    local_policy: str = "lru",
-    local_latency: int = 1,
-    cluster_latency: int = 20,
-    backing_latency: int = 200,
-    seed: int = 0,
 ) -> TieredKVCache:
     """A client-local shard over a cluster ring as bottom tier.
 
     Wires :class:`~repro.cluster.cache.ClusterKVCache` into the tier
     model: the ring (replication, quorums, read-repair and all) serves
-    as the far tier, with a client-local shard in front.
+    as the far tier, with a client-local LRU shard in front. Hits cost
+    1 (local) and 20 (cluster), the loader 200; placement is LCE.
     """
     from repro.online.policies import build_shard_policy
     from repro.online.shard import CacheShard
 
-    local = CacheShard(
-        local_capacity,
-        build_shard_policy(local_policy, local_capacity, seed=seed),
-    )
+    local = CacheShard(local_capacity, build_shard_policy("lru", local_capacity))
     return TieredKVCache(
         [
-            KVTier("local", local, local_capacity, hit_latency=local_latency),
-            KVTier(
-                "cluster", cluster, cluster_capacity,
-                hit_latency=cluster_latency,
-            ),
+            KVTier("local", local, local_capacity, hit_latency=1),
+            KVTier("cluster", cluster, cluster_capacity, hit_latency=20),
         ],
-        placement=placement,
-        backing_latency=backing_latency,
+        backing_latency=200,
     )

@@ -96,6 +96,6 @@ def atomic_write_bytes(path: Pathish, data: bytes) -> None:
         handle.write(data)
 
 
-def atomic_write_text(path: Pathish, text: str, encoding: str = "utf-8") -> None:
-    """Atomically write ``text`` to ``path``."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: Pathish, text: str) -> None:
+    """Atomically write ``text`` to ``path``, UTF-8 encoded."""
+    atomic_write_bytes(path, text.encode("utf-8"))

@@ -66,7 +66,6 @@ def scan_keys(
     accesses: int,
     hot_fraction: float = 0.5,
     seed: int = 0,
-    prefix: str = "s",
 ) -> List[str]:
     """A reused hot set interleaved with a one-pass scan.
 
@@ -74,7 +73,7 @@ def scan_keys(
     the single-use scan flush it.
     """
     return _name(
-        prefix,
+        "s",
         scan_with_hot(hot, scan, accesses, hot_fraction=hot_fraction, seed=seed),
     )
 
@@ -84,7 +83,6 @@ def phase_change_keys(
     loop_footprint: int,
     accesses: int,
     phases: int = 4,
-    alpha: float = 1.1,
     seed: int = 0,
     prefix: str = "p",
 ) -> List[str]:
@@ -107,8 +105,8 @@ def phase_change_keys(
             break
         if phase % 2 == 0:
             stream.extend(
-                zipf_keys(hot_universe, want, alpha=alpha,
-                          seed=seed + phase, prefix=f"{prefix}-hot")
+                zipf_keys(hot_universe, want, seed=seed + phase,
+                          prefix=f"{prefix}-hot")
             )
         else:
             stream.extend(
@@ -164,8 +162,7 @@ YCSB_MIXES = {
 }
 
 
-def poisson_arrivals(rate: float, seed: int = 0,
-                     start: float = 0.0) -> Iterator[float]:
+def poisson_arrivals(rate: float, seed: int = 0) -> Iterator[float]:
     """Unbounded Poisson arrival times at ``rate`` per second.
 
     Inter-arrivals are i.i.d. exponential with mean ``1/rate`` — the
@@ -175,7 +172,7 @@ def poisson_arrivals(rate: float, seed: int = 0,
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     rng = DeterministicRNG(seed).fork(11)
-    now = start
+    now = 0.0
     while True:
         now += rng.expovariate(rate)
         yield now
@@ -187,7 +184,6 @@ def mmpp_arrivals(
     seed: int = 0,
     mean_dwell: float = 2.0,
     burst_dwell: float = 0.5,
-    start: float = 0.0,
 ) -> Iterator[float]:
     """Two-state Markov-modulated Poisson arrivals (bursty traffic).
 
@@ -209,9 +205,9 @@ def mmpp_arrivals(
             f"{burst_dwell}"
         )
     rng = DeterministicRNG(seed).fork(13)
-    now = start
+    now = 0.0
     bursting = False
-    switch_at = start + rng.expovariate(1.0 / mean_dwell)
+    switch_at = rng.expovariate(1.0 / mean_dwell)
     while True:
         gap = rng.expovariate(burst_rate if bursting else rate)
         while now + gap >= switch_at:
@@ -293,7 +289,8 @@ class StreamSpec:
         mean_dwell: MMPP base-state mean dwell, seconds.
         burst_dwell: MMPP burst-state mean dwell, seconds.
         seed: master seed; every sub-stream forks from it.
-        prefix: key namespace prefix.
+
+    Keys are ``"r:<rank>"``, and ``"r:new:<n>"`` for inserted keys.
     """
 
     rate: float = 100.0
@@ -307,7 +304,6 @@ class StreamSpec:
     mean_dwell: float = 2.0
     burst_dwell: float = 0.5
     seed: int = 0
-    prefix: str = "r"
 
     def __post_init__(self):
         if self.mix not in YCSB_MIXES:
@@ -370,7 +366,7 @@ class StreamSpec:
             )
             client = min(client, self.clients - 1)
             if op == "insert":
-                key = f"{self.prefix}:new:{inserted}"
+                key = f"r:new:{inserted}"
                 inserted += 1
             else:
                 rank = sampler.sample(pop_rng)
@@ -382,12 +378,12 @@ class StreamSpec:
                         rank, self.universe + inserted - 1
                     )
                     key = (
-                        f"{self.prefix}:new:{index - self.universe}"
+                        f"r:new:{index - self.universe}"
                         if index >= self.universe
-                        else f"{self.prefix}:{index}"
+                        else f"r:{index}"
                     )
                 else:
-                    key = f"{self.prefix}:{rank}"
+                    key = f"r:{rank}"
             yield Request(at, key, op, client)
 
     def take(self, count: int) -> List[Request]:
@@ -402,9 +398,7 @@ class StreamSpec:
         return out
 
 
-def keys_from_trace(
-    trace: Trace, line_bytes: int = 64, prefix: str = "blk"
-) -> List[str]:
+def keys_from_trace(trace: Trace, line_bytes: int = 64) -> List[str]:
     """Replay a simulator address trace as a key stream.
 
     Each memory record becomes the key of its cache line, so the
@@ -412,4 +406,4 @@ def keys_from_trace(
     simulator saw — the bridge that lets the named suite workloads
     (ammp, mcf, lucas, ...) exercise the online engine.
     """
-    return _name(prefix, trace.block_addresses(line_bytes))
+    return _name("blk", trace.block_addresses(line_bytes))

@@ -118,12 +118,12 @@ def scan_hot_recipe(hot_scale: float, hot_fraction: float = 0.5) -> Recipe:
     return recipe
 
 
-def chase_recipe(nodes_scale: float, lines_per_node: int = 1) -> Recipe:
+def chase_recipe(nodes_scale: float) -> Recipe:
     """Pointer graph walk (pointer-intensive codes)."""
 
     def recipe(config: CacheConfig, accesses: int, seed: int) -> List[int]:
         nodes = max(2 * config.ways, int(nodes_scale * config.num_lines))
-        return pointer_chase(nodes, accesses, lines_per_node, seed=seed)
+        return pointer_chase(nodes, accesses, seed=seed)
 
     return recipe
 
@@ -394,7 +394,7 @@ PRIMARY_SET: List[WorkloadSpec] = [
 # ---------------------------------------------------------------------------
 
 
-def _low(name: str, suite: str, hot: float, seed_salt: int = 0) -> WorkloadSpec:
+def _low(name: str, suite: str, hot: float) -> WorkloadSpec:
     gap = 4.0 if suite in ("spec-fp",) else 2.5
     return WorkloadSpec(
         name, suite, "low",

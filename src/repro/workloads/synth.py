@@ -48,7 +48,6 @@ def working_set(
     hot_lines: int,
     accesses: int,
     seed: int = 0,
-    start_line: int = 0,
     locality: float = 0.0,
 ) -> List[int]:
     """Random references within a hot set of ``hot_lines`` lines.
@@ -64,7 +63,7 @@ def working_set(
     rng = _rng(seed)
     uniform = rng.integers(0, hot_lines, size=accesses)
     if locality == 0.0:
-        return (uniform + start_line).tolist()
+        return uniform.tolist()
     stream: List[int] = []
     recent: List[int] = []
     reuse = rng.random(accesses)
@@ -74,7 +73,7 @@ def working_set(
             line = recent[picks[i] % len(recent)]
         else:
             line = int(uniform[i])
-        stream.append(line + start_line)
+        stream.append(line)
         if not recent or recent[-1] != line:
             recent.append(line)
             if len(recent) > 4:
@@ -87,7 +86,6 @@ def zipf_stream(
     accesses: int,
     alpha: float = 1.1,
     seed: int = 0,
-    start_line: int = 0,
     shuffle_ranks: bool = True,
 ) -> List[int]:
     """Zipf-distributed references over ``universe_lines`` lines.
@@ -109,7 +107,7 @@ def zipf_stream(
     if shuffle_ranks:
         perm = rng.permutation(universe_lines)
         ranks = perm[ranks]
-    return (ranks.astype(np.int64) + start_line).tolist()
+    return ranks.astype(np.int64).tolist()
 
 
 def scan_with_hot(
@@ -151,7 +149,6 @@ def drifting_working_set(
     accesses: int,
     drift_per_kaccess: float = 8.0,
     seed: int = 0,
-    start_line: int = 0,
 ) -> List[int]:
     """A hot window that slides slowly across the address space.
 
@@ -171,7 +168,7 @@ def drifting_working_set(
     bases = (
         np.arange(accesses, dtype=np.float64) * (drift_per_kaccess / 1000.0)
     ).astype(np.int64)
-    return (bases + offsets + start_line).tolist()
+    return (bases + offsets).tolist()
 
 
 def pointer_chase(
@@ -179,7 +176,6 @@ def pointer_chase(
     accesses: int,
     lines_per_node: int = 1,
     seed: int = 0,
-    start_line: int = 0,
 ) -> List[int]:
     """Random walk over a fixed pointer graph of ``nodes`` nodes.
 
@@ -196,7 +192,7 @@ def pointer_chase(
     stream: List[int] = []
     node = 0
     for i in range(accesses):
-        stream.append(start_line + node * lines_per_node)
+        stream.append(node * lines_per_node)
         node = int(successors[node][pick[i]])
     return stream
 
@@ -205,7 +201,6 @@ def strided_sweep(
     footprint_lines: int,
     stride_lines: int,
     accesses: int,
-    start_line: int = 0,
 ) -> List[int]:
     """Sweep a region with a fixed stride, wrapping around.
 
@@ -216,4 +211,4 @@ def strided_sweep(
     if footprint_lines <= 0 or stride_lines <= 0 or accesses < 0:
         raise ValueError("footprint_lines and stride_lines must be positive")
     idx = (np.arange(accesses, dtype=np.int64) * stride_lines) % footprint_lines
-    return (idx + start_line).tolist()
+    return idx.tolist()

@@ -56,3 +56,27 @@ def serve_report(quick: bool, seed: int):
     full-scale sweep takes seconds, so the checks that only read it
     share one; tests of its determinism call ``run_serve`` themselves."""
     return run_serve(quick=quick, seed=seed)
+
+
+@pytest.fixture(scope="session")
+def quick_serve_report():
+    """The session's shared quick-scale serve report at seed 0."""
+    return serve_report(True, 0)
+
+
+@pytest.fixture
+def shared_run_serve(monkeypatch):
+    """Answer ``repro.serve.harness.run_serve`` from the shared reports;
+    the list records each ``(quick, seed)`` asked for."""
+    from repro.experiments import ext_serve
+    from repro.serve import harness
+
+    calls = []
+
+    def shared(quick, seed):
+        calls.append((quick, seed))
+        return serve_report(quick, seed)
+
+    monkeypatch.setattr(harness, "run_serve", shared)
+    monkeypatch.setattr(ext_serve, "run_serve", shared)
+    return calls

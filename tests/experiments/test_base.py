@@ -15,9 +15,11 @@ from repro.experiments.base import (
     make_setup,
     policy_cells,
     run_cells,
-    set_default_trace_dir,
+    trace_sources_digest,
 )
 from repro.policies.lru import LRUPolicy
+from repro.workloads.io import save_trace
+from repro.workloads.suite import build_workload
 
 
 class TestSetups:
@@ -144,32 +146,56 @@ class TestCells:
         assert sweep["lucas", "LRU"] == sweep["lucas", "LRU (8-way)"]
 
 
+@pytest.fixture
+def trace_dir(tmp_path, monkeypatch):
+    """A trace-cache directory named by ``REPRO_TRACE_CACHE``."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+    return tmp_path
+
+
 class TestTraceDiskCache:
     def test_disabled_without_trace_dir(self, monkeypatch):
-        # Clear the process-wide default (CI seeds it via the
-        # REPRO_TRACE_CACHE environment variable) so this pins the
-        # no-configuration behavior.
-        from repro.experiments import base as base_mod
-
-        monkeypatch.setattr(base_mod, "_DEFAULT_TRACE_DIR", None)
+        # CI names a directory through REPRO_TRACE_CACHE; clear it so
+        # this pins the no-configuration behavior.
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         cache = WorkloadCache(make_setup("mini", accesses=1000))
         assert cache.trace_path("lucas") is None
 
-    def test_builds_then_reloads(self, tmp_path):
+    def test_environment_names_the_directory(self, trace_dir):
+        cache = WorkloadCache(make_setup("mini", accesses=1000))
+        path = cache.trace_path("lucas")
+        assert os.path.dirname(path) == str(trace_dir)
+        assert os.path.basename(path) == (
+            f"lucas-mini-1000-{trace_sources_digest()}.npz"
+        )
+
+    def test_builds_then_reloads(self, trace_dir):
         setup = make_setup("mini", accesses=1000)
-        first = WorkloadCache(setup, trace_dir=tmp_path)
+        first = WorkloadCache(setup)
         trace = first.trace("lucas")
         path = first.trace_path("lucas")
         assert os.path.exists(path)
 
-        second = WorkloadCache(setup, trace_dir=tmp_path)
+        second = WorkloadCache(setup)
         reloaded = second.trace("lucas")
         assert list(reloaded) == list(trace)
         assert second.trace_recoveries == []
 
-    def test_corrupt_entry_regenerated_and_reported(self, tmp_path):
+    def test_stale_trace_under_an_old_name_is_not_read(self, trace_dir):
+        """A file written before a recipe changed is keyed on the old
+        sources, so it is never replayed: a valid trace of another
+        workload under the name that held no digest is ignored."""
         setup = make_setup("mini", accesses=1000)
-        first = WorkloadCache(setup, trace_dir=tmp_path)
+        stale = build_workload("art-1", setup.l2, accesses=setup.accesses)
+        save_trace(stale, os.path.join(trace_dir, "lucas-mini-1000.npz"))
+        fresh = build_workload("lucas", setup.l2, accesses=setup.accesses)
+        cache = WorkloadCache(setup)
+        assert cache.trace_dir == str(trace_dir)
+        assert list(cache.trace("lucas")) == list(fresh)
+
+    def test_corrupt_entry_regenerated_and_reported(self, trace_dir):
+        setup = make_setup("mini", accesses=1000)
+        first = WorkloadCache(setup)
         trace = first.trace("lucas")
         path = first.trace_path("lucas")
         # Truncate the cached file as a crashed writer would have.
@@ -177,24 +203,15 @@ class TestTraceDiskCache:
         with open(path, "wb") as handle:
             handle.write(blob[: len(blob) // 3])
 
-        second = WorkloadCache(setup, trace_dir=tmp_path)
+        second = WorkloadCache(setup)
         regenerated = second.trace("lucas")
         assert list(regenerated) == list(trace)
         assert len(second.trace_recoveries) == 1
         assert "lucas" in second.trace_recoveries[0]
         # The rewritten file is healthy again.
-        third = WorkloadCache(setup, trace_dir=tmp_path)
+        third = WorkloadCache(setup)
         assert list(third.trace("lucas")) == list(trace)
         assert third.trace_recoveries == []
-
-    def test_default_trace_dir_is_process_wide(self, tmp_path):
-        set_default_trace_dir(tmp_path)
-        try:
-            cache = WorkloadCache(make_setup("mini", accesses=1000))
-            assert cache.trace_path("lucas").startswith(str(tmp_path))
-        finally:
-            set_default_trace_dir(None)
-        assert WorkloadCache(make_setup("mini")).trace_path("lucas") is None
 
 
 class TestExperimentResult:

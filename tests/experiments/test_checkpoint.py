@@ -21,8 +21,8 @@ from repro.experiments.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     SweepCheckpoint,
-    active,
-    active_checkpoint,
+    checkpointed_cell,
+    dict_cell,
     restore_cell,
     timing_from_dict,
     timing_to_dict,
@@ -155,10 +155,9 @@ class TestRestoreTimingCell:
         key = ckpt.cell_key("cell", "exp", setup.name, setup.accesses,
                             "lucas", "LRU")
         ckpt.put(key, {"name": "lucas", "garbage": True})
-        with active_checkpoint(ckpt, experiment="exp"):
-            results = base.run_cells(
-                setup, base.policy_cells(setup, ["lucas"], specs)
-            )
+        results = base.run_sweeps(
+            setup, {"exp": base.policy_cells(setup, ["lucas"], specs)}, ckpt
+        )["exp"]
         assert results["lucas", "LRU"].l2_accesses > 0
         assert "resimulating" in capsys.readouterr().err
         # The healed cell replaced the damaged one on disk.
@@ -172,26 +171,24 @@ class TestDamagedMetricsCell:
 
     @pytest.mark.parametrize("module, kwargs, first_key, field, timing_col", [
         (ext_online, {"workloads": ("loop",), "engines": ("lru", "lfu")},
-         "cell/exp/mini/1500/loop/lru", "hit_pct", 5),
+         "cell/ext-online/mini/1500/loop/lru", "hit_pct", 5),
         (ext_tiers, {"workloads": ("zipf",), "strategies": ("lce", "lcd")},
-         "cell/exp/mini/1500/zipf/lce", "hit_pct", 5),
+         "cell/ext-tiers/mini/1500/zipf/lce", "hit_pct", 5),
         (ext_cluster, {"replication_factors": (1,)},
-         "cell/exp/mini/1500/1/none", "availability_pct", 4),
+         "cell/ext-cluster/mini/1500/1/none", "availability_pct", 4),
     ], ids=["ext-online", "ext-tiers", "ext-cluster"])
     def test_resume_recomputes_the_cell(self, module, kwargs, first_key,
                                         field, timing_col, tmp_path, capsys):
         setup = base.make_setup("mini", accesses=1500)
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
-        with active_checkpoint(ckpt, experiment="exp"):
-            first = module.run(setup=setup, **kwargs)
+        first = module.run(setup=setup, checkpoint=ckpt, **kwargs)
         # Keys keep their historical shape, so old files still resume.
         assert ckpt.keys()[0] == first_key
         damaged = dict(ckpt.get(first_key))
         del damaged[field]
         ckpt.put(first_key, damaged)
 
-        with active_checkpoint(ckpt, experiment="exp"):
-            resumed = module.run(setup=setup, **kwargs)
+        resumed = module.run(setup=setup, checkpoint=ckpt, **kwargs)
         assert "resimulating" in capsys.readouterr().err
         # The healed cell replaced the damaged one on disk.
         assert field in SweepCheckpoint(tmp_path / "ck.json").get(first_key)
@@ -202,28 +199,44 @@ class TestDamagedMetricsCell:
         assert strip(resumed.rows) == strip(first.rows)
 
 
-class TestActiveCheckpoint:
-    def test_none_is_noop(self):
-        with active_checkpoint(None, experiment="fig3"):
-            assert active() is None
+class TestCheckpointedCell:
+    CODEC = dict_cell("hits")
 
-    def test_stack_nesting(self, tmp_path):
-        outer = SweepCheckpoint(tmp_path / "outer.json")
-        inner = SweepCheckpoint(tmp_path / "inner.json")
-        assert active() is None
-        with active_checkpoint(outer, experiment="fig3"):
-            assert active() == (outer, "fig3")
-            with active_checkpoint(inner, experiment="fig4"):
-                assert active() == (inner, "fig4")
-            assert active() == (outer, "fig3")
-        assert active() is None
+    def test_without_checkpoint_computes(self):
+        setup = base.make_setup("mini", accesses=1000)
+        computed = []
 
-    def test_popped_on_exception(self, tmp_path):
+        def compute():
+            computed.append(1)
+            return {"hits": 3}
+
+        for _ in range(2):
+            assert checkpointed_cell(None, "exp", setup, ("a",), compute,
+                                     self.CODEC) == {"hits": 3}
+        assert computed == [1, 1]
+
+    def test_recorded_under_the_experiment_then_restored(self, tmp_path):
+        setup = base.make_setup("mini", accesses=1000)
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
-        with pytest.raises(ValueError):
-            with active_checkpoint(ckpt, experiment="fig3"):
-                raise ValueError("boom")
-        assert active() is None
+        checkpointed_cell(ckpt, "fig3", setup, ("lucas", "LRU"),
+                          lambda: {"hits": 3}, self.CODEC)
+        assert ckpt.keys() == ["cell/fig3/mini/1000/lucas/LRU"]
+
+        def fail():
+            raise AssertionError("a recorded cell must not be recomputed")
+
+        reloaded = SweepCheckpoint(tmp_path / "ck.json")
+        assert checkpointed_cell(reloaded, "fig3", setup, ("lucas", "LRU"),
+                                 fail, self.CODEC) == {"hits": 3}
+
+    def test_experiments_keep_their_own_keys(self, tmp_path):
+        setup = base.make_setup("mini", accesses=1000)
+        ckpt = SweepCheckpoint(tmp_path / "ck.json")
+        for experiment, hits in (("fig3", 1), ("fig4", 2)):
+            checkpointed_cell(ckpt, experiment, setup, ("lucas",),
+                              lambda h=hits: {"hits": h}, self.CODEC)
+        assert ckpt.get("cell/fig3/mini/1000/lucas") == {"hits": 1}
+        assert ckpt.get("cell/fig4/mini/1000/lucas") == {"hits": 2}
 
 
 class TestTimingSerialization:
@@ -260,7 +273,7 @@ def simulate_calls(monkeypatch):
 
 
 class TestSweepUsesCheckpoint:
-    def test_run_cells_skips_recorded_cells(self, tmp_path, simulate_calls,
+    def test_sweep_skips_recorded_cells(self, tmp_path, simulate_calls,
                                             monkeypatch):
         setup = base.make_setup("mini", accesses=2000)
         cells = base.policy_cells(
@@ -277,8 +290,7 @@ class TestSweepUsesCheckpoint:
 
         monkeypatch.setattr(SweepCheckpoint, "_save", counting_save)
 
-        with active_checkpoint(ckpt, experiment="test-sweep"):
-            first = base.run_cells(setup, cells)
+        first = base.run_sweeps(setup, {"test-sweep": cells}, ckpt)["test-sweep"]
         assert len(simulate_calls) == 4
         assert len(ckpt) == 4
         # One whole-file write per workload, as each one finishes.
@@ -287,8 +299,8 @@ class TestSweepUsesCheckpoint:
         # A second sweep (fresh process after a crash, simulated by a
         # reloaded checkpoint) restores every cell without simulating.
         reloaded = SweepCheckpoint(tmp_path / "ck.json")
-        with active_checkpoint(reloaded, experiment="test-sweep"):
-            second = base.run_cells(setup, cells)
+        second = base.run_sweeps(
+            setup, {"test-sweep": cells}, reloaded)["test-sweep"]
         assert len(simulate_calls) == 4
         assert writes == [2, 4]
         assert second == first
@@ -328,8 +340,8 @@ class TestSweepUsesCheckpoint:
         simulates nothing, and records fig4's keys from fig3's values."""
         setup = base.make_setup("mini", accesses=1500)
         path = tmp_path / "ck.json"
-        with active_checkpoint(SweepCheckpoint(path), experiment="fig3"):
-            fig3_mpki.run(setup=setup, workloads=["lucas"])
+        base.run_sweeps(setup, {"fig3": fig3_mpki.cells(setup, ["lucas"])},
+                        SweepCheckpoint(path))
         simulate_calls.clear()
 
         ckpt = SweepCheckpoint(path)
@@ -368,8 +380,9 @@ class TestSweepUsesCheckpoint:
         setup = base.make_setup("mini", accesses=1500)
         workloads = ["lucas", "art-1"]
         path = tmp_path / "ck.json"
-        with active_checkpoint(SweepCheckpoint(path), experiment="exp"):
-            first = module.run(setup=setup, workloads=workloads)
+        first = module.render(setup, base.run_sweeps(
+            setup, {"exp": module.cells(setup, workloads)},
+            SweepCheckpoint(path))["exp"])
         assert len(simulate_calls) == len(workloads) * len(labels)
         assert sorted(SweepCheckpoint(path).keys()) == sorted(
             f"cell/exp/mini/1500/{name}/{label}"
@@ -377,8 +390,9 @@ class TestSweepUsesCheckpoint:
         )
 
         simulate_calls.clear()
-        with active_checkpoint(SweepCheckpoint(path), experiment="exp"):
-            resumed = module.run(setup=setup, workloads=workloads)
+        resumed = module.render(setup, base.run_sweeps(
+            setup, {"exp": module.cells(setup, workloads)},
+            SweepCheckpoint(path))["exp"])
         assert simulate_calls == []
         assert resumed.render() == first.render()
 

@@ -349,6 +349,17 @@ class TestResume:
 
         assert strip(out.read_text()) == strip(first)
 
+    @pytest.mark.parametrize("name", ["ext-online", "ext-tiers",
+                                      "ext-cluster"])
+    def test_checkpoint_reaches_the_cell_loops(self, name, capsys, tmp_path):
+        """The experiments with their own ``checkpointed_cell`` loops
+        record their cells in the ``--checkpoint`` file."""
+        ckpt_path = tmp_path / "ck.json"
+        assert main([name, "--scale", "mini", "--accesses", "1000",
+                     "--checkpoint", str(ckpt_path)]) == 0
+        assert any(key.startswith(f"cell/{name}/mini/1000/")
+                   for key in SweepCheckpoint(ckpt_path).keys())
+
     def test_corrupt_checkpoint_quarantined(
         self, stub_experiments, capsys, tmp_path
     ):

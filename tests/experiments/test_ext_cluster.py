@@ -97,16 +97,14 @@ class TestCheckpointing:
     def test_cells_restored_not_recomputed(self, setup, tmp_path,
                                            monkeypatch):
         ckpt = checkpoint_mod.SweepCheckpoint(tmp_path / "ck.json")
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-cluster"):
-            first = ext_cluster.run(setup=setup, replication_factors=(1,))
+        first = ext_cluster.run(checkpoint=ckpt, setup=setup, replication_factors=(1,))
         assert len(ckpt) == 2
 
         def boom(*args, **kwargs):
             raise AssertionError("cell recomputed despite checkpoint")
 
         monkeypatch.setattr(ext_cluster, "replay_cluster", boom)
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-cluster"):
-            resumed = ext_cluster.run(setup=setup, replication_factors=(1,))
+        resumed = ext_cluster.run(checkpoint=ckpt, setup=setup, replication_factors=(1,))
         assert resumed.rows == first.rows
 
 

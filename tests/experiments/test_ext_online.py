@@ -75,8 +75,7 @@ class TestCheckpointing:
         kwargs = dict(
             setup=setup, workloads=("loop",), engines=("lru", "lru_cache")
         )
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-online"):
-            first = ext_online.run(**kwargs)
+        first = ext_online.run(checkpoint=ckpt, **kwargs)
         assert len(ckpt) == 2
 
         # A resumed run must come entirely from the checkpoint: make
@@ -85,6 +84,5 @@ class TestCheckpointing:
             raise AssertionError("cell recomputed despite checkpoint")
 
         monkeypatch.setattr(ext_online, "replay", boom)
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-online"):
-            second = ext_online.run(**kwargs)
+        second = ext_online.run(checkpoint=ckpt, **kwargs)
         assert second.rows == first.rows

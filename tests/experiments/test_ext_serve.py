@@ -7,11 +7,11 @@ import pytest
 from repro.experiments import ext_serve
 from repro.experiments.base import make_setup
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
-from repro.serve.harness import run_serve
+from tests.conftest import serve_report
 
 
-@pytest.fixture(scope="module")
-def result():
+@pytest.fixture
+def result(shared_run_serve):
     return ext_serve.run(quick=True, seed=0)
 
 
@@ -37,10 +37,11 @@ class TestRun:
         assert "Digest match vs stop-the-world recovery: True" in text
         assert "Tiered front" in text
 
-    def test_mini_setup_maps_to_quick(self, result):
+    def test_mini_setup_maps_to_quick(self, result, shared_run_serve):
         # Same seed + quick flag must match the mini-setup run exactly:
         # the harness is deterministic, so the tables are equal.
         via_setup = ext_serve.run(setup=make_setup("mini"), seed=0)
+        assert shared_run_serve == [(True, 0), (True, 0)]
         assert via_setup.rows == result.rows
 
     def test_to_result_keeps_wrong_value_column(self, result):
@@ -60,11 +61,13 @@ class TestCli:
         assert args.experiment == "serve"
         assert args.serve_out == "x.json"
 
-    def test_serve_verb_writes_report(self, capsys, tmp_path):
+    def test_serve_verb_writes_report(self, capsys, tmp_path,
+                                      shared_run_serve):
         out = tmp_path / "bench.json"
         code = main(["serve", "--quick", "--seed", "2",
                      "--serve-out", str(out)])
         assert code == 0
+        assert shared_run_serve == [(True, 2)]
         printed = capsys.readouterr().out
         for name in ("steady", "overload", "degraded"):
             assert name in printed
@@ -72,10 +75,12 @@ class TestCli:
         assert payload["seed"] == 2
         assert payload["quick"] is True
         # The file is the canonical serialization of the same run.
-        assert out.read_text() == run_serve(quick=True, seed=2).to_json()
+        assert out.read_text() == serve_report(True, 2).to_json()
 
     def test_ext_serve_verb_renders_table(self, capsys):
+        # A real harness run: --seed reaches it.
         assert main(["ext-serve", "--quick", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "ext-serve" in out
         assert "degraded" in out
+        assert "Seed 1, quick scale" in out

@@ -80,8 +80,7 @@ class TestCheckpointing:
         kwargs = dict(
             setup=setup, workloads=("zipf",), strategies=("lce", "lcd")
         )
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-tiers"):
-            first = ext_tiers.run(**kwargs)
+        first = ext_tiers.run(checkpoint=ckpt, **kwargs)
         assert len(ckpt) == 2
 
         # A resumed run must come entirely from the checkpoint: make
@@ -90,6 +89,5 @@ class TestCheckpointing:
             raise AssertionError("cell recomputed despite checkpoint")
 
         monkeypatch.setattr(ext_tiers, "replay", boom)
-        with checkpoint_mod.active_checkpoint(ckpt, experiment="ext-tiers"):
-            second = ext_tiers.run(**kwargs)
+        second = ext_tiers.run(checkpoint=ckpt, **kwargs)
         assert second.rows == first.rows

@@ -27,19 +27,13 @@ from repro.experiments import (
     sec44_five_policy,
     sec47_sbar,
 )
-from repro.experiments.base import Cell, make_setup, policy_cells, run_cells
-from repro.experiments.checkpoint import (
-    SweepCheckpoint,
-    active_checkpoint,
-    timing_to_dict,
+from repro.experiments import cli
+from repro.experiments.base import (
+    Cell, make_setup, policy_cells, run_cells, run_sweeps,
 )
+from repro.experiments.checkpoint import SweepCheckpoint, timing_to_dict
 from repro.perf import parallel as parallel_mod
-from repro.perf.parallel import (
-    ParallelRunner,
-    get_default_workers,
-    recommended_workers,
-    set_default_workers,
-)
+from repro.perf.parallel import ParallelRunner, recommended_workers
 
 WORKLOADS = ["lucas", "art-1"]
 SPECS = {
@@ -55,8 +49,9 @@ def serialize(sweep):
     return {coords: timing_to_dict(cell) for coords, cell in sweep.items()}
 
 
-def sweep(workloads=WORKLOADS, specs=SPECS, **kwargs):
-    return run_cells(SETUP, policy_cells(SETUP, workloads, specs), **kwargs)
+def sweep(workloads=WORKLOADS, specs=SPECS, checkpoint=None, workers=1):
+    cells = policy_cells(SETUP, workloads, specs)
+    return run_sweeps(SETUP, {"t": cells}, checkpoint, workers)["t"]
 
 
 class _BrokenPool:
@@ -72,23 +67,40 @@ def broken_pool(monkeypatch):
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BrokenPool)
 
 
-class TestDefaultWorkers:
-    def test_roundtrip(self):
-        assert get_default_workers() == 1
-        set_default_workers(3)
-        try:
-            assert get_default_workers() == 3
-        finally:
-            set_default_workers(1)
+@pytest.fixture
+def runners(monkeypatch):
+    """Every ParallelRunner whose ``map`` a sweep calls."""
+    seen = []
+    real_map = ParallelRunner.map
 
+    def recording(self, fn, tasks):
+        seen.append(self)
+        return real_map(self, fn, tasks)
+
+    monkeypatch.setattr(ParallelRunner, "map", recording)
+    return seen
+
+
+class TestWorkers:
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            set_default_workers(0)
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
 
     def test_recommended_workers_positive(self):
         assert recommended_workers() >= 1
+
+    def test_cli_workers_reach_the_sweep_pass(self, broken_pool, runners,
+                                              capsys):
+        """``--workers`` is handed to the sweep pass itself: the pool is
+        asked for at 2 and not at 1, with the same printed result."""
+        args = ["fig3", "--scale", "mini", "--accesses", str(ACCESSES),
+                "--workloads", "lucas"]
+        assert cli.main([*args, "--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert runners == []
+        assert cli.main([*args, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert [runner.workers for runner in runners] == [2]
 
 
 class TestByteEquality:
@@ -102,26 +114,14 @@ class TestByteEquality:
             (name, label) for name in WORKLOADS for label in SPECS
         ]
 
-    def test_default_workers_routes_to_parallel(self, broken_pool,
-                                                monkeypatch):
-        """run_cells with no explicit workers honours the process-wide
-        default: the pool is asked for, and its fallback still produces
-        the serial cells."""
-        runners = []
-        real_map = ParallelRunner.map
-
-        def recording(self, fn, tasks):
-            runners.append(self)
-            return real_map(self, fn, tasks)
-
-        monkeypatch.setattr(ParallelRunner, "map", recording)
+    def test_explicit_workers_route_to_parallel(self, broken_pool,
+                                                 runners):
+        """A sweep runs serially unless it is given workers: at 2 the
+        pool is asked for, and its fallback still produces the serial
+        cells."""
         serial = sweep(WORKLOADS[:1])
         assert runners == []
-        set_default_workers(2)
-        try:
-            routed = sweep(WORKLOADS[:1])
-        finally:
-            set_default_workers(1)
+        routed = sweep(WORKLOADS[:1], workers=2)
         assert serialize(routed) == serialize(serial)
         assert [runner.fallback_tasks for runner in runners] == [1]
 
@@ -199,16 +199,14 @@ class TestCheckpointResume:
         """A cell already in the checkpoint is restored, not recomputed:
         poisoning its recorded cycles must show up in the merged result."""
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
-        with active_checkpoint(ckpt, "t"):
-            first = sweep(WORKLOADS[:1], {"LRU": SPECS["LRU"]}, workers=2)
+        first = sweep(WORKLOADS[:1], {"LRU": SPECS["LRU"]}, ckpt, workers=2)
         key = ckpt.cell_key("cell", "t", SETUP.name, SETUP.accesses,
                             "lucas", "LRU")
         poisoned = dict(ckpt.get(key))
         poisoned["cycles"] = 123456.0
         ckpt.put(key, poisoned)
 
-        with active_checkpoint(ckpt, "t"):
-            resumed = sweep(WORKLOADS[:1], workers=2)
+        resumed = sweep(WORKLOADS[:1], checkpoint=ckpt, workers=2)
         assert resumed["lucas", "LRU"].cycles == 123456.0
         # The un-checkpointed label was freshly computed and persisted.
         adaptive_key = ckpt.cell_key("cell", "t", SETUP.name,
@@ -223,14 +221,12 @@ class TestCheckpointResume:
         path = tmp_path / "ck.json"
         # Phase 1: serial run completes only the first workload (a
         # mid-sweep kill between workloads).
-        with active_checkpoint(SweepCheckpoint(path), "t"):
-            sweep(WORKLOADS[:1])
+        sweep(WORKLOADS[:1], checkpoint=SweepCheckpoint(path))
 
         # Phase 2: resume the full sweep under workers=2.
         resumed_ckpt = SweepCheckpoint(path)
         restored_keys = set(resumed_ckpt.keys())
-        with active_checkpoint(resumed_ckpt, "t"):
-            resumed = sweep(workers=2)
+        resumed = sweep(checkpoint=resumed_ckpt, workers=2)
 
         reference = sweep()
         assert serialize(resumed) == serialize(reference)
@@ -239,9 +235,9 @@ class TestCheckpointResume:
         assert restored_keys <= set(resumed_ckpt.keys())
         assert len(resumed_ckpt) == len(WORKLOADS) * len(SPECS)
 
-    def test_checkpoint_oblivious_without_context(self):
-        """No active checkpoint: the parallel path runs everything and
+    def test_checkpoint_oblivious_without_checkpoint(self, monkeypatch):
+        """No checkpoint given: the parallel path runs everything and
         touches no checkpoint machinery."""
-        assert checkpoint_mod.active() is None
+        monkeypatch.setattr(checkpoint_mod, "SweepCells", None)
         result = sweep(WORKLOADS[:1], {"LRU": SPECS["LRU"]}, workers=2)
         assert result["lucas", "LRU"].l2_accesses > 0

@@ -76,7 +76,7 @@ class TestDeterminism:
         for request in spec.take(100):
             assert request.op in ops
             assert 0 <= request.client < spec.clients
-            assert request.key.startswith(f"{spec.prefix}:")
+            assert request.key.startswith("r:")
 
     def test_different_seeds_differ(self):
         base = StreamSpec(rate=200.0, universe=32, seed=0)

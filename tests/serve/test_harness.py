@@ -113,9 +113,8 @@ class TestServeReport:
             "steady", "overload", "degraded", "recovery", "steady_tiered",
         }
 
-    def test_render_mentions_every_regime(self):
-        report = run_serve(quick=True, seed=1)
-        text = report.render()
+    def test_render_mentions_every_regime(self, quick_serve_report):
+        text = quick_serve_report.render()
         for name in ("steady", "overload", "degraded", "recovery",
                      "steady_tiered"):
             assert name in text

@@ -87,6 +87,137 @@ print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
 """
 
 
+#: Defaulted parameters no call in this repository passes, with the
+#: reason each stays: asyncio itself passes the event-loop protocol's,
+#: and the Algorithm 1 spec mirrors its implementation's signature.
+UNCALLED_OPTIONS = {
+    "repro.serve.vloop.VirtualTimeEventLoop.call_soon(context)": "asyncio",
+    "repro.serve.vloop.VirtualTimeEventLoop.call_later(context)": "asyncio",
+    "repro.serve.vloop.VirtualTimeEventLoop.create_task(name)": "asyncio",
+    "repro.serve.vloop.VirtualTimeEventLoop.create_task(context)": "asyncio",
+    "repro.oracle.spec.make_adaptive_spec(window)": "reference code",
+    "repro.oracle.spec.make_adaptive_spec(fallback)": "reference code",
+}
+
+
+def _is_record(node):
+    """Whether a class holds settings as fields: a frozen dataclass or a
+    NamedTuple. A mutable dataclass is a record the code fills in."""
+    if any(ast.unparse(base).endswith("NamedTuple") for base in node.bases):
+        return True
+    return any(
+        isinstance(deco, ast.Call)
+        and ast.unparse(deco.func).endswith("dataclass")
+        and any(kw.arg == "frozen" and ast.unparse(kw.value) == "True"
+                for kw in deco.keywords)
+        for deco in node.decorator_list
+    )
+
+
+def _options(trees):
+    """Map each callable name to where it is defined: (qualified name,
+    positional parameters, defaulted parameters). A class's name stands
+    for its ``__init__`` or, for a record, its fields."""
+    defined = {}
+
+    def visit(module, body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if _is_record(node):
+                    fields = [
+                        item for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(item.annotation)
+                    ]
+                    defined.setdefault(node.name, []).append((
+                        f"{module}.{node.name}",
+                        [item.target.id for item in fields],
+                        [item.target.id for item in fields
+                         if item.value is not None],
+                    ))
+                visit(module, node.body, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted = [arg.arg for arg in defaulted] + [
+                    arg.arg for arg, value
+                    in zip(args.kwonlyargs, args.kw_defaults)
+                    if value is not None
+                ]
+                names = [arg.arg for arg in positional]
+                if owner is not None and not any(
+                    ast.unparse(deco) == "staticmethod"
+                    for deco in node.decorator_list
+                ):
+                    names = names[1:]
+                qualname = (f"{owner.name}.{node.name}" if owner is not None
+                            else node.name)
+                name = node.name
+                if owner is not None and name == "__init__":
+                    name = owner.name
+                defined.setdefault(name, []).append(
+                    (f"{module}.{qualname}", names, defaulted))
+                visit(module, node.body, None)
+
+    for module, (_path, tree) in trees.items():
+        visit(module, tree.body, None)
+    return defined
+
+
+#: Registries whose values are called with ``**kwargs`` no call site
+#: names, so every parameter of those values counts as passed.
+KWARGS_REGISTRIES = {
+    "_SPEC_FACTORIES": "oracle.spec.make_spec calls them with **kwargs",
+}
+
+
+def _passed(paths):
+    """Map each called name to (keywords passed, most positional
+    arguments, whether a ``*``/``**`` expansion passes everything)."""
+    passed = {}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+
+        def enclosing_class(node):
+            while node in parents and not isinstance(node, ast.ClassDef):
+                node = parents[node]
+            return node if isinstance(node, ast.ClassDef) else None
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Dict)
+                    and any(getattr(target, "id", None) in KWARGS_REGISTRIES
+                            for target in node.targets)):
+                for value in node.value.values:
+                    passed[ast.unparse(value).rpartition(".")[2]] = (
+                        set(), 0, True)
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, list(node.args)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            owner = enclosing_class(node)
+            if (name == "__init__" and owner is not None and owner.bases
+                    and ast.unparse(func.value) == "super()"):
+                name = ast.unparse(owner.bases[0]).rpartition(".")[2]
+            elif name in ("cls", "replace") and owner is not None:
+                args = args[1:] if name == "replace" else args
+                name = owner.name
+            elif name == "partial" and args:
+                name = ast.unparse(args[0]).rpartition(".")[2]
+                args = args[1:]
+            keywords, most, everything = passed.get(name, (set(), 0, False))
+            keywords = keywords | {kw.arg for kw in node.keywords if kw.arg}
+            everything = everything or any(
+                isinstance(arg, ast.Starred) for arg in args
+            ) or any(kw.arg is None for kw in node.keywords)
+            passed[name] = (keywords, max(most, len(args)), everything)
+    return passed
+
+
 def _walk_modules():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         yield importlib.import_module(info.name)
@@ -281,6 +412,32 @@ class TestSuiteShape:
             and name not in TEST_DRIVEN_MODULES
         )
         assert not orphans, orphans
+
+    def test_every_option_has_a_caller(self):
+        """Every setting has a way in: each defaulted parameter, and each
+        defaulted field of a frozen dataclass or NamedTuple, of a name
+        defined once in ``src/repro`` is passed by some call in ``src/``,
+        ``tests/``, ``benchmarks/`` or ``examples/``, by keyword or by
+        position (a ``*``/``**`` expansion passes every parameter). An
+        option no call sets is a constant: fold it in."""
+        trees = _module_sources()
+        paths = [path for folder in ("src", "tests", "benchmarks", "examples")
+                 for path in sorted((REPO_ROOT / folder).rglob("*.py"))]
+        passed = _passed(paths)
+        uncalled = []
+        for name, definitions in sorted(_options(trees).items()):
+            if len(definitions) != 1:
+                continue
+            qualname, positional, defaulted = definitions[0]
+            keywords, most, everything = passed.get(name, (set(), 0, False))
+            uncalled += [
+                f"{qualname}({option})" for option in defaulted
+                if not everything and option not in keywords
+                and not (option in positional
+                         and positional.index(option) < most)
+            ]
+        assert sorted(set(uncalled) - set(UNCALLED_OPTIONS)) == []
+        assert set(UNCALLED_OPTIONS) <= set(uncalled), "allowlist is stale"
 
     def test_e2e_cold_start_loads_only_what_it_runs(self, tmp_path):
         """A process that imports what the e2e workloads import and
