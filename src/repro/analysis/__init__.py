@@ -13,7 +13,6 @@ from repro.analysis.pressure import (
     DisagreementReport,
     component_disagreement,
     miss_imbalance,
-    per_set_summary,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "DisagreementReport",
     "component_disagreement",
     "miss_imbalance",
-    "per_set_summary",
     "arithmetic_mean",
     "percent_reduction",
     "percent_improvement",

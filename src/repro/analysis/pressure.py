@@ -11,7 +11,7 @@ sets, and how often sets disagree about the better component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 
 def miss_imbalance(per_set_misses: Sequence[int]) -> float:
@@ -87,20 +87,3 @@ def component_disagreement(
         else:
             indifferent += 1
     return DisagreementReport(prefer_first, prefer_second, indifferent)
-
-
-def per_set_summary(per_set_misses: Sequence[int], buckets: int = 8) -> List[int]:
-    """Downsample a per-set miss vector into ``buckets`` sums.
-
-    For compact textual reporting of the pressure profile across the
-    index space (e.g. eight numbers instead of 1024).
-    """
-    n = len(per_set_misses)
-    if not 0 < buckets <= n:
-        raise ValueError(f"buckets must be in (0, {n}], got {buckets}")
-    out = []
-    for b in range(buckets):
-        lo = b * n // buckets
-        hi = (b + 1) * n // buckets
-        out.append(sum(per_set_misses[lo:hi]))
-    return out

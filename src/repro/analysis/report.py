@@ -12,23 +12,24 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 
-def _format_cell(value, float_digits: int) -> str:
+def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{float_digits}f}"
+        return f"{value:.3f}"
     return str(value)
 
 
-def result_to_markdown(result, float_digits: int = 3) -> str:
-    """Render one ExperimentResult as a markdown section."""
+def result_to_markdown(result) -> str:
+    """Render one ExperimentResult as a markdown section, floats to
+    three decimals."""
     lines: List[str] = [f"## {result.experiment}", "", result.description, ""]
     header = "| " + " | ".join(str(h) for h in result.headers) + " |"
     divider = "|" + "|".join(" --- " for _ in result.headers) + "|"
     lines.append(header)
     lines.append(divider)
     for row in result.rows:
-        cells = [_format_cell(cell, float_digits) for cell in row]
+        cells = [_format_cell(cell) for cell in row]
         lines.append("| " + " | ".join(cells) + " |")
     for note in result.notes:
         lines.append("")

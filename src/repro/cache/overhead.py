@@ -83,24 +83,16 @@ class StorageModel:
         """LRU metadata counted once instead of twice (subtracted)."""
         return self.config.num_lines * self.recency_bits_per_line / BITS_PER_KB
 
-    def adaptive_total_kb(
-        self, partial_bits: int = None, num_components: int = 2
-    ) -> float:
-        """Total SRAM of the adaptive cache.
+    def adaptive_total_kb(self, partial_bits: int = None) -> float:
+        """Total SRAM of the two-component adaptive cache.
 
         Args:
             partial_bits: width of partial tags in the parallel arrays;
                 None means full tags.
-            num_components: number of component policies (the paper's
-                five-policy experiment needs five parallel arrays).
         """
-        if num_components < 2:
-            raise ValueError(
-                f"adaptivity needs at least 2 components, got {num_components}"
-            )
         return (
             self.conventional_total_kb()
-            + num_components * self.parallel_array_kb(partial_bits)
+            + 2 * self.parallel_array_kb(partial_bits)
             + self.history_kb()
             - self.lru_dedup_kb()
         )

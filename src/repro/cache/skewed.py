@@ -48,25 +48,20 @@ def _mix(value: int, salt: int) -> int:
 class SkewedAssociativeCache:
     """A W-way skewed-associative cache with pseudo-LRU replacement.
 
+    Each way hashes with its own fixed odd salt, so runs are
+    deterministic.
+
     Args:
         config: geometry (same dataclass as the conventional cache; the
             set count becomes the per-way bank depth times ways).
-        salts: optional per-way hash salts (defaults are fixed odd
-            constants, one per way, so runs are deterministic).
     """
 
-    def __init__(self, config: CacheConfig, salts: Optional[List[int]] = None):
+    def __init__(self, config: CacheConfig):
         self.config = config
         self.banks = config.ways
         self.bank_sets = config.num_sets
         self._index_mask = self.bank_sets - 1
-        if salts is None:
-            salts = [0x517C_C1B7 + 0x2545_F491 * w for w in range(self.banks)]
-        if len(salts) != self.banks:
-            raise ValueError(
-                f"expected {self.banks} salts, got {len(salts)}"
-            )
-        self.salts = list(salts)
+        self.salts = [0x517C_C1B7 + 0x2545_F491 * w for w in range(self.banks)]
         # Per bank: block address stored in each slot (None = invalid).
         self._blocks: List[List[Optional[int]]] = [
             [None] * self.bank_sets for _ in range(self.banks)

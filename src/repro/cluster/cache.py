@@ -130,7 +130,7 @@ class ClusterKVCache:
         self.clock = VirtualClock()
         if latency_factory is None:
             latency_factory = lambda index: LatencyModel(  # noqa: E731
-                base=0.001, seed=seed + 7919 * index
+                seed=seed + 7919 * index
             )
 
         self.ring = HashRing(vnodes=vnodes)
@@ -410,10 +410,11 @@ class ClusterKVCache:
     # Maintenance and introspection
     # ------------------------------------------------------------------
 
-    def repair_sweep(self, keys=None) -> int:
-        """Run the controller's converging rebalance (see
+    def repair_sweep(self) -> int:
+        """Run the controller's converging rebalance over every resident
+        key (see
         :meth:`~repro.cluster.network.ClusterController.rebalance`)."""
-        return self.controller.rebalance(keys)
+        return self.controller.rebalance()
 
     def stats(self) -> ClusterStats:
         """Router counters plus every member's engine snapshot."""

@@ -263,8 +263,7 @@ def _build_cluster(plan: ClusterChaosPlan, directory: Optional[str],
     def latency_factory(index: int) -> LatencyModel:
         spike_rate = plan.spike_rate if index == 2 % plan.num_nodes else 0.0
         return LatencyModel(
-            base=0.001, spike=0.05, spike_rate=spike_rate,
-            seed=plan.seed + seed_salt + 7919 * index,
+            spike_rate=spike_rate, seed=plan.seed + seed_salt + 7919 * index
         )
 
     cluster = ClusterKVCache(

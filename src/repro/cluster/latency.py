@@ -46,27 +46,20 @@ class LatencyModel:
     sample streams, so hedging behaviour is reproducible run to run.
 
     Args:
-        base: common-case request latency, seconds.
-        spike: extra latency a tail request pays, seconds.
         spike_rate: probability of a tail request.
         seed: deterministic seed.
     """
 
-    def __init__(
-        self,
-        base: float = 0.001,
-        spike: float = 0.05,
-        spike_rate: float = 0.0,
-        seed: int = 0,
-    ):
-        if base < 0 or spike < 0:
-            raise ValueError("latencies must be >= 0")
+    #: Common-case request latency, seconds.
+    base = 0.001
+    #: Extra latency a tail request pays, seconds.
+    spike = 0.05
+
+    def __init__(self, spike_rate: float = 0.0, seed: int = 0):
         if not 0.0 <= spike_rate <= 1.0:
             raise ValueError(
                 f"spike_rate must be in [0,1], got {spike_rate}"
             )
-        self.base = base
-        self.spike = spike
         self.spike_rate = spike_rate
         self._rng = DeterministicRNG(seed)
         self.samples = 0

@@ -19,7 +19,7 @@ checkpoint/resume reproducibility.
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.online.keyspace import key_fingerprint
 
@@ -127,8 +127,3 @@ class HashRing:
         if not owners:
             raise LookupError("the ring has no members")
         return owners[0]
-
-    def assignment(self, fingerprints: Sequence[int],
-                   n: int = 1) -> List[Tuple[str, ...]]:
-        """Preference lists for a batch of fingerprints (test helper)."""
-        return [tuple(self.owners(fp, n)) for fp in fingerprints]

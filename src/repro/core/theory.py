@@ -103,7 +103,6 @@ def adversarial_trace(
     ways: int,
     phase_length: int,
     phases: int,
-    target_set: int = 0,
     num_sets: int = 1,
 ) -> List[int]:
     """A trace that alternates LRU-hostile and LFU-hostile phases.
@@ -115,7 +114,8 @@ def adversarial_trace(
     LRU adapts immediately). An adaptive policy must switch components
     every phase to stay within its bound.
 
-    Returns block addresses all mapping to ``target_set``.
+    Returns block addresses all mapping to set 0 of a ``num_sets``-set
+    cache.
     """
     if ways <= 0 or phase_length <= 0 or phases <= 0:
         raise ValueError("ways, phase_length and phases must be positive")
@@ -134,5 +134,5 @@ def adversarial_trace(
                 else:
                     fresh += 1
                     trace.append(fresh)
-    # Map every block id onto the target set of an num_sets-set cache.
-    return [block * num_sets + target_set for block in trace]
+    # Map every block id onto set 0 of an num_sets-set cache.
+    return [block * num_sets for block in trace]

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from repro.utils.bitops import is_power_of_two
 
+#: Global-history bits gshare XORs into its index.
+HISTORY_BITS = 12
+
 
 class _CounterTable:
     """A table of 2-bit saturating counters."""
@@ -53,12 +56,10 @@ class BimodalPredictor:
 class GsharePredictor:
     """Global-history predictor: PC XOR history indexes the counters."""
 
-    def __init__(self, entries: int = 64 * 1024, history_bits: int = 12):
-        if history_bits <= 0:
-            raise ValueError(f"history_bits must be positive, got {history_bits}")
+    def __init__(self, entries: int = 64 * 1024):
         self._counters = _CounterTable(entries)
         self._history = 0
-        self._history_mask = (1 << history_bits) - 1
+        self._history_mask = (1 << HISTORY_BITS) - 1
 
     def _index(self, pc: int) -> int:
         return self._counters.index((pc >> 2) ^ self._history)
@@ -80,13 +81,9 @@ class MetaPredictor:
     each PC; prediction follows the currently favoured component.
     """
 
-    def __init__(
-        self,
-        entries: int = 64 * 1024,
-        history_bits: int = 12,
-    ):
+    def __init__(self, entries: int = 64 * 1024):
         self.bimodal = BimodalPredictor(entries)
-        self.gshare = GsharePredictor(entries, history_bits)
+        self.gshare = GsharePredictor(entries)
         self._meta = _CounterTable(entries, init=2)  # slight gshare bias
         self.predictions = 0
         self.mispredictions = 0

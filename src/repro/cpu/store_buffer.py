@@ -22,25 +22,21 @@ class StoreBuffer:
     line that already has an in-flight entry are combined and consume no
     new entry.
 
+    Drains complete independently, modelling a banked memory system:
+    at the synthetic suite's miss intensities a single shared write
+    channel saturates and masks replacement effects (see
+    docs/timing-model.md).
+
     Args:
         capacity: number of entries.
-        serialize_drains: when True, entries drain one after another —
-            a single shared write channel, useful for bandwidth
-            studies. The default (False) lets drains complete
-            independently, modelling a banked memory system; the
-            synthetic suite's miss intensities are high enough that a
-            fully serialized channel saturates and masks replacement
-            effects (see docs/timing-model.md).
     """
 
-    def __init__(self, capacity: int, serialize_drains: bool = False):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.serialize_drains = serialize_drains
         self._completions = []  # heap of (completion_time, line)
         self._inflight_lines = {}  # line -> count of heap entries
-        self._last_drain_end = 0.0
         self.pushes = 0
         self.combines = 0
         self.stalls = 0
@@ -81,11 +77,6 @@ class StoreBuffer:
             now = wait_until
             self._drain(now)
         key = line if line is not None else -self.pushes
-        if self.serialize_drains:
-            completion = max(now, self._last_drain_end) + latency
-            self._last_drain_end = completion
-        else:
-            completion = now + latency
-        heapq.heappush(self._completions, (completion, key))
+        heapq.heappush(self._completions, (now + latency, key))
         self._inflight_lines[key] = self._inflight_lines.get(key, 0) + 1
         return now

@@ -53,7 +53,6 @@ def _cluster(replication: int, capacity: int, seed: int) -> ClusterKVCache:
         seed=seed,
         hedge_after=0.01,
         latency_factory=lambda index: LatencyModel(
-            base=0.001, spike=0.05,
             spike_rate=0.1 if index == NUM_NODES - 1 else 0.0,
             seed=seed + 7919 * index,
         ),

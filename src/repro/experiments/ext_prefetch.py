@@ -31,9 +31,9 @@ def _prefetchers() -> Dict[str, Callable[[], Optional[Prefetcher]]]:
     return {
         "none": lambda: None,
         "nextline": lambda: NextLinePrefetcher(degree=2),
-        "stride": lambda: StridePrefetcher(degree=2),
+        "stride": StridePrefetcher,
         "hybrid": lambda: AdaptiveHybridPrefetcher(
-            [NextLinePrefetcher(degree=2), StridePrefetcher(degree=2)]
+            [NextLinePrefetcher(degree=2), StridePrefetcher()]
         ),
     }
 

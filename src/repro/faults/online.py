@@ -432,7 +432,7 @@ def _serving_phase(plan: ChaosPlan, keys: List[int],
     )
     resilient = ResilientKVCache(
         engine,
-        retry=RetryPolicy(attempts=3, backoff=0.05, budget=5.0),
+        retry=RetryPolicy(backoff=0.05, budget=5.0),
         breaker_factory=lambda: CircuitBreaker(
             failure_threshold=4, recovery_timeout=10.0, clock=clock
         ),

@@ -93,22 +93,12 @@ class FaultPlan:
         object.__setattr__(self, "specs", tuple(self.specs))
 
     @classmethod
-    def uniform(
-        cls,
-        rate: float,
-        sites: Tuple[str, ...] = ALL_SITES,
-        seed: int = 0,
-        bits: int = 1,
-        mode: str = "scramble",
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> "FaultPlan":
-        """One spec per site, all at the same ``rate``."""
-        specs = tuple(
-            FaultSpec(site, rate, start=start, stop=stop, bits=bits, mode=mode)
-            for site in sites
+    def uniform(cls, rate: float, seed: int = 0) -> "FaultPlan":
+        """One default-shaped spec per site, all at the same ``rate``."""
+        return cls(
+            specs=tuple(FaultSpec(site, rate) for site in ALL_SITES),
+            seed=seed,
         )
-        return cls(specs=specs, seed=seed)
 
     def is_quiet(self) -> bool:
         """True when no spec can ever fire (all rates zero or no specs)."""

@@ -151,17 +151,14 @@ class AdaptiveKVCache:
             clock=self._clock,
         )
 
-    def rebuild_shard(self, index: int, shard_state: Optional[dict] = None
-                      ) -> CacheShard:
+    def rebuild_shard(self, index: int) -> CacheShard:
         """Replace shard ``index`` with a freshly built one.
 
         The quarantine-recovery primitive: the old shard object (and
         whatever corruption it carries) is dropped wholesale; the new
-        shard starts empty — counters included — or, when
-        ``shard_state`` (one element of a persisted snapshot's
-        ``"shards"`` list) is given, restored from it. In-flight
-        operations holding the old shard's lock finish against the old
-        object; new routes see the replacement.
+        shard starts empty, counters included. In-flight operations
+        holding the old shard's lock finish against the old object;
+        new routes see the replacement.
 
         Returns:
             The new shard.
@@ -170,8 +167,6 @@ class AdaptiveKVCache:
             raise IndexError(f"shard index {index} out of range")
         base, remainder = divmod(self.capacity_entries, self.num_shards)
         shard = self._build_shard(index, base, remainder)
-        if shard_state is not None:
-            shard.load_state_dict(shard_state)
         self.shards[index] = shard
         return shard
 
@@ -290,7 +285,6 @@ class AdaptiveKVCache:
             degraded=totals.get("degraded", 0),
             policy_switches=totals.get("policy_switches", 0),
             occupancy=totals.get("occupancy", 0),
-            occupancy_bytes=0,  # no byte budget; kept for the stats shape
             capacity_entries=self.capacity_entries,
             shards=self.num_shards,
             per_shard_occupancy=per_shard_occupancy,

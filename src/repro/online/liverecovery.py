@@ -72,6 +72,8 @@ from repro.online.persistence import (
 
 #: Pending-view marker for a deferred delete.
 _TOMBSTONE = object()
+#: A replaying shard's answer for a key it neither holds nor has pending.
+_UNKNOWN = object()
 
 
 class RecoveryInProgress(RuntimeError):
@@ -404,35 +406,34 @@ class LiveRecoveringKVCache(PersistentKVCache):
         self._pending_view[index][key] = view
         self.recovery.deferred_writes += 1
 
-    def _recovering_get_locked(self, index: int, key, default):
+    def _recovering_lookup_locked(self, index: int, key):
+        """What replaying shard ``index`` knows of ``key``: its pending
+        write (``_TOMBSTONE`` for a pending delete), else a stale peek
+        of the replayed prefix, else ``_UNKNOWN``."""
         view = self._pending_view[index]
         if key in view:
-            value = view[key]
-            self.recovery.stale_serves += 1
-            return default if value is _TOMBSTONE else value
+            return view[key]
         found, value = self.cache.shards[index].peek_stale(key)
-        if found:
-            self.recovery.stale_serves += 1
-            return value
-        self.recovery.refused_reads += 1
-        return default
+        return value if found else _UNKNOWN
+
+    def _recovering_get_locked(self, index: int, key, default):
+        value = self._recovering_lookup_locked(index, key)
+        if value is _UNKNOWN:
+            self.recovery.refused_reads += 1
+            return default
+        # A pending delete answers too: the key is gone.
+        self.recovery.stale_serves += 1
+        return default if value is _TOMBSTONE else value
 
     def _recovering_read_locked(self, index: int, key):
-        view = self._pending_view[index]
-        if key in view:
-            value = view[key]
-            if value is not _TOMBSTONE:
-                self.recovery.stale_serves += 1
-                return value
-        else:
-            found, value = self.cache.shards[index].peek_stale(key)
-            if found:
-                self.recovery.stale_serves += 1
-                return value
-        self.recovery.refused_reads += 1
-        raise RecoveryInProgress(
-            f"shard {index} is still replaying its WAL prefix"
-        )
+        value = self._recovering_lookup_locked(index, key)
+        if value is _UNKNOWN or value is _TOMBSTONE:
+            self.recovery.refused_reads += 1
+            raise RecoveryInProgress(
+                f"shard {index} is still replaying its WAL prefix"
+            )
+        self.recovery.stale_serves += 1
+        return value
 
     def _promote_locked(self) -> None:
         done = self._cursor >= len(self._items)

@@ -95,9 +95,7 @@ def read_record(handle: BinaryIO) -> Optional[Tuple[tuple, int]]:
     return pickle.loads(payload), _RECORD_HEADER + length
 
 
-def iter_wal(
-    path: str, end: Optional[int] = None
-) -> Iterator[Tuple[tuple, int]]:
+def iter_wal(path: str) -> Iterator[Tuple[tuple, int]]:
     """Stream a WAL file record by record, tolerating a torn tail.
 
     Yields ``(record, end_offset)`` pairs — the decoded operation and
@@ -107,12 +105,6 @@ def iter_wal(
     decoding; everything before it is trusted (each record carries its
     own CRC, so corruption cannot silently pass). A missing file
     yields nothing.
-
-    Args:
-        path: the WAL file.
-        end: optional byte bound — decoding stops at the first record
-            whose frame would cross it, so a reader can stop at a known
-            intact prefix while new records are appended past it.
     """
     try:
         handle = open(path, "rb")
@@ -126,8 +118,6 @@ def iter_wal(
                 return
             record, size = frame
             offset += size
-            if end is not None and offset > end:
-                return
             yield record, offset
 
 
@@ -135,7 +125,7 @@ def write_snapshot(path: str, state: dict) -> None:
     """Atomically write a CRC-guarded snapshot frame."""
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     crc = zlib.crc32(payload)
-    with atomic_output(path, "wb") as handle:
+    with atomic_output(path) as handle:
         handle.write(SNAPSHOT_MAGIC)
         handle.write(crc.to_bytes(4, "little"))
         handle.write(len(payload).to_bytes(8, "little"))

@@ -73,36 +73,27 @@ class LoaderUnavailable(RuntimeError):
 
 
 class RetryPolicy:
-    """A bounded retry schedule for loader calls.
+    """A bounded retry schedule for loader calls: at most ``attempts``
+    loader invocations per request, the backoff growing by
+    ``multiplier`` per further attempt.
 
     Args:
-        attempts: maximum loader invocations per request (>= 1).
         backoff: sleep before the second attempt, seconds.
-        multiplier: backoff growth factor per further attempt.
         budget: optional total elapsed-seconds budget for the whole
             schedule; checked *between* attempts (cooperative — a hung
             loader is not preempted, further attempts are just not
             started).
     """
 
-    def __init__(
-        self,
-        attempts: int = 3,
-        backoff: float = 0.05,
-        multiplier: float = 2.0,
-        budget: Optional[float] = None,
-    ):
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
+    attempts = 3
+    multiplier = 2.0
+
+    def __init__(self, backoff: float = 0.05, budget: Optional[float] = None):
         if backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {backoff}")
-        if multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {multiplier}")
         if budget is not None and budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
-        self.attempts = attempts
         self.backoff = backoff
-        self.multiplier = multiplier
         self.budget = budget
 
 
@@ -310,9 +301,11 @@ class ResilientKVCache(KVLayer):
             default uses the breaker's defaults.
         sleep: backoff sleep function (injectable for tests).
         clock: monotonic time source for the retry budget.
-        min_ready_fraction: smallest fraction of unquarantined shards
-            for which :meth:`ready` still answers True.
     """
+
+    #: Smallest fraction of serving shards for which :meth:`ready`
+    #: still answers True.
+    min_ready_fraction = 0.5
 
     def __init__(
         self,
@@ -321,13 +314,7 @@ class ResilientKVCache(KVLayer):
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        min_ready_fraction: float = 0.5,
     ):
-        if not 0.0 < min_ready_fraction <= 1.0:
-            raise ValueError(
-                f"min_ready_fraction must be in (0, 1], got "
-                f"{min_ready_fraction}"
-            )
         super().__init__(cache)
         # Only a live-recovering wrapper has shards still replaying;
         # over anything else every shard counts as serving.
@@ -342,7 +329,6 @@ class ResilientKVCache(KVLayer):
         ]
         self._sleep = sleep
         self._clock = clock
-        self.min_ready_fraction = min_ready_fraction
         self._quarantined = set()
 
     # ------------------------------------------------------------------
@@ -565,17 +551,10 @@ class ResilientKVCache(KVLayer):
             raise IndexError(f"shard index {index} out of range")
         self._quarantined.add(index)
 
-    def rebuild(self, index: int, shard_state: Optional[dict] = None) -> None:
-        """Swap in a fresh shard and return it to service.
-
-        Args:
-            index: the quarantined shard.
-            shard_state: optional shard entry from a persisted
-                snapshot's ``"shards"`` list
-                (:func:`repro.online.persistence.read_snapshot`) to
-                restore instead of starting empty.
-        """
-        self.engine.rebuild_shard(index, shard_state)
+    def rebuild(self, index: int) -> None:
+        """Swap in an empty shard for quarantined ``index`` and return
+        it to service."""
+        self.engine.rebuild_shard(index)
         self._quarantined.discard(index)
 
     def quarantined(self) -> frozenset:

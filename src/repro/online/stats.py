@@ -35,9 +35,10 @@ class KVCacheStats:
         policy_switches: imitation-target changes across all selectors
             (per-shard and, in sampled mode, the global one).
         occupancy: resident entries at snapshot time.
-        occupancy_bytes: always 0; the cache keeps no byte budget. The
-            field stays so the stats shape, which the e2e pins hash
-            through ``asdict``, does not change.
+        occupancy_bytes: always 0, and not a constructor argument; the
+            cache keeps no byte budget. The field stays so the stats
+            shape, which the e2e pins hash through ``asdict``, does not
+            change.
         capacity_entries: total entry capacity across shards.
         shards: shard count.
         per_shard_occupancy: resident entries per shard (load-balance
@@ -57,7 +58,7 @@ class KVCacheStats:
     degraded: int = 0
     policy_switches: int = 0
     occupancy: int = 0
-    occupancy_bytes: int = 0
+    occupancy_bytes: int = field(default=0, init=False)
     capacity_entries: int = 0
     shards: int = 0
     per_shard_occupancy: List[int] = field(default_factory=list)

@@ -574,12 +574,12 @@ def _run(plan, cache, addresses, writes, rec) -> int:
     )
 
 
-def maybe_columnar(cache, addresses, writes=None) -> Optional[int]:
+def maybe_columnar(cache, addresses, writes) -> Optional[int]:
     """The dispatch hook behind ``SetAssociativeCache.access_many``.
 
     Returns the hit count when the columnar kernel ran the batch, or
     None when the scalar loop should (see :func:`_columnar_plan`).
-    ``writes``, when given, must match ``addresses`` in length;
+    ``writes``, when not None, must match ``addresses`` in length;
     ``access_many`` checks that before dispatching.
     """
     plan = _columnar_plan(cache, len(addresses))

@@ -41,17 +41,16 @@ class ParallelRunner:
 
     Args:
         workers: worker process count; values above 1 parallelize.
-        max_pool_restarts: how many times a crashed pool is rebuilt
-            before the remaining tasks fall back to in-process runs.
     """
 
-    def __init__(self, workers: int, max_pool_restarts: int = 2):
+    #: How many times a crashed pool is rebuilt before the remaining
+    #: tasks fall back to in-process runs.
+    MAX_POOL_RESTARTS = 2
+
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        if max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be >= 0")
-        self.max_pool_restarts = max_pool_restarts
         self.pool_restarts = 0
         self.fallback_tasks = 0
 
@@ -60,10 +59,10 @@ class ParallelRunner:
 
         ``fn`` must be module-level and its tasks and results picklable.
         A pool that dies is rebuilt for the unfinished tasks; after
-        ``max_pool_restarts`` rebuilds they run in-process.
+        ``MAX_POOL_RESTARTS`` rebuilds they run in-process.
         """
         remaining = list(tasks)
-        restarts_left = self.max_pool_restarts
+        restarts_left = self.MAX_POOL_RESTARTS
         while remaining:
             finished = set()
             try:

@@ -67,20 +67,14 @@ class PrefetchingCache:
             prefetch fills; use :attr:`stats` for demand-only numbers).
         prefetcher: candidate generator; adaptive hybrids additionally
             receive per-prefetch usefulness feedback.
-        degree_budget: maximum prefetches issued per demand access.
     """
 
-    def __init__(
-        self,
-        cache: SetAssociativeCache,
-        prefetcher: Prefetcher,
-        degree_budget: int = 4,
-    ):
-        if degree_budget <= 0:
-            raise ValueError(f"degree_budget must be positive, got {degree_budget}")
+    #: Most prefetches issued per demand access.
+    degree_budget = 4
+
+    def __init__(self, cache: SetAssociativeCache, prefetcher: Prefetcher):
         self.cache = cache
         self.prefetcher = prefetcher
-        self.degree_budget = degree_budget
         self.stats = PrefetchStats()
         # (set_index, tag) -> the request that brought the line in.
         self._pending: Dict[Tuple[int, int], PrefetchRequest] = {}

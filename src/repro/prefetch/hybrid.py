@@ -10,7 +10,7 @@ the better recent record.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.history import BitVectorHistory, MissHistory
 from repro.prefetch.base import Prefetcher, PrefetchRequest
@@ -25,39 +25,36 @@ class AdaptiveHybridPrefetcher(Prefetcher):
     :meth:`record_outcome`; a useless prefetch is the analogue of a miss
     in the cache scheme's history.
 
+    Usefulness is kept over a window of the last ``window`` outcomes.
+    For the first ``probation`` observations *all* components'
+    candidates are issued, so each accumulates a record before
+    selection narrows (the cache scheme gets this for free because
+    shadow tags always run; prefetch outcomes only exist for issued
+    prefetches).
+
     Args:
         components: component prefetchers, order = tie-break priority.
-        history: usefulness history; defaults to a 32-event window.
-        probation: issue *all* components' candidates for the first
-            ``probation`` observations so each accumulates a record
-            before selection narrows (the cache scheme gets this for
-            free because shadow tags always run; prefetch outcomes only
-            exist for issued prefetches).
     """
 
     name = "adaptive-hybrid"
+    #: Outcomes the usefulness history remembers.
+    window = 32
+    #: Observations during which every component's candidates issue.
+    probation = 512
 
-    def __init__(
-        self,
-        components: Sequence[Prefetcher],
-        history: Optional[MissHistory] = None,
-        probation: int = 512,
-    ):
+    def __init__(self, components: Sequence[Prefetcher]):
         if len(components) < 2:
             raise ValueError(
                 f"hybrid needs at least 2 components, got {len(components)}"
             )
-        if probation < 0:
-            raise ValueError(f"probation must be >= 0, got {probation}")
         self.components = list(components)
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ValueError(f"component names must be unique, got {names}")
         self._index = {c.name: i for i, c in enumerate(self.components)}
-        self.history = history or BitVectorHistory(
-            len(self.components), window=32
+        self.history: MissHistory = BitVectorHistory(
+            len(self.components), window=self.window
         )
-        self.probation = probation
         self.observations = 0
         self.name = "adaptive(" + "+".join(names) + ")"
 

@@ -17,14 +17,13 @@ class NextLinePrefetcher(Prefetcher):
 
     name = "nextline"
 
-    def __init__(self, degree: int = 1, on_hit_too: bool = False):
+    def __init__(self, degree: int = 1):
         if degree <= 0:
             raise ValueError(f"degree must be positive, got {degree}")
         self.degree = degree
-        self.on_hit_too = on_hit_too
 
     def observe(self, block: int, was_hit: bool) -> List[PrefetchRequest]:
-        if was_hit and not self.on_hit_too:
+        if was_hit:
             return []
         return [
             PrefetchRequest(block + i, self.name)

@@ -29,23 +29,16 @@ class StridePrefetcher(Prefetcher):
     """
 
     name = "stride"
+    #: Regions are ``2**region_bits`` blocks wide.
+    region_bits = 8
+    #: Regions tracked at once; the least recently used one is dropped.
+    table_entries = 64
+    #: Strides issued ahead once an entry is trained.
+    degree = 2
+    #: Confirmations of one delta before the entry issues.
+    confidence_threshold = 2
 
-    def __init__(
-        self,
-        region_bits: int = 8,
-        table_entries: int = 64,
-        degree: int = 2,
-        confidence_threshold: int = 2,
-    ):
-        if region_bits <= 0 or table_entries <= 0 or degree <= 0:
-            raise ValueError("region_bits, table_entries and degree must be "
-                             "positive")
-        if confidence_threshold <= 0:
-            raise ValueError("confidence_threshold must be positive")
-        self.region_bits = region_bits
-        self.table_entries = table_entries
-        self.degree = degree
-        self.confidence_threshold = confidence_threshold
+    def __init__(self):
         self._table: Dict[int, _RegionEntry] = {}
         self._lru = 0
         self._use: Dict[int, int] = {}

@@ -69,7 +69,13 @@ from repro.online.resilience import (
 )
 from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
 from repro.serve.sketch import LatencySketch, exact_quantile
-from repro.serve.stack import RegimePlan, backend_value, build_stack, default_plans
+from repro.serve.stack import (
+    REPLAY_INTERVAL,
+    RegimePlan,
+    backend_value,
+    build_stack,
+    default_plans,
+)
 from repro.serve.vloop import VirtualTimeEventLoop
 from repro.tiers.kv import TieredKVCache
 
@@ -137,9 +143,7 @@ class _Accumulator:
     unavailable: int = 0
     wrong: int = 0
     refused: int = 0
-    sketch: LatencySketch = field(
-        default_factory=lambda: LatencySketch(relative_error=0.01)
-    )
+    sketch: LatencySketch = field(default_factory=LatencySketch)
     latencies: List[float] = field(default_factory=list)
     boundary: Optional[object] = None
 
@@ -150,9 +154,7 @@ class _RecoveryTracker:
 
     live: LiveRecoveringKVCache
     interval: float
-    sketch: LatencySketch = field(
-        default_factory=lambda: LatencySketch(relative_error=0.01)
-    )
+    sketch: LatencySketch = field(default_factory=LatencySketch)
     start: Optional[float] = None
     completed_at: Optional[float] = None
 
@@ -274,7 +276,7 @@ def run_regime(plan: RegimePlan) -> RegimeReport:
             directory = tempfile.mkdtemp(prefix="repro-serve-recovery-")
         front, loader, budget, live = build_stack(plan, loop.time, directory)
         if live is not None:
-            recovery = _RecoveryTracker(live, plan.replay_interval)
+            recovery = _RecoveryTracker(live, REPLAY_INTERVAL)
 
         async def main():
             return await _drive(plan, front, loader, recovery)

@@ -16,8 +16,8 @@ adversarial distributions): for any quantile ``q`` over recorded values
     |sketch.quantile(q) - exact_quantile(values, q)|
         <= relative_error * exact_quantile(values, q).
 
-Sketches over the same ``relative_error`` merge losslessly (bucket-wise
-addition), so per-shard or per-regime sketches can be combined.
+Sketches merge losslessly (bucket-wise addition), so per-shard or
+per-regime sketches can be combined.
 """
 
 from __future__ import annotations
@@ -43,27 +43,18 @@ def exact_quantile(values: Sequence[float], q: float) -> float:
 
 
 class LatencySketch:
-    """A mergeable log-bucketed quantile sketch.
+    """A mergeable log-bucketed quantile sketch."""
 
-    Args:
-        relative_error: the quantile accuracy bound (default 1%).
-        min_value: values at or below this collapse into a zero bucket
-            reported as ``min_value`` — sub-resolution latencies are
-            all "effectively instant".
-    """
+    #: The quantile accuracy bound.
+    relative_error = 0.01
+    #: Values at or below this collapse into a zero bucket reported as
+    #: ``min_value``: sub-resolution latencies are all "effectively
+    #: instant".
+    min_value = 1e-9
+    _gamma = (1.0 + relative_error) / (1.0 - relative_error)
+    _log_gamma = math.log(_gamma)
 
-    def __init__(self, relative_error: float = 0.01,
-                 min_value: float = 1e-9):
-        if not 0.0 < relative_error < 1.0:
-            raise ValueError(
-                f"relative_error must be in (0, 1), got {relative_error}"
-            )
-        if min_value <= 0:
-            raise ValueError(f"min_value must be positive, got {min_value}")
-        self.relative_error = relative_error
-        self.min_value = min_value
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
-        self._log_gamma = math.log(self._gamma)
+    def __init__(self):
         self._buckets: Dict[int, int] = {}
         self._zero = 0
         self.count = 0
@@ -126,12 +117,7 @@ class LatencySketch:
         return [self.quantile(q) for q in qs]
 
     def merge(self, other: "LatencySketch") -> None:
-        """Fold ``other`` into this sketch (same accuracy config only)."""
-        if (other.relative_error != self.relative_error
-                or other.min_value != self.min_value):
-            raise ValueError(
-                "cannot merge sketches with different accuracy configs"
-            )
+        """Fold ``other`` into this sketch."""
         for key, count in other._buckets.items():
             self._buckets[key] = self._buckets.get(key, 0) + count
         self._zero += other._zero

@@ -48,6 +48,12 @@ CAPACITY_ENTRIES = 256
 SERVICE_TIME = 0.001
 #: Backend service time, seconds, awaited per loader call.
 MISS_LATENCY = 0.005
+#: Entries of the tiered front's near shard.
+NEAR_CAPACITY = 64
+#: WAL records a recovery regime replays per background step, and the
+#: virtual seconds between steps.
+REPLAY_CHUNK_OPS = 200
+REPLAY_INTERVAL = 0.04
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,12 @@ class RegimePlan:
     Every regime serves from a :data:`CAPACITY_ENTRIES`-entry adaptive
     engine (the engine's default 8 shards, LRU and LFU components), pays
     :data:`SERVICE_TIME` in its slot per request and :data:`MISS_LATENCY`
-    per loader call, and retries a failed load up to 3 attempts with a
-    5 ms backoff.
+    per loader call, retries a failed load up to 3 attempts with a
+    5 ms backoff, and opens a shard's breaker after the breaker's
+    default 5 consecutive failures. A tiered front's near shard holds
+    :data:`NEAR_CAPACITY` entries; a recovery regime
+    replays :data:`REPLAY_CHUNK_OPS` WAL records every
+    :data:`REPLAY_INTERVAL` virtual seconds.
 
     Attributes:
         name: regime label (report key).
@@ -74,7 +84,7 @@ class RegimePlan:
         ttl: entry TTL, seconds (None = no expiry; the degraded regime
             needs one so stale serving is reachable).
         retry_budget_tokens: the shared retry-token pool.
-        breaker_threshold / breaker_timeout: per-shard breaker tuning.
+        breaker_timeout: per-shard breaker cooldown, seconds.
         quarantine_shards / quarantine_at / rebuild_at: the chaos
             schedule — shards taken out of service at ``quarantine_at``
             (virtual seconds from stream start) and rebuilt empty at
@@ -82,7 +92,6 @@ class RegimePlan:
         front: ``"resilient"`` (the ladder over the engine, the
             default) or ``"tiered"`` (the ladder over the near/far
             :func:`~repro.tiers.kv.tiered_front` of the engine).
-        near_capacity: near-shard entry capacity for the tiered front.
         recover_ops: when > 0 this is a *recovery* regime — a
             persistent cache is seeded with this many requests from the
             stream's own prefix, killed, and restarted through live WAL
@@ -91,8 +100,6 @@ class RegimePlan:
             digest check against stop-the-world recovery is exact
             (stale serving and degradation mutate engine counters the
             reference replay never sees).
-        replay_chunk_ops / replay_interval: WAL records replayed per
-            background step, and the virtual seconds between steps.
         seed: master seed (stream and loader fork from it).
     """
 
@@ -109,16 +116,12 @@ class RegimePlan:
     burst: int = 0
     ttl: Optional[float] = None
     retry_budget_tokens: Optional[int] = 32
-    breaker_threshold: int = 5
     breaker_timeout: float = 0.5
     quarantine_shards: Tuple[int, ...] = ()
     quarantine_at: Optional[float] = None
     rebuild_at: Optional[float] = None
     front: str = "resilient"
-    near_capacity: int = 64
     recover_ops: int = 0
-    replay_chunk_ops: int = 200
-    replay_interval: float = 0.04
     seed: int = 0
 
 
@@ -134,8 +137,7 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     duration = 1.5 if quick else 5.0
     steady = RegimePlan(
         name="steady",
-        spec=StreamSpec(rate=1500.0, universe=512, alpha=1.0, mix="B",
-                        clients=16, seed=seed),
+        spec=StreamSpec(rate=1500.0, mix="B", clients=16, seed=seed),
         warmup=warmup,
         duration=duration,
         concurrency=8,
@@ -147,9 +149,8 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     )
     overload = RegimePlan(
         name="overload",
-        spec=StreamSpec(rate=2500.0, universe=512, alpha=1.0, mix="C",
-                        clients=16, process="mmpp", burst_rate=8000.0,
-                        mean_dwell=1.0, burst_dwell=0.5, seed=seed + 1),
+        spec=StreamSpec(rate=2500.0, mix="C", clients=16, process="mmpp",
+                        burst_rate=8000.0, mean_dwell=1.0, seed=seed + 1),
         warmup=warmup,
         duration=duration,
         concurrency=4,
@@ -163,8 +164,7 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     rebuild_at = warmup + 0.7 * duration
     degraded = RegimePlan(
         name="degraded",
-        spec=StreamSpec(rate=1500.0, universe=512, alpha=1.0, mix="B",
-                        clients=16, seed=seed + 2),
+        spec=StreamSpec(rate=1500.0, mix="B", clients=16, seed=seed + 2),
         warmup=warmup,
         duration=duration,
         concurrency=8,
@@ -174,7 +174,6 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
         burst=6,
         ttl=1.0,
         retry_budget_tokens=4,
-        breaker_threshold=5,
         breaker_timeout=0.25,
         quarantine_shards=(1, 5),
         quarantine_at=chaos_at,
@@ -186,8 +185,7 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
     # degraded replay phase and the recovered steady state.
     recovery = RegimePlan(
         name="recovery",
-        spec=StreamSpec(rate=1500.0, universe=512, alpha=1.0, mix="B",
-                        clients=16, seed=seed + 3),
+        spec=StreamSpec(rate=1500.0, mix="B", clients=16, seed=seed + 3),
         warmup=0.0,
         duration=duration,
         concurrency=8,
@@ -196,14 +194,11 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
         ttl=None,
         failure_rate=0.0,
         recover_ops=3000 if quick else 8000,
-        replay_chunk_ops=200,
-        replay_interval=0.04,
         seed=seed + 3,
     )
     steady_tiered = RegimePlan(
         name="steady_tiered",
-        spec=StreamSpec(rate=1500.0, universe=512, alpha=1.0, mix="B",
-                        clients=16, seed=seed + 4),
+        spec=StreamSpec(rate=1500.0, mix="B", clients=16, seed=seed + 4),
         warmup=warmup,
         duration=duration,
         concurrency=8,
@@ -212,7 +207,6 @@ def default_plans(quick: bool = False, seed: int = 0) -> List[RegimePlan]:
         spike_latency=0.04,
         spike_rate=0.02,
         front="tiered",
-        near_capacity=64,
         seed=seed + 4,
     )
     return [steady, overload, degraded, recovery, steady_tiered]
@@ -242,15 +236,9 @@ def _build_loader(plan: RegimePlan) -> AsyncFlakyLoader:
 def _resilient_over(cache, plan: RegimePlan, clock) -> ResilientKVCache:
     return ResilientKVCache(
         cache,
-        retry=RetryPolicy(
-            attempts=3,
-            backoff=0.005,
-            budget=plan.deadline,
-        ),
+        retry=RetryPolicy(backoff=0.005, budget=plan.deadline),
         breaker_factory=lambda: CircuitBreaker(
-            failure_threshold=plan.breaker_threshold,
-            recovery_timeout=plan.breaker_timeout,
-            clock=clock,
+            recovery_timeout=plan.breaker_timeout, clock=clock
         ),
         clock=clock,
     )
@@ -279,7 +267,7 @@ def build_stack(plan: RegimePlan, clock,
         seed_persistent(plan, directory, clock)
         cache = live = LiveRecoveringKVCache(
             directory,
-            chunk_ops=plan.replay_chunk_ops,
+            chunk_ops=REPLAY_CHUNK_OPS,
             snapshot_every=None,
             wal_flush_ops=1,
             clock=clock,
@@ -289,7 +277,7 @@ def build_stack(plan: RegimePlan, clock,
         if plan.front == "tiered":
             cache = tiered_front(
                 cache,
-                near_capacity=plan.near_capacity,
+                near_capacity=NEAR_CAPACITY,
                 far_capacity=CAPACITY_ENTRIES,
                 seed=plan.seed,
             )

@@ -34,8 +34,7 @@ class KVTier:
     """One tier of a key-value topology.
 
     Wraps any :class:`~repro.online.contract.KVStore` — which all
-    three engines are — plus a latency annotation pair mirroring the
-    hardware tier graph's node/edge costs.
+    three engines are — plus the cost of probing it.
 
     Args:
         name: unique tier name (reporting, stats).
@@ -43,32 +42,19 @@ class KVTier:
         capacity: entry capacity, used to size adaptive placement's
             shadow topologies (informational otherwise).
         hit_latency: cost charged for probing this tier.
-        transfer_cost: cost of this tier's down-edge.
     """
 
-    __slots__ = ("name", "store", "capacity", "hit_latency", "transfer_cost")
+    __slots__ = ("name", "store", "capacity", "hit_latency")
 
-    def __init__(
-        self,
-        name: str,
-        store,
-        capacity: int,
-        hit_latency: int = 1,
-        transfer_cost: int = 0,
-    ):
+    def __init__(self, name: str, store, capacity: int, hit_latency: int = 1):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if hit_latency <= 0:
             raise ValueError(f"hit_latency must be positive, got {hit_latency}")
-        if transfer_cost < 0:
-            raise ValueError(
-                f"transfer_cost must be non-negative, got {transfer_cost}"
-            )
         self.name = name
         self.store = store
         self.capacity = capacity
         self.hit_latency = hit_latency
-        self.transfer_cost = transfer_cost
 
     def lookup(self, key):
         """``(found, value)`` — a probe, never a fill."""
@@ -94,7 +80,7 @@ class TieredKVResult:
         value: the value served (None on a plain-get total miss).
         served_by: tier name, the backing name, or None (total miss on
             a plain get, which consults no backing).
-        latency: accumulated probe + transfer + backing cost.
+        latency: accumulated probe + backing cost.
         admitted: names of tiers that installed a copy, near-to-far.
     """
 
@@ -215,7 +201,6 @@ class TieredKVCache:
                 name = tier.name
                 self.serves[name] += 1
                 break
-            latency += tier.transfer_cost
         else:
             if loader is None:
                 self.total_latency += latency

@@ -27,10 +27,10 @@ _warned_dir_fsync = False
 
 
 @contextlib.contextmanager
-def atomic_output(path: Pathish, mode: str = "wb") -> Iterator[IO]:
+def atomic_output(path: Pathish) -> Iterator[IO[bytes]]:
     """Open a temporary file that atomically replaces ``path`` on success.
 
-    Yields a writable handle (binary by default, ``mode="w"`` for text).
+    Yields a writable binary handle.
     On clean exit the data is flushed, fsynced and moved over ``path``
     with ``os.replace``, then the parent directory is fsynced so the
     rename itself is durable — without that, a power loss after the
@@ -44,7 +44,7 @@ def atomic_output(path: Pathish, mode: str = "wb") -> Iterator[IO]:
         dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, mode) as handle:
+        with os.fdopen(fd, "wb") as handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
@@ -92,7 +92,7 @@ def _fsync_directory(directory: str) -> None:
 
 def atomic_write_bytes(path: Pathish, data: bytes) -> None:
     """Atomically write ``data`` to ``path``."""
-    with atomic_output(path, "wb") as handle:
+    with atomic_output(path) as handle:
         handle.write(data)
 
 

@@ -11,7 +11,7 @@ to hide misses behind) and FP codes get wide ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -39,27 +39,26 @@ class BranchProfile:
         random_fraction: fraction of branches drawn from a pool of
             data-dependent sites with ``random_bias`` taken probability —
             these are what the predictors actually mispredict.
-        random_bias: taken probability of the data-dependent sites.
-        sites: number of distinct data-dependent branch PCs.
     """
+
+    #: Taken probability of the data-dependent sites.
+    random_bias: ClassVar[float] = 0.5
+    #: Number of distinct data-dependent branch PCs.
+    sites: ClassVar[int] = 64
 
     density: float = 0.75
     loop_bias: float = 0.95
     random_fraction: float = 0.15
-    random_bias: float = 0.5
-    sites: int = 64
 
     def __post_init__(self):
         if self.density < 0:
             raise ValueError(f"density must be >= 0, got {self.density}")
-        if not 0 <= self.loop_bias <= 1 or not 0 <= self.random_bias <= 1:
+        if not 0 <= self.loop_bias <= 1:
             raise ValueError("branch biases must be in [0, 1]")
         if not 0 <= self.random_fraction <= 1:
             raise ValueError(
                 f"random_fraction must be in [0, 1], got {self.random_fraction}"
             )
-        if self.sites <= 0:
-            raise ValueError(f"sites must be positive, got {self.sites}")
 
 
 class WorkloadBuilder:

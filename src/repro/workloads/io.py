@@ -68,7 +68,7 @@ def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
     so a Ctrl-C mid-save leaves either the old file or no file — never
     a truncated one.
     """
-    with atomic_output(path, "wb") as handle:
+    with atomic_output(path) as handle:
         np.savez_compressed(
             handle,
             version=np.int64(FORMAT_VERSION),

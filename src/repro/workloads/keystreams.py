@@ -18,7 +18,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    ClassVar,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.utils.rng import DeterministicRNG
 from repro.workloads.synth import (
@@ -35,18 +43,14 @@ def _name(prefix: str, lines: Sequence[int]) -> List[str]:
 
 
 def zipf_keys(
-    universe: int,
-    accesses: int,
-    alpha: float = 1.1,
-    seed: int = 0,
-    prefix: str = "z",
+    universe: int, accesses: int, seed: int = 0, prefix: str = "z"
 ) -> List[str]:
-    """Zipf-distributed keys: few hot keys, a long cold tail.
+    """Zipf(1.1)-distributed keys: few hot keys, a long cold tail.
 
     The canonical web/memoization key distribution — frequency skew
     that LFU-style retention exploits.
     """
-    return _name(prefix, zipf_stream(universe, accesses, alpha=alpha, seed=seed))
+    return _name(prefix, zipf_stream(universe, accesses, seed=seed))
 
 
 def loop_keys(
@@ -84,7 +88,6 @@ def phase_change_keys(
     accesses: int,
     phases: int = 4,
     seed: int = 0,
-    prefix: str = "p",
 ) -> List[str]:
     """Alternating Zipf and loop phases over disjoint key universes.
 
@@ -93,7 +96,7 @@ def phase_change_keys(
     (recency-hostile — where LFU's stale counts hurt and an adaptive
     cache must switch). This is the workload class the paper's Figure 7
     shows for ammp, expressed over keys; the ``ext-online`` acceptance
-    check runs on it.
+    check runs on it. Keys are ``"p-hot:<n>"`` and ``"p-loop:<n>"``.
     """
     if phases <= 0:
         raise ValueError(f"phases must be positive, got {phases}")
@@ -106,11 +109,11 @@ def phase_change_keys(
         if phase % 2 == 0:
             stream.extend(
                 zipf_keys(hot_universe, want, seed=seed + phase,
-                          prefix=f"{prefix}-hot")
+                          prefix="p-hot")
             )
         else:
             stream.extend(
-                loop_keys(loop_footprint, want, prefix=f"{prefix}-loop")
+                loop_keys(loop_footprint, want, prefix="p-loop")
             )
     return stream
 
@@ -279,30 +282,31 @@ class StreamSpec:
 
     Attributes:
         rate: mean arrival rate, requests/second.
-        universe: initial key-universe size (Zipf-ranked).
-        alpha: Zipf skew exponent (0 = uniform).
         mix: YCSB mix letter (``"A"``-``"D"``).
         clients: number of issuing clients.
-        client_beta: Beta(a, b) shape of the per-client rate skew.
         process: ``"poisson"`` or ``"mmpp"``.
         burst_rate: MMPP burst-state rate (default ``4 * rate``).
         mean_dwell: MMPP base-state mean dwell, seconds.
-        burst_dwell: MMPP burst-state mean dwell, seconds.
         seed: master seed; every sub-stream forks from it.
 
     Keys are ``"r:<rank>"``, and ``"r:new:<n>"`` for inserted keys.
     """
 
+    #: Initial key-universe size (Zipf-ranked).
+    universe: ClassVar[int] = 512
+    #: Zipf skew exponent.
+    alpha: ClassVar[float] = 1.0
+    #: Beta(a, b) shape of the per-client rate skew.
+    client_beta: ClassVar[Tuple[float, float]] = (2.0, 5.0)
+    #: MMPP burst-state mean dwell, seconds.
+    burst_dwell: ClassVar[float] = 0.5
+
     rate: float = 100.0
-    universe: int = 512
-    alpha: float = 1.0
     mix: str = "C"
     clients: int = 8
-    client_beta: Tuple[float, float] = (2.0, 5.0)
     process: str = "poisson"
     burst_rate: Optional[float] = None
     mean_dwell: float = 2.0
-    burst_dwell: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -398,12 +402,12 @@ class StreamSpec:
         return out
 
 
-def keys_from_trace(trace: Trace, line_bytes: int = 64) -> List[str]:
+def keys_from_trace(trace: Trace) -> List[str]:
     """Replay a simulator address trace as a key stream.
 
-    Each memory record becomes the key of its cache line, so the
+    Each memory record becomes the key of its 64-byte cache line, so the
     engine sees exactly the block-reuse structure the set-indexed
     simulator saw — the bridge that lets the named suite workloads
     (ammp, mcf, lucas, ...) exercise the online engine.
     """
-    return _name("blk", trace.block_addresses(line_bytes))
+    return _name("blk", trace.block_addresses(64))

@@ -39,18 +39,19 @@ def offset_core_records(trace: Trace, core: int) -> Trace:
     return Trace(trace.name, trace.kinds, trace.addresses + offset, trace.gaps)
 
 
-def interleave_traces(traces: Sequence[Trace], seed: int = 0) -> Trace:
+def interleave_traces(traces: Sequence[Trace]) -> Trace:
     """Merge per-core traces into one shared-cache reference stream.
 
-    Records are drawn from the cores in random order, weighted by how
-    many records each core has left, so all cores finish together —
-    a simple model of symmetric simultaneous execution.
+    Records are drawn from the cores in a fixed-seed random order,
+    weighted by how many records each core has left, so all cores
+    finish together — a simple model of symmetric simultaneous
+    execution.
     """
     if not traces:
         raise ValueError("need at least one trace")
     remaining = [len(trace) for trace in traces]
     total = sum(remaining)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     source = np.empty(total, dtype=np.int64)  # the core of each merged record
     merged = 0
     # Draw cores in bulk for speed; a draw of a core that has run dry
@@ -82,7 +83,6 @@ def build_shared_workload(
     names: Sequence[str],
     config: CacheConfig,
     accesses_per_core: int = 30_000,
-    seed: int = 0,
 ) -> Trace:
     """Build and interleave the named workloads for a shared cache.
 
@@ -95,4 +95,4 @@ def build_shared_workload(
                        seed_offset=core)
         for core, name in enumerate(names)
     ]
-    return interleave_traces(traces, seed=seed)
+    return interleave_traces(traces)

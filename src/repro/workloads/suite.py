@@ -162,7 +162,6 @@ def dither_recipe(
     loop_scale: float = 1.25,
     hot_scale: float = 0.3,
     phase_per_set: float = 3.0,
-    loop_fraction: float = 0.5,
 ) -> Recipe:
     """Rapidly alternating LRU/LFU-friendly micro-phases.
 
@@ -171,7 +170,8 @@ def dither_recipe(
     paper's unepic (max CPI deterioration, 1.2%) and tigr (max miss
     increase, 2.7%). Phase length scales with the set count
     (``phase_per_set`` accesses per set) so each set sees only a few
-    decisive events per phase regardless of cache size.
+    decisive events per phase regardless of cache size; loop and hot
+    phases alternate at equal length.
     """
 
     def recipe(config: CacheConfig, accesses: int, seed: int) -> List[int]:
@@ -184,21 +184,14 @@ def dither_recipe(
         loop_cursor = 0  # the loop resumes where it stopped, so it
         # keeps cycling its full footprint across phases
         while produced < accesses:
+            n = min(phase_accesses, accesses - produced)
             if phase_index % 2 == 0:
-                n = min(
-                    max(1, int(2 * loop_fraction * phase_accesses)),
-                    accesses - produced,
-                )
                 segment = [
                     (loop_cursor + i) % loop for i in range(n)
                 ]
                 loop_cursor = (loop_cursor + n) % loop
                 phases.append(segment)
             else:
-                n = min(
-                    max(1, int(2 * (1 - loop_fraction) * phase_accesses)),
-                    accesses - produced,
-                )
                 phases.append(
                     drifting_working_set(hot, n, 24.0, seed=seed + phase_index)
                 )

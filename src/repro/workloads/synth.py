@@ -30,7 +30,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def linear_loop(footprint_lines: int, accesses: int, start_line: int = 0) -> List[int]:
+def linear_loop(footprint_lines: int, accesses: int) -> List[int]:
     """Repeatedly sweep a contiguous region of ``footprint_lines`` lines.
 
     With a footprint slightly larger than (its share of) the cache this
@@ -41,7 +41,7 @@ def linear_loop(footprint_lines: int, accesses: int, start_line: int = 0) -> Lis
         raise ValueError("footprint_lines must be positive, accesses >= 0")
     reps = -(-accesses // footprint_lines)
     stream = np.tile(np.arange(footprint_lines, dtype=np.int64), reps)[:accesses]
-    return (stream + start_line).tolist()
+    return stream.tolist()
 
 
 def working_set(
@@ -86,14 +86,13 @@ def zipf_stream(
     accesses: int,
     alpha: float = 1.1,
     seed: int = 0,
-    shuffle_ranks: bool = True,
 ) -> List[int]:
     """Zipf-distributed references over ``universe_lines`` lines.
 
     A few lines receive most references while a long tail is touched
     rarely — the frequency-skewed behaviour LFU exploits. Ranks are
-    shuffled across the address space by default so the hot lines spread
-    over all cache sets instead of clustering at low set indices.
+    shuffled across the address space so the hot lines spread over all
+    cache sets instead of clustering at low set indices.
     """
     if universe_lines <= 0 or accesses < 0:
         raise ValueError("universe_lines must be positive, accesses >= 0")
@@ -104,9 +103,7 @@ def zipf_stream(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     ranks = np.searchsorted(cdf, rng.random(accesses))
-    if shuffle_ranks:
-        perm = rng.permutation(universe_lines)
-        ranks = perm[ranks]
+    ranks = rng.permutation(universe_lines)[ranks]
     return ranks.astype(np.int64).tolist()
 
 
@@ -116,12 +113,12 @@ def scan_with_hot(
     accesses: int,
     hot_fraction: float = 0.5,
     seed: int = 0,
-    start_line: int = 0,
 ) -> List[int]:
     """Interleave a reused hot set with a one-pass streaming scan.
 
     The media-management pattern: ``hot_fraction`` of references go to a
-    small, heavily reused region (above ``start_line``); the rest stream
+    small, heavily reused region (the first ``hot_lines`` lines); the
+    rest stream
     through fresh lines exactly once. LFU keeps the hot set resident;
     LRU lets the single-use scan evict it.
     """
@@ -132,14 +129,13 @@ def scan_with_hot(
     rng = _rng(seed)
     hot_picks = rng.integers(0, hot_lines, size=accesses)
     is_hot = rng.random(accesses) < hot_fraction
-    scan_base = start_line + hot_lines
     stream: List[int] = []
     scan_pos = 0
     for i in range(accesses):
         if is_hot[i]:
-            stream.append(start_line + int(hot_picks[i]))
+            stream.append(int(hot_picks[i]))
         else:
-            stream.append(scan_base + scan_pos % scan_lines)
+            stream.append(hot_lines + scan_pos % scan_lines)
             scan_pos += 1
     return stream
 
@@ -171,28 +167,23 @@ def drifting_working_set(
     return (bases + offsets).tolist()
 
 
-def pointer_chase(
-    nodes: int,
-    accesses: int,
-    lines_per_node: int = 1,
-    seed: int = 0,
-) -> List[int]:
+def pointer_chase(nodes: int, accesses: int, seed: int = 0) -> List[int]:
     """Random walk over a fixed pointer graph of ``nodes`` nodes.
 
-    Each node occupies ``lines_per_node`` consecutive lines; following a
-    pointer touches the first line of the successor node. The successor
-    table is fixed per seed, so the walk revisits nodes with the skewed
-    reuse typical of pointer codes (mcf, ft, ks).
+    Each node occupies one line; following a pointer touches the
+    successor node's line. The successor table is fixed per seed, so the
+    walk revisits nodes with the skewed reuse typical of pointer codes
+    (mcf, ft, ks).
     """
-    if nodes <= 0 or lines_per_node <= 0 or accesses < 0:
-        raise ValueError("nodes and lines_per_node must be positive")
+    if nodes <= 0 or accesses < 0:
+        raise ValueError("nodes must be positive, accesses >= 0")
     rng = _rng(seed)
     successors = rng.integers(0, nodes, size=(nodes, 2))
     pick = rng.integers(0, 2, size=accesses)
     stream: List[int] = []
     node = 0
     for i in range(accesses):
-        stream.append(node * lines_per_node)
+        stream.append(node)
         node = int(successors[node][pick[i]])
     return stream
 

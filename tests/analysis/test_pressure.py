@@ -6,7 +6,6 @@ from repro.analysis.pressure import (
     DisagreementReport,
     component_disagreement,
     miss_imbalance,
-    per_set_summary,
 )
 
 
@@ -83,20 +82,3 @@ class TestDisagreement:
         )
         assert report.prefer_first > 0
         assert report.prefer_second > 0
-
-
-class TestPerSetSummary:
-    def test_buckets_sum(self):
-        misses = list(range(16))
-        summary = per_set_summary(misses, buckets=4)
-        assert len(summary) == 4
-        assert sum(summary) == sum(misses)
-
-    def test_single_bucket(self):
-        assert per_set_summary([3, 4, 5], buckets=1) == [12]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            per_set_summary([1, 2], buckets=3)
-        with pytest.raises(ValueError):
-            per_set_summary([1, 2], buckets=0)

@@ -28,9 +28,9 @@ class TestResultToMarkdown:
         assert "> paper: something" in text
 
     def test_float_digits(self):
-        text = result_to_markdown(sample_result(), float_digits=1)
-        assert "1.2" in text
-        assert "1.23" not in text
+        text = result_to_markdown(sample_result())
+        assert "1.235" in text
+        assert "1.2345" not in text
 
     def test_divider_width(self):
         text = result_to_markdown(sample_result())

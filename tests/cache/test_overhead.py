@@ -63,10 +63,13 @@ class TestPaperNumbers:
 
 
 class TestScaling:
-    def test_more_components_cost_more(self, paper_model):
-        two = paper_model.adaptive_total_kb(8, num_components=2)
-        five = paper_model.adaptive_total_kb(8, num_components=5)
-        assert five == pytest.approx(two + 3 * paper_model.parallel_array_kb(8))
+    def test_two_parallel_arrays(self, paper_model):
+        assert paper_model.adaptive_total_kb(8) == pytest.approx(
+            paper_model.conventional_total_kb()
+            + 2 * paper_model.parallel_array_kb(8)
+            + paper_model.history_kb()
+            - paper_model.lru_dedup_kb()
+        )
 
     def test_partial_cheaper_than_full(self, paper_model):
         for bits in (4, 6, 8, 10, 12):
@@ -88,7 +91,3 @@ class TestValidation:
     def test_rejects_nonpositive_tag_bits(self, paper_model):
         with pytest.raises(ValueError):
             paper_model.parallel_array_kb(0)
-
-    def test_rejects_single_component(self, paper_model):
-        with pytest.raises(ValueError):
-            paper_model.adaptive_total_kb(num_components=1)

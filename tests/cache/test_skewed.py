@@ -25,10 +25,6 @@ class TestBasics:
         cache.access(0x1000)
         assert cache.access(0x103F).hit
 
-    def test_salt_count_validated(self, config):
-        with pytest.raises(ValueError):
-            SkewedAssociativeCache(config, salts=[1, 2])
-
     def test_capacity_respected(self, config):
         cache = SkewedAssociativeCache(config)
         rng = random.Random(1)

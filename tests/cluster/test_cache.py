@@ -113,8 +113,7 @@ class TestReads:
         c = ClusterKVCache(
             num_nodes=3, replication=3, seed=2, hedge_after=0.01,
             latency_factory=lambda index: LatencyModel(
-                base=0.001, spike=0.5,
-                spike_rate=1.0 if index == 0 else 0.0, seed=index,
+                spike_rate=1.0 if index == 0 else 0.0, seed=index
             ),
         )
         # make every node slotted as primary somewhere; find a key
@@ -264,8 +263,7 @@ class TestOneLookPerOwner:
         c = ClusterKVCache(
             num_nodes=3, replication=3, seed=2, hedge_after=0.01,
             latency_factory=lambda index: LatencyModel(
-                base=0.001, spike=0.5,
-                spike_rate=1.0 if index == 0 else 0.0, seed=index,
+                spike_rate=1.0 if index == 0 else 0.0, seed=index
             ),
         )
         key = next(k for k in range(100) if c.view.owners(k, 1) == ["n0"])
@@ -304,7 +302,7 @@ class TestOneLookPerOwner:
         version = c.put("k", "new")
         c.nodes[stale_owner].put("k", version - 1, "old")
         looks = count_looks(c)
-        assert c.repair_sweep(["k"]) == 1
+        assert c.controller.rebalance(["k"]) == 1
         assert all(looks[node_id] <= 1 for node_id in c.nodes), looks
         c.controller.kill("n0")
         c.controller.recover("n0", readmit=False)  # memory-only: empty

@@ -9,7 +9,20 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cpu.config import ProcessorConfig
+from repro.online.resilience import RetryPolicy
+from repro.policies import registry
 from repro.serve.harness import run_serve
+
+
+@pytest.fixture(autouse=True)
+def _builtin_policies_only():
+    """Every test ends with the policy registry it started with, so a
+    ``register_policy`` in one test (or docs example) does not outlive
+    it."""
+    saved = dict(registry._REGISTRY)
+    yield
+    registry._REGISTRY.clear()
+    registry._REGISTRY.update(saved)
 
 
 @pytest.fixture
@@ -47,6 +60,14 @@ def addresses_for_set(config: CacheConfig, set_index: int, count: int):
     return [
         config.rebuild_address(tag, set_index) for tag in range(1, count + 1)
     ]
+
+
+def retry_policy(attempts: int, **settings) -> RetryPolicy:
+    """A :class:`~repro.online.resilience.RetryPolicy` that makes at most
+    ``attempts`` loader calls; programs keep the class's count."""
+    retry = RetryPolicy(**settings)
+    retry.attempts = attempts
+    return retry
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,11 +14,11 @@ def bound_config():
 
 
 class TestAdversarialTrace:
-    def test_targets_requested_set(self):
+    def test_targets_set_zero(self):
         trace = adversarial_trace(ways=4, phase_length=100, phases=4,
-                                  target_set=3, num_sets=8)
+                                  num_sets=8)
         for block in trace:
-            assert block % 8 == 3
+            assert block % 8 == 0
 
     def test_length(self):
         trace = adversarial_trace(ways=4, phase_length=100, phases=4)

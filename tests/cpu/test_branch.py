@@ -36,7 +36,7 @@ class TestGshare:
     def test_learns_alternating_pattern(self):
         """Bimodal can never beat 50% on strict alternation; gshare's
         history disambiguates it perfectly after warm-up."""
-        gshare = GsharePredictor(4096, history_bits=8)
+        gshare = GsharePredictor(4096)
         bimodal = BimodalPredictor(4096)
         pc = 0x5000
         gshare_correct = bimodal_correct = 0
@@ -54,7 +54,7 @@ class TestGshare:
 
 class TestMeta:
     def test_tracks_better_component(self):
-        predictor = MetaPredictor(4096, history_bits=8)
+        predictor = MetaPredictor(4096)
         pc = 0x6000
         taken = True
         for _ in range(600):

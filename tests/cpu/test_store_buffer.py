@@ -21,16 +21,6 @@ class TestBasics:
         assert buffer.stalls == 1
         assert buffer.stall_cycles == pytest.approx(49.0)
 
-    def test_serialized_drains_queue(self):
-        """The bandwidth-study mode: drains share one write channel, so
-        the second entry completes after the first even if it is short."""
-        buffer = StoreBuffer(2, serialize_drains=True)
-        buffer.push(now=0.0, latency=100.0)  # drains at 100
-        buffer.push(now=1.0, latency=50.0)  # queued: drains at 150
-        resumed = buffer.push(now=2.0, latency=10.0)
-        assert resumed == pytest.approx(100.0)  # oldest entry frees at 100
-        assert buffer.stall_cycles == pytest.approx(98.0)
-
     def test_drained_entries_free_slots(self):
         buffer = StoreBuffer(1)
         buffer.push(now=0.0, latency=10.0)
@@ -45,14 +35,6 @@ class TestBasics:
         assert buffer.occupancy(5.0) == 2
         assert buffer.occupancy(15.0) == 1
         assert buffer.occupancy(25.0) == 0
-
-    def test_occupancy_serialized(self):
-        buffer = StoreBuffer(4, serialize_drains=True)
-        buffer.push(now=0.0, latency=10.0)  # drains at 10
-        buffer.push(now=0.0, latency=20.0)  # drains at 30 (queued)
-        assert buffer.occupancy(5.0) == 2
-        assert buffer.occupancy(15.0) == 1
-        assert buffer.occupancy(35.0) == 0
 
 
 class TestWriteCombining:

@@ -13,7 +13,7 @@ from repro.core.history import (
 )
 from repro.core.multi import make_adaptive
 from repro.core.sbar import SbarPolicy
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.utils.rng import DeterministicRNG
@@ -119,7 +119,7 @@ class TestInjection:
 
     def test_history_clear_mode(self, tiny_config):
         policy = make_adaptive(tiny_config.num_sets, tiny_config.ways)
-        plan = FaultPlan.uniform(1.0, sites=("history",), mode="clear")
+        plan = FaultPlan(specs=[FaultSpec("history", 1.0, mode="clear")])
         injector = FaultInjector(plan).arm(policy)
         drive(tiny_config, policy, length=300)
         assert injector.log.history_clears == 300
@@ -127,9 +127,9 @@ class TestInjection:
 
     def test_window_limits_injection(self, tiny_config):
         policy = make_adaptive(tiny_config.num_sets, tiny_config.ways)
-        plan = FaultPlan.uniform(
-            1.0, sites=("history",), mode="clear", start=100, stop=150
-        )
+        plan = FaultPlan(specs=[
+            FaultSpec("history", 1.0, start=100, stop=150, mode="clear")
+        ])
         injector = FaultInjector(plan).arm(policy)
         drive(tiny_config, policy, length=300)
         assert injector.log.history_clears == 50

@@ -47,10 +47,10 @@ class TestFaultPlan:
         assert {spec.site for spec in plan.specs} == set(ALL_SITES)
         assert all(spec.rate == 0.05 for spec in plan.specs)
 
-    def test_uniform_subset(self):
-        plan = FaultPlan.uniform(0.1, sites=("history",), mode="clear")
-        assert len(plan.specs) == 1
-        assert plan.specs[0].mode == "clear"
+    def test_uniform_specs_take_the_default_shape(self):
+        plan = FaultPlan.uniform(0.1, seed=3)
+        assert plan.seed == 3
+        assert all(spec == FaultSpec(spec.site, 0.1) for spec in plan.specs)
 
     def test_quiet_plans(self):
         assert FaultPlan().is_quiet()

@@ -13,7 +13,6 @@ import re
 import pytest
 
 import repro
-from repro.policies import registry
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 PAGES = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
@@ -39,8 +38,6 @@ def test_every_page_with_examples_is_run():
                          ids=[page.name for page in PAGES_WITH_EXAMPLES])
 def test_page_examples_run(page, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # examples may write state directories
-    # ... and register policies, which must not outlive the page.
-    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     namespace = {"__name__": f"docs.{page.stem}"}
     for line, source in python_blocks(page):
         code = compile(source, f"{page.name}:{line}", "exec")

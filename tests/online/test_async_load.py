@@ -38,9 +38,9 @@ from repro.online.resilience import (
     LoaderUnavailable,
     ResilientKVCache,
     RetryBudget,
-    RetryPolicy,
 )
 from repro.serve.vloop import VirtualTimeEventLoop
+from tests.conftest import retry_policy
 
 
 def build(loop, retry=None, breaker=None, ttl=None, shards=4):
@@ -48,7 +48,7 @@ def build(loop, retry=None, breaker=None, ttl=None, shards=4):
                              default_ttl=ttl, clock=loop.time)
     return ResilientKVCache(
         engine,
-        retry=retry or RetryPolicy(attempts=1),
+        retry=retry or retry_policy(1),
         breaker_factory=breaker,
         clock=loop.time,
     )
@@ -146,7 +146,7 @@ class TestBreakerUnderBurst:
         loop = VirtualTimeEventLoop()
         resilient = build(
             loop,
-            retry=RetryPolicy(attempts=1),
+            retry=retry_policy(1),
             breaker=lambda: CircuitBreaker(
                 failure_threshold=3, recovery_timeout=1.0, clock=loop.time
             ),
@@ -297,7 +297,7 @@ class TestCancellationAccounting:
     def test_cancel_mid_backoff_releases_token(self):
         loop = VirtualTimeEventLoop()
         resilient = build(
-            loop, retry=RetryPolicy(attempts=3, backoff=0.5)
+            loop, retry=retry_policy(3, backoff=0.5)
         )
         budget = RetryBudget(tokens=2)
 
@@ -399,7 +399,7 @@ class TestCancellationAccounting:
     def test_exhausted_budget_skips_retries_not_first_attempts(self):
         loop = VirtualTimeEventLoop()
         resilient = build(
-            loop, retry=RetryPolicy(attempts=4, backoff=0.1), shards=1
+            loop, retry=retry_policy(4, backoff=0.1), shards=1
         )
         budget = RetryBudget(tokens=1)
         calls = []
@@ -435,7 +435,7 @@ class TestCancellationAccounting:
         loop = VirtualTimeEventLoop()
         resilient = build(
             loop,
-            retry=RetryPolicy(attempts=10, backoff=0.4, budget=1.0),
+            retry=retry_policy(10, backoff=0.4, budget=1.0),
         )
         calls = []
 
@@ -492,7 +492,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
         engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
         resilient = ResilientKVCache(
             engine,
-            retry=RetryPolicy(attempts=3, backoff=0.0),
+            retry=retry_policy(3, backoff=0.0),
             breaker_factory=lambda: CircuitBreaker(failure_threshold=1),
         )
         with pytest.raises(TypeError, match="aget_or_compute"):
@@ -510,7 +510,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
         engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
         resilient = ResilientKVCache(
             engine,
-            retry=RetryPolicy(attempts=1),
+            retry=retry_policy(1),
             breaker_factory=lambda: CircuitBreaker(
                 failure_threshold=1, recovery_timeout=1.0, clock=clock
             ),
@@ -537,7 +537,7 @@ class TestSyncLadderRejectsSuspendingLoaders:
         engine = AdaptiveKVCache(capacity_entries=64, num_shards=2)
         resilient = ResilientKVCache(
             engine,
-            retry=RetryPolicy(attempts=3, backoff=0.0),
+            retry=retry_policy(3, backoff=0.0),
             breaker_factory=lambda: CircuitBreaker(failure_threshold=1),
         )
         loader = AsyncFlakyLoader(lambda key: ("v", key), failure_rate=0.0,
@@ -579,7 +579,7 @@ class TestSyncAsyncLadderIdentity:
                                  default_ttl=1.0, clock=clock)
         return ResilientKVCache(
             engine,
-            retry=RetryPolicy(attempts=3, backoff=0.02, budget=0.05),
+            retry=retry_policy(3, backoff=0.02, budget=0.05),
             breaker_factory=lambda: CircuitBreaker(
                 failure_threshold=3, recovery_timeout=0.5, clock=clock
             ),
@@ -671,7 +671,7 @@ def _run_ladder(ladder, resilient, key, loader):
 def _one_shard(breaker):
     return ResilientKVCache(AdaptiveKVCache(capacity_entries=64,
                                             num_shards=1),
-                            retry=RetryPolicy(attempts=1),
+                            retry=retry_policy(1),
                             breaker_factory=breaker)
 
 

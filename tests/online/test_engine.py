@@ -1,10 +1,13 @@
 """Unit tests for the sharded AdaptiveKVCache engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.sbar import DuelingResidentPolicy
 from repro.online.engine import MODES, AdaptiveKVCache
+from repro.online.stats import KVCacheStats
 from repro.workloads.keystreams import phase_change_keys, zipf_keys
 
 
@@ -124,6 +127,15 @@ class TestStats:
         assert sum(stats.per_shard_occupancy) == stats.occupancy
         assert 0.0 < stats.hit_ratio < 1.0
         assert stats.miss_ratio == pytest.approx(1.0 - stats.hit_ratio)
+
+    def test_occupancy_bytes_is_state_not_a_setting(self):
+        """The field stays in the hashed stats shape, always 0, but no
+        caller can set it."""
+        with pytest.raises(TypeError):
+            KVCacheStats(occupancy_bytes=1)
+        cache = AdaptiveKVCache(capacity_entries=16, num_shards=2)
+        cache.put("k", "v")
+        assert dataclasses.asdict(cache.stats())["occupancy_bytes"] == 0
 
     def test_switch_counter_exposed(self):
         cache = AdaptiveKVCache(capacity_entries=32, num_shards=2)

@@ -207,6 +207,25 @@ class TestHonestServing:
         assert key not in live
         live.close()
 
+    def test_pending_delete_answers_get_but_refuses_reads(self, tmp_path):
+        """``get`` and ``recovering_read`` share one lookup but keep
+        their own rule for a pending delete: ``get`` answers the
+        default (a stale serve), the ladder's read refuses."""
+        directory = self._crashed(tmp_path)
+        live = LiveRecoveringKVCache(directory, chunk_ops=1)
+        key = self._replaying_key(live)
+        live.delete(key)
+        assert live.get(key, "gone") == "gone"
+        assert (live.recovery.stale_serves, live.recovery.refused_reads) == (
+            1, 0)
+        with pytest.raises(RecoveryInProgress):
+            live.recovering_read(key)
+        with pytest.raises(RecoveryInProgress):
+            live.get_or_compute(key, lambda k: k)
+        assert (live.recovery.stale_serves, live.recovery.refused_reads) == (
+            1, 2)
+        live.close()
+
     def test_stale_peek_of_partial_shard(self, tmp_path):
         directory = self._crashed(tmp_path)
         live = LiveRecoveringKVCache(directory, chunk_ops=1)

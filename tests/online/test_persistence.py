@@ -124,18 +124,6 @@ class TestWalFraming:
         assert [offset for _, offset in streamed] == offsets
         assert list(iter_wal(str(tmp_path / "absent.log"))) == []
 
-    def test_iter_wal_end_bound_excludes_crossing_records(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        frames = [encode_record(("get", i)) for i in range(3)]
-        with open(path, "wb") as handle:
-            handle.write(b"".join(frames))
-        two = len(frames[0]) + len(frames[1])
-        assert len(list(iter_wal(path, end=two))) == 2
-        # A bound inside a frame stops before that frame.
-        assert len(list(iter_wal(path, end=two - 1))) == 1
-        assert len(list(iter_wal(path, end=len(frames[0]) + 4))) == 1
-        assert list(iter_wal(path, end=0)) == []
-
 
 class TestSnapshotFraming:
     def test_roundtrip(self, tmp_path):

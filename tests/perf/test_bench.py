@@ -11,6 +11,7 @@ import json
 import pathlib
 
 from repro.cache.config import CacheConfig
+from repro.perf import bench
 from repro.perf.bench import (
     bench_hotpath,
     bench_sweep,
@@ -35,24 +36,20 @@ def load_gate():
 class TestSyntheticStream:
     def test_deterministic_and_line_aligned(self):
         config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
-        first = synthetic_stream(500, config, seed=7)
-        second = synthetic_stream(500, config, seed=7)
+        first = synthetic_stream(500, config)
+        second = synthetic_stream(500, config)
         assert first == second
         assert len(first) == 500
         footprint = config.num_lines * 4 * config.line_bytes
         assert all(a % config.line_bytes == 0 for a in first)
         assert all(0 <= a < footprint for a in first)
 
-    def test_seed_changes_stream(self):
-        config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
-        assert synthetic_stream(500, config, seed=7) != synthetic_stream(
-            500, config, seed=8
-        )
-
 
 class TestBenchHotpath:
-    def test_reports_all_policies(self):
-        rows = bench_hotpath(accesses=400, size_kb=4, ways=4)
+    def test_reports_all_policies(self, monkeypatch):
+        monkeypatch.setattr(bench, "HOTPATH_SIZE_KB", 4)
+        monkeypatch.setattr(bench, "HOTPATH_WAYS", 4)
+        rows = bench_hotpath(accesses=400)
         assert set(rows) == {"lru", "fifo", "adaptive"}
         for row in rows.values():
             assert row["access_per_sec"] > 0
@@ -60,29 +57,30 @@ class TestBenchHotpath:
             assert 0.0 < row["miss_ratio"] < 1.0
             assert row["accesses"] == 400
 
-    def test_miss_ratio_is_entry_point_invariant(self):
+    def test_miss_ratio_is_entry_point_invariant(self, monkeypatch):
         """The function itself asserts access/access_many agreement; a
         clean return is the canary passing."""
-        rows = bench_hotpath(accesses=300, policies=("lru",), size_kb=4,
-                             ways=4)
-        assert "lru" in rows
+        monkeypatch.setattr(bench, "HOTPATH_POLICIES", ("lru",))
+        monkeypatch.setattr(bench, "HOTPATH_SIZE_KB", 4)
+        monkeypatch.setattr(bench, "HOTPATH_WAYS", 4)
+        rows = bench_hotpath(accesses=300)
+        assert set(rows) == {"lru"}
 
 
 class TestBenchWideShard:
-    def test_reports_rate_and_pinned_hit_ratio(self):
-        row = bench_wide_shard(ops=400, ways=64)
+    def test_reports_rate_and_pinned_hit_ratio(self, monkeypatch):
+        monkeypatch.setattr(bench, "WIDE_SHARD_WAYS", 64)
+        row = bench_wide_shard(ops=400)
         assert row["get_or_compute_per_sec"] > 0
         assert 0.0 < row["hit_ratio"] < 1.0
         assert (row["ops"], row["ways"]) == (400, 64)
-        assert bench_wide_shard(ops=400, ways=64)["hit_ratio"] == (
-            row["hit_ratio"]
-        )
+        assert bench_wide_shard(ops=400)["hit_ratio"] == row["hit_ratio"]
 
 
 class TestBenchSweep:
-    def test_serial_only_sweep(self):
-        report = bench_sweep(workers_counts=(1,), accesses=600,
-                             workloads=("lucas",))
+    def test_serial_only_sweep(self, monkeypatch):
+        monkeypatch.setattr(bench, "SWEEP_WORKLOADS", ("lucas",))
+        report = bench_sweep(workers_counts=(1,), accesses=600)
         assert set(report["wall_clock_sec_by_workers"]) == {"1"}
         assert report["results_identical_across_workers"] is True
         assert report["workloads"] == ["lucas"]

@@ -163,9 +163,9 @@ class TestCrashRecovery:
     def test_broken_pool_falls_back_in_process(self, broken_pool):
         """Restarts exhaust, then tasks complete in-process — the map
         still terminates with every result."""
-        runner = ParallelRunner(workers=2, max_pool_restarts=2)
+        runner = ParallelRunner(workers=2)
         assert sorted(runner.map(_negate, [3, 1, 2])) == [-3, -2, -1]
-        assert runner.pool_restarts == 2
+        assert runner.pool_restarts == ParallelRunner.MAX_POOL_RESTARTS
         assert runner.fallback_tasks == 3
 
     def test_pool_map_yields_every_result(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.policies.base import ReplacementPolicy
+from repro.policies.lru import LRUPolicy
 from repro.policies.registry import (
     available_policies,
     make_policy,
@@ -48,20 +49,28 @@ class TestRegistry:
                 return set_view.valid_ways()[0]
 
         register_policy("test-way-zero", AlwaysWayZero)
-        try:
-            policy = make_policy("test-way-zero", 4, 2)
-            assert isinstance(policy, AlwaysWayZero)
-        finally:
-            # Keep the global registry clean for other tests.
-            from repro.policies import registry
+        policy = make_policy("test-way-zero", 4, 2)
+        assert isinstance(policy, AlwaysWayZero)
 
-            del registry._REGISTRY["test-way-zero"]
+
+#: The policies ``repro.policies.registry`` registers itself.
+BUILT_INS = ["bip", "ehc", "fifo", "lfu", "lru", "mru", "random", "srrip"]
+
+
+class TestRegistryIsolation:
+    """The autouse fixture in ``tests/conftest.py`` restores the
+    registry after every test; these run in file order."""
+
+    def test_a_registration_lives_for_its_test(self):
+        register_policy("test-scoped", LRUPolicy)
+        assert available_policies() == sorted(BUILT_INS + ["test-scoped"])
+
+    def test_b_next_test_sees_only_the_built_ins(self):
+        assert available_policies() == BUILT_INS
 
 
 class TestBaseValidation:
     def test_rejects_bad_geometry(self):
-        from repro.policies.lru import LRUPolicy
-
         with pytest.raises(ValueError):
             LRUPolicy(0, 4)
         with pytest.raises(ValueError):

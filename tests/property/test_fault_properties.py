@@ -19,7 +19,7 @@ from repro.core.history import (
     SaturatingCounterHistory,
 )
 from repro.core.multi import make_adaptive
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import ALL_SITES, FaultInjector, FaultPlan, FaultSpec
 from tests import strategies
 
 pytestmark = pytest.mark.faults
@@ -59,7 +59,10 @@ class TestFaultedAdaptiveInvariants:
         policy = make_adaptive(
             CONFIG.num_sets, CONFIG.ways, history_factory=factory
         )
-        plan = FaultPlan.uniform(rate, seed=seed, mode=mode)
+        plan = FaultPlan(
+            specs=[FaultSpec(site, rate, mode=mode) for site in ALL_SITES],
+            seed=seed,
+        )
         injector = FaultInjector(plan).arm(policy)
         cache = SetAssociativeCache(CONFIG, policy)
         run_blocks(cache, blocks)  # termination is the first property

@@ -20,7 +20,9 @@ def make_engine(prefetcher, budget=4):
     cache = SetAssociativeCache(
         CONFIG, LRUPolicy(CONFIG.num_sets, CONFIG.ways)
     )
-    return PrefetchingCache(cache, prefetcher, degree_budget=budget)
+    engine = PrefetchingCache(cache, prefetcher)
+    engine.degree_budget = budget
+    return engine
 
 
 class TestEngineInvariants:
@@ -41,12 +43,11 @@ class TestEngineInvariants:
     @given(blocks=block_streams)
     @settings(max_examples=25, deadline=None)
     def test_structure_preserved_with_prefetching(self, blocks):
-        engine = make_engine(
-            AdaptiveHybridPrefetcher(
-                [NextLinePrefetcher(degree=2), StridePrefetcher(degree=2)],
-                probation=16,
-            )
+        hybrid = AdaptiveHybridPrefetcher(
+            [NextLinePrefetcher(degree=2), StridePrefetcher()]
         )
+        hybrid.probation = 16
+        engine = make_engine(hybrid)
         for block in blocks:
             engine.access(block << CONFIG.offset_bits)
         for cache_set in engine.cache.sets:
@@ -92,8 +93,8 @@ class TestHybridSelectorProperties:
             def observe(self, block, was_hit):
                 return [PrefetchRequest(block + 1, self.name)]
 
-        hybrid = AdaptiveHybridPrefetcher([Named("a"), Named("b")],
-                                          probation=0)
+        hybrid = AdaptiveHybridPrefetcher([Named("a"), Named("b")])
+        hybrid.probation = 0
         for source, useful in outcomes:
             hybrid.record_outcome(PrefetchRequest(0, source), useful)
             assert hybrid.selected_component() in (0, 1)

@@ -79,8 +79,8 @@ class TestDeterminism:
             assert request.key.startswith("r:")
 
     def test_different_seeds_differ(self):
-        base = StreamSpec(rate=200.0, universe=32, seed=0)
-        other = StreamSpec(rate=200.0, universe=32, seed=1)
+        base = StreamSpec(rate=200.0, seed=0)
+        other = StreamSpec(rate=200.0, seed=1)
         assert base.take(50) != other.take(50)
 
 
@@ -164,8 +164,7 @@ class TestStatisticalSanity:
         assert max(weights) > 2.0 / 64
 
     def test_client_assignment_tracks_weights(self):
-        spec = StreamSpec(rate=500.0, universe=16, clients=8,
-                          client_beta=(2.0, 5.0), seed=11)
+        spec = StreamSpec(rate=500.0, clients=8, seed=11)
         weights = beta_client_weights(8, 2.0, 5.0, seed=11)
         counts = [0] * 8
         events = spec.take(20_000)
@@ -176,7 +175,7 @@ class TestStatisticalSanity:
             assert share == pytest.approx(weight, abs=0.02)
 
     def test_ycsb_mix_fractions(self):
-        spec = StreamSpec(rate=500.0, universe=32, mix="A", seed=13)
+        spec = StreamSpec(rate=500.0, mix="A", seed=13)
         events = spec.take(10_000)
         reads = sum(1 for r in events if r.op == "read")
         assert reads / len(events) == pytest.approx(0.5, abs=0.03)
@@ -184,8 +183,7 @@ class TestStatisticalSanity:
     def test_read_latest_skews_to_new_keys(self):
         # YCSB D: after enough inserts, reads concentrate on the
         # newest keys (the inserted ones), not the initial universe.
-        spec = StreamSpec(rate=500.0, universe=64, mix="D", alpha=1.0,
-                          seed=17)
+        spec = StreamSpec(rate=500.0, mix="D", seed=17)
         events = spec.take(20_000)
         inserted = sum(1 for r in events if r.op == "insert")
         assert inserted > 0

@@ -7,16 +7,17 @@ import asyncio
 import pytest
 
 from repro.online.engine import AdaptiveKVCache
-from repro.online.resilience import ResilientKVCache, RetryPolicy
+from repro.online.resilience import ResilientKVCache
 from repro.serve.front import AsyncServingFront, RequestShed, RequestTimeout
 from repro.serve.vloop import VirtualTimeEventLoop
+from tests.conftest import retry_policy
 
 
 def make_front(loop, **kwargs):
     engine = AdaptiveKVCache(capacity_entries=64, num_shards=4,
                              clock=loop.time)
     resilient = ResilientKVCache(
-        engine, retry=RetryPolicy(attempts=1), clock=loop.time
+        engine, retry=retry_policy(1), clock=loop.time
     )
     return AsyncServingFront(resilient, **kwargs)
 

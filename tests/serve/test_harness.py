@@ -8,7 +8,14 @@ import pathlib
 import pytest
 
 from repro.serve.harness import check_floors, run_regime, run_serve
-from repro.serve.stack import RegimePlan, default_plans
+from repro.serve.stack import (
+    NEAR_CAPACITY,
+    REPLAY_CHUNK_OPS,
+    REPLAY_INTERVAL,
+    RegimePlan,
+    build_stack,
+    default_plans,
+)
 from repro.workloads.keystreams import StreamSpec
 
 from tests.conftest import serve_report
@@ -18,8 +25,7 @@ def tiny_plan(**overrides):
     """A sub-second regime that still exercises the whole pipeline."""
     settings = dict(
         name="tiny",
-        spec=StreamSpec(rate=400.0, universe=64, alpha=1.0, mix="B",
-                        clients=4, seed=3),
+        spec=StreamSpec(rate=400.0, mix="B", clients=4, seed=3),
         warmup=0.25,
         duration=0.5,
         concurrency=4,
@@ -59,8 +65,7 @@ class TestRunRegime:
     def test_seed_changes_the_stream(self):
         base = run_regime(tiny_plan())
         other = run_regime(tiny_plan(
-            spec=StreamSpec(rate=400.0, universe=64, alpha=1.0, mix="B",
-                            clients=4, seed=4),
+            spec=StreamSpec(rate=400.0, mix="B", clients=4, seed=4),
             seed=4,
         ))
         assert base.to_dict() != other.to_dict()
@@ -73,7 +78,6 @@ class TestRunRegime:
             failure_rate=0.3,
             burst=4,
             ttl=0.4,
-            breaker_threshold=3,
             breaker_timeout=0.2,
             retry_budget_tokens=2,
             quarantine_shards=(1,),
@@ -88,8 +92,7 @@ class TestRunRegime:
     def test_overloaded_plan_sheds(self):
         report = run_regime(tiny_plan(
             name="tiny-overload",
-            spec=StreamSpec(rate=4000.0, universe=64, alpha=1.0,
-                            mix="C", clients=4, seed=5),
+            spec=StreamSpec(rate=4000.0, mix="C", clients=4, seed=5),
             concurrency=2,
             max_pending=8,
             deadline=0.05,
@@ -135,8 +138,7 @@ class TestServeReport:
         # so the report sees the recovered steady state too.
         for plans in (quick, full):
             recovery = dict((p.name, p) for p in plans)["recovery"]
-            replay_rate = (recovery.replay_chunk_ops
-                           / recovery.replay_interval)
+            replay_rate = REPLAY_CHUNK_OPS / REPLAY_INTERVAL
             assert recovery.recover_ops / replay_rate < recovery.duration
 
 
@@ -144,8 +146,7 @@ def recovery_plan(**overrides):
     """A sub-second live-recovery regime (seed, crash, replay, serve)."""
     settings = dict(
         name="tiny-recovery",
-        spec=StreamSpec(rate=600.0, universe=64, alpha=1.0, mix="B",
-                        clients=4, seed=7),
+        spec=StreamSpec(rate=600.0, mix="B", clients=4, seed=7),
         warmup=0.0,
         duration=0.8,
         concurrency=4,
@@ -153,8 +154,6 @@ def recovery_plan(**overrides):
         deadline=0.1,
         ttl=None,
         recover_ops=400,
-        replay_chunk_ops=40,
-        replay_interval=0.02,
         seed=7,
     )
     settings.update(overrides)
@@ -193,8 +192,7 @@ class TestRecoveryRegime:
         # A write-heavy mix during replay exercises the dual-logged
         # deferred path; the digest match proves none were lost.
         report = run_regime(recovery_plan(
-            spec=StreamSpec(rate=600.0, universe=64, alpha=1.0, mix="A",
-                            clients=4, seed=9),
+            spec=StreamSpec(rate=600.0, mix="A", clients=4, seed=9),
             seed=9,
         ))
         assert report.deferred_writes > 0
@@ -213,6 +211,15 @@ class TestTieredRegime:
     def test_tiered_regime_is_deterministic(self):
         plan = tiny_plan(name="tiny-tiered", front="tiered")
         assert run_regime(plan).to_dict() == run_regime(plan).to_dict()
+
+    def test_stack_takes_the_fixed_knobs(self):
+        front, _loader, _budget, _live = build_stack(
+            tiny_plan(front="tiered"), clock=lambda: 0.0
+        )
+        resilient = front.resilient
+        assert resilient.cache.tiers[0].capacity == NEAR_CAPACITY
+        assert {breaker.failure_threshold
+                for breaker in resilient.breakers} == {5}
 
     def test_unknown_front_rejected(self):
         with pytest.raises(ValueError, match="front"):

@@ -33,8 +33,8 @@ def assert_within_relative(sketch: LatencySketch, values, quantiles):
         )
 
 
-def sketched(values, relative_error=0.01):
-    sketch = LatencySketch(relative_error=relative_error)
+def sketched(values):
+    sketch = LatencySketch()
     sketch.extend(values)
     return sketch
 
@@ -144,14 +144,6 @@ class TestExactQuantile:
 
 
 class TestSketchContract:
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError, match="relative_error"):
-            LatencySketch(relative_error=0.0)
-        with pytest.raises(ValueError, match="relative_error"):
-            LatencySketch(relative_error=1.0)
-        with pytest.raises(ValueError, match="min_value"):
-            LatencySketch(min_value=0.0)
-
     def test_rejects_bad_values(self):
         sketch = LatencySketch()
         with pytest.raises(ValueError, match="finite"):
@@ -169,12 +161,6 @@ class TestSketchContract:
         sketch = sketched([1.0])
         with pytest.raises(ValueError, match="quantile"):
             sketch.quantile(-0.1)
-
-    def test_merge_requires_same_config(self):
-        with pytest.raises(ValueError, match="merge"):
-            LatencySketch(relative_error=0.01).merge(
-                LatencySketch(relative_error=0.02)
-            )
 
     def test_quantiles_batch_matches_singles(self):
         sketch = sketched([float(i) for i in range(1, 100)])

@@ -106,11 +106,10 @@ def trace_records(max_block=300, max_gap=20, min_size=1, max_size=250):
     )
 
 
-def stream_specs(max_rate=800.0, max_universe=64, max_clients=8,
-                 mixes=("A", "B", "C", "D")):
+def stream_specs(max_rate=800.0, max_clients=8, mixes=("A", "B", "C", "D")):
     """Open-loop :class:`~repro.workloads.keystreams.StreamSpec` inputs.
 
-    Small rates and universes keep property runs fast while still
+    Small rates keep property runs fast while still
     exercising both arrival processes, every YCSB mix and the
     per-client beta skew.
     """
@@ -120,9 +119,6 @@ def stream_specs(max_rate=800.0, max_universe=64, max_clients=8,
         StreamSpec,
         rate=st.floats(min_value=5.0, max_value=max_rate,
                        allow_nan=False, allow_infinity=False),
-        universe=st.integers(min_value=2, max_value=max_universe),
-        alpha=st.floats(min_value=0.0, max_value=1.5,
-                        allow_nan=False, allow_infinity=False),
         mix=st.sampled_from(list(mixes)),
         clients=st.integers(min_value=1, max_value=max_clients),
         process=st.sampled_from(["poisson", "mmpp"]),

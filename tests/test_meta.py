@@ -14,6 +14,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
@@ -62,7 +64,7 @@ def failing(key):
 
 
 resilient = ResilientKVCache(AdaptiveKVCache(capacity_entries=64),
-                             retry=RetryPolicy(attempts=1))
+                             retry=RetryPolicy(backoff=0))
 assert resilient.get_or_compute("a", str.upper) == "A"
 assert resilient.get_or_compute("a", failing) == "A"
 try:
@@ -87,17 +89,68 @@ print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
 """
 
 
-#: Defaulted parameters no call in this repository passes, with the
-#: reason each stays: asyncio itself passes the event-loop protocol's,
-#: and the Algorithm 1 spec mirrors its implementation's signature.
+#: Why a defaulted option may stay although no program sets it:
+#: asyncio itself passes the event-loop protocol's; reference code
+#: mirrors an implementation's signature or states a definition; a test
+#: seam lets a test inject what no program ever varies; a test-driven
+#: module's harness sizes are the tests' to choose.
+OPTION_REASONS = ("asyncio protocol", "reference code", "test seam",
+                  "test-driven module")
+
+_ORACLE_SIZES = {
+    f"repro.oracle.{name}({option})": "test-driven module"
+    for name, options in {
+        "harness.build_hardware_pair": ("num_sets", "ways", "components"),
+        "harness.build_shard_pair": ("partial_bits",),
+        "harness.check_cross_engine": ("capacity", "length", "seed"),
+        "harness.differential_campaign": (
+            "policies", "engines", "streams_per_combo", "stream_length"),
+        "harness.placement_campaign": (
+            "placements", "streams_per_combo", "stream_length"),
+        "columnar.columnar_campaign": (
+            "pairs", "streams_per_combo", "stream_length", "num_sets",
+            "ways", "base_seed"),
+    }.items()
+    for option in options
+}
+
+#: Defaulted options no program call sets, each with its reason.
 UNCALLED_OPTIONS = {
-    "repro.serve.vloop.VirtualTimeEventLoop.call_soon(context)": "asyncio",
-    "repro.serve.vloop.VirtualTimeEventLoop.call_later(context)": "asyncio",
-    "repro.serve.vloop.VirtualTimeEventLoop.create_task(name)": "asyncio",
-    "repro.serve.vloop.VirtualTimeEventLoop.create_task(context)": "asyncio",
+    "repro.serve.vloop.VirtualTimeEventLoop.call_soon(context)":
+        "asyncio protocol",
+    "repro.serve.vloop.VirtualTimeEventLoop.call_later(context)":
+        "asyncio protocol",
+    "repro.serve.vloop.VirtualTimeEventLoop.create_task(name)":
+        "asyncio protocol",
+    "repro.serve.vloop.VirtualTimeEventLoop.create_task(context)":
+        "asyncio protocol",
     "repro.oracle.spec.make_adaptive_spec(window)": "reference code",
     "repro.oracle.spec.make_adaptive_spec(fallback)": "reference code",
+    "repro.utils.bitops.xor_fold(width)": "reference code",
+    "repro.core.theory.check_miss_bound(component_names)": "reference code",
+    "repro.cluster.node.ClusterNode.__init__(fault)": "test seam",
+    "repro.faults.plan.FaultSpec(start)": "test seam",
+    "repro.faults.plan.FaultSpec(stop)": "test seam",
+    "repro.faults.plan.FaultSpec(bits)": "test seam",
+    "repro.faults.plan.FaultSpec(mode)": "test seam",
+    "repro.online.bound.check_online_miss_bound(num_shards)":
+        "test-driven module",
+    "repro.online.bound.check_online_miss_bound(component_names)":
+        "test-driven module",
+    "repro.cluster.chaos.cluster_chaos_campaign(directory)":
+        "test-driven module",
+    **_ORACLE_SIZES,
 }
+
+
+def _is_setting(field):
+    """Whether a record field is a constructor argument: a field built
+    with ``field(..., init=False)`` is state, not a setting."""
+    value = field.value
+    return not (isinstance(value, ast.Call)
+                and ast.unparse(value.func).endswith("field")
+                and any(kw.arg == "init" and ast.unparse(kw.value) == "False"
+                        for kw in value.keywords))
 
 
 def _is_record(node):
@@ -116,8 +169,9 @@ def _is_record(node):
 
 def _options(trees):
     """Map each callable name to where it is defined: (qualified name,
-    positional parameters, defaulted parameters). A class's name stands
-    for its ``__init__`` or, for a record, its fields."""
+    positional parameters, {defaulted parameter: its default}). A
+    class's name stands for its ``__init__`` or, for a record, its
+    fields."""
     defined = {}
 
     def visit(module, body, owner):
@@ -129,23 +183,29 @@ def _options(trees):
                         if isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)
                         and "ClassVar" not in ast.unparse(item.annotation)
+                        and _is_setting(item)
                     ]
                     defined.setdefault(node.name, []).append((
                         f"{module}.{node.name}",
                         [item.target.id for item in fields],
-                        [item.target.id for item in fields
-                         if item.value is not None],
+                        {item.target.id: item.value for item in fields
+                         if item.value is not None},
                     ))
                 visit(module, node.body, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 positional = args.posonlyargs + args.args
-                defaulted = positional[len(positional) - len(args.defaults):]
-                defaulted = [arg.arg for arg in defaulted] + [
-                    arg.arg for arg, value
+                defaulted = {
+                    arg.arg: value for arg, value in zip(
+                        positional[len(positional) - len(args.defaults):],
+                        args.defaults,
+                    )
+                }
+                defaulted.update(
+                    (arg.arg, value) for arg, value
                     in zip(args.kwonlyargs, args.kw_defaults)
                     if value is not None
-                ]
+                )
                 names = [arg.arg for arg in positional]
                 if owner is not None and not any(
                     ast.unparse(deco) == "staticmethod"
@@ -166,17 +226,36 @@ def _options(trees):
     return defined
 
 
-#: Registries whose values are called with ``**kwargs`` no call site
-#: names, so every parameter of those values counts as passed.
+#: Name-keyed class tables whose classes are constructed with
+#: ``**kwargs`` no call site names, so every parameter of those classes
+#: counts as passed: the values of a dict literal bound to one of these
+#: names, or the class a call to one of these functions registers.
 KWARGS_REGISTRIES = {
     "_SPEC_FACTORIES": "oracle.spec.make_spec calls them with **kwargs",
+    "kinds": "core.history.make_history_factory forwards **kwargs",
+    "register_policy": "policies.registry.make_policy forwards **kwargs",
 }
 
+#: Stands for a call that passes every parameter.
+EVERYTHING = ([], {}, True)
 
-def _passed(paths):
-    """Map each called name to (keywords passed, most positional
-    arguments, whether a ``*``/``**`` expansion passes everything)."""
-    passed = {}
+
+def _program_files():
+    """The files whose calls count as callers: ``src/`` and the
+    non-test files of ``benchmarks/``. Tests, examples and docs are
+    not programs that turn a setting."""
+    paths = sorted((REPO_ROOT / "src").rglob("*.py"))
+    return paths + [
+        path for path in sorted((REPO_ROOT / "benchmarks").rglob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    ]
+
+
+def _calls(paths):
+    """Map each called name to its calls, each as (positional argument
+    nodes, {keyword: value node}, whether a ``*``/``**`` expansion
+    passes everything)."""
+    calls = {}
     for path in paths:
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree)
@@ -193,12 +272,17 @@ def _passed(paths):
                     and any(getattr(target, "id", None) in KWARGS_REGISTRIES
                             for target in node.targets)):
                 for value in node.value.values:
-                    passed[ast.unparse(value).rpartition(".")[2]] = (
-                        set(), 0, True)
+                    calls.setdefault(
+                        ast.unparse(value).rpartition(".")[2], []
+                    ).append(EVERYTHING)
             if not isinstance(node, ast.Call):
                 continue
             func, args = node.func, list(node.args)
             name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in KWARGS_REGISTRIES and len(args) == 2:
+                calls.setdefault(
+                    ast.unparse(args[1]).rpartition(".")[2], []
+                ).append(EVERYTHING)
             owner = enclosing_class(node)
             if (name == "__init__" and owner is not None and owner.bases
                     and ast.unparse(func.value) == "super()"):
@@ -209,13 +293,57 @@ def _passed(paths):
             elif name == "partial" and args:
                 name = ast.unparse(args[0]).rpartition(".")[2]
                 args = args[1:]
-            keywords, most, everything = passed.get(name, (set(), 0, False))
-            keywords = keywords | {kw.arg for kw in node.keywords if kw.arg}
-            everything = everything or any(
+            everything = any(
                 isinstance(arg, ast.Starred) for arg in args
             ) or any(kw.arg is None for kw in node.keywords)
-            passed[name] = (keywords, max(most, len(args)), everything)
-    return passed
+            calls.setdefault(name, []).append((
+                args, {kw.arg: kw.value for kw in node.keywords if kw.arg},
+                everything,
+            ))
+    return calls
+
+
+def _literal(node):
+    """A node's literal value (booleans kept apart from numbers), or
+    its source text when it is not a literal."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return ast.unparse(node)
+    return (type(value) is bool, value)
+
+
+def _sets(call, option, positional, default):
+    """Whether ``call`` passes ``option`` a value other than its own
+    default: passing the default literal leaves the option unset."""
+    args, keywords, everything = call
+    if everything:
+        return True
+    if option in keywords:
+        value = keywords[option]
+    elif option in positional and positional.index(option) < len(args):
+        value = args[positional.index(option)]
+    else:
+        return False
+    return _literal(value) != _literal(default)
+
+
+def _unset_options(trees, program_paths):
+    """Every defaulted option of a name defined once in ``trees`` that
+    no call in ``program_paths`` sets to anything but its default."""
+    calls = _calls(program_paths)
+    unset = []
+    for name, definitions in sorted(_options(trees).items()):
+        if len(definitions) != 1:
+            continue
+        qualname, positional, defaults = definitions[0]
+        unset += [
+            f"{qualname}({option})"
+            for option, default in defaults.items()
+            if not any(_sets(call, option, positional, default)
+                       for call in calls.get(name, ()))
+        ]
+    return unset
 
 
 def _walk_modules():
@@ -414,30 +542,19 @@ class TestSuiteShape:
         assert not orphans, orphans
 
     def test_every_option_has_a_caller(self):
-        """Every setting has a way in: each defaulted parameter, and each
-        defaulted field of a frozen dataclass or NamedTuple, of a name
-        defined once in ``src/repro`` is passed by some call in ``src/``,
-        ``tests/``, ``benchmarks/`` or ``examples/``, by keyword or by
-        position (a ``*``/``**`` expansion passes every parameter). An
-        option no call sets is a constant: fold it in."""
-        trees = _module_sources()
-        paths = [path for folder in ("src", "tests", "benchmarks", "examples")
-                 for path in sorted((REPO_ROOT / folder).rglob("*.py"))]
-        passed = _passed(paths)
-        uncalled = []
-        for name, definitions in sorted(_options(trees).items()):
-            if len(definitions) != 1:
-                continue
-            qualname, positional, defaulted = definitions[0]
-            keywords, most, everything = passed.get(name, (set(), 0, False))
-            uncalled += [
-                f"{qualname}({option})" for option in defaulted
-                if not everything and option not in keywords
-                and not (option in positional
-                         and positional.index(option) < most)
-            ]
-        assert sorted(set(uncalled) - set(UNCALLED_OPTIONS)) == []
-        assert set(UNCALLED_OPTIONS) <= set(uncalled), "allowlist is stale"
+        """Every setting has a program that turns it: each defaulted
+        parameter, and each defaulted field of a frozen dataclass or
+        NamedTuple, of a name defined once in ``src/repro`` is set by
+        some call in program code (``src/``, the non-test files of
+        ``benchmarks/``) to something other than its own default
+        literal, by keyword or by position (a ``*``/``**`` expansion
+        passes every parameter). Tests are not callers: an option only
+        tests set, or that every program sets to its default, is a
+        constant; fold it in."""
+        unset = _unset_options(_module_sources(), _program_files())
+        assert sorted(set(unset) - set(UNCALLED_OPTIONS)) == []
+        assert set(UNCALLED_OPTIONS) <= set(unset), "allowlist is stale"
+        assert set(UNCALLED_OPTIONS.values()) <= set(OPTION_REASONS)
 
     def test_e2e_cold_start_loads_only_what_it_runs(self, tmp_path):
         """A process that imports what the e2e workloads import and
@@ -480,3 +597,90 @@ class TestSuiteShape:
                 ):
                     calls.append(f"{path.relative_to(src)}:{node.lineno}")
         assert not calls, calls
+
+
+#: One-module trees for the option guard: (case, definition, program
+#: call site, what the guard lists).
+GUARD_CASES = [
+    ("no program call", "def f(x, flag=False): pass", "", ["mod.f(flag)"]),
+    ("default literal by keyword", "def f(x, flag=False): pass",
+     "f(1, flag=False)", ["mod.f(flag)"]),
+    ("default literal by position", "def f(x, flag=False): pass",
+     "f(1, False)", ["mod.f(flag)"]),
+    ("other literal by keyword", "def f(x, flag=False): pass",
+     "f(1, flag=True)", []),
+    ("other literal by position", "def f(x, flag=False): pass",
+     "f(1, True)", []),
+    ("a variable", "def f(x, flag=False): pass", "f(1, flag=x)", []),
+    ("a ** expansion", "def f(x, flag=False): pass", "f(1, **kw)", []),
+    ("a bool is not a number", "def f(n=1): pass", "f(n=True)", []),
+    ("the default's own name", "def f(n=LIMIT): pass", "f(n=LIMIT)",
+     ["mod.f(n)"]),
+    ("one program call of several sets it", "def f(n=1): pass",
+     "f(n=1)\nf(n=2)", []),
+    ("a method", "class C:\n    def m(self, n=2): pass", "C().m(2)",
+     ["mod.C.m(n)"]),
+    ("a constructor", "class C:\n    def __init__(self, n=2): pass",
+     "C(n=3)", []),
+    ("a frozen record field",
+     "@dataclass(frozen=True)\nclass R:\n    a: int = 1", "R(a=1)",
+     ["mod.R(a)"]),
+    ("an init=False field",
+     "@dataclass(frozen=True)\nclass R:\n"
+     "    a: int = field(default=0, init=False)", "R()", []),
+    ("a ClassVar", "@dataclass(frozen=True)\nclass R:\n"
+     "    a: ClassVar[int] = 1", "R()", []),
+    ("a registered policy class",
+     "class P:\n    def __init__(self, bits=1): pass",
+     "register_policy('p', P)", []),
+    ("a history kinds table",
+     "class H:\n    def __init__(self, bits=1): pass",
+     "kinds = {'h': H}", []),
+]
+
+
+class TestOptionGuard:
+    """The rules of ``test_every_option_has_a_caller``, on one-module
+    trees written to a temporary directory."""
+
+    @pytest.mark.parametrize(
+        "definition, program, listed",
+        [case[1:] for case in GUARD_CASES],
+        ids=[case[0] for case in GUARD_CASES],
+    )
+    def test_rule(self, tmp_path, definition, program, listed):
+        module = tmp_path / "mod.py"
+        module.write_text(definition + "\n")
+        caller = tmp_path / "caller.py"
+        caller.write_text(program + "\n")
+        trees = {"mod": (module, ast.parse(module.read_text()))}
+        assert _unset_options(trees, [caller]) == listed
+
+    def test_tests_examples_and_docs_are_not_programs(self):
+        programs = {path.relative_to(REPO_ROOT).as_posix()
+                    for path in _program_files()}
+        assert "src/repro/cpu/store_buffer.py" in programs
+        assert "benchmarks/e2e/workloads.py" in programs
+        assert not [path for path in programs
+                    if not path.startswith(("src/", "benchmarks/"))]
+        assert not [path for path in programs
+                    if path.rpartition("/")[2].startswith("test_")]
+
+    def test_an_option_only_a_test_sets_is_listed(self, tmp_path):
+        """A default that only a test file turns still reads as unset:
+        the guard parses program files alone."""
+        module = tmp_path / "mod.py"
+        module.write_text(
+            "class StoreBuffer:\n"
+            "    def __init__(self, capacity, serialize_drains=False):\n"
+            "        pass\n"
+        )
+        program = tmp_path / "timing.py"
+        program.write_text("StoreBuffer(8)\n")
+        test = tmp_path / "test_store_buffer.py"
+        test.write_text("StoreBuffer(2, serialize_drains=True)\n")
+        trees = {"mod": (module, ast.parse(module.read_text()))}
+        assert _unset_options(trees, [program]) == [
+            "mod.StoreBuffer.__init__(serialize_drains)"
+        ]
+        assert _unset_options(trees, [program, test]) == []

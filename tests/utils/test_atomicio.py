@@ -37,12 +37,6 @@ class TestAtomicOutput:
                 raise RuntimeError("boom")
         assert list(tmp_path.iterdir()) == []
 
-    def test_text_mode(self, tmp_path):
-        path = tmp_path / "out.txt"
-        with atomic_output(path, "w") as handle:
-            handle.write("text content")
-        assert path.read_text() == "text content"
-
 
 class TestConvenienceWrappers:
     def test_write_bytes(self, tmp_path):

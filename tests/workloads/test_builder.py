@@ -77,8 +77,6 @@ profiles = st.one_of(
         density=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 2.5)),
         loop_bias=unit,
         random_fraction=unit,
-        random_bias=unit,
-        sites=st.integers(1, 300),
     ),
 )
 
@@ -127,8 +125,6 @@ class TestBranchProfile:
             {"density": -1},
             {"loop_bias": 1.5},
             {"random_fraction": -0.1},
-            {"random_bias": 2.0},
-            {"sites": 0},
         ],
     )
     def test_validation(self, kwargs):

@@ -39,7 +39,7 @@ class TestGenerators:
         assert keys == [keys[0], keys[1], keys[2]] * 2 + [keys[0]]
 
     def test_zipf_is_skewed(self):
-        keys = zipf_keys(1000, 5000, alpha=1.2, seed=0)
+        keys = zipf_keys(1000, 5000, seed=0)
         counts = {}
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
@@ -48,12 +48,12 @@ class TestGenerators:
         assert sum(top) > 0.3 * len(keys)
 
     def test_phase_change_alternates_universes(self):
-        keys = phase_change_keys(40, 12, 400, phases=4, prefix="q")
+        keys = phase_change_keys(40, 12, 400, phases=4)
         prefixes = {k.rsplit(":", 1)[0] for k in keys}
-        assert prefixes == {"q-hot", "q-loop"}
+        assert prefixes == {"p-hot", "p-loop"}
         # First quarter is Zipf (hot), second quarter is loop.
-        assert all(k.startswith("q-hot:") for k in keys[:100])
-        assert all(k.startswith("q-loop:") for k in keys[100:200])
+        assert all(k.startswith("p-hot:") for k in keys[:100])
+        assert all(k.startswith("p-loop:") for k in keys[100:200])
 
     def test_phase_change_validates(self):
         with pytest.raises(ValueError, match="phases"):
@@ -68,7 +68,7 @@ class TestTraceBridge:
     def test_trace_replay_matches_block_structure(self):
         config = CacheConfig(size_bytes=4 * 1024, ways=4, line_bytes=64)
         trace = build_workload("ammp", config, accesses=800)
-        keys = keys_from_trace(trace, line_bytes=64)
+        keys = keys_from_trace(trace)
         blocks = trace.block_addresses(64)
         assert len(keys) == len(blocks)
         assert keys == [f"blk:{b}" for b in blocks]
@@ -110,10 +110,20 @@ class TestOpenLoopSpecs:
         with pytest.raises(ValueError, match="clients"):
             beta_client_weights(0, 2.0, 5.0, seed=0)
 
+    def test_universe_and_skew_are_fixed(self):
+        from repro.workloads.keystreams import StreamSpec
+
+        with pytest.raises(TypeError):
+            StreamSpec(universe=64)
+        ranks = {int(r.key.partition(":")[2])
+                 for r in StreamSpec(rate=100.0, seed=1).take(3000)}
+        assert max(ranks) < StreamSpec.universe == 512
+        assert len(ranks) > 100
+
     def test_take_validates_and_counts(self):
         from repro.workloads.keystreams import StreamSpec
 
-        spec = StreamSpec(rate=100.0, universe=8, seed=1)
+        spec = StreamSpec(rate=100.0, seed=1)
         assert len(spec.take(25)) == 25
         assert spec.take(0) == []
         with pytest.raises(ValueError, match="count"):
@@ -122,7 +132,7 @@ class TestOpenLoopSpecs:
     def test_insert_keys_are_fresh_and_sequential(self):
         from repro.workloads.keystreams import StreamSpec
 
-        spec = StreamSpec(rate=500.0, universe=16, mix="D", seed=2)
+        spec = StreamSpec(rate=500.0, mix="D", seed=2)
         inserts = [r for r in spec.take(2000) if r.op == "insert"]
         assert inserts
         assert [r.key for r in inserts] == [

@@ -17,9 +17,6 @@ class TestLinearLoop:
     def test_wraps(self):
         assert linear_loop(3, 7) == [0, 1, 2, 0, 1, 2, 0]
 
-    def test_start_line(self):
-        assert linear_loop(2, 4, start_line=10) == [10, 11, 10, 11]
-
     def test_footprint(self):
         stream = linear_loop(50, 500)
         assert set(stream) == set(range(50))
@@ -99,10 +96,8 @@ class TestZipf:
     def test_shuffling_spreads_hot_lines(self):
         from collections import Counter
 
-        unshuffled = zipf_stream(1000, 10_000, seed=8, shuffle_ranks=False)
-        shuffled = zipf_stream(1000, 10_000, seed=8, shuffle_ranks=True)
-        # Without shuffling the hottest line is line 0.
-        assert Counter(unshuffled).most_common(1)[0][0] == 0
+        shuffled = zipf_stream(1000, 10_000, seed=8)
+        # Without shuffling the hottest line would be line 0.
         assert Counter(shuffled).most_common(1)[0][0] != 0
 
     def test_validation(self):
@@ -112,12 +107,10 @@ class TestZipf:
 
 class TestScanWithHot:
     def test_regions_disjoint(self):
-        stream = scan_with_hot(10, 100, 2000, hot_fraction=0.5, seed=9,
-                               start_line=50)
-        hot = [line for line in stream if line < 60]
-        scan = [line for line in stream if line >= 60]
-        assert all(50 <= line < 60 for line in hot)
-        assert all(60 <= line < 160 for line in scan)
+        stream = scan_with_hot(10, 100, 2000, hot_fraction=0.5, seed=9)
+        hot = [line for line in stream if line < 10]
+        scan = [line for line in stream if line >= 10]
+        assert all(10 <= line < 110 for line in scan)
         assert 0.4 < len(hot) / len(stream) < 0.6
 
     def test_scan_is_single_pass_until_wrap(self):
@@ -136,8 +129,8 @@ class TestPointerChase:
         assert len(set(stream)) > 10
 
     def test_node_spacing(self):
-        stream = pointer_chase(50, 1000, lines_per_node=4, seed=12)
-        assert all(line % 4 == 0 for line in stream)
+        stream = pointer_chase(50, 1000, seed=12)
+        assert set(stream) <= set(range(50))
 
     def test_deterministic(self):
         assert pointer_chase(64, 500, seed=13) == pointer_chase(64, 500,
