@@ -48,10 +48,6 @@ class DisagreementReport:
     indifferent: int
 
     @property
-    def total_sets(self) -> int:
-        return self.prefer_first + self.prefer_second + self.indifferent
-
-    @property
     def disagreement(self) -> float:
         """Fraction of opinionated sets in the minority camp.
 

@@ -18,6 +18,9 @@ from repro.workloads.trace import Trace
 
 NO_DECISION = -1
 
+#: :meth:`SetMap.render`'s glyph for each component, in order.
+GLYPHS = "#.o+x"
+
 
 @dataclass
 class SetMap:
@@ -56,20 +59,19 @@ class SetMap:
                         chosen += 1
         return chosen / deciding if deciding else 0.0
 
-    def render(self, glyphs: str = "#.o+x", empty: str = " ") -> str:
+    def render(self) -> str:
         """ASCII rendering: one row per set, one column per quantum.
 
-        Component i paints ``glyphs[i]``; the paper's convention maps
-        component 0 (LRU) to dark and component 1 (LFU) to light.
+        Component i paints ``GLYPHS[i]``; the paper's convention maps
+        component 0 (LRU) to dark and component 1 (LFU) to light. A
+        quantum with no decision is blank.
         """
-        if len(glyphs) < len(self.component_names):
+        if len(GLYPHS) < len(self.component_names):
             raise ValueError("not enough glyphs for the component count")
-        lines = []
-        for row in self.cells:
-            lines.append(
-                "".join(empty if c == NO_DECISION else glyphs[c] for c in row)
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            "".join(" " if c == NO_DECISION else GLYPHS[c] for c in row)
+            for row in self.cells
+        )
 
 
 def collect_setmap(

@@ -294,7 +294,3 @@ class SetAssociativeCache:
         self.policy.on_invalidate(set_index, way)
         self.stats.invalidations += 1
         return True
-
-    def resident_block_count(self) -> int:
-        """Total valid lines across all sets (testing/inspection aid)."""
-        return sum(s.occupancy() for s in self.sets)

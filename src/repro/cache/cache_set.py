@@ -45,10 +45,6 @@ class CacheSet(SetView):
         """Number of valid blocks."""
         return len(self._tag_to_way)
 
-    def is_full(self) -> bool:
-        """Whether every way holds a valid block."""
-        return len(self._tag_to_way) == self._ways
-
     def find(self, tag: int) -> Optional[int]:
         """Way holding ``tag``, or None."""
         return self._tag_to_way.get(tag)
@@ -59,16 +55,6 @@ class CacheSet(SetView):
             return None
         way = self._free_hint = self._tags.index(None, self._free_hint)
         return way
-
-    def is_dirty(self, way: int) -> bool:
-        """Whether the block in ``way`` has been written since fill."""
-        return self._dirty[way]
-
-    def mark_dirty(self, way: int) -> None:
-        """Set the dirty bit of the (valid) block in ``way``."""
-        if self._tags[way] is None:
-            raise ValueError(f"cannot dirty invalid way {way}")
-        self._dirty[way] = True
 
     def install(self, way: int, tag: int, dirty: bool = False) -> None:
         """Place ``tag`` in ``way``, which must be empty."""

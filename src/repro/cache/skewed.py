@@ -121,10 +121,3 @@ class SkewedAssociativeCache:
             self._blocks[w][self.bank_index(w, block)] == block
             for w in range(self.banks)
         )
-
-    def resident_block_count(self) -> int:
-        """Total valid lines (testing/inspection aid)."""
-        return sum(
-            sum(1 for block in bank if block is not None)
-            for bank in self._blocks
-        )

@@ -99,10 +99,8 @@ class TagArray:
         )
         self._identity = tag_transform is identity_tag
 
-    def lookup_update(
-        self, set_index: int, full_tag: int, is_write: bool = False
-    ) -> ShadowOutcome:
-        """Replay one reference: probe, then update as the policy would.
+    def lookup_update(self, set_index: int, full_tag: int) -> ShadowOutcome:
+        """Replay one read: probe, then update as the policy would.
 
         Shadow replays run once per component per access (the adaptive
         policy's ``observe`` hook), so this is as hot as the real
@@ -110,10 +108,10 @@ class TagArray:
         singletons and the tag transform is skipped for full tags.
         """
         stored = full_tag if self._identity else self.tag_transform(full_tag)
-        return self.lookup_stored(set_index, stored, is_write)
+        return self.lookup_stored(set_index, stored, False)
 
     def lookup_stored(
-        self, set_index: int, stored: int, is_write: bool = False
+        self, set_index: int, stored: int, is_write: bool
     ) -> ShadowOutcome:
         """:meth:`lookup_update` on an already-transformed tag, so a
         caller replaying one reference into several arrays that share a
@@ -141,14 +139,6 @@ class TagArray:
         shadow_set.install(fill_way, stored)
         policy.on_fill(set_index, fill_way, stored)
         return outcome
-
-    def contains_full(self, set_index: int, full_tag: int) -> bool:
-        """Would this component cache (appear to) hold ``full_tag``?
-
-        With partial tags this can be a false positive — by design.
-        """
-        stored = self.tag_transform(full_tag)
-        return self.sets[set_index].find(stored) is not None
 
     def contains_stored(self, set_index: int, stored_tag: int) -> bool:
         """Membership test on an already-transformed tag."""

@@ -13,7 +13,7 @@ placement) plugs in without touching the node layer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import HashRing
@@ -39,10 +39,6 @@ class ClusterView:
     def node_ids(self) -> List[str]:
         """All known member ids, sorted."""
         return sorted(self._nodes)
-
-    def ring_members(self) -> List[str]:
-        """Ids currently owning ring ranges."""
-        return self._ring.node_ids()
 
     def status(self, node_id: str) -> str:
         """Lifecycle state of one member."""
@@ -168,22 +164,6 @@ class ClusterController:
         self._ring.add_node(node.node_id)
         return self.rebalance() if rebalance else 0
 
-    def leave(self, node_id: str) -> int:
-        """Gracefully remove a node from the ring, first copying its
-        residents to their new owners, so a planned departure loses
-        nothing.
-
-        Returns:
-            Keys drained to new owners.
-        """
-        node = self._nodes[node_id]
-        keys = list(node.resident_keys())
-        self._ring.remove_node(node_id)
-        moved = self.rebalance(keys) if keys else 0
-        del self._nodes[node_id]
-        node.close()
-        return moved
-
     # -- lifecycle ------------------------------------------------------
 
     def kill(self, node_id: str) -> None:
@@ -260,8 +240,8 @@ class ClusterController:
         best = max(held.values(), key=lambda record: record[0], default=None)
         return best, held
 
-    def rebalance(self, keys: Optional[Iterable] = None) -> int:
-        """Converge replica placement for ``keys`` (default: all).
+    def rebalance(self) -> int:
+        """Converge replica placement for every resident key.
 
         For every key, the highest-version record held by any
         non-crashed member is copied to each reachable owner that is
@@ -275,10 +255,8 @@ class ClusterController:
         Returns:
             Replica copies written.
         """
-        if keys is None:
-            keys = self.view.resident_keys()
         moved = 0
-        for key in keys:
+        for key in self.view.resident_keys():
             best, held = self._winner(key)
             if best is None:
                 continue

@@ -1,12 +1,12 @@
 """Consistent-hash ring with virtual nodes.
 
 The simulator shards *within* one engine by fingerprint high bits
-(:func:`repro.online.keyspace.shard_of`); the cluster shards *across*
-nodes with a consistent-hash ring so that membership changes move only
-~K/n keys instead of rehashing everything. Each member contributes
-``vnodes`` points to the ring (its virtual nodes), which smooths the
-per-node load to within a few percent of uniform even for small
-clusters; a key's *preference list* is the first N distinct members
+(:func:`repro.online.keyspace.shard_routing`); the cluster shards
+*across* nodes with a consistent-hash ring so that a membership change
+moves only ~K/n keys instead of rehashing everything. Each member
+contributes ``vnodes`` points to the ring (its virtual nodes), which
+smooths the per-node load to within a few percent of uniform even for
+small clusters; a key's *preference list* is the first N distinct members
 clockwise from its fingerprint, which is where its N replicas live.
 
 Ring points are themselves key fingerprints
@@ -60,19 +60,6 @@ class HashRing:
             self._points.insert(at, point)
             self._owners.insert(at, node_id)
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove a member's virtual nodes from the ring."""
-        if node_id not in self._members:
-            raise KeyError(f"node {node_id!r} is not on the ring")
-        self._members.discard(node_id)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node_id
-        ]
-        self._points = [point for point, _owner in keep]
-        self._owners = [owner for _point, owner in keep]
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._members
 
@@ -116,14 +103,3 @@ class HashRing:
                 if len(owners) == n:
                     break
         return owners
-
-    def primary(self, fingerprint: int) -> str:
-        """The first owner clockwise of ``fingerprint``.
-
-        Raises:
-            LookupError: the ring is empty.
-        """
-        owners = self.owners(fingerprint, 1)
-        if not owners:
-            raise LookupError("the ring has no members")
-        return owners[0]

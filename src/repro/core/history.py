@@ -228,10 +228,6 @@ class BitVectorHistory(MissHistory):
         self._events.clear()
         self._counts = [0] * self.num_components
 
-    def recorded_events(self) -> int:
-        """Number of events currently in the window (testing aid)."""
-        return len(self._events)
-
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the event window.
 

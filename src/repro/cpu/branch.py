@@ -111,13 +111,6 @@ class MetaPredictor:
             self.mispredictions += 1
         return correct
 
-    @property
-    def mispredict_rate(self) -> float:
-        """Fraction of predictions that were wrong."""
-        if self.predictions == 0:
-            return 0.0
-        return self.mispredictions / self.predictions
-
 
 class BranchTargetBuffer:
     """Set-associative BTB with LRU replacement.

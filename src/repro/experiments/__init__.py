@@ -1,8 +1,11 @@
 """Experiment drivers, one per paper table/figure.
 
-Each module exposes ``run(setup=None, ...) -> ExperimentResult``; the
-result renders the same rows/series the paper reports. ``repro-experiments``
-(see :mod:`repro.experiments.cli`) runs them from the command line.
+A sweep experiment's module declares its simulator cells
+(``cells(setup, workloads)``) and renders their results
+(``render(setup, sweep)``); any other module has a ``run``. Each
+returns an ``ExperimentResult`` with the rows/series the paper
+reports. ``repro-experiments`` (:mod:`repro.experiments.cli`, through
+``run_experiment``) is their one caller.
 
 Index (see DESIGN.md Section 4 for the full mapping):
 

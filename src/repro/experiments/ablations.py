@@ -30,19 +30,14 @@ from repro.experiments.base import (
     Setup,
     WorkloadCache,
     build_l2_policy,
-    make_setup,
 )
 
 DEFAULT_WORKLOADS = ["lucas", "gcc-2", "art-1", "tiff2rgba", "ammp",
                      "mcf", "unepic"]
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
     """Sweep each design choice, one at a time."""
-    setup = setup or make_setup()
     cache_ws = WorkloadCache(setup)
     workloads = list(workloads or DEFAULT_WORKLOADS)
     num_sets, ways = setup.l2.num_sets, setup.l2.ways
@@ -108,7 +103,3 @@ def run(
         f"{baseline_mpki:.2f}) is the claim being checked."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

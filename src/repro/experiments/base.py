@@ -48,9 +48,10 @@ class Setup:
     processor: ProcessorConfig
     accesses: int
 
-    def workloads(self, primary_only: bool = True) -> List[str]:
-        """Suite workload names for this setup."""
-        return workload_names(primary_only)
+    def workloads(self) -> List[str]:
+        """The suite's primary-set workload names, which every sweep
+        experiment replays unless told otherwise."""
+        return workload_names(primary_only=True)
 
 
 def make_setup(scale: str = "scaled", accesses: Optional[int] = None) -> Setup:
@@ -381,20 +382,12 @@ class ExperimentResult:
         idx = self.headers.index(header)
         return [row[idx] for row in self.rows]
 
-    def row_by_label(self, label) -> List:
-        """The first row whose first cell equals ``label``."""
-        for row in self.rows:
-            if row[0] == label:
-                return row
-        raise KeyError(f"no row labeled {label!r}")
-
-    def render(self, float_digits: int = 3) -> str:
+    def render(self) -> str:
         """Human-readable report: title, table, notes."""
         parts = [
             render_table(
                 self.headers,
                 self.rows,
-                float_digits=float_digits,
                 title=f"{self.experiment}: {self.description}",
             )
         ]

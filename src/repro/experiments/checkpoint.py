@@ -110,10 +110,6 @@ class SweepCheckpoint:
     def __len__(self) -> int:
         return len(self._cells)
 
-    def has(self, key: str) -> bool:
-        """Whether ``key`` records a completed cell."""
-        return key in self._cells
-
     def get(self, key: str, default=None):
         """The recorded value for ``key``, or ``default``."""
         return self._cells.get(key, default)

@@ -18,9 +18,9 @@ then renders its own table from them.
 
 Robustness (see docs/robustness.md): the sweep pass and each
 experiment run crash-isolated under an optional wall-clock timeout;
-with ``--resume``/``--checkpoint`` every completed experiment and
-every simulator cell is recorded in an atomically-written JSON file,
-and a re-invocation (``report`` included) skips finished work.
+with ``--resume [PATH]`` every completed experiment and every
+simulator cell is recorded in an atomically-written JSON file, and a
+re-invocation (``report`` included) skips finished work.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import render_table
 from repro.experiments import base
@@ -90,62 +90,67 @@ EXPERIMENTS = {
     "seeds": seed_sensitivity,
 }
 
-# Experiments whose run() does not take a Setup.
-_SETUP_FREE = {"storage", "theory"}
-
 DEFAULT_CHECKPOINT = ".repro-checkpoint.json"
 
 
-def _experiment_kwargs(name: str, args: argparse.Namespace) -> dict:
-    """The keyword arguments the flags pass to ``name``'s run or cells."""
-    kwargs = {}
-    # ext-online takes key-stream names, not suite workload names, so the
-    # suite-wide --workloads restriction does not apply to it either.
-    if args.workloads and name not in ("fig7", "ext-shared", "ext-skew",
-                                       "ext-online", "ext-cluster",
-                                       "ext-tiers", "ext-serve"):
-        kwargs["workloads"] = args.workloads
-    if name == "ext-serve":
-        kwargs["seed"] = args.seed
-        if args.quick:
-            kwargs["quick"] = True
-    return kwargs
+def _call(function: Callable, arguments: Dict[str, object]):
+    """``function`` called with those ``arguments`` its signature names."""
+    names = inspect.signature(function).parameters
+    return function(**{name: value for name, value in arguments.items()
+                       if name in names})
+
+
+def run_experiment(
+    name: str,
+    setup: base.Setup,
+    workloads: Optional[Sequence[str]],
+    sweep: Optional[base.Sweep] = None,
+    checkpoint: Optional[checkpoint_mod.SweepCheckpoint] = None,
+    seed: int = 0,
+    quick: bool = False,
+) -> base.ExperimentResult:
+    """Experiment ``name``'s result at ``setup``.
+
+    A sweep experiment (one with ``cells``) renders ``sweep``, or, when
+    there is none, its own cells simulated by
+    :func:`~repro.experiments.base.run_sweeps`; any other runs. Each of
+    its ``run``/``cells``/``render`` gets the arguments its signature
+    names, of ``setup``, ``sweep``, ``workloads`` (suite workload
+    names, None for the experiment's own), ``checkpoint``, ``seed`` and
+    ``quick``.
+    """
+    module = EXPERIMENTS[name]
+    arguments = {"setup": setup, "workloads": workloads,
+                 "checkpoint": checkpoint, "seed": seed, "quick": quick}
+    if not hasattr(module, "cells"):
+        return _call(module.run, arguments)
+    if sweep is None:
+        sweep = base.run_sweeps(
+            setup, {name: _call(module.cells, arguments)}, checkpoint
+        )[name]
+    return _call(module.render, dict(arguments, sweep=sweep))
+
+
+def _setup(args: argparse.Namespace) -> base.Setup:
+    return base.make_setup(args.scale, accesses=args.accesses)
 
 
 def _run_sweeps(names: List[str], args: argparse.Namespace,
                 ckpt: Optional[checkpoint_mod.SweepCheckpoint]
                 ) -> Dict[str, base.Sweep]:
     """Simulate the cells of the sweep experiments ``names`` in one pass."""
-    setup = base.make_setup(args.scale, accesses=args.accesses)
+    setup = _setup(args)
+    arguments = {"setup": setup, "workloads": args.workloads or None}
     return base.run_sweeps(setup, {
-        name: EXPERIMENTS[name].cells(setup, **_experiment_kwargs(name, args))
-        for name in names
+        name: _call(EXPERIMENTS[name].cells, arguments) for name in names
     }, ckpt, args.workers)
-
-
-def _run_result(name: str, args: argparse.Namespace,
-                ckpt: Optional[checkpoint_mod.SweepCheckpoint],
-                sweeps: Dict[str, base.Sweep]):
-    """``name``'s result: rendered from ``sweeps``, or run on its own."""
-    module = EXPERIMENTS[name]
-    if name in _SETUP_FREE:
-        return module.run()
-    setup = base.make_setup(args.scale, accesses=args.accesses)
-    if name in sweeps:
-        return module.render(setup, sweeps[name])
-    kwargs = _experiment_kwargs(name, args)
-    # Experiments with their own checkpointed cell loops take the file.
-    if "checkpoint" in inspect.signature(module.run).parameters:
-        kwargs["checkpoint"] = ckpt
-    return module.run(setup=setup, **kwargs)
 
 
 def _render_text(name: str, result, args: argparse.Namespace) -> str:
     text = result.render()
     if name == "fig7" and args.render_map:
         for workload in ("ammp", "mgrid"):
-            setup = base.make_setup(args.scale, accesses=args.accesses)
-            setmap, _policy = fig7_setmaps.collect(workload, setup)
+            setmap, _policy = fig7_setmaps.collect(workload, _setup(args))
             text += (
                 f"\n\n{workload} per-set map "
                 "('#'=LRU-majority, '.'=LFU-majority):\n"
@@ -233,15 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resume",
-        action="store_true",
-        help="record completed cells in a checkpoint file and skip "
-        f"them on re-invocation (default file: {DEFAULT_CHECKPOINT})",
-    )
-    parser.add_argument(
-        "--checkpoint",
+        nargs="?",
+        const=DEFAULT_CHECKPOINT,
         default=None,
         metavar="PATH",
-        help="checkpoint file to use (implies --resume semantics)",
+        help="record completed cells in the checkpoint file PATH "
+        f"(default {DEFAULT_CHECKPOINT}) and skip them on re-invocation",
     )
     parser.add_argument(
         "--timeout",
@@ -251,16 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock timeout for the sweep pass and for each "
         "experiment (POSIX main thread only)",
     )
-    golden_group = parser.add_mutually_exclusive_group()
-    golden_group.add_argument(
-        "--check",
-        action="store_true",
-        help="with 'golden': verify the pinned digests (the default)",
-    )
-    golden_group.add_argument(
+    parser.add_argument(
         "--regen",
         action="store_true",
-        help="with 'golden': recompute and rewrite the pinned digests",
+        help="with 'golden': recompute and rewrite the pinned digests "
+        "instead of checking them",
     )
     parser.add_argument(
         "--golden-path",
@@ -389,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_checkpoint(
     args: argparse.Namespace,
 ) -> Optional[checkpoint_mod.SweepCheckpoint]:
-    """The sweep checkpoint implied by the flags, or None."""
-    if not (args.resume or args.checkpoint):
+    """The sweep checkpoint ``--resume`` names, or None."""
+    if args.resume is None:
         return None
-    path = args.checkpoint or DEFAULT_CHECKPOINT
     # A damaged checkpoint must not kill the sweep it exists to
     # protect: open_or_reset sets it aside and starts a fresh one.
-    return checkpoint_mod.SweepCheckpoint.open_or_reset(path)
+    return checkpoint_mod.SweepCheckpoint.open_or_reset(args.resume)
 
 
 def _failure_summary(failures: List[runner_mod.CellOutcome]) -> str:
@@ -473,7 +469,7 @@ def _run_recover(args: argparse.Namespace) -> int:
         if args.finish:
             stats = ext_online.persistent_replay(
                 args.snapshot_dir,
-                setup=base.make_setup(args.scale, accesses=args.accesses),
+                setup=_setup(args),
                 live=args.live,
             )
             verb = ("recovered+finished (live)" if args.live
@@ -615,7 +611,10 @@ def _drive(
             elif name in sweeps or name not in declared:
                 unit = name
                 outcome = runner_mod.run_cell(
-                    lambda: finish(name, _run_result(name, args, ckpt, sweeps)),
+                    lambda: finish(name, run_experiment(
+                        name, _setup(args), args.workloads or None,
+                        sweeps.get(name), ckpt, args.seed, args.quick,
+                    )),
                     name=name, timeout=args.timeout,
                 )
                 if outcome.failed:

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, policy_cells, sweep_workloads,
 )
 
 # Loop-thrashing programs (where BIP shines) + recency-friendly ones
@@ -37,7 +37,7 @@ POLICY_SPECS = {
 }
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One cell per workload (default :data:`DEFAULT_WORKLOADS`) and
     :data:`POLICY_SPECS` entry."""
     return policy_cells(setup, workloads or DEFAULT_WORKLOADS, POLICY_SPECS)
@@ -66,14 +66,3 @@ def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
         "paper's machinery with zero new mechanism."
     )
     return result
-
-
-def run(setup: Optional[Setup] = None,
-        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
-    """MPKI of DIP-like set dueling vs this paper's adaptivity."""
-    setup = setup or make_setup()
-    return render(setup, run_cells(setup, cells(setup, workloads)))
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -37,13 +37,14 @@ from repro.experiments.base import (
     Setup,
     WorkloadCache,
     build_l2_policy,
-    make_setup,
 )
 from repro.faults import FaultInjector, FaultLog, FaultPlan
 
 DEFAULT_WORKLOADS = ["lucas", "art-1", "ammp", "mcf", "unepic", "swim"]
 
-DEFAULT_RATES: Tuple[float, ...] = (0.001, 0.01, 0.05)
+#: Per-access fault probabilities swept; each applies uniformly to
+#: shadow tags, miss histories and the selector.
+RATES: Tuple[float, ...] = (0.001, 0.01, 0.05)
 
 
 def _simulate_adaptive(
@@ -72,26 +73,16 @@ def _simulate_adaptive(
     return result, (injector.log if injector is not None else None)
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    rates: Sequence[float] = DEFAULT_RATES,
-    seed: int = 0,
-) -> ExperimentResult:
-    """MPKI degradation of the adaptive L2 versus injected fault rate.
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
+    """MPKI degradation of the adaptive L2 versus each of :data:`RATES`.
 
-    Args:
-        setup: experiment scale (default: ``scaled``).
-        workloads: suite workload names (default: a locality-diverse
-            six-program slice of the primary set).
-        rates: per-access fault probabilities to sweep; each applies
-            uniformly to shadow tags, miss histories and the selector.
-        seed: base seed for the injectors' corruption streams.
+    ``workloads`` defaults to a locality-diverse six-program slice of
+    the primary set. Each injector's corruption stream is seeded by the
+    workload's index and the rate's.
     """
-    setup = setup or make_setup()
     cache_ws = WorkloadCache(setup)
     workloads = list(workloads or DEFAULT_WORKLOADS)
-    rates = list(rates)
+    rates = list(RATES)
 
     headers = (
         ["benchmark", "LRU MPKI", "adaptive MPKI", "armed rate 0"]
@@ -113,7 +104,7 @@ def run(
         lru = Cell.of(setup, name, "LRU", {"policy_kind": "lru"}).simulate(compiled)
         baseline, _ = _simulate_adaptive(setup, compiled, None)
         armed_quiet, _ = _simulate_adaptive(
-            setup, compiled, FaultPlan.uniform(0.0, seed=seed + index)
+            setup, compiled, FaultPlan.uniform(0.0, seed=index)
         )
         if armed_quiet.l2_misses != baseline.l2_misses:
             raise RuntimeError(
@@ -123,9 +114,7 @@ def run(
         faulted: List[TimingResult] = []
         injected = 0
         for rate_index, rate in enumerate(rates):
-            plan = FaultPlan.uniform(
-                rate, seed=seed + 1000 * (rate_index + 1) + index
-            )
+            plan = FaultPlan.uniform(rate, seed=1000 * (rate_index + 1) + index)
             run_result, log = _simulate_adaptive(setup, compiled, plan)
             faulted.append(run_result)
             injected += log.injected()
@@ -159,15 +148,14 @@ def run(
         "faults only touch performance-only auxiliary state, never the "
         "real tag/data arrays."
     )
-    if rates:
-        result.add_note(
-            "Mean MPKI delta vs fault-free adaptive: "
-            + ", ".join(
-                f"{rate:g} -> {arithmetic_mean(deltas):+.2f}%"
-                for rate, deltas in zip(rates, per_rate_deltas)
-            )
-            + f"; worst single-workload delta {max(worst_deltas):+.2f}%."
+    result.add_note(
+        "Mean MPKI delta vs fault-free adaptive: "
+        + ", ".join(
+            f"{rate:g} -> {arithmetic_mean(deltas):+.2f}%"
+            for rate, deltas in zip(rates, per_rate_deltas)
         )
+        + f"; worst single-workload delta {max(worst_deltas):+.2f}%."
+    )
     return result
 
 
@@ -176,7 +164,3 @@ def _delta_percent(baseline: float, value: float) -> float:
     if baseline == 0.0:
         return 0.0
     return 100.0 * (value - baseline) / baseline
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.cache.cache import SetAssociativeCache
-from repro.experiments.base import ExperimentResult, Setup, WorkloadCache, make_setup
+from repro.experiments.base import ExperimentResult, Setup, WorkloadCache
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.engine import PrefetchingCache
@@ -38,12 +38,8 @@ def _prefetchers() -> Dict[str, Callable[[], Optional[Prefetcher]]]:
     }
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
     """Demand MPKI per workload for each prefetch configuration."""
-    setup = setup or make_setup()
     cache_ws = WorkloadCache(setup)
     workloads = list(workloads or DEFAULT_WORKLOADS)
     configurations = _prefetchers()
@@ -96,7 +92,3 @@ def run(
             + ", ".join(f"{k}={v:.2f}" for k, v in accuracies.items())
         )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

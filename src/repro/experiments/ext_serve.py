@@ -32,17 +32,11 @@ numbers as ``BENCH_serve.json`` for the bench-regression gate.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentResult, Setup
 from repro.serve.harness import ServeReport, run_serve
 
 
-def run(
-    setup: Optional[Setup] = None,
-    seed: int = 0,
-    quick: Optional[bool] = None,
-) -> ExperimentResult:
+def run(setup: Setup, seed: int, quick: bool) -> ExperimentResult:
     """The five-regime serving report as an :class:`ExperimentResult`.
 
     Args:
@@ -51,11 +45,9 @@ def run(
             itself is fixed by the regime plans — serving SLOs are
             about load versus capacity, not L2 bytes.
         seed: master seed for streams, chaos and service jitter.
-        quick: force quick/full regardless of ``setup``.
+        quick: the quick harness at any ``setup``.
     """
-    if quick is None:
-        quick = setup is not None and setup.name == "mini"
-    report = run_serve(quick=quick, seed=seed)
+    report = run_serve(quick=quick or setup.name == "mini", seed=seed)
     return to_result(report)
 
 
@@ -142,7 +134,3 @@ def to_result(report: ServeReport) -> ExperimentResult:
         "(virtual-time event loop — no wall-clock in any number)."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -10,15 +10,15 @@ cache against its components on the combined stream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.cache import SetAssociativeCache
-from repro.experiments.base import ExperimentResult, Setup, build_l2_policy, make_setup
+from repro.experiments.base import ExperimentResult, Setup, build_l2_policy
 from repro.workloads.multicore import build_shared_workload
 
 # Dissimilar pairs: one recency-friendly core + one frequency/loop core.
-DEFAULT_PAIRS: List[Tuple[str, str]] = [
+PAIRS: List[Tuple[str, str]] = [
     ("lucas", "tiff2rgba"),
     ("gcc-2", "art-1"),
     ("bzip2", "xanim"),
@@ -35,13 +35,8 @@ def _misses(trace, config, policy_kind: str) -> int:
     return cache.stats.misses
 
 
-def run(
-    setup: Optional[Setup] = None,
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
-) -> ExperimentResult:
-    """Compare policies on two-core shared-cache mixes."""
-    setup = setup or make_setup()
-    pairs = list(pairs or DEFAULT_PAIRS)
+def run(setup: Setup) -> ExperimentResult:
+    """Compare policies on the two-core shared-cache mixes of :data:`PAIRS`."""
     accesses_per_core = setup.accesses // 2
 
     result = ExperimentResult(
@@ -53,7 +48,7 @@ def run(
     )
     lru_gains = []
     best_gains = []
-    for pair in pairs:
+    for pair in PAIRS:
         trace = build_shared_workload(pair, setup.l2, accesses_per_core)
         misses = {
             kind: _misses(trace, setup.l2, kind)
@@ -76,7 +71,3 @@ def run(
         "mix would need."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

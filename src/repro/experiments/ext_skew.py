@@ -16,12 +16,12 @@ This experiment measures all three failure modes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.skewed import SkewedAssociativeCache
-from repro.experiments.base import ExperimentResult, Setup, build_l2_policy, make_setup
+from repro.experiments.base import ExperimentResult, Setup, build_l2_policy
 from repro.policies.lru import LRUPolicy
 from repro.workloads.synth import scan_with_hot, strided_sweep
 from repro.workloads.phases import interleave_streams
@@ -73,14 +73,10 @@ def _miss_ratio_fully_associative(config, stream) -> float:
     return cache.stats.miss_ratio
 
 
-def run(
-    setup: Optional[Setup] = None,
-    accesses: Optional[int] = None,
-) -> ExperimentResult:
+def run(setup: Setup) -> ExperimentResult:
     """Miss ratios of indexing vs replacement techniques per miss class."""
-    setup = setup or make_setup()
     config = setup.l2
-    accesses = accesses or setup.accesses
+    accesses = setup.accesses
 
     streams = {
         "conflict (stride=sets)": _conflict_stream(config, accesses),
@@ -117,7 +113,3 @@ def run(
         "the paper's related-work section argues."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -18,17 +18,13 @@ from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.cache import SetAssociativeCache
 from repro.cpu.scoreboard import scoreboard_simulate
 from repro.cpu.timing import compile_workload, simulate
-from repro.experiments.base import ExperimentResult, Setup, build_l2_policy, make_setup
+from repro.experiments.base import ExperimentResult, Setup, build_l2_policy
 
 DEFAULT_WORKLOADS = ["lucas", "art-1", "tiff2rgba", "ammp", "mcf", "swim"]
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
     """Adaptive-vs-LRU improvement under both processor models."""
-    setup = setup or make_setup()
     from repro.experiments.base import WorkloadCache
 
     cache_ws = WorkloadCache(setup)
@@ -84,7 +80,3 @@ def run(
         "behaviour, not of the timing model's accounting structure."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

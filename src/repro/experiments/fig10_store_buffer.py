@@ -12,26 +12,24 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, sweep_workloads,
 )
 
 BUFFER_SIZES = (4, 8, 16, 32, 64, 128, 256)
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
-          buffer_sizes: Sequence[int] = BUFFER_SIZES) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """An LRU and an adaptive cell per workload and store-buffer size."""
     return [
         Cell.of(setup, name, f"{entries}-entry {label}", {"policy_kind": kind},
                 processor=setup.processor.scaled(store_buffer_entries=entries))
-        for name in workloads or setup.workloads(primary_only=True)
-        for entries in buffer_sizes
+        for name in workloads or setup.workloads()
+        for entries in BUFFER_SIZES
         for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
     ]
 
 
-def render(setup: Setup, sweep: Sweep,
-           buffer_sizes: Sequence[int] = BUFFER_SIZES) -> ExperimentResult:
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
     """Figure 10's series from :func:`cells`' results."""
     workloads = sweep_workloads(sweep)
     result = ExperimentResult(
@@ -42,7 +40,7 @@ def render(setup: Setup, sweep: Sweep,
                  "improvement %"],
     )
     improvements = []
-    for entries in buffer_sizes:
+    for entries in BUFFER_SIZES:
         lru_avg = arithmetic_mean(
             [sweep[name, f"{entries}-entry LRU"].cpi for name in workloads]
         )
@@ -68,15 +66,3 @@ def render(setup: Setup, sweep: Sweep,
         "their largest improvement at 4 entries."
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        buffer_sizes: Sequence[int] = BUFFER_SIZES) -> ExperimentResult:
-    """Reproduce Figure 10's benefit-vs-store-buffer series."""
-    setup = setup or make_setup()
-    sweep = run_cells(setup, cells(setup, workloads, buffer_sizes))
-    return render(setup, sweep, buffer_sizes)
-
-
-if __name__ == "__main__":
-    print(run().render())

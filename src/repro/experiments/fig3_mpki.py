@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, policy_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -22,11 +22,10 @@ POLICY_SPECS = {
 }
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
-          primary_only: bool = True) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One cell per workload and :data:`POLICY_SPECS` entry (Figures 3
     and 4 share them)."""
-    return policy_cells(setup, workloads or setup.workloads(primary_only),
+    return policy_cells(setup, workloads or setup.workloads(),
                         POLICY_SPECS)
 
 
@@ -55,14 +54,3 @@ def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
         f"{percent_reduction(averages['LFU'], averages['Adaptive']):.1f}%"
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        primary_only: bool = True) -> ExperimentResult:
-    """Reproduce Figure 3's per-benchmark MPKI series."""
-    setup = setup or make_setup()
-    return render(setup, run_cells(setup, cells(setup, workloads, primary_only)))
-
-
-if __name__ == "__main__":
-    print(run().render())

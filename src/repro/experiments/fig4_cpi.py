@@ -7,17 +7,19 @@ any of the 100 programs is 1.2% (unepic).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.metrics import (
     arithmetic_mean,
     percent_reduction,
     summarize_policy_metric,
 )
 from repro.experiments.base import (
-    ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
+    ExperimentResult, Setup, Sweep, sweep_workloads,
 )
-from repro.experiments.fig3_mpki import POLICY_SPECS, cells
+from repro.experiments import fig3_mpki
+from repro.experiments.fig3_mpki import POLICY_SPECS
+
+#: Figure 4 reads Figure 3's cells, so the sweep pass simulates them once.
+cells = fig3_mpki.cells
 
 
 def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
@@ -50,14 +52,3 @@ def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
         f"{summary['worst_degradation_percent']:.2f}% (paper: 1.2%, unepic)"
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        primary_only: bool = True) -> ExperimentResult:
-    """Reproduce Figure 4's per-benchmark CPI series."""
-    setup = setup or make_setup()
-    return render(setup, run_cells(setup, cells(setup, workloads, primary_only)))
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, sweep_workloads,
 )
 
 TAG_WIDTHS = (None, 12, 10, 8, 6, 4)  # None = full tags
@@ -21,25 +21,23 @@ def _label(bits: Optional[int]) -> str:
     return "full" if bits is None else f"{bits}-bit"
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
-          tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One LRU/LFU adaptive cell per workload and shadow tag width."""
     return [
         Cell.of(setup, name, _label(bits),
                 {"policy_kind": "adaptive", "components": ("lru", "lfu"),
                  "partial_bits": bits})
-        for name in workloads or setup.workloads(primary_only=True)
-        for bits in tag_widths
+        for name in workloads or setup.workloads()
+        for bits in TAG_WIDTHS
     ]
 
 
-def render(setup: Setup, sweep: Sweep,
-           tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> ExperimentResult:
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
     """Figure 5's series from :func:`cells`' results."""
     workloads = sweep_workloads(sweep)
-    labels = {bits: _label(bits) for bits in tag_widths}
+    labels = {bits: _label(bits) for bits in TAG_WIDTHS}
     averages = {}
-    for bits in tag_widths:
+    for bits in TAG_WIDTHS:
         runs = [sweep[name, labels[bits]] for name in workloads]
         averages[bits] = (arithmetic_mean([r.mpki for r in runs]),
                           arithmetic_mean([r.cpi for r in runs]))
@@ -52,7 +50,7 @@ def render(setup: Setup, sweep: Sweep,
         headers=["tag width", "avg MPKI", "avg CPI",
                  "MPKI increase %", "CPI increase %"],
     )
-    for bits in tag_widths:
+    for bits in TAG_WIDTHS:
         mpki, cpi = averages[bits]
         result.add_row(
             labels[bits],
@@ -66,15 +64,3 @@ def render(setup: Setup, sweep: Sweep,
         "tags give 12.7% CPI improvement vs full tags' 12.9%."
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        tag_widths: Sequence[Optional[int]] = TAG_WIDTHS) -> ExperimentResult:
-    """Reproduce Figure 5's percent-increase-vs-full-tags series."""
-    setup = setup or make_setup()
-    sweep = run_cells(setup, cells(setup, workloads, tag_widths))
-    return render(setup, sweep, tag_widths)
-
-
-if __name__ == "__main__":
-    print(run().render())

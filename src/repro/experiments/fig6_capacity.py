@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, sweep_workloads,
 )
 
 
@@ -41,12 +41,12 @@ def _configurations(setup: Setup) -> list:
     ]
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One cell per workload and configuration (label, policy, L2)."""
     configurations = _configurations(setup)
     return [
         Cell.of(setup, name, label, spec, l2=l2_config)
-        for name in workloads or setup.workloads(primary_only=True)
+        for name in workloads or setup.workloads()
         for label, spec, l2_config, _overhead in configurations
     ]
 
@@ -75,14 +75,3 @@ def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
         "one sixth of the storage overhead (paper: 2.8% better, 4.0% vs 25%)"
     )
     return result
-
-
-def run(setup: Optional[Setup] = None,
-        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
-    """Reproduce Figure 6's CPI comparison across storage budgets."""
-    setup = setup or make_setup()
-    return render(setup, run_cells(setup, cells(setup, workloads)))
-
-
-if __name__ == "__main__":
-    print(run().render())

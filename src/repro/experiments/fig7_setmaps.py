@@ -9,35 +9,34 @@ components: the best policy differs across sets and across time.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.setmap import collect_setmap
 from repro.cache.cache import SetAssociativeCache
 from repro.core.multi import make_adaptive
-from repro.experiments.base import ExperimentResult, Setup, WorkloadCache, make_setup
+from repro.experiments.base import ExperimentResult, Setup, WorkloadCache
 
 LRU_COMPONENT = 0
 LFU_COMPONENT = 1
+#: Time quanta per map: the columns of Figure 7.
+SAMPLES = 12
 
 
-def collect(name: str, setup: Optional[Setup] = None, samples: int = 12):
-    """Build the Figure 7 map for one workload.
+def collect(name: str, setup: Setup):
+    """Build the Figure 7 map for one workload, in :data:`SAMPLES` quanta.
 
     Returns ``(SetMap, AdaptivePolicy)`` — the policy's shadow counters
     carry the per-set component-preference data the disagreement
     analysis uses.
     """
-    setup = setup or make_setup()
     cache_ws = WorkloadCache(setup)
     trace = cache_ws.trace(name)
     policy = make_adaptive(setup.l2.num_sets, setup.l2.ways, ("lru", "lfu"))
     cache = SetAssociativeCache(setup.l2, policy)
     memory_references = trace.memory_access_count()
-    sample_every = max(1, memory_references // samples)
+    sample_every = max(1, memory_references // SAMPLES)
     return collect_setmap(trace, cache, sample_every=sample_every), policy
 
 
-def run(setup: Optional[Setup] = None, samples: int = 12) -> ExperimentResult:
+def run(setup: Setup) -> ExperimentResult:
     """Reproduce Figure 7: per-quantum LFU-decision fractions.
 
     The paper's figure is an image (black = LRU-majority set, white =
@@ -45,7 +44,7 @@ def run(setup: Optional[Setup] = None, samples: int = 12) -> ExperimentResult:
     captures the same phase structure numerically. Use :func:`collect`
     and ``SetMap.render()`` for the ASCII picture itself.
     """
-    setup = setup or make_setup()
+    samples = SAMPLES
     result = ExperimentResult(
         experiment="fig7",
         description="Fraction of sets whose replacement decisions "
@@ -53,7 +52,7 @@ def run(setup: Optional[Setup] = None, samples: int = 12) -> ExperimentResult:
         headers=["workload"] + [f"q{i}" for i in range(samples)],
     )
     for name in ("ammp", "mgrid"):
-        setmap, policy = collect(name, setup, samples)
+        setmap, policy = collect(name, setup)
         fractions = [
             setmap.component_fraction(LFU_COMPONENT, sample=t)
             for t in range(min(samples, setmap.num_samples))
@@ -77,7 +76,3 @@ def run(setup: Optional[Setup] = None, samples: int = 12) -> ExperimentResult:
         "then LRU-dominant; mgrid starts LFU-favourable and fades to LRU."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -13,14 +13,13 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, sweep_workloads,
 )
 
 ASSOCIATIVITIES = (4, 8, 16, 32)
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
-          associativities: Sequence[int] = ASSOCIATIVITIES) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """An LRU and an adaptive cell per workload and associativity.
 
     Capacity stays fixed, so doubling the ways halves the sets, exactly
@@ -31,14 +30,13 @@ def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
     return [
         Cell.of(setup, name, f"{ways}-way {label}", {"policy_kind": kind},
                 l2=setup.l2.scaled(ways=ways))
-        for name in workloads or setup.workloads(primary_only=True)
-        for ways in associativities
+        for name in workloads or setup.workloads()
+        for ways in ASSOCIATIVITIES
         for label, kind in (("LRU", "lru"), ("Adaptive", "adaptive"))
     ]
 
 
-def render(setup: Setup, sweep: Sweep,
-           associativities: Sequence[int] = ASSOCIATIVITIES) -> ExperimentResult:
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
     """Figure 9's series from :func:`cells`' results."""
     workloads = sweep_workloads(sweep)
     result = ExperimentResult(
@@ -47,7 +45,7 @@ def render(setup: Setup, sweep: Sweep,
         "(capacity fixed; higher is better)",
         headers=["ways", "CPI improvement %", "miss reduction %"],
     )
-    for ways in associativities:
+    for ways in ASSOCIATIVITIES:
         lru = [sweep[name, f"{ways}-way LRU"] for name in workloads]
         adp = [sweep[name, f"{ways}-way Adaptive"] for name in workloads]
         result.add_row(
@@ -66,15 +64,3 @@ def render(setup: Setup, sweep: Sweep,
         "slightly for 16- and 32-way caches."
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        associativities: Sequence[int] = ASSOCIATIVITIES) -> ExperimentResult:
-    """Reproduce Figure 9's benefit-vs-associativity series."""
-    setup = setup or make_setup()
-    sweep = run_cells(setup, cells(setup, workloads, associativities))
-    return render(setup, sweep, associativities)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, policy_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -24,10 +24,10 @@ POLICY_SPECS = {
 }
 
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None) -> List[Cell]:
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One cell per workload and :data:`POLICY_SPECS` entry."""
     return policy_cells(
-        setup, workloads or setup.workloads(primary_only=True), POLICY_SPECS
+        setup, workloads or setup.workloads(), POLICY_SPECS
     )
 
 
@@ -53,14 +53,3 @@ def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
         "(paper: virtually identical)"
     )
     return result
-
-
-def run(setup: Optional[Setup] = None,
-        workloads: Optional[Sequence[str]] = None) -> ExperimentResult:
-    """Reproduce the five-policy comparison of Section 4.4."""
-    setup = setup or make_setup()
-    return render(setup, run_cells(setup, cells(setup, workloads)))
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -15,7 +15,7 @@ from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.core.multi import make_adaptive
-from repro.experiments.base import ExperimentResult, Setup, WorkloadCache, make_setup
+from repro.experiments.base import ExperimentResult, Setup, WorkloadCache
 from repro.policies.lru import LRUPolicy
 from repro.workloads.builder import CODE_SEGMENT_BASE
 from repro.workloads.suite import workload_seed
@@ -70,14 +70,10 @@ def _mpki_pair(
     )
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
     """Reproduce the L1 adaptivity study of Section 4.6."""
-    setup = setup or make_setup()
     cache_ws = WorkloadCache(setup)
-    workloads = list(workloads or setup.workloads(primary_only=True))
+    workloads = list(workloads or setup.workloads())
     l1 = setup.processor.l1d
 
     inst_lru, inst_adp = [], []
@@ -125,7 +121,3 @@ def run(
         "worth meaningful performance (<0.1%) on the OoO core."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.overhead import StorageModel
 from repro.experiments.base import (
-    Cell, ExperimentResult, Setup, Sweep, make_setup, policy_cells, run_cells, sweep_workloads,
+    Cell, ExperimentResult, Setup, Sweep, policy_cells, sweep_workloads,
 )
 
 POLICY_SPECS = {
@@ -27,22 +27,22 @@ POLICY_SPECS = {
     "LRU": {"policy_kind": "lru"},
 }
 
+#: Leader sets of each SBAR cell (Section 4.7 uses 16).
+NUM_LEADERS = 16
 
-def cells(setup: Setup, workloads: Optional[Sequence[str]] = None,
-          num_leaders: int = 16) -> List[Cell]:
+
+def cells(setup: Setup, workloads: Optional[Sequence[str]]) -> List[Cell]:
     """One cell per workload and :data:`POLICY_SPECS` entry, the SBAR
-    ones with ``num_leaders`` leader sets."""
+    ones with :data:`NUM_LEADERS` leader sets."""
     specs = {
-        label: dict(kwargs, num_leaders=num_leaders)
+        label: dict(kwargs, num_leaders=NUM_LEADERS)
         if kwargs["policy_kind"] == "sbar" else kwargs
         for label, kwargs in POLICY_SPECS.items()
     }
-    return policy_cells(
-        setup, workloads or setup.workloads(primary_only=True), specs
-    )
+    return policy_cells(setup, workloads or setup.workloads(), specs)
 
 
-def render(setup: Setup, sweep: Sweep, num_leaders: int = 16) -> ExperimentResult:
+def render(setup: Setup, sweep: Sweep) -> ExperimentResult:
     """The Section 4.7 comparison from :func:`cells`' results."""
     workloads = sweep_workloads(sweep)
     result = ExperimentResult(
@@ -69,20 +69,8 @@ def render(setup: Setup, sweep: Sweep, num_leaders: int = 16) -> ExperimentResul
         "Hardware overhead — adaptive full tags "
         f"{storage.adaptive_overhead_percent():.1f}%, 8-bit partial "
         f"{storage.adaptive_overhead_percent(8):.1f}%, SBAR "
-        f"{storage.sbar_overhead_percent(num_leaders):.2f}%, SBAR 8-bit "
-        f"{storage.sbar_overhead_percent(num_leaders, 8):.2f}% "
+        f"{storage.sbar_overhead_percent(NUM_LEADERS):.2f}%, SBAR 8-bit "
+        f"{storage.sbar_overhead_percent(NUM_LEADERS, 8):.2f}% "
         "(paper at 512 KB: 9.9%/4.0%/0.16%/0.09%)"
     )
     return result
-
-
-def run(setup: Optional[Setup] = None, workloads: Optional[Sequence[str]] = None,
-        num_leaders: int = 16) -> ExperimentResult:
-    """Reproduce the SBAR comparison of Section 4.7."""
-    setup = setup or make_setup()
-    sweep = run_cells(setup, cells(setup, workloads, num_leaders))
-    return render(setup, sweep, num_leaders)
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -16,10 +16,13 @@ from typing import List, Optional, Sequence
 from repro.analysis.metrics import arithmetic_mean, percent_reduction
 from repro.cache.cache import SetAssociativeCache
 from repro.cpu.timing import compile_workload, simulate
-from repro.experiments.base import ExperimentResult, Setup, build_l2_policy, make_setup
+from repro.experiments.base import ExperimentResult, Setup, build_l2_policy
 from repro.workloads.suite import build_workload
 
 DEFAULT_WORKLOADS = ["lucas", "art-1", "tiff2rgba", "ammp", "mcf", "gcc-2"]
+
+#: Independent trace seed draws, 1000 offsets apart.
+SEEDS = 5
 
 
 def _improvement(setup: Setup, workloads: Sequence[str], seed_offset: int) -> float:
@@ -40,15 +43,8 @@ def _improvement(setup: Setup, workloads: Sequence[str], seed_offset: int) -> fl
     )
 
 
-def run(
-    setup: Optional[Setup] = None,
-    workloads: Optional[Sequence[str]] = None,
-    seeds: int = 5,
-) -> ExperimentResult:
-    """Headline improvement across independent trace seeds."""
-    if seeds <= 0:
-        raise ValueError(f"seeds must be positive, got {seeds}")
-    setup = setup or make_setup()
+def run(setup: Setup, workloads: Optional[Sequence[str]]) -> ExperimentResult:
+    """Headline improvement across :data:`SEEDS` independent trace seeds."""
     workloads = list(workloads or DEFAULT_WORKLOADS)
 
     result = ExperimentResult(
@@ -58,7 +54,7 @@ def run(
         headers=["seed offset", "MPKI reduction %"],
     )
     improvements = []
-    for offset in range(seeds):
+    for offset in range(SEEDS):
         improvement = _improvement(setup, workloads, offset * 1000)
         improvements.append(improvement)
         result.add_row(offset * 1000, improvement)
@@ -71,7 +67,3 @@ def run(
         "locality classes, not of any particular random draw."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -15,12 +15,16 @@ from repro.cache.overhead import StorageModel
 from repro.experiments.base import ExperimentResult
 
 
-def run(
-    size_bytes: int = 512 * 1024,
-    ways: int = 8,
-    num_leaders: int = 16,
-) -> ExperimentResult:
+#: The paper's baseline L2: 512 KB, 8-way.
+SIZE_BYTES = 512 * 1024
+WAYS = 8
+#: SBAR leader sets (Section 4.7).
+NUM_LEADERS = 16
+
+
+def run() -> ExperimentResult:
     """Regenerate the Section 3.2 storage table."""
+    size_bytes, ways, num_leaders = SIZE_BYTES, WAYS, NUM_LEADERS
     config = CacheConfig(size_bytes=size_bytes, ways=ways, line_bytes=64)
     model = StorageModel(config)
     config128 = CacheConfig(size_bytes=size_bytes, ways=ways, line_bytes=128)
@@ -83,7 +87,3 @@ def run(
         "lines; 612KB/680KB (+12.5%/+25%) for 9/10-way; SBAR 0.16%/0.09%."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render(float_digits=2))

@@ -10,20 +10,21 @@ worst observed per-set ratio.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.cache.config import CacheConfig
 from repro.core.theory import adversarial_trace, check_miss_bound
 from repro.experiments.base import ExperimentResult
 
+#: The cache the bound is checked on: 8 KB, 8-way, 16 sets.
+CONFIG = CacheConfig(size_bytes=8 * 1024, ways=8, line_bytes=64)
+#: Random traces of each family, and the length of every trace.
+SEEDS = 5
+TRACE_LENGTH = 20_000
 
-def run(
-    config: Optional[CacheConfig] = None,
-    seeds: int = 5,
-    trace_length: int = 20_000,
-) -> ExperimentResult:
+
+def run() -> ExperimentResult:
     """Check the bound on adversarial and random block traces."""
-    config = config or CacheConfig(size_bytes=8 * 1024, ways=8, line_bytes=64)
+    config, seeds, trace_length = CONFIG, SEEDS, TRACE_LENGTH
 
     result = ExperimentResult(
         experiment="theory",
@@ -69,7 +70,3 @@ def run(
         "warm-up slack) per set; the Appendix guarantees <= 2."
     )
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

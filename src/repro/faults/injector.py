@@ -87,12 +87,6 @@ class FaultInjector:
         self._armed = policy
         return self
 
-    def disarm(self) -> None:
-        """Detach from the armed policy; the plan stops firing."""
-        if self._armed is not None:
-            self._armed.fault_injector = None
-            self._armed = None
-
     def tick(self) -> None:
         """One policy access: roll each active spec and maybe inject."""
         index = self.log.accesses

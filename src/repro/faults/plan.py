@@ -100,10 +100,6 @@ class FaultPlan:
             seed=seed,
         )
 
-    def is_quiet(self) -> bool:
-        """True when no spec can ever fire (all rates zero or no specs)."""
-        return all(spec.rate == 0.0 for spec in self.specs)
-
 
 @dataclass
 class FaultLog:
@@ -139,8 +135,3 @@ class FaultLog:
             + self.history_clears
             + self.selector_writes
         )
-
-    def merge(self, other: "FaultLog") -> None:
-        """Accumulate another log's counters into this one."""
-        for name in vars(other):
-            setattr(self, name, getattr(self, name) + getattr(other, name))

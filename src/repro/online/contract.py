@@ -35,8 +35,7 @@ class KVStore(Protocol):
 class AsyncKVStore(Protocol):
     """What :class:`~repro.serve.front.AsyncServingFront` serves through."""
 
-    async def aget_or_compute(self, key, loader, ttl=None,
-                              retry_budget=None):
+    async def aget_or_compute(self, key, loader, retry_budget=None):
         """The cached value, else the awaited ``loader(key)``."""
 
     def put(self, key, value, ttl=None) -> None:

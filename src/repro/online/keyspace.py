@@ -110,25 +110,12 @@ def _fingerprint(key) -> int:
     )
 
 
-def shard_of(fingerprint: int, num_shards: int) -> int:
-    """Shard index for a fingerprint.
-
-    Uses the fingerprint's *high* bits so shard routing never overlaps
-    the low bits a partial fingerprint keeps — the same split a
-    set-associative cache makes between index and tag fields.
-
-    Args:
-        fingerprint: a 64-bit key fingerprint.
-        num_shards: shard count; must be a power of two.
-    """
-    shift, shard_mask = shard_routing(num_shards)
-    return (fingerprint >> shift) & shard_mask
-
-
 def shard_routing(num_shards: int) -> Tuple[int, int]:
-    """``(shift, mask)`` of :func:`shard_of`: a fingerprint's shard is
-    ``(fingerprint >> shift) & mask``. For a router that works them out
-    once rather than per key.
+    """``(shift, mask)`` routing a fingerprint to its shard:
+    ``(fingerprint >> shift) & mask``. Routing uses the fingerprint's
+    *high* bits, so it never overlaps the low bits a partial
+    fingerprint keeps — the same split a set-associative cache makes
+    between index and tag fields.
 
     Args:
         num_shards: shard count; must be a power of two.

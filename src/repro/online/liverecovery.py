@@ -114,8 +114,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
     :func:`~repro.online.persistence.recover` would run), then call
     :meth:`step` on whatever cadence the serving loop can afford; each
     call replays at most ``chunk_ops`` WAL records. Probe readiness
-    with :meth:`shard_serving` / :meth:`serving_fraction` /
-    :meth:`replay_progress`; :meth:`finish` drains synchronously.
+    with :meth:`shard_serving` / :meth:`serving_fraction`;
+    :meth:`finish` drains synchronously.
 
     Args:
         directory: persistence directory of the crashed run.
@@ -238,36 +238,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
             return 1.0
         return sum(self._serving) / len(self._serving)
 
-    def pending_writes(self) -> int:
-        """Accepted writes still queued for replaying shards."""
-        with self._lock:
-            return self._pending_count_locked()
-
-    def _pending_count_locked(self) -> int:
-        return (len(self._pending_global)
-                + sum(len(queue) for queue in self._pending_ops))
-
-    def replay_progress(self) -> dict:
-        """Snapshot of the recovery's progress and honesty counters."""
-        with self._lock:
-            return {
-                "recovering": self._recovering,
-                "total_records": self.recovery.total_records,
-                "applied_records": self.recovery.applied_records,
-                "num_shards": self.cache.num_shards,
-                "serving_shards": (
-                    self.cache.num_shards
-                    if not self._recovering
-                    else sum(self._serving)
-                ),
-                "pending_writes": self._pending_count_locked(),
-                "deferred_writes": self.recovery.deferred_writes,
-                "stale_serves": self.recovery.stale_serves,
-                "refused_reads": self.recovery.refused_reads,
-            }
-
-    def step(self, max_ops: Optional[int] = None) -> int:
-        """Replay up to ``max_ops`` records (default ``chunk_ops``).
+    def step(self) -> int:
+        """Replay up to ``chunk_ops`` records.
 
         Returns the number applied; 0 once recovery is complete.
         Newly drained shards have their pending writes applied and
@@ -276,9 +248,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
         with self._lock:
             if not self._recovering:
                 return 0
-            budget = self.chunk_ops if max_ops is None else max_ops
             applied = 0
-            while applied < budget and self._cursor < len(self._items):
+            while applied < self.chunk_ops and self._cursor < len(self._items):
                 wal, start, shard = self._items[self._cursor]
                 apply_wal_record(self.cache, self._read_record_at(wal, start))
                 if shard is not None:

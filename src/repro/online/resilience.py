@@ -150,12 +150,6 @@ class RetryBudget:
                 )
             self._in_use -= 1
 
-    @property
-    def in_use(self) -> int:
-        """Tokens currently held by in-flight retries."""
-        with self._lock:
-            return self._in_use
-
 
 class CircuitBreaker:
     """A per-shard circuit breaker over loader outcomes.
@@ -400,7 +394,7 @@ class ResilientKVCache(KVLayer):
             f"loader for key {key!r} suspended; use aget_or_compute"
         )
 
-    async def aget_or_compute(self, key, loader, ttl=None,
+    async def aget_or_compute(self, key, loader,
                               retry_budget: Optional[RetryBudget] = None):
         """The resilient serving ladder, asynchronously.
 
@@ -438,7 +432,7 @@ class ResilientKVCache(KVLayer):
         index, stale, value = self._plain_rungs(key)
         if value is not _MISSING:
             return value
-        return await self._load(key, loader, ttl, index, stale,
+        return await self._load(key, loader, None, index, stale,
                                 retry_budget, asyncio.sleep)
 
     def _plain_rungs(self, key):

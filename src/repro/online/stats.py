@@ -76,10 +76,3 @@ class KVCacheStats:
         if self.gets == 0:
             return 0.0
         return self.misses / self.gets
-
-    @property
-    def stale_ratio(self) -> float:
-        """Stale serves / gets; 0.0 when nothing was looked up."""
-        if self.gets == 0:
-            return 0.0
-        return self.stale_hits / self.gets

@@ -125,8 +125,8 @@ def _digest_tiers(placement_name: str) -> Dict:
 
     setup = make_setup(GOLDEN_SCALE, accesses=GOLDEN_ACCESSES)
     capacity = setup.l2.num_lines
-    keys = build_key_stream(GOLDEN_TIER_WORKLOAD, capacity, setup, seed=0)
-    front = build_topology(placement_name, capacity, seed=0)
+    keys = build_key_stream(GOLDEN_TIER_WORKLOAD, capacity, setup)
+    front = build_topology(placement_name, capacity)
     for key in keys:
         front.get_or_compute(key, lambda k: k)
     stats = front.stats()

@@ -24,7 +24,6 @@ Failure handling:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -98,8 +97,3 @@ class ParallelRunner:
                 for task in remaining:
                     yield fn(task)
                 return
-
-
-def recommended_workers() -> int:
-    """A sensible ``--workers`` default: the machine's CPU count."""
-    return os.cpu_count() or 1

@@ -50,10 +50,6 @@ class EHCPolicy(ReplacementPolicy):
         self._clock = 0
         self._fill_stamp = [[0] * ways for _ in range(num_sets)]
 
-    def expected_hits(self, set_index: int, tag: int) -> float:
-        """Learned expected hits per residency for ``tag``."""
-        return self._ema[set_index].get(tag, NEW_TAG_EXPECTATION)
-
     def _finalize(self, set_index: int, way: int) -> None:
         """Fold the ending residency's hit count into the tag's EMA."""
         tag = self._tag[set_index][way]

@@ -46,11 +46,6 @@ class LFUPolicy(ReplacementPolicy):
         self._heap_limit = _HEAP_SLACK * ways
         self.drop_derived_state()
 
-    def frequency(self, set_index: int, way: int) -> int:
-        """Current saturating frequency count of (set_index, way)."""
-        self._check_slot(set_index, way)
-        return self._count[set_index][way]
-
     def on_hit(self, set_index: int, way: int) -> None:
         self._check_slot(set_index, way)
         counts = self._count[set_index]

@@ -45,13 +45,6 @@ class PrefetchStats:
         would_miss = self.demand_misses + self.useful
         return self.useful / would_miss if would_miss else 0.0
 
-    @property
-    def demand_miss_ratio(self) -> float:
-        """demand misses / demand accesses."""
-        if self.demand_accesses == 0:
-            return 0.0
-        return self.demand_misses / self.demand_accesses
-
     def mpki(self, instructions: int) -> float:
         """Demand misses per thousand instructions."""
         if instructions <= 0:
@@ -125,7 +118,3 @@ class PrefetchingCache:
             self.stats.issued += 1
             issued += 1
         return result
-
-    def pending_prefetches(self) -> int:
-        """Prefetched lines still resident and untouched."""
-        return len(self._pending)

@@ -116,16 +116,6 @@ class LatencySketch:
         """Several quantiles at once."""
         return [self.quantile(q) for q in qs]
 
-    def merge(self, other: "LatencySketch") -> None:
-        """Fold ``other`` into this sketch."""
-        for key, count in other._buckets.items():
-            self._buckets[key] = self._buckets.get(key, 0) + count
-        self._zero += other._zero
-        self.count += other.count
-        self.total += other.total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-
     def __len__(self) -> int:
         """Number of recorded values."""
         return self.count

@@ -283,11 +283,6 @@ class TieredKVCache:
         """Entries the tiers hold; a key copied into two tiers counts twice."""
         return sum(len(tier.store) for tier in self.tiers)
 
-    def resident_in(self, key) -> List[str]:
-        """Names of tiers holding ``key`` (no policy events, nothing
-        logged)."""
-        return [tier.name for tier in self.tiers if key in tier.store]
-
     def stats(self) -> dict:
         """Counter snapshot plus the placement strategy's summary."""
         tier_hits = sum(self.serves[tier.name] for tier in self.tiers)
@@ -307,15 +302,19 @@ class TieredKVCache:
         }
 
 
+#: :func:`tiered_front`'s latency model: near probe, far probe, backing
+#: fetch.
+NEAR_LATENCY = 1
+FAR_LATENCY = 10
+BACKING_LATENCY = 100
+
+
 def tiered_front(
     far,
     near_capacity: int,
     far_capacity: int,
     placement: Optional[PlacementStrategy] = None,
     near_policy: str = "lru",
-    near_latency: int = 1,
-    far_latency: int = 10,
-    backing_latency: int = 100,
     seed: int = 0,
 ) -> TieredKVCache:
     """A small near shard in front of an existing far store.
@@ -342,11 +341,11 @@ def tiered_front(
     )
     return TieredKVCache(
         [
-            KVTier("near", near, near_capacity, hit_latency=near_latency),
-            KVTier("far", far, far_capacity, hit_latency=far_latency),
+            KVTier("near", near, near_capacity, hit_latency=NEAR_LATENCY),
+            KVTier("far", far, far_capacity, hit_latency=FAR_LATENCY),
         ],
         placement=placement,
-        backing_latency=backing_latency,
+        backing_latency=BACKING_LATENCY,
     )
 
 

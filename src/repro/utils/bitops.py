@@ -33,15 +33,6 @@ def mask(bits: int) -> int:
     return (1 << bits) - 1
 
 
-def low_bits(value: int, bits: int) -> int:
-    """Keep only the low-order ``bits`` bits of ``value``.
-
-    This is the paper's default partial-tag function: "typically the
-    low-order bits of the tag".
-    """
-    return value & mask(bits)
-
-
 def xor_fold(value: int, bits: int, width: int = 64) -> int:
     """Fold ``value`` down to ``bits`` bits by XOR-ing ``bits``-wide groups.
 

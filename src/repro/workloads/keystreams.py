@@ -390,17 +390,6 @@ class StreamSpec:
                     key = f"r:{rank}"
             yield Request(at, key, op, client)
 
-    def take(self, count: int) -> List[Request]:
-        """The first ``count`` events, materialized (testing helper)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        out = []
-        for request in self.requests():
-            if len(out) >= count:
-                break
-            out.append(request)
-        return out
-
 
 def keys_from_trace(trace: Trace) -> List[str]:
     """Replay a simulator address trace as a key stream.

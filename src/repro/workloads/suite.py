@@ -77,16 +77,6 @@ def workload_seed(name: str, offset: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def loop_recipe(scale: float) -> Recipe:
-    """Linear loop of ``scale`` x cache capacity (LRU-hostile when >1)."""
-
-    def recipe(config: CacheConfig, accesses: int, seed: int) -> List[int]:
-        footprint = max(config.ways + 1, int(scale * config.num_lines))
-        return linear_loop(footprint, accesses)
-
-    return recipe
-
-
 def drift_recipe(hot_scale: float, drift: float = 8.0) -> Recipe:
     """Sliding hot window (LRU-friendly, LFU-hostile)."""
 

@@ -97,10 +97,6 @@ class Trace:
         """Only the load/store records, in order."""
         return (r for r in self if r[0] <= KIND_STORE)
 
-    def branch_records(self) -> Iterator[Record]:
-        """Only the branch records, in order."""
-        return (r for r in self if r[0] >= KIND_BRANCH_TAKEN)
-
     def _is_memory(self) -> np.ndarray:
         return self.kinds <= KIND_STORE
 

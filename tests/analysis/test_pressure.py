@@ -43,7 +43,6 @@ class TestDisagreement:
         assert report.prefer_first == 1  # set 0
         assert report.prefer_second == 1  # set 1
         assert report.indifferent == 2
-        assert report.total_sets == 4
 
     def test_disagreement_fraction(self):
         report = DisagreementReport(prefer_first=3, prefer_second=1,

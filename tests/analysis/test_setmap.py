@@ -75,11 +75,11 @@ class TestSetMapRendering:
 
     def test_render_needs_enough_glyphs(self):
         setmap = SetMap(
-            component_names=["a", "b", "c"],
-            cells=[[0, 1, 2]],
+            component_names=["a", "b", "c", "d", "e", "f"],
+            cells=[[0, 1, 5]],
         )
         with pytest.raises(ValueError):
-            setmap.render(glyphs="#.")
+            setmap.render()
 
     def test_component_fraction(self):
         setmap = SetMap(

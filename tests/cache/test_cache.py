@@ -37,7 +37,7 @@ class TestBasics:
             result = cache.access(address)
             assert result.evicted_tag is None
         assert cache.stats.evictions == 0
-        assert cache.sets[0].is_full()
+        assert cache.sets[0].free_way() is None
 
     def test_eviction_only_when_full(self, tiny_config):
         cache = make_cache(tiny_config)
@@ -46,11 +46,11 @@ class TestBasics:
             cache.access(address)
         assert cache.stats.evictions == 1
 
-    def test_resident_block_count(self, small_config):
+    def test_distinct_lines_stay_resident(self, small_config):
         cache = make_cache(small_config)
         for line in range(100):
             cache.access(line * small_config.line_bytes)
-        assert cache.resident_block_count() == 100
+        assert sum(s.occupancy() for s in cache.sets) == 100
 
 
 class TestWrites:
@@ -60,7 +60,7 @@ class TestWrites:
         assert not result.hit
         set_index = tiny_config.set_index(0x2000)
         way = cache.sets[set_index].find(tiny_config.tag(0x2000))
-        assert cache.sets[set_index].is_dirty(way)
+        assert cache.sets[set_index].state_dict()["dirty"][way]
 
     def test_write_hit_dirties_clean_line(self, tiny_config):
         cache = make_cache(tiny_config)
@@ -68,7 +68,7 @@ class TestWrites:
         cache.access(0x2000, is_write=True)
         set_index = tiny_config.set_index(0x2000)
         way = cache.sets[set_index].find(tiny_config.tag(0x2000))
-        assert cache.sets[set_index].is_dirty(way)
+        assert cache.sets[set_index].state_dict()["dirty"][way]
 
     def test_dirty_eviction_counts_writeback(self, tiny_config):
         cache = make_cache(tiny_config)

@@ -50,7 +50,7 @@ class TestOccupancy:
         cache_set.install(1, tag=2)
         cache_set.install(2, tag=3)
         assert cache_set.free_way() is None
-        assert cache_set.is_full()
+        assert cache_set.occupancy() == 3
 
     def test_free_way_is_lowest_hole(self):
         cache_set = CacheSet(4)
@@ -72,23 +72,12 @@ class TestOccupancy:
 
 
 class TestDirty:
-    def test_mark_dirty(self):
-        cache_set = CacheSet(2)
-        cache_set.install(0, tag=5)
-        assert not cache_set.is_dirty(0)
-        cache_set.mark_dirty(0)
-        assert cache_set.is_dirty(0)
-
-    def test_mark_dirty_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            CacheSet(2).mark_dirty(0)
-
     def test_evict_clears_dirty(self):
         cache_set = CacheSet(2)
         cache_set.install(0, tag=5, dirty=True)
         cache_set.evict(0)
         cache_set.install(0, tag=6)
-        assert not cache_set.is_dirty(0)
+        assert cache_set.state_dict()["dirty"] == [False, False]
 
 
 class TestValidation:

@@ -69,15 +69,14 @@ class TestPartialTags:
         shadow.lookup_update(0, 0x01)
         outcome = shadow.lookup_update(0, 0x02)
         assert outcome.missed
-        assert shadow.contains_full(0, 0x01)
-        assert shadow.contains_full(0, 0x02)
+        assert shadow.contains_stored(0, shadow.tag_transform(0x01))
+        assert shadow.contains_stored(0, shadow.tag_transform(0x02))
 
-    def test_contains_full_vs_stored(self):
+    def test_aliases_share_a_stored_tag(self):
         scheme = PartialTagScheme(4)
         shadow = TagArray(4, 4, LRUPolicy(4, 4), tag_transform=scheme)
         shadow.lookup_update(2, 0xAB)
-        assert shadow.contains_full(2, 0xAB)
-        assert shadow.contains_full(2, 0x1B)  # alias
+        assert scheme(0xAB) == scheme(0x1B) == 0xB  # 0x1B aliases 0xAB
         assert shadow.contains_stored(2, 0xB)
         assert not shadow.contains_stored(2, 0xA)
 

@@ -296,7 +296,7 @@ class TestInvalidate:
         more = addresses_for_set(tiny_config, 0, tiny_config.ways + 3)
         for address in more:
             cache.access(address)
-        assert cache.sets[0].is_full()
+        assert cache.sets[0].free_way() is None
 
 
 class TestStoredTagRows:

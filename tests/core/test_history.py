@@ -73,7 +73,7 @@ class TestBitVectorWindow:
         for _ in range(10):
             history.record([True, False])
         assert history.misses(0) == 4
-        assert history.recorded_events() == 4
+        assert len(history.state_dict()["events"]) == 4
 
     def test_old_events_forgotten(self):
         """The defining property: adaptation to *recent* behaviour."""

@@ -255,4 +255,4 @@ def test_matching_line_sizes_accepted(line_bytes):
     config = processor.l2
     cache_set = l2.sets[config.set_index(dirty)]
     way = cache_set.find(config.tag(dirty))
-    assert way is not None and cache_set.is_dirty(way)
+    assert way is not None and cache_set.state_dict()["dirty"][way]

@@ -67,7 +67,7 @@ class TestWritePath:
         config = processor.l2
         way = cache.sets[config.set_index(0x3000)].find(config.tag(0x3000))
         assert way is not None
-        assert cache.sets[config.set_index(0x3000)].is_dirty(way)
+        assert cache.sets[config.set_index(0x3000)].state_dict()["dirty"][way]
 
     def test_writeback_burst_backpressure(self, processor):
         """A burst of miss-bound writebacks with a tiny buffer stalls

@@ -19,7 +19,7 @@ from repro.experiments.base import (
 )
 from repro.policies.lru import LRUPolicy
 from repro.workloads.io import save_trace
-from repro.workloads.suite import build_workload
+from repro.workloads.suite import build_workload, workload_names
 
 
 class TestSetups:
@@ -40,10 +40,10 @@ class TestSetups:
         with pytest.raises(ValueError, match="unknown scale"):
             make_setup("galactic")
 
-    def test_workload_lists(self):
+    def test_workloads_are_the_primary_set(self):
         setup = make_setup("mini")
-        assert len(setup.workloads(primary_only=True)) == 26
-        assert len(setup.workloads(primary_only=False)) == 100
+        assert setup.workloads() == workload_names(primary_only=True)
+        assert len(setup.workloads()) == 26
 
 
 class TestBuildPolicy:
@@ -220,9 +220,7 @@ class TestExperimentResult:
         result.add_row("a", 1.0)
         result.add_row("b", 2.0)
         assert result.column("v") == [1.0, 2.0]
-        assert result.row_by_label("b") == ["b", 2.0]
-        with pytest.raises(KeyError):
-            result.row_by_label("c")
+        assert result.rows == [["a", 1.0], ["b", 2.0]]
 
     def test_render_includes_notes(self):
         result = ExperimentResult("x", "desc", headers=["a"])

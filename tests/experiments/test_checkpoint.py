@@ -9,9 +9,6 @@ from repro.cpu.timing import TimingResult
 from repro.experiments import (
     base,
     cli,
-    ext_cluster,
-    ext_online,
-    ext_tiers,
     fig3_mpki,
     fig4_cpi,
     fig9_associativity,
@@ -27,6 +24,7 @@ from repro.experiments.checkpoint import (
     timing_from_dict,
     timing_to_dict,
 )
+from tests.experiments.helpers import run_experiment
 
 
 class TestSweepCheckpoint:
@@ -34,7 +32,6 @@ class TestSweepCheckpoint:
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
         assert len(ckpt) == 0
         ckpt.put("cell/a/b", {"misses": 3})
-        assert ckpt.has("cell/a/b")
         assert ckpt.get("cell/a/b") == {"misses": 3}
         assert ckpt.get("missing") is None
         assert ckpt.keys() == ["cell/a/b"]
@@ -55,7 +52,7 @@ class TestSweepCheckpoint:
         ckpt.put("one", 1)
         ckpt.discard("one")
         ckpt.discard("never-there")
-        assert not SweepCheckpoint(path).has("one")
+        assert SweepCheckpoint(path).get("one") is None
 
     def test_corrupt_json_raises(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -169,26 +166,26 @@ class TestDamagedMetricsCell:
     """A metrics-dict cell that is valid JSON but lost a field is
     recomputed on resume, as a damaged timing cell is."""
 
-    @pytest.mark.parametrize("module, kwargs, first_key, field, timing_col", [
-        (ext_online, {"workloads": ("loop",), "engines": ("lru", "lfu")},
+    @pytest.mark.parametrize("name, constants, first_key, field, timing_col", [
+        ("ext-online", {"WORKLOADS": ("loop",), "ENGINES": ("lru", "lfu")},
          "cell/ext-online/mini/1500/loop/lru", "hit_pct", 5),
-        (ext_tiers, {"workloads": ("zipf",), "strategies": ("lce", "lcd")},
+        ("ext-tiers", {"WORKLOADS": ("zipf",), "STRATEGIES": ("lce", "lcd")},
          "cell/ext-tiers/mini/1500/zipf/lce", "hit_pct", 5),
-        (ext_cluster, {"replication_factors": (1,)},
+        ("ext-cluster", {"REPLICATION_FACTORS": (1,)},
          "cell/ext-cluster/mini/1500/1/none", "availability_pct", 4),
     ], ids=["ext-online", "ext-tiers", "ext-cluster"])
-    def test_resume_recomputes_the_cell(self, module, kwargs, first_key,
+    def test_resume_recomputes_the_cell(self, name, constants, first_key,
                                         field, timing_col, tmp_path, capsys):
         setup = base.make_setup("mini", accesses=1500)
         ckpt = SweepCheckpoint(tmp_path / "ck.json")
-        first = module.run(setup=setup, checkpoint=ckpt, **kwargs)
+        first = run_experiment(name, setup, checkpoint=ckpt, **constants)
         # Keys keep their historical shape, so old files still resume.
         assert ckpt.keys()[0] == first_key
         damaged = dict(ckpt.get(first_key))
         del damaged[field]
         ckpt.put(first_key, damaged)
 
-        resumed = module.run(setup=setup, checkpoint=ckpt, **kwargs)
+        resumed = run_experiment(name, setup, checkpoint=ckpt, **constants)
         assert "resimulating" in capsys.readouterr().err
         # The healed cell replaced the damaged one on disk.
         assert field in SweepCheckpoint(tmp_path / "ck.json").get(first_key)
@@ -353,7 +350,7 @@ class TestSweepUsesCheckpoint:
             assert ckpt.get(f"cell/fig4/mini/1500/lucas/{label}") == \
                 ckpt.get(f"cell/fig3/mini/1500/lucas/{label}")
         assert fig4_cpi.render(setup, sweeps["fig4"]).render() == \
-            fig4_cpi.run(setup=setup, workloads=["lucas"]).render()
+            run_experiment("fig4", setup, ["lucas"]).render()
 
     def test_sweep_without_checkpoint_simulates(self):
         setup = base.make_setup("mini", accesses=1000)

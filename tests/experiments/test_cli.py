@@ -92,7 +92,7 @@ class _StubExperiment:
         self.interrupts = interrupts
         self.calls = 0
 
-    def run(self, setup=None, **kwargs):
+    def run(self, setup):
         self.calls += 1
         if self.interrupts > 0:
             self.interrupts -= 1
@@ -111,7 +111,7 @@ class _StubSweep:
         self.fails = fails
         self.renders = 0
 
-    def cells(self, setup, **kwargs):
+    def cells(self, setup):
         if self.fails:
             raise RuntimeError(f"{self.name} cells exploded")
         return []
@@ -190,7 +190,7 @@ class TestKeepGoing:
             eee=_StubSweep("eee", fails=True),
         )
         assert main(["all", "--scale", "mini", "--keep-going",
-                     "--checkpoint", str(ckpt_path)]) == 1
+                     "--resume", str(ckpt_path)]) == 1
         captured = capsys.readouterr()
         assert "aaa results" in captured.out
         assert "ddd results" in captured.out
@@ -240,6 +240,16 @@ class TestSweepPass:
 
 
 class TestResume:
+    def test_resume_is_the_one_checkpoint_flag(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["all"]).resume is None
+        assert parser.parse_args(["all", "--resume"]).resume == \
+            cli.DEFAULT_CHECKPOINT
+        assert parser.parse_args(["all", "--resume", "x.json"]).resume == \
+            "x.json"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["all", "--checkpoint", "x.json"])
+
     def test_interrupt_then_resume_skips_completed(
         self, stub_experiments, capsys, tmp_path
     ):
@@ -249,14 +259,14 @@ class TestResume:
             bbb=_StubExperiment("bbb", interrupts=1),
         )
         # First run: aaa completes, then ^C lands during bbb.
-        code = main(["all", "--scale", "mini", "--checkpoint", ckpt_path])
+        code = main(["all", "--scale", "mini", "--resume", ckpt_path])
         assert code == 130
         captured = capsys.readouterr()
         assert "--resume" in captured.err
         assert stubs["aaa"].calls == 1
 
         # Resumed run: aaa is restored from the checkpoint, not rerun.
-        code = main(["all", "--scale", "mini", "--checkpoint", ckpt_path])
+        code = main(["all", "--scale", "mini", "--resume", ckpt_path])
         assert code == 0
         captured = capsys.readouterr()
         assert stubs["aaa"].calls == 1
@@ -271,7 +281,7 @@ class TestResume:
         ckpt_path = tmp_path / "ck.json"
         stub_experiments(aaa=_StubExperiment("aaa"))
         assert main(["aaa", "--scale", "mini",
-                     "--checkpoint", str(ckpt_path)]) == 0
+                     "--resume", str(ckpt_path)]) == 0
         payload = json.loads(ckpt_path.read_text())
         assert payload["cells"]["done/aaa/mini"] == "aaa results"
 
@@ -279,7 +289,7 @@ class TestResume:
         self, capsys, tmp_path
     ):
         ckpt = str(tmp_path / "ck.json")
-        base = ["fig3", "--scale", "mini", "--checkpoint", ckpt]
+        base = ["fig3", "--scale", "mini", "--resume", ckpt]
 
         def run(*flags):
             assert main([*base, *flags]) == 0
@@ -300,7 +310,7 @@ class TestResume:
         self, stub_experiments, capsys, tmp_path
     ):
         stub = stub_experiments(aaa=_StubExperiment("aaa"))["aaa"]
-        base = ["aaa", "--scale", "mini", "--checkpoint",
+        base = ["aaa", "--scale", "mini", "--resume",
                 str(tmp_path / "ck.json")]
 
         def run(*flags):
@@ -329,7 +339,7 @@ class TestResume:
         ckpt_path = tmp_path / "ck.json"
         out = tmp_path / "report.md"
         argv = ["report", "--scale", "mini", "--accesses", "1000",
-                "--workloads", "lucas", "--checkpoint", str(ckpt_path),
+                "--workloads", "lucas", "--resume", str(ckpt_path),
                 "--out", str(out)]
         assert main(argv) == 0
         assert compile_calls == ["lucas"]
@@ -356,7 +366,7 @@ class TestResume:
         record their cells in the ``--checkpoint`` file."""
         ckpt_path = tmp_path / "ck.json"
         assert main([name, "--scale", "mini", "--accesses", "1000",
-                     "--checkpoint", str(ckpt_path)]) == 0
+                     "--resume", str(ckpt_path)]) == 0
         assert any(key.startswith(f"cell/{name}/mini/1000/")
                    for key in SweepCheckpoint(ckpt_path).keys())
 
@@ -367,7 +377,7 @@ class TestResume:
         ckpt_path.write_text("{ definitely not json")
         stub_experiments(aaa=_StubExperiment("aaa"))
         assert main(["aaa", "--scale", "mini",
-                     "--checkpoint", str(ckpt_path)]) == 0
+                     "--resume", str(ckpt_path)]) == 0
         captured = capsys.readouterr()
         assert "starting fresh" in captured.err
         assert (tmp_path / "ck.json.corrupt").exists()
@@ -380,21 +390,18 @@ class TestResume:
         ckpt_path = tmp_path / "ck.json"
         stub_experiments(bbb=_StubExperiment("bbb", failures=99))
         assert main(["bbb", "--scale", "mini",
-                     "--checkpoint", str(ckpt_path)]) == 1
+                     "--resume", str(ckpt_path)]) == 1
         stubs2 = stub_experiments(bbb=_StubExperiment("bbb"))
         assert main(["bbb", "--scale", "mini",
-                     "--checkpoint", str(ckpt_path)]) == 0
+                     "--resume", str(ckpt_path)]) == 0
         # The failure was not checkpointed, so the retry really ran.
         assert stubs2["bbb"].calls == 1
 
 
 class TestGoldenSubcommand:
     def test_check_passes_on_clean_tree(self, capsys):
-        assert main(["golden", "--check"]) == 0
-        assert "match" in capsys.readouterr().out
-
-    def test_check_is_the_default_action(self, capsys):
         assert main(["golden"]) == 0
+        assert "match" in capsys.readouterr().out
 
     def test_regen_writes_requested_path(self, capsys, tmp_path):
         target = tmp_path / "golden.json"
@@ -406,10 +413,10 @@ class TestGoldenSubcommand:
     def test_check_fails_against_stale_digests(self, capsys, tmp_path):
         target = tmp_path / "golden.json"
         target.write_text('{"format": 1, "experiments": {}}')
-        assert main(["golden", "--check", "--golden-path",
-                     str(target)]) == 1
+        assert main(["golden", "--golden-path", str(target)]) == 1
         assert capsys.readouterr().err
 
-    def test_check_and_regen_mutually_exclusive(self):
+    def test_checking_has_no_flag(self):
+        """Checking is what ``golden`` does; only ``--regen`` changes it."""
         with pytest.raises(SystemExit):
-            main(["golden", "--check", "--regen"])
+            main(["golden", "--check"])

@@ -9,20 +9,8 @@ paper-shape checks (storage and theory included) live in
 
 import pytest
 
-from repro.experiments import base
-from repro.experiments import (
-    fig3_mpki,
-    fig4_cpi,
-    fig5_partial_tags,
-    fig6_capacity,
-    fig7_setmaps,
-    fig8_fifo_mru,
-    fig9_associativity,
-    fig10_store_buffer,
-    sec44_five_policy,
-    sec46_l1,
-    sec47_sbar,
-)
+from repro.experiments import base, fig7_setmaps
+from tests.experiments.helpers import row_by_label, run_experiment
 
 SUBSET = ["lucas", "art-1", "tiff2rgba"]
 
@@ -34,24 +22,22 @@ def setup():
 
 @pytest.fixture(scope="module")
 def fig3(setup):
-    return fig3_mpki.run(setup=setup, workloads=SUBSET)
+    return run_experiment("fig3", setup, SUBSET)
 
 
 @pytest.fixture(scope="module")
 def fig6(setup):
-    return fig6_capacity.run(setup=setup, workloads=SUBSET)
+    return run_experiment("fig6", setup, SUBSET)
 
 
 @pytest.fixture(scope="module")
 def fig8(setup):
-    return fig8_fifo_mru.run(setup=setup, workloads=SUBSET)
+    return run_experiment("fig8", setup, SUBSET)
 
 
 @pytest.fixture(scope="module")
 def fig10(setup):
-    return fig10_store_buffer.run(
-        setup=setup, workloads=SUBSET, buffer_sizes=(4, 64)
-    )
+    return run_experiment("fig10", setup, SUBSET, BUFFER_SIZES=(4, 64))
 
 
 class TestFig3:
@@ -61,29 +47,28 @@ class TestFig3:
 
     def test_adaptive_tracks_best(self, fig3):
         for name in SUBSET:
-            row = fig3.row_by_label(name)
+            row = row_by_label(fig3, name)
             adaptive, lfu, lru = row[1], row[2], row[3]
             assert adaptive <= 1.25 * min(lfu, lru), name
 
     def test_average_improves_on_lru(self, fig3):
-        avg = fig3.row_by_label("Average")
+        avg = row_by_label(fig3, "Average")
         assert avg[1] < avg[3]  # Adaptive < LRU
 
 
 class TestFig4:
     def test_cpi_positive_and_ordered(self, setup):
-        result = fig4_cpi.run(setup=setup, workloads=SUBSET)
+        result = run_experiment("fig4", setup, SUBSET)
         for row in result.rows:
             assert all(value > 0 for value in row[1:])
-        avg = result.row_by_label("Average")
+        avg = row_by_label(result, "Average")
         assert avg[1] <= min(avg[2], avg[3]) * 1.05
 
 
 class TestFig5:
     def test_tag_width_sweep(self, setup):
-        result = fig5_partial_tags.run(
-            setup=setup, workloads=SUBSET, tag_widths=(None, 10, 6, 2)
-        )
+        result = run_experiment("fig5", setup, SUBSET,
+                                TAG_WIDTHS=(None, 10, 6, 2))
         labels = result.column("tag width")
         assert labels == ["full", "10-bit", "6-bit", "2-bit"]
         increases = result.column("MPKI increase %")
@@ -100,12 +85,12 @@ class TestFig6:
         assert any("10-way" in label for label in labels)
 
     def test_bigger_lru_caches_help_lru(self, fig6):
-        base_cpi = fig6.row_by_label("LRU (8-way)")[1]
+        base_cpi = row_by_label(fig6, "LRU (8-way)")[1]
         ten_way = next(r for r in fig6.rows if "10-way" in r[0])[1]
         assert ten_way <= base_cpi * 1.02
 
     def test_adaptive_competitive_with_capacity(self, fig6):
-        adaptive = fig6.row_by_label("Adaptive (8-bit tags)")[1]
+        adaptive = row_by_label(fig6, "Adaptive (8-bit tags)")[1]
         ten_way = next(r for r in fig6.rows if "10-way" in r[0])[1]
         # Figure 6's claim: adaptivity beats the 25%-bigger cache.
         assert adaptive < ten_way * 1.05
@@ -113,12 +98,13 @@ class TestFig6:
 
 class TestFig7:
     def test_fractions_in_range(self, setup):
-        result = fig7_setmaps.run(setup=setup, samples=6)
+        result = run_experiment("fig7", setup, SAMPLES=6)
         for row in result.rows:
             assert all(0.0 <= v <= 1.0 for v in row[1:])
 
-    def test_collect_returns_map(self, setup):
-        setmap, policy = fig7_setmaps.collect("ammp", setup, samples=6)
+    def test_collect_returns_map(self, setup, monkeypatch):
+        monkeypatch.setattr(fig7_setmaps, "SAMPLES", 6)
+        setmap, policy = fig7_setmaps.collect("ammp", setup)
         assert setmap.num_sets == setup.l2.num_sets
         assert len(policy.shadows) == 2
 
@@ -126,20 +112,19 @@ class TestFig7:
 class TestFig8:
     def test_adaptive_tracks_best_of_fifo_mru(self, fig8):
         for name in SUBSET:
-            row = fig8.row_by_label(name)
+            row = row_by_label(fig8, name)
             adaptive, fifo, mru = row[1], row[2], row[3]
             assert adaptive <= 1.3 * min(fifo, mru), name
 
     def test_mru_wins_on_art(self, fig8):
-        row = fig8.row_by_label("art-1")
+        row = row_by_label(fig8, "art-1")
         assert row[3] < row[2]  # MRU < FIFO
 
 
 class TestFig9:
     def test_rows_per_associativity(self, setup):
-        result = fig9_associativity.run(
-            setup=setup, workloads=SUBSET, associativities=(4, 8)
-        )
+        result = run_experiment("fig9", setup, SUBSET,
+                                ASSOCIATIVITIES=(4, 8))
         assert result.column("ways") == [4, 8]
         for row in result.rows:
             assert row[1] > -20.0  # improvement never catastrophic
@@ -157,15 +142,15 @@ class TestFig10:
 
 class TestSec44:
     def test_five_policy_close_to_two(self, setup):
-        result = sec44_five_policy.run(setup=setup, workloads=SUBSET)
-        avg = result.row_by_label("Average")
+        result = run_experiment("sec44", setup, SUBSET)
+        avg = row_by_label(result, "Average")
         two, five = avg[1], avg[2]
         assert abs(five - two) / two < 0.25
 
 
 class TestSec46:
     def test_l1_rows(self, setup):
-        result = sec46_l1.run(setup=setup, workloads=SUBSET)
+        result = run_experiment("sec46", setup, SUBSET)
         labels = result.column("cache")
         assert labels == ["L1 instruction", "L1 data"]
         # Adaptive never dramatically worse at either L1.
@@ -175,8 +160,8 @@ class TestSec46:
 
 class TestSec47:
     def test_sbar_between_lru_and_adaptive(self, setup):
-        result = sec47_sbar.run(setup=setup, workloads=SUBSET, num_leaders=8)
-        avg = result.row_by_label("Average")
+        result = run_experiment("sec47", setup, SUBSET, NUM_LEADERS=8)
+        avg = row_by_label(result, "Average")
         adaptive, sbar, lru = avg[1], avg[2], avg[4]
         assert sbar <= lru * 1.02
         assert sbar >= adaptive * 0.9

@@ -13,6 +13,7 @@ from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import ext_cluster
 from repro.experiments.base import make_setup
 from repro.experiments.cli import main
+from tests.experiments.helpers import crash_hit_cost, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def setup():
 
 @pytest.fixture(scope="module")
 def result(setup):
-    return ext_cluster.run(setup=setup)
+    return run_experiment("ext-cluster", setup)
 
 
 class TestRun:
@@ -50,17 +51,17 @@ class TestRun:
         for replication in (2, 3):
             assert by_cell[(replication, "kill")][5] == 100.0
         assert by_cell[(1, "kill")][5] < 100.0
-        assert (ext_cluster.crash_hit_cost(result, 3)
-                <= ext_cluster.crash_hit_cost(result, 1))
+        assert crash_hit_cost(result, 3) <= crash_hit_cost(result, 1)
 
     def test_accesses_capped(self):
         setup = make_setup("mini", accesses=ext_cluster.MAX_ACCESSES * 2)
-        result = ext_cluster.run(setup=setup, replication_factors=(1,))
+        result = run_experiment("ext-cluster", setup,
+                                REPLICATION_FACTORS=(1,))
         assert str(ext_cluster.MAX_ACCESSES) in result.description
 
     def test_deterministic(self, setup):
-        first = ext_cluster.run(setup=setup, replication_factors=(2,))
-        second = ext_cluster.run(setup=setup, replication_factors=(2,))
+        first = run_experiment("ext-cluster", setup, REPLICATION_FACTORS=(2,))
+        second = run_experiment("ext-cluster", setup, REPLICATION_FACTORS=(2,))
         # Everything but the timing column reproduces exactly.
         strip = [r[:4] + r[5:] for r in first.rows]
         assert strip == [r[:4] + r[5:] for r in second.rows]
@@ -97,14 +98,16 @@ class TestCheckpointing:
     def test_cells_restored_not_recomputed(self, setup, tmp_path,
                                            monkeypatch):
         ckpt = checkpoint_mod.SweepCheckpoint(tmp_path / "ck.json")
-        first = ext_cluster.run(checkpoint=ckpt, setup=setup, replication_factors=(1,))
+        first = run_experiment("ext-cluster", setup, checkpoint=ckpt,
+                               REPLICATION_FACTORS=(1,))
         assert len(ckpt) == 2
 
         def boom(*args, **kwargs):
             raise AssertionError("cell recomputed despite checkpoint")
 
         monkeypatch.setattr(ext_cluster, "replay_cluster", boom)
-        resumed = ext_cluster.run(checkpoint=ckpt, setup=setup, replication_factors=(1,))
+        resumed = run_experiment("ext-cluster", setup, checkpoint=ckpt,
+                                 REPLICATION_FACTORS=(1,))
         assert resumed.rows == first.rows
 
 

@@ -4,15 +4,13 @@ import pytest
 
 from repro.experiments import ext_faults
 from repro.experiments.base import make_setup
+from tests.experiments.helpers import row_by_label, run_experiment
 
 
 @pytest.fixture(scope="module")
 def result():
-    return ext_faults.run(
-        setup=make_setup("mini", accesses=3000),
-        workloads=["lucas", "art-1"],
-        rates=(0.01, 0.5),
-    )
+    return run_experiment("ext-faults", make_setup("mini", accesses=3000),
+                          ["lucas", "art-1"], RATES=(0.01, 0.5))
 
 
 class TestExtFaults:
@@ -28,7 +26,7 @@ class TestExtFaults:
 
     def test_armed_quiet_matches_baseline(self, result):
         for name in ("lucas", "art-1"):
-            row = result.row_by_label(name)
+            row = row_by_label(result, name)
             assert row[3] == row[2], name
 
     def test_faults_were_actually_injected(self, result):

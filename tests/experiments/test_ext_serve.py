@@ -12,7 +12,7 @@ from tests.conftest import serve_report
 
 @pytest.fixture
 def result(shared_run_serve):
-    return ext_serve.run(quick=True, seed=0)
+    return ext_serve.run(make_setup("scaled"), seed=0, quick=True)
 
 
 class TestRun:
@@ -40,7 +40,7 @@ class TestRun:
     def test_mini_setup_maps_to_quick(self, result, shared_run_serve):
         # Same seed + quick flag must match the mini-setup run exactly:
         # the harness is deterministic, so the tables are equal.
-        via_setup = ext_serve.run(setup=make_setup("mini"), seed=0)
+        via_setup = ext_serve.run(make_setup("mini"), seed=0, quick=False)
         assert shared_run_serve == [(True, 0), (True, 0)]
         assert via_setup.rows == result.rows
 

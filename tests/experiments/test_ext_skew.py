@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments import ext_skew
 from repro.experiments.base import make_setup
+from tests.experiments.helpers import row_by_label, run_experiment
 
 
 @pytest.fixture(scope="module")
 def result():
-    return ext_skew.run(setup=make_setup("mini"), accesses=10_000)
+    return run_experiment("ext-skew", make_setup("mini", accesses=10_000))
 
 
 class TestExtSkew:
@@ -18,7 +18,7 @@ class TestExtSkew:
         ]
 
     def test_conflict_stream_shape(self, result):
-        row = result.row_by_label("conflict (stride=sets)")
+        row = row_by_label(result, "conflict (stride=sets)")
         lru, adaptive, skewed, fa = row[1:]
         # Replacement cannot fix conflicts; indexing can.
         assert adaptive > 0.9 * lru
@@ -26,7 +26,7 @@ class TestExtSkew:
         assert fa < 0.3 * lru
 
     def test_policy_stream_shape(self, result):
-        row = result.row_by_label("policy (hot+scan)")
+        row = row_by_label(result, "policy (hot+scan)")
         lru, adaptive, skewed, fa = row[1:]
         # Indexing cannot fix policy misses; adaptivity can.
         assert adaptive < 0.95 * lru
@@ -34,7 +34,7 @@ class TestExtSkew:
         assert fa > 0.9 * lru
 
     def test_mixed_stream_each_helps_its_half(self, result):
-        row = result.row_by_label("mixed")
+        row = row_by_label(result, "mixed")
         lru, adaptive, skewed, _fa = row[1:]
         assert adaptive < lru
         assert skewed < lru

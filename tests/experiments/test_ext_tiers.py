@@ -5,6 +5,11 @@ import pytest
 from repro.experiments import checkpoint as checkpoint_mod
 from repro.experiments import ext_tiers
 from repro.experiments.base import make_setup
+from tests.experiments.helpers import (
+    acceptance_score,
+    adaptive_latency_margin,
+    run_experiment,
+)
 
 
 @pytest.fixture(scope="module")
@@ -14,10 +19,10 @@ def setup():
 
 class TestRun:
     def test_full_grid_shape(self, setup):
-        result = ext_tiers.run(
-            setup=setup,
-            workloads=("zipf", "scan-hot"),
-            strategies=("lce", "lcd", "adaptive"),
+        result = run_experiment(
+            "ext-tiers", setup,
+            WORKLOADS=("zipf", "scan-hot"),
+            STRATEGIES=("lce", "lcd", "adaptive"),
         )
         assert result.experiment == "ext-tiers"
         assert len(result.rows) == 2 * 3
@@ -35,7 +40,7 @@ class TestRun:
                 assert row[6] == 0
 
     def test_notes_compare_adaptive_to_fixed(self, setup):
-        result = ext_tiers.run(setup=setup, workloads=("zipf",))
+        result = run_experiment("ext-tiers", setup, WORKLOADS=("zipf",))
         assert len(result.notes) == 1
         assert "adaptive" in result.notes[0]
         assert "best fixed" in result.notes[0]
@@ -43,16 +48,15 @@ class TestRun:
     def test_ehc_near_tier_runs_end_to_end(self, setup):
         # The "lce+ehc" cell must drive the EHC policy through the near
         # tier of the real serving path, not just exist in the table.
-        result = ext_tiers.run(
-            setup=setup, workloads=("zipf",), strategies=("lce", "lce+ehc")
-        )
+        result = run_experiment("ext-tiers", setup, WORKLOADS=("zipf",),
+                                STRATEGIES=("lce", "lce+ehc"))
         by_strategy = {row[1]: row for row in result.rows}
         assert "lce+ehc" in by_strategy
         assert by_strategy["lce+ehc"][2] > 0  # near tier serves requests
 
     def test_unknown_workload_rejected(self, setup):
         with pytest.raises(ValueError, match="unknown key-stream"):
-            ext_tiers.run(setup=setup, workloads=("nope",))
+            run_experiment("ext-tiers", setup, WORKLOADS=("nope",))
 
 
 class TestAcceptance:
@@ -60,27 +64,25 @@ class TestAcceptance:
         # The PR's acceptance condition at the scale the CLI uses:
         # adaptive placement matches or beats the best fixed strategy
         # on at least two of the three keystream classes.
-        result = ext_tiers.run(setup=make_setup("mini"))
-        assert ext_tiers.acceptance_score(result) >= 2
+        result = run_experiment("ext-tiers", make_setup("mini"))
+        assert acceptance_score(result) >= 2
 
     def test_margin_positive_on_phase_change(self):
         # On the phase-changing stream no single fixed strategy is safe,
         # so adaptation should not merely tie — it must be within
         # tolerance of the best and far from the worst.
-        result = ext_tiers.run(
-            setup=make_setup("mini"), workloads=("phase-zipf",)
-        )
-        margin = ext_tiers.adaptive_latency_margin(result, "phase-zipf")
+        result = run_experiment("ext-tiers", make_setup("mini"),
+                                WORKLOADS=("phase-zipf",))
+        margin = adaptive_latency_margin(result, "phase-zipf")
         assert margin >= -ext_tiers.LATENCY_TOLERANCE
 
 
 class TestCheckpointing:
     def test_cells_cached_and_restored(self, setup, tmp_path, monkeypatch):
         ckpt = checkpoint_mod.SweepCheckpoint(tmp_path / "ck.json")
-        kwargs = dict(
-            setup=setup, workloads=("zipf",), strategies=("lce", "lcd")
-        )
-        first = ext_tiers.run(checkpoint=ckpt, **kwargs)
+        constants = dict(WORKLOADS=("zipf",), STRATEGIES=("lce", "lcd"))
+        first = run_experiment("ext-tiers", setup, checkpoint=ckpt,
+                               **constants)
         assert len(ckpt) == 2
 
         # A resumed run must come entirely from the checkpoint: make
@@ -89,5 +91,6 @@ class TestCheckpointing:
             raise AssertionError("cell recomputed despite checkpoint")
 
         monkeypatch.setattr(ext_tiers, "replay", boom)
-        second = ext_tiers.run(checkpoint=ckpt, **kwargs)
+        second = run_experiment("ext-tiers", setup, checkpoint=ckpt,
+                                **constants)
         assert second.rows == first.rows

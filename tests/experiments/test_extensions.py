@@ -3,8 +3,8 @@ the design-choice ablations."""
 
 import pytest
 
-from repro.experiments import ablations, ext_prefetch, ext_shared
 from repro.experiments.base import make_setup
+from tests.experiments.helpers import row_by_label, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ class TestExtShared:
     # Each mix is simulated on its own, so one run serves every test.
     @pytest.fixture(scope="class")
     def result(self, setup):
-        return ext_shared.run(setup=setup, pairs=[
+        return run_experiment("ext-shared", setup, PAIRS=[
             ("lucas", "tiff2rgba"), ("gcc-2", "art-1"), ("bzip2", "xanim"),
             ("parser", "x11quake-1"),
         ])
@@ -29,20 +29,19 @@ class TestExtShared:
 
     def test_adaptive_beats_lru_on_mixes(self, result):
         for mix in ("lucas+tiff2rgba", "bzip2+xanim"):
-            assert result.row_by_label(mix)[4] > 0.0, mix  # vs LRU %
+            assert row_by_label(result, mix)[4] > 0.0, mix  # vs LRU %
 
     def test_adaptive_near_best_fixed(self, result):
         # vs best fixed %
-        assert result.row_by_label("parser+x11quake-1")[5] > -15.0
+        assert row_by_label(result, "parser+x11quake-1")[5] > -15.0
 
 
 class TestExtPrefetch:
     # Each workload is simulated on its own, so one run serves every test.
     @pytest.fixture(scope="class")
     def result(self, setup):
-        return ext_prefetch.run(
-            setup=setup, workloads=["swim", "mcf", "lucas", "ft"]
-        )
+        return run_experiment("ext-prefetch", setup,
+                              ["swim", "mcf", "lucas", "ft"])
 
     def test_configurations_present(self, result):
         assert result.headers == [
@@ -50,13 +49,13 @@ class TestExtPrefetch:
         ]
 
     def test_stride_wins_on_sweeps(self, result):
-        row = result.row_by_label("swim")
+        row = row_by_label(result, "swim")
         none, stride = row[1], row[3]
         assert stride < 0.5 * none
 
     def test_hybrid_tracks_best_component(self, result):
         for name in ("swim", "mcf", "lucas"):
-            row = result.row_by_label(name)
+            row = row_by_label(result, name)
             best = min(row[1:4])
             hybrid = row[4]
             assert hybrid <= 1.25 * best + 1.0, name
@@ -65,30 +64,27 @@ class TestExtPrefetch:
         """Even on pointer chasing, the hybrid's pollution stays
         bounded relative to no prefetching."""
         for name in ("mcf", "ft"):
-            row = result.row_by_label(name)
+            row = row_by_label(result, name)
             assert row[4] <= 1.3 * row[1], name
 
 
 class TestExtDip:
     @pytest.fixture(scope="class")
     def result(self, setup):
-        from repro.experiments import ext_dip
-
-        return ext_dip.run(setup=setup,
-                           workloads=["art-1", "gcc-1", "lucas"])
+        return run_experiment("ext-dip", setup, ["art-1", "gcc-1", "lucas"])
 
     def test_dip_fixes_thrashing(self, result):
         for name in ("art-1", "gcc-1"):
-            row = result.row_by_label(name)
+            row = row_by_label(result, name)
             dip, lru = row[1], row[5]
             assert dip < 0.8 * lru, name
 
     def test_dip_tracks_lru_on_recency(self, result):
-        row = result.row_by_label("lucas")
+        row = row_by_label(result, "lucas")
         assert row[1] <= 1.1 * row[5]
 
     def test_full_adaptive_lru_bip_comparable(self, result):
-        avg = result.row_by_label("Average")
+        avg = row_by_label(result, "Average")
         dip, adaptive_bip = avg[1], avg[2]
         assert abs(dip - adaptive_bip) / adaptive_bip < 0.35
 
@@ -96,8 +92,7 @@ class TestExtDip:
 class TestAblations:
     @pytest.fixture(scope="class")
     def result(self, setup):
-        return ablations.run(setup=setup, workloads=["lucas", "art-1",
-                                                     "ammp"])
+        return run_experiment("ablations", setup, ["lucas", "art-1", "ammp"])
 
     def test_groups_covered(self, result):
         groups = set(result.column("group"))

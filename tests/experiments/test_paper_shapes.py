@@ -15,7 +15,9 @@ Each check runs at two scales of the 16 KB ``mini`` geometry:
 
 A few checks pin their own inputs at both scales: fig7 needs a long
 trace for its phases to show, ext-skew builds its own 10k-access
-streams, and storage and theory take no setup.
+streams, and storage and theory take no setup. A check narrows an
+experiment through its module constants (``ASSOCIATIVITIES``, ...),
+not through options the CLI never passes.
 """
 
 import json
@@ -29,6 +31,13 @@ from repro.experiments.base import Setup, make_setup
 from repro.experiments.cli import EXPERIMENTS
 
 from tests.conftest import serve_report
+from tests.experiments.helpers import (
+    acceptance_score,
+    adaptive_vs_best_fixed,
+    crash_hit_cost,
+    row_by_label,
+    run_experiment,
+)
 
 BASELINES = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
@@ -94,7 +103,8 @@ def test_every_check_names_a_registered_experiment():
 @check("storage")
 def _storage(storage, scale):
     """§3.2/§4.7: 544/598/566 KB; 4.0%, 2.1% and 0.16% overhead."""
-    totals = {row[0]: (row[1], row[2]) for row in storage.run().rows}
+    totals = {row[0]: (row[1], row[2])
+              for row in run_experiment("storage", scale.setup).rows}
     assert totals["conventional (data+tags+state)"][0] == pytest.approx(544.0)
     assert totals["adaptive, full tags"][0] == pytest.approx(598.0)
     assert totals["adaptive, 8-bit partial tags"][0] == pytest.approx(566.0)
@@ -110,7 +120,7 @@ def _storage(storage, scale):
 def _fig3(fig3, scale):
     """Adaptive matches the better of LRU/LFU on average MPKI (a small
     epsilon for tracking overhead) and beats the worse."""
-    average = fig3.run(setup=scale.setup).row_by_label("Average")
+    average = row_by_label(run_experiment("fig3", scale.setup), "Average")
     adaptive, lfu, lru = average[1], average[2], average[3]
     assert adaptive <= 1.05 * min(lfu, lru)
     assert adaptive < max(lfu, lru)
@@ -119,7 +129,7 @@ def _fig3(fig3, scale):
 @check("fig4")
 def _fig4(fig4, scale):
     """Adaptive beats LRU on average CPI."""
-    average = fig4.run(setup=scale.setup).row_by_label("Average")
+    average = row_by_label(run_experiment("fig4", scale.setup), "Average")
     assert average[1] < average[3]
 
 
@@ -127,10 +137,10 @@ def _fig4(fig4, scale):
 def _fig5(fig5, scale):
     """8-bit tags stay within a few percent of full tags; the narrowest
     are never better than wide ones by a wide margin."""
-    result = fig5.run(setup=scale.setup, workloads=list(scale.subset))
-    assert abs(result.row_by_label("8-bit")[4]) < 5.0
-    assert (result.row_by_label("4-bit")[3]
-            >= result.row_by_label("12-bit")[3] - 2.0)
+    result = run_experiment("fig5", scale.setup, scale.subset)
+    assert abs(row_by_label(result, "8-bit")[4]) < 5.0
+    assert (row_by_label(result, "4-bit")[3]
+            >= row_by_label(result, "12-bit")[3] - 2.0)
 
 
 @check("fig6")
@@ -138,8 +148,8 @@ def _fig6(fig6, scale):
     """8-bit-tag adaptivity is competitive with a 25% larger 10-way LRU
     cache. Full primary set: a slice over-weights loops that exactly
     fit the larger cache."""
-    result = fig6.run(setup=scale.setup)
-    adaptive = result.row_by_label("Adaptive (8-bit tags)")[1]
+    result = run_experiment("fig6", scale.setup)
+    adaptive = row_by_label(result, "Adaptive (8-bit tags)")[1]
     ten_way = next(row[1] for row in result.rows if "10-way" in row[0])
     assert adaptive < ten_way * 1.05
 
@@ -147,8 +157,9 @@ def _fig6(fig6, scale):
 @check("fig7")
 def _fig7(fig7, scale):
     """ammp's middle quanta are LFU-heavy, its final ones LRU-dominant."""
-    result = fig7.run(setup=make_setup("mini", accesses=12_000), samples=8)
-    ammp = result.row_by_label("ammp")
+    result = run_experiment("fig7", make_setup("mini", accesses=12_000),
+                            SAMPLES=8)
+    ammp = row_by_label(result, "ammp")
     assert ammp[-1] < 0.5
     assert max(ammp[1:-2]) > 0.5
 
@@ -156,18 +167,18 @@ def _fig7(fig7, scale):
 @check("fig8")
 def _fig8(fig8, scale):
     """FIFO/MRU adaptivity tracks the better component; MRU wins on art."""
-    result = fig8.run(setup=scale.setup)
-    average = result.row_by_label("Average")
+    result = run_experiment("fig8", scale.setup)
+    average = row_by_label(result, "Average")
     assert average[1] <= min(average[2], average[3]) * 1.1
-    art = result.row_by_label("art-1")
+    art = row_by_label(result, "art-1")
     assert art[3] < art[2]
 
 
 @check("fig9")
 def _fig9(fig9, scale):
     """A real miss reduction exists at every associativity."""
-    result = fig9.run(setup=scale.setup, workloads=list(scale.subset),
-                      associativities=(4, 8, 16))
+    result = run_experiment("fig9", scale.setup, scale.subset,
+                            ASSOCIATIVITIES=(4, 8, 16))
     for row in result.rows:
         assert row[2] > 0.0, f"{row[0]}-way shows no miss reduction"
 
@@ -177,8 +188,8 @@ def _fig10(fig10, scale):
     """Bigger store buffers lower the LRU CPI (the tolerance covers
     store-stall/load-overlap interactions that reorder near-identical
     CPIs by <0.5%), and a benefit remains at 256 entries."""
-    result = fig10.run(setup=scale.setup, workloads=list(scale.subset),
-                       buffer_sizes=(4, 16, 64, 256))
+    result = run_experiment("fig10", scale.setup, scale.subset,
+                            BUFFER_SIZES=(4, 16, 64, 256))
     lru_cpis = result.column("LRU avg CPI")
     assert all(a >= b - 0.005 * a for a, b in zip(lru_cpis, lru_cpis[1:]))
     assert result.rows[-1][3] > 0.0
@@ -187,9 +198,8 @@ def _fig10(fig10, scale):
 @check("sec44")
 def _sec44(sec44, scale):
     """Five-policy adaptivity is virtually identical to LRU/LFU."""
-    average = sec44.run(
-        setup=scale.setup, workloads=list(scale.subset)
-    ).row_by_label("Average")
+    average = row_by_label(
+        run_experiment("sec44", scale.setup, scale.subset), "Average")
     two, five = average[1], average[2]
     assert abs(five - two) / two < 0.25
 
@@ -197,9 +207,9 @@ def _sec44(sec44, scale):
 @check("sec46")
 def _sec46(sec46, scale):
     """The L1I gains more than the L1D, and neither regresses badly."""
-    result = sec46.run(setup=scale.setup, workloads=list(scale.subset))
-    l1i = result.row_by_label("L1 instruction")
-    l1d = result.row_by_label("L1 data")
+    result = run_experiment("sec46", scale.setup, scale.subset)
+    l1i = row_by_label(result, "L1 instruction")
+    l1d = row_by_label(result, "L1 data")
     assert l1i[3] > l1d[3]
     assert l1d[3] > -5.0
 
@@ -207,8 +217,8 @@ def _sec46(sec46, scale):
 @check("sec47")
 def _sec47(sec47, scale):
     """SBAR improves on LRU while staying near full adaptivity."""
-    average = sec47.run(setup=scale.setup, workloads=list(scale.subset),
-                        num_leaders=8).row_by_label("Average")
+    average = row_by_label(run_experiment(
+        "sec47", scale.setup, scale.subset, NUM_LEADERS=8), "Average")
     adaptive, sbar, lru = average[1], average[2], average[4]
     assert sbar < lru
     assert sbar >= adaptive * 0.9
@@ -217,7 +227,8 @@ def _sec47(sec47, scale):
 @check("theory")
 def _theory(theory, scale):
     """Appendix: at most 2x the better component's misses, per set."""
-    result = theory.run(seeds=3, trace_length=10_000)
+    result = run_experiment("theory", scale.setup, SEEDS=3,
+                            TRACE_LENGTH=10_000)
     assert all(row[2] for row in result.rows)
     assert max(row[1] for row in result.rows) <= 2.0
 
@@ -230,7 +241,7 @@ def _theory(theory, scale):
 @check("ablations")
 def _ablations(ablations, scale):
     """No mechanism variant the paper leaves untuned collapses."""
-    result = ablations.run(setup=scale.setup, workloads=list(scale.subset[:5]))
+    result = run_experiment("ablations", scale.setup, scale.subset[:5])
     baseline = next(row[2] for row in result.rows if row[0] == "baseline")
     for row in result.rows:
         assert row[2] < 1.6 * baseline, (row, baseline)
@@ -240,10 +251,10 @@ def _ablations(ablations, scale):
 def _seeds(seeds, scale):
     """The MPKI reduction is positive on every trace seed, with a spread
     small relative to the mean."""
-    result = seeds.run(setup=scale.setup, seeds=3,
-                       workloads=["lucas", "art-1", "tiff2rgba", "ammp"])
+    result = run_experiment("seeds", scale.setup,
+                            ["lucas", "art-1", "tiff2rgba", "ammp"], SEEDS=3)
     per_seed = [row[1] for row in result.rows if row[0] != "mean"]
-    mean = result.row_by_label("mean")[1]
+    mean = row_by_label(result, "mean")[1]
     assert mean > 0.0
     assert all(value > 0.0 for value in per_seed)
     assert max(per_seed) - min(per_seed) < max(6.0, 0.8 * mean)
@@ -254,9 +265,9 @@ def _ext_validate(ext_validate, scale):
     """The aggregate and scoreboard timing models agree on the sign of
     every material adaptive-vs-LRU difference."""
     workloads = ["lucas", "art-1", "tiff2rgba", "mcf"]
-    result = ext_validate.run(setup=scale.setup, workloads=workloads)
+    result = run_experiment("ext-validate", scale.setup, workloads)
     for name in workloads:
-        aggregate, scoreboard = result.row_by_label(name)[1:3]
+        aggregate, scoreboard = row_by_label(result, name)[1:3]
         if abs(aggregate) >= 2.0 or abs(scoreboard) >= 2.0:
             assert (aggregate > 0) == (scoreboard > 0), name
 
@@ -270,7 +281,7 @@ def _ext_validate(ext_validate, scale):
 def _ext_shared(ext_shared, scale):
     """On two-core mixes the adaptive shared L2 beats LRU and stays
     near the best fixed policy."""
-    result = ext_shared.run(setup=scale.setup, pairs=[
+    result = run_experiment("ext-shared", scale.setup, PAIRS=[
         ("lucas", "tiff2rgba"), ("gcc-2", "art-1"), ("bzip2", "xanim"),
     ])
     for row in result.rows:
@@ -283,11 +294,11 @@ def _ext_prefetch(ext_prefetch, scale):
     """The hybrid prefetcher beats none on average and tracks the better
     component per workload."""
     workloads = ["swim", "equake", "mcf", "lucas", "tiff2rgba"]
-    result = ext_prefetch.run(setup=scale.setup, workloads=workloads)
-    average = result.row_by_label("Average")
+    result = run_experiment("ext-prefetch", scale.setup, workloads)
+    average = row_by_label(result, "Average")
     assert average[4] < average[1]
     for name in workloads:
-        row = result.row_by_label(name)
+        row = row_by_label(result, name)
         assert row[4] <= 1.25 * min(row[1:4]) + 1.0, name
 
 
@@ -295,13 +306,13 @@ def _ext_prefetch(ext_prefetch, scale):
 def _ext_dip(ext_dip, scale):
     """Dueling (LRU, BIP) fixes the thrashing mix overall without
     losing badly to LRU on the recency-friendly programs."""
-    result = ext_dip.run(setup=scale.setup, workloads=[
+    result = run_experiment("ext-dip", scale.setup, [
         "art-1", "gcc-1", "equake", "lucas", "gcc-2",
     ])
-    average = result.row_by_label("Average")
+    average = row_by_label(result, "Average")
     assert average[1] < average[5]
     for name in ("lucas", "gcc-2"):
-        row = result.row_by_label(name)
+        row = row_by_label(result, name)
         assert row[1] <= 1.1 * row[5], name
 
 
@@ -309,9 +320,9 @@ def _ext_dip(ext_dip, scale):
 def _ext_skew(ext_skew, scale):
     """Skewing fixes conflict misses, adaptivity fixes policy misses,
     and neither helps the other's stream."""
-    result = ext_skew.run(setup=scale.setup, accesses=10_000)
-    conflict = result.row_by_label("conflict (stride=sets)")
-    policy = result.row_by_label("policy (hot+scan)")
+    result = run_experiment("ext-skew", make_setup("mini", accesses=10_000))
+    conflict = row_by_label(result, "conflict (stride=sets)")
+    policy = row_by_label(result, "policy (hot+scan)")
     assert conflict[3] < 0.3 * conflict[1]
     assert conflict[2] > 0.9 * conflict[1]
     assert policy[2] < 0.95 * policy[1]
@@ -324,12 +335,12 @@ def _ext_faults(ext_faults, scale):
     fault rate adaptive MPKI stays within 2x of fault-free."""
     workloads = ["lucas", "art-1", "ammp", "mcf"]
     rates = (0.001, 0.01, 0.05)
-    result = ext_faults.run(setup=scale.setup, workloads=workloads,
-                            rates=rates)
+    result = run_experiment("ext-faults", scale.setup, workloads,
+                            RATES=rates)
     for name in workloads:
-        row = result.row_by_label(name)
+        row = row_by_label(result, name)
         assert row[3] == row[2], name
-    average = result.row_by_label("Average")
+    average = row_by_label(result, "Average")
     assert average[4 + len(rates) - 1] <= 2.0 * max(average[2], 0.5)
 
 
@@ -337,10 +348,10 @@ def _ext_faults(ext_faults, scale):
 def _ext_online(ext_online, scale):
     """On the phase-change stream the adaptive engine matches or beats
     the better fixed policy, and every cell serves."""
-    result = ext_online.run(setup=scale.setup, workloads=(
+    result = run_experiment("ext-online", scale.setup, WORKLOADS=(
         "zipf", "scan-hot", ext_online.PHASE_WORKLOAD,
     ))
-    assert ext_online.adaptive_vs_best_fixed(result) >= -0.5
+    assert adaptive_vs_best_fixed(result) >= -0.5
     for row in result.rows:
         assert row[2] + row[3] > 0  # hits + misses
         assert row[5] > 0  # ops/sec
@@ -381,7 +392,7 @@ def _ext_serve(_, scale):
 def _ext_cluster(ext_cluster, scale):
     """Replication >= 2 rides out a member crash at full availability,
     and the crash costs r=1 at least as many hit-points as r=3."""
-    result = ext_cluster.run(setup=scale.setup)
+    result = run_experiment("ext-cluster", scale.setup)
     cells = {(row[0], row[1]): row for row in result.rows}
     for row in result.rows:
         assert row[3] > 0  # hit %
@@ -389,8 +400,7 @@ def _ext_cluster(ext_cluster, scale):
     for replication in (2, 3):
         assert cells[(replication, "kill")][5] == 100.0
     assert cells[(1, "kill")][5] <= cells[(2, "kill")][5]
-    assert (ext_cluster.crash_hit_cost(result, 3)
-            <= ext_cluster.crash_hit_cost(result, 1))
+    assert crash_hit_cost(result, 3) <= crash_hit_cost(result, 1)
 
 
 @check("ext-tiers")
@@ -399,8 +409,8 @@ def _ext_tiers(ext_tiers, scale):
     least the pinned number of keystream classes, and every latency
     lies between the near tier's and the backing store's."""
     floor = json.loads(BASELINES.read_text())["tiers"]["min_acceptance_classes"]
-    result = ext_tiers.run(setup=scale.setup)
-    assert ext_tiers.acceptance_score(result) >= int(floor)
+    result = run_experiment("ext-tiers", scale.setup)
+    assert acceptance_score(result) >= int(floor)
     for row in result.rows:
         assert row[5] > 0  # ops/sec
         assert ext_tiers.NEAR_LATENCY <= row[4] <= ext_tiers.BACKING_LATENCY

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments import ext_validate, seed_sensitivity
 from repro.experiments.base import make_setup
+from tests.experiments.helpers import row_by_label, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +14,7 @@ def setup():
 class TestSeedSensitivity:
     @pytest.fixture(scope="class")
     def result(self, setup):
-        return seed_sensitivity.run(
-            setup=setup, workloads=["lucas", "art-1"], seeds=3
-        )
+        return run_experiment("seeds", setup, ["lucas", "art-1"], SEEDS=3)
 
     def test_one_row_per_seed_plus_mean(self, result):
         labels = result.column("seed offset")
@@ -24,7 +22,7 @@ class TestSeedSensitivity:
 
     def test_mean_is_mean(self, result):
         per_seed = [row[1] for row in result.rows if row[0] != "mean"]
-        mean = result.row_by_label("mean")[1]
+        mean = row_by_label(result, "mean")[1]
         assert mean == pytest.approx(sum(per_seed) / len(per_seed))
 
     def test_improvement_positive_every_seed(self, result):
@@ -34,16 +32,12 @@ class TestSeedSensitivity:
     def test_spread_note_present(self, result):
         assert any("Spread across seeds" in note for note in result.notes)
 
-    def test_rejects_nonpositive_seeds(self, setup):
-        with pytest.raises(ValueError):
-            seed_sensitivity.run(setup=setup, seeds=0)
-
 
 class TestExtValidate:
     @pytest.fixture(scope="class")
     def result(self, setup):
-        return ext_validate.run(setup=setup,
-                                workloads=["lucas", "art-1", "tiff2rgba"])
+        return run_experiment("ext-validate", setup,
+                              ["lucas", "art-1", "tiff2rgba"])
 
     def test_both_models_reported(self, result):
         assert result.headers == ["benchmark", "aggregate %", "scoreboard %"]
@@ -58,12 +52,12 @@ class TestExtValidate:
                 assert (aggregate > 0) == (scoreboard > 0), row
 
     def test_art_improves_under_both(self, result):
-        row = result.row_by_label("art-1")
+        row = row_by_label(result, "art-1")
         assert row[1] > 5.0
         assert row[2] > 5.0
 
     def test_lucas_neutral_under_both(self, result):
         """Adaptive == LRU on lucas, so both models must report ~0."""
-        row = result.row_by_label("lucas")
+        row = row_by_label(result, "lucas")
         assert abs(row[1]) < 1.5
         assert abs(row[2]) < 1.5

@@ -56,13 +56,6 @@ class TestArming:
         with pytest.raises(RuntimeError, match="already armed"):
             injector.arm(policy)
 
-    def test_disarm_detaches(self, tiny_config):
-        policy = make_adaptive(tiny_config.num_sets, tiny_config.ways)
-        injector = FaultInjector(FaultPlan.uniform(0.5)).arm(policy)
-        injector.disarm()
-        assert policy.fault_injector is None
-        # Re-armable after a disarm.
-        injector.arm(policy)
 
     def test_plain_policy_rejected(self, tiny_config):
         lru = LRUPolicy(tiny_config.num_sets, tiny_config.ways)
@@ -141,27 +134,27 @@ class TestCorruptStored:
 
     def test_flip_resident_tag(self):
         array = self.make_array()
-        array.lookup_update(0, 5, False)
+        array.lookup_update(0, 5)
         assert array.corrupt_stored(0, 5, 7)
         assert not array.contains_stored(0, 5)
         assert array.contains_stored(0, 7)
 
     def test_absent_tag_is_noop(self):
         array = self.make_array()
-        array.lookup_update(0, 5, False)
+        array.lookup_update(0, 5)
         assert not array.corrupt_stored(0, 9, 11)
         assert array.contains_stored(0, 5)
 
     def test_identical_tag_is_noop(self):
         array = self.make_array()
-        array.lookup_update(0, 5, False)
+        array.lookup_update(0, 5)
         assert not array.corrupt_stored(0, 5, 5)
         assert array.contains_stored(0, 5)
 
     def test_collision_drops_block(self):
         array = self.make_array()
-        array.lookup_update(0, 5, False)
-        array.lookup_update(0, 7, False)
+        array.lookup_update(0, 5)
+        array.lookup_update(0, 7)
         assert array.corrupt_stored(0, 5, 7)
         # The aliased duplicate is dropped, not stored twice.
         assert array.resident_tags(0).count(7) == 1

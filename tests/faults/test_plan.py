@@ -52,11 +52,6 @@ class TestFaultPlan:
         assert plan.seed == 3
         assert all(spec == FaultSpec(spec.site, 0.1) for spec in plan.specs)
 
-    def test_quiet_plans(self):
-        assert FaultPlan().is_quiet()
-        assert FaultPlan.uniform(0.0).is_quiet()
-        assert not FaultPlan.uniform(0.001).is_quiet()
-
     def test_specs_normalized_to_tuple(self):
         plan = FaultPlan(specs=[FaultSpec("history", 0.1)])
         assert isinstance(plan.specs, tuple)
@@ -70,10 +65,3 @@ class TestFaultLog:
         )
         assert log.injected() == 10
 
-    def test_merge(self):
-        a = FaultLog(accesses=5, shadow_tag_flips=1)
-        b = FaultLog(accesses=7, history_clears=2)
-        a.merge(b)
-        assert a.accesses == 12
-        assert a.shadow_tag_flips == 1
-        assert a.history_clears == 2

@@ -118,4 +118,4 @@ class TestInvalidationStorms:
             cache.invalidate(address)
         for address in addresses:
             cache.access(address)
-        assert cache.sets[0].is_full()
+        assert cache.sets[0].free_way() is None

@@ -312,14 +312,14 @@ class TestCancellationAccounting:
             )
             # Let it fail once and enter the first retry's backoff.
             await asyncio.sleep(0.25)
-            assert budget.in_use == 1
+            assert budget._in_use == 1
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
 
         loop.run_until_complete(main())
         # The token came back; releasing again would raise.
-        assert budget.in_use == 0
+        assert budget._in_use == 0
         with pytest.raises(RuntimeError, match="released more"):
             budget.release()
 
@@ -427,7 +427,7 @@ class TestCancellationAccounting:
         # than 4 requests x 3 retries ran.
         first_attempts = sum(1 for k in calls if calls.count(k) == 1)
         assert budget.denied > 0
-        assert budget.in_use == 0
+        assert budget._in_use == 0
         assert len(calls) < 16
         assert first_attempts >= 1
 

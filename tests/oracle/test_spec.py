@@ -78,3 +78,40 @@ class TestHardwareDifferential:
             assert len(engine.history) == 2
             if engine.evicted_tag is not None:
                 assert engine.imitated in (0, 1)
+
+
+class TestWorkedExample:
+    """The hand-worked Algorithm 1 example of docs/theory.md, replayed
+    through the reference spec: each reference's outcome, victim,
+    imitated component (0 = LRU, 1 = LFU) and window miss counts."""
+
+    STREAM = "AABCACBC"
+    EXPECTED = [
+        (outcome == "hit", victim, imitated, history)
+        for outcome, victim, imitated, history in [
+            ("miss", None, None, (0, 0)),
+            ("hit", None, None, (0, 0)),
+            ("miss", None, None, (0, 0)),
+            ("miss", "A", 0, (0, 0)),  # tie -> LRU; step 2
+            ("miss", "B", 1, (1, 0)),  # LFU; step 3
+            ("hit", None, None, (1, 0)),
+            ("miss", "C", 1, (1, 0)),  # LFU; step 2
+            ("miss", "A", 0, (1, 1)),  # tie -> LRU; step 3
+        ]
+    ]
+
+    def test_spec_replays_the_docs_example(self):
+        from repro.oracle.spec import SpecAdaptive, SpecCache, make_adaptive_spec
+
+        spec = make_adaptive_spec(1, 2, ("lru", "lfu"))
+        assert isinstance(spec, SpecAdaptive)
+        cache = SpecCache(1, 2, spec)
+        blocks = {"A": 0, "B": 1, "C": 2}
+        names = {tag: name for name, tag in blocks.items()}
+        replayed = []
+        for name in self.STREAM:
+            decision = cache.access(0, blocks[name])
+            replayed.append((decision.hit, names.get(decision.evicted_tag),
+                             decision.imitated, decision.history))
+        assert replayed == self.EXPECTED
+        assert cache.misses == 6

@@ -8,6 +8,11 @@ from repro.policies.lru import LRUPolicy
 from tests.conftest import addresses_for_set
 
 
+def expected_hits(policy, set_index, tag):
+    """The policy's learned expected hits per residency for ``tag``."""
+    return policy._ema[set_index].get(tag, NEW_TAG_EXPECTATION)
+
+
 def make_cache(config):
     return SetAssociativeCache(
         config, EHCPolicy(config.num_sets, config.ways)
@@ -17,7 +22,7 @@ def make_cache(config):
 class TestExpectationLearning:
     def test_new_tag_gets_optimistic_expectation(self, tiny_config):
         policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
-        assert policy.expected_hits(0, 42) == NEW_TAG_EXPECTATION
+        assert expected_hits(policy, 0, 42) == NEW_TAG_EXPECTATION
 
     def test_first_lifetime_seeds_average_directly(self, tiny_config):
         policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
@@ -28,7 +33,7 @@ class TestExpectationLearning:
             cache.access(a)  # 3 hits this residency
         for address in rest:  # evict `a` (fills 3 ways + one replacement)
             cache.access(address)
-        assert policy.expected_hits(0, tiny_config.tag(a)) == 3.0
+        assert expected_hits(policy, 0, tiny_config.tag(a)) == 3.0
 
     def test_halving_updates_average_exactly(self, tiny_config):
         policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
@@ -43,13 +48,13 @@ class TestExpectationLearning:
             cache.invalidate(a)
 
         live_one_lifetime(4)
-        assert policy.expected_hits(0, tag_a) == 4.0
+        assert expected_hits(policy, 0, tag_a) == 4.0
         live_one_lifetime(0)
-        assert policy.expected_hits(0, tag_a) == 2.0
+        assert expected_hits(policy, 0, tag_a) == 2.0
         live_one_lifetime(1)
-        assert policy.expected_hits(0, tag_a) == 1.5
+        assert expected_hits(policy, 0, tag_a) == 1.5
         live_one_lifetime(1)
-        assert policy.expected_hits(0, tag_a) == 1.25
+        assert expected_hits(policy, 0, tag_a) == 1.25
 
     def test_invalidate_finalizes_lifetime(self, tiny_config):
         policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
@@ -59,7 +64,7 @@ class TestExpectationLearning:
         cache.access(a)
         cache.access(a)
         cache.invalidate(a)
-        assert policy.expected_hits(0, tiny_config.tag(a)) == 2.0
+        assert expected_hits(policy, 0, tiny_config.tag(a)) == 2.0
 
 
 class TestVictimSelection:
@@ -79,7 +84,7 @@ class TestVictimSelection:
         result = cache.access(e)
         assert result.evicted_tag == tiny_config.tag(a)
         assert cache.contains(c)
-        assert policy.expected_hits(0, tiny_config.tag(a)) == 2.0
+        assert expected_hits(policy, 0, tiny_config.tag(a)) == 2.0
 
     def test_tie_breaks_by_oldest_fill(self, tiny_config):
         cache = make_cache(tiny_config)

@@ -45,7 +45,7 @@ class TestLFUEviction:
         for _ in range(5):
             cache.access(a)
         way = cache.sets[0].find(tiny_config.tag(a))
-        assert policy.frequency(0, way) == 6
+        assert policy._count[0][way] == 6
         # Heat the others past `a`, then stream one new block: `a` is
         # now the least frequent and must be the victim.
         for address in addresses[1:4] * 6:
@@ -67,7 +67,7 @@ class TestSaturation:
         for _ in range(100):
             cache.access(a)
         way = cache.sets[0].find(tiny_config.tag(a))
-        assert policy.frequency(0, way) == 7  # 2^3 - 1
+        assert policy._count[0][way] == 7  # 2^3 - 1
 
     def test_rejects_bad_counter_bits(self):
         with pytest.raises(ValueError):

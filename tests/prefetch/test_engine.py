@@ -72,7 +72,7 @@ class TestUsefulness:
         assert result.hit
         assert engine.stats.useful == 1
         assert engine.stats.useless == 0
-        assert engine.pending_prefetches() == 0
+        assert not engine._pending
 
     def test_useless_prefetch_detected_on_eviction(self, tiny_config):
         engine = make_engine(tiny_config, NextLinePrefetcher(degree=1),

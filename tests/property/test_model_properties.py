@@ -88,8 +88,10 @@ class TestSkewedProperties:
             cache.access(block << 6)
         stats = cache.stats
         assert stats.hits + stats.misses == len(blocks)
-        assert cache.resident_block_count() <= L2.num_lines
-        assert cache.resident_block_count() <= len(set(blocks))
+        resident = sum(block is not None
+                       for bank in cache._blocks for block in bank)
+        assert resident <= L2.num_lines
+        assert resident <= len(set(blocks))
 
     @given(blocks=blocks)
     @settings(max_examples=30, deadline=None)

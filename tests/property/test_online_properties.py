@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.online.bound import check_online_miss_bound
 from repro.online.engine import AdaptiveKVCache
-from repro.online.keyspace import key_fingerprint, shard_of
 from tests import strategies
 
 # Small universes force evictions (capacity 8-32 vs up to 60 distinct
@@ -87,5 +86,5 @@ class TestEngineInvariants:
         # on the shard its fingerprint names.
         for key in set(keys):
             assert cache.get(key) == key * 3
-            shard = cache.shards[shard_of(key_fingerprint(key), 8)]
+            shard = cache.shards[cache.shard_index(key)]
             assert key in shard.resident_keys()

@@ -35,7 +35,7 @@ class TestEngineInvariants:
         for block in blocks:
             engine.access(block << CONFIG.offset_bits)
         stats = engine.stats
-        assert stats.useful + stats.useless + engine.pending_prefetches() \
+        assert stats.useful + stats.useless + len(engine._pending) \
             == stats.issued
         assert stats.demand_hits + stats.demand_misses == \
             stats.demand_accesses

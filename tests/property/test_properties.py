@@ -16,7 +16,7 @@ from repro.core.partial import PartialTagScheme
 from repro.core.theory import check_miss_bound
 from repro.policies.belady import belady_misses
 from repro.policies.registry import make_policy
-from repro.utils.bitops import low_bits, xor_fold
+from repro.utils.bitops import xor_fold
 from tests import strategies
 
 CONFIG = CacheConfig(size_bytes=2 * 1024, ways=4, line_bytes=64)  # 8 sets
@@ -176,7 +176,6 @@ class TestPartialTagProperties:
            bits=st.integers(min_value=1, max_value=16))
     @settings(max_examples=100, deadline=None)
     def test_transforms_fit_width(self, tag, bits):
-        assert 0 <= low_bits(tag, bits) < (1 << bits)
         assert 0 <= xor_fold(tag, bits) < (1 << bits)
         assert 0 <= PartialTagScheme(bits)(tag) < (1 << bits)
         assert 0 <= PartialTagScheme(bits, "xor")(tag) < (1 << bits)
@@ -215,7 +214,7 @@ class TestHistoryProperties:
             if history.record(event):
                 recorded.append(event)
                 recorded = recorded[-window:]
-        assert history.recorded_events() == len(recorded)
+        assert len(history.state_dict()["events"]) == len(recorded)
         for component in (0, 1):
             expected = sum(1 for e in recorded if e[component])
             assert history.misses(component) == expected

@@ -114,16 +114,6 @@ class TestGuaranteeProperty:
             )
         assert_within_relative(sketch, values, (0.0, 1.0))
 
-    @settings(max_examples=25, deadline=None)
-    @given(latency_samples(min_size=1, max_size=150),
-           latency_samples(min_size=1, max_size=150))
-    def test_merge_equals_single_sketch(self, left, right):
-        merged = sketched(left)
-        merged.merge(sketched(right))
-        combined = sketched(left + right)
-        assert len(merged) == len(combined)
-        for q in REPORT_QUANTILES:
-            assert merged.quantile(q) == combined.quantile(q)
 
 
 class TestExactQuantile:

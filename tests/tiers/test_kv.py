@@ -22,6 +22,11 @@ from repro.tiers.placement import LeaveCopyDown, ProbabilisticLCD
 from tests.conftest import retry_policy
 
 
+def resident_in(cache, key):
+    """Names of the tiers holding ``key``, probed without events."""
+    return [tier.name for tier in cache.tiers if key in tier.store]
+
+
 def make_shard(capacity, policy="lru", seed=0):
     return CacheShard(capacity, build_shard_policy(policy, capacity, seed=seed))
 
@@ -45,7 +50,7 @@ class TestWalk:
         assert result.value == "v:k"
         assert result.latency == 1 + 10 + 100
         assert result.admitted == ("near", "far")
-        assert cache.resident_in("k") == ["near", "far"]
+        assert resident_in(cache, "k") == ["near", "far"]
         warm = cache.get_detailed("k")
         assert warm.served_by == "near"
         assert warm.latency == 1
@@ -69,32 +74,32 @@ class TestWalk:
     def test_lcd_climbs_one_tier_per_hit(self):
         cache = two_tier(placement=LeaveCopyDown())
         cache.get_or_compute("k", lambda key: "v")   # -> far only
-        assert cache.resident_in("k") == ["far"]
+        assert resident_in(cache, "k") == ["far"]
         second = cache.get_detailed("k")             # far serve -> near
         assert second.served_by == "far"
-        assert cache.resident_in("k") == ["near", "far"]
+        assert resident_in(cache, "k") == ["near", "far"]
         assert cache.get_detailed("k").served_by == "near"
 
     def test_put_invalidates_skipped_tiers(self):
         cache = two_tier(placement=LeaveCopyDown())
         cache.put("k", "v1")
         cache.get("k")       # promote into near
-        assert cache.resident_in("k") == ["near", "far"]
+        assert resident_in(cache, "k") == ["near", "far"]
         cache.put("k", "v2")  # LCD put targets far; near copy must die
-        assert cache.resident_in("k") == ["far"]
+        assert resident_in(cache, "k") == ["far"]
         assert cache.get("k") == "v2"
 
     def test_put_never_dropped_when_strategy_declines(self):
         cache = two_tier(placement=ProbabilisticLCD(p=0.0))
         cache.put("k", "v")
-        assert cache.resident_in("k") == ["far"]
+        assert resident_in(cache, "k") == ["far"]
         assert cache.get("k") == "v"
 
     def test_delete_clears_every_tier(self):
         cache = two_tier()
         cache.get_or_compute("k", lambda key: "v")
         assert cache.delete("k")
-        assert cache.resident_in("k") == []
+        assert resident_in(cache, "k") == []
         assert not cache.delete("k")
 
     def test_residency_probes_fire_no_events(self):
@@ -103,7 +108,7 @@ class TestWalk:
         before = cache.stats()
         near_hits = cache.tiers[0].store.hits
         assert "k" in cache and "other" not in cache
-        assert cache.resident_in("k") == ["near", "far"]
+        assert resident_in(cache, "k") == ["near", "far"]
         # Under LCE both tiers hold a copy, and len counts each.
         assert len(cache) == 2
         cache.tiers[0].invalidate("k")
@@ -164,14 +169,14 @@ class TestThreeTierWalk:
         assert result.served_by == "t1"
         assert result.latency == 1 + 5
         assert result.admitted == ("t0",)
-        assert cache.resident_in("k") == ["t0", "t1"]
+        assert resident_in(cache, "k") == ["t0", "t1"]
 
     def test_lcd_climbs_one_tier_per_hit(self):
         cache = three_tier(placement=LeaveCopyDown())
         assert cache.fetch("k", lambda key: "v").admitted == ("t2",)
         served = [cache.get_detailed("k").served_by for _ in range(3)]
         assert served == ["t2", "t1", "t0"]
-        assert cache.resident_in("k") == ["t0", "t1", "t2"]
+        assert resident_in(cache, "k") == ["t0", "t1", "t2"]
 
     def test_problcd_p_zero_never_climbs(self):
         cache = three_tier(placement=ProbabilisticLCD(p=0.0))
@@ -180,7 +185,7 @@ class TestThreeTierWalk:
             result = cache.get_detailed("k")
             assert result.served_by == "t2"
             assert result.admitted == ()
-        assert cache.resident_in("k") == ["t2"]
+        assert resident_in(cache, "k") == ["t2"]
 
     @pytest.mark.parametrize(
         "placement, resident",
@@ -198,7 +203,7 @@ class TestThreeTierWalk:
             tier.admit("k", "stale")
         assert cache.put("k", "fresh").admitted == tuple(resident)
         # Tiers the write skipped hold no stale copy.
-        assert cache.resident_in("k") == resident
+        assert resident_in(cache, "k") == resident
         assert cache.get("k") == "fresh"
 
     def test_bottom_tier_eviction_refetches_from_backing(self):
@@ -213,7 +218,7 @@ class TestThreeTierWalk:
             cache.get_or_compute(key, loader)
         # Five cold keys through a 4-entry bottom tier: key 0 was evicted
         # and never climbed, so it goes back to the backing loader.
-        assert cache.resident_in(0) == []
+        assert resident_in(cache, 0) == []
         assert cache.fetch(0, loader).served_by == "backing"
         assert loads == [0, 1, 2, 3, 4, 0]
         assert cache.backing_fetches == 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.bitops import ilog2, is_power_of_two, low_bits, mask, xor_fold
+from repro.utils.bitops import ilog2, is_power_of_two, mask, xor_fold
 
 
 class TestIsPowerOfTwo:
@@ -38,14 +38,6 @@ class TestMask:
             mask(-1)
 
 
-class TestLowBits:
-    def test_truncates(self):
-        assert low_bits(0xABCD, 8) == 0xCD
-        assert low_bits(0xABCD, 4) == 0xD
-        assert low_bits(0xABCD, 16) == 0xABCD
-
-    def test_zero_bits(self):
-        assert low_bits(0xFFFF, 0) == 0
 
 
 class TestXorFold:
@@ -69,8 +61,9 @@ class TestXorFold:
             xor_fold(0xFF, 0)
 
     def test_distinguishes_high_bits(self):
-        # Unlike low_bits, folding sees tag bits above the window.
+        # Unlike keeping the low bits, folding sees tag bits above the
+        # window.
         a = 0x1_0000_0001
         b = 0x2_0000_0001
-        assert low_bits(a, 8) == low_bits(b, 8)
+        assert a & mask(8) == b & mask(8)
         assert xor_fold(a, 8) != xor_fold(b, 8)

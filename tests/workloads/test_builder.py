@@ -178,7 +178,9 @@ class TestBuilder:
     def test_branch_pcs_in_code_segment(self):
         builder = WorkloadBuilder(seed=7, branches=BranchProfile(density=1.0))
         trace = builder.build("t", list(range(1000)))
-        for _kind, pc, _gap in trace.branch_records():
+        for kind, pc, _gap in trace:
+            if kind < KIND_BRANCH_TAKEN:
+                continue
             assert pc >= CODE_SEGMENT_BASE
             assert pc < DATA_SEGMENT_BASE
 

@@ -1,5 +1,7 @@
 """Unit tests for the key-stream generators (online-engine workloads)."""
 
+from itertools import islice
+
 import pytest
 
 from repro.cache.config import CacheConfig
@@ -116,24 +118,17 @@ class TestOpenLoopSpecs:
         with pytest.raises(TypeError):
             StreamSpec(universe=64)
         ranks = {int(r.key.partition(":")[2])
-                 for r in StreamSpec(rate=100.0, seed=1).take(3000)}
+                 for r in islice(StreamSpec(rate=100.0, seed=1).requests(),
+                                 3000)}
         assert max(ranks) < StreamSpec.universe == 512
         assert len(ranks) > 100
-
-    def test_take_validates_and_counts(self):
-        from repro.workloads.keystreams import StreamSpec
-
-        spec = StreamSpec(rate=100.0, seed=1)
-        assert len(spec.take(25)) == 25
-        assert spec.take(0) == []
-        with pytest.raises(ValueError, match="count"):
-            spec.take(-1)
 
     def test_insert_keys_are_fresh_and_sequential(self):
         from repro.workloads.keystreams import StreamSpec
 
         spec = StreamSpec(rate=500.0, mix="D", seed=2)
-        inserts = [r for r in spec.take(2000) if r.op == "insert"]
+        inserts = [r for r in islice(spec.requests(), 2000)
+                   if r.op == "insert"]
         assert inserts
         assert [r.key for r in inserts] == [
             f"r:new:{i}" for i in range(len(inserts))

@@ -14,7 +14,6 @@ from repro.workloads.suite import (
     dither_recipe,
     drift_recipe,
     gcc1_recipe,
-    loop_recipe,
     mgrid_recipe,
     resident_recipe,
     scan_hot_recipe,
@@ -74,7 +73,6 @@ class TestRecipeFactories:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: loop_recipe(1.3),
             lambda: drift_recipe(0.8),
             lambda: zipf_recipe(2.0),
             lambda: scan_hot_recipe(0.3),
@@ -88,10 +86,6 @@ class TestRecipeFactories:
         stream = recipe(config, 2000, 9)
         assert len(stream) == 2000
         assert all(isinstance(line, int) and line >= 0 for line in stream)
-
-    def test_loop_recipe_oversized_footprint(self, config):
-        stream = loop_recipe(1.3)(config, 5000, 0)
-        assert len(set(stream)) == int(1.3 * config.num_lines)
 
     def test_stride_recipe_coprime_nudge(self, config):
         """A stride dividing the nominal footprint must not collapse
