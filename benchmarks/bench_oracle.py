@@ -9,7 +9,7 @@ per-event overhead decide how often developers can afford to run them.
 import pytest
 
 from repro.experiments.base import make_setup
-from repro.oracle import (
+from repro.oracle.harness import (
     build_hardware_pair,
     build_shard_pair,
     differential_campaign,

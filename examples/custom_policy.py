@@ -19,7 +19,8 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.experiments.base import build_l2_policy
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import register_policy
-from repro.workloads import interleave_streams, scan_with_hot, working_set
+from repro.workloads.phases import interleave_streams
+from repro.workloads.synth import scan_with_hot, working_set
 
 
 class SegmentedLRUPolicy(ReplacementPolicy):

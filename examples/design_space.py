@@ -12,10 +12,12 @@ Run:  python examples/design_space.py
 """
 
 from repro import CacheConfig, SetAssociativeCache
-from repro.analysis import arithmetic_mean, render_table
-from repro.core import PartialTagScheme, make_adaptive
+from repro.analysis.metrics import arithmetic_mean
+from repro.analysis.tables import render_table
+from repro.core.multi import make_adaptive
+from repro.core.partial import PartialTagScheme
 from repro.experiments.base import build_l2_policy
-from repro.workloads import build_workload
+from repro.workloads.suite import build_workload
 
 WORKLOADS = ["lucas", "art-1", "tiff2rgba", "bzip2", "mcf", "ammp"]
 

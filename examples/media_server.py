@@ -12,14 +12,11 @@ Run:  python examples/media_server.py
 """
 
 from repro import CacheConfig, SetAssociativeCache, make_adaptive, make_policy
-from repro.cpu import ProcessorConfig, compile_workload, simulate
-from repro.workloads import (
-    BranchProfile,
-    WorkloadBuilder,
-    concat_phases,
-    scan_with_hot,
-    working_set,
-)
+from repro.cpu.config import ProcessorConfig
+from repro.cpu.timing import compile_workload, simulate
+from repro.workloads.builder import BranchProfile, WorkloadBuilder
+from repro.workloads.phases import concat_phases
+from repro.workloads.synth import scan_with_hot, working_set
 
 
 def build_pipeline_trace(l2_config, frames=6, refs_per_frame=8_000):

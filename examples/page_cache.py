@@ -14,7 +14,8 @@ Run:  python examples/page_cache.py
 """
 
 from repro import CacheConfig, SetAssociativeCache, make_adaptive, make_policy
-from repro.workloads import concat_phases, scan_with_hot, zipf_stream
+from repro.workloads.phases import concat_phases
+from repro.workloads.synth import scan_with_hot, zipf_stream
 
 PAGE_BYTES = 4096
 MEMORY_PAGES = 512  # 2 MB of page-cache for the demo

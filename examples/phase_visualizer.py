@@ -10,8 +10,8 @@ Run:  python examples/phase_visualizer.py
 """
 
 from repro import CacheConfig, SetAssociativeCache, make_adaptive
-from repro.analysis import collect_setmap
-from repro.workloads import build_workload
+from repro.analysis.setmap import collect_setmap
+from repro.workloads.suite import build_workload
 
 
 def main():

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CacheConfig, SetAssociativeCache, make_adaptive, make_policy
-from repro.workloads import drifting_working_set, scan_with_hot
+from repro.workloads.synth import drifting_working_set, scan_with_hot
 
 
 def run_pattern(label, line_stream, config):

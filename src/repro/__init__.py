@@ -18,62 +18,8 @@ Quickstart::
     print(cache.stats.miss_ratio)
 """
 
-from repro.cache.cache import AccessResult, SetAssociativeCache
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.cache.overhead import StorageModel
-from repro.cache.stats import CacheStats
 from repro.cache.tag_array import TagArray
-from repro.core import (
-    AdaptivePolicy,
-    BitVectorHistory,
-    CounterHistory,
-    PartialTagScheme,
-    SaturatingCounterHistory,
-    SbarPolicy,
-    check_miss_bound,
-    five_policy_adaptive,
-    make_adaptive,
-)
-from repro.policies import (
-    FIFOPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    MRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    available_policies,
-    belady_misses,
-    make_policy,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AccessResult",
-    "CacheConfig",
-    "CacheStats",
-    "SetAssociativeCache",
-    "StorageModel",
-    "TagArray",
-    "AdaptivePolicy",
-    "BitVectorHistory",
-    "CounterHistory",
-    "PartialTagScheme",
-    "SaturatingCounterHistory",
-    "SbarPolicy",
-    "check_miss_bound",
-    "five_policy_adaptive",
-    "make_adaptive",
-    "FIFOPolicy",
-    "LFUPolicy",
-    "LRUPolicy",
-    "MRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "SRRIPPolicy",
-    "available_policies",
-    "belady_misses",
-    "make_policy",
-    "__version__",
-]
+from repro.core.multi import make_adaptive
+from repro.policies.registry import make_policy

@@ -30,11 +30,6 @@ def percent_reduction(baseline: float, improved: float) -> float:
     return 100.0 * (baseline - improved) / baseline
 
 
-def percent_improvement(baseline: float, improved: float) -> float:
-    """Alias of :func:`percent_reduction` for cost metrics like CPI."""
-    return percent_reduction(baseline, improved)
-
-
 def summarize_policy_metric(
     per_workload: Mapping[str, Mapping[str, float]],
     baseline: str,

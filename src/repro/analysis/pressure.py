@@ -3,34 +3,15 @@
 The paper's third argument for per-set adaptivity (end of Section 2.5)
 is that "if the best component policy changes from one set of the cache
 to the other, the adaptive policy will outperform both component
-policies overall just by selecting the better one for every set." These
-helpers quantify the preconditions: how unevenly misses distribute over
-sets, and how often sets disagree about the better component.
+policies overall just by selecting the better one for every set." This
+module quantifies that precondition: how often sets disagree about the
+better component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-
-def miss_imbalance(per_set_misses: Sequence[int]) -> float:
-    """Gini coefficient of the per-set miss distribution.
-
-    0.0 = perfectly even pressure; values toward 1.0 = a few sets take
-    all the misses (conflict hot spots). Uses the standard
-    mean-absolute-difference formulation.
-    """
-    values = sorted(per_set_misses)
-    n = len(values)
-    if n == 0:
-        raise ValueError("need at least one set")
-    total = sum(values)
-    if total == 0:
-        return 0.0
-    # sum_i (2i - n - 1) * x_i  over sorted values.
-    weighted = sum((2 * (i + 1) - n - 1) * v for i, v in enumerate(values))
-    return weighted / (n * total)
 
 
 @dataclass(frozen=True)

@@ -97,25 +97,19 @@ class TagArray:
             if type(policy).observe is ReplacementPolicy.observe
             else policy.observe
         )
-        self._identity = tag_transform is identity_tag
-
-    def lookup_update(self, set_index: int, full_tag: int) -> ShadowOutcome:
-        """Replay one read: probe, then update as the policy would.
-
-        Shadow replays run once per component per access (the adaptive
-        policy's ``observe`` hook), so this is as hot as the real
-        cache's lookup; hit and empty-fill outcomes are shared
-        singletons and the tag transform is skipped for full tags.
-        """
-        stored = full_tag if self._identity else self.tag_transform(full_tag)
-        return self.lookup_stored(set_index, stored, False)
 
     def lookup_stored(
         self, set_index: int, stored: int, is_write: bool
     ) -> ShadowOutcome:
-        """:meth:`lookup_update` on an already-transformed tag, so a
-        caller replaying one reference into several arrays that share a
-        transform folds the tag once."""
+        """Replay one reference, its tag already transformed: probe,
+        then update as the policy would.
+
+        A caller replaying one reference into several arrays that share
+        a transform folds the tag once. Shadow replays run once per
+        component per access (the adaptive policy's ``observe`` hook),
+        so this is as hot as the real cache's lookup; hit and
+        empty-fill outcomes are shared singletons.
+        """
         self.accesses += 1
         shadow_set = self.sets[set_index]
         policy = self.policy

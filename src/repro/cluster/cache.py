@@ -22,7 +22,7 @@ consistent-hash :class:`~repro.cluster.ring.HashRing`:
   or missed writes converges during normal traffic. A replica
   missing the key entirely is left alone — re-inserting evicted
   entries on every read would fight the replacement policy; the
-  rebalance sweep (rejoin, membership change) refills those.
+  rebalance sweep (after a rejoin) refills those.
 
 Failures are tracked per node by the same
 :class:`~repro.online.resilience.CircuitBreaker` the single-node
@@ -155,10 +155,13 @@ class ClusterKVCache:
             self.ring.add_node(node_id)
         self.view = ClusterView(self.ring, self.nodes)
         self.controller = ClusterController(
-            self.ring, self.nodes, replication, view=self.view
+            self.nodes, replication, view=self.view
         )
         self.breakers: Dict[str, CircuitBreaker] = {
-            node_id: self._new_breaker() for node_id in self.nodes
+            node_id: CircuitBreaker(
+                failure_threshold=3, recovery_timeout=5.0, clock=self.clock
+            )
+            for node_id in self.nodes
         }
         self._seq = 0
         self._stats = ClusterStats()
@@ -170,18 +173,6 @@ class ClusterKVCache:
     def _next_version(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _new_breaker(self) -> CircuitBreaker:
-        return CircuitBreaker(
-            failure_threshold=3, recovery_timeout=5.0, clock=self.clock
-        )
-
-    def _breaker(self, node_id: str) -> CircuitBreaker:
-        breaker = self.breakers.get(node_id)
-        if breaker is None:
-            breaker = self._new_breaker()
-            self.breakers[node_id] = breaker
-        return breaker
 
     def _owners(self, key) -> List[str]:
         return self.view.owners(key, self.replication)
@@ -225,7 +216,7 @@ class ClusterKVCache:
         worst_latency = 0.0
         for node_id in owners:
             node = self.nodes[node_id]
-            breaker = self._breaker(node_id)
+            breaker = self.breakers[node_id]
             if not self.view.is_reachable(node_id):
                 breaker.record_failure()
                 continue
@@ -261,7 +252,7 @@ class ClusterKVCache:
             try:
                 removed = self.nodes[node_id].delete(key) or removed
             except Exception:  # noqa: BLE001 — replica boundary
-                self._breaker(node_id).record_failure()
+                self.breakers[node_id].record_failure()
         return removed
 
     # ------------------------------------------------------------------
@@ -300,7 +291,7 @@ class ClusterKVCache:
                 if len(replies) >= budget:
                     break
             node = self.nodes[node_id]
-            breaker = self._breaker(node_id)
+            breaker = self.breakers[node_id]
             if not self.view.is_reachable(node_id):
                 breaker.record_failure()
                 hedged = self._note_primary_hedge(position, hedged)
@@ -384,7 +375,7 @@ class ClusterKVCache:
             try:
                 self.nodes[node_id].put(key, best[0], best[1])
             except Exception:  # noqa: BLE001 — replica boundary
-                self._breaker(node_id).record_failure()
+                self.breakers[node_id].record_failure()
                 continue
             self._stats.read_repairs += 1
 
@@ -409,12 +400,6 @@ class ClusterKVCache:
     # ------------------------------------------------------------------
     # Maintenance and introspection
     # ------------------------------------------------------------------
-
-    def repair_sweep(self) -> int:
-        """Run the controller's converging rebalance over every resident
-        key (see
-        :meth:`~repro.cluster.network.ClusterController.rebalance`)."""
-        return self.controller.rebalance()
 
     def stats(self) -> ClusterStats:
         """Router counters plus every member's engine snapshot."""

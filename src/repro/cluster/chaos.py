@@ -439,7 +439,7 @@ def _pressure_phase(plan: ClusterChaosPlan, directory: Optional[str],
     for node in cluster.nodes.values():
         node.fault = None  # chaos is over; verdict sweeps run clean
     _restore_all(cluster, report)
-    report.swept += cluster.repair_sweep()
+    report.swept += cluster.controller.rebalance()
     for key in sorted(cluster.view.resident_keys()):
         if cluster.view.divergent(key, plan.replication):
             report.divergent_after_repair += 1
@@ -528,7 +528,7 @@ def _durability_phase(plan: ClusterChaosPlan, directory: Optional[str],
                     report.wrong_values += 1
 
     _restore_all(cluster, report)
-    report.swept += cluster.repair_sweep()
+    report.swept += cluster.controller.rebalance()
 
     for key, (acked_version, _value) in sorted(latest_acked.items()):
         found, version, value, _consulted = cluster.get_details(key)

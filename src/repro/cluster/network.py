@@ -1,7 +1,7 @@
 """The cluster's MVC split: a mutating controller, a read-only view.
 
 Mirrors the network MVC discipline of simulators like Icarus: all
-*mutations* of cluster state (membership, lifecycle, data movement) go
+*mutations* of cluster state (node lifecycle, data movement) go
 through :class:`ClusterController`; all *observation* (statuses,
 preference lists, replica contents, merged stats) goes through
 :class:`ClusterView`, which never fires a policy event or moves a
@@ -106,63 +106,28 @@ class ClusterView:
         """Each member's merged engine counters (None when down)."""
         return {nid: self._nodes[nid].stats() for nid in sorted(self._nodes)}
 
-    def describe(self) -> str:
-        """A human-readable membership table."""
-        lines = ["node      status       ring  entries"]
-        for nid in sorted(self._nodes):
-            node = self._nodes[nid]
-            stats = node.stats()
-            occupancy = "-" if stats is None else str(stats.occupancy)
-            on_ring = "yes" if nid in self._ring else "no"
-            lines.append(
-                f"{nid:<9} {node.status:<12} {on_ring:<5} {occupancy}"
-            )
-        return "\n".join(lines)
-
 
 class ClusterController:
-    """All cluster mutations: membership, lifecycle, data movement.
+    """All cluster mutations: node lifecycle and data movement.
 
     Args:
-        ring: the ring to administer.
         nodes: the member table to administer.
         replication: replica count data movement maintains.
-        view: the read-only view used for observation (built over the
-            same ring/nodes if omitted).
+        view: the read-only view over the same nodes and their ring,
+            used for observation.
     """
 
     def __init__(
         self,
-        ring: HashRing,
         nodes: Dict[str, ClusterNode],
         replication: int,
-        view: Optional[ClusterView] = None,
+        view: ClusterView,
     ):
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        self._ring = ring
         self._nodes = nodes
         self.replication = replication
-        self.view = view if view is not None else ClusterView(ring, nodes)
-
-    # -- membership -----------------------------------------------------
-
-    def join(self, node: ClusterNode, rebalance: bool = True) -> int:
-        """Admit a node to the cluster and ring.
-
-        Args:
-            node: the member to add; its id must be new.
-            rebalance: copy the keys the new node now owns onto it.
-
-        Returns:
-            Keys moved by the post-join rebalance (0 when skipped).
-        """
-        if node.node_id in self._nodes:
-            raise ValueError(f"node {node.node_id!r} already joined")
-        self._nodes[node.node_id] = node
-        node.status = "up"
-        self._ring.add_node(node.node_id)
-        return self.rebalance() if rebalance else 0
+        self.view = view
 
     # -- lifecycle ------------------------------------------------------
 
@@ -247,10 +212,9 @@ class ClusterController:
         non-crashed member is copied to each reachable owner that is
         missing it or holds an older version (judged by the same one
         peek per member). This is the sweep form of read-repair: it
-        converges divergent replicas, refills a rejoined node, and
-        moves ownership after membership changes. Non-owner holders
-        keep their (correct, versioned) copies — they are cache
-        entries and will age out under pressure.
+        converges divergent replicas and refills a rejoined node.
+        Non-owner holders keep their (correct, versioned) copies —
+        they are cache entries and will age out under pressure.
 
         Returns:
             Replica copies written.

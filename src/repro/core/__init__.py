@@ -1,47 +1,21 @@
 """The paper's contribution: adaptive cache replacement.
 
-* :class:`PartialTagScheme` — Section 3.1's partial tags.
-* :class:`BitVectorHistory` / :class:`CounterHistory` /
-  :class:`SaturatingCounterHistory` — Section 2.2's miss history buffers.
-* :class:`AdaptivePolicy` — Algorithm 1, generalized to N components.
-* :func:`make_adaptive` / :func:`five_policy_adaptive` — convenience
+* :class:`~repro.core.partial.PartialTagScheme` — Section 3.1's
+  partial tags.
+* :class:`~repro.core.history.BitVectorHistory` /
+  :class:`~repro.core.history.CounterHistory` /
+  :class:`~repro.core.history.SaturatingCounterHistory` — Section
+  2.2's miss history buffers.
+* :class:`~repro.core.adaptive.AdaptivePolicy` — Algorithm 1,
+  generalized to N components.
+* :func:`~repro.core.multi.make_adaptive` /
+  :func:`~repro.core.multi.five_policy_adaptive` — convenience
   constructors (Section 4.4's design-space exploration).
-* :class:`SbarPolicy` — the set-sampling variant of Section 4.7.
-* :class:`PolicySelector` / :class:`GlobalSelector` — the adaptation
+* :class:`~repro.core.sbar.SbarPolicy` — the set-sampling variant of
+  Section 4.7.
+* :class:`~repro.core.selector.PolicySelector` /
+  :class:`~repro.core.selector.GlobalSelector` — the adaptation
   decisions themselves, decoupled from set indexing so the online
   key-value engine (:mod:`repro.online`) can reuse them per shard.
 * :mod:`repro.core.theory` — empirical checks of the Appendix's 2x bound.
 """
-
-from repro.core.partial import PartialTagScheme, full_tags
-from repro.core.history import (
-    MissHistory,
-    BitVectorHistory,
-    CounterHistory,
-    SaturatingCounterHistory,
-    make_history_factory,
-)
-from repro.core.adaptive import AdaptivePolicy
-from repro.core.multi import make_adaptive, five_policy_adaptive
-from repro.core.sbar import SbarPolicy
-from repro.core.selector import GlobalSelector, PolicySelector
-from repro.core.theory import BoundReport, check_miss_bound, adversarial_trace
-
-__all__ = [
-    "PartialTagScheme",
-    "full_tags",
-    "MissHistory",
-    "BitVectorHistory",
-    "CounterHistory",
-    "SaturatingCounterHistory",
-    "make_history_factory",
-    "AdaptivePolicy",
-    "make_adaptive",
-    "five_policy_adaptive",
-    "SbarPolicy",
-    "PolicySelector",
-    "GlobalSelector",
-    "BoundReport",
-    "check_miss_bound",
-    "adversarial_trace",
-]

@@ -145,8 +145,8 @@ class AdaptivePolicy(ReplacementPolicy):
         # Imitation decisions per set per component, drained by Figure 7.
         self._decisions = [[0] * len(self.components) for _ in range(num_sets)]
         self.fallback_evictions = 0
-        # Armed by repro.faults.FaultInjector; None costs one pointer
-        # comparison per access and nothing else.
+        # Armed by repro.faults.injector.FaultInjector; None costs one
+        # pointer comparison per access and nothing else.
         self.fault_injector = None
 
     # ------------------------------------------------------------------

@@ -52,11 +52,6 @@ class PartialTagScheme:
         return folded
 
 
-def full_tags(tag: int) -> int:
-    """Identity transform: the full-tag (no aliasing) configuration."""
-    return tag
-
-
 FULL_TAG_WIDTH = 24
 
 

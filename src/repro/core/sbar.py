@@ -165,8 +165,8 @@ class SbarPolicy(ReplacementPolicy):
         self.name = "sbar(" + "+".join(c.name for c in resident_components) + ")"
         self.leader_evictions = 0
         self.follower_evictions = 0
-        # Armed by repro.faults.FaultInjector; None costs one pointer
-        # comparison per access and nothing else.
+        # Armed by repro.faults.injector.FaultInjector; None costs one
+        # pointer comparison per access and nothing else.
         self.fault_injector = None
 
     @property

@@ -11,42 +11,11 @@ Section 2 for the substitution rationale).
 
 The model runs in two phases:
 
-* :func:`compile_workload` walks a trace once through the L1 data cache
-  and the branch predictors. Everything it computes is *independent of
-  the L2 replacement policy*, so the expensive part is done once per
-  workload.
-* :func:`simulate` replays the compiled L2-visible stream against one
-  L2 cache configuration, producing cycles and CPI. Sweeping policies
-  or tag widths only repeats this cheap phase.
+* :func:`~repro.cpu.timing.compile_workload` walks a trace once
+  through the L1 data cache and the branch predictors. Everything it
+  computes is *independent of the L2 replacement policy*, so the
+  expensive part is done once per workload.
+* :func:`~repro.cpu.timing.simulate` replays the compiled L2-visible
+  stream against one L2 cache configuration, producing cycles and
+  CPI. Sweeping policies or tag widths only repeats this cheap phase.
 """
-
-from repro.cpu.config import ProcessorConfig
-from repro.cpu.branch import (
-    BimodalPredictor,
-    GsharePredictor,
-    MetaPredictor,
-    BranchTargetBuffer,
-)
-from repro.cpu.store_buffer import StoreBuffer
-from repro.cpu.scoreboard import ScoreboardResult, scoreboard_simulate
-from repro.cpu.timing import (
-    CompiledWorkload,
-    TimingResult,
-    compile_workload,
-    simulate,
-)
-
-__all__ = [
-    "ProcessorConfig",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "MetaPredictor",
-    "BranchTargetBuffer",
-    "StoreBuffer",
-    "ScoreboardResult",
-    "scoreboard_simulate",
-    "CompiledWorkload",
-    "TimingResult",
-    "compile_workload",
-    "simulate",
-]

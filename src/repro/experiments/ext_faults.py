@@ -5,9 +5,10 @@ state is performance-only: shadow tags, miss histories and selector
 counters steer *which* component policy is imitated, but the real
 cache's tag/data arrays decide *correctness*, and partial tags already
 tolerate aliasing by design. This experiment makes that robustness
-claim measurable: it arms a :class:`~repro.faults.FaultInjector` on the
-adaptive L2 at increasing fault rates and reports the MPKI degradation,
-while asserting the invariants that faults must never violate:
+claim measurable: it arms a
+:class:`~repro.faults.injector.FaultInjector` on the adaptive L2 at
+increasing fault rates and reports the MPKI degradation, while
+asserting the invariants that faults must never violate:
 
 * every run completes — a fault is never worse than a crash;
 * cache statistics stay internally consistent
@@ -38,7 +39,8 @@ from repro.experiments.base import (
     WorkloadCache,
     build_l2_policy,
 )
-from repro.faults import FaultInjector, FaultLog, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultLog, FaultPlan
 
 DEFAULT_WORKLOADS = ["lucas", "art-1", "ammp", "mcf", "unepic", "swim"]
 

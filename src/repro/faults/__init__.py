@@ -26,43 +26,3 @@ repository can exercise:
 When no plan is armed the hooks cost one pointer comparison per access.
 See docs/robustness.md for the fault model.
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.online import (
-    ChaosPlan,
-    ChaosReport,
-    FlakyLoader,
-    chaos_campaign,
-    chaos_stream,
-    newest_wal,
-    torn_write,
-)
-from repro.faults.plan import (
-    ALL_SITES,
-    HISTORY_MODES,
-    SITE_HISTORY,
-    SITE_SELECTOR,
-    SITE_SHADOW_TAGS,
-    FaultLog,
-    FaultPlan,
-    FaultSpec,
-)
-
-__all__ = [
-    "ALL_SITES",
-    "HISTORY_MODES",
-    "SITE_HISTORY",
-    "SITE_SELECTOR",
-    "SITE_SHADOW_TAGS",
-    "FaultInjector",
-    "FaultLog",
-    "FaultPlan",
-    "FaultSpec",
-    "ChaosPlan",
-    "ChaosReport",
-    "FlakyLoader",
-    "chaos_campaign",
-    "chaos_stream",
-    "newest_wal",
-    "torn_write",
-]

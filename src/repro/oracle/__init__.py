@@ -7,6 +7,8 @@ specifications written for obviousness, not speed:
 
 * :mod:`repro.oracle.spec` — textbook reference models of every
   registered replacement policy and of the paper's Algorithm 1;
+* :mod:`repro.oracle.placement_spec` — reference models of every tier
+  placement strategy and a reference tiered key-value walker;
 * :mod:`repro.oracle.stack` — a single-pass Mattson stack-distance
   engine yielding LRU hit counts for all capacities at once;
 * :mod:`repro.oracle.harness` — the differential harness that drives a
@@ -17,60 +19,7 @@ specifications written for obviousness, not speed:
 * :mod:`repro.oracle.columnar` — the scalar-vs-columnar lane proving
   the batch kernel's decision-identity contract over every duel pair;
 * :mod:`repro.oracle.golden` — pinned golden-trace digests for the
-  named suite (``repro-experiments golden --check/--regen``).
+  named suite (``repro-experiments golden``, ``--regen`` to rewrite).
 
 See ``docs/testing.md`` for the workflow.
 """
-
-from repro.oracle.columnar import (
-    DUEL_PAIRS,
-    columnar_campaign,
-    run_columnar_differential,
-)
-from repro.oracle.harness import (
-    CampaignReport,
-    Divergence,
-    build_hardware_pair,
-    build_shard_pair,
-    build_tiered_kv_pair,
-    check_cross_engine,
-    differential_campaign,
-    placement_campaign,
-    run_differential,
-)
-from repro.oracle.spec import (
-    Decision,
-    PlacementDecision,
-    SpecCache,
-    SpecTieredKV,
-    make_adaptive_spec,
-    make_placement_spec,
-    make_spec,
-    placement_spec_names,
-)
-from repro.oracle.stack import StackDistanceEngine, lru_hits_all_ways
-
-__all__ = [
-    "CampaignReport",
-    "DUEL_PAIRS",
-    "Decision",
-    "Divergence",
-    "PlacementDecision",
-    "SpecCache",
-    "SpecTieredKV",
-    "StackDistanceEngine",
-    "build_hardware_pair",
-    "build_shard_pair",
-    "build_tiered_kv_pair",
-    "check_cross_engine",
-    "columnar_campaign",
-    "differential_campaign",
-    "lru_hits_all_ways",
-    "run_columnar_differential",
-    "make_adaptive_spec",
-    "make_placement_spec",
-    "make_spec",
-    "placement_campaign",
-    "placement_spec_names",
-    "run_differential",
-]

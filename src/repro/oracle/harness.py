@@ -33,16 +33,13 @@ from repro.core.multi import make_adaptive
 from repro.online.keyspace import key_fingerprint, partial_fingerprint_transform
 from repro.online.policies import build_shard_policy
 from repro.online.shard import CacheShard
-from repro.oracle.spec import (
-    Decision,
+from repro.oracle.placement_spec import (
     PlacementDecision,
-    SpecCache,
     SpecTieredKV,
-    make_adaptive_spec,
     make_placement_spec,
-    make_spec,
     placement_spec_names,
 )
+from repro.oracle.spec import Decision, SpecCache, make_adaptive_spec, make_spec
 from repro.oracle.streams import hardware_stream, shard_ops
 from repro.policies.registry import available_policies, make_policy
 from repro.tiers.adaptive import AdaptivePlacement
@@ -497,7 +494,7 @@ class TieredKVPair:
     (:func:`repro.oracle.streams.shard_ops`): the real walker runs over
     LRU-policy shard tiers, the spec restates the same topology as
     plain recency lists, and every operation's
-    :class:`~repro.oracle.spec.PlacementDecision` — serving level and
+    :class:`~repro.oracle.placement_spec.PlacementDecision` — serving level and
     admitted tiers — must agree, then the full per-tier residency (and,
     for adaptive placement, the per-partition votes).
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.tag_array import identity_tag
 from repro.utils.rng import DeterministicRNG
@@ -457,11 +457,13 @@ class SpecAdaptive(PolicySpec):
         component_specs: the component policy specs; each is wrapped in
             its own tags-only :class:`SpecCache` (lowest-way allocation,
             exactly like the engines' :class:`~repro.cache.tag_array.TagArray`).
+        window: miss-history window (the paper's m), an int: the
+            newest ``window`` decisive events are kept; None keeps
+            every decisive event (the counter-history variant).
+            :func:`make_adaptive_spec` passes ``ways``, matching
+            :class:`~repro.core.adaptive.AdaptivePolicy`.
         tag_transform: identity for full tags, or a partial-tag fold —
             the same callable handed to the engine under test.
-        window: miss-history window (the paper's m); None keeps every
-            decisive event (the counter-history variant). Defaults to
-            ``ways``, matching :class:`~repro.core.adaptive.AdaptivePolicy`.
         fallback: ``"lru"`` or ``"random"`` — the aliasing fallback.
         seed: RNG seed for the random fallback.
     """
@@ -473,8 +475,8 @@ class SpecAdaptive(PolicySpec):
         num_sets: int,
         ways: int,
         component_specs: Sequence[PolicySpec],
+        window: Optional[int],
         tag_transform: Callable[[int], int] = identity_tag,
-        window: Optional[int] = None,
         fallback: str = "lru",
         seed: int = 0,
     ):
@@ -487,7 +489,7 @@ class SpecAdaptive(PolicySpec):
             SpecCache(num_sets, ways, spec) for spec in component_specs
         ]
         self.tag_transform = tag_transform
-        self.window = ways if window == "ways" else window
+        self.window = window
         self.fallback = fallback
         self._rng = DeterministicRNG(seed)
         self._events: List[List[Tuple[bool, ...]]] = [
@@ -599,7 +601,7 @@ def make_adaptive_spec(
     ways: int,
     component_names: Sequence[str] = ("lru", "lfu"),
     tag_transform: Callable[[int], int] = identity_tag,
-    window: Optional[str] = "ways",
+    window: Union[int, str, None] = "ways",
     fallback: str = "lru",
     seed: int = 0,
     component_kwargs: Optional[dict] = None,
@@ -607,60 +609,19 @@ def make_adaptive_spec(
     """Build the Algorithm 1 spec from component names.
 
     Mirrors :func:`repro.core.multi.make_adaptive`: ``window="ways"``
-    (the default) matches the engine's default bit-vector history with
-    m = associativity; ``component_kwargs`` forwards per-name
-    constructor arguments (e.g. ``{"random": {"seed": 7}}``).
+    (the default) is resolved here to ``ways``, matching the engine's
+    default bit-vector history with m = associativity; an int or None
+    passes through to :class:`SpecAdaptive`. ``component_kwargs``
+    forwards per-name constructor arguments (e.g.
+    ``{"random": {"seed": 7}}``).
     """
     component_kwargs = component_kwargs or {}
     specs = [
         make_spec(name, num_sets, ways, **component_kwargs.get(name, {}))
         for name in component_names
     ]
-    window_value = ways if window == "ways" else window
     return SpecAdaptive(
-        num_sets, ways, specs, tag_transform=tag_transform,
-        window=window_value, fallback=fallback, seed=seed,
+        num_sets, ways, specs, ways if window == "ways" else window,
+        tag_transform=tag_transform, fallback=fallback, seed=seed,
     )
 
-
-
-# Placement specs live in their own module; re-exported here so
-# `repro.oracle.spec` stays the one import point for every spec.
-from repro.oracle.placement_spec import (  # noqa: E402
-    PlacementDecision,
-    PlacementSpec,
-    SpecAdaptivePlacement,
-    SpecLCDPlacement,
-    SpecLCEPlacement,
-    SpecProbLCDPlacement,
-    SpecTieredKV,
-    make_placement_spec,
-    placement_spec_names,
-)
-
-__all__ = [
-    "Decision",
-    "PlacementDecision",
-    "PlacementSpec",
-    "PolicySpec",
-    "SpecAdaptive",
-    "SpecAdaptivePlacement",
-    "SpecBIP",
-    "SpecCache",
-    "SpecEHC",
-    "SpecFIFO",
-    "SpecLCDPlacement",
-    "SpecLCEPlacement",
-    "SpecLFU",
-    "SpecLRU",
-    "SpecMRU",
-    "SpecProbLCDPlacement",
-    "SpecRandom",
-    "SpecSRRIP",
-    "SpecTieredKV",
-    "make_adaptive_spec",
-    "make_placement_spec",
-    "make_spec",
-    "placement_spec_names",
-    "spec_names",
-]

@@ -5,38 +5,3 @@ Each policy is a per-set state machine behind the
 policy code drives both real caches and the shadow (parallel) tag arrays of
 the adaptive scheme.
 """
-
-from repro.policies.base import ReplacementPolicy, SetView
-from repro.policies.bip import BIPPolicy
-from repro.policies.ehc import EHCPolicy
-from repro.policies.lru import LRUPolicy
-from repro.policies.lfu import LFUPolicy
-from repro.policies.fifo import FIFOPolicy
-from repro.policies.mru import MRUPolicy
-from repro.policies.rand import RandomPolicy
-from repro.policies.srrip import SRRIPPolicy
-from repro.policies.belady import belady_misses
-from repro.policies.registry import (
-    available_policies,
-    make_policy,
-    policy_summaries,
-    register_policy,
-)
-
-__all__ = [
-    "ReplacementPolicy",
-    "SetView",
-    "BIPPolicy",
-    "EHCPolicy",
-    "LRUPolicy",
-    "LFUPolicy",
-    "FIFOPolicy",
-    "MRUPolicy",
-    "RandomPolicy",
-    "SRRIPPolicy",
-    "belady_misses",
-    "available_policies",
-    "make_policy",
-    "policy_summaries",
-    "register_policy",
-]

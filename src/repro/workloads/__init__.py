@@ -9,83 +9,3 @@ so this package substitutes parameterized synthetic generators and gives
 each named benchmark of the paper the locality class the paper reports
 for it (see DESIGN.md, Section 2).
 """
-
-from repro.workloads.trace import (
-    KIND_LOAD,
-    KIND_STORE,
-    KIND_BRANCH_TAKEN,
-    KIND_BRANCH_NOT_TAKEN,
-    Trace,
-)
-from repro.workloads.synth import (
-    linear_loop,
-    working_set,
-    drifting_working_set,
-    zipf_stream,
-    scan_with_hot,
-    pointer_chase,
-    strided_sweep,
-)
-from repro.workloads.phases import concat_phases, interleave_streams, confine_to_sets
-from repro.workloads.keystreams import (
-    keys_from_trace,
-    loop_keys,
-    phase_change_keys,
-    scan_keys,
-    zipf_keys,
-)
-from repro.workloads.builder import BranchProfile, WorkloadBuilder
-from repro.workloads.suite import (
-    PRIMARY_SET,
-    EXTENDED_SET,
-    WorkloadSpec,
-    build_workload,
-    workload_names,
-)
-from repro.workloads.io import TraceFormatError, load_trace, save_trace
-from repro.workloads.characterize import (
-    TraceProfile,
-    characterize,
-    miss_ratio_curve,
-    stack_distances,
-)
-from repro.workloads.multicore import build_shared_workload, interleave_traces
-
-__all__ = [
-    "KIND_LOAD",
-    "KIND_STORE",
-    "KIND_BRANCH_TAKEN",
-    "KIND_BRANCH_NOT_TAKEN",
-    "Trace",
-    "linear_loop",
-    "working_set",
-    "drifting_working_set",
-    "zipf_stream",
-    "scan_with_hot",
-    "pointer_chase",
-    "strided_sweep",
-    "concat_phases",
-    "interleave_streams",
-    "confine_to_sets",
-    "zipf_keys",
-    "loop_keys",
-    "scan_keys",
-    "phase_change_keys",
-    "keys_from_trace",
-    "BranchProfile",
-    "WorkloadBuilder",
-    "PRIMARY_SET",
-    "EXTENDED_SET",
-    "WorkloadSpec",
-    "build_workload",
-    "workload_names",
-    "TraceFormatError",
-    "load_trace",
-    "save_trace",
-    "TraceProfile",
-    "characterize",
-    "miss_ratio_curve",
-    "stack_distances",
-    "build_shared_workload",
-    "interleave_traces",
-]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.metrics import (
     arithmetic_mean,
-    percent_improvement,
     percent_reduction,
     summarize_policy_metric,
 )
@@ -28,9 +27,6 @@ class TestPercent:
 
     def test_negative_when_worse(self):
         assert percent_reduction(10.0, 11.0) == pytest.approx(-10.0)
-
-    def test_improvement_alias(self):
-        assert percent_improvement(4.0, 3.0) == percent_reduction(4.0, 3.0)
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):

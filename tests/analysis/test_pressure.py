@@ -2,39 +2,7 @@
 
 import pytest
 
-from repro.analysis.pressure import (
-    DisagreementReport,
-    component_disagreement,
-    miss_imbalance,
-)
-
-
-class TestMissImbalance:
-    def test_uniform_is_zero(self):
-        assert miss_imbalance([10, 10, 10, 10]) == pytest.approx(0.0)
-
-    def test_concentrated_is_high(self):
-        gini = miss_imbalance([100, 0, 0, 0])
-        assert gini > 0.7
-
-    def test_no_misses(self):
-        assert miss_imbalance([0, 0, 0]) == 0.0
-
-    def test_order_invariant(self):
-        assert miss_imbalance([1, 5, 3]) == miss_imbalance([5, 3, 1])
-
-    def test_monotone_in_concentration(self):
-        even = miss_imbalance([25, 25, 25, 25])
-        skewed = miss_imbalance([70, 10, 10, 10])
-        extreme = miss_imbalance([97, 1, 1, 1])
-        assert even < skewed < extreme
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            miss_imbalance([])
-
-    def test_bounded(self):
-        assert 0.0 <= miss_imbalance([9, 1, 4, 0, 0, 7]) < 1.0
+from repro.analysis.pressure import DisagreementReport, component_disagreement
 
 
 class TestDisagreement:

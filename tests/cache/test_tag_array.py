@@ -8,6 +8,11 @@ from repro.core.partial import PartialTagScheme
 from repro.policies.lru import LRUPolicy
 
 
+def replay(array, set_index, tag):
+    """Replay one read of a full tag through the array's transform."""
+    return array.lookup_stored(set_index, array.tag_transform(tag), False)
+
+
 class TestGeometry:
     def test_policy_geometry_checked(self):
         with pytest.raises(ValueError, match="geometry"):
@@ -31,7 +36,7 @@ class TestFullTagEquivalence:
             set_index = small_config.set_index(address)
             tag = small_config.tag(address)
             real_result = real.access(address)
-            shadow_result = shadow.lookup_update(set_index, tag)
+            shadow_result = replay(shadow, set_index, tag)
             assert real_result.hit == (not shadow_result.missed)
             if real_result.evicted_tag is not None:
                 assert shadow_result.victim_tag == real_result.evicted_tag
@@ -48,7 +53,7 @@ class TestFullTagEquivalence:
             LRUPolicy(tiny_config.num_sets, tiny_config.ways),
         )
         for tag in range(6):
-            shadow.lookup_update(1, tag)
+            replay(shadow, 1, tag)
         assert shadow.per_set_misses[1] == 6
         assert shadow.per_set_misses[0] == 0
         assert shadow.misses == 6
@@ -58,16 +63,16 @@ class TestPartialTags:
     def test_aliasing_produces_false_hit(self):
         shadow = TagArray(4, 4, LRUPolicy(4, 4),
                           tag_transform=PartialTagScheme(4))
-        shadow.lookup_update(0, 0x01)
+        replay(shadow, 0, 0x01)
         # 0x11 aliases 0x01 under 4-bit low-order partial tags.
-        outcome = shadow.lookup_update(0, 0x11)
+        outcome = replay(shadow, 0, 0x11)
         assert not outcome.missed
 
     def test_distinct_partials_coexist(self):
         shadow = TagArray(4, 4, LRUPolicy(4, 4),
                           tag_transform=PartialTagScheme(4))
-        shadow.lookup_update(0, 0x01)
-        outcome = shadow.lookup_update(0, 0x02)
+        replay(shadow, 0, 0x01)
+        outcome = replay(shadow, 0, 0x02)
         assert outcome.missed
         assert shadow.contains_stored(0, shadow.tag_transform(0x01))
         assert shadow.contains_stored(0, shadow.tag_transform(0x02))
@@ -75,7 +80,7 @@ class TestPartialTags:
     def test_aliases_share_a_stored_tag(self):
         scheme = PartialTagScheme(4)
         shadow = TagArray(4, 4, LRUPolicy(4, 4), tag_transform=scheme)
-        shadow.lookup_update(2, 0xAB)
+        replay(shadow, 2, 0xAB)
         assert scheme(0xAB) == scheme(0x1B) == 0xB  # 0x1B aliases 0xAB
         assert shadow.contains_stored(2, 0xB)
         assert not shadow.contains_stored(2, 0xA)
@@ -97,8 +102,8 @@ class TestPartialTags:
             address = block * small_config.line_bytes
             set_index = small_config.set_index(address)
             tag = small_config.tag(address)
-            full.lookup_update(set_index, tag)
-            partial.lookup_update(set_index, tag)
+            replay(full, set_index, tag)
+            replay(partial, set_index, tag)
         assert partial.misses <= full.misses
 
     def test_wide_partial_tags_nearly_exact(self, small_config, random_blocks):
@@ -120,8 +125,8 @@ class TestPartialTags:
             address = block * small_config.line_bytes
             set_index = small_config.set_index(address)
             tag = small_config.tag(address)
-            full_misses += full.lookup_update(set_index, tag).missed
-            partial_misses += partial.lookup_update(set_index, tag).missed
+            full_misses += replay(full, set_index, tag).missed
+            partial_misses += replay(partial, set_index, tag).missed
         assert partial_misses >= 0.99 * full_misses
 
 

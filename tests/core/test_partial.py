@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.partial import PartialTagScheme, full_tags
+from repro.core.partial import PartialTagScheme
 
 
 class TestLowBits:
@@ -52,9 +52,3 @@ class TestValidation:
     def test_scheme_is_hashable_value(self):
         assert PartialTagScheme(8) == PartialTagScheme(8)
         assert PartialTagScheme(8) != PartialTagScheme(6)
-
-
-class TestFullTags:
-    def test_identity(self):
-        for tag in (0, 1, 0xFFFFFFFF):
-            assert full_tags(tag) == tag

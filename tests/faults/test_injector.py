@@ -13,7 +13,8 @@ from repro.core.history import (
 )
 from repro.core.multi import make_adaptive
 from repro.core.sbar import SbarPolicy
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.utils.rng import DeterministicRNG
@@ -134,27 +135,27 @@ class TestCorruptStored:
 
     def test_flip_resident_tag(self):
         array = self.make_array()
-        array.lookup_update(0, 5)
+        array.lookup_stored(0, 5, False)
         assert array.corrupt_stored(0, 5, 7)
         assert not array.contains_stored(0, 5)
         assert array.contains_stored(0, 7)
 
     def test_absent_tag_is_noop(self):
         array = self.make_array()
-        array.lookup_update(0, 5)
+        array.lookup_stored(0, 5, False)
         assert not array.corrupt_stored(0, 9, 11)
         assert array.contains_stored(0, 5)
 
     def test_identical_tag_is_noop(self):
         array = self.make_array()
-        array.lookup_update(0, 5)
+        array.lookup_stored(0, 5, False)
         assert not array.corrupt_stored(0, 5, 5)
         assert array.contains_stored(0, 5)
 
     def test_collision_drops_block(self):
         array = self.make_array()
-        array.lookup_update(0, 5)
-        array.lookup_update(0, 7)
+        array.lookup_stored(0, 5, False)
+        array.lookup_stored(0, 7, False)
         assert array.corrupt_stored(0, 5, 7)
         # The aliased duplicate is dropped, not stored twice.
         assert array.resident_tags(0).count(7) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import ALL_SITES, FaultLog, FaultPlan, FaultSpec
+from repro.faults.plan import ALL_SITES, FaultLog, FaultPlan, FaultSpec
 
 
 class TestFaultSpec:

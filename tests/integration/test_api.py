@@ -2,17 +2,8 @@
 
 import pytest
 
-import repro
-
 
 class TestExports:
-    def test_version(self):
-        assert repro.__version__
-
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
-
     def test_readme_quickstart_names(self):
         # The exact imports the README's quickstart uses.
         from repro import CacheConfig, SetAssociativeCache, make_adaptive

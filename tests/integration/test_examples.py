@@ -1,12 +1,16 @@
 """Smoke tests: every example script runs and says what it promises."""
 
+import ast
+import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
 def run_example(name, timeout=300):
@@ -31,6 +35,34 @@ class TestExamples:
             "phase_visualizer.py",
             "quickstart.py",
         ]
+
+    def test_every_repro_import_resolves(self):
+        """Each ``from repro... import name`` of the examples and of
+        README's python blocks names a module, or an attribute of one,
+        that exists: a stale import path fails here in seconds, without
+        running the examples."""
+        readme = (REPO_ROOT / "README.md").read_text()
+        sources = [path.read_text() for path in EXAMPLES_DIR.glob("*.py")]
+        sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+        unresolved, found = [], 0
+        for source in sources:
+            for node in ast.walk(ast.parse(source)):
+                if not (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").partition(".")[0]
+                        == "repro"):
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    found += 1
+                    name = f"{node.module}.{alias.name}"
+                    if hasattr(module, alias.name):
+                        continue
+                    try:
+                        importlib.import_module(name)
+                    except ImportError:
+                        unresolved.append(name)
+        assert found > 0
+        assert unresolved == []
 
     @pytest.mark.slow
     def test_quickstart(self):

@@ -156,7 +156,8 @@ class TestPartialTransform:
     def test_exact_shard_directories_take_identity_paths(self):
         policy = build_shard_policy("adaptive", 8, partial_bits=None)
         assert policy._identity
-        assert all(shadow._identity for shadow in policy.shadows)
+        assert all(shadow.tag_transform is identity_tag
+                   for shadow in policy.shadows)
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(st.integers(min_value=0,

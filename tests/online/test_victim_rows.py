@@ -24,8 +24,8 @@ from repro.cache.config import CacheConfig
 from repro.core.adaptive import INDEX_MIN_WAYS, AdaptivePolicy
 from repro.core.multi import make_adaptive
 from repro.experiments.base import build_l2_policy
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.faults.plan import SITE_SHADOW_TAGS
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import SITE_SHADOW_TAGS, FaultPlan, FaultSpec
 from repro.online.keyspace import key_fingerprint
 from repro.online.policies import build_shard_policy
 from repro.online.shard import CacheShard

@@ -11,7 +11,8 @@ byte-identical to the scalar per-access loop.
 
 import pytest
 
-from repro.oracle import DUEL_PAIRS, columnar_campaign, differential_campaign
+from repro.oracle.columnar import DUEL_PAIRS, columnar_campaign
+from repro.oracle.harness import differential_campaign
 from repro.oracle.streams import hardware_stream
 from repro.policies.registry import available_policies
 

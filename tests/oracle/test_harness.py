@@ -10,7 +10,7 @@ same policy make identical decisions on delete-free streams.
 import pytest
 from hypothesis import given, settings
 
-from repro.oracle import (
+from repro.oracle.harness import (
     build_shard_pair,
     check_cross_engine,
     run_differential,

@@ -10,8 +10,9 @@ artifact of arming.
 
 import pytest
 
-from repro.faults import SITE_HISTORY, FaultInjector, FaultPlan, FaultSpec
-from repro.oracle import build_hardware_pair, run_differential
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import SITE_HISTORY, FaultPlan, FaultSpec
+from repro.oracle.harness import build_hardware_pair, run_differential
 from repro.oracle.streams import hardware_stream
 
 pytestmark = pytest.mark.faults

@@ -3,20 +3,22 @@
 The placement analogue of the policy campaign: every placement
 strategy with a reference spec — LCE, LCD, probabilistic LCD, and the
 adaptive duel — replayed operation-for-operation against
-:class:`repro.oracle.spec.SpecTieredKV` over seeded streams, on both a
-2-tier and a 3-tier topology.
+:class:`repro.oracle.placement_spec.SpecTieredKV` over seeded streams,
+on both a 2-tier and a 3-tier topology.
 """
 
 import pytest
 
-from repro.oracle import (
+from repro.oracle.harness import (
     build_tiered_kv_pair,
-    make_placement_spec,
     placement_campaign,
-    placement_spec_names,
     run_differential,
 )
-from repro.oracle.spec import SpecTieredKV
+from repro.oracle.placement_spec import (
+    SpecTieredKV,
+    make_placement_spec,
+    placement_spec_names,
+)
 from repro.oracle.streams import shard_ops
 from repro.tiers.placement import FIXED_PLACEMENTS
 

@@ -11,7 +11,7 @@ cross-checks the resident contents way-for-way.
 import pytest
 from hypothesis import given, settings
 
-from repro.oracle import build_hardware_pair, run_differential
+from repro.oracle.harness import build_hardware_pair, run_differential
 from repro.oracle.spec import make_spec, spec_names
 from tests import strategies
 
@@ -115,3 +115,23 @@ class TestWorkedExample:
                              decision.imitated, decision.history))
         assert replayed == self.EXPECTED
         assert cache.misses == 6
+
+
+class TestAdaptiveWindow:
+    def test_direct_build_matches_make_adaptive_spec(self):
+        """A ``SpecAdaptive`` built with ``window=ways`` decides exactly
+        as ``make_adaptive_spec``, which resolves its ``"ways"`` default
+        to that window."""
+        import random
+
+        from repro.oracle.spec import SpecAdaptive, SpecCache, make_adaptive_spec
+
+        direct = SpecAdaptive(
+            1, 2, [make_spec("lru", 1, 2), make_spec("lfu", 1, 2)], window=2
+        )
+        caches = [SpecCache(1, 2, direct),
+                  SpecCache(1, 2, make_adaptive_spec(1, 2))]
+        rng = random.Random(53)
+        for block in [rng.randrange(6) for _ in range(400)]:
+            first, second = (cache.access(0, block) for cache in caches)
+            assert first == second

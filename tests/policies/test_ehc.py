@@ -1,7 +1,7 @@
 """Unit tests for expected-hit-count (EHC) replacement."""
 
 from repro.cache.cache import SetAssociativeCache
-from repro.policies import available_policies, make_policy
+from repro.policies.registry import available_policies, make_policy
 from repro.policies.ehc import EHCPolicy, NEW_TAG_EXPECTATION
 from repro.policies.lru import LRUPolicy
 

@@ -19,7 +19,8 @@ from repro.core.history import (
     SaturatingCounterHistory,
 )
 from repro.core.multi import make_adaptive
-from repro.faults import ALL_SITES, FaultInjector, FaultPlan, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import ALL_SITES, FaultPlan, FaultSpec
 from tests import strategies
 
 pytestmark = pytest.mark.faults

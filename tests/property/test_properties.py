@@ -139,8 +139,8 @@ class TestShadowEquivalence:
         for block in blocks:
             address = block << CONFIG.offset_bits
             result = real.access(address)
-            outcome = shadow.lookup_update(
-                CONFIG.set_index(address), CONFIG.tag(address)
+            outcome = shadow.lookup_stored(
+                CONFIG.set_index(address), CONFIG.tag(address), False
             )
             assert result.hit == (not outcome.missed)
         for set_index in range(CONFIG.num_sets):
@@ -168,8 +168,8 @@ class TestPartialTagProperties:
             address = block << CONFIG.offset_bits
             set_index = CONFIG.set_index(address)
             tag = CONFIG.tag(address)
-            full.lookup_update(set_index, tag)
-            partial.lookup_update(set_index, tag)
+            full.lookup_stored(set_index, tag, False)
+            partial.lookup_stored(set_index, partial.tag_transform(tag), False)
         assert partial.misses <= full.misses
 
     @given(tag=st.integers(min_value=0, max_value=(1 << 40) - 1),

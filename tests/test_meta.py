@@ -30,6 +30,12 @@ TEST_DRIVEN_MODULES = {
 }
 
 
+#: The names README, docs and examples import from ``repro`` itself;
+#: the root ``__init__`` imports each from the module that defines it.
+QUICKSTART_NAMES = {"CacheConfig", "SetAssociativeCache", "TagArray",
+                    "make_adaptive", "make_policy"}
+
+
 #: Modules no end-to-end benchmark workload runs, so none may load
 #: when a process imports what ``benchmarks/e2e/workloads.py`` imports.
 COLD_START_ABSENT = (
@@ -162,6 +168,12 @@ UNCALLED_NAMES = {
     },
     "repro.online.bound.check_online_miss_bound": "test-driven module",
     "repro.cluster.chaos.cluster_chaos_campaign": "test-driven module",
+    # The campaigns and checks the oracle and fault tests run.
+    "repro.faults.online.chaos_campaign": "test-driven module",
+    "repro.oracle.columnar.columnar_campaign": "test-driven module",
+    "repro.oracle.harness.check_cross_engine": "test-driven module",
+    "repro.oracle.harness.placement_campaign": "test-driven module",
+    "repro.policies.belady.belady_misses": "reference code",
     "repro.utils.bitops.xor_fold": "reference code",
     "repro.oracle.stack.StackDistanceEngine.misses_for_ways":
         "reference code",
@@ -324,8 +336,11 @@ EVERYTHING = ([], {}, True)
 def _program_files():
     """The files whose calls count as callers: ``src/`` and the
     non-test files of ``benchmarks/``. Tests, examples and docs are
-    not programs that turn a setting."""
-    paths = sorted((REPO_ROOT / "src").rglob("*.py"))
+    not programs that turn a setting, and a package ``__init__`` is
+    not one either: it holds a docstring (the root also its
+    quickstart imports), so a name it imports is not called."""
+    paths = [path for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+             if path.name != "__init__.py"]
     return paths + [
         path for path in sorted((REPO_ROOT / "benchmarks").rglob("*.py"))
         if not path.name.startswith("test_") and path.name != "conftest.py"
@@ -627,7 +642,7 @@ class TestSuiteShape:
         attributes = {node.attr for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)}
         assert not attributes & {"best_component", "_stamp", "_clock",
-                                 "contains_stored", "lookup_update"}
+                                 "contains_stored", "lookup_stored"}
 
     def test_every_module_has_a_caller(self):
         """Every module is imported by program code (``src/repro``,
@@ -658,6 +673,27 @@ class TestSuiteShape:
             and name not in TEST_DRIVEN_MODULES
         )
         assert not orphans, orphans
+
+    def test_packages_hold_only_docstrings(self):
+        """A package ``__init__`` holds its docstring and nothing else,
+        so every name has one import path, the module that defines it,
+        and importing a submodule runs no sibling. The root may also
+        import its quickstart names, each from its defining module."""
+        trees = _module_sources()
+        stray, quickstart = [], set()
+        for name, (path, tree) in trees.items():
+            if path.name != "__init__.py":
+                continue
+            for node in tree.body[1 if ast.get_docstring(tree) else 0:]:
+                if (name == "repro" and isinstance(node, ast.ImportFrom)
+                        and node.module in trees
+                        and trees[node.module][0].name != "__init__.py"
+                        and not any(alias.asname for alias in node.names)):
+                    quickstart.update(alias.name for alias in node.names)
+                else:
+                    stray.append(f"{name}:{node.lineno}")
+        assert stray == []
+        assert quickstart == QUICKSTART_NAMES
 
     def test_every_option_has_a_caller(self):
         """Every setting has a program that turns it: each defaulted
@@ -890,3 +926,12 @@ class TestPublicNameGuard:
         caller.write_text(program + "\n")
         trees = {"mod": (module, ast.parse(module.read_text()))}
         assert _uncalled_names(trees, [module, caller]) == listed
+
+    def test_a_package_init_is_not_a_reference(self):
+        """A name a package ``__init__`` imports is not thereby called:
+        the guard reads no ``__init__.py``."""
+        programs = [path.relative_to(REPO_ROOT).as_posix()
+                    for path in _program_files()]
+        assert "src/repro/cache/tag_array.py" in programs
+        assert not [path for path in programs
+                    if path.endswith("/__init__.py")]
