@@ -101,7 +101,7 @@ class TestLifecycleStateMachine:
         assert nodes[victim].peek("k") == (True, (1, "v"))
 
 
-class TestRebalance:
+class TestMembershipChanges:
     def test_rebalance_converges_divergent_owners(self):
         _ring, nodes, view, controller = small_cluster(n=3, replication=3)
         owners = view.owners("k", 3)

@@ -1,9 +1,26 @@
 """Public-API surface tests: what README promises must import and work."""
 
+import importlib
+import inspect
+
 import pytest
+
+import repro
 
 
 class TestExports:
+    def test_all_exports_resolve(self):
+        # Each public name of the root is the object its defining
+        # module holds, not a copy or a second definition.
+        public = [name for name in vars(repro) if not name.startswith("_")
+                  and not inspect.ismodule(getattr(repro, name))]
+        assert public
+        for name in public:
+            obj = getattr(repro, name)
+            home = importlib.import_module(obj.__module__)
+            assert obj.__module__ != "repro", name
+            assert getattr(home, name) is obj, name
+
     def test_readme_quickstart_names(self):
         # The exact imports the README's quickstart uses.
         from repro import CacheConfig, SetAssociativeCache, make_adaptive

@@ -118,19 +118,27 @@ class TestWorkedExample:
 
 
 class TestAdaptiveWindow:
-    def test_direct_build_matches_make_adaptive_spec(self):
-        """A ``SpecAdaptive`` built with ``window=ways`` decides exactly
-        as ``make_adaptive_spec``, which resolves its ``"ways"`` default
-        to that window."""
+    @pytest.mark.parametrize("factory_kwargs, window", [
+        ({}, 2),
+        ({"window": "ways"}, 2),
+        ({"window": None}, None),
+        ({"window": 3}, 3),
+    ], ids=["default", "ways", "unbounded", "int"])
+    def test_direct_build_matches_make_adaptive_spec(self, factory_kwargs,
+                                                     window):
+        """A ``SpecAdaptive`` built with the resolved window decides
+        exactly as ``make_adaptive_spec``, which resolves its ``"ways"``
+        default (here 2) once and passes None or an int through."""
         import random
 
         from repro.oracle.spec import SpecAdaptive, SpecCache, make_adaptive_spec
 
         direct = SpecAdaptive(
-            1, 2, [make_spec("lru", 1, 2), make_spec("lfu", 1, 2)], window=2
+            1, 2, [make_spec("lru", 1, 2), make_spec("lfu", 1, 2)],
+            window=window,
         )
         caches = [SpecCache(1, 2, direct),
-                  SpecCache(1, 2, make_adaptive_spec(1, 2))]
+                  SpecCache(1, 2, make_adaptive_spec(1, 2, **factory_kwargs))]
         rng = random.Random(53)
         for block in [rng.randrange(6) for _ in range(400)]:
             first, second = (cache.access(0, block) for cache in caches)

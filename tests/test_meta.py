@@ -496,6 +496,26 @@ def _module_sources():
     return trees
 
 
+def _init_statements(trees):
+    """Sort the statements of every package ``__init__`` after its
+    docstring: the root's plain imports from a defining module give its
+    quickstart names; every other statement is ``"module:line"`` in
+    the stray list."""
+    stray, quickstart = [], set()
+    for name, (path, tree) in trees.items():
+        if path.name != "__init__.py":
+            continue
+        for node in tree.body[1 if ast.get_docstring(tree) else 0:]:
+            if (name == "repro" and isinstance(node, ast.ImportFrom)
+                    and node.module in trees
+                    and trees[node.module][0].name != "__init__.py"
+                    and not any(alias.asname for alias in node.names)):
+                quickstart.update(alias.name for alias in node.names)
+            else:
+                stray.append(f"{name}:{node.lineno}")
+    return stray, quickstart
+
+
 def _defining_module(trees, module, name):
     """The module ``from module import name`` ends up reading: the
     submodule ``module.name``, or the module a package ``__init__``
@@ -679,19 +699,7 @@ class TestSuiteShape:
         so every name has one import path, the module that defines it,
         and importing a submodule runs no sibling. The root may also
         import its quickstart names, each from its defining module."""
-        trees = _module_sources()
-        stray, quickstart = [], set()
-        for name, (path, tree) in trees.items():
-            if path.name != "__init__.py":
-                continue
-            for node in tree.body[1 if ast.get_docstring(tree) else 0:]:
-                if (name == "repro" and isinstance(node, ast.ImportFrom)
-                        and node.module in trees
-                        and trees[node.module][0].name != "__init__.py"
-                        and not any(alias.asname for alias in node.names)):
-                    quickstart.update(alias.name for alias in node.names)
-                else:
-                    stray.append(f"{name}:{node.lineno}")
+        stray, quickstart = _init_statements(_module_sources())
         assert stray == []
         assert quickstart == QUICKSTART_NAMES
 
@@ -935,3 +943,44 @@ class TestPublicNameGuard:
         assert "src/repro/cache/tag_array.py" in programs
         assert not [path for path in programs
                     if path.endswith("/__init__.py")]
+
+
+#: Package ``__init__`` sources for the docstring-only rule: (case,
+#: the package it belongs to, its source, the stray statements, the
+#: quickstart names). ``repro.pkg`` is a package and ``repro.pkg.mod``
+#: the module that defines ``f``.
+INIT_CASES = [
+    ("a docstring only", "repro.pkg", '"""Doc."""', [], set()),
+    ("a package re-export", "repro.pkg",
+     '"""Doc."""\nfrom repro.pkg.mod import f', ["repro.pkg:2"], set()),
+    ("a package __all__", "repro.pkg",
+     '"""Doc."""\n__all__ = ["f"]', ["repro.pkg:2"], set()),
+    ("a root quickstart import", "repro",
+     '"""Doc."""\nfrom repro.pkg.mod import f', [], {"f"}),
+    ("a root import through a package", "repro",
+     '"""Doc."""\nfrom repro.pkg import f', ["repro:2"], set()),
+    ("a root alias", "repro",
+     '"""Doc."""\nfrom repro.pkg.mod import f as g', ["repro:2"], set()),
+    ("a root module import", "repro",
+     '"""Doc."""\nimport repro.pkg.mod', ["repro:2"], set()),
+]
+
+
+class TestInitGuard:
+    """The rules of ``test_packages_hold_only_docstrings``."""
+
+    @pytest.mark.parametrize(
+        "package, source, stray, quickstart",
+        [case[1:] for case in INIT_CASES],
+        ids=[case[0] for case in INIT_CASES],
+    )
+    def test_rule(self, package, source, stray, quickstart):
+        files = {
+            "repro": ("repro/__init__.py", '"""Doc."""'),
+            "repro.pkg": ("repro/pkg/__init__.py", '"""Doc."""'),
+            "repro.pkg.mod": ("repro/pkg/mod.py", "def f(): pass"),
+        }
+        files[package] = (files[package][0], source)
+        trees = {name: (pathlib.PurePath(path), ast.parse(text))
+                 for name, (path, text) in files.items()}
+        assert _init_statements(trees) == (stray, quickstart)
