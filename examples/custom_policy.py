@@ -118,7 +118,7 @@ def main():
     print("\n3. SLRU set-dueled against LRU (DIP-style, via SbarPolicy):")
     duel = build_l2_policy(config, "sbar", ("lru", "slru"), num_leaders=8)
     ratio = run(config, duel, stream)
-    winner = ("lru", "slru")[duel.selected_component()]
+    winner = ("lru", "slru")[duel.selector.selected()]
     print(f"   sbar(lru+slru) miss ratio {ratio:.3f}; "
           f"the duel settled on: {winner}")
 

@@ -276,21 +276,3 @@ class SetAssociativeCache:
         """Whether the line holding ``address`` is resident."""
         set_index = self.config.set_index(address)
         return self.sets[set_index].find(self.config.tag(address)) is not None
-
-    def invalidate(self, address: int) -> bool:
-        """Remove the line holding ``address`` if present.
-
-        Models coherence invalidations; returns True if a line was
-        removed. The policy is notified so ordered structures stay
-        consistent.
-        """
-        set_index = self.config.set_index(address)
-        tag = self.config.tag(address)
-        cache_set = self.sets[set_index]
-        way = cache_set.find(tag)
-        if way is None:
-            return False
-        cache_set.evict(way)
-        self.policy.on_invalidate(set_index, way)
-        self.stats.invalidations += 1
-        return True

@@ -113,11 +113,3 @@ class SkewedAssociativeCache:
         return SkewedAccessResult(
             hit=False, way=victim_way, evicted_block=evicted
         )
-
-    def contains(self, address: int) -> bool:
-        """Whether the line holding ``address`` is resident."""
-        block = address >> self._offset_bits
-        return any(
-            self._blocks[w][self.bank_index(w, block)] == block
-            for w in range(self.banks)
-        )

@@ -19,7 +19,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
-    invalidations: int = 0
     per_set_misses: List[int] = field(default_factory=list)
 
     @property
@@ -50,5 +49,4 @@ class CacheStats:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        self.invalidations = 0
         self.per_set_misses = [0] * sets

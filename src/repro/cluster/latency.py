@@ -27,10 +27,6 @@ class VirtualClock:
     def __call__(self) -> float:
         return self._now
 
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     def advance(self, seconds: float) -> None:
         """Move simulated time forward."""
         if seconds < 0:

@@ -67,10 +67,6 @@ class HashRing:
         """Number of member nodes (not ring points)."""
         return len(self._members)
 
-    def node_ids(self) -> List[str]:
-        """Member node ids, sorted."""
-        return sorted(self._members)
-
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------

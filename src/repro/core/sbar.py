@@ -170,11 +170,6 @@ class SbarPolicy(ReplacementPolicy):
         self.fault_injector = None
 
     @property
-    def leader_sets(self) -> List[int]:
-        """Indices of the leader sets."""
-        return sorted(self._leader_slot)
-
-    @property
     def shadows(self) -> List[TagArray]:
         """The leaders' parallel tag arrays (fault-injection surface)."""
         return self.leaders.shadows
@@ -193,10 +188,6 @@ class SbarPolicy(ReplacementPolicy):
     def fallback_evictions(self) -> int:
         """Leader evictions where aliasing hid every candidate."""
         return self.leaders.fallback_evictions
-
-    def selected_component(self) -> int:
-        """Component the global selector currently favours."""
-        return self.selector.selected()
 
     @property
     def selector_max(self) -> int:
@@ -242,13 +233,6 @@ class SbarPolicy(ReplacementPolicy):
         slot = self._leader_slot.get(set_index)
         if slot is not None:
             self.leaders.on_fill(slot, way, tag)
-
-    def on_invalidate(self, set_index: int, way: int) -> None:
-        self._check_slot(set_index, way)
-        self.followers.on_invalidate(set_index, way)
-        slot = self._leader_slot.get(set_index)
-        if slot is not None:
-            self.leaders.on_invalidate(slot, way)
 
     def victim(self, set_index: int, set_view: SetView) -> int:
         slot = self._leader_slot.get(set_index)

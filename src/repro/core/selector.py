@@ -48,11 +48,6 @@ class PolicySelector:
         self.switches = 0
         self._best = 0
 
-    @property
-    def num_components(self) -> int:
-        """Number of component policies being selected between."""
-        return self.history.num_components
-
     def record(self, missed: Sequence[bool]) -> bool:
         """Record one access's per-component miss outcomes.
 

@@ -88,13 +88,6 @@ class MetaPredictor:
         self.predictions = 0
         self.mispredictions = 0
 
-    def predict(self, pc: int) -> bool:
-        """Predicted direction, following the favoured component."""
-        use_gshare = self._meta.predict(self._meta.index(pc >> 2))
-        if use_gshare:
-            return self.gshare.predict(pc)
-        return self.bimodal.predict(pc)
-
     def update(self, pc: int, taken: bool) -> bool:
         """Record the outcome; returns True if the prediction was correct."""
         bim = self.bimodal.predict(pc)

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Union,
+    Any, Callable, Dict, NamedTuple, Optional, Sequence, Union,
 )
 
 from repro.cpu.timing import TimingResult
@@ -122,10 +122,6 @@ class SweepCheckpoint:
         """Record completed cells and persist the file atomically, once."""
         self._cells.update(cells)
         self._save()
-
-    def keys(self) -> List[str]:
-        """All recorded cell keys."""
-        return list(self._cells)
 
     def discard(self, key: str) -> None:
         """Forget a cell (e.g. to force recomputation); persists."""

@@ -22,7 +22,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.sbar import DuelingResidentPolicy, spread_leader_sets
 from repro.core.selector import GlobalSelector
@@ -133,7 +133,7 @@ class AdaptiveKVCache:
         self._default_ttl = default_ttl
 
         base, remainder = divmod(capacity_entries, num_shards)
-        self.shards = []
+        self.shards: List[CacheShard] = []
         for index in range(num_shards):
             self.shards.append(self._build_shard(index, base, remainder))
 
@@ -246,12 +246,6 @@ class AdaptiveKVCache:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def selected_component(self) -> Optional[int]:
-        """Sampled mode: the globally imitated component; else None."""
-        if self.global_selector is None:
-            return None
-        return self.global_selector.selected()
 
     def stats(self) -> KVCacheStats:
         """Merged counter snapshot across all shards.

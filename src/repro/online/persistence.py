@@ -178,8 +178,8 @@ class PersistentKVCache(KVLayer):
         directory: where snapshots, WALs and the manifest live;
             created if missing.
         snapshot_every: operations between automatic snapshots
-            (``None`` disables automatic snapshotting; call
-            :meth:`snapshot` yourself).
+            (``None``: the WAL alone carries every operation after
+            the first snapshot).
         wal_flush_ops: buffered operations per WAL flush+fsync. 1 means
             every operation is durable before it is applied; larger
             values trade a bounded recent-operation window for speed.
@@ -289,12 +289,6 @@ class PersistentKVCache(KVLayer):
         """Flush and fsync every buffered WAL record."""
         with self._lock:
             self._flush_locked()
-
-    def snapshot(self) -> int:
-        """Take a snapshot now; returns the new generation number."""
-        with self._lock:
-            self._rotate_locked()
-            return self.generation
 
     def close(self) -> None:
         """Flush the WAL and release the log file handle."""

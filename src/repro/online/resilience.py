@@ -551,10 +551,6 @@ class ResilientKVCache(KVLayer):
         self.engine.rebuild_shard(index)
         self._quarantined.discard(index)
 
-    def quarantined(self) -> frozenset:
-        """Indices of shards currently out of service."""
-        return frozenset(self._quarantined)
-
     def health(self) -> dict:
         """Liveness/degradation probe: per-shard breaker and quarantine
         state plus the engine's merged counters."""

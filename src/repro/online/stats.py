@@ -69,10 +69,3 @@ class KVCacheStats:
         if self.gets == 0:
             return 0.0
         return self.hits / self.gets
-
-    @property
-    def miss_ratio(self) -> float:
-        """Misses / gets; 0.0 when nothing was looked up."""
-        if self.gets == 0:
-            return 0.0
-        return self.misses / self.gets

@@ -81,7 +81,6 @@ def _observable_state(cache: SetAssociativeCache) -> dict:
             "misses": stats.misses,
             "evictions": stats.evictions,
             "writebacks": stats.writebacks,
-            "invalidations": stats.invalidations,
             "per_set_misses": list(stats.per_set_misses),
         },
         "policy": cache.policy.state_dict(),

@@ -10,7 +10,7 @@ driven by the cache through a small set of events:
 * :meth:`ReplacementPolicy.victim` — the set is full; choose a way to evict.
 * :meth:`ReplacementPolicy.on_fill` — a block was installed at (set, way).
 * :meth:`ReplacementPolicy.on_invalidate` — the block was removed without
-  replacement (e.g. coherence invalidation).
+  replacement (an online shard's delete or TTL expiry).
 
 The cache guarantees that ``victim`` is only called on a full set and that
 every miss is followed by exactly one ``on_fill``.

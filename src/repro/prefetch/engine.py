@@ -39,12 +39,6 @@ class PrefetchStats:
         completed = self.useful + self.useless
         return self.useful / completed if completed else 0.0
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of would-be misses covered by prefetches."""
-        would_miss = self.demand_misses + self.useful
-        return self.useful / would_miss if would_miss else 0.0
-
     def mpki(self, instructions: int) -> float:
         """Demand misses per thousand instructions."""
         if instructions <= 0:

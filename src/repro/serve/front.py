@@ -110,11 +110,6 @@ class AsyncServingFront:
         self.completed = 0
         self.unavailable = 0
 
-    @property
-    def pending(self) -> int:
-        """Requests currently queued or in service."""
-        return self._pending
-
     def _semaphore(self) -> asyncio.Semaphore:
         if self._slots is None:
             self._slots = asyncio.Semaphore(self.concurrency)

@@ -23,7 +23,7 @@ per-regime sketches can be combined.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def exact_quantile(values: Sequence[float], q: float) -> float:
@@ -75,11 +75,6 @@ class LatencySketch:
             return
         key = math.ceil(math.log(value) / self._log_gamma)
         self._buckets[key] = self._buckets.get(key, 0) + 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Record every value in ``values``."""
-        for value in values:
-            self.add(value)
 
     @property
     def mean(self) -> float:

@@ -150,10 +150,6 @@ class TieredKVCache:
         )
 
     @property
-    def num_tiers(self) -> int:
-        return len(self.tiers)
-
-    @property
     def engine(self):
         """The far store if it is an
         :class:`~repro.online.engine.AdaptiveKVCache`, else its
@@ -168,10 +164,6 @@ class TieredKVCache:
             raise TypeError(f"far tier {type(far).__name__} holds no "
                             "AdaptiveKVCache; a resilient ladder needs one")
         return engine
-
-    def tier_capacities(self) -> List[int]:
-        """Per-tier capacities, near-to-far (adaptive-placement sizing)."""
-        return [tier.capacity for tier in self.tiers]
 
     def _admit_copies(self, served: int, key, value) -> tuple:
         """Place copies per the strategy; far-to-near; returns names."""

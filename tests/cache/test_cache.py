@@ -86,31 +86,6 @@ class TestWrites:
         assert cache.stats.writebacks == 0
 
 
-class TestInvalidate:
-    def test_invalidate_present_line(self, tiny_config):
-        cache = make_cache(tiny_config)
-        cache.access(0x3000)
-        assert cache.invalidate(0x3000)
-        assert not cache.contains(0x3000)
-        assert cache.stats.invalidations == 1
-
-    def test_invalidate_absent_line(self, tiny_config):
-        cache = make_cache(tiny_config)
-        assert not cache.invalidate(0x3000)
-        assert cache.stats.invalidations == 0
-
-    def test_refill_after_invalidate(self, tiny_config):
-        cache = make_cache(tiny_config)
-        addresses = addresses_for_set(tiny_config, 0, tiny_config.ways)
-        for address in addresses:
-            cache.access(address)
-        cache.invalidate(addresses[1])
-        # The freed way must be reused without an eviction.
-        extra = addresses_for_set(tiny_config, 0, tiny_config.ways + 1)[-1]
-        result = cache.access(extra)
-        assert result.evicted_tag is None
-
-
 class TestPerSetStats:
     def test_per_set_miss_attribution(self, tiny_config):
         cache = make_cache(tiny_config)

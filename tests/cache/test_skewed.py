@@ -47,12 +47,6 @@ class TestBasics:
 
         assert run() == run()
 
-    def test_contains(self, config):
-        cache = SkewedAssociativeCache(config)
-        cache.access(0x2000)
-        assert cache.contains(0x2000)
-        assert not cache.contains(0x4000)
-
     def test_eviction_reported(self, config):
         cache = SkewedAssociativeCache(config)
         evicted = []

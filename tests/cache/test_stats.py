@@ -31,7 +31,7 @@ class TestReset:
     def test_reset_zeros_everything(self):
         stats = CacheStats(
             accesses=5, hits=3, misses=2, evictions=1, writebacks=1,
-            invalidations=1, per_set_misses=[1, 1, 0, 0],
+            per_set_misses=[1, 1, 0, 0],
         )
         stats.reset()
         assert stats.accesses == 0
@@ -39,5 +39,4 @@ class TestReset:
         assert stats.misses == 0
         assert stats.evictions == 0
         assert stats.writebacks == 0
-        assert stats.invalidations == 0
         assert stats.per_set_misses == [0, 0, 0, 0]

@@ -59,7 +59,7 @@ class TestView:
         assert view.is_reachable("n1")
         controller.kill("n2")
         assert view.up_nodes() == ["n0", "n1"]
-        assert ring.node_ids() == ["n0", "n1", "n2"]  # stays on ring
+        assert "n2" in ring  # stays on ring
 
 
 class TestLifecycleStateMachine:

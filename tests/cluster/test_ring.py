@@ -45,7 +45,7 @@ class TestMembership:
     def test_members(self):
         ring = build_ring(4)
         assert len(ring) == 4
-        assert ring.node_ids() == ["n0", "n1", "n2", "n3"]
+        assert all(f"n{index}" in ring for index in range(4))
         assert "n2" in ring and "n4" not in ring
 
     def test_duplicate_member_rejected(self):

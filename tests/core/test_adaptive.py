@@ -10,6 +10,8 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.history import CounterHistory
 from repro.core.multi import make_adaptive
 from repro.core.partial import PartialTagScheme
+from repro.online.policies import build_shard_policy
+from repro.online.shard import CacheShard
 from repro.policies.base import ReplacementPolicy
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
@@ -285,18 +287,16 @@ class TestPartialTagAdaptivity:
 
 
 class TestInvalidate:
-    def test_invalidate_keeps_policy_consistent(self, tiny_config):
-        policy = make_adaptive(tiny_config.num_sets, tiny_config.ways)
-        cache = SetAssociativeCache(tiny_config, policy)
-        addresses = addresses_for_set(tiny_config, 0, tiny_config.ways)
-        for address in addresses:
-            cache.access(address)
-        cache.invalidate(addresses[0])
+    def test_invalidate_keeps_policy_consistent(self):
+        # An online shard's delete is the program path to on_invalidate.
+        shard = CacheShard(4, build_shard_policy("adaptive", 4))
+        for key in range(4):
+            shard.put(key, key)
+        shard.delete(0)
         # Subsequent misses must fill the freed way, then evict normally.
-        more = addresses_for_set(tiny_config, 0, tiny_config.ways + 3)
-        for address in more:
-            cache.access(address)
-        assert cache.sets[0].free_way() is None
+        for key in range(4, 7):
+            shard.put(key, key)
+        assert shard.occupancy() == 4 and shard.evictions == 2
 
 
 class TestStoredTagRows:

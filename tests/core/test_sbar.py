@@ -13,6 +13,7 @@ from repro.experiments.base import build_l2_policy, make_setup
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.workloads.suite import build_workload
+from tests.conftest import addresses_for_set
 
 
 def make_sbar(config, num_leaders=4, **kwargs):
@@ -42,8 +43,19 @@ class TestLeaderSelection:
             spread_leader_sets(8, 9)
 
     def test_leader_sets_property(self, small_config):
+        """The spread sets evict through the leaders, every other set
+        through the followers."""
         policy = make_sbar(small_config, num_leaders=4)
-        assert policy.leader_sets == [0, 16, 32, 48]
+        cache = SetAssociativeCache(small_config, policy)
+        leaders = []
+        for set_index in range(small_config.num_sets):
+            before = policy.leader_evictions
+            for address in addresses_for_set(
+                    small_config, set_index, small_config.ways + 1):
+                cache.access(address)
+            if policy.leader_evictions > before:
+                leaders.append(set_index)
+        assert leaders == [0, 16, 32, 48]
 
 
 class TestConstruction:
@@ -105,7 +117,7 @@ class TestGlobalSelector:
         )
         for line in stream:
             cache.access(line * small_config.line_bytes)
-        assert policy.selected_component() == 1
+        assert policy.selector.selected() == 1
 
     def test_selector_learns_lru_pattern(self, small_config):
         from repro.workloads.synth import drifting_working_set
@@ -117,7 +129,7 @@ class TestGlobalSelector:
         )
         for line in stream:
             cache.access(line * small_config.line_bytes)
-        assert policy.selected_component() == 0
+        assert policy.selector.selected() == 0
 
     def test_psel_stays_bounded(self, small_config):
         policy = make_sbar(small_config, num_leaders=8, psel_bits=4)
@@ -188,18 +200,6 @@ class TestEffectiveness:
                             num_leaders=8, partial_bits=8),
         )
         assert abs(partial - full) <= 0.05 * full
-
-
-class TestInvalidate:
-    def test_invalidate_propagates_to_residents(self, tiny_config):
-        policy = make_sbar(tiny_config, num_leaders=2)
-        cache = SetAssociativeCache(tiny_config, policy)
-        cache.access(0x1000)
-        assert cache.invalidate(0x1000)
-        rng = random.Random(2)
-        for _ in range(500):
-            cache.access(rng.randrange(1 << 14))
-        assert cache.stats.misses > 0
 
 
 class TestLeadersAreAlgorithm1:

@@ -10,7 +10,7 @@ class TestPolicySelector:
     def test_defaults_to_bitvector_history(self):
         selector = PolicySelector()
         assert isinstance(selector.history, BitVectorHistory)
-        assert selector.num_components == 2
+        assert selector.history.num_components == 2
         assert selector.best_component() == 0
 
     def test_tracks_best_component(self):
@@ -39,7 +39,7 @@ class TestPolicySelector:
 
     def test_accepts_injected_history(self):
         selector = PolicySelector(history=CounterHistory(3))
-        assert selector.num_components == 3
+        assert selector.history.num_components == 3
         selector.record([True, False, True])
         assert selector.best_component() == 1
 

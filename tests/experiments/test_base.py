@@ -67,7 +67,7 @@ class TestBuildPolicy:
     def test_sbar(self, small_config):
         policy = build_l2_policy(small_config, "sbar", num_leaders=8)
         assert isinstance(policy, SbarPolicy)
-        assert len(policy.leader_sets) == 8
+        assert policy.leaders.num_sets == 8
 
     def test_sbar_needs_two_components(self, small_config):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """Unit tests for the repro-experiments CLI."""
 
+import itertools
 import json
 
 import pytest
 
 from repro.cpu import timing
-from repro.experiments import cli
+from repro.experiments import cli, ext_cluster, ext_online, ext_tiers
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.cli import EXPERIMENTS, main
 
@@ -13,6 +14,16 @@ from repro.experiments.cli import EXPERIMENTS, main
 SWEEP_EXPERIMENTS = {
     "fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
     "sec44", "sec47", "ext-dip",
+}
+
+#: The (row, column) coordinates of each ``checkpointed_cell`` loop.
+CELL_GRIDS = {
+    "ext-online": list(itertools.product(ext_online.WORKLOADS,
+                                         ext_online.ENGINES)),
+    "ext-tiers": list(itertools.product(ext_tiers.WORKLOADS,
+                                        ext_tiers.STRATEGIES)),
+    "ext-cluster": list(itertools.product(ext_cluster.REPLICATION_FACTORS,
+                                          ext_cluster.CHAOS_MODES)),
 }
 
 
@@ -343,16 +354,17 @@ class TestResume:
                 "--out", str(out)]
         assert main(argv) == 0
         assert compile_calls == ["lucas"]
-        keys = SweepCheckpoint(ckpt_path).keys()
-        assert "cell/fig3/mini/1000/lucas/Adaptive" in keys
-        assert "cell/fig4/mini/1000/lucas/Adaptive" in keys
-        assert any(key.startswith("cell/ext-online/") for key in keys)
+        ckpt = SweepCheckpoint(ckpt_path)
+        assert ckpt.get("cell/fig3/mini/1000/lucas/Adaptive") is not None
+        assert ckpt.get("cell/fig4/mini/1000/lucas/Adaptive") is not None
+        assert all(ckpt.get(f"cell/ext-online/mini/1000/{row}/{column}")
+                   is not None for row, column in CELL_GRIDS["ext-online"])
         first = out.read_text()
 
         compile_calls.clear()
         assert main(argv) == 0
         assert compile_calls == []
-        assert SweepCheckpoint(ckpt_path).keys() == keys
+        assert len(SweepCheckpoint(ckpt_path)) == len(ckpt)
 
         def strip(text):  # ext-online's wall-clock ops/sec column varies
             return [line.rsplit("|", 3)[0] for line in text.splitlines()]
@@ -367,8 +379,9 @@ class TestResume:
         ckpt_path = tmp_path / "ck.json"
         assert main([name, "--scale", "mini", "--accesses", "1000",
                      "--resume", str(ckpt_path)]) == 0
-        assert any(key.startswith(f"cell/{name}/mini/1000/")
-                   for key in SweepCheckpoint(ckpt_path).keys())
+        ckpt = SweepCheckpoint(ckpt_path)
+        assert all(ckpt.get(f"cell/{name}/mini/1000/{row}/{column}")
+                   is not None for row, column in CELL_GRIDS[name])
 
     def test_corrupt_checkpoint_quarantined(
         self, stub_experiments, capsys, tmp_path

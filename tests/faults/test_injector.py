@@ -207,8 +207,8 @@ class TestSelectorHook:
     def test_set_selector_clamps(self, tiny_config):
         policy = make_sbar(tiny_config)
         policy.set_selector(10**9)
-        assert policy.selected_component() == 1
+        assert policy.selector.selected() == 1
         policy.set_selector(-5)
-        assert policy.selected_component() == 0
+        assert policy.selector.selected() == 0
         policy.set_selector(policy.selector_max)
-        assert policy.selected_component() == 1
+        assert policy.selector.selected() == 1

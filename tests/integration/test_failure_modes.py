@@ -11,8 +11,8 @@ import random
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
-from repro.core.multi import make_adaptive
-from repro.core.partial import PartialTagScheme
+from repro.online.policies import build_shard_policy
+from repro.online.shard import CacheShard
 from repro.policies.base import ReplacementPolicy
 
 from tests.conftest import addresses_for_set
@@ -69,53 +69,33 @@ class TestBrokenPolicies:
 
 class TestInvalidationStorms:
     @pytest.mark.parametrize("partial_bits", [None, 8, 4])
-    def test_adaptive_survives_random_invalidations(self, small_config,
-                                                    partial_bits):
+    def test_adaptive_survives_random_invalidations(self, partial_bits):
         """Section 3.2 argues the parallel tag arrays need not snoop
-        coherence invalidations; here the real cache loses lines the
-        shadows still believe in, and the adaptive policy must keep
-        producing valid victims regardless."""
-        transform = (
-            {} if partial_bits is None
-            else {"tag_transform": PartialTagScheme(partial_bits)}
-        )
-        policy = make_adaptive(small_config.num_sets, small_config.ways,
-                               **transform)
-        cache = SetAssociativeCache(small_config, policy)
+        coherence invalidations; here an online shard deletes entries
+        the shadows still believe in (a delete is the program path to
+        ``on_invalidate``), and the adaptive policy must keep producing
+        valid victims regardless."""
+        policy = build_shard_policy("adaptive", 16, partial_bits=partial_bits)
+        shard = CacheShard(16, policy)
         rng = random.Random(13)
-        resident = set()
         for step in range(15_000):
-            address = rng.randrange(1 << 20) << small_config.offset_bits
-            if step % 7 == 3 and resident:
-                victim = rng.choice(sorted(resident))
-                cache.invalidate(victim << small_config.offset_bits)
-                resident.discard(victim)
-                continue
-            result = cache.access(address)
-            block = address >> small_config.offset_bits
-            resident.add(block)
-            if result.evicted_tag is not None:
-                evicted_block = small_config.rebuild_address(
-                    result.evicted_tag, result.set_index
-                ) >> small_config.offset_bits
-                resident.discard(evicted_block)
+            if step % 7 == 3 and shard.occupancy():
+                shard.delete(rng.choice(sorted(shard.resident_keys())))
+            else:
+                shard.get_or_compute(rng.randrange(1 << 8), str)
         # Structural sanity after the storm.
-        for cache_set in cache.sets:
-            assert cache_set.occupancy() <= small_config.ways
-        assert cache.stats.invalidations > 0
+        assert shard.occupancy() <= 16
+        assert shard.deletes > 0 and shard.evictions > 0
 
-    def test_shadow_divergence_is_bounded_not_fatal(self, tiny_config):
-        """After invalidations, the shadow contents legitimately differ
-        from the real cache (they model un-snooped tag arrays); the
-        policy's fallback handles the case where no 'block not in B'
-        exists."""
-        policy = make_adaptive(tiny_config.num_sets, tiny_config.ways)
-        cache = SetAssociativeCache(tiny_config, policy)
-        addresses = addresses_for_set(tiny_config, 0, 20)
-        for address in addresses[:4]:
-            cache.access(address)
-        for address in addresses[:4]:
-            cache.invalidate(address)
-        for address in addresses:
-            cache.access(address)
-        assert cache.sets[0].free_way() is None
+    def test_shadow_divergence_is_bounded_not_fatal(self):
+        """After deletes, the shadow contents legitimately differ from
+        the shard (they model un-snooped tag arrays); the policy's
+        fallback handles the case where no 'block not in B' exists."""
+        shard = CacheShard(4, build_shard_policy("adaptive", 4))
+        for key in range(4):
+            shard.get_or_compute(key, str)
+        for key in range(4):
+            shard.delete(key)
+        for key in range(20):
+            shard.get_or_compute(key, str)
+        assert shard.occupancy() == 4

@@ -264,7 +264,7 @@ class TestQuarantineRacingReads:
         assert set(results) <= {("v", key), "unavailable"}
         # After the rebuild the shard serves again.
         assert results[-1] == ("v", key)
-        assert resilient.quarantined() == frozenset()
+        assert resilient.health()["quarantined"] == []
 
     def test_quarantined_shard_refuses_honestly(self):
         # A quarantined shard's state is suspect: even a resident

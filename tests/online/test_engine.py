@@ -1,6 +1,7 @@
 """Unit tests for the sharded AdaptiveKVCache engine."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -51,10 +52,10 @@ class TestConstruction:
                 assert isinstance(shard.policy, AdaptivePolicy)
             else:
                 assert isinstance(shard.policy, DuelingResidentPolicy)
-        assert cache.selected_component() in (0, 1)
+        assert cache.global_selector.selected() in (0, 1)
 
     def test_non_sampled_has_no_global_selector(self):
-        assert AdaptiveKVCache(16, 2).selected_component() is None
+        assert AdaptiveKVCache(16, 2).global_selector is None
 
 
 class TestServingAPI:
@@ -126,7 +127,7 @@ class TestStats:
         assert len(stats.per_shard_occupancy) == 4
         assert sum(stats.per_shard_occupancy) == stats.occupancy
         assert 0.0 < stats.hit_ratio < 1.0
-        assert stats.miss_ratio == pytest.approx(1.0 - stats.hit_ratio)
+        assert stats.hit_ratio == pytest.approx(stats.hits / stats.gets)
 
     def test_occupancy_bytes_is_state_not_a_setting(self):
         """The field stays in the hashed stats shape, always 0, but no
@@ -171,4 +172,22 @@ class TestAdaptation:
             cache.get_or_compute(key, lambda k: k)
         stats = cache.stats()
         assert stats.hits + stats.misses == stats.gets == len(keys)
-        assert cache.selected_component() in (0, 1)
+        assert cache.global_selector.selected() in (0, 1)
+
+    def test_sampled_mode_deletes(self):
+        """A delete on a follower shard reaches the followers'
+        ``DuelingResidentPolicy.on_invalidate``; the freed ways refill
+        and evict as before."""
+        cache = AdaptiveKVCache(capacity_entries=64, num_shards=8,
+                                policy="sampled", num_leader_shards=2)
+        rng = random.Random(2)
+        for step in range(2000):
+            key = rng.randrange(256)
+            if step % 5 == 4:
+                cache.delete(key)
+                assert key not in cache
+            else:
+                assert cache.get_or_compute(key, str) == str(key)
+        stats = cache.stats()
+        assert stats.deletes > 0 and stats.evictions > 0
+        assert len(cache) <= 64

@@ -244,7 +244,7 @@ class TestQuarantine:
         index = wrapper.engine.shard_index("k")
         wrapper.quarantine(index)
         wrapper.rebuild(index)
-        assert wrapper.quarantined() == frozenset()
+        assert wrapper.health()["quarantined"] == []
         assert wrapper.get("k") is None  # rebuilt empty
         assert wrapper.get_or_compute("k", loader) == "value-of-k"
 

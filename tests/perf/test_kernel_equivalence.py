@@ -45,7 +45,7 @@ def observable_state(cache):
     stats = cache.stats
     return {
         "stats": (stats.accesses, stats.hits, stats.misses,
-                  stats.evictions, stats.writebacks, stats.invalidations,
+                  stats.evictions, stats.writebacks,
                   tuple(stats.per_set_misses)),
         "policy": cache.policy.state_dict(),
         "sets": [cache_set.state_dict() for cache_set in cache.sets],

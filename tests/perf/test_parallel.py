@@ -31,7 +31,11 @@ from repro.experiments import cli
 from repro.experiments.base import (
     Cell, make_setup, policy_cells, run_cells, run_sweeps,
 )
-from repro.experiments.checkpoint import SweepCheckpoint, timing_to_dict
+from repro.experiments.checkpoint import (
+    SweepCells,
+    SweepCheckpoint,
+    timing_to_dict,
+)
 from repro.perf import parallel as parallel_mod
 from repro.perf.parallel import ParallelRunner
 
@@ -222,14 +226,19 @@ class TestCheckpointResume:
 
         # Phase 2: resume the full sweep under workers=2.
         resumed_ckpt = SweepCheckpoint(path)
-        restored_keys = set(resumed_ckpt.keys())
+        cells = SweepCells(resumed_ckpt, "t", SETUP)
+        phase1 = {label: resumed_ckpt.get(cells.key((WORKLOADS[0], label)))
+                  for label in SPECS}
+        assert None not in phase1.values()
         resumed = sweep(checkpoint=resumed_ckpt, workers=2)
 
         reference = sweep()
         assert serialize(resumed) == serialize(reference)
         # Phase 1's cells were restored (still present, not rewritten
         # under different keys) and phase 2 added the second workload's.
-        assert restored_keys <= set(resumed_ckpt.keys())
+        assert phase1 == {
+            label: resumed_ckpt.get(cells.key((WORKLOADS[0], label)))
+            for label in SPECS}
         assert len(resumed_ckpt) == len(WORKLOADS) * len(SPECS)
 
     def test_checkpoint_oblivious_without_checkpoint(self, monkeypatch):

@@ -116,4 +116,4 @@ class TestRegistryIntegration:
         cache = SetAssociativeCache(small_config, policy)
         for line in linear_loop(int(1.3 * small_config.num_lines), 20_000):
             cache.access(line * small_config.line_bytes)
-        assert policy.selected_component() == 1  # BIP
+        assert policy.selector.selected() == 1  # BIP

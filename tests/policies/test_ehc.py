@@ -1,6 +1,8 @@
 """Unit tests for expected-hit-count (EHC) replacement."""
 
 from repro.cache.cache import SetAssociativeCache
+from repro.online.keyspace import key_fingerprint
+from repro.online.shard import CacheShard
 from repro.policies.registry import available_policies, make_policy
 from repro.policies.ehc import EHCPolicy, NEW_TAG_EXPECTATION
 from repro.policies.lru import LRUPolicy
@@ -35,17 +37,18 @@ class TestExpectationLearning:
             cache.access(address)
         assert expected_hits(policy, 0, tiny_config.tag(a)) == 3.0
 
-    def test_halving_updates_average_exactly(self, tiny_config):
-        policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
-        cache = SetAssociativeCache(tiny_config, policy)
-        (a,) = addresses_for_set(tiny_config, 0, 1)
-        tag_a = tiny_config.tag(a)
+    def test_halving_updates_average_exactly(self):
+        # An online shard's delete is the program path that ends a
+        # residency early (on_invalidate).
+        policy = EHCPolicy(1, 4)
+        shard = CacheShard(4, policy)
+        tag_a = key_fingerprint("a")
 
         def live_one_lifetime(hits):
-            cache.access(a)
+            shard.put("a", 1)
             for _ in range(hits):
-                cache.access(a)
-            cache.invalidate(a)
+                shard.get("a")
+            shard.delete("a")
 
         live_one_lifetime(4)
         assert expected_hits(policy, 0, tag_a) == 4.0
@@ -56,15 +59,14 @@ class TestExpectationLearning:
         live_one_lifetime(1)
         assert expected_hits(policy, 0, tag_a) == 1.25
 
-    def test_invalidate_finalizes_lifetime(self, tiny_config):
-        policy = EHCPolicy(tiny_config.num_sets, tiny_config.ways)
-        cache = SetAssociativeCache(tiny_config, policy)
-        (a,) = addresses_for_set(tiny_config, 0, 1)
-        cache.access(a)
-        cache.access(a)
-        cache.access(a)
-        cache.invalidate(a)
-        assert expected_hits(policy, 0, tiny_config.tag(a)) == 2.0
+    def test_invalidate_finalizes_lifetime(self):
+        policy = EHCPolicy(1, 4)
+        shard = CacheShard(4, policy)
+        shard.put("a", 1)
+        shard.get("a")
+        shard.get("a")
+        shard.delete("a")
+        assert expected_hits(policy, 0, key_fingerprint("a")) == 2.0
 
 
 class TestVictimSelection:

@@ -86,14 +86,12 @@ class TestUsefulness:
             engine.access(address)
         assert engine.stats.useless >= 1
 
-    def test_accuracy_and_coverage(self):
+    def test_accuracy(self):
         stats = PrefetchStats(demand_misses=8, useful=2, useless=2)
         assert stats.accuracy == pytest.approx(0.5)
-        assert stats.coverage == pytest.approx(0.2)
 
     def test_accuracy_empty(self):
         assert PrefetchStats().accuracy == 0.0
-        assert PrefetchStats().coverage == 0.0
 
 
 class TestHybridFeedback:

@@ -37,7 +37,7 @@ class TestSbarInvariants:
             resident.add(key)
         for cache_set in cache.sets:
             assert cache_set.occupancy() <= CONFIG.ways
-        assert policy.selected_component() in (0, 1)
+        assert policy.selector.selected() in (0, 1)
         stats = cache.stats
         assert stats.hits + stats.misses == len(blocks)
 

@@ -103,7 +103,8 @@ class TestShedding:
         assert outcomes.count("ok") == 2
         assert front.shed == 3
         assert front.admitted == 2
-        assert front.pending == 0
+        assert front.admitted == (front.completed + front.timeouts
+                                  + front.unavailable)
 
     def test_no_shedding_when_unbounded(self):
         loop = VirtualTimeEventLoop()
@@ -136,7 +137,8 @@ class TestDeadlines:
         assert loop.run_until_complete(main()) == pytest.approx(0.2)
         assert front.timeouts == 1
         assert front.completed == 0
-        assert front.pending == 0
+        assert front.admitted == (front.completed + front.timeouts
+                                  + front.unavailable)
 
     def test_queue_wait_counts_against_deadline(self):
         loop = VirtualTimeEventLoop()

@@ -35,7 +35,8 @@ def assert_within_relative(sketch: LatencySketch, values, quantiles):
 
 def sketched(values):
     sketch = LatencySketch()
-    sketch.extend(values)
+    for value in values:
+        sketch.add(value)
     return sketch
 
 

@@ -5,6 +5,7 @@ documented and the docs index matches the code.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -17,17 +18,9 @@ import sys
 import pytest
 
 import repro
+from tests.reference_graph import Graph
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
-
-#: Reference or checker modules that only tests drive, with the reason
-#: each stays although no program file imports it.
-TEST_DRIVEN_MODULES = {
-    "repro.cluster.chaos": "node-kill/partition campaigns the cluster tests run",
-    "repro.online.bound": "the 2x miss-bound checker the property tests use",
-    "repro.oracle.columnar": "the columnar kernel's differential lane",
-    "repro.policies.belady": "Belady OPT, the floor tests hold policies to",
-}
 
 
 #: The names README, docs and examples import from ``repro`` itself;
@@ -103,6 +96,16 @@ print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
 OPTION_REASONS = ("asyncio protocol", "reference code", "test seam",
                   "test-driven module")
 
+#: Modules no program file imports, each with its reason.
+TEST_DRIVEN_MODULES = {
+    # Node-kill/partition campaigns the cluster tests run.
+    "repro.cluster.chaos": "test-driven module",
+    # The columnar kernel's differential lane.
+    "repro.oracle.columnar": "test-driven module",
+    # Belady OPT, the floor tests hold policies to.
+    "repro.policies.belady": "reference code",
+}
+
 _ORACLE_SIZES = {
     f"repro.oracle.{name}({option})": "test-driven module"
     for name, options in {
@@ -168,6 +171,9 @@ UNCALLED_NAMES = {
     },
     "repro.online.bound.check_online_miss_bound": "test-driven module",
     "repro.cluster.chaos.cluster_chaos_campaign": "test-driven module",
+    # The tests that run the chaos campaigns build their seeded plans.
+    "repro.cluster.chaos.ClusterChaosPlan.seeded": "test-driven module",
+    "repro.faults.online.ChaosPlan.seeded": "test-driven module",
     # The campaigns and checks the oracle and fault tests run.
     "repro.faults.online.chaos_campaign": "test-driven module",
     "repro.oracle.columnar.columnar_campaign": "test-driven module",
@@ -180,157 +186,6 @@ UNCALLED_NAMES = {
     "repro.online.contract.KVStore": "reference code",
     "repro.workloads.trace.Trace.from_records": "test seam",
 }
-
-
-def _public_definitions(trees):
-    """Yield (qualified name, name, path, node) for each public
-    function and class of ``trees`` and each public method of a public
-    class."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for module, (path, tree) in trees.items():
-        for node in tree.body:
-            if not isinstance(node, kinds) or node.name.startswith("_"):
-                continue
-            yield f"{module}.{node.name}", node.name, path, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if (isinstance(item, kinds)
-                            and not item.name.startswith("_")):
-                        yield (f"{module}.{node.name}.{item.name}",
-                               item.name, path, item)
-
-
-def _references(paths):
-    """Map each name the files at ``paths`` refer to (as a name, an
-    attribute, an import, or a string equal to it) to where: (path,
-    line)."""
-    found = {}
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                name = node.value
-            else:
-                continue
-            found.setdefault(name, []).append(
-                (path, getattr(node, "lineno", 0)))
-    return found
-
-
-def _uncalled_names(trees, program_paths):
-    """Every public name of ``trees`` that no file at ``program_paths``
-    refers to outside the name's own definition."""
-    references = _references(program_paths)
-    return [
-        qualname
-        for qualname, name, path, node in _public_definitions(trees)
-        if not any(where != path
-                   or not node.lineno <= line <= node.end_lineno
-                   for where, line in references.get(name, ()))
-    ]
-
-
-def _is_setting(field):
-    """Whether a record field is a constructor argument: a field built
-    with ``field(..., init=False)`` is state, not a setting."""
-    value = field.value
-    return not (isinstance(value, ast.Call)
-                and ast.unparse(value.func).endswith("field")
-                and any(kw.arg == "init" and ast.unparse(kw.value) == "False"
-                        for kw in value.keywords))
-
-
-def _is_record(node):
-    """Whether a class holds settings as fields: a frozen dataclass or a
-    NamedTuple. A mutable dataclass is a record the code fills in."""
-    if any(ast.unparse(base).endswith("NamedTuple") for base in node.bases):
-        return True
-    return any(
-        isinstance(deco, ast.Call)
-        and ast.unparse(deco.func).endswith("dataclass")
-        and any(kw.arg == "frozen" and ast.unparse(kw.value) == "True"
-                for kw in deco.keywords)
-        for deco in node.decorator_list
-    )
-
-
-def _options(trees):
-    """Map each callable name to where it is defined: (qualified name,
-    positional parameters, {defaulted parameter: its default}). A
-    class's name stands for its ``__init__`` or, for a record, its
-    fields."""
-    defined = {}
-
-    def visit(module, body, owner):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                if _is_record(node):
-                    fields = [
-                        item for item in node.body
-                        if isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name)
-                        and "ClassVar" not in ast.unparse(item.annotation)
-                        and _is_setting(item)
-                    ]
-                    defined.setdefault(node.name, []).append((
-                        f"{module}.{node.name}",
-                        [item.target.id for item in fields],
-                        {item.target.id: item.value for item in fields
-                         if item.value is not None},
-                    ))
-                visit(module, node.body, node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                defaulted = {
-                    arg.arg: value for arg, value in zip(
-                        positional[len(positional) - len(args.defaults):],
-                        args.defaults,
-                    )
-                }
-                defaulted.update(
-                    (arg.arg, value) for arg, value
-                    in zip(args.kwonlyargs, args.kw_defaults)
-                    if value is not None
-                )
-                names = [arg.arg for arg in positional]
-                if owner is not None and not any(
-                    ast.unparse(deco) == "staticmethod"
-                    for deco in node.decorator_list
-                ):
-                    names = names[1:]
-                qualname = (f"{owner.name}.{node.name}" if owner is not None
-                            else node.name)
-                name = node.name
-                if owner is not None and name == "__init__":
-                    name = owner.name
-                defined.setdefault(name, []).append(
-                    (f"{module}.{qualname}", names, defaulted))
-                visit(module, node.body, None)
-
-    for module, (_path, tree) in trees.items():
-        visit(module, tree.body, None)
-    return defined
-
-
-#: Name-keyed class tables whose classes are constructed with
-#: ``**kwargs`` no call site names, so every parameter of those classes
-#: counts as passed: the values of a dict literal bound to one of these
-#: names, or the class a call to one of these functions registers.
-KWARGS_REGISTRIES = {
-    "_SPEC_FACTORIES": "oracle.spec.make_spec calls them with **kwargs",
-    "kinds": "core.history.make_history_factory forwards **kwargs",
-    "register_policy": "policies.registry.make_policy forwards **kwargs",
-}
-
-#: Stands for a call that passes every parameter.
-EVERYTHING = ([], {}, True)
 
 
 def _program_files():
@@ -347,136 +202,18 @@ def _program_files():
     ]
 
 
-def _calls(paths):
-    """Map each called name to its calls, each as (positional argument
-    nodes, {keyword: value node}, whether a ``*``/``**`` expansion
-    passes everything). A name imported under another name
-    (``from m import f as _f``) is called by its own."""
-    calls = {}
-    for path in paths:
-        tree = ast.parse(path.read_text())
-        parents = {child: node for node in ast.walk(tree)
-                   for child in ast.iter_child_nodes(node)}
-        aliases = {alias.asname: alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom)
-                   for alias in node.names if alias.asname}
-
-        def enclosing_class(node):
-            while node in parents and not isinstance(node, ast.ClassDef):
-                node = parents[node]
-            return node if isinstance(node, ast.ClassDef) else None
-
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Dict)
-                    and any(getattr(target, "id", None) in KWARGS_REGISTRIES
-                            for target in node.targets)):
-                for value in node.value.values:
-                    calls.setdefault(
-                        ast.unparse(value).rpartition(".")[2], []
-                    ).append(EVERYTHING)
-            if not isinstance(node, ast.Call):
-                continue
-            func, args = node.func, list(node.args)
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            name = aliases.get(name, name)
-            if name in KWARGS_REGISTRIES and len(args) == 2:
-                calls.setdefault(
-                    ast.unparse(args[1]).rpartition(".")[2], []
-                ).append(EVERYTHING)
-            owner = enclosing_class(node)
-            if (name == "__init__" and owner is not None and owner.bases
-                    and ast.unparse(func.value) == "super()"):
-                name = ast.unparse(owner.bases[0]).rpartition(".")[2]
-            elif name in ("cls", "replace") and owner is not None:
-                args = args[1:] if name == "replace" else args
-                name = owner.name
-            elif name == "partial" and args:
-                name = ast.unparse(args[0]).rpartition(".")[2]
-                name, args = aliases.get(name, name), args[1:]
-            everything = any(
-                isinstance(arg, ast.Starred) for arg in args
-            ) or any(kw.arg is None for kw in node.keywords)
-            calls.setdefault(name, []).append((
-                args, {kw.arg: kw.value for kw in node.keywords if kw.arg},
-                everything,
-            ))
-    return calls
+@functools.lru_cache(maxsize=None)
+def _graph():
+    """The program's reference graph, parsed once per session."""
+    return Graph(_module_sources(), _program_files())
 
 
-def _constants(trees):
-    """Map each module constant (an upper-case module-level name) that
-    the parsed ``trees`` bind to a literal to that literal; a name two
-    modules bind to different literals is left out."""
-    values = {}
-    for tree in trees:
-        for node in tree.body:
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target] if isinstance(node, ast.AnnAssign)
-                       else [])
-            if (len(targets) != 1 or not isinstance(targets[0], ast.Name)
-                    or not targets[0].id.isupper() or node.value is None):
-                continue
-            try:
-                value = ast.literal_eval(node.value)
-            except (ValueError, TypeError):
-                continue
-            values.setdefault(targets[0].id, []).append(
-                (type(value) is bool, value))
-    return {name: found[0] for name, found in values.items()
-            if all(value == found[0] for value in found)}
-
-
-def _literal(node, constants):
-    """A node's literal value (booleans kept apart from numbers), also
-    through a name or attribute that ``constants`` binds; else its
-    source text."""
-    name = getattr(node, "id", None) or getattr(node, "attr", None)
-    if name in constants:
-        return constants[name]
-    try:
-        value = ast.literal_eval(node)
-    except ValueError:
-        return ast.unparse(node)
-    return (type(value) is bool, value)
-
-
-def _sets(call, option, positional, default, constants):
-    """Whether ``call`` passes ``option`` a value other than its own
-    default: passing the default, as a literal or as a module constant
-    bound to it, leaves the option unset."""
-    args, keywords, everything = call
-    if everything:
-        return True
-    if option in keywords:
-        value = keywords[option]
-    elif option in positional and positional.index(option) < len(args):
-        value = args[positional.index(option)]
-    else:
-        return False
-    return _literal(value, constants) != _literal(default, constants)
-
-
-def _unset_options(trees, program_paths):
-    """Every defaulted option defined in ``trees`` that no call in
-    ``program_paths`` sets to anything but its default. Calls match
-    definitions by name, so a call of a name several modules define
-    counts for each of them."""
-    calls = _calls(program_paths)
-    constants = _constants(
-        [tree for _path, tree in trees.values()]
-        + [ast.parse(path.read_text()) for path in program_paths]
-    )
-    unset = []
-    for name, definitions in sorted(_options(trees).items()):
-        for qualname, positional, defaults in definitions:
-            unset += [
-                f"{qualname}({option})"
-                for option, default in defaults.items()
-                if not any(_sets(call, option, positional, default, constants)
-                           for call in calls.get(name, ()))
-            ]
-    return unset
+def _assert_allowlisted(listed, allowlist):
+    """What a caller guard lists is exactly its allowlist, and each
+    allowlisted entry gives one of ``OPTION_REASONS``."""
+    assert sorted(set(listed) - set(allowlist)) == []
+    assert set(allowlist) <= set(listed), "allowlist is stale"
+    assert set(allowlist.values()) <= set(OPTION_REASONS)
 
 
 def _walk_modules():
@@ -484,6 +221,7 @@ def _walk_modules():
         yield importlib.import_module(info.name)
 
 
+@functools.lru_cache(maxsize=None)
 def _module_sources():
     """Map each ``repro`` module name to its parsed source."""
     src = REPO_ROOT / "src"
@@ -514,35 +252,6 @@ def _init_statements(trees):
             else:
                 stray.append(f"{name}:{node.lineno}")
     return stray, quickstart
-
-
-def _defining_module(trees, module, name):
-    """The module ``from module import name`` ends up reading: the
-    submodule ``module.name``, or the module a package ``__init__``
-    re-exports ``name`` from."""
-    if f"{module}.{name}" in trees:
-        return f"{module}.{name}"
-    path, tree = trees[module]
-    if path.name != "__init__.py":
-        return module
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module in trees:
-            for alias in node.names:
-                if (alias.asname or alias.name) == name:
-                    return _defining_module(trees, node.module, alias.name)
-    return module
-
-
-def _imported_modules(trees, tree):
-    """Every ``repro`` module a parsed file imports, anywhere in it."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in trees:
-                    yield alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module in trees:
-            for alias in node.names:
-                yield _defining_module(trees, node.module, alias.name)
 
 
 def _public_members(module):
@@ -612,36 +321,19 @@ class TestSuiteShape:
 
     def test_shard_routing_has_one_home(self):
         """Only the engine maps keys to shards; every other layer asks
-        ``AdaptiveKVCache.shard_index`` rather than copying the rule
-        (``shard_of``, or the ``shard_routing`` shift and mask)."""
-        src = REPO_ROOT / "src" / "repro"
-        callers = sorted(
-            str(path.relative_to(src))
-            for path in src.rglob("*.py")
-            if "shard_of(" in path.read_text()
-            or "shard_routing(" in path.read_text()
-        )
-        assert callers == ["online/engine.py", "online/keyspace.py"]
+        ``AdaptiveKVCache.shard_index`` rather than calling
+        ``shard_routing`` itself."""
+        callers = _graph().callers("repro.online.keyspace.shard_routing")
+        assert sorted(path.relative_to(REPO_ROOT).as_posix()
+                      for path in callers) == ["src/repro/online/engine.py"]
 
     def test_one_async_ladder(self):
         """Every serving front serves through the one resilient ladder:
         ``aget_or_compute`` is defined by ``ResilientKVCache`` and
         declared by the ``AsyncKVStore`` Protocol, nowhere else."""
-        owners, defined = [], 0
-        for name, (_path, tree) in _module_sources().items():
-            for node in ast.walk(tree):
-                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and node.name == "aget_or_compute"):
-                    defined += 1
-                elif isinstance(node, ast.ClassDef) and any(
-                    getattr(item, "name", None) == "aget_or_compute"
-                    for item in node.body
-                ):
-                    owners.append(f"{name}.{node.name}")
-        assert defined == len(owners), "aget_or_compute outside a class"
-        assert sorted(owners) == [
-            "repro.online.contract.AsyncKVStore",
-            "repro.online.resilience.ResilientKVCache",
+        assert sorted(_graph().by_name["aget_or_compute"]) == [
+            "repro.online.contract.AsyncKVStore.aget_or_compute",
+            "repro.online.resilience.ResilientKVCache.aget_or_compute",
         ]
 
     def test_one_algorithm_1_under_sbar(self):
@@ -649,50 +341,29 @@ class TestSuiteShape:
         ``AdaptivePolicy``, so ``core.sbar`` makes no Algorithm 1
         decision of its own, and the follower policy the simulator and
         the online engine share is defined once."""
-        sources = _module_sources()
-        owners = [
-            f"{name}.{node.name}"
-            for name, (_path, tree) in sources.items()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            and node.name == "DuelingResidentPolicy"
-        ]
-        assert owners == ["repro.core.sbar.DuelingResidentPolicy"]
-        _path, tree = sources["repro.core.sbar"]
+        assert _graph().by_name["DuelingResidentPolicy"] == [
+            "repro.core.sbar.DuelingResidentPolicy"]
+        _path, tree = _module_sources()["repro.core.sbar"]
         attributes = {node.attr for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)}
         assert not attributes & {"best_component", "_stamp", "_clock",
                                  "contains_stored", "lookup_stored"}
 
     def test_every_module_has_a_caller(self):
-        """Every module is imported by program code (``src/repro``,
-        ``benchmarks/``, ``examples/``; tests excluded) or is an entry
-        point, so no subsystem survives on its own tests alone. A
-        package ``__init__`` re-export is not a caller: names imported
-        through a package resolve to the module that defines them."""
-        trees = _module_sources()
-        callers = [path for path, _ in trees.values()
-                   if path.name != "__init__.py"]
-        for folder in ("benchmarks", "examples"):
-            callers += [
-                path for path in sorted((REPO_ROOT / folder).rglob("*.py"))
-                if not path.name.startswith("test_")
-                and path.name != "conftest.py"
-            ]
-        called = set()
-        for path in callers:
-            called.update(_imported_modules(trees, ast.parse(path.read_text())))
+        """Every module is imported by program code (``src/``, the
+        non-test files of ``benchmarks/``) or is a ``[project.scripts]``
+        entry point, so no subsystem survives on its own tests alone.
+        A name imported through a package counts for the module that
+        defines it."""
+        called = set(_graph().imported)
         # [project.scripts] entries, read without tomllib (Python 3.11+).
         pyproject = (REPO_ROOT / "pyproject.toml").read_text()
         scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
         called.update(re.findall(r'^[\w-]+\s*=\s*"([\w.]+):', scripts, re.M))
-        orphans = sorted(
-            name for name, (path, _) in trees.items()
-            if path.name != "__init__.py"
-            and name not in called
-            and name not in TEST_DRIVEN_MODULES
-        )
-        assert not orphans, orphans
+        _assert_allowlisted(
+            [name for name, (path, _) in _module_sources().items()
+             if path.name != "__init__.py" and name not in called],
+            TEST_DRIVEN_MODULES)
 
     def test_packages_hold_only_docstrings(self):
         """A package ``__init__`` holds its docstring and nothing else,
@@ -712,24 +383,20 @@ class TestSuiteShape:
         literal, by keyword or by position (a ``*``/``**`` expansion
         passes every parameter). Tests are not callers: an option only
         tests set, or that every program sets to its default, is a
-        constant; fold it in."""
-        unset = _unset_options(_module_sources(), _program_files())
-        assert sorted(set(unset) - set(UNCALLED_OPTIONS)) == []
-        assert set(UNCALLED_OPTIONS) <= set(unset), "allowlist is stale"
-        assert set(UNCALLED_OPTIONS.values()) <= set(OPTION_REASONS)
+        constant; fold it in. Calls resolve as references do (see
+        ``tests/reference_graph.py``)."""
+        _assert_allowlisted(_graph().unset_options(), UNCALLED_OPTIONS)
 
     def test_every_public_name_has_a_caller(self):
         """Every public function, method and class of ``src/repro`` is
         referred to by program code (``src/``, the non-test files of
-        ``benchmarks/``) outside its own definition: by name, as an
-        attribute, in an import, or as a string equal to it (how
-        ``getattr(policy, "set_selector")`` reaches a method). A name
-        only tests reach is deleted, or moved into ``tests/`` when a
-        test still needs it."""
-        uncalled = _uncalled_names(_module_sources(), _program_files())
-        assert sorted(set(uncalled) - set(UNCALLED_NAMES)) == []
-        assert set(UNCALLED_NAMES) <= set(uncalled), "allowlist is stale"
-        assert set(UNCALLED_NAMES.values()) <= set(OPTION_REASONS)
+        ``benchmarks/``) outside its own definition: by name, in an
+        import, as an attribute of a receiver whose class has or
+        inherits it (or of one whose class is unknown), or as a string
+        equal to it (how ``getattr(policy, "set_selector")`` reaches a
+        method). A name only tests reach is deleted, or moved into
+        ``tests/`` when a test still needs it."""
+        _assert_allowlisted(_graph().uncalled_names(), UNCALLED_NAMES)
 
     def test_experiments_take_only_what_the_cli_passes(self):
         """Each registered experiment's ``run``, ``cells`` and
@@ -782,16 +449,14 @@ class TestSuiteShape:
         """Every code path is source that linters, coverage and tracebacks
         see: no module builds code at run time with the ``exec``, ``eval``
         or ``compile`` builtins (``re.compile`` and friends are fine)."""
-        src = REPO_ROOT / "src" / "repro"
-        calls = []
-        for path in sorted(src.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ("exec", "eval", "compile")
-                ):
-                    calls.append(f"{path.relative_to(src)}:{node.lineno}")
+        calls = [
+            f"{name}:{node.lineno}"
+            for name, (_path, tree) in _module_sources().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")
+        ]
         assert not calls, calls
 
 
@@ -840,7 +505,30 @@ GUARD_CASES = [
     ("a history kinds table",
      "class H:\n    def __init__(self, bits=1): pass",
      "kinds = {'h': H}", []),
+    ("a method of an annotated parameter",
+     "class A:\n    def m(self, n=1): pass\nclass B:\n    def m(self, n=1): pass",
+     "from mod import A\ndef run(a: A):\n    a.m(n=2)", ["mod.B.m(n)"]),
+    ("an inherited constructor",
+     "class A:\n    def __init__(self, n=1): pass\nclass Sub(A): pass",
+     "from mod import Sub\nSub(n=2)", []),
+    ("a classmethod's cls", "class A:\n    def __init__(self, n=1): pass",
+     "from mod import A\nclass D(A):\n    @classmethod\n    def make(cls):\n"
+     "        return cls(n=2)", []),
+    ("super() as the first base",
+     "class A:\n    def __init__(self, n=1): pass\nclass B(A): pass\n"
+     "class C:\n    def __init__(self, n=1): pass",
+     "from mod import B\nclass D(B):\n    def __init__(self):\n"
+     "        super().__init__(n=2)", ["mod.C.__init__(n)"]),
 ]
+
+
+def _one_module(tmp_path, definition, program):
+    """The trees of ``mod.py`` holding ``definition``, its path, and
+    the path of ``caller.py`` holding ``program``."""
+    module, caller = tmp_path / "mod.py", tmp_path / "caller.py"
+    module.write_text(definition + "\n")
+    caller.write_text(program + "\n")
+    return {"mod": (module, ast.parse(module.read_text()))}, module, caller
 
 
 class TestOptionGuard:
@@ -853,12 +541,8 @@ class TestOptionGuard:
         ids=[case[0] for case in GUARD_CASES],
     )
     def test_rule(self, tmp_path, definition, program, listed):
-        module = tmp_path / "mod.py"
-        module.write_text(definition + "\n")
-        caller = tmp_path / "caller.py"
-        caller.write_text(program + "\n")
-        trees = {"mod": (module, ast.parse(module.read_text()))}
-        assert _unset_options(trees, [caller]) == listed
+        trees, _module, caller = _one_module(tmp_path, definition, program)
+        assert Graph(trees, [caller]).unset_options() == listed
 
     def test_a_name_several_modules_define(self, tmp_path):
         """Each definition of a shared name is checked, and a call of
@@ -870,10 +554,10 @@ class TestOptionGuard:
             trees[name] = (module, ast.parse(module.read_text()))
         caller = tmp_path / "caller.py"
         caller.write_text("run(setup)\n")
-        assert _unset_options(trees, [caller]) == ["one.run(seed)",
-                                                   "two.run(seed)"]
+        assert Graph(trees, [caller]).unset_options() == ["one.run(seed)",
+                                                          "two.run(seed)"]
         caller.write_text("run(setup, seed=3)\n")
-        assert _unset_options(trees, [caller]) == []
+        assert Graph(trees, [caller]).unset_options() == []
 
     def test_tests_examples_and_docs_are_not_programs(self):
         programs = {path.relative_to(REPO_ROOT).as_posix()
@@ -888,22 +572,25 @@ class TestOptionGuard:
     def test_an_option_only_a_test_sets_is_listed(self, tmp_path):
         """A default that only a test file turns still reads as unset:
         the guard parses program files alone."""
-        module = tmp_path / "mod.py"
-        module.write_text(
-            "class StoreBuffer:\n"
+        trees, _module, program = _one_module(
+            tmp_path, "class StoreBuffer:\n"
             "    def __init__(self, capacity, serialize_drains=False):\n"
-            "        pass\n"
-        )
-        program = tmp_path / "timing.py"
-        program.write_text("StoreBuffer(8)\n")
+            "        pass", "StoreBuffer(8)")
         test = tmp_path / "test_store_buffer.py"
         test.write_text("StoreBuffer(2, serialize_drains=True)\n")
-        trees = {"mod": (module, ast.parse(module.read_text()))}
-        assert _unset_options(trees, [program]) == [
+        assert Graph(trees, [program]).unset_options() == [
             "mod.StoreBuffer.__init__(serialize_drains)"
         ]
-        assert _unset_options(trees, [program, test]) == []
+        assert Graph(trees, [program, test]).unset_options() == []
 
+
+#: Two classes that define the same method; with a factory and a holder
+#: of an ``A``, the module the receiver cases resolve against; and the
+#: program prefix that imports what those cases use.
+TWO_MS = "class A:\n    def m(self): pass\nclass B:\n    def m(self): pass"
+TYPED = (TWO_MS + "\ndef make() -> A:\n    return A()\nclass Box:\n"
+         "    def __init__(self):\n        self.a = A()")
+USES = "from typing import List\nfrom mod import A, B, Box, Sub, make\n"
 
 #: One-module trees for the public-name guard: (case, definition,
 #: program file, what the guard lists).
@@ -916,6 +603,46 @@ NAME_CASES = [
     ("its own recursion", "def f(n):\n    return f(n - 1)", "", ["mod.f"]),
     ("a private name", "def _f(): pass", "", []),
     ("a method", "class C:\n    def m(self): pass", "C()", ["mod.C.m"]),
+    ("a variable of the same name", "def f(): pass", "f = 1\nprint(f)",
+     ["mod.f"]),
+    # Receivers of a known class: each reaches A.m or B.m, not both.
+    ("self", TWO_MS + "\n    def run(self):\n        self.m()",
+     USES + "B().run()", ["mod.A.m"]),
+    ("self.x assigned a constructor", TYPED, USES + "class H:\n"
+     "    def __init__(self):\n        self.a = A()\n"
+     "    def run(self):\n        self.a.m()", ["mod.B.m"]),
+    ("self.x annotated", TYPED, USES + "class H:\n"
+     "    def __init__(self, a):\n        self.a: A = a\n"
+     "    def run(self):\n        self.a.m()", ["mod.B.m"]),
+    ("a loop over an annotated container", TYPED, USES + "class H:\n"
+     "    def __init__(self, items):\n        self.items: List[A] = items\n"
+     "    def run(self):\n        for item in self.items:\n"
+     "            item.m()", ["mod.B.m"]),
+    ("an index into an annotated container", TYPED,
+     USES + "def run(items: List[A]):\n    items[0].m()", ["mod.B.m"]),
+    ("an annotated parameter", TYPED, USES + "def run(a: A):\n    a.m()",
+     ["mod.B.m"]),
+    ("an annotated return", TYPED, USES + "make().m()", ["mod.B.m"]),
+    ("a local bound to a constructor", TYPED, USES + "a = A()\na.m()",
+     ["mod.B.m"]),
+    ("a local bound to an annotated return", TYPED,
+     USES + "a = make()\na.m()", ["mod.B.m"]),
+    ("a local bound to an attribute", TYPED, USES + "a = Box().a\na.m()",
+     ["mod.B.m"]),
+    ("a tuple-unpacked local", TYPED, USES + "a, b = A(), 1\na.m()",
+     ["mod.B.m"]),
+    ("an inherited method", TYPED + "\nclass Sub(A): pass",
+     USES + "Sub().m()", ["mod.B.m"]),
+    ("an override in a subclass", TYPED + "\nclass Sub(A):\n"
+     "    def m(self): pass", USES + "def run(a: A):\n    a.m()",
+     ["mod.B.m"]),
+    # What bare-name matching gave: the name counts for every definition.
+    ("an unresolved receiver", TYPED, USES + "def run(a):\n    a.m()", []),
+    ("a hook name a tracer patches", TYPED,
+     USES + "tracer.patch_methods(A(), 'a', ('m',))", []),
+    # A dict key and an index are data, not names.
+    ("a dict key", TYPED, USES + "row = {'m': 1}\nrow['m']",
+     ["mod.A.m", "mod.B.m"]),
 ]
 
 
@@ -928,12 +655,8 @@ class TestPublicNameGuard:
         ids=[case[0] for case in NAME_CASES],
     )
     def test_rule(self, tmp_path, definition, program, listed):
-        module = tmp_path / "mod.py"
-        module.write_text(definition + "\n")
-        caller = tmp_path / "caller.py"
-        caller.write_text(program + "\n")
-        trees = {"mod": (module, ast.parse(module.read_text()))}
-        assert _uncalled_names(trees, [module, caller]) == listed
+        trees, module, caller = _one_module(tmp_path, definition, program)
+        assert Graph(trees, [module, caller]).uncalled_names() == listed
 
     def test_a_package_init_is_not_a_reference(self):
         """A name a package ``__init__`` imports is not thereby called:
