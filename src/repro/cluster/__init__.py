@@ -4,6 +4,6 @@ Routes keyspace fingerprints across a consistent-hash ring of
 single-shard :class:`~repro.online.engine.AdaptiveKVCache` members
 (optionally persistent), with N-way replication, write quorums,
 versioned read-repair, hedged reads and crash/partition recovery. See
-``docs/cluster.md`` for the architecture and the invariants the chaos
-campaign enforces.
+``docs/cluster.md`` for the architecture and the invariants the
+cluster must keep.
 """

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.cluster.latency import LatencyModel, VirtualClock
 from repro.cluster.network import ClusterController, ClusterView
 from repro.cluster.node import ClusterNode
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.ring import HashRing
 from repro.cluster.stats import ClusterStats
 from repro.online.resilience import CircuitBreaker
 
@@ -63,15 +63,14 @@ class ClusterKVCache:
 
     Args:
         num_nodes: initial member count (ids ``n0`` .. ``n{k-1}``).
-        replication: replicas per key (capped at the member count).
-        write_quorum: acks required before a write counts as acked;
-            default is a majority of ``replication``.
-        read_fanout: replicas consulted on a read before declaring a
-            miss (first *found* reply is served; default 2).
+        replication: replicas per key (capped at the member count). A
+            write counts as acked once a majority of them applied it
+            (``write_quorum``); a read consults up to two of them
+            (``read_fanout``) before declaring a miss, and the first
+            *found* reply is served.
         capacity_per_node: entry capacity of each member's cache.
         policy: per-node engine policy kind (adaptive ones adapt over
             LRU and LFU with 16-bit fingerprints).
-        vnodes: virtual nodes per member on the ring.
         seed: base seed; node ``i`` seeds its machinery with
             ``seed + i``.
         directory: when given, every node persists under
@@ -97,11 +96,8 @@ class ClusterKVCache:
         self,
         num_nodes: int = 3,
         replication: int = 3,
-        write_quorum: Optional[int] = None,
-        read_fanout: int = 2,
         capacity_per_node: int = 64,
         policy: str = "adaptive",
-        vnodes: int = DEFAULT_VNODES,
         seed: int = 0,
         directory: Optional[str] = None,
         snapshot_every: Optional[int] = 400,
@@ -114,18 +110,9 @@ class ClusterKVCache:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
         replication = min(replication, num_nodes)
-        if write_quorum is None:
-            write_quorum = replication // 2 + 1
-        if not 1 <= write_quorum <= replication:
-            raise ValueError(
-                f"write_quorum must be in [1, {replication}], "
-                f"got {write_quorum}"
-            )
-        if read_fanout < 1:
-            raise ValueError(f"read_fanout must be >= 1, got {read_fanout}")
         self.replication = replication
-        self.write_quorum = write_quorum
-        self.read_fanout = min(read_fanout, replication)
+        self.write_quorum = replication // 2 + 1
+        self.read_fanout = min(2, replication)
         self.hedge_after = hedge_after
         self.clock = VirtualClock()
         if latency_factory is None:
@@ -133,7 +120,7 @@ class ClusterKVCache:
                 seed=seed + 7919 * index
             )
 
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self.nodes: Dict[str, ClusterNode] = {}
         for index in range(num_nodes):
             node_id = f"n{index}"
@@ -267,8 +254,8 @@ class ClusterKVCache:
     def get_details(self, key) -> Tuple[bool, Optional[int], object, List[str]]:
         """Read with full provenance: (found, version, value, consulted).
 
-        The mechanics behind :meth:`get`; chaos campaigns use the
-        version and consulted-replica list for their invariants.
+        The mechanics behind :meth:`get`, with the served version and
+        the replicas consulted.
         """
         return self._read(key, self._owners(key))
 

@@ -5,7 +5,7 @@ Mirrors the network MVC discipline of simulators like Icarus: all
 through :class:`ClusterController`; all *observation* (statuses,
 preference lists, replica contents, merged stats) goes through
 :class:`ClusterView`, which never fires a policy event or moves a
-byte. Placement strategies, chaos campaigns and experiments talk to
+byte. Placement strategies, tests and experiments talk to
 these two objects rather than to nodes directly, so a future strategy
 (different replication discipline, hinted handoff, load-aware
 placement) plugs in without touching the node layer.
@@ -58,34 +58,6 @@ class ClusterView:
     def owners(self, key, n: int) -> List[str]:
         """The key's preference list (reachability *not* applied)."""
         return self._ring.owners(key_fingerprint(key), n)
-
-    def replica_map(self, key, n: Optional[int] = None
-                    ) -> Dict[str, Optional[tuple]]:
-        """Each owner's raw record for ``key`` (peek — no events).
-
-        Args:
-            key: the key to probe.
-            n: preference-list length; default all ring members.
-
-        Returns:
-            ``{node_id: (version, value) or None}`` over the key's
-            owners; a crashed owner maps to None.
-        """
-        n = len(self._ring) if n is None else n
-        out: Dict[str, Optional[tuple]] = {}
-        for nid in self.owners(key, n):
-            found, record = self._nodes[nid].peek(key)
-            out[nid] = record if found else None
-        return out
-
-    def divergent(self, key, n: Optional[int] = None) -> bool:
-        """Whether the key's resident replicas disagree on version."""
-        versions = {
-            record[0]
-            for record in self.replica_map(key, n).values()
-            if record is not None
-        }
-        return len(versions) > 1
 
     def resident_keys(self) -> list:
         """Keys resident on any non-crashed member, each once.
@@ -155,14 +127,14 @@ class ClusterController:
             raise RuntimeError(f"cannot heal node in state {node.status!r}")
         node.status = "up"
 
-    def recover(self, node_id: str, readmit: bool = True) -> int:
+    def recover(self, node_id: str) -> int:
         """Bring a crashed node back from its own snapshot + WAL.
 
         The node rebuilds from its persistence directory (or restarts
-        empty when memory-only), then — with ``readmit`` — a rebalance
-        refills whatever the recovered prefix is missing from its
-        peers' replicas before the node serves again. Ring membership
-        never lapsed, so no ranges moved.
+        empty when memory-only), then a rebalance refills whatever the
+        recovered prefix is missing from its peers' replicas before the
+        node serves again. Ring membership never lapsed, so no ranges
+        moved.
 
         Returns:
             Operations the recovered state covers (0 for an empty
@@ -176,8 +148,7 @@ class ClusterController:
         else:
             node.rebuild_empty()
             recovered = 0
-        if readmit:
-            self.readmit(node_id)
+        self.readmit(node_id)
         return recovered
 
     def readmit(self, node_id: str) -> int:

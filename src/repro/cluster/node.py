@@ -14,17 +14,8 @@ layer needs from a member:
   gone, only its persistence directory survives), ``partitioned``
   (healthy but unreachable from the router) or ``rejoining``
   (recovered from disk, not yet readmitted to the ring). ``crash()``
-  abandons the persistent wrapper *un-flushed*, exactly like the
-  single-node chaos campaign kills: buffered WAL records die with the
-  process.
-* **An optional operation log.** ``op_log`` is ``None`` on a serving
-  node, so a member holds state proportional to its capacity, not to
-  its traffic. The chaos campaign *arms* it (``node.op_log = []``)
-  before the first operation; an armed node records every applied
-  engine operation in order, which is what lets the campaign (a)
-  replay each node's decision stream against the :mod:`repro.oracle`
-  specs and (b) prove a recovered node is *byte-identical* to a
-  reference engine that replayed exactly the persisted prefix.
+  abandons the persistent wrapper *un-flushed*, as a process kill
+  does: buffered WAL records die with the process.
 
 Nodes are single-shard on purpose: sharding happens *across* nodes
 now, and one shard per node keeps each node's event stream couplable
@@ -34,7 +25,7 @@ to one oracle :class:`~repro.oracle.spec.SpecCache`.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import PersistentKVCache, recover
@@ -51,9 +42,7 @@ class ClusterNode:
     """One cluster member: a versioned, optionally durable cache node.
 
     What a node keeps is bounded by its capacity: nothing on the
-    serving path grows with traffic. :attr:`op_log` is a verification
-    hook, ``None`` unless a checker arms it with ``[]`` before the
-    first operation (see :mod:`repro.cluster.chaos`).
+    serving path grows with traffic.
 
     Args:
         node_id: stable identifier (also the ring membership key).
@@ -71,8 +60,8 @@ class ClusterNode:
         clock: monotonic time source for the engine (virtual in
             simulations).
         fault: optional callable ``(op, key) -> None`` invoked before
-            every operation; raising makes the node misbehave (the
-            flaky-replica chaos hook).
+            every operation; raising makes the node misbehave (a
+            flaky replica).
     """
 
     def __init__(
@@ -95,7 +84,6 @@ class ClusterNode:
         self.latency = latency
         self.fault = fault
         self.status = "up"
-        self._seed = seed
         self._clock = clock
         self._engine_kwargs = dict(
             capacity_entries=capacity_entries,
@@ -105,11 +93,6 @@ class ClusterNode:
             partial_bits=16,
             seed=seed,
         )
-        #: Applied operations, in engine order: ``("get", key)``,
-        #: ``("put", key, record)`` or ``("del", key, found)``; ``None``
-        #: (the default) records nothing. Arm it with ``[]`` before the
-        #: first operation to verify the node against a replay.
-        self.op_log: Optional[List[tuple]] = None
         self.crashes = 0
         self.recoveries = 0
         self._boot(fresh=True)
@@ -134,11 +117,6 @@ class ClusterNode:
             )
         # else: recover() installs the store itself.
 
-    @property
-    def config(self) -> dict:
-        """The engine configuration (reference-replay coordinates)."""
-        return dict(self._engine_kwargs)
-
     def crash(self) -> None:
         """Kill the node: abandon the engine, buffered WAL and all.
 
@@ -160,12 +138,8 @@ class ClusterNode:
         """Rebuild the node from its own snapshot + WAL chain.
 
         Returns:
-            The number of operations the recovered state covers. With
-            the operation log armed, that is the persisted prefix
-            length and the log is truncated to match, since operations
-            in the lost window never survived the crash; unarmed, it
-            is the engine-counted total (gets + puts + deletes of a
-            resident key).
+            The engine-counted operations the recovered state covers
+            (gets + puts + deletes of a resident key).
 
         Raises:
             RuntimeError: the node has no persistence directory.
@@ -185,37 +159,14 @@ class ClusterNode:
         recovered = stats.gets + stats.puts + stats.deletes
         self.status = "rejoining"
         self.recoveries += 1
-        if self.op_log is None:
-            return recovered
-        self.op_log = self._prefix(recovered)
-        return len(self.op_log)
+        return recovered
 
     def rebuild_empty(self) -> None:
         """Restart the node with a fresh, empty engine (memory-only
-        members have nothing to recover from); an armed operation log
-        restarts empty with it."""
-        if self.op_log is not None:
-            self.op_log = []
+        members have nothing to recover from)."""
         self._boot(fresh=True)
         self.status = "rejoining"
         self.recoveries += 1
-
-    def _prefix(self, counted: int) -> List[tuple]:
-        """The shortest op-log prefix covering ``counted`` counted ops.
-
-        ``del`` of an absent key is logged but counted by no engine
-        counter (and is a no-op on policy state), so the prefix walks
-        until the *counted* operations reach the recovered total.
-        """
-        if counted <= 0:
-            return []
-        seen = 0
-        for index, op in enumerate(self.op_log):
-            if op[0] != "del" or op[2]:
-                seen += 1
-                if seen == counted:
-                    return self.op_log[: index + 1]
-        return list(self.op_log)
 
     def close(self) -> None:
         """Flush and release the persistent wrapper, if any."""
@@ -238,8 +189,6 @@ class ClusterNode:
         """Policy-visible read: ``(found, (version, value))``."""
         self._check_serving("get", key)
         record = self.store.get(key, self._MISS)
-        if self.op_log is not None:
-            self.op_log.append(("get", key))
         if record is self._MISS:
             return False, None
         return True, record
@@ -247,21 +196,15 @@ class ClusterNode:
     def put(self, key, version: int, value) -> None:
         """Store ``value`` under ``key`` at ``version``."""
         self._check_serving("put", key)
-        record = (version, value)
-        self.store.put(key, record)
-        if self.op_log is not None:
-            self.op_log.append(("put", key, record))
+        self.store.put(key, (version, value))
 
     def delete(self, key) -> bool:
         """Remove ``key``; True if it was resident."""
         self._check_serving("del", key)
-        found = self.store.delete(key)
-        if self.op_log is not None:
-            self.op_log.append(("del", key, found))
-        return found
+        return self.store.delete(key)
 
     def peek(self, key) -> Tuple[bool, Optional[tuple]]:
-        """Raw replica read: no policy events, nothing logged.
+        """Raw replica read: no policy events.
 
         The read-repair / convergence probe — observing a replica's
         contents must not perturb its replacement decisions, exactly

@@ -16,12 +16,12 @@ repository can exercise:
   counting everything it does in a ``FaultLog``.
 * ``repro-experiments ext-faults`` sweeps fault rates and reports MPKI
   degradation, asserting the graceful-degradation invariants.
-* :mod:`repro.faults.online` extends the campaign to the serving layer:
-  :class:`~repro.faults.online.FlakyLoader` (failing/bursty/slow
-  loaders), :func:`~repro.faults.online.torn_write` (seeded WAL tail
-  shears), and :func:`~repro.faults.online.chaos_campaign` — a
-  crash/tear/flaky-loader gauntlet that asserts recovery
-  decision-identity and the 2x miss bound end to end.
+* :mod:`repro.faults.online` extends the fault model to the serving
+  layer's backend: :class:`~repro.faults.online.FlakyLoader`
+  (failing/bursty/slow loaders) and its awaiting twin. Crashes, torn
+  WAL tails, quarantines and node faults are rules of the invariant
+  state machine in ``tests/invariants``, which checks every serving
+  composition against one reference model.
 
 When no plan is armed the hooks cost one pointer comparison per access.
 See docs/robustness.md for the fault model.

@@ -19,8 +19,6 @@ KV-block caches in serving stacks:
 * :mod:`repro.online.contract` — the :class:`KVStore` request surface
   every layer serves (:class:`AsyncKVStore` for the asyncio front) and
   the :class:`KVLayer` base of the wrappers over one engine.
-* :mod:`repro.online.bound` — the Appendix's 2x miss bound checked on
-  the engine (shards standing in for sets).
 * :mod:`repro.online.persistence` — crash-safe durability: periodic
   snapshots plus a CRC-framed write-ahead log, with recovery that
   reissues byte-identical replacement decisions.

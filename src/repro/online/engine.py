@@ -22,6 +22,7 @@ Example::
 
 from __future__ import annotations
 
+import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.sbar import DuelingResidentPolicy, spread_leader_sets
@@ -96,8 +97,9 @@ class AdaptiveKVCache:
         # The JSON-serializable constructor arguments, retained so the
         # persistence layer can record them in a snapshot manifest and
         # rebuild an identically-configured engine at recovery time.
-        # Callable arguments (history_factory/clock) cannot be
-        # serialized; recover() takes them as overrides instead.
+        # Callable arguments cannot be serialized: recover() takes the
+        # clock as an override, and an engine with a history_factory
+        # cannot be persisted.
         self.config = {
             "capacity_entries": capacity_entries,
             "num_shards": num_shards,
@@ -129,7 +131,7 @@ class AdaptiveKVCache:
         self._partial_bits = partial_bits
         self._history_factory = history_factory
         self._seed = seed
-        self._clock = clock
+        self._clock = clock if clock is not None else time.monotonic
         self._default_ttl = default_ttl
 
         base, remainder = divmod(capacity_entries, num_shards)

@@ -49,11 +49,13 @@ wrapper *is* a :class:`~repro.online.persistence.PersistentKVCache`
 (it subclasses it): automatic snapshot rotation re-arms and the
 serving API falls through to the plain logged paths.
 
-TTL caveat: replay applies records at recovery time, as any recovery
-(including stop-the-world at a later wall clock) does; with per-entry
-TTLs the identity guarantee holds under a frozen clock — drive the
-engine with a virtual ``clock`` if expiry during the replay window
-matters.
+Time: every record replays at the log time it carries, and a deferred
+write at the time it was accepted, on the timeline
+:func:`~repro.online.persistence.recover` continues: the newest logged
+reading maps to the moment the wrapper opens, so downtime is skipped
+and every TTL keeps what it had left when the log ends. Replay is
+therefore identical to stop-the-world recovery whatever the clock does
+while it runs, expiry included.
 """
 
 from __future__ import annotations
@@ -145,7 +147,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 f"snapshot_every must be positive, got {snapshot_every}"
             )
         directory = os.fspath(directory)
-        cache, wal_paths, latest = load_snapshot_engine(directory, clock=clock)
+        cache, log_clock, wal_paths, latest = load_snapshot_engine(
+            directory, clock=clock
+        )
         self.chunk_ops = chunk_ops
         self._target_snapshot_every = snapshot_every
         self._recovering = True
@@ -164,6 +168,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
         per_shard: List[List[Tuple[int, int, Optional[int]]]] = [
             [] for _ in range(num_shards)
         ]
+        log_time = None
         for wal, path in enumerate(wal_paths):
             start = 0
             for record, end in iter_wal(path):
@@ -173,6 +178,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
                     index = _record_shard(cache, record)
                     per_shard[index].append((wal, start, index))
                 start = end
+                log_time = record[-1]
+        if log_time is not None:
+            log_clock.resume(log_time)
         if not self._global_order:
             # Shard-major order: shard 0 drains (and starts serving)
             # first, then shard 1, ... — progressive readiness.
@@ -251,7 +259,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             applied = 0
             while applied < self.chunk_ops and self._cursor < len(self._items):
                 wal, start, shard = self._items[self._cursor]
-                apply_wal_record(self.cache, self._read_record_at(wal, start))
+                self._apply_locked(self._read_record_at(wal, start))
                 if shard is not None:
                     self._shard_remaining[shard] -= 1
                 self._cursor += 1
@@ -300,7 +308,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
             with self._lock:
                 index = self._replaying_shard(key)
                 if index is not None:
-                    self._defer_locked(index, ("put", key, value, ttl),
+                    self._defer_locked(index,
+                                       ("put", key, value, ttl, self._clock()),
                                        key, value)
                     return
         super().put(key, value, ttl=ttl)
@@ -326,7 +335,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
             with self._lock:
                 index = self._replaying_shard(key)
                 if index is not None:
-                    self._defer_locked(index, ("del", key), key, _TOMBSTONE)
+                    self._defer_locked(index, ("del", key, self._clock()),
+                                       key, _TOMBSTONE)
                     # Residency at apply time is unknowable mid-replay.
                     return False
         return super().delete(key)
@@ -415,7 +425,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
             # acceptance order (= their WAL order), keeping the leader
             # vote sequence identical to a post-crash replay.
             for op in self._pending_global:
-                apply_wal_record(self.cache, op)
+                self._apply_locked(op)
             self._pending_global = []
             for index in range(self.cache.num_shards):
                 self._pending_view[index] = {}
@@ -429,12 +439,17 @@ class LiveRecoveringKVCache(PersistentKVCache):
             # order; they were logged at accept time, so a later crash
             # replays them in exactly this position.
             for op in self._pending_ops[index]:
-                apply_wal_record(self.cache, op)
+                self._apply_locked(op)
             self._pending_ops[index] = []
             self._pending_view[index] = {}
             self._serving[index] = True
         if done and all(self._serving):
             self._complete_locked()
+
+    def _apply_locked(self, record: tuple) -> None:
+        """Apply one record at the log time it carries (``_clock`` is
+        the recovered engine's log clock)."""
+        self._clock.replay(record[-1], apply_wal_record, self.cache, record)
 
     def _complete_locked(self) -> None:
         self._recovering = False

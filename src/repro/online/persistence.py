@@ -24,6 +24,14 @@ truncated and replay continues; because the engine is deterministic,
 the recovered cache then issues byte-identical replacement decisions
 to an uninterrupted run over the persisted prefix.
 
+Time: every record and snapshot carries the engine clock's reading
+when it was applied, on one *log timeline*. Replay applies each record
+at its own logged time, and the recovered engine's clock continues the
+timeline from the newest persisted reading: the time between that
+reading and the recovery (the downtime) is skipped, so an entry keeps
+exactly the TTL it had left when the log ends, whether the snapshot or
+a WAL record carried it.
+
 Generations: ``snapshot-N`` captures the state after all operations
 logged in ``wal-(N-1)``; ``wal-N`` holds the operations after it. The
 two newest generations are retained, older ones pruned.
@@ -35,6 +43,7 @@ import json
 import os
 import pickle
 import threading
+import time
 import zlib
 from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
@@ -46,14 +55,48 @@ from repro.utils.atomicio import atomic_output, atomic_write_text
 SNAPSHOT_MAGIC = b"RKVSNAP1"
 #: Manifest / record format version. Format 1 carried a byte size in
 #: every ``put`` record and shard snapshot, and could hold multi-key
-#: batched-get records; a format-1 directory is refused, not upgraded.
-FORMAT_VERSION = 2
+#: batched-get records; format 2 carried no log time, so its replay
+#: restarted every logged TTL. Older directories are refused, not
+#: upgraded.
+FORMAT_VERSION = 3
 #: Header of one WAL record: CRC32 then payload length (little-endian).
 _RECORD_HEADER = 8
 
 
 class SnapshotCorruptError(RuntimeError):
     """A snapshot file failed its magic or CRC check."""
+
+
+class _LogClock:
+    """A recovered engine's clock: the log timeline, continued.
+
+    Reads ``clock() - base``, where :meth:`resume` sets ``base`` so
+    that the newest persisted reading maps to the moment of recovery.
+    While :meth:`replay` applies a snapshot or record, the reading is
+    pinned to the log time that one carries.
+    """
+
+    def __init__(self, clock: Optional[Callable[[], float]]):
+        self._clock = clock if clock is not None else time.monotonic
+        self._base = 0.0
+        self._at: Optional[float] = None
+
+    def __call__(self) -> float:
+        if self._at is not None:
+            return self._at
+        return self._clock() - self._base
+
+    def replay(self, log_time: float, apply: Callable, *args) -> None:
+        """Run ``apply(*args)`` with the clock pinned at ``log_time``."""
+        self._at = log_time
+        try:
+            apply(*args)
+        finally:
+            self._at = None
+
+    def resume(self, log_time: float) -> None:
+        """Continue the timeline at ``log_time`` from now on."""
+        self._base = self._clock() - log_time
 
 
 def _snapshot_name(generation: int) -> str:
@@ -174,7 +217,8 @@ class PersistentKVCache(KVLayer):
 
     Args:
         cache: the engine to persist; must be freshly constructed (or
-            freshly recovered) so the snapshot chain matches its state.
+            freshly recovered) so the snapshot chain matches its state,
+            and built without a ``history_factory`` (``ValueError``).
         directory: where snapshots, WALs and the manifest live;
             created if missing.
         snapshot_every: operations between automatic snapshots
@@ -206,7 +250,16 @@ class PersistentKVCache(KVLayer):
             raise ValueError(
                 f"wal_flush_ops must be positive, got {wal_flush_ops}"
             )
+        if cache._history_factory is not None:
+            # The manifest cannot name a callable, and recovery builds
+            # the default history: refuse rather than recover wrongly.
+            raise ValueError(
+                "cannot persist an engine with a history_factory"
+            )
         super().__init__(cache)
+        # Records and snapshots carry this clock's reading: the
+        # engine's own, so replay can pin it (see ``_LogClock``).
+        self._clock = cache._clock
         self.directory = os.fspath(directory)
         self.snapshot_every = snapshot_every
         self.wal_flush_ops = wal_flush_ops
@@ -235,13 +288,13 @@ class PersistentKVCache(KVLayer):
     def get(self, key, default=None):
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.get`."""
         with self._lock:
-            self._log(("get", key))
+            self._log(("get", key, self._clock()))
             return self.cache.get(key, default)
 
     def put(self, key, value, ttl=None) -> None:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.put`."""
         with self._lock:
-            self._log(("put", key, value, ttl))
+            self._log(("put", key, value, ttl, self._clock()))
             self.cache.put(key, value, ttl=ttl)
 
     def get_or_compute(self, key, loader, ttl=None):
@@ -262,7 +315,7 @@ class PersistentKVCache(KVLayer):
                 missed = True
                 return loader(k)
 
-            record = ("get", key)
+            record = ("get", key, self._clock())
             try:
                 value = self.cache.get_or_compute(key, logging_loader,
                                                   ttl=ttl)
@@ -271,14 +324,17 @@ class PersistentKVCache(KVLayer):
                     self._log(record, applied=True)
                 raise
             if missed:
-                record = ("goc_fill", key, value, ttl)
+                # The engine filled after the loader returned, so the
+                # fill's deadline counts from then; the miss replays
+                # the same at that later time.
+                record = ("goc_fill", key, value, ttl, self._clock())
             self._log(record, applied=True)
             return value
 
     def delete(self, key) -> bool:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.delete`."""
         with self._lock:
-            self._log(("del", key))
+            self._log(("del", key, self._clock()))
             return self.cache.delete(key)
 
     # ------------------------------------------------------------------
@@ -337,7 +393,9 @@ class PersistentKVCache(KVLayer):
         if (self.snapshot_every is not None
                 and self._ops_since_snapshot >= self.snapshot_every):
             self._rotate_locked(pending_op=not applied)
-        elif self._ops_since_snapshot % self.wal_flush_ops == 0:
+        # A record carried over a rotation is flushed on the cadence
+        # too: with ``wal_flush_ops=1`` it is durable before it applies.
+        if self._buffer and self._ops_since_snapshot % self.wal_flush_ops == 0:
             self._flush_locked()
 
     def _flush_locked(self) -> None:
@@ -374,7 +432,7 @@ class PersistentKVCache(KVLayer):
     def _write_snapshot_locked(self) -> None:
         write_snapshot(
             self._path(_snapshot_name(self.generation)),
-            self.cache.state_dict(),
+            {"log_time": self._clock(), "engine": self.cache.state_dict()},
         )
         manifest = {
             "format": FORMAT_VERSION,
@@ -403,15 +461,19 @@ class PersistentKVCache(KVLayer):
 
 
 def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
-    """Apply one decoded WAL record to an engine."""
+    """Apply one decoded WAL record to an engine.
+
+    The record's last field, its log time, is the caller's to pin
+    (:meth:`_LogClock.replay`); the engine reads its own clock.
+    """
     kind = record[0]
     if kind == "get":
         cache.get(record[1])
     elif kind == "put":
-        _, key, value, ttl = record
+        _, key, value, ttl, _at = record
         cache.put(key, value, ttl=ttl)
     elif kind == "goc_fill":
-        _, key, value, ttl = record
+        _, key, value, ttl, _at = record
         cache.get_or_compute(key, lambda _k: value, ttl=ttl)
     elif kind == "del":
         cache.delete(record[1])
@@ -421,9 +483,8 @@ def apply_wal_record(cache: AdaptiveKVCache, record: tuple) -> None:
 
 def load_snapshot_engine(
     directory: str,
-    history_factory=None,
     clock: Callable[[], float] = None,
-) -> Tuple[AdaptiveKVCache, List[str], int]:
+) -> Tuple[AdaptiveKVCache, _LogClock, List[str], int]:
     """Rebuild an engine from the newest intact snapshot in ``directory``.
 
     The snapshot-loading half of :func:`recover` — shared with
@@ -431,10 +492,12 @@ def load_snapshot_engine(
     replays the WAL chain incrementally instead of all at once.
 
     Returns:
-        ``(cache, wal_paths, latest_generation)`` — the engine restored
-        from the newest intact snapshot (falling back one generation
-        when the newest is torn or corrupt), the WALs that still need
-        replaying onto it, oldest first (the last one is
+        ``(cache, log_clock, wal_paths, latest_generation)`` — the
+        engine restored from the newest intact snapshot (falling back
+        one generation when the newest is torn or corrupt), its clock,
+        resumed at the snapshot's log time (replay pins it at each
+        record's, and resumes it at the newest one's), the WALs that
+        still need replaying onto it, oldest first (the last one is
         ``latest_generation``'s, possibly not yet created), and the
         manifest's latest generation.
 
@@ -471,22 +534,22 @@ def load_snapshot_engine(
             f"in {directory}"
         )
 
-    cache = AdaptiveKVCache(
-        history_factory=history_factory, clock=clock, **config
-    )
-    cache.load_state_dict(state)
+    log_clock = _LogClock(clock)
+    cache = AdaptiveKVCache(clock=log_clock, **config)
+    log_clock.replay(state["log_time"], cache.load_state_dict,
+                     state["engine"])
+    log_clock.resume(state["log_time"])
     wal_paths = [
         os.path.join(directory, _wal_name(generation))
         for generation in range(loaded_gen, latest + 1)
     ]
-    return cache, wal_paths, latest
+    return cache, log_clock, wal_paths, latest
 
 
 def recover(
     directory: str,
     snapshot_every: Optional[int] = 10_000,
     wal_flush_ops: int = 64,
-    history_factory=None,
     clock: Callable[[], float] = None,
 ) -> PersistentKVCache:
     """Rebuild a :class:`PersistentKVCache` from its on-disk state.
@@ -501,23 +564,27 @@ def recover(
         directory: the persistence directory of a previous run.
         snapshot_every: automatic-snapshot cadence for the new wrapper.
         wal_flush_ops: WAL flush cadence for the new wrapper.
-        history_factory: per-shard miss-history override (callables
-            cannot be recorded in the manifest).
-        clock: time-source override, likewise.
+        clock: time-source override (a callable cannot be recorded
+            in the manifest).
 
     Raises:
         FileNotFoundError: no manifest in ``directory``.
         SnapshotCorruptError: no intact snapshot survives.
     """
-    cache, wal_paths, latest = load_snapshot_engine(
-        directory, history_factory=history_factory, clock=clock
+    cache, log_clock, wal_paths, latest = load_snapshot_engine(
+        directory, clock=clock
     )
 
-    # The reference replay: one sequential pass in log order.
+    # The reference replay: one sequential pass in log order, each
+    # record at its own log time.
+    log_time = None
     for wal_path in wal_paths:
         offset = 0
         for record, offset in iter_wal(wal_path):
-            apply_wal_record(cache, record)
+            log_time = record[-1]
+            log_clock.replay(log_time, apply_wal_record, cache, record)
+    if log_time is not None:
+        log_clock.resume(log_time)
     # ``offset`` is now the intact length of the newest WAL.
     return PersistentKVCache(
         cache,

@@ -26,28 +26,13 @@ def small_cluster(n=3, replication=2, directory=None, **node_kwargs):
 class TestView:
     def test_observation_is_side_effect_free(self):
         _ring, nodes, view, controller = small_cluster()
-        for node in nodes.values():
-            node.op_log = []
         for node_id in view.owners("k", 2):
             nodes[node_id].put("k", 1, "v")
-        before = {nid: nodes[nid].stats() for nid in nodes}
-        logs = {nid: list(nodes[nid].op_log) for nid in nodes}
-        view.replica_map("k")
-        view.divergent("k")
+        before = {nid: nodes[nid].engine.state_dict() for nid in nodes}
+        view.owners("k", 3)
         view.resident_keys()
         view.node_stats()
-        assert {nid: nodes[nid].stats() for nid in nodes} == before
-        assert {nid: list(nodes[nid].op_log) for nid in nodes} == logs
-
-    def test_replica_map_reports_each_owner(self):
-        _ring, nodes, view, _controller = small_cluster()
-        owners = view.owners("k", 2)
-        nodes[owners[0]].put("k", 5, "new")
-        nodes[owners[1]].put("k", 3, "old")
-        replicas = view.replica_map("k", 2)
-        assert replicas[owners[0]] == (5, "new")
-        assert replicas[owners[1]] == (3, "old")
-        assert view.divergent("k", 2)
+        assert {nid: nodes[nid].engine.state_dict() for nid in nodes} == before
 
     def test_reachability_tracks_status(self):
         ring, _nodes, view, controller = small_cluster()
@@ -93,10 +78,8 @@ class TestLifecycleStateMachine:
         victim = view.owners("k", 2)[0]
         controller.kill(victim)
         assert view.status(victim) == "down"
-        recovered = controller.recover(victim, readmit=False)
-        assert view.status(victim) == "rejoining"
+        recovered = controller.recover(victim)
         assert recovered == 1  # the put survived (wal_flush_ops=1)
-        controller.readmit(victim)
         assert view.status(victim) == "up"
         assert nodes[victim].peek("k") == (True, (1, "v"))
 
@@ -107,14 +90,10 @@ class TestMembershipChanges:
         owners = view.owners("k", 3)
         nodes[owners[0]].put("k", 7, "new")
         nodes[owners[1]].put("k", 2, "old")
-        assert view.divergent("k", 3)
         moved = controller.rebalance()
         assert moved >= 2  # the stale and the missing owner both fixed
-        assert not view.divergent("k", 3)
-        assert all(
-            record == (7, "new")
-            for record in view.replica_map("k", 3).values()
-        )
+        assert all(nodes[nid].peek("k") == (True, (7, "new"))
+                   for nid in owners)
 
     def test_rebalance_skips_unreachable_owners(self):
         _ring, nodes, view, controller = small_cluster(n=3, replication=3)

@@ -1,12 +1,11 @@
-"""Chaos tests for the online layer: crashes, torn WALs, flaky loaders.
+"""Faults for the online layer: flaky loaders and a real SIGKILL.
 
-The in-process campaign (:func:`repro.faults.online.chaos_campaign`)
-kills the persistent cache at seeded points (one pinned to a snapshot
-rotation), tears WAL tails, recovers, and asserts the big three:
-recovery decision-identity, the Appendix's 2x miss bound on the
-recovered engine, and zero wrong values served while the loader
-misbehaves. The subprocess smoke does the same through the CLI with a
-real SIGKILL — the same flow the CI workflow runs.
+Seeded loader faults must be reproducible in both the sync and the
+async loader; the subprocess smoke kills a persistent CLI run with a
+real SIGKILL and requires recovery to reproduce an uninterrupted run's
+digest, the same flow the CI workflow runs. Crashes, torn WAL tails
+and the invariants they must keep are the state machine's
+(``tests/invariants``).
 """
 
 import os
@@ -20,25 +19,9 @@ import time
 import pytest
 
 import repro
-from repro.faults.online import (
-    ChaosPlan,
-    ChaosReport,
-    FlakyLoader,
-    chaos_campaign,
-    chaos_stream,
-    newest_wal,
-    torn_write,
-)
-from repro.utils.rng import DeterministicRNG
+from repro.faults.online import FlakyLoader
 
 pytestmark = pytest.mark.faults
-
-#: A campaign small enough for CI: two crashes (one at the snapshot
-#: rotation boundary), torn tails, a bursty 25%-failure loader.
-QUICK_PLAN = ChaosPlan.seeded(
-    seed=0, num_crashes=2, ops=600, hot_keys=48, capacity_entries=32,
-    num_shards=4, snapshot_every=150, wal_flush_ops=8,
-)
 
 
 class TestFlakyLoader:
@@ -75,70 +58,6 @@ class TestFlakyLoader:
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FlakyLoader(lambda k: k, **kwargs)
-
-
-class TestTornWrite:
-    def test_shears_tail_bytes(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        with open(path, "wb") as handle:
-            handle.write(b"x" * 100)
-        sheared = torn_write(path, DeterministicRNG(3))
-        assert 1 <= sheared <= 24
-        assert os.path.getsize(path) == 100 - sheared
-
-    def test_missing_or_empty_file_untouched(self, tmp_path):
-        assert torn_write(str(tmp_path / "absent"), DeterministicRNG(0)) == 0
-        empty = tmp_path / "empty"
-        empty.write_bytes(b"")
-        assert torn_write(str(empty), DeterministicRNG(0)) == 0
-
-    def test_newest_wal_picks_highest_generation(self, tmp_path):
-        for gen in (0, 2, 10):
-            (tmp_path / f"wal-{gen:08d}.log").write_bytes(b"x")
-        (tmp_path / "snapshot-00000099.bin").write_bytes(b"x")
-        assert newest_wal(str(tmp_path)).endswith("wal-00000010.log")
-
-
-class TestChaosPlan:
-    def test_seeded_pins_a_snapshot_boundary_crash(self):
-        plan = ChaosPlan.seeded(seed=5, num_crashes=3, ops=1000,
-                                snapshot_every=200)
-        assert 200 in plan.crashes
-        assert len(plan.crashes) == 3
-        assert all(0 < c < 1000 for c in plan.crashes)
-
-    def test_stream_is_deterministic_and_sized(self):
-        first = chaos_stream(QUICK_PLAN)
-        assert first == chaos_stream(QUICK_PLAN)
-        assert len(first) == QUICK_PLAN.ops
-
-
-class TestChaosCampaign:
-    def test_quick_campaign_holds_all_invariants(self, tmp_path):
-        report = chaos_campaign(QUICK_PLAN, str(tmp_path / "state"))
-        assert isinstance(report, ChaosReport)
-        assert report.crashes == len(QUICK_PLAN.crashes)
-        # A crash pinned right after a rotation finds an empty newest
-        # WAL, which cannot be torn — so tears may trail crashes.
-        assert 0 < report.torn_events <= report.crashes
-        # Decision identity survived every kill and torn tail...
-        assert report.decisions_match
-        # ...the recovered engine still meets the 2x miss bound...
-        assert report.bound.holds(), report.bound.violations()
-        # ...and chaos served no wrong values (stale is allowed,
-        # lying is not).
-        assert report.wrong_values == 0
-        assert report.ok()
-        assert report.serving_requests == QUICK_PLAN.ops
-
-    def test_untorn_campaign_also_passes(self, tmp_path):
-        plan = ChaosPlan.seeded(
-            seed=3, num_crashes=2, ops=500, hot_keys=48,
-            capacity_entries=32, snapshot_every=150, torn=False,
-        )
-        report = chaos_campaign(plan, str(tmp_path / "state"))
-        assert report.ok()
-        assert report.torn_events == 0
 
 
 class TestKillAndRecoverSmoke:

@@ -39,15 +39,22 @@ def _engine(clock):
     return AdaptiveKVCache(capacity_entries=256, num_shards=4, clock=clock)
 
 
+#: Every durable layer snapshots often and acks each operation only
+#: once it is on disk, so a crash loses no acknowledged write.
+WAL_SETTINGS = {"snapshot_every": 4, "wal_flush_ops": 1}
+
+
 def _persistent(directory, clock):
-    return PersistentKVCache(_engine(clock), str(directory / "wal"))
+    return PersistentKVCache(_engine(clock), str(directory / "wal"),
+                             **WAL_SETTINGS)
 
 
 def _live(directory, clock):
     seeded = _persistent(directory, clock)
     seeded.put("seeded", 0)
     seeded.close()
-    live = LiveRecoveringKVCache(str(directory / "wal"), clock=clock)
+    live = LiveRecoveringKVCache(str(directory / "wal"), clock=clock,
+                                 **WAL_SETTINGS)
     live.finish()
     live.delete("seeded")
     return live

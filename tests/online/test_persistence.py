@@ -16,6 +16,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.history import CounterHistory
 from repro.online.engine import AdaptiveKVCache
 from repro.online.liverecovery import LiveRecoveringKVCache
 from repro.online.persistence import (
@@ -161,13 +162,29 @@ class TestFormatVersion:
         durable.close()
         manifest_path = tmp_path / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == FORMAT_VERSION == 2
+        assert manifest["format"] == FORMAT_VERSION == 3
         manifest["format"] = 1
         manifest["config"]["capacity_bytes"] = None
         manifest_path.write_text(json.dumps(manifest))
         with open(tmp_path / "wal-00000000.log", "ab") as wal:
             wal.write(encode_record(("put", 2, "w", None, None)))
         refusal = "unsupported persistence format 1"
+        with pytest.raises(ValueError, match=refusal):
+            recover(str(tmp_path))
+        with pytest.raises(ValueError, match=refusal):
+            LiveRecoveringKVCache(str(tmp_path))
+
+    def test_format_2_directory_is_refused(self, tmp_path):
+        """Format 2 records carry no log time, so replaying them would
+        restart every logged TTL at recovery; both paths refuse it."""
+        durable = PersistentKVCache(_engine("lru"), str(tmp_path),
+                                    snapshot_every=None, wal_flush_ops=1)
+        durable.close()
+        manifest_path = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        refusal = "unsupported persistence format 2"
         with pytest.raises(ValueError, match=refusal):
             recover(str(tmp_path))
         with pytest.raises(ValueError, match=refusal):
@@ -233,7 +250,7 @@ class TestRecoveryDecisionIdentity:
         ops = [("get_or_compute", k % 9) for k in range(40)]
         reference = _engine("lru")
         _drive(reference, ops)
-        records = [("goc_fill", k % 9, (k % 9) * 3 + 1, None)
+        records = [("goc_fill", k % 9, (k % 9) * 3 + 1, None, 0.0)
                    for k in range(40)]
         replayed = _engine("lru")
         for record in records:
@@ -294,12 +311,112 @@ class TestRecoveryDecisionIdentity:
         stats = durable.cache.stats()
         assert (stats.expirations, stats.occupancy) == (0, 6)
         durable.close()
-        # Replay at the writes' time, so replayed TTLs keep their
-        # deadlines, then compare both engines at the probe's time.
+        # The last record was logged at t=0, so a recovery then loses
+        # no time; compare both engines at the probe's time.
         now[0] = 0.0
         recovered = recover(directory, clock=lambda: now[0])
         now[0] = 10.0
         assert recovered.cache.state_dict() == durable.cache.state_dict()
+        recovered.close()
+
+    @pytest.mark.parametrize("path", ["stop-the-world", "live"])
+    def test_replayed_ttl_keeps_its_logged_deadline(self, path, tmp_path):
+        """A TTL replayed from the WAL counts from its write, not from
+        the recovery: ``put(0)`` at t=0 with a 5 s TTL has lapsed at
+        t=10 in the live engine, and must have lapsed in the recovered
+        one too (zero downtime: recovery at the last write's time)."""
+        now = [0.0]
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(
+            AdaptiveKVCache(capacity_entries=16, num_shards=4,
+                            default_ttl=5, clock=lambda: now[0]),
+            directory, snapshot_every=None, wal_flush_ops=1,
+        )
+        durable.put(0, "zero")
+        now[0] = 10.0
+        durable.put(1, "one")
+        durable.abandon()
+        assert durable.cache.get(0) is None
+        if path == "live":
+            recovered = LiveRecoveringKVCache(directory, chunk_ops=1,
+                                              wal_flush_ops=1,
+                                              clock=lambda: now[0])
+            recovered.finish()
+        else:
+            recovered = recover(directory, wal_flush_ops=1,
+                                clock=lambda: now[0])
+        assert recovered.get(0) is None
+        assert recovered.get(1) == "one"
+        # Downtime is skipped: ten more seconds pass before the next
+        # recovery, and key 1 still has its full 5 s left after it.
+        expected = recovered.cache.state_dict()
+        recovered.abandon()
+        now[0] = 20.0
+        again = recover(directory, clock=lambda: now[0])
+        assert again.cache.state_dict() == expected
+        now[0] = 24.0
+        assert again.get(1) == "one"
+        now[0] = 25.0
+        assert again.get(1) is None
+        again.close()
+
+    @pytest.mark.parametrize("path", ["stop-the-world", "live"])
+    def test_loaded_ttl_counts_from_the_fill(self, path, tmp_path):
+        """A miss fills after its loader returns, so a slow loader's
+        TTL counts from the fill in the live engine, and the replayed
+        fill must keep the same deadline."""
+        now = [0.0]
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(
+            AdaptiveKVCache(capacity_entries=16, num_shards=4,
+                            clock=lambda: now[0]),
+            directory, snapshot_every=None, wal_flush_ops=1,
+        )
+
+        def slow_loader(key):
+            now[0] += 3.0
+            return ("loaded", key)
+
+        durable.get_or_compute(0, slow_loader, ttl=5.0)
+        durable.put(1, "one")  # the log's newest time: the fill's
+        durable.abandon()
+        expected = durable.cache.state_dict()
+        if path == "live":
+            recovered = LiveRecoveringKVCache(directory, chunk_ops=1,
+                                              wal_flush_ops=1,
+                                              clock=lambda: now[0])
+            recovered.finish()
+        else:
+            recovered = recover(directory, wal_flush_ops=1,
+                                clock=lambda: now[0])
+        assert recovered.cache.state_dict() == expected
+        now[0] = 7.5
+        assert recovered.get(0) == ("loaded", 0)
+        now[0] = 8.0
+        assert recovered.get(0) is None
+        recovered.close()
+
+    def test_engine_with_a_history_factory_is_refused(self, tmp_path):
+        """Recovery cannot rebuild a custom miss history, so such an
+        engine is never persisted."""
+        engine = AdaptiveKVCache(capacity_entries=16, num_shards=2,
+                                 history_factory=CounterHistory)
+        with pytest.raises(ValueError, match="history_factory"):
+            PersistentKVCache(engine, str(tmp_path / "wal"))
+        assert not os.path.exists(tmp_path / "wal")
+
+    def test_rotating_write_is_durable_before_it_applies(self, tmp_path):
+        """With ``wal_flush_ops=1`` the write that triggers a snapshot
+        rotation reaches the new WAL before ``put`` returns, so a crash
+        right after it keeps it."""
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(_engine("lru"), directory,
+                                    snapshot_every=3, wal_flush_ops=1)
+        for key in range(3):
+            durable.put(key, key)
+        durable.abandon()
+        recovered = recover(directory)
+        assert [recovered.get(key) for key in range(3)] == [0, 1, 2]
         recovered.close()
 
     def test_unknown_record_kind_rejected(self):

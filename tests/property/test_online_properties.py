@@ -5,19 +5,29 @@ counter-history selector under demand caching; the online engine's
 shards are exactly such units, so the bound must hold on *randomized*
 key streams — integers, strings, skewed choices, adversarial repeats —
 for any shard count and component pair, not just on the curated
-experiment workloads.
+experiment workloads. The invariant machine in ``tests/invariants``
+checks the same bound alongside every serving composition.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.online.bound import check_online_miss_bound
 from repro.online.engine import AdaptiveKVCache
 from tests import strategies
+from tests.invariants.bound import bound_engine, engine_bound_report
 
 # Small universes force evictions (capacity 8-32 vs up to 60 distinct
 # keys), which is where the bound is non-trivial.
 int_keys = strategies.int_key_streams(max_key=60, max_size=600)
 str_keys = strategies.str_key_streams(max_size=600)
+
+
+def bound_report(keys, capacity, num_shards, components=("lru", "lfu")):
+    """The bound report of a bound engine that served ``keys``, every
+    access a demand fill."""
+    cache = bound_engine(capacity, num_shards, components)
+    for key in keys:
+        cache.get_or_compute(key, lambda k: k)
+    return engine_bound_report(cache)
 
 
 class TestOnlineMissBound:
@@ -26,18 +36,14 @@ class TestOnlineMissBound:
            num_shards=st.sampled_from([1, 2, 4]))
     @settings(max_examples=30, deadline=None)
     def test_two_x_bound_int_streams(self, keys, capacity, num_shards):
-        report = check_online_miss_bound(
-            keys, capacity_entries=capacity, num_shards=num_shards
-        )
+        report = bound_report(keys, capacity, num_shards)
         assert report.holds(), report.violations()
         assert report.worst_ratio() <= report.factor
 
     @given(keys=str_keys)
     @settings(max_examples=20, deadline=None)
     def test_two_x_bound_string_streams(self, keys):
-        report = check_online_miss_bound(
-            keys, capacity_entries=16, num_shards=2
-        )
+        report = bound_report(keys, 16, 2)
         assert report.holds(), report.violations()
 
     @given(keys=int_keys,
@@ -46,10 +52,7 @@ class TestOnlineMissBound:
            ))
     @settings(max_examples=20, deadline=None)
     def test_two_x_bound_other_component_pairs(self, keys, components):
-        report = check_online_miss_bound(
-            keys, capacity_entries=16, num_shards=1,
-            component_names=components,
-        )
+        report = bound_report(keys, 16, 1, components)
         assert report.holds(), report.violations()
 
 

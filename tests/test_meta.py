@@ -36,7 +36,6 @@ COLD_START_ABSENT = (
     "multiprocessing",
     "repro.serve.harness",
     "repro.serve.stack",
-    "repro.cluster.chaos",
     "repro.oracle",
     "repro.faults",
     "repro.perf.parallel",
@@ -98,8 +97,6 @@ OPTION_REASONS = ("asyncio protocol", "reference code", "test seam",
 
 #: Modules no program file imports, each with its reason.
 TEST_DRIVEN_MODULES = {
-    # Node-kill/partition campaigns the cluster tests run.
-    "repro.cluster.chaos": "test-driven module",
     # The columnar kernel's differential lane.
     "repro.oracle.columnar": "test-driven module",
     # Belady OPT, the floor tests hold policies to.
@@ -110,7 +107,8 @@ _ORACLE_SIZES = {
     f"repro.oracle.{name}({option})": "test-driven module"
     for name, options in {
         "harness.build_hardware_pair": ("num_sets", "ways", "components"),
-        "harness.build_shard_pair": ("partial_bits",),
+        "harness.build_shard_pair": ("capacity", "components",
+                                     "partial_bits"),
         "harness.check_cross_engine": ("capacity", "length", "seed"),
         "harness.differential_campaign": (
             "policies", "engines", "streams_per_combo", "stream_length"),
@@ -142,18 +140,9 @@ UNCALLED_OPTIONS = {
     "repro.faults.plan.FaultSpec(stop)": "test seam",
     "repro.faults.plan.FaultSpec(bits)": "test seam",
     "repro.faults.plan.FaultSpec(mode)": "test seam",
-    "repro.online.bound.check_online_miss_bound(num_shards)":
-        "test-driven module",
-    "repro.online.bound.check_online_miss_bound(component_names)":
-        "test-driven module",
-    "repro.cluster.chaos.cluster_chaos_campaign(directory)":
-        "test-driven module",
-    "repro.cluster.chaos.ClusterChaosPlan.seeded(num_kills)":
-        "test-driven module",
-    # The online chaos campaign's plans, like the cluster's, are built
-    # by the tests that run it.
-    "repro.faults.online.ChaosPlan.seeded(num_crashes)":
-        "test-driven module",
+    # Tests count the ladder's backoff pauses instead of sleeping them.
+    "repro.online.resilience.ResilientKVCache.__init__(sleep)":
+        "test seam",
     # The console scripts call main() on sys.argv; tests pass argv.
     "repro.experiments.cli.main(argv)": "test seam",
     "repro.replay.main(argv)": "test seam",
@@ -169,13 +158,7 @@ UNCALLED_NAMES = {
                        "is_running", "is_closed", "call_exception_handler",
                        "default_exception_handler")
     },
-    "repro.online.bound.check_online_miss_bound": "test-driven module",
-    "repro.cluster.chaos.cluster_chaos_campaign": "test-driven module",
-    # The tests that run the chaos campaigns build their seeded plans.
-    "repro.cluster.chaos.ClusterChaosPlan.seeded": "test-driven module",
-    "repro.faults.online.ChaosPlan.seeded": "test-driven module",
-    # The campaigns and checks the oracle and fault tests run.
-    "repro.faults.online.chaos_campaign": "test-driven module",
+    # The campaigns and checks the oracle tests run.
     "repro.oracle.columnar.columnar_campaign": "test-driven module",
     "repro.oracle.harness.check_cross_engine": "test-driven module",
     "repro.oracle.harness.placement_campaign": "test-driven module",
