@@ -22,7 +22,10 @@ consistent-hash :class:`~repro.cluster.ring.HashRing`:
   or missed writes converges during normal traffic. A replica
   missing the key entirely is left alone — re-inserting evicted
   entries on every read would fight the replacement policy; the
-  rebalance sweep (after a rejoin) refills those.
+  rebalance sweep refills those.
+* **Recovery** restarts a crashed member and refills it from its peers
+  while it is still ``rejoining``, out of the router's reach; it is
+  admitted back ``up`` only once it took every copy it was owed.
 
 Failures are tracked per node by the same
 :class:`~repro.online.resilience.CircuitBreaker` the single-node
@@ -34,14 +37,15 @@ and hedges engage immediately.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.latency import LatencyModel, VirtualClock
-from repro.cluster.network import ClusterController, ClusterView
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import HashRing
 from repro.cluster.stats import ClusterStats
+from repro.online.keyspace import key_fingerprint
 from repro.online.resilience import CircuitBreaker
+from repro.online.stats import KVCacheStats
 
 
 class WriteQuorumError(RuntimeError):
@@ -56,6 +60,47 @@ class WriteQuorumError(RuntimeError):
         self.version = version
         self.acks = acks
         self.quorum = quorum
+
+
+class ClusterView:
+    """Read-only observation of a cluster (no side effects, ever).
+
+    Every route lookup goes through :meth:`owners`.
+
+    Args:
+        ring: the cluster's consistent-hash ring.
+        nodes: every member, keyed by node id. The view never mutates
+            either.
+    """
+
+    def __init__(self, ring: HashRing, nodes: Dict[str, ClusterNode]):
+        self._ring = ring
+        self._nodes = nodes
+
+    def owners(self, key, n: int) -> List[str]:
+        """The key's preference list (reachability *not* applied)."""
+        return self._ring.owners(key_fingerprint(key), n)
+
+    def is_reachable(self, node_id: str) -> bool:
+        """Whether the router may send requests to this member."""
+        return self._nodes[node_id].status == "up"
+
+    def resident_keys(self) -> list:
+        """Keys resident on any non-crashed member, each once.
+
+        The order is fixed: members sorted by id, then each member's
+        shard order, keeping a key's first occurrence. Sweeps over it
+        (:meth:`ClusterKVCache.rebalance`) therefore run the same in
+        every process, whatever ``PYTHONHASHSEED`` is.
+        """
+        keys: dict = {}
+        for nid in sorted(self._nodes):
+            keys.update(dict.fromkeys(self._nodes[nid].resident_keys()))
+        return list(keys)
+
+    def node_stats(self) -> Dict[str, Optional[KVCacheStats]]:
+        """Each member's merged engine counters (None when down)."""
+        return {nid: self._nodes[nid].stats() for nid in sorted(self._nodes)}
 
 
 class ClusterKVCache:
@@ -141,9 +186,6 @@ class ClusterKVCache:
             )
             self.ring.add_node(node_id)
         self.view = ClusterView(self.ring, self.nodes)
-        self.controller = ClusterController(
-            self.nodes, replication, view=self.view
-        )
         self.breakers: Dict[str, CircuitBreaker] = {
             node_id: CircuitBreaker(
                 failure_threshold=3, recovery_timeout=5.0, clock=self.clock
@@ -387,6 +429,74 @@ class ClusterKVCache:
     # ------------------------------------------------------------------
     # Maintenance and introspection
     # ------------------------------------------------------------------
+
+    def recover(self, node_id: str) -> None:
+        """Bring a crashed member back as a replica.
+
+        A ``down`` member restarts (from its own snapshot + WAL when
+        durable, empty otherwise) and is ``rejoining``; a
+        :meth:`rebalance` then refills whatever it is missing from its
+        peers, and it is admitted ``up`` only if it took every copy.
+        Ring membership never lapsed, so no ranges moved.
+
+        Raises:
+            RuntimeError: the member is neither down nor rejoining, or
+                refused a copy; then it stays ``rejoining`` (out of
+                the router's reach) and a later call retries the
+                refill without restarting it.
+        """
+        node = self.nodes[node_id]
+        if node.status == "down":
+            node.restart()
+        elif node.status != "rejoining":
+            raise RuntimeError(
+                f"cannot recover node {node_id!r} in state {node.status!r}"
+            )
+        if node_id in self.rebalance():
+            raise RuntimeError(
+                f"node {node_id!r} refused a refill copy; still rejoining"
+            )
+        node.admit()
+
+    def rebalance(self) -> Set[str]:
+        """Converge replica placement for every resident key.
+
+        For every key, the highest-version record held by any
+        non-crashed member is copied to each ``up`` or ``rejoining``
+        owner that is missing it or holds an older version (judged by
+        the same one peek per member). This is the sweep form of
+        read-repair: it converges divergent replicas and refills a
+        rejoining node. Non-owner holders keep their (correct,
+        versioned) copies; they are cache entries and age out under
+        pressure.
+
+        Returns:
+            The owners that refused a copy (a flaky or dying replica;
+            the next sweep, or a read-repair, retries).
+        """
+        refused: Set[str] = set()
+        for key in self.view.resident_keys():
+            # One peek per member: each one's record, and the newest.
+            held: Dict[str, tuple] = {}
+            for nid, node in self.nodes.items():
+                found, record = node.peek(key)
+                if found:
+                    held[nid] = record
+            best = max(held.values(), key=lambda record: record[0],
+                       default=None)
+            if best is None:
+                continue  # an earlier copy evicted the last holder
+            for nid in self.view.owners(key, self.replication):
+                node = self.nodes[nid]
+                if node.status not in ("up", "rejoining"):
+                    continue
+                record = held.get(nid)
+                if record is None or record[0] < best[0]:
+                    try:
+                        node.put(key, best[0], best[1])
+                    except Exception:  # noqa: BLE001 — replica boundary
+                        refused.add(nid)
+        return refused
 
     def stats(self) -> ClusterStats:
         """Router counters plus every member's engine snapshot."""

@@ -10,12 +10,13 @@ layer needs from a member:
   pairs; versions are issued by the router
   (:class:`~repro.cluster.cache.ClusterKVCache`) so replicas of the
   same key are comparable and read-repair can pick a winner.
-* **Lifecycle.** A node is ``up``, ``down`` (crashed — its engine is
+* **Lifecycle.** A node is ``up``, ``down`` (crashed: its engine is
   gone, only its persistence directory survives), ``partitioned``
   (healthy but unreachable from the router) or ``rejoining``
-  (recovered from disk, not yet readmitted to the ring). ``crash()``
-  abandons the persistent wrapper *un-flushed*, as a process kill
-  does: buffered WAL records die with the process.
+  (restarted, not yet admitted back as a replica). Every status
+  change goes through one transition check, :data:`LIFECYCLE`.
+  ``crash()`` abandons the persistent wrapper *un-flushed*, as a
+  process kill does: buffered WAL records die with the process.
 
 Nodes are single-shard on purpose: sharding happens *across* nodes
 now, and one shard per node keeps each node's event stream couplable
@@ -30,8 +31,15 @@ from typing import Callable, Optional, Tuple
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import PersistentKVCache, recover
 
-#: Node lifecycle states.
-NODE_STATES = ("up", "down", "partitioned", "rejoining")
+#: The lifecycle: each transition's name -> (the states it may
+#: leave, the state it enters).
+LIFECYCLE = {
+    "crash": (("up", "partitioned", "down", "rejoining"), "down"),
+    "restart": (("down",), "rejoining"),
+    "partition": (("up",), "partitioned"),
+    "heal": (("partitioned",), "up"),
+    "admit": (("rejoining",), "up"),
+}
 
 
 class NodeDownError(RuntimeError):
@@ -93,80 +101,91 @@ class ClusterNode:
             partial_bits=16,
             seed=seed,
         )
-        self.crashes = 0
-        self.recoveries = 0
-        self._boot(fresh=True)
-
-    # ------------------------------------------------------------------
-    # Construction / lifecycle
-    # ------------------------------------------------------------------
-
-    def _boot(self, fresh: bool) -> None:
-        """Build (or rebuild) the node's engine and wrapper."""
-        self.engine = AdaptiveKVCache(
-            clock=self._clock, **self._engine_kwargs
-        )
-        if self.directory is None:
-            self.store = self.engine
-        elif fresh:
-            self.store = PersistentKVCache(
+        self.engine = AdaptiveKVCache(clock=clock, **self._engine_kwargs)
+        self.store = self.engine if self.directory is None else (
+            PersistentKVCache(
                 self.engine,
                 self.directory,
-                snapshot_every=self.snapshot_every,
-                wal_flush_ops=self.wal_flush_ops,
+                snapshot_every=snapshot_every,
+                wal_flush_ops=wal_flush_ops,
             )
-        # else: recover() installs the store itself.
+        )
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    def _transition(self, name: str, effect: Optional[Callable] = None
+                    ) -> None:
+        """The one place a node's status changes: make transition
+        ``name`` of :data:`LIFECYCLE`, running ``effect`` first.
+
+        Raises:
+            RuntimeError: the node is in a state ``name`` cannot leave
+                (nothing ran).
+        """
+        sources, target = LIFECYCLE[name]
+        if self.status not in sources:
+            raise RuntimeError(
+                f"cannot {name} node {self.node_id!r} in state "
+                f"{self.status!r}"
+            )
+        if effect is not None:
+            effect()
+        self.status = target
 
     def crash(self) -> None:
-        """Kill the node: abandon the engine, buffered WAL and all.
+        """Kill the node, from any state: abandon the engine, buffered
+        WAL and all.
 
         Models a process death: the persistent wrapper is dropped with
         its buffer *un-flushed* (records since the last flush die), the
         engine object is gone, and only the on-disk snapshot/WAL chain
-        survives for :meth:`recover`.
+        survives for :meth:`restart`.
         """
-        if self.status == "down":
-            return
-        if isinstance(self.store, PersistentKVCache):
-            self.store.abandon()
-        self.engine = None
-        self.store = None
-        self.status = "down"
-        self.crashes += 1
+        def die():
+            if isinstance(self.store, PersistentKVCache):
+                self.store.abandon()
+            self.engine = self.store = None
 
-    def recover_from_disk(self) -> int:
-        """Rebuild the node from its own snapshot + WAL chain.
+        self._transition("crash", die)
 
-        Returns:
-            The engine-counted operations the recovered state covers
-            (gets + puts + deletes of a resident key).
+    def restart(self) -> None:
+        """Start a crashed node again, ``down`` -> ``rejoining``.
 
-        Raises:
-            RuntimeError: the node has no persistence directory.
+        A durable node rebuilds from its own snapshot + WAL chain; a
+        memory-only one has nothing to recover from and starts empty.
+        The router admits it once its peers have refilled it
+        (:meth:`~repro.cluster.cache.ClusterKVCache.recover`).
         """
-        if self.directory is None:
-            raise RuntimeError(
-                f"node {self.node_id!r} is memory-only; nothing to recover"
+        def boot():
+            if self.directory is None:
+                self.engine = self.store = AdaptiveKVCache(
+                    clock=self._clock, **self._engine_kwargs
+                )
+                return
+            self.store = recover(
+                self.directory,
+                snapshot_every=self.snapshot_every,
+                wal_flush_ops=self.wal_flush_ops,
+                clock=self._clock,
             )
-        self.store = recover(
-            self.directory,
-            snapshot_every=self.snapshot_every,
-            wal_flush_ops=self.wal_flush_ops,
-            clock=self._clock,
-        )
-        self.engine = self.store.cache
-        stats = self.engine.stats()
-        recovered = stats.gets + stats.puts + stats.deletes
-        self.status = "rejoining"
-        self.recoveries += 1
-        return recovered
+            self.engine = self.store.cache
 
-    def rebuild_empty(self) -> None:
-        """Restart the node with a fresh, empty engine (memory-only
-        members have nothing to recover from)."""
-        self._boot(fresh=True)
-        self.status = "rejoining"
-        self.recoveries += 1
+        self._transition("restart", boot)
+
+    def partition(self) -> None:
+        """Cut a serving node off from the router, ``up`` ->
+        ``partitioned``; it keeps its state."""
+        self._transition("partition")
+
+    def heal(self) -> None:
+        """Reconnect a partitioned node, ``partitioned`` -> ``up``."""
+        self._transition("heal")
+
+    def admit(self) -> None:
+        """Serve again as a replica, ``rejoining`` -> ``up``."""
+        self._transition("admit")
 
     def close(self) -> None:
         """Flush and release the persistent wrapper, if any."""
@@ -180,7 +199,7 @@ class ClusterNode:
     _MISS = object()
 
     def _check_serving(self, op: str, key) -> None:
-        if self.status == "down" or self.engine is None:
+        if self.engine is None:
             raise NodeDownError(f"node {self.node_id!r} is down")
         if self.fault is not None:
             self.fault(op, key)
@@ -213,13 +232,13 @@ class ClusterNode:
         *router* can't reach them; the observer can) but not on dead
         ones.
         """
-        if self.status == "down" or self.engine is None:
+        if self.engine is None:
             return False, None
         return self.engine.shards[self.engine.shard_index(key)].peek_stale(key)
 
     def resident_keys(self) -> list:
         """Keys resident on this node (no policy events)."""
-        if self.status == "down" or self.engine is None:
+        if self.engine is None:
             return []
         keys: list = []
         for shard in self.engine.shards:

@@ -49,7 +49,7 @@ def run_cluster(args: argparse.Namespace) -> int:
         if node_id is not None and node_id not in cluster.nodes:
             print(
                 f"no member {node_id!r} (members: "
-                f"{', '.join(cluster.view.node_ids())})",
+                f"{', '.join(sorted(cluster.nodes))})",
                 file=sys.stderr,
             )
             cluster.close()
@@ -77,13 +77,13 @@ def run_cluster(args: argparse.Namespace) -> int:
     with open(ledger_path, "a") as ledger:
         for index in range(args.cluster_ops):
             if index == kill_at:
-                cluster.controller.kill(args.kill_node)
+                cluster.nodes[args.kill_node].crash()
                 print(f"[{index}] killed {args.kill_node}")
             if index == partition_at:
-                cluster.controller.partition(args.partition_node)
+                cluster.nodes[args.partition_node].partition()
                 print(f"[{index}] partitioned {args.partition_node}")
             if index == heal_at:
-                cluster.controller.heal(args.partition_node)
+                cluster.nodes[args.partition_node].heal()
                 print(f"[{index}] healed {args.partition_node}")
             key = f"k{rng.choice_index(args.cluster_keys)}"
             if rng.random() < 0.5:
@@ -105,8 +105,7 @@ def run_cluster(args: argparse.Namespace) -> int:
                 cluster.get(key)
     stats = cluster.stats()
     statuses = " ".join(
-        f"{nid}={cluster.view.status(nid)}"
-        for nid in cluster.view.node_ids()
+        f"{nid}={node.status}" for nid, node in sorted(cluster.nodes.items())
     )
     cluster.close()
     print(

@@ -78,12 +78,13 @@ def replay_cluster(
     start = time.perf_counter()
     for index, key in enumerate(keys):
         if index == kill_at:
-            up = cluster.view.up_nodes()
-            cluster.controller.kill(up[rng.choice_index(len(up))])
+            up = [node_id for node_id, node in sorted(cluster.nodes.items())
+                  if node.status == "up"]
+            cluster.nodes[up[rng.choice_index(len(up))]].crash()
         elif index == recover_at:
-            for node_id in cluster.view.node_ids():
-                if cluster.view.status(node_id) == "down":
-                    cluster.controller.recover(node_id)
+            for node_id, node in sorted(cluster.nodes.items()):
+                if node.status == "down":
+                    cluster.recover(node_id)
         try:
             cluster.get_or_compute(key, lambda k: k)
         except WriteQuorumError:  # pragma: no cover - fills swallow it

@@ -60,6 +60,7 @@ from typing import Callable, Optional
 
 from repro.online.contract import KVLayer
 from repro.online.liverecovery import LiveRecoveringKVCache
+from repro.online.persistence import PersistentKVCache
 
 #: Circuit-breaker states.
 BREAKER_STATES = ("closed", "open", "half_open")
@@ -547,7 +548,18 @@ class ResilientKVCache(KVLayer):
 
     def rebuild(self, index: int) -> None:
         """Swap in an empty shard for quarantined ``index`` and return
-        it to service."""
+        it to service.
+
+        Raises:
+            ValueError: the ladder serves through a durable layer. No
+                WAL record carries the swap, so a recovery would
+                replay the log onto the discarded shard.
+        """
+        if isinstance(self.cache, PersistentKVCache):
+            raise ValueError(
+                "cannot rebuild a shard of a durable layer: the swap "
+                "is not logged"
+            )
         self.engine.rebuild_shard(index)
         self._quarantined.discard(index)
 

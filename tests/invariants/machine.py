@@ -217,9 +217,6 @@ class ServingMachine(RuleBasedStateMachine):
         #: Cluster: (node id, key) -> the version that node last held.
         self.replicas = {}
         self.quarantined = set()
-        #: Shards rebuilt since the durable layer last opened; a
-        #: rebuild is not logged, so recovery may bring entries back.
-        self.rebuilt = set()
         self.crashed = False
         self.log_base = 0.0
         self.tokens = itertools.count()
@@ -572,11 +569,11 @@ class CrashRules(ServingMachine):
         """Die un-flushed; ``tear`` bytes of an in-flight record (one
         never acked) reach the newest WAL."""
         store = self.inner
-        # Unless the crashed engine was itself still replaying, or a
-        # rebuild (never logged) changed it, recovery must rebuild it
-        # exactly, as it stood when its last record was logged.
+        # Unless the crashed engine was itself still replaying,
+        # recovery must rebuild it exactly, as it stood when its last
+        # record was logged.
         self.crashed_state = None
-        if not (self.rebuilt or isinstance(store, LiveRecoveringKVCache)
+        if not (isinstance(store, LiveRecoveringKVCache)
                 and store.recovering):
             self.crashed_state = self._state(
                 store.cache, last_log_time(self.directory) + self.log_base)
@@ -613,11 +610,6 @@ class CrashRules(ServingMachine):
         for entry in self.model.values():
             if entry.expires is not None:
                 entry.expires += shift
-        if self.rebuilt:
-            # Replay rebuilds the shard as logged, before the rebuild.
-            self.loose.update(key for key in KEYS
-                              if self._index(key) in self.rebuilt)
-            self.rebuilt = set()
         self.quarantined = set()
         self.crashed = False
         self._install(ResilientKVCache(store) if self.resilient else store)
@@ -664,7 +656,7 @@ class CrashRules(ServingMachine):
             live.finish()
         else:
             live.step()
-        if live.recovering or self.rebuilt:
+        if live.recovering:
             return
         copy = os.path.join(self.root, "copy")
         shutil.copytree(self.directory, copy)
@@ -680,7 +672,8 @@ class CrashRules(ServingMachine):
 
 
 class LadderRules(ServingMachine):
-    """The resilient ladder: quarantine a shard, rebuild it empty."""
+    """The resilient ladder: quarantine a shard, rebuild it empty
+    (refused over a durable layer, whose log cannot carry it)."""
 
     @precondition(lambda self: not self.crashed)
     @rule(data=st.data())
@@ -693,18 +686,20 @@ class LadderRules(ServingMachine):
     @rule(data=st.data())
     def rebuild(self, data):
         index = data.draw(st.sampled_from(sorted(self.quarantined)))
+        try:
+            self.layer.rebuild(index)
+        except ValueError:
+            assert self.durable, "rebuild refused over a memory-only layer"
+            return
+        assert not self.durable, "an unlogged rebuild over a durable layer"
         for key in KEYS:
             if self._index(key) != index:
                 continue
             self.model.pop(key, None)
-            if self.tiered or self._replaying(key):
-                # A near-tier copy, or a replay still to come, may
-                # bring the key back.
+            if self.tiered:
+                # A near-tier copy may bring the key back.
                 self.loose.add(key)
-        self.layer.rebuild(index)
         self.quarantined.discard(index)
-        if self.durable:
-            self.rebuilt.add(index)
 
 
 class RingRules(ServingMachine):
@@ -720,55 +715,60 @@ class RingRules(ServingMachine):
         return [node_id for node_id, node in sorted(self.cluster.nodes.items())
                 if node.status in states]
 
-    @precondition(lambda self: not self._nodes("down"))
+    @precondition(lambda self: not self._nodes("down", "rejoining"))
     @rule(data=st.data())
     def kill_node(self, data):
-        """One node at a time dies: fewer than a write quorum's copies
-        of an acked write. Its flakiness dies with the process. A
-        durable node keeps its snapshot and WAL (every op on disk
-        before it applies), so it must come back exactly as it died."""
+        """One node at a time is out (down, or rejoining until its
+        refill lands): fewer than a write quorum's copies of an acked
+        write. Its flakiness dies with the process. A durable node
+        keeps its snapshot and WAL (every op on disk before it
+        applies), so it must come back exactly as it died."""
         node_id = data.draw(st.sampled_from(self._nodes("up", "partitioned")))
         node = self.cluster.nodes[node_id]
         node.fault = None
         self.node_state = (node.engine.state_dict()
                            if node.directory is not None else None)
-        self.cluster.controller.kill(node_id)
+        node.crash()
 
-    @precondition(lambda self: bool(self._nodes("down")))
+    @precondition(lambda self: bool(self._nodes("down", "rejoining")))
     @rule()
     def recover_node(self):
-        """The controller's recovery, in its two steps: rebuild from
-        disk (or restart empty), then readmit after peer catch-up."""
-        node_id = self._nodes("down")[0]
+        """The router's recovery: restart a down node (a durable one
+        from disk, exactly as it crashed), refill it from its peers and
+        admit it. A node that refuses a copy stays rejoining, and the
+        next recovery retries its refill."""
+        node_id = self._nodes("down", "rejoining")[0]
         node = self.cluster.nodes[node_id]
-        if node.directory is None:
-            self.cluster.controller.recover(node_id)
-            return
-        node.recover_from_disk()
-        assert node.engine.state_dict() == self.node_state, (
-            f"node {node_id} did not recover the state it crashed with")
-        self.cluster.controller.readmit(node_id)
+        if node.status == "down" and node.directory is not None:
+            node.restart()
+            assert node.engine.state_dict() == self.node_state, (
+                f"node {node_id} did not recover the state it crashed with")
+        try:
+            self.cluster.recover(node_id)
+        except RuntimeError:
+            assert node.fault is not None, f"{node_id} refused no copy"
+            assert node.status == "rejoining", node.status
 
     @precondition(lambda self: bool(self._nodes("up")))
     @rule(data=st.data())
     def partition_node(self, data):
         node_id = data.draw(st.sampled_from(self._nodes("up")))
-        self.cluster.controller.partition(node_id)
+        self.cluster.nodes[node_id].partition()
 
     @precondition(lambda self: bool(self._nodes("partitioned")))
     @rule(data=st.data())
     def heal_node(self, data):
         node_id = data.draw(st.sampled_from(self._nodes("partitioned")))
-        self.cluster.controller.heal(node_id)
+        self.cluster.nodes[node_id].heal()
 
-    @precondition(lambda self: bool(self._nodes("up", "partitioned")))
+    @precondition(lambda self: bool(self._nodes("up", "partitioned", "down")))
     @rule(data=st.data(), failures=st.integers(1, 3))
     def flaky_node(self, data, failures):
-        """The next ``failures`` operations on one live node raise, as
-        a flaky replica's would. Never a down node: on recovery it must
-        take the copies that refill it, or the next kill could take an
-        acked write's last copy (two faults, not one)."""
-        node_id = data.draw(st.sampled_from(self._nodes("up", "partitioned")))
+        """The next ``failures`` operations on one node raise, as a
+        flaky replica's would; on a down node the fault outlives the
+        restart and refuses the refill."""
+        node_id = data.draw(st.sampled_from(
+            self._nodes("up", "partitioned", "down")))
         left = [failures]
 
         def fault(op, key):

@@ -11,6 +11,7 @@ every timing behavior is deterministic.
 import pytest
 
 from repro.online.engine import AdaptiveKVCache
+from repro.online.persistence import recover
 from repro.online.resilience import (
     BREAKER_STATES,
     CircuitBreaker,
@@ -19,6 +20,7 @@ from repro.online.resilience import (
     RetryPolicy,
 )
 from tests.conftest import retry_policy
+from tests.online.test_contract import LAYERS
 
 
 class FakeClock:
@@ -238,7 +240,7 @@ class TestQuarantine:
         assert loader.calls == 0
         assert wrapper.stats().degraded >= 2
 
-    def test_rebuild_empty_returns_to_service(self):
+    def test_rebuild_returns_shard_to_service(self):
         wrapper, loader, _clock, _sleeps = _resilient()
         wrapper.put("k", "v")
         index = wrapper.engine.shard_index("k")
@@ -247,6 +249,26 @@ class TestQuarantine:
         assert wrapper.health()["quarantined"] == []
         assert wrapper.get("k") is None  # rebuilt empty
         assert wrapper.get_or_compute("k", loader) == "value-of-k"
+
+    @pytest.mark.parametrize("name", ["resilient-persistent",
+                                      "resilient-live"])
+    def test_rebuild_refused_over_a_durable_layer(self, name, tmp_path):
+        """No WAL record carries a rebuild, so over a durable layer a
+        recovery would replay the log onto the discarded shard and
+        bring its entries back; the ladder refuses the rebuild."""
+        ladder = LAYERS[name](tmp_path, FakeClock())
+        for key in range(8):
+            ladder.put(key, ("v", key))
+        index = ladder.engine.shard_index(0)
+        ladder.quarantine(index)
+        with pytest.raises(ValueError):
+            ladder.rebuild(index)
+        assert ladder.health()["quarantined"] == [index]
+        ladder.cache.abandon()
+        recovered = recover(ladder.cache.directory)
+        # The shard was never discarded, so recovery is exact.
+        assert recovered.get(0) == ("v", 0)
+        recovered.close()
 
     def test_out_of_range_index_rejected(self):
         wrapper, _loader, _clock, _sleeps = _resilient()
