@@ -47,6 +47,10 @@ from repro.online.keyspace import key_fingerprint
 from repro.online.resilience import CircuitBreaker
 from repro.online.stats import KVCacheStats
 
+#: :meth:`ClusterKVCache._read`'s reply slot for an owner it did not
+#: consult.
+_UNASKED = object()
+
 
 class WriteQuorumError(RuntimeError):
     """A write reached fewer than ``write_quorum`` owners (not acked)."""
@@ -199,13 +203,6 @@ class ClusterKVCache:
     # Internals
     # ------------------------------------------------------------------
 
-    def _next_version(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _owners(self, key) -> List[str]:
-        return self.view.owners(key, self.replication)
-
     def _note_primary_hedge(self, position: int, hedged: bool) -> bool:
         """Count one hedged read, the single increment site.
 
@@ -235,26 +232,31 @@ class ClusterKVCache:
                 applied the write. Owners that did apply it keep their
                 copies — the version is real, just unacknowledged.
         """
-        return self._write(key, value, self._owners(key))
+        return self._write(key, value, self.view.owners(key, self.replication))
 
     def _write(self, key, value, owners: List[str]) -> int:
         """:meth:`put` to an already-routed preference list."""
         self._stats.writes += 1
-        version = self._next_version()
+        self._seq += 1
+        version = self._seq
         acks = 0
+        reachable = False
         worst_latency = 0.0
+        nodes, breakers = self.nodes, self.breakers
         for node_id in owners:
-            node = self.nodes[node_id]
-            breaker = self.breakers[node_id]
-            if not self.view.is_reachable(node_id):
+            node = nodes[node_id]
+            breaker = breakers[node_id]
+            if node.status != "up":
                 breaker.record_failure()
                 continue
+            reachable = True
             if not breaker.allow():
                 continue
             try:
                 if node.latency is not None:
                     sample = node.latency.sample()
-                    worst_latency = max(worst_latency, sample)
+                    if sample > worst_latency:
+                        worst_latency = sample
                 node.put(key, version, value)
             except Exception:  # noqa: BLE001 — replica boundary
                 breaker.record_failure()
@@ -262,9 +264,7 @@ class ClusterKVCache:
             breaker.record_success()
             acks += 1
         self.clock.advance(worst_latency)
-        if acks == 0 and not any(
-            self.view.is_reachable(node_id) for node_id in owners
-        ):
+        if not reachable:
             self._stats.unavailable += 1
         if acks >= self.write_quorum:
             self._stats.acked_writes += 1
@@ -275,7 +275,7 @@ class ClusterKVCache:
     def delete(self, key) -> bool:
         """Remove ``key`` from every reachable owner."""
         removed = False
-        for node_id in self._owners(key):
+        for node_id in self.view.owners(key, self.replication):
             if not self.view.is_reachable(node_id):
                 continue
             try:
@@ -290,22 +290,22 @@ class ClusterKVCache:
 
     def get(self, key, default=None):
         """Read ``key`` from the cluster (first found reply wins)."""
-        found, _version, value, _consulted = self.get_details(key)
+        found, value = self._read(key, self.view.owners(key, self.replication))
         return value if found else default
 
-    def get_details(self, key) -> Tuple[bool, Optional[int], object, List[str]]:
-        """Read with full provenance: (found, version, value, consulted).
+    def _read(self, key, owners: List[str]) -> Tuple[bool, object]:
+        """``(found, value)`` of a read over an already-routed
+        preference list.
 
-        The mechanics behind :meth:`get`, with the served version and
-        the replicas consulted.
+        One pass over the owners; ``replies[i]`` ends up as owner
+        ``i``'s reply record (None for a miss) if it was consulted, else
+        ``_UNASKED``. The serving reply is the first found one with the
+        lowest latency.
         """
-        return self._read(key, self._owners(key))
-
-    def _read(self, key, owners: List[str]
-              ) -> Tuple[bool, Optional[int], object, List[str]]:
-        """:meth:`get_details` over an already-routed preference list."""
         self._stats.reads += 1
-        replies: List[Tuple[str, bool, Optional[tuple], float]] = []
+        nodes, breakers = self.nodes, self.breakers
+        replies = [_UNASKED] * len(owners)
+        consulted = 0
         budget = self.read_fanout
         hedged = False
         # Pending hedge consults: a slow primary answers, but the
@@ -313,18 +313,21 @@ class ClusterKVCache:
         # the usual stop-on-found), and the faster reply serves.
         pending_hedge = 0
         first_latency: Optional[float] = None
+        serving: Optional[tuple] = None
+        serving_latency = 0.0
+        slowest = 0.0
+        reachable = False
         for position, node_id in enumerate(owners):
-            if pending_hedge == 0:
-                if any(reply[1] for reply in replies):
-                    break  # a found reply and no hedge outstanding
-                if len(replies) >= budget:
-                    break
-            node = self.nodes[node_id]
-            breaker = self.breakers[node_id]
-            if not self.view.is_reachable(node_id):
+            if pending_hedge == 0 and (
+                    serving is not None or consulted >= budget):
+                break  # a found reply and no hedge outstanding, or fanout
+            node = nodes[node_id]
+            breaker = breakers[node_id]
+            if node.status != "up":
                 breaker.record_failure()
                 hedged = self._note_primary_hedge(position, hedged)
                 continue
+            reachable = True
             if not breaker.allow():
                 hedged = self._note_primary_hedge(position, hedged)
                 continue
@@ -338,7 +341,12 @@ class ClusterKVCache:
                 hedged = self._note_primary_hedge(position, hedged)
                 continue
             breaker.record_success()
-            replies.append((node_id, found, record, latency))
+            replies[position] = record
+            consulted += 1
+            if latency > slowest:
+                slowest = latency
+            if found and (serving is None or latency < serving_latency):
+                serving, serving_latency = record, latency
             if position == 0:
                 first_latency = latency
                 if (self.hedge_after is not None
@@ -350,59 +358,61 @@ class ClusterKVCache:
             elif pending_hedge > 0:
                 pending_hedge -= 1
 
-        consulted = [reply[0] for reply in replies]
-        found_replies = [reply for reply in replies if reply[1]]
-        if not replies and not any(
-            self.view.is_reachable(node_id) for node_id in owners
-        ):
+        if not reachable:
             self._stats.unavailable += 1
-        if found_replies:
+        if serving is not None:
             # Served by whichever found reply arrives first.
-            serving = min(found_replies, key=lambda reply: reply[3])
-            self.clock.advance(serving[3])
+            self.clock.advance(serving_latency)
             if hedged and first_latency is not None \
-                    and serving[3] < first_latency:
+                    and serving_latency < first_latency:
                 self._stats.hedge_wins += 1
             self._stats.read_hits += 1
-            version, value = serving[2]
-            self._read_repair(key, owners, replies, serving[2])
-            return True, version, value, consulted
-        if replies:
-            self.clock.advance(max(reply[3] for reply in replies))
+            self._read_repair(key, owners, replies, serving)
+            return True, serving[1]
+        if consulted:
+            self.clock.advance(slowest)
         self._stats.read_misses += 1
         self._read_repair(key, owners, replies, None)
-        return False, None, None, consulted
+        return False, None
 
     def _read_repair(self, key, owners: List[str], replies: list,
                      best: Optional[tuple]) -> None:
         """Converge owners holding an *older* version than the newest.
 
         Each owner is looked at once: a consulted owner by the reply
-        it gave, any other by a peek (no policy events), so the scan
-        never perturbs replacement decisions. ``best`` is the served
-        record (None after a miss); a newer resident record supersedes
-        it, and then the serving replica is repaired too. Only owners
-        holding an older version take a converging write.
+        it gave (``replies``, as :meth:`_read` leaves it), any other by
+        a peek (no policy events), so the scan never perturbs
+        replacement decisions. ``best`` is the served record (None
+        after a miss); a newer resident record supersedes it, and then
+        the serving replica is repaired too. Only owners holding an
+        older version take a converging write.
         """
-        answered = {reply[0]: reply[1:3] for reply in replies}
-        holders: List[Tuple[str, int]] = []
-        for node_id in owners:
-            reply = answered.get(node_id)
-            found, record = (
-                reply if reply is not None else self.nodes[node_id].peek(key)
-            )
-            if not found:
+        nodes = self.nodes
+        newest = None if best is None else best[0]
+        diverged = False  # some holder is older than the newest
+        for position, node_id in enumerate(owners):
+            record = replies[position]
+            if record is _UNASKED:
+                record = replies[position] = nodes[node_id].peek(key)[1]
+            if record is None or record[0] == newest:
                 continue
-            holders.append((node_id, record[0]))
-            if best is None or record[0] > best[0]:
-                best = record
-        for node_id, held_version in holders:
-            if held_version >= best[0]:
+            if newest is None:
+                best, newest = record, record[0]
                 continue
-            if not self.view.is_reachable(node_id):
+            diverged = True
+            if record[0] > newest:
+                best, newest = record, record[0]
+        if not diverged:
+            return
+        for position, node_id in enumerate(owners):
+            record = replies[position]
+            if record is None or record[0] >= newest:
+                continue
+            node = nodes[node_id]
+            if node.status != "up":
                 continue
             try:
-                self.nodes[node_id].put(key, best[0], best[1])
+                node.put(key, newest, best[1])
             except Exception:  # noqa: BLE001 — replica boundary
                 self.breakers[node_id].record_failure()
                 continue
@@ -415,8 +425,8 @@ class ClusterKVCache:
         the computed value is returned regardless (and counted as a
         failed write); the next read simply misses again.
         """
-        owners = self._owners(key)
-        found, _version, value, _consulted = self._read(key, owners)
+        owners = self.view.owners(key, self.replication)
+        found, value = self._read(key, owners)
         if found:
             return value
         value = loader(key)

@@ -31,6 +31,9 @@ from typing import Callable, Optional, Tuple
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import PersistentKVCache, recover
 
+#: :meth:`ClusterNode.get`'s probe-miss sentinel (None is a value).
+_MISS = object()
+
 #: The lifecycle: each transition's name -> (the states it may
 #: leave, the state it enters).
 LIFECYCLE = {
@@ -196,9 +199,9 @@ class ClusterNode:
     # Versioned record operations
     # ------------------------------------------------------------------
 
-    _MISS = object()
-
     def _check_serving(self, op: str, key) -> None:
+        """Refuse ``op`` on a dead node, else run the armed fault.
+        Callers skip the call when neither holds."""
         if self.engine is None:
             raise NodeDownError(f"node {self.node_id!r} is down")
         if self.fault is not None:
@@ -206,20 +209,23 @@ class ClusterNode:
 
     def get(self, key) -> Tuple[bool, Optional[tuple]]:
         """Policy-visible read: ``(found, (version, value))``."""
-        self._check_serving("get", key)
-        record = self.store.get(key, self._MISS)
-        if record is self._MISS:
+        if self.engine is None or self.fault is not None:
+            self._check_serving("get", key)
+        record = self.store.get(key, _MISS)
+        if record is _MISS:
             return False, None
         return True, record
 
     def put(self, key, version: int, value) -> None:
         """Store ``value`` under ``key`` at ``version``."""
-        self._check_serving("put", key)
+        if self.engine is None or self.fault is not None:
+            self._check_serving("put", key)
         self.store.put(key, (version, value))
 
     def delete(self, key) -> bool:
         """Remove ``key``; True if it was resident."""
-        self._check_serving("del", key)
+        if self.engine is None or self.fault is not None:
+            self._check_serving("del", key)
         return self.store.delete(key)
 
     def peek(self, key) -> Tuple[bool, Optional[tuple]]:
@@ -232,9 +238,10 @@ class ClusterNode:
         *router* can't reach them; the observer can) but not on dead
         ones.
         """
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             return False, None
-        return self.engine.shards[self.engine.shard_index(key)].peek_stale(key)
+        return engine.shards[engine.shard_index(key)].peek_stale(key)
 
     def resident_keys(self) -> list:
         """Keys resident on this node (no policy events)."""

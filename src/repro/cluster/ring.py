@@ -14,12 +14,17 @@ Ring points are themselves key fingerprints
 ``("vnode", node_id, index)``), so placement is deterministic across
 processes — the same property the online engine relies on for
 checkpoint/resume reproducibility.
+
+Every fingerprint between two adjacent points shares one preference
+order, so the ring walks each arc once: the first :meth:`HashRing.owners`
+call on an arc memoizes its full distinct-owner order, later calls
+slice it, and :meth:`HashRing.add_node` clears the memo.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List
+from typing import Dict, List
 
 from repro.online.keyspace import key_fingerprint
 
@@ -44,6 +49,9 @@ class HashRing:
         self._points: List[int] = []
         self._owners: List[str] = []
         self._members: set = set()
+        # Arc index (bisect_right over the points) -> every member in
+        # clockwise preference order from that arc; filled lazily.
+        self._arcs: Dict[int, List[str]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -54,6 +62,7 @@ class HashRing:
         if node_id in self._members:
             raise ValueError(f"node {node_id!r} is already on the ring")
         self._members.add(node_id)
+        self._arcs.clear()
         for index in range(self.vnodes):
             point = key_fingerprint(("vnode", node_id, index))
             at = bisect.bisect_left(self._points, point)
@@ -84,18 +93,22 @@ class HashRing:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if not self._points:
-            return []
-        n = min(n, len(self._members))
         start = bisect.bisect_right(self._points, fingerprint)
-        owners: List[str] = []
+        order = self._arcs.get(start)
+        if order is None:
+            order = self._arcs[start] = self._walk(start)
+        return order[:n]
+
+    def _walk(self, start: int) -> List[str]:
+        """Every member once, clockwise from point index ``start``."""
+        order: List[str] = []
         seen = set()
         total = len(self._points)
         for step in range(total):
             owner = self._owners[(start + step) % total]
             if owner not in seen:
                 seen.add(owner)
-                owners.append(owner)
-                if len(owners) == n:
+                order.append(owner)
+                if len(order) == len(self._members):
                     break
-        return owners
+        return order

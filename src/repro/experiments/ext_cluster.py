@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.cache import ClusterKVCache, WriteQuorumError
+from repro.cluster.cache import ClusterKVCache
 from repro.cluster.latency import LatencyModel
 from repro.experiments.base import ExperimentResult, Setup
 from repro.experiments import checkpoint as checkpoint_mod
@@ -85,10 +85,7 @@ def replay_cluster(
             for node_id, node in sorted(cluster.nodes.items()):
                 if node.status == "down":
                     cluster.recover(node_id)
-        try:
-            cluster.get_or_compute(key, lambda k: k)
-        except WriteQuorumError:  # pragma: no cover - fills swallow it
-            pass
+        cluster.get_or_compute(key, lambda k: k)
     elapsed = time.perf_counter() - start
     stats = cluster.stats()
     cluster.close()

@@ -212,9 +212,14 @@ class AdaptiveKVCache:
         """The shard responsible for ``key``."""
         return self.shards[self.shard_index(key)]
 
+    # get, put and get_or_compute route inline (shard_index's rule,
+    # written out): they are every request's path.
+
     def get(self, key, default=None):
         """Value stored under ``key``, or ``default`` on a miss."""
-        return self._shard_for(key).get(key, default)
+        return self.shards[
+            (key_fingerprint(key) >> self._route_shift) & self._route_mask
+        ].get(key, default)
 
     def put(self, key, value, ttl: Optional[float] = None) -> None:
         """Store ``value`` under ``key`` (insert or overwrite).
@@ -222,7 +227,9 @@ class AdaptiveKVCache:
         Args:
             ttl: per-entry TTL override, seconds.
         """
-        self._shard_for(key).put(key, value, ttl=ttl)
+        self.shards[
+            (key_fingerprint(key) >> self._route_shift) & self._route_mask
+        ].put(key, value, ttl)
 
     def get_or_compute(self, key, loader, ttl: Optional[float] = None):
         """Return the cached value, loading and caching it on a miss.
@@ -231,7 +238,9 @@ class AdaptiveKVCache:
         callers of the same shard wait rather than stampede — so it
         must not call back into this cache.
         """
-        return self._shard_for(key).get_or_compute(key, loader, ttl=ttl)
+        return self.shards[
+            (key_fingerprint(key) >> self._route_shift) & self._route_mask
+        ].get_or_compute(key, loader, ttl)
 
     def delete(self, key) -> bool:
         """Remove ``key``; returns True if it was resident."""

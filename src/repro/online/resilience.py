@@ -169,6 +169,13 @@ class CircuitBreaker:
     the recovering backend with the very burst the breaker exists to
     prevent.
 
+    A closed breaker never holds a probe, so while it is closed
+    :meth:`allow` and :meth:`admit` answer from ``_state`` alone, and
+    :meth:`record_success` with no failure on the streak has nothing to
+    change: those three skip the lock. A racing transition is then
+    simply ordered after the read. Every state change still takes the
+    lock.
+
     Args:
         failure_threshold: consecutive failures that trip the breaker.
         recovery_timeout: open-state cooldown, seconds.
@@ -220,6 +227,8 @@ class CircuitBreaker:
         until :meth:`record_success` / :meth:`record_failure` settles
         the probe's outcome.
         """
+        if self._state == "closed":
+            return True
         return self.admit()[0]
 
     def admit(self) -> "tuple[bool, bool]":
@@ -235,6 +244,8 @@ class CircuitBreaker:
         so a cancelled probe does not wedge the breaker in half-open
         forever.
         """
+        if self._state == "closed":
+            return True, False
         with self._lock:
             state = self._advance_locked()
             if state == "open":
@@ -261,6 +272,8 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """Note a successful loader call; recloses a half-open breaker."""
+        if self._failures == 0 and self._state == "closed":
+            return
         with self._lock:
             self._failures = 0
             self._state = "closed"

@@ -31,7 +31,11 @@ class _LinkedOrderPolicy(ReplacementPolicy):
                 prv[way] = -1
 
     def _touch(self, set_index: int, way: int) -> None:
-        """Move ``way`` to the tail, linking it if needed."""
+        """Move ``way`` to the tail, linking it if needed; IndexError
+        for a slot outside the geometry."""
+        # _check_slot's bounds, inline: it runs only to raise.
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.ways):
+            self._check_slot(set_index, way)
         nxt = self._nxt[set_index]
         prv = self._prv[set_index]
         sentinel = self.ways
@@ -47,7 +51,6 @@ class _LinkedOrderPolicy(ReplacementPolicy):
         prv[sentinel] = way
 
     def on_fill(self, set_index: int, way: int, tag: int) -> None:
-        self._check_slot(set_index, way)
         self._touch(set_index, way)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
@@ -91,6 +94,5 @@ class LRUPolicy(_LinkedOrderPolicy):
 
     name = "lru"
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._check_slot(set_index, way)
-        self._touch(set_index, way)
+    #: A hit moves the way to the MRU end, as a fill does.
+    on_hit = _LinkedOrderPolicy._touch

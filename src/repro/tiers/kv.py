@@ -3,10 +3,12 @@
 A :class:`KVTier` wraps any :class:`~repro.online.contract.KVStore` — a
 :class:`~repro.online.shard.CacheShard`, a whole
 :class:`~repro.online.engine.AdaptiveKVCache`, or a
-:class:`~repro.cluster.cache.ClusterKVCache` ring — behind the three
-operations a tier walk needs (`lookup`, `admit`, `invalidate`), and a
-:class:`TieredKVCache` walks requests through a near→far tier list
-under a pluggable :class:`~repro.tiers.placement.PlacementStrategy`.
+:class:`~repro.cluster.cache.ClusterKVCache` ring — with its probe
+cost, and a :class:`TieredKVCache` walks requests through a near→far
+tier list under a pluggable
+:class:`~repro.tiers.placement.PlacementStrategy`: a ``get`` on each
+store probes it, a ``put`` places a copy (:meth:`KVTier.admit`), a
+``delete`` invalidates one.
 
 Two canonical topologies ship as helpers:
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.cluster.cache import WriteQuorumError
 from repro.tiers.placement import (
     LeaveCopyEverywhere,
     PlacementStrategy,
@@ -55,13 +58,6 @@ class KVTier:
         self.store = store
         self.capacity = capacity
         self.hit_latency = hit_latency
-
-    def lookup(self, key):
-        """``(found, value)`` — a probe, never a fill."""
-        value = self.store.get(key, _MISS)
-        if value is _MISS:
-            return False, None
-        return True, value
 
     def admit(self, key, value) -> None:
         """Install ``key`` in this tier (store handles its own eviction)."""
@@ -165,31 +161,27 @@ class TieredKVCache:
                             "AdaptiveKVCache; a resilient ladder needs one")
         return engine
 
-    def _admit_copies(self, served: int, key, value) -> tuple:
-        """Place copies per the strategy; far-to-near; returns names."""
-        targets = self.placement.copy_tiers(len(self.tiers), served, key)
-        admitted = []
-        for index in sorted(targets, reverse=True):
-            tier = self.tiers[index]
-            tier.admit(key, value)
-            admitted.append(tier.name)
-        return tuple(reversed(admitted))
-
     def _walk(self, key, loader, default) -> TieredKVResult:
         """Probe tiers near-to-far; place copies of what serves.
 
         A total miss runs ``loader`` and places its value. Without a
         loader (a plain get) it consults no backing and reports the
         miss to the caller, matching ``CacheShard.get``.
+
+        Copies go in far-to-near, to the tiers the strategy names;
+        ``admitted`` lists the tiers that took one, near-to-far. A tier
+        that refuses its copy — a ring whose write fell short of
+        quorum — is left out, and the walk still serves the value.
         """
         self.gets += 1
         if self._observe_placement:
             self.placement.observe_access(key, False)
+        tiers = self.tiers
         latency = 0
-        for served, tier in enumerate(self.tiers):
+        for served, tier in enumerate(tiers):
             latency += tier.hit_latency
-            found, value = tier.lookup(key)
-            if found:
+            value = tier.store.get(key, _MISS)  # a probe, never a fill
+            if value is not _MISS:
                 name = tier.name
                 self.serves[name] += 1
                 break
@@ -197,14 +189,28 @@ class TieredKVCache:
             if loader is None:
                 self.total_latency += latency
                 return TieredKVResult(False, default, None, latency, ())
-            served, name = len(self.tiers), self.backing_name
+            served, name = len(tiers), self.backing_name
             self.backing_fetches += 1
             self.serves[name] += 1
             latency += self.backing_latency
             value = loader(key)
         self.total_latency += latency
-        admitted = self._admit_copies(served, key, value)
-        return TieredKVResult(True, value, name, latency, admitted)
+        targets = self.placement.copy_tiers(len(tiers), served, key)
+        if not targets:
+            return TieredKVResult(True, value, name, latency, ())
+        if len(targets) > 1:
+            targets = sorted(targets, reverse=True)
+        admitted = []
+        for index in targets:
+            tier = tiers[index]
+            try:
+                tier.store.put(key, value)  # tier.admit, inline
+            except WriteQuorumError:
+                continue
+            admitted.append(tier.name)
+        if len(admitted) > 1:
+            admitted.reverse()
+        return TieredKVResult(True, value, name, latency, tuple(admitted))
 
     def get_detailed(self, key, default=None) -> TieredKVResult:
         """Probe all tiers; on a hit, promote per the placement strategy.

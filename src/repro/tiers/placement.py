@@ -78,6 +78,8 @@ class LeaveCopyEverywhere(PlacementStrategy):
 
     def copy_tiers(self, num_tiers: int, served_index: int, key
                    ) -> Tuple[int, ...]:
+        if served_index == 0:
+            return ()  # a top-tier hit, the common case: nothing above
         return tuple(range(min(served_index, num_tiers)))
 
 

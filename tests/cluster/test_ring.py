@@ -9,11 +9,16 @@ Zipf key streams (the canonical skewed workload):
 * **Minimal movement** — a join or leave remaps only about K/n of the
   keyspace; every remapped key's new preference list involves the
   node that changed.
+
+The memoized preference order per arc is also checked against a fresh
+clockwise walk, before and after a join clears the memo.
 """
 
+import bisect
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.online.keyspace import key_fingerprint
@@ -172,3 +177,48 @@ class TestMinimalMovement:
         after = assignment(ring, fingerprints, 3)
         changed = sum(1 for a, b in zip(before, after) if a != b)
         assert changed <= 2.0 * 3 * len(fingerprints) / 8
+
+
+def clockwise(members, vnodes, fingerprint):
+    """Every member once, clockwise of ``fingerprint``, walked point by
+    point over a ring rebuilt from scratch."""
+    points = sorted((key_fingerprint(("vnode", member, index)), member)
+                    for member in members for index in range(vnodes))
+    start = bisect.bisect_right([point for point, _ in points], fingerprint)
+    order = []
+    for step in range(len(points)):
+        owner = points[(start + step) % len(points)][1]
+        if owner not in order:
+            order.append(owner)
+    return order
+
+
+class TestArcMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 5), vnodes=st.integers(1, 6),
+           salt=st.integers(0, 1000))
+    def test_memoized_owners_match_the_walk(self, count, vnodes, salt):
+        """Every arc and every ``n`` up to the membership answer as the
+        clockwise walk does, both before and after a join that follows
+        queries (the join clears the memo)."""
+        members = [f"m{salt}-{index}" for index in range(count)]
+        ring = HashRing(vnodes=vnodes)
+        for member in members:
+            ring.add_node(member)
+
+        def check():
+            points = sorted(key_fingerprint(("vnode", member, index))
+                            for member in members
+                            for index in range(vnodes))
+            # One fingerprint per arc: before the first point, then on
+            # each point (bisect_right puts it on the next arc).
+            for fingerprint in [points[0] - 1] + points:
+                order = clockwise(members, vnodes, fingerprint)
+                for n in range(1, len(members) + 1):
+                    assert ring.owners(fingerprint, n) == order[:n]
+                    assert ring.owners(fingerprint, n) == order[:n]  # memo
+
+        check()
+        members.append(f"m{salt}-joiner")
+        ring.add_node(members[-1])
+        check()

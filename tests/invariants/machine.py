@@ -429,8 +429,6 @@ class ServingMachine(RuleBasedStateMachine):
             value = self.layer.get_or_compute(key, loader, **kwargs)
         except (IOError, LoaderUnavailable, RecoveryInProgress) as error:
             value = error
-        except WriteQuorumError:
-            return  # the loaded value reached too few replicas
         if blocked:
             assert isinstance(value, LoaderUnavailable), value
             return

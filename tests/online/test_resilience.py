@@ -8,7 +8,10 @@ and back into service. Clocks and sleeps are injected everywhere, so
 every timing behavior is deterministic.
 """
 
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.online.engine import AdaptiveKVCache
 from repro.online.persistence import recover
@@ -333,8 +336,6 @@ class TestHalfOpenProbeToken:
         assert not breaker.allow()
 
     def test_thundering_herd_gets_one_probe(self):
-        import threading
-
         clock = FakeClock()
         breaker = self._tripped_breaker(clock)
         barrier = threading.Barrier(16)
@@ -357,8 +358,6 @@ class TestHalfOpenProbeToken:
         assert len(admitted) == 1
 
     def test_herd_with_recorded_outcomes_stays_serialized(self):
-        import threading
-
         clock = FakeClock()
         breaker = self._tripped_breaker(clock)
         lock = threading.Lock()
@@ -389,3 +388,99 @@ class TestHalfOpenProbeToken:
         # Probes happened (the breaker kept re-entering half-open), but
         # never two at once.
         assert max_concurrent[0] == 1
+
+
+class LockedBreaker:
+    """The reference breaker: every call takes the lock, so each is
+    one atomic step of the state machine :class:`CircuitBreaker`
+    documents."""
+
+    def __init__(self, failure_threshold, recovery_timeout, clock):
+        self.failure_threshold = failure_threshold
+        self.recovery_timeout = recovery_timeout
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._failures = 0
+        self._state = "closed"
+        self._opened_at = 0.0
+        self._probe_inflight = False
+        self.trips = 0
+
+    def _advance_locked(self):
+        if (self._state == "open"
+                and self._clock() - self._opened_at >= self.recovery_timeout):
+            self._state = "half_open"
+            self._probe_inflight = False
+        return self._state
+
+    @property
+    def state(self):
+        with self._lock:
+            return self._advance_locked()
+
+    def allow(self):
+        return self.admit()[0]
+
+    def admit(self):
+        with self._lock:
+            state = self._advance_locked()
+            if state == "open":
+                return False, False
+            if state == "half_open":
+                if self._probe_inflight:
+                    return False, False
+                self._probe_inflight = True
+                return True, True
+            return True, False
+
+    def abort_probe(self):
+        with self._lock:
+            self._probe_inflight = False
+
+    def record_success(self):
+        with self._lock:
+            self._failures = 0
+            self._state = "closed"
+            self._probe_inflight = False
+
+    def record_failure(self):
+        with self._lock:
+            self._advance_locked()
+            self._failures += 1
+            if (self._state == "half_open"
+                    or self._failures >= self.failure_threshold):
+                if self._state != "open":
+                    self.trips += 1
+                self._state = "open"
+                self._opened_at = self._clock()
+                self._failures = 0
+                self._probe_inflight = False
+
+
+BREAKER_CALLS = ("allow", "admit", "record_success", "record_failure",
+                 "abort_probe")
+
+
+class TestBreakerFastPath:
+    """The closed breaker's lock-free calls decide as the locked
+    reference does, step by step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(threshold=st.integers(1, 4), cooldown=st.sampled_from([1.0, 5.0]),
+           steps=st.lists(st.one_of(st.sampled_from(BREAKER_CALLS),
+                                    st.sampled_from([0.5, 1.0, 5.0])),
+                          max_size=60))
+    def test_decisions_match_the_locked_reference(self, threshold, cooldown,
+                                                  steps):
+        clock = FakeClock()
+        breaker = CircuitBreaker(threshold, cooldown, clock=clock)
+        reference = LockedBreaker(threshold, cooldown, clock)
+        for step in steps:
+            if isinstance(step, float):
+                clock.advance(step)
+                continue
+            assert (getattr(breaker, step)()
+                    == getattr(reference, step)()), step
+            assert breaker.trips == reference.trips
+            assert breaker._probe_inflight == reference._probe_inflight
+            assert breaker.state == reference.state

@@ -1,8 +1,10 @@
 """Unit tests for the KV tier walker and the canonical topologies."""
 
+from collections import Counter
+
 import pytest
 
-from repro.cluster.cache import ClusterKVCache
+from repro.cluster.cache import ClusterKVCache, WriteQuorumError
 from repro.online.engine import AdaptiveKVCache
 from repro.online.policies import build_shard_policy
 from repro.online.resilience import (
@@ -272,6 +274,71 @@ class TestCanonicalTopologies:
             assert value == "computed"
             assert topo.serves["backing"] == 1
             assert topo.get("user:2") == "computed"
+
+    def test_fill_short_of_quorum_still_serves(self):
+        """A read-through answers like the ring's own ``get_or_compute``
+        when the ring refuses the fill; a put still raises."""
+        ring = ClusterKVCache(3, 3, 64, policy="lru")
+        topo = client_local_topology(ring, 8, 64)
+        ring.nodes["n1"].crash()
+        ring.nodes["n2"].crash()
+        result = topo.fetch("b", lambda key: "loaded")
+        assert result.value == "loaded"
+        assert result.served_by == "backing"
+        assert result.admitted == ("local",)
+        assert ring.stats().failed_writes == 1
+        assert topo.get_or_compute("c", lambda key: "loaded") == "loaded"
+        with pytest.raises(WriteQuorumError):
+            topo.put("d", "written")
+
+
+#: Replica traffic of one request through a healthy client-local
+#: topology over a 3-replica ring: local shard gets, routes
+#: (``ClusterView.owners``), node gets, peeks and puts, local puts.
+TRAFFIC = {
+    "local hit": (1, 0, 0, 0, 0, 0),
+    "ring hit": (1, 1, 1, 2, 0, 1),
+    "total miss": (1, 2, 2, 1, 3, 1),
+    "write": (0, 1, 0, 0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("request_kind", sorted(TRAFFIC))
+def test_replica_traffic_per_request(request_kind, monkeypatch):
+    ring = ClusterKVCache(3, 3, 64, policy="lru")
+    topo = client_local_topology(ring, 8, 64)
+    if request_kind == "local hit":
+        topo.get_or_compute("k", lambda key: "v")
+    elif request_kind == "ring hit":
+        ring.put("k", "v")
+    calls = Counter()
+
+    def count(owner, method, label):
+        original = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counted)
+
+    local = topo.tiers[0].store
+    count(local, "get", "local get")
+    count(local, "put", "local put")
+    count(ring.view, "owners", "route")
+    count(ring.ring, "owners", "ring owners")
+    for node in ring.nodes.values():
+        for method in ("get", "peek", "put"):
+            count(node, method, f"node {method}")
+    if request_kind == "write":
+        topo.put("k", "v")
+    else:
+        assert topo.get_or_compute("k", lambda key: "v") == "v"
+    labels = ("local get", "route", "node get", "node peek", "node put",
+              "local put")
+    assert tuple(calls[label] for label in labels) == TRAFFIC[request_kind]
+    # Every route goes through the view.
+    assert calls["ring owners"] == calls["route"]
 
 
 class TestResilientLadderOverTieredFront:
