@@ -9,26 +9,26 @@ snapshot + WAL chain **incrementally**, in bounded chunks interleaved
 with request service, and converges to a state byte-identical to
 stop-the-world recovery.
 
-The correctness argument rests on shard independence:
+The correctness argument rests on independent **replay groups**:
+sets of shards that share no state with any other set. Replay proceeds
+**group by group** over a one-pass positional index of the WAL chain,
+preserving each group's record order exactly while permuting the
+commuting cross-group order. Every WAL record names one key, so it
+belongs to exactly one shard and one group. A group whose records are
+all applied is *ready*: its state equals what stop-the-world recovery
+would produce, so its shards serve (and log) traffic normally while
+later groups still replay.
 
 * In ``"adaptive"`` and fixed modes every shard is a self-contained
-  replica of the paper's machinery — no cross-shard state. Replay
-  therefore proceeds **shard by shard** (per-shard replay cursors over
-  a one-pass positional index of the WAL chain), preserving each
-  shard's record order exactly while permuting the commuting
-  cross-shard order. A shard whose cursor is exhausted is *ready*: its
-  state equals what stop-the-world recovery would produce, so it
-  serves (and logs) traffic normally while later shards still replay.
-  Every WAL record names one key, so it belongs to exactly one shard.
+  replica of the paper's machinery, so each shard is its own group.
 * In ``"sampled"`` mode leader shards vote into one
-  :class:`~repro.core.selector.GlobalSelector`, and live traffic on an
-  early-promoted leader would inject votes that reorder against
-  not-yet-replayed records. Replay then runs in global log order and
-  no shard serves normally until the chain is drained — reads degrade
-  to the honest recovering path below, writes defer; the engine's
-  decision stream stays identical to the reference.
+  :class:`~repro.core.selector.GlobalSelector`, so all shards form one
+  group: replay runs in global log order and no shard serves normally
+  until the chain is drained — reads degrade to the honest recovering
+  path below, writes defer; live votes never reorder against
+  not-yet-replayed records.
 
-While a shard is still replaying:
+While a shard's group is still replaying:
 
 * **Reads** are served honestly from what is actually known — a
   pending (acked but deferred) write, else a non-destructive
@@ -39,12 +39,12 @@ While a shard is still replaying:
   and the engine state stays byte-identical to the reference.
 * **Writes** are dual-logged: the record is appended to the newest WAL
   (after its torn tail was truncated at open) *before* the op is
-  acknowledged, then queued per shard and applied the moment the
-  shard's cursor drains. A second crash mid-recovery recovers by
+  acknowledged, then queued on the shard's group and applied the
+  moment the group drains. A second crash mid-recovery recovers by
   replaying the original intact prefix followed by the accepted live
   ops — the reference order — so acked writes survive.
 
-Once every cursor drains and all pending writes are applied the
+Once every group drains and all pending writes are applied the
 wrapper *is* a :class:`~repro.online.persistence.PersistentKVCache`
 (it subclasses it): automatic snapshot rotation re-arms and the
 serving API falls through to the plain logged paths.
@@ -64,6 +64,7 @@ import os
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
+from repro.online import persistence
 from repro.online.persistence import (
     PersistentKVCache,
     apply_wal_record,
@@ -71,6 +72,7 @@ from repro.online.persistence import (
     load_snapshot_engine,
     read_record,
 )
+from repro.online.shard import check_ttl
 
 #: Pending-view marker for a deferred delete.
 _TOMBSTONE = object()
@@ -153,52 +155,44 @@ class LiveRecoveringKVCache(PersistentKVCache):
         self.chunk_ops = chunk_ops
         self._target_snapshot_every = snapshot_every
         self._recovering = True
-        # Sampled mode couples leader shards through the global
-        # selector: replay must keep global log order and no shard may
-        # serve (and vote) early.
-        self._global_order = cache.mode == "sampled"
         num_shards = cache.num_shards
+        # Each shard's replay group: its own, except in sampled mode,
+        # where the global selector couples every shard into group 0.
+        self._group = (
+            [0] * num_shards if cache.mode == "sampled"
+            else list(range(num_shards))
+        )
+        num_groups = self._group[-1] + 1
 
         # One streaming pass over the WAL chain builds a positional
-        # index — (WAL position in the chain, start offset, shard) per
+        # index — (WAL position in the chain, start offset, group) per
         # record, ints only, never the decoded records — and the
         # newest WAL's intact length. Records are re-read lazily during
         # replay.
-        items: List[Tuple[int, int, Optional[int]]] = []
-        per_shard: List[List[Tuple[int, int, Optional[int]]]] = [
-            [] for _ in range(num_shards)
+        per_group: List[List[Tuple[int, int, int]]] = [
+            [] for _ in range(num_groups)
         ]
         log_time = None
         for wal, path in enumerate(wal_paths):
             start = 0
             for record, end in iter_wal(path):
-                if self._global_order:
-                    items.append((wal, start, None))
-                else:
-                    index = _record_shard(cache, record)
-                    per_shard[index].append((wal, start, index))
+                group = self._group[cache.shard_index(record[1])]
+                per_group[group].append((wal, start, group))
                 start = end
                 log_time = record[-1]
         if log_time is not None:
             log_clock.resume(log_time)
-        if not self._global_order:
-            # Shard-major order: shard 0 drains (and starts serving)
-            # first, then shard 1, ... — progressive readiness.
-            for queue in per_shard:
-                items.extend(queue)
-        self._items = items
+        # Group-major order: group 0 drains (and starts serving) first,
+        # then group 1, ... — progressive readiness.
+        self._items = [item for queue in per_group for item in queue]
         self._wal_paths = wal_paths
         self._cursor = 0
-        self._shard_remaining = [len(queue) for queue in per_shard]
-        self._serving = [False] * num_shards
-        self._pending_ops: List[List[tuple]] = [[] for _ in range(num_shards)]
-        # Sampled mode promotes all shards at once, and deferred ops
-        # must then apply in global acceptance order — per-shard
-        # grouping would reorder leader votes into the global selector.
-        self._pending_global: List[tuple] = []
-        self._pending_view: List[dict] = [{} for _ in range(num_shards)]
+        self._group_remaining = [len(queue) for queue in per_group]
+        self._serving = [False] * num_groups
+        self._pending_ops: List[List[tuple]] = [[] for _ in range(num_groups)]
+        self._pending_view: List[dict] = [{} for _ in range(num_groups)]
         self._readers: Dict[int, BinaryIO] = {}
-        self.recovery = LiveRecoveryStats(total_records=len(items))
+        self.recovery = LiveRecoveryStats(total_records=len(self._items))
 
         # The superclass truncates the newest WAL's torn tail and
         # positions the append handle at the intact end: accepted live
@@ -227,7 +221,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
         """Whether ``index``'s shard serves normally (replay drained)."""
         if not self._recovering:
             return True
-        return self._serving[index]
+        return self._serving[self._group[index]]
 
     def key_serving(self, key) -> bool:
         """Whether ``key``'s shard serves normally (replay drained).
@@ -241,7 +235,8 @@ class LiveRecoveringKVCache(PersistentKVCache):
         return self._replaying_shard(key) is None
 
     def serving_fraction(self) -> float:
-        """Fraction of shards serving normally, 0.0..1.0."""
+        """Fraction of shards serving normally, 0.0..1.0 (every group
+        holds one shard, or all of them)."""
         if not self._recovering:
             return 1.0
         return sum(self._serving) / len(self._serving)
@@ -258,10 +253,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
                 return 0
             applied = 0
             while applied < self.chunk_ops and self._cursor < len(self._items):
-                wal, start, shard = self._items[self._cursor]
+                wal, start, group = self._items[self._cursor]
                 self._apply_locked(self._read_record_at(wal, start))
-                if shard is not None:
-                    self._shard_remaining[shard] -= 1
+                self._group_remaining[group] -= 1
                 self._cursor += 1
                 applied += 1
             self.recovery.applied_records += applied
@@ -288,7 +282,7 @@ class LiveRecoveringKVCache(PersistentKVCache):
     # shard serving it releases the lock and delegates to the
     # superclass's logged op; once recovery is over the gate is skipped
     # without taking the lock. That is safe because readiness only ever
-    # turns on: ``_serving[i]`` goes False -> True and ``_recovering``
+    # turns on: ``_serving[g]`` goes False -> True and ``_recovering``
     # True -> False, each exactly once, so a shard seen serving is
     # still serving — with its deferred writes applied — when the
     # logged op runs.
@@ -308,6 +302,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
             with self._lock:
                 index = self._replaying_shard(key)
                 if index is not None:
+                    # Refused now, as the shard would refuse it, rather
+                    # than logged and failing when it applies.
+                    check_ttl(ttl)
                     self._defer_locked(index,
                                        ("put", key, value, ttl, self._clock()),
                                        key, value)
@@ -357,9 +354,9 @@ class LiveRecoveringKVCache(PersistentKVCache):
         """Residency probe; consults pending writes while recovering."""
         if self._recovering:
             with self._lock:
-                index = self.engine.shard_index(key)
-                if not self._serving[index]:
-                    view = self._pending_view[index]
+                group = self._group[self.engine.shard_index(key)]
+                if not self._serving[group]:
+                    view = self._pending_view[group]
                     if key in view:
                         return view[key] is not _TOMBSTONE
         return key in self.cache
@@ -375,23 +372,22 @@ class LiveRecoveringKVCache(PersistentKVCache):
         if not self._recovering:
             return None
         index = self.engine.shard_index(key)
-        return None if self._serving[index] else index
+        return None if self._serving[self._group[index]] else index
 
     def _defer_locked(self, index: int, op: tuple, key, view) -> None:
-        """Dual-log a write on a replaying shard and queue it."""
-        self._log(op)
-        if self._global_order:
-            self._pending_global.append(op)
-        else:
-            self._pending_ops[index].append(op)
-        self._pending_view[index][key] = view
+        """Dual-log a write on a replaying shard and queue it on the
+        shard's group."""
+        self._append(persistence.encode_record(op))
+        group = self._group[index]
+        self._pending_ops[group].append(op)
+        self._pending_view[group][key] = view
         self.recovery.deferred_writes += 1
 
     def _recovering_lookup_locked(self, index: int, key):
         """What replaying shard ``index`` knows of ``key``: its pending
         write (``_TOMBSTONE`` for a pending delete), else a stale peek
         of the replayed prefix, else ``_UNKNOWN``."""
-        view = self._pending_view[index]
+        view = self._pending_view[self._group[index]]
         if key in view:
             return view[key]
         found, value = self.cache.shards[index].peek_stale(key)
@@ -417,33 +413,18 @@ class LiveRecoveringKVCache(PersistentKVCache):
         return value
 
     def _promote_locked(self) -> None:
-        done = self._cursor >= len(self._items)
-        if self._global_order:
-            if not done:
-                return
-            # All shards promote together; deferred ops apply in global
-            # acceptance order (= their WAL order), keeping the leader
-            # vote sequence identical to a post-crash replay.
-            for op in self._pending_global:
-                self._apply_locked(op)
-            self._pending_global = []
-            for index in range(self.cache.num_shards):
-                self._pending_view[index] = {}
-                self._serving[index] = True
-            self._complete_locked()
-            return
-        for index in range(self.cache.num_shards):
-            if self._serving[index] or self._shard_remaining[index] != 0:
+        for group, remaining in enumerate(self._group_remaining):
+            if self._serving[group] or remaining:
                 continue
-            # Apply the shard's acked-but-deferred writes in acceptance
+            # Apply the group's acked-but-deferred writes in acceptance
             # order; they were logged at accept time, so a later crash
             # replays them in exactly this position.
-            for op in self._pending_ops[index]:
+            for op in self._pending_ops[group]:
                 self._apply_locked(op)
-            self._pending_ops[index] = []
-            self._pending_view[index] = {}
-            self._serving[index] = True
-        if done and all(self._serving):
+            self._pending_ops[group] = []
+            self._pending_view[group] = {}
+            self._serving[group] = True
+        if all(self._serving):
             self._complete_locked()
 
     def _apply_locked(self, record: tuple) -> None:
@@ -478,9 +459,3 @@ class LiveRecoveringKVCache(PersistentKVCache):
             )
         return frame[0]
 
-
-def _record_shard(cache, record: tuple) -> int:
-    """The shard a WAL record raises events on."""
-    if record[0] in ("get", "del", "put", "goc_fill"):
-        return cache.shard_index(record[1])
-    raise ValueError(f"unknown WAL record kind {record[0]!r}")

@@ -8,12 +8,15 @@ The durability design follows the classic two-structure recipe:
   into a CRC-guarded frame and written through
   :func:`repro.utils.atomicio.atomic_output` so a crash mid-snapshot
   can never destroy the previous one.
-* **A write-ahead log** — every operation (including reads: ``get``
-  trains recency and replays into shadow directories, so reads *are*
-  state mutations here) appended as a CRC32-framed record to the
-  current generation's log file. Appends are buffered and flushed
-  every ``wal_flush_ops`` operations, keeping the log off the hot
-  path at the price of a bounded window of recent operations on a
+* **A write-ahead log** — exactly the operations the engine applied,
+  in the order it applied them (including reads: ``get`` trains
+  recency and replays into shadow directories, so reads *are* state
+  mutations here), each a CRC32-framed record in the current
+  generation's log file. An operation encodes its record, applies it,
+  and appends the record only once the engine returns, so a request
+  the engine refuses is never logged. Appends are buffered and
+  flushed every ``wal_flush_ops`` operations, keeping the log off the
+  hot path at the price of a bounded window of recent operations on a
   hard crash.
 
 Recovery (:func:`recover`) loads the newest intact snapshot — falling
@@ -33,8 +36,9 @@ exactly the TTL it had left when the log ends, whether the snapshot or
 a WAL record carried it.
 
 Generations: ``snapshot-N`` captures the state after all operations
-logged in ``wal-(N-1)``; ``wal-N`` holds the operations after it. The
-two newest generations are retained, older ones pruned.
+logged in ``wal-(N-1)``; ``wal-N`` holds the operations after it. A
+snapshot holds exactly what replaying the log rebuilds. The two newest
+generations are retained, older ones pruned.
 """
 
 from __future__ import annotations
@@ -209,11 +213,13 @@ def kv_stats_digest(stats) -> str:
 class PersistentKVCache(KVLayer):
     """An :class:`~repro.online.engine.AdaptiveKVCache` with durability.
 
-    Wraps an engine; every public operation is framed into the current
-    write-ahead log *before* it is applied, under one wrapper lock so
-    the log order equals the apply order (which replay depends on).
-    The engine's hot path is untouched — durability lives entirely in
-    this wrapper, and the WAL buffer amortises file writes.
+    Wraps an engine; every public operation encodes its record,
+    applies it to the engine and appends the record to the current
+    write-ahead log once the engine returns, all under one wrapper
+    lock: the log holds exactly the applied operations, in apply order
+    (which replay depends on). The engine's hot path is untouched —
+    durability lives entirely in this wrapper, and the WAL buffer
+    amortises file writes.
 
     Args:
         cache: the engine to persist; must be freshly constructed (or
@@ -225,8 +231,9 @@ class PersistentKVCache(KVLayer):
             (``None``: the WAL alone carries every operation after
             the first snapshot).
         wal_flush_ops: buffered operations per WAL flush+fsync. 1 means
-            every operation is durable before it is applied; larger
-            values trade a bounded recent-operation window for speed.
+            every operation is durable before it is acknowledged;
+            larger values trade a bounded recent-operation window for
+            speed.
         _generation: internal — starting generation (used by
             :func:`recover`).
         _wal_offset: internal — byte offset to continue the current
@@ -266,8 +273,6 @@ class PersistentKVCache(KVLayer):
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._buffer = bytearray()
-        # Where the newest buffered frame starts (see _rotate_locked).
-        self._last_frame = 0
         self._ops_since_snapshot = 0
         self.generation = _generation
         self.snapshots_taken = 0
@@ -288,14 +293,17 @@ class PersistentKVCache(KVLayer):
     def get(self, key, default=None):
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.get`."""
         with self._lock:
-            self._log(("get", key, self._clock()))
-            return self.cache.get(key, default)
+            frame = encode_record(("get", key, self._clock()))
+            value = self.cache.get(key, default)
+            self._append(frame)
+            return value
 
     def put(self, key, value, ttl=None) -> None:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.put`."""
         with self._lock:
-            self._log(("put", key, value, ttl, self._clock()))
+            frame = encode_record(("put", key, value, ttl, self._clock()))
             self.cache.put(key, value, ttl=ttl)
+            self._append(frame)
 
     def get_or_compute(self, key, loader, ttl=None):
         """Logged get-or-compute.
@@ -303,39 +311,47 @@ class PersistentKVCache(KVLayer):
         The loader itself cannot be serialized, so on a miss the
         *loaded value* is what reaches the log — replay re-installs it
         without re-running the loader, which both makes recovery
-        deterministic and spares the loader a thundering replay. A miss
-        whose loader (or fill) raises is logged as the plain ``get``
-        the engine had already applied when the loader ran.
+        deterministic and spares the loader a thundering replay. The
+        fill's record is encoded inside the loader, so a value that
+        cannot be encoded fails as the loader would and is never
+        cached. A miss whose loader raises is logged as the plain
+        ``get`` the engine had already applied when the loader ran.
         """
         with self._lock:
+            log_time = self._clock()
             missed = False
+            fill = None
 
             def logging_loader(k):
-                nonlocal missed
+                nonlocal missed, fill
                 missed = True
-                return loader(k)
+                value = loader(k)
+                # The engine fills right after the loader returns, so
+                # the fill's deadline counts from then.
+                fill = encode_record(("goc_fill", key, value, ttl,
+                                      self._clock()))
+                return value
 
-            record = ("get", key, self._clock())
+            # A ``get`` record holds only a reading and the key the
+            # engine accepted, so it always encodes: it is encoded
+            # only when the engine returns without a fill.
             try:
                 value = self.cache.get_or_compute(key, logging_loader,
                                                   ttl=ttl)
             except BaseException:
                 if missed:
-                    self._log(record, applied=True)
+                    self._append(encode_record(("get", key, log_time)))
                 raise
-            if missed:
-                # The engine filled after the loader returned, so the
-                # fill's deadline counts from then; the miss replays
-                # the same at that later time.
-                record = ("goc_fill", key, value, ttl, self._clock())
-            self._log(record, applied=True)
+            self._append(fill or encode_record(("get", key, log_time)))
             return value
 
     def delete(self, key) -> bool:
         """Logged :meth:`~repro.online.engine.AdaptiveKVCache.delete`."""
         with self._lock:
-            self._log(("del", key, self._clock()))
-            return self.cache.delete(key)
+            frame = encode_record(("del", key, self._clock()))
+            deleted = self.cache.delete(key)
+            self._append(frame)
+            return deleted
 
     # ------------------------------------------------------------------
     # Durability controls
@@ -376,26 +392,16 @@ class PersistentKVCache(KVLayer):
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
 
-    def _log(self, op: tuple, applied: bool = False) -> None:
-        """Buffer one record; flush or rotate on cadence.
-
-        ``applied`` says whether the operation has already run against
-        the engine (``get_or_compute`` must apply first — the computed
-        value *is* the record). It decides which side of a rotation the
-        record lands on: an unapplied record belongs in the *new* WAL
-        (the snapshot captures the state before it), an applied one in
-        the *old* WAL (the snapshot already includes its effect) —
-        either mistake replays the op twice or drops it.
-        """
-        self._last_frame = len(self._buffer)
-        self._buffer += encode_record(op)
+    def _append(self, frame: bytes) -> None:
+        """Buffer the frame of one operation the engine applied; flush
+        or rotate on cadence. The frame always belongs in the current
+        WAL: a rotation's snapshot already holds its effect."""
+        self._buffer += frame
         self._ops_since_snapshot += 1
         if (self.snapshot_every is not None
                 and self._ops_since_snapshot >= self.snapshot_every):
-            self._rotate_locked(pending_op=not applied)
-        # A record carried over a rotation is flushed on the cadence
-        # too: with ``wal_flush_ops=1`` it is durable before it applies.
-        if self._buffer and self._ops_since_snapshot % self.wal_flush_ops == 0:
+            self._rotate_locked()
+        elif self._ops_since_snapshot % self.wal_flush_ops == 0:
             self._flush_locked()
 
     def _flush_locked(self) -> None:
@@ -405,27 +411,15 @@ class PersistentKVCache(KVLayer):
         self._wal.flush()
         os.fsync(self._wal.fileno())
 
-    def _rotate_locked(self, pending_op: bool = False) -> None:
-        """Start a new generation: snapshot current state, fresh WAL.
-
-        With ``pending_op`` the last buffered record has been logged
-        but not yet applied; it must land in the *new* WAL (the
-        snapshot will capture the state before it), so it is carried
-        over instead of flushed.
-        """
-        carry = b""
-        if pending_op:
-            # The unapplied record is the newest buffered frame; carry
-            # exactly that frame, flush everything before it.
-            carry = bytes(self._buffer[self._last_frame:])
-            del self._buffer[self._last_frame:]
+    def _rotate_locked(self) -> None:
+        """Start a new generation: flush the WAL, snapshot the current
+        state, open a fresh WAL."""
         self._flush_locked()
         self._wal.close()
         self.generation += 1
         self._write_snapshot_locked()
         self._wal = open(self._path(_wal_name(self.generation)), "ab")
-        self._buffer += carry
-        self._ops_since_snapshot = 1 if pending_op else 0
+        self._ops_since_snapshot = 0
         self.snapshots_taken += 1
         self._prune_locked()
 

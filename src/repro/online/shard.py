@@ -29,6 +29,12 @@ from repro.online.keyspace import key_fingerprint
 from repro.policies.base import ReplacementPolicy, SetView
 
 
+def check_ttl(ttl: Optional[float]) -> None:
+    """Refuse a non-positive per-entry TTL (None: the default)."""
+    if ttl is not None and ttl <= 0:
+        raise ValueError(f"ttl must be positive, got {ttl}")
+
+
 class _Entry:
     """One resident key-value pair (internal)."""
 
@@ -117,7 +123,8 @@ class CacheShard:
         self.expirations = 0
         # Degraded-mode counters, bumped by the resilience layer
         # (repro.online.resilience): kept separate from hits/misses so
-        # stale serves never inflate the real hit rate.
+        # stale serves never inflate the real hit rate. No WAL record
+        # replays them, so state_dict() leaves them out.
         self.stale_hits = 0
         self.degraded = 0
 
@@ -156,8 +163,10 @@ class CacheShard:
         This is the demand-caching access the paper's theory assumes —
         every miss fills — and the memoization primitive the engine
         exposes. ``loader`` runs under the shard lock (no stampede per
-        shard); it must not reenter the cache.
+        shard); it must not reenter the cache. A non-positive ``ttl``
+        is refused before the lookup, so the refusal changes nothing.
         """
+        check_ttl(ttl)
         fingerprint = key_fingerprint(key)
         lock = self._lock
         lock.acquire()
@@ -184,8 +193,11 @@ class CacheShard:
         """Store ``value`` under ``key``, inserting or overwriting.
 
         Args:
-            ttl: per-entry override of the shard's default TTL.
+            ttl: per-entry override of the shard's default TTL; a
+                non-positive one is refused before the policy sees the
+                store, so the refusal changes nothing.
         """
+        check_ttl(ttl)
         fingerprint = key_fingerprint(key)
         lock = self._lock
         lock.acquire()
@@ -282,8 +294,10 @@ class CacheShard:
             }
 
     def state_dict(self) -> dict:
-        """Pickle-safe snapshot of the entire shard: entries, way
-        allocation, counters and the policy's replacement state.
+        """Pickle-safe snapshot of the shard as its WAL rebuilds it:
+        entries, way allocation, request counters and the policy's
+        replacement state (not ``stale_hits`` or ``degraded``, which no
+        WAL record replays).
 
         TTLs are stored as *remaining* seconds relative to the shard
         clock at snapshot time — monotonic clocks do not survive a
@@ -323,8 +337,6 @@ class CacheShard:
                     "deletes": self.deletes,
                     "evictions": self.evictions,
                     "expirations": self.expirations,
-                    "stale_hits": self.stale_hits,
-                    "degraded": self.degraded,
                 },
                 "policy": self.policy.state_dict(),
             }
@@ -358,8 +370,6 @@ class CacheShard:
             self.deletes = int(counters["deletes"])
             self.evictions = int(counters["evictions"])
             self.expirations = int(counters["expirations"])
-            self.stale_hits = int(counters["stale_hits"])
-            self.degraded = int(counters["degraded"])
             self.policy.load_state_dict(state["policy"])
 
     # ------------------------------------------------------------------
@@ -429,8 +439,6 @@ class CacheShard:
         self.policy.on_invalidate(0, way)
 
     def _expiry(self, ttl: Optional[float]) -> Optional[float]:
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
         effective = ttl if ttl is not None else self.default_ttl
         if effective is None:
             return None

@@ -586,17 +586,12 @@ class CrashRules(ServingMachine):
         self.crashed = True
 
     def _state(self, engine, at: float) -> dict:
-        """``engine.state_dict()`` read when the clock shows ``at``,
-        less the degraded-serving counters, which no record carries."""
+        """``engine.state_dict()`` read when the clock shows ``at``."""
         now, self.clock.now = self.clock.now, at
         try:
-            state = engine.state_dict()
+            return engine.state_dict()
         finally:
             self.clock.now = now
-        for shard in state["shards"]:
-            shard["counters"] = dict(shard["counters"], stale_hits=0,
-                                     degraded=0)
-        return state
 
     def _reopen(self, store, log_time: float) -> None:
         """Serve through the recovered ``store``; the model's deadlines

@@ -158,9 +158,9 @@ def _kill_at(monkeypatch, stage, rotation):
     snapshot rotation (0 is the first after generation 0)."""
     seen = {"rotation": -1}
 
-    def rotate(self, pending_op=False):
+    def rotate(self):
         seen["rotation"] += 1
-        return original_rotate(self, pending_op)
+        return original_rotate(self)
 
     def armed():
         return seen["rotation"] == rotation
@@ -192,11 +192,11 @@ def _kill_at(monkeypatch, stage, rotation):
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_every_rotation_stage(stage, tmp_path, monkeypatch):
-    """A rotation every 7 records; a kill at ``stage`` of each one. The
-    request that triggered it never returned, so recovery keeps what
-    was logged before it, and the request too when it was a
-    get-or-compute (its record was logged after it applied, so it
-    landed in the old WAL)."""
+    """A rotation every 7 records; a kill at ``stage`` of each one.
+    The request that triggered it never returned, but it was applied
+    and its record flushed to the old WAL before the rotation began,
+    so at every stage recovery keeps it and everything before it, and
+    continues the timeline from its reading."""
     rotations = (len(OPS) - 1) // 7
     for rotation in range(rotations):
         directory = str(tmp_path / f"{stage}-{rotation}")
@@ -213,10 +213,6 @@ def test_every_rotation_stage(stage, tmp_path, monkeypatch):
             else:
                 raise AssertionError(f"no rotation {rotation} at {stage}")
         done = len(killed)
-        kept = done + (OPS[done][0] == "goc")
-        # Recovery continues from the newest reading it replays: the
-        # new snapshot's once the manifest names it.
-        committed = STAGES.index(stage) >= STAGES.index("new wal")
-        expected = _reference_at(kept, _time(done if committed else kept - 1))
+        expected = _reference_at(done + 1, _time(done))
         for live in (False, True):
             assert _recovered(directory, live) == expected, (rotation, live)

@@ -31,20 +31,26 @@ def deferred_writes_applied_early(monkeypatch):
     the shard's older records replay over it."""
 
     def defer(self, index, op, key, view):
-        self._log(op)
+        self._append(persistence.encode_record(op))
         self._apply_locked(op)
-        self._pending_view[index][key] = view
+        self._pending_view[self._group[index]][key] = view
         self.recovery.deferred_writes += 1
 
     monkeypatch.setattr(LiveRecoveringKVCache, "_defer_locked", defer)
 
 
-def unapplied_record_in_old_wal(monkeypatch):
-    """At a rotation the triggering, not yet applied, record lands in
-    the old WAL, behind the snapshot that does not include it."""
-    rotate = PersistentKVCache._rotate_locked
-    monkeypatch.setattr(PersistentKVCache, "_rotate_locked",
-                        lambda self, pending_op=False: rotate(self))
+def logged_before_applied(monkeypatch):
+    """A put appends its frame before the engine applies it: a
+    rotation it triggers snapshots the state without it, behind which
+    its record lands in the old WAL."""
+
+    def put(self, key, value, ttl=None):
+        with self._lock:
+            self._append(persistence.encode_record(
+                ("put", key, value, ttl, self._clock())))
+            self.cache.put(key, value, ttl=ttl)
+
+    monkeypatch.setattr(PersistentKVCache, "put", put)
 
 
 def torn_tail_kept(monkeypatch):
@@ -120,21 +126,21 @@ def replay_restarts_ttl(monkeypatch):
                         lambda self, log_time, apply, *args: apply(*args))
 
 
-def rotating_record_unflushed(monkeypatch):
-    """The record carried over a rotation waits for the next flush, so
-    ``wal_flush_ops=1`` acks it before it is on disk."""
+def rotated_before_appended(monkeypatch):
+    """A rotation runs before the frame that triggers it is buffered,
+    so the frame lands in the new WAL, behind a snapshot that already
+    holds its effect."""
 
-    def log(self, op, applied=False):
-        self._last_frame = len(self._buffer)
-        self._buffer += persistence.encode_record(op)
+    def append(self, frame):
         self._ops_since_snapshot += 1
         if (self.snapshot_every is not None
                 and self._ops_since_snapshot >= self.snapshot_every):
-            self._rotate_locked(pending_op=not applied)
-        elif self._ops_since_snapshot % self.wal_flush_ops == 0:
+            self._rotate_locked()
+        self._buffer += frame
+        if self._ops_since_snapshot % self.wal_flush_ops == 0:
             self._flush_locked()
 
-    monkeypatch.setattr(PersistentKVCache, "_log", log)
+    monkeypatch.setattr(PersistentKVCache, "_append", append)
 
 
 def node_recovery_ignores_wal(monkeypatch):
@@ -162,15 +168,14 @@ def selector_follows_the_worse(monkeypatch):
 MUTATIONS = {
     "deferred writes applied early": (deferred_writes_applied_early,
                                       "persistent"),
-    "unapplied record in the old WAL": (unapplied_record_in_old_wal,
-                                        "persistent"),
+    "logged before applied": (logged_before_applied, "persistent"),
     "torn tail kept": (torn_tail_kept, "persistent"),
     "quorum of one": (quorum_of_one, "cluster"),
     "repair to the lowest version": (repair_to_lowest_version, "cluster"),
     "stale serve counted as a hit": (stale_serve_counted_as_hit,
                                      "resilient-engine"),
     "replay restarts the TTL": (replay_restarts_ttl, "persistent"),
-    "rotating record unflushed": (rotating_record_unflushed, "persistent"),
+    "rotated before appended": (rotated_before_appended, "persistent"),
     "node recovery ignores the WAL": (node_recovery_ignores_wal,
                                       "durable-ring"),
     "selector follows the worse component": (selector_follows_the_worse,

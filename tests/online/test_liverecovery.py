@@ -13,6 +13,7 @@ all-or-nothing gating, and counter purity.
 """
 
 import shutil
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,25 @@ class TestHonestServing:
         live.close()  # crash before the deferred op was applied
         recovered = recover(directory)
         assert recovered.get(key) == "acked"
+        recovered.close()
+
+    def test_refused_deferred_write_is_not_logged(self, tmp_path):
+        """A write the shard would refuse is refused at acceptance, not
+        logged to fail when it applies."""
+        directory = self._crashed(tmp_path)
+        live = LiveRecoveringKVCache(directory, chunk_ops=1,
+                                     wal_flush_ops=1)
+        key = self._replaying_key(live)
+        with pytest.raises(ValueError, match="ttl"):
+            live.put(key, "x", ttl=-1)
+        with pytest.raises(TypeError, match="pickle"):
+            live.put(key, threading.Lock())
+        assert live.recovery.deferred_writes == 0
+        live.finish()
+        expected = live.cache.state_dict()
+        live.close()
+        recovered = recover(directory)
+        assert recovered.cache.state_dict() == expected
         recovered.close()
 
     def test_deferred_delete_hides_key(self, tmp_path):

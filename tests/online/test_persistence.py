@@ -12,6 +12,7 @@ torn-tail truncation, snapshot fallback and generation pruning.
 import json
 import os
 import shutil
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,11 +275,51 @@ class TestRecoveryDecisionIdentity:
         _drive(durable, [("get_or_compute", k % 30) for k in range(40)])
         with pytest.raises(RuntimeError, match="backend down"):
             durable.get_or_compute(99, failing)
+        with pytest.raises(TypeError, match="pickle"):
+            # A value the WAL cannot encode fails as its loader would.
+            durable.get_or_compute(97, lambda k: threading.Lock())
+        assert 97 not in durable
         with pytest.raises(ValueError, match="ttl"):
-            durable.get_or_compute(98, lambda k: k, ttl=0)  # fill refused
+            durable.get_or_compute(98, lambda k: k, ttl=0)  # before a miss
         with pytest.raises(TypeError):
             durable.get_or_compute(1.5, failing)  # refused before a miss
         _drive(durable, [("get_or_compute", k % 17) for k in range(40)])
+        expected = durable.cache.state_dict()
+        durable.close()
+
+        copy = directory + "-copy"
+        shutil.copytree(directory, copy)
+        recovered = recover(directory)
+        live = LiveRecoveringKVCache(copy, chunk_ops=5)
+        live.finish()
+        assert recovered.cache.state_dict() == expected
+        assert live.cache.state_dict() == expected
+        recovered.close()
+        live.close()
+
+    @pytest.mark.parametrize("request_, error", [
+        (lambda cache: cache.put(5, "five", ttl=-1), ValueError),
+        (lambda cache: cache.get_or_compute(5, str, ttl=-1), ValueError),
+        (lambda cache: cache.get(1.5), TypeError),
+        (lambda cache: cache.put(1.5, "x"), TypeError),
+        (lambda cache: cache.delete(1.5), TypeError),
+    ], ids=["put-ttl", "get_or_compute-ttl", "get-float", "put-float",
+            "delete-float"])
+    def test_refused_request_changes_and_logs_nothing(self, request_, error,
+                                                      tmp_path):
+        """A request the engine refuses leaves its state as it was and
+        reaches no WAL, so both recoveries still rebuild the engine."""
+        directory = str(tmp_path / "wal")
+        durable = PersistentKVCache(
+            _engine("adaptive"), directory, snapshot_every=None,
+            wal_flush_ops=1,
+        )
+        _drive(durable, [("get_or_compute", k % 30) for k in range(40)])
+        before = durable.cache.state_dict()
+        with pytest.raises(error):
+            request_(durable)
+        assert durable.cache.state_dict() == before
+        _drive(durable, [("put", k % 17) for k in range(20)])
         expected = durable.cache.state_dict()
         durable.close()
 
