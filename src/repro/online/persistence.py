@@ -312,13 +312,15 @@ class PersistentKVCache(KVLayer):
         *loaded value* is what reaches the log — replay re-installs it
         without re-running the loader, which both makes recovery
         deterministic and spares the loader a thundering replay. The
-        fill's record is encoded inside the loader, so a value that
-        cannot be encoded fails as the loader would and is never
-        cached. A miss whose loader raises is logged as the plain
-        ``get`` the engine had already applied when the loader ran.
+        plain ``get`` record is encoded before the engine runs, as every
+        other operation's is; the fill's record is encoded inside the
+        loader, so a value that cannot be encoded fails as the loader
+        would and is never cached. A miss whose loader raises is logged
+        as the plain ``get`` the engine had already applied when the
+        loader ran.
         """
         with self._lock:
-            log_time = self._clock()
+            frame = encode_record(("get", key, self._clock()))
             missed = False
             fill = None
 
@@ -332,17 +334,14 @@ class PersistentKVCache(KVLayer):
                                       self._clock()))
                 return value
 
-            # A ``get`` record holds only a reading and the key the
-            # engine accepted, so it always encodes: it is encoded
-            # only when the engine returns without a fill.
             try:
                 value = self.cache.get_or_compute(key, logging_loader,
                                                   ttl=ttl)
             except BaseException:
                 if missed:
-                    self._append(encode_record(("get", key, log_time)))
+                    self._append(frame)
                 raise
-            self._append(fill or encode_record(("get", key, log_time)))
+            self._append(fill or frame)
             return value
 
     def delete(self, key) -> bool:

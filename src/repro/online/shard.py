@@ -166,7 +166,8 @@ class CacheShard:
         shard); it must not reenter the cache. A non-positive ``ttl``
         is refused before the lookup, so the refusal changes nothing.
         """
-        check_ttl(ttl)
+        if ttl is not None:
+            check_ttl(ttl)
         fingerprint = key_fingerprint(key)
         lock = self._lock
         lock.acquire()
@@ -197,7 +198,8 @@ class CacheShard:
                 non-positive one is refused before the policy sees the
                 store, so the refusal changes nothing.
         """
-        check_ttl(ttl)
+        if ttl is not None:
+            check_ttl(ttl)
         fingerprint = key_fingerprint(key)
         lock = self._lock
         lock.acquire()

@@ -47,6 +47,14 @@ def _engine(policy, seed=0):
     )
 
 
+def _unpicklable_key(n):
+    """``n`` as an int subclass the engine hashes like ``n`` but pickle
+    cannot name (its class is local)."""
+    class LocalInt(int):
+        pass
+    return LocalInt(n)
+
+
 def _drive(cache, ops):
     """Apply a (op, key) stream through the public serving API."""
     for op, key in ops:
@@ -303,8 +311,18 @@ class TestRecoveryDecisionIdentity:
         (lambda cache: cache.get(1.5), TypeError),
         (lambda cache: cache.put(1.5, "x"), TypeError),
         (lambda cache: cache.delete(1.5), TypeError),
+        # A key the engine accepts but the WAL cannot encode.
+        (lambda cache: cache.get(_unpicklable_key(9)), AttributeError),
+        (lambda cache: cache.put(_unpicklable_key(9), "x"), AttributeError),
+        (lambda cache: cache.delete(_unpicklable_key(9)), AttributeError),
+        (lambda cache: cache.get_or_compute(_unpicklable_key(9), str),
+         AttributeError),
+        (lambda cache: cache.get_or_compute(_unpicklable_key(99), str),
+         AttributeError),
     ], ids=["put-ttl", "get_or_compute-ttl", "get-float", "put-float",
-            "delete-float"])
+            "delete-float", "get-unpicklable-key", "put-unpicklable-key",
+            "delete-unpicklable-key", "get_or_compute-hit-unpicklable-key",
+            "get_or_compute-miss-unpicklable-key"])
     def test_refused_request_changes_and_logs_nothing(self, request_, error,
                                                       tmp_path):
         """A request the engine refuses leaves its state as it was and
